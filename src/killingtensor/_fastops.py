@@ -1,19 +1,28 @@
 """Integer fast paths for the large multilinear contraction pipelines.
 
 The integrability conditions contract three or four order-4 tensors and
-then (anti)symmetrise over up to seven slots, producing intermediate
-arrays with up to ``N^10`` entries.  Doing this directly on Fraction
-object arrays is orders of magnitude too slow, so this module:
+then (anti)symmetrise over up to eight slots, on operands with up to
+``N^10`` entries.  Doing this directly on Fraction object arrays is
+orders of magnitude too slow, so this module:
 
 * rescales a rational tensor to an integer array plus an exact scale
   factor (the least common multiple of the denominators);
 * keeps arrays in ``int64`` while provable bounds rule out overflow,
   promoting to arbitrary-precision Python integers (object dtype) the
   moment a bound fails — results are exact in either representation;
-* performs (anti)symmetrisation over ``m`` slots in ``m−1`` staged
-  passes of pairwise swaps (a left-transversal decomposition of the
-  symmetric group), costing ``m(m−1)/2`` array additions instead of
-  ``m!`` terms;
+* evaluates a final operator made of mutually disjoint symmetrisers and
+  antisymmetrisers by :func:`orbit_sum`: one gather over the operand and
+  one segmented sum give the residual's *canonical components* (one per
+  orbit of index tuples), never the dense (anti)symmetrised array.  The
+  gather table is built on first use and cached.  A second sum over the
+  high 32-bit limbs of ``int64`` terms tells when a sum may not fit, so
+  only the small result vector is ever promoted, never a dense array.
+  :func:`orbit_expand` rebuilds the dense array when a caller asks for
+  it;
+* symmetrises over slot groups that overlap a later operator's in
+  ``m−1`` staged passes of pairwise swaps (a left-transversal
+  decomposition of the symmetric group), costing ``m(m−1)/2`` array
+  additions instead of ``m!`` terms;
 * divides out integer content between stages to keep magnitudes small;
 * converts back to Fraction tensors with value interning, plus a cheap
   all-zero fast path.
@@ -24,10 +33,10 @@ always exactly equal to the direct Fraction computation.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +51,8 @@ __all__ = [
     "normalize_array",
     "to_tensor",
     "is_zero_array",
-    "canonical_nonzero_count",
+    "orbit_sum",
+    "orbit_expand",
 ]
 
 # Stay well under 2^63 so sums of a few terms cannot wrap.
@@ -146,9 +156,9 @@ def staged_symmetrise(arr: np.ndarray, axes: Sequence[int], *, sign: int = 1) ->
         for i in range(k):
             swapped = current.swapaxes(positions[i], positions[k])
             if sign > 0:
-                total = total + swapped
+                total += swapped
             else:
-                total = total - swapped
+                total -= swapped
         current = total
     return current
 
@@ -213,52 +223,192 @@ def is_zero_array(arr: np.ndarray) -> bool:
     return all(int(v) == 0 for v in arr.flat)
 
 
-def canonical_nonzero_count(
+# ---------------------------------------------------------------------------
+# Orbit sums over disjoint slot groups.
+#
+# Let G be the product of the symmetric groups of some disjoint slot
+# groups, each acting with sign +1 (symmetric group) or with the sign of
+# the permutation (antisymmetric group).  The unnormalised operator
+# T = sum over g in G of sign(g) g.A is fixed by its values at the
+# canonical tuples I: weakly increasing along each symmetric group,
+# strictly increasing along each antisymmetric one, free elsewhere.
+# Every index tuple J lies in the orbit of exactly one canonical I, and
+# T[J] = sign(J) * weight(I) * c[I] with the signed orbit sum
+# c[I] = sum over J in orbit(I) of sign(J) A[J], where sign(J) is the sign
+# of the rearrangement of the antisymmetric groups that sorts J and
+# weight(I) = |G| / |orbit(I)| = product of multiplicity! over the
+# symmetric groups.  Tuples with a repeated index in an antisymmetric
+# group lie in no orbit: T is zero there.
+# ---------------------------------------------------------------------------
+
+_SlotGroups = tuple[tuple[int, ...], ...]
+
+
+class _OrbitTable(NamedTuple):
+    perm: np.ndarray  # flat indices of the orbit elements, orbit by orbit
+    negate: "np.ndarray | None"  # True where sign(J) = -1; None if never
+    starts: np.ndarray  # start of each orbit in ``perm``, canonical tuples in order
+    group_order: int  # |G|
+
+
+def _group_key(groups: Iterable[Sequence[int]]) -> _SlotGroups:
+    return tuple(tuple(sorted(int(a) for a in group)) for group in groups)
+
+
+@functools.lru_cache(maxsize=32)
+def _group_orbits(dim: int, size: int, anti: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the index tuples of one slot group of ``size`` slots.
+
+    Returns ``(tuples, odd, starts)``: the ``int8`` tuples orbit by orbit,
+    with canonical (sorted) tuples in lexicographic order; whether each is
+    an odd rearrangement of its canonical tuple (always False for a
+    symmetric group); and the start of each orbit.  An antisymmetric
+    group keeps only tuples of distinct indices.
+    """
+    digits = np.indices((dim,) * size, dtype=np.int8).reshape(size, -1).T
+    ordered = np.sort(digits, axis=1)
+    odd = np.zeros(len(digits), dtype=bool)
+    if anti:
+        distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        digits, ordered, odd = digits[distinct], ordered[distinct], odd[distinct]
+        for i in range(size):
+            for j in range(i + 1, size):
+                odd ^= digits[:, i] > digits[:, j]
+    key = ordered.astype(np.int32) @ (dim ** np.arange(size - 1, -1, -1, dtype=np.int32))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1]))) if key.size else key
+    return digits[order], odd[order], starts
+
+
+def _product(outer: tuple, inner: tuple) -> tuple:
+    """Table of two disjoint slot sets, orbits ordered outer-major."""
+    off_a, odd_a, starts_a = outer
+    off_b, odd_b, starts_b = inner
+    if starts_a.size == 0 or starts_b.size == 0:
+        return off_a[:0], odd_a[:0], starts_a[:0]
+    ends_a = np.append(starts_a[1:], off_a.size)
+    offsets, odds, starts = [], [], []
+    base = 0
+    for start, end in zip(starts_a.tolist(), ends_a.tolist()):
+        # Orbit (a, b) holds every pair of an element of a and one of b.
+        offsets.append((off_b[:, None] + off_a[None, start:end]).ravel())
+        odds.append((odd_b[:, None] ^ odd_a[None, start:end]).ravel())
+        starts.append(base + starts_b * (end - start))
+        base += off_b.size * (end - start)
+    return np.concatenate(offsets), np.concatenate(odds), np.concatenate(starts)
+
+
+def _flat(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The entries of ``arr`` as a flat array, and the step along each axis.
+
+    An axis permutation of a C-contiguous array, as a transposed
+    contraction result is, is read in place rather than copied.
+    """
+    base = arr.transpose(np.argsort(arr.strides)[::-1])
+    if not base.flags.c_contiguous:
+        arr = base = np.ascontiguousarray(arr)
+    return base.reshape(-1), tuple(stride // arr.itemsize for stride in arr.strides)
+
+
+@functools.lru_cache(maxsize=16)
+def _orbit_table(
+    dim: int, order: int, sym_groups: _SlotGroups, anti_groups: _SlotGroups, steps: tuple[int, ...]
+) -> _OrbitTable:
+    """Orbit table whose ``perm`` indexes a flat array with these axis steps."""
+    used = [axis for group in sym_groups + anti_groups for axis in group]
+    if len(set(used)) != len(used) or any(a < 0 or a >= order for a in used):
+        raise ValueError("slot groups must partition a subset of the axes")
+    index = np.int32 if dim**order < 2**31 else np.int64
+    strides = np.array(steps, dtype=np.int64)
+    factors = []
+    group_order = 1
+    for group, anti in [(g, False) for g in sym_groups] + [(g, True) for g in anti_groups]:
+        tuples, odd, starts = _group_orbits(dim, len(group), anti)
+        factors.append(((tuples @ strides[list(group)]).astype(index), odd, starts))
+        group_order *= math.factorial(len(group))
+    for axis in sorted(set(range(order)) - set(used)):
+        offsets = (np.arange(dim) * strides[axis]).astype(index)
+        factors.append((offsets, np.zeros(dim, dtype=bool), np.arange(dim)))
+    table = factors[-1]
+    for factor in reversed(factors[:-1]):
+        table = _product(factor, table)
+    perm, odd, starts = table
+    for cached in table:  # shared by every caller
+        cached.flags.writeable = False
+    return _OrbitTable(perm, odd if odd.any() else None, starts, group_order)
+
+
+def orbit_sum(
     arr: np.ndarray,
-    dim: int,
     sym_groups: Iterable[Sequence[int]] = (),
     anti_groups: Iterable[Sequence[int]] = (),
-) -> int:
-    """Count non-zero entries over canonical index tuples.
+) -> np.ndarray:
+    """Signed orbit sums of ``arr`` at its canonical index tuples.
 
-    A canonical tuple is weakly increasing along each symmetric slot
-    group and strictly increasing along each antisymmetric slot group
-    (0-based axes); remaining axes range freely.  Entries related by the
-    declared symmetries are therefore counted once.
+    The groups are disjoint 0-based axis groups of the cubical integer
+    array ``arr``; the result is the vector ``c`` of the comment above,
+    one entry per canonical tuple.  It is zero exactly when the
+    (anti)symmetrisation of ``arr`` over the groups is, and it is empty
+    when an antisymmetric group is longer than the dimension.  ``int64``
+    input (entries below 2^62 in magnitude, as the guards here keep them)
+    is also summed by its high 32-bit limbs, which tells when a sum may
+    reach 2^62; the result is ``int64`` unless it may, and then object
+    dtype, as is the result for object input.
     """
-    order = arr.ndim
-    groups: list[tuple[tuple[int, ...], bool]] = []
-    used: set[int] = set()
-    for group in sym_groups:
-        axes = tuple(int(a) for a in group)
-        groups.append((axes, False))
-        used.update(axes)
-    for group in anti_groups:
-        axes = tuple(int(a) for a in group)
-        groups.append((axes, True))
-        used.update(axes)
-    free = [a for a in range(order) if a not in used]
-    if len(used) + len(free) != order or any(a < 0 or a >= order for a in used):
-        raise ValueError("slot groups must partition a subset of the axes")
+    if arr.dtype != object:
+        arr = arr.astype(np.int64, copy=False)
+    flat, steps = _flat(arr)
+    table = _orbit_table(arr.shape[0], arr.ndim, _group_key(sym_groups), _group_key(anti_groups), steps)
+    if table.starts.size == 0:
+        return np.zeros(0, dtype=arr.dtype)
+    terms = flat[table.perm]
+    if table.negate is not None:
+        np.negative(terms, out=terms, where=table.negate)
+    if terms.dtype == object:
+        return np.add.reduceat(terms, table.starts)
+    # With v = high * 2^32 + low per term (0 <= low < 2^32) and at most
+    # |G| < 2^29 terms an orbit (up to order 12), the limb sums satisfy
+    # |high sum| < 2^60 and 0 <= low sum < 2^61.  The plain int64 sum is
+    # exact modulo 2^64: it is the true sum while |high sum| < 2^29, and
+    # otherwise it gives the low sum back exactly.
+    total = np.add.reduceat(terms, table.starts)
+    terms >>= 32
+    high = np.add.reduceat(terms, table.starts)
+    if _max_abs(high) < 1 << 29:
+        return total
+    low = total - (high << 32)
+    return np.array(
+        [(h << 32) + l for h, l in zip(high.tolist(), low.tolist())], dtype=object
+    )
 
-    choices = []
-    for axes, strict in groups:
-        if strict:
-            pool = list(itertools.combinations(range(dim), len(axes)))
-        else:
-            pool = list(itertools.combinations_with_replacement(range(dim), len(axes)))
-        choices.append((axes, pool))
 
-    count = 0
-    free_pool = list(itertools.product(range(dim), repeat=len(free)))
-    for group_pick in itertools.product(*(pool for _, pool in choices)):
-        index_template: list[int] = [0] * order
-        for (axes, _), values in zip(choices, group_pick):
-            for axis, value in zip(axes, values):
-                index_template[axis] = value
-        for free_values in free_pool:
-            for axis, value in zip(free, free_values):
-                index_template[axis] = value
-            if arr[tuple(index_template)] != 0:
-                count += 1
-    return count
+def orbit_expand(
+    values: np.ndarray,
+    dim: int,
+    order: int,
+    sym_groups: Iterable[Sequence[int]] = (),
+    anti_groups: Iterable[Sequence[int]] = (),
+) -> np.ndarray:
+    """Dense order-``order`` array with canonical orbit sums ``values``.
+
+    Writes ``sign(J) * weight(I) * values[I]`` at every element ``J`` of
+    the orbit of each canonical tuple ``I``, so that
+    ``orbit_expand(orbit_sum(A, ...), ...)`` is the unnormalised
+    (anti)symmetrisation of ``A`` over the groups.
+    """
+    steps = tuple(dim**k for k in range(order - 1, -1, -1))
+    table = _orbit_table(dim, order, _group_key(sym_groups), _group_key(anti_groups), steps)
+    out_dtype = object if values.dtype == object else np.int64
+    out = np.zeros(dim**order, dtype=out_dtype)
+    if table.starts.size:
+        sizes = np.diff(np.append(table.starts, table.perm.size))
+        weights = table.group_order // sizes
+        if out_dtype is not object and _max_abs(values) * int(weights.max()) >= _INT64_SAFE:
+            values = _as_object_ints(values)
+            out = out.astype(object)
+        terms = np.repeat(values * weights, sizes)
+        if table.negate is not None:
+            np.negative(terms, out=terms, where=table.negate)
+        out[table.perm] = terms
+    return out.reshape((dim,) * order)

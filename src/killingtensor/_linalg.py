@@ -9,13 +9,13 @@ object arrays; everything stays exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidArgument
 
-__all__ = ["matrix_inverse", "determinant", "matrix_rank", "IncrementalRank"]
+__all__ = ["matrix_inverse", "determinant", "IncrementalRank"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -121,14 +121,3 @@ class IncrementalRank:
         self._pivots[lead] = work
         return True
 
-
-def matrix_rank(rows: Iterable[Sequence[Fraction]], width: int | None = None) -> int:
-    """Exact rank of a rational matrix given as an iterable of rows."""
-    tracker: IncrementalRank | None = None
-    if width is not None:
-        tracker = IncrementalRank(width)
-    for row in rows:
-        if tracker is None:
-            tracker = IncrementalRank(len(row))
-        tracker.add_row([Fraction(v) for v in row])
-    return 0 if tracker is None else tracker.rank

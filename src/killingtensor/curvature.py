@@ -439,7 +439,3 @@ def random_curvature(
         arr[idx] = random_fraction(generator, bound)
     return project_to_curvature(Tensor(arr, dim=dim))
 
-
-def curvature_slot_of_label() -> dict[int, int]:
-    """Copy of the tableau-label placement used by :func:`project_to_curvature`."""
-    return dict(_CURVATURE_SLOT_OF_LABEL)

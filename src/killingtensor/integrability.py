@@ -20,8 +20,9 @@ independent of integrability — a failure there signals an
 implementation bug, never bad data.
 
 All arithmetic is exact: tensors are rescaled to integer arrays, the
-(anti)symmetrisations run in staged passes with overflow guards, and
-results convert back to rational tensors.
+final symmetry operator is evaluated only at the residual's canonical
+components (orbit sums, with overflow guards), and results convert back
+to rational tensors.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._fastops import (
-    canonical_nonzero_count,
     guarded_add,
     guarded_tensordot,
     is_zero_array,
     normalize_array,
+    orbit_expand,
+    orbit_sum,
     staged_symmetrise,
     to_int_array,
     to_tensor,
@@ -181,71 +183,54 @@ def _resolve_gbar(gbar: GbarLike, dim: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # Operator tables.
 #
-# Each entry is a sequence of staged slot operations applied in order:
-# (+1, axes) is an unnormalised symmetrisation over the 0-based axes,
-# (−1, axes) an unnormalised antisymmetrisation.  The support tables list
-# the slot groups under which the finished residual is guaranteed
-# (anti)symmetric — the groups of the *last* operator plus any earlier
-# operator acting on disjoint slots.
+# Each form is a row: an operand builder and the sequence of slot
+# operations applied to the operand in order: (+1, axes) is an
+# unnormalised symmetrisation over the 0-based axes, (−1, axes) an
+# unnormalised antisymmetrisation.  The trailing run of operations on
+# mutually disjoint slot groups is the residual's support: the finished
+# residual is (anti)symmetric over exactly those groups, so only its
+# canonical components are computed, by one orbit-sum gather over the
+# operand (``_fastops.orbit_sum``).  Earlier operations, which overlap a
+# later one, run as staged passes.
 # ---------------------------------------------------------------------------
 
 _Ops = tuple[tuple[int, tuple[int, ...]], ...]
 _Groups = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
-# Quadratic S-operand layout: gbar^{kl} S_{k a2 b1 b2} S_{l c2 d1 d2}
-# with free slots (a2, b1, b2, c2, d1, d2) = axes 0..5.
-_COND1_S_OPS: dict[ConditionForm1, _Ops] = {
-    ConditionForm1.YOUNG_A: ((1, (2, 1, 4)), (-1, (2, 3, 5, 0))),
-    ConditionForm1.SPLIT_B: ((1, (2, 1, 4)), (-1, (3, 5, 0))),
-    ConditionForm1.ANTI_C: ((-1, (2, 3, 5, 0)),),
-    ConditionForm1.HOOK_D: ((-1, (2, 3, 5, 0)), (1, (2, 1, 4))),
-}
-_COND1_S_GROUPS: dict[ConditionForm1, _Groups] = {
-    ConditionForm1.YOUNG_A: ((), ((0, 2, 3, 5),)),
-    ConditionForm1.SPLIT_B: (((1, 2, 4),), ((0, 3, 5),)),
-    ConditionForm1.ANTI_C: ((), ((0, 2, 3, 5),)),
-    ConditionForm1.HOOK_D: (((1, 2, 4),), ()),
-}
 
-# Quadratic R-operand layout: gbar^{kl} R_{k b1 a2 b2} R_{l d1 c2 d2}
-# with free slots (b1, a2, b2, d1, c2, d2) = axes 0..5.
-_MAIN1_OPS: _Ops = ((-1, (1, 2, 4, 5)),)
-_MAIN1_GROUPS: _Groups = ((), ((1, 2, 4, 5),))
+@dataclass(frozen=True)
+class _Residual:
+    """Canonical components of ``scale *`` an (anti)symmetrised residual."""
 
-# Wedge-square layout: (a, i, j, b, k, l) with endomorphism slots (a, b)
-# and form slots (i, j, k, l).
-_OMEGA_OPS: _Ops = ((-1, (1, 2, 4, 5)),)
-_OMEGA_GROUPS: _Groups = ((), ((1, 2, 4, 5),))
+    values: np.ndarray
+    scale: Fraction
+    dim: int
+    order: int
+    groups: _Groups
 
-# Cubic R-operand aligned to (a1, b1, c1, d1, a2, b2, c2, d2).
-_MAIN2_OPS: _Ops = ((-1, (4, 5, 6, 7)), (1, (0, 1, 2, 3)))
-_MAIN2_GROUPS: _Groups = (((0, 1, 2, 3),), ((4, 5, 6, 7),))
-
-# Cubic S-operand layout (c2, d1, d2, b1, b2, f2, e1, e2) = axes 0..7:
-# gbar^{mn} gbar^{pq} S_{m c2 d1 d2} S_{n b1 p b2} S_{q f2 e1 e2}.
-_KS2_HOOK_YIN_OPS: _Ops = ((1, (4, 3, 1, 6, 7)), (-1, (4, 0, 2, 5)))
-_KS2_HOOK_YIN_GROUPS: _Groups = ((), ((0, 2, 4, 5),))
-
-# Same array read as (c2, d1, d2, e1, e2, f2, b1, b2):
-# gbar^{mn} gbar^{pq} S_{m c2 d1 d2} S_{n e1 p e2} S_{q f2 b1 b2}.
-_KS2_44_BOTH_OPS: _Ops = ((1, (6, 1, 3, 4)), (-1, (7, 0, 2, 5)))
-_KS2_44_BOTH_GROUPS: _Groups = (((1, 3, 4, 6),), ((0, 2, 5, 7),))
-
-# Cubic R-operand read as (d1, c2, d2, e1, e2, b1, f2, b2):
-# gbar^{mn} gbar^{pq} R_{m d1 c2 d2} R_{n e1 p e2} R_{q b1 f2 b2}.
-_KR2_OPS: _Ops = ((1, (5, 0, 3, 4)), (-1, (7, 1, 2, 6)))
-_KR2_GROUPS: _Groups = (((0, 3, 4, 5),), ((1, 2, 6, 7),))
-
-# Quartic S-operand aligned to (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2).
-_COND3_OPS: _Ops = ((1, (1, 0, 3, 6, 7, 8, 9)), (-1, (2, 4, 5)))
-_COND3_GROUPS: _Groups = (((0, 1, 3, 6, 7, 8, 9),), ((2, 4, 5),))
+    def tensor(self) -> Tensor:
+        if not np.count_nonzero(self.values):
+            return Tensor.zeros(self.dim, self.order)
+        arr = orbit_expand(self.values, self.dim, self.order, *self.groups)
+        return to_tensor(arr, self.scale, self.dim)
 
 
-def _run_ops(arr: np.ndarray, scale: Fraction, ops: _Ops) -> tuple[np.ndarray, Fraction]:
-    for sign, axes in ops:
+def _run_ops(arr: np.ndarray, scale: Fraction, ops: _Ops) -> _Residual:
+    """Apply ``ops`` to ``scale * arr``, keeping only canonical components."""
+    staged = len(ops)
+    used: set[int] = set()
+    while staged and used.isdisjoint(ops[staged - 1][1]):
+        staged -= 1
+        used.update(ops[staged][1])
+    for sign, axes in ops[:staged]:
         arr, scale = normalize_array(arr, scale)
         arr = staged_symmetrise(arr, axes, sign=sign)
-    return normalize_array(arr, scale)
+    support = ops[staged:]
+    groups = (
+        tuple(axes for sign, axes in support if sign > 0),
+        tuple(axes for sign, axes in support if sign < 0),
+    )
+    return _Residual(orbit_sum(arr, *groups), scale, arr.shape[0], arr.ndim, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -352,34 +337,44 @@ def _quartic_s_array(S: SymCurvatureTensor, gbar: Tensor) -> tuple[np.ndarray, F
     return arr, b_scale**3 * s_scale**4
 
 
+# Each row: (curvature class of the operand, operand builder, slot operations).
+_COND1_FORMS: dict[ConditionForm1, tuple] = {
+    # (b1, a2, b2, d1, c2, d2)
+    ConditionForm1.MAIN1: (_as_r, _quadratic_r_array, ((-1, (1, 2, 4, 5)),)),
+    # (a, i, j, b, k, l): the four form slots (i, j, k, l)
+    ConditionForm1.OMEGA: (_as_r, _omega_array, ((-1, (1, 2, 4, 5)),)),
+    # (a2, b1, b2, c2, d1, d2)
+    ConditionForm1.YOUNG_A: (_as_s, _quadratic_s_array, ((1, (2, 1, 4)), (-1, (2, 3, 5, 0)))),
+    ConditionForm1.SPLIT_B: (_as_s, _quadratic_s_array, ((1, (2, 1, 4)), (-1, (3, 5, 0)))),
+    ConditionForm1.ANTI_C: (_as_s, _quadratic_s_array, ((-1, (2, 3, 5, 0)),)),
+    ConditionForm1.HOOK_D: (_as_s, _quadratic_s_array, ((-1, (2, 3, 5, 0)), (1, (2, 1, 4)))),
+}
+_COND2_FORMS: dict[ConditionForm2, tuple] = {
+    # (a1, b1, c1, d1, a2, b2, c2, d2)
+    ConditionForm2.MAIN2: (_as_r, _cubic_r_array, ((-1, (4, 5, 6, 7)), (1, (0, 1, 2, 3)))),
+    # (c2, d1, d2, b1, b2, f2, e1, e2)
+    ConditionForm2.KS2_HOOK_YIN: (
+        _as_s, _cubic_s_array, ((1, (4, 3, 1, 6, 7)), (-1, (4, 0, 2, 5)))
+    ),
+    # the same array read as (c2, d1, d2, e1, e2, f2, b1, b2)
+    ConditionForm2.KS2_44_BOTH: (
+        _as_s, _cubic_s_array, ((1, (6, 1, 3, 4)), (-1, (7, 0, 2, 5)))
+    ),
+}
+# (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2)
+_COND3_FORM = (_as_s, _quartic_s_array, ((1, (1, 0, 3, 6, 7, 8, 9)), (-1, (2, 4, 5))))
+
+
+def _evaluate(K: KillingInput, gbar: GbarLike, row: tuple) -> _Residual:
+    as_class, build, ops = row
+    X = as_class(K)
+    arr, scale = build(X, _resolve_gbar(gbar, X.dim))
+    return _run_ops(arr, scale, ops)
+
+
 # ---------------------------------------------------------------------------
 # Public residuals.
 # ---------------------------------------------------------------------------
-
-
-def _condition1_data(
-    K: KillingInput,
-    gbar: GbarLike,
-    form: ConditionForm1,
-) -> tuple[np.ndarray, Fraction, _Groups]:
-    form = ConditionForm1.parse(form)
-    if form is ConditionForm1.MAIN1:
-        R = _as_r(K)
-        g = _resolve_gbar(gbar, R.dim)
-        arr, scale = _quadratic_r_array(R, g)
-        arr, scale = _run_ops(arr, scale, _MAIN1_OPS)
-        return arr, scale, _MAIN1_GROUPS
-    if form is ConditionForm1.OMEGA:
-        R = _as_r(K)
-        g = _resolve_gbar(gbar, R.dim)
-        arr, scale = _omega_array(R, g)
-        arr, scale = _run_ops(arr, scale, _OMEGA_OPS)
-        return arr, scale, _OMEGA_GROUPS
-    S = _as_s(K)
-    g = _resolve_gbar(gbar, S.dim)
-    arr, scale = _quadratic_s_array(S, g)
-    arr, scale = _run_ops(arr, scale, _COND1_S_OPS[form])
-    return arr, scale, _COND1_S_GROUPS[form]
 
 
 def condition1_residual(
@@ -396,31 +391,7 @@ def condition1_residual(
     Raises :class:`UnsupportedForm` if ``form`` is ``OMEGA`` and
     ``gbar`` is degenerate (flat model).
     """
-    arr, scale, _ = _condition1_data(K, gbar, ConditionForm1.parse(form))
-    dim = arr.shape[0] if arr.ndim else 0
-    return to_tensor(arr, scale, dim)
-
-
-def _condition2_data(
-    K: KillingInput,
-    gbar: GbarLike,
-    form: ConditionForm2,
-) -> tuple[np.ndarray, Fraction, _Groups]:
-    form = ConditionForm2.parse(form)
-    if form is ConditionForm2.MAIN2:
-        R = _as_r(K)
-        g = _resolve_gbar(gbar, R.dim)
-        arr, scale = _cubic_r_array(R, g)
-        arr, scale = _run_ops(arr, scale, _MAIN2_OPS)
-        return arr, scale, _MAIN2_GROUPS
-    S = _as_s(K)
-    g = _resolve_gbar(gbar, S.dim)
-    arr, scale = _cubic_s_array(S, g)
-    if form is ConditionForm2.KS2_HOOK_YIN:
-        arr, scale = _run_ops(arr, scale, _KS2_HOOK_YIN_OPS)
-        return arr, scale, _KS2_HOOK_YIN_GROUPS
-    arr, scale = _run_ops(arr, scale, _KS2_44_BOTH_OPS)
-    return arr, scale, _KS2_44_BOTH_GROUPS
+    return _evaluate(K, gbar, _COND1_FORMS[ConditionForm1.parse(form)]).tensor()
 
 
 def condition2_residual(
@@ -434,45 +405,7 @@ def condition2_residual(
     inputs that already satisfy the first condition; :func:`check`
     attaches a warning to its report in the contrary case.
     """
-    arr, scale, _ = _condition2_data(K, gbar, ConditionForm2.parse(form))
-    dim = arr.shape[0] if arr.ndim else 0
-    return to_tensor(arr, scale, dim)
-
-
-def _kr2_residual_data(
-    K: KillingInput, gbar: GbarLike
-) -> tuple[np.ndarray, Fraction, _Groups]:
-    """Cubic R-operand variant of the second condition (cross-check only).
-
-    ``gbar^{mn} gbar^{pq} R_{m d1 c2 d2} R_{n e1 p e2} R_{q b1 f2 b2}``
-    under the disjoint symmetriser/antisymmetriser pair.
-    """
-    R = _as_r(K)
-    g = _resolve_gbar(gbar, R.dim)
-    b_arr, b_scale = to_int_array(g)
-    r_arr, r_scale = to_int_array(R.tensor)
-    br = guarded_tensordot(b_arr, r_arr, [1], [0])  # (m, e1, p, e2) / (p, b1, f2, b2)
-    x = guarded_tensordot(r_arr, br, [0], [0])  # (d1, c2, d2, e1, p, e2)
-    x, x_scale = normalize_array(x, b_scale * r_scale**2)
-    u = guarded_tensordot(x, br, [4], [0])  # (d1, c2, d2, e1, e2, b1, f2, b2)
-    arr, scale = _run_ops(u, x_scale * b_scale * r_scale, _KR2_OPS)
-    return arr, scale, _KR2_GROUPS
-
-
-def _kr2_residual(K: KillingInput, gbar: GbarLike) -> Tensor:
-    arr, scale, _ = _kr2_residual_data(K, gbar)
-    dim = arr.shape[0] if arr.ndim else 0
-    return to_tensor(arr, scale, dim)
-
-
-def _condition3_data(
-    K: KillingInput, gbar: GbarLike
-) -> tuple[np.ndarray, Fraction, _Groups]:
-    S = _as_s(K)
-    g = _resolve_gbar(gbar, S.dim)
-    arr, scale = _quartic_s_array(S, g)
-    arr, scale = _run_ops(arr, scale, _COND3_OPS)
-    return arr, scale, _COND3_GROUPS
+    return _evaluate(K, gbar, _COND2_FORMS[ConditionForm2.parse(form)]).tensor()
 
 
 def condition3_residual(K: KillingInput, gbar: GbarLike) -> Tensor:
@@ -483,9 +416,7 @@ def condition3_residual(K: KillingInput, gbar: GbarLike) -> Tensor:
     four copies of the symmetric-class tensor.  It vanishes on every
     input satisfying the first two conditions.
     """
-    arr, scale, _ = _condition3_data(K, gbar)
-    dim = arr.shape[0] if arr.ndim else 0
-    return to_tensor(arr, scale, dim)
+    return _evaluate(K, gbar, _COND3_FORM).tensor()
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +513,9 @@ def verify_identity_suite(
         if not ok:
             raise IdentityViolation(f"identity check failed: {name}")
 
+    def require_hook(name: str, arr: np.ndarray, ops: _Ops) -> None:
+        require(name, not np.count_nonzero(_run_ops(arr, Fraction(1), ops).values))
+
     s_arr, _ = to_int_array(S.tensor)
 
     # Symmetrising the cyclic-sum identity in the last two slots:
@@ -594,40 +528,39 @@ def verify_identity_suite(
     require("symmetrised_bianchi", is_zero_array(bianchi))
 
     # Hook operator with shared slot annihilates the quadratic operand:
-    # Anti(c2,d2,a2) then Sym(c2,b2,b1,d1) on (a2,b1,b2,c2,d1,d2).
-    quad, quad_scale = _quadratic_s_array(S, g)
-    arr, _ = _run_ops(quad, quad_scale, ((-1, (3, 5, 0)), (1, (3, 2, 1, 4))))
-    require("hook_4_1_1_on_quadratic", is_zero_array(arr))
+    # Anti(c2,d2,a2) then Sym(c2,b2,b1,d1) on (a2,b1,b2,c2,d1,d2).  Each
+    # operand is passed straight on, so it is freed before the next one.
+    require_hook(
+        "hook_4_1_1_on_quadratic",
+        _quadratic_s_array(S, g)[0],
+        ((-1, (3, 5, 0)), (1, (3, 2, 1, 4))),
+    )
 
     # Cubic operands for the order-8 hook identities.
     b_arr, _ = to_int_array(g)
     bs = guarded_tensordot(b_arr, s_arr, [1], [0])
     p = guarded_tensordot(s_arr, bs, [0], [0])
     # First variant: (b1, b2, c2, d1, d2, f2, e1, e2).
-    y_yin = guarded_tensordot(p, bs, [0], [0])
-    arr, _ = _run_ops(y_yin, Fraction(1), ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7))))
-    require("hook_6_1_1_on_cubic_yin", is_zero_array(arr))
+    require_hook(
+        "hook_6_1_1_on_cubic_yin",
+        guarded_tensordot(p, bs, [0], [0]),
+        ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7))),
+    )
     # Second variant: (c2, b1, b2, d1, d2, f2, e1, e2).
-    y_yang = guarded_tensordot(p, bs, [4], [0])
-    arr, _ = _run_ops(y_yang, Fraction(1), ((-1, (0, 4, 5)), (1, (0, 2, 1, 3, 6, 7))))
-    require("hook_6_1_1_on_cubic_yang", is_zero_array(arr))
+    require_hook(
+        "hook_6_1_1_on_cubic_yang",
+        guarded_tensordot(p, bs, [4], [0]),
+        ((-1, (0, 4, 5)), (1, (0, 2, 1, 3, 6, 7))),
+    )
 
     # Quartic operands, each term separately, aligned to
     # (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2).
+    quartic_hook: _Ops = ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7, 8, 9)))
     p2 = guarded_tensordot(p, b_arr, [0], [0])
-    x_yin = guarded_tensordot(p2, p, [5], [3])
-    arr, _ = _run_ops(
-        x_yin, Fraction(1), ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7, 8, 9)))
-    )
-    require("hook_8_1_1_on_quartic_yin", is_zero_array(arr))
+    require_hook("hook_8_1_1_on_quartic_yin", guarded_tensordot(p2, p, [5], [3]), quartic_hook)
     p2y = guarded_tensordot(p, b_arr, [4], [0])
-    x_yang = guarded_tensordot(p2y, p, [5], [3]).transpose(
-        1, 2, 0, 3, 4, 5, 6, 7, 8, 9
-    )
-    arr, _ = _run_ops(
-        x_yang, Fraction(1), ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7, 8, 9)))
-    )
-    require("hook_8_1_1_on_quartic_yang", is_zero_array(arr))
+    x_yang = guarded_tensordot(p2y, p, [5], [3]).transpose(1, 2, 0, 3, 4, 5, 6, 7, 8, 9)
+    require_hook("hook_8_1_1_on_quartic_yang", x_yang, quartic_hook)
 
     # Projector decomposition on u (x) x (x) x (x) v (x) x (x) w with the
     # (u, v, w) slots antisymmetrised; slots are (a2, b1, b2, c2, d1, d2).
@@ -694,19 +627,15 @@ def check(
     form1 = ConditionForm1.parse(form1)
     form2 = ConditionForm2.parse(form2)
     start = time.perf_counter()
-    arr1, _, groups1 = _condition1_data(K, model, form1)
-    arr2, _, groups2 = _condition2_data(K, model, form2)
+    res1 = _evaluate(K, model, _COND1_FORMS[form1])
+    res2 = _evaluate(K, model, _COND2_FORMS[form2])
     elapsed = time.perf_counter() - start
 
     dim = K.dim
-    cond1_zero = is_zero_array(arr1)
-    cond2_zero = is_zero_array(arr2)
-    cond1_support = (
-        0 if cond1_zero else canonical_nonzero_count(arr1, dim, groups1[0], groups1[1])
-    )
-    cond2_support = (
-        0 if cond2_zero else canonical_nonzero_count(arr2, dim, groups2[0], groups2[1])
-    )
+    cond1_support = int(np.count_nonzero(res1.values))
+    cond2_support = int(np.count_nonzero(res2.values))
+    cond1_zero = cond1_support == 0
+    cond2_zero = cond2_support == 0
     warnings: tuple[str, ...] = ()
     if not cond1_zero:
         warnings = (

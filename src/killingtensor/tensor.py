@@ -430,10 +430,12 @@ def antisymmetrise_slots(tensor: Tensor, slots: Iterable[int]) -> Tensor:
     group = _slot_group(tensor, slots)
     if len(group) <= 1:
         return tensor
+    # Signs are relative to the listed order, so the identity counts +1.
+    group_sign = _perm_sign(group)
     total = None
     for arrangement in itertools.permutations(group):
         term = _rearranged(tensor, group, arrangement)
-        if _perm_sign(arrangement) < 0:
+        if _perm_sign(arrangement) != group_sign:
             term = -term
         total = term if total is None else total + term
     return Tensor(total, dim=tensor.dim)

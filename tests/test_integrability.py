@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import BOUND, flat, random_family_member, sphere
@@ -227,3 +230,127 @@ class TestIdentitySuite:
             verify_identity_suite(bad, sphere(3))
         with pytest.raises(InvalidArgument, match="order-4"):
             verify_identity_suite(Tensor.zeros(3, 3), sphere(3))
+
+
+# Slot groups over which each form's residual is (anti)symmetric, as
+# (symmetric groups, antisymmetric groups) of 0-based axes.
+SUPPORT_GROUPS = {
+    "main1": ((), ((1, 2, 4, 5),)),
+    "omega": ((), ((1, 2, 4, 5),)),
+    "young-a": ((), ((0, 2, 3, 5),)),
+    "split-b": (((1, 2, 4),), ((0, 3, 5),)),
+    "anti-c": ((), ((0, 2, 3, 5),)),
+    "hook-d": (((1, 2, 4),), ()),
+    "main2": (((0, 1, 2, 3),), ((4, 5, 6, 7),)),
+    "ks2-hook-yin": ((), ((0, 2, 4, 5),)),
+    "ks2-44-both": (((1, 3, 4, 6),), ((0, 2, 5, 7),)),
+}
+
+
+def canonical_nonzero_count(arr, dim, sym_groups=(), anti_groups=()) -> int:
+    """Count non-zero entries over canonical index tuples.
+
+    A canonical tuple is weakly increasing along each symmetric slot
+    group and strictly increasing along each antisymmetric slot group
+    (0-based axes); remaining axes range freely.  Entries related by the
+    declared symmetries are therefore counted once.
+    """
+    order = arr.ndim
+    groups = [(tuple(g), False) for g in sym_groups] + [(tuple(g), True) for g in anti_groups]
+    used = {a for axes, _ in groups for a in axes}
+    free = [a for a in range(order) if a not in used]
+    choices = []
+    for axes, strict in groups:
+        if strict:
+            pool = list(itertools.combinations(range(dim), len(axes)))
+        else:
+            pool = list(itertools.combinations_with_replacement(range(dim), len(axes)))
+        choices.append((axes, pool))
+    count = 0
+    free_pool = list(itertools.product(range(dim), repeat=len(free)))
+    for group_pick in itertools.product(*(pool for _, pool in choices)):
+        index_template = [0] * order
+        for (axes, _), values in zip(choices, group_pick):
+            for axis, value in zip(axes, values):
+                index_template[axis] = value
+        for free_values in free_pool:
+            for axis, value in zip(free, free_values):
+                index_template[axis] = value
+            if arr[tuple(index_template)] != 0:
+                count += 1
+    return count
+
+
+class TestPinnedResiduals:
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_support_counts_match_brute_force(self, dim):
+        model = sphere(dim)
+        K = random_curvature(dim, random.Random(40 + dim), bound=BOUND)
+        counts1 = {
+            form: canonical_nonzero_count(
+                condition1_residual(K, model, form).array, dim, *SUPPORT_GROUPS[form.value]
+            )
+            for form in FORM1_ALL
+        }
+        counts2 = {
+            form: canonical_nonzero_count(
+                condition2_residual(K, model, form).array, dim, *SUPPORT_GROUPS[form.value]
+            )
+            for form in FORM2_ALL
+        }
+        assert all(count > 0 for count in [*counts1.values(), *counts2.values()])
+        for form1 in FORM1_ALL:
+            for form2 in FORM2_ALL:
+                report = check(K, model, form1, form2)
+                assert not report.integrable
+                assert report.cond1_support == counts1[form1], (form1, form2)
+                assert report.cond2_support == counts2[form2], (form1, form2)
+
+    def test_third_condition_matches_the_fraction_route(self):
+        # At N = 3 the first two conditions hold for every input, and the
+        # third condition then vanishes for a symmetric gbar; a
+        # non-symmetric contraction tensor gives a nonzero residual.
+        rng = random.Random(50)
+        S = random_s(3, 51)
+        g = np.array(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(9)], dtype=object
+        ).reshape(3, 3)
+        residual = condition3_residual(S, Tensor(g, dim=3)).array
+
+        # The two-term quartic operand over (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2).
+        s = S.tensor.array
+        last = np.einsum("mn,mfgh,nlpq->fghlpq", g, s, s)  # (f2, e1, e2, l, g1, g2)
+        yin = np.einsum("ij,ikab,jcde,kl->abcdel", g, s, s, g)
+        yang = np.einsum("ij,icab,jdke,kl->abcdel", g, s, s, g)
+        operand = np.einsum("abcdel,fghlpq->abcdefghpq", yin + yang, last)
+
+        # Residual at each canonical tuple, summed over the group by definition.
+        sym_axes, anti_axes = (0, 1, 3, 6, 7, 8, 9), (2, 4, 5)
+        canonical = {}
+        for sym_values in itertools.combinations_with_replacement(range(3), 7):
+            terms: Counter = Counter()
+            for sym_perm in itertools.permutations(sym_values):
+                for anti_perm in itertools.permutations(range(3)):
+                    index = [0] * 10
+                    for axis, value in zip(sym_axes, sym_perm):
+                        index[axis] = value
+                    for axis, value in zip(anti_axes, anti_perm):
+                        index[axis] = value
+                    terms[tuple(index)] += _sign(anti_perm)
+            canonical[sym_values] = sum(c * operand[index] for index, c in terms.items())
+        assert any(canonical.values())
+
+        for index in itertools.product(range(3), repeat=10):
+            anti_values = [index[a] for a in anti_axes]
+            if len(set(anti_values)) < 3:
+                expected = 0
+            else:
+                sym_values = tuple(sorted(index[a] for a in sym_axes))
+                expected = _sign(anti_values) * canonical[sym_values]
+            assert residual[index] == expected, index
+
+
+def _sign(values) -> int:
+    """Sign of the rearrangement that sorts distinct values."""
+    inversions = sum(a > b for a, b in itertools.combinations(values, 2))
+    return -1 if inversions % 2 else 1

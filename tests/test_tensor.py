@@ -152,6 +152,12 @@ class TestSymmetrisers:
         a = antisymmetrise_slots(t, (1, 2))
         assert a == -permute_slots(a, (2, 1, 3))
 
+    def test_antisymmetriser_ignores_the_listed_slot_order(self):
+        t = random_tensor(random.Random(11), 3, 3)
+        a = antisymmetrise_slots(t, (1, 2, 3))
+        assert antisymmetrise_slots(t, (1, 3, 2)) == a
+        assert antisymmetrise_slots(t, (3, 1)) == antisymmetrise_slots(t, (1, 3))
+
     def test_unnormalised_projector_scaling(self):
         # Applying the k-slot (anti)symmetriser twice multiplies by k!.
         t = random_tensor(random.Random(9), 2, 3)
