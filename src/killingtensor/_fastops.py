@@ -10,6 +10,12 @@ orders of magnitude too slow, so this module:
 * keeps arrays in ``int64`` while provable bounds rule out overflow,
   promoting to arbitrary-precision Python integers (object dtype) the
   moment a bound fails — results are exact in either representation;
+* evaluates every contraction through one engine, :func:`contract`: an
+  einsum-style term over ``(integer array, scale)`` operands, contracted
+  pairwise along the greedy ``np.einsum_path`` (cached per term and
+  dimension), each step through the guarded ``tensordot`` and each
+  intermediate content-reduced, so the ``int64`` / Python-int choice is
+  made in one place;
 * evaluates a final operator made of mutually disjoint symmetrisers and
   antisymmetrisers by :func:`orbit_sum`: one gather over the operand and
   one segmented sum give the residual's *canonical components* (one per
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,6 +51,7 @@ from .tensor import Tensor
 
 __all__ = [
     "to_int_array",
+    "contract",
     "guarded_tensordot",
     "guarded_add",
     "staged_symmetrise",
@@ -133,6 +141,78 @@ def guarded_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             b = _as_object_ints(b)
     return a + b
+
+
+@functools.lru_cache(maxsize=64)
+def _contraction_plan(subscripts: str, dim: int) -> tuple[int, tuple, tuple[int, ...]]:
+    """Number of factors, pairwise steps and final axis order of one term.
+
+    Operands are numbered in order, and each step's result takes the next
+    number.  A step ``(a, b, axes_a, axes_b, order)`` contracts operands
+    ``a`` and ``b`` over the given axes and transposes the result so that
+    its output indices come in output order, indices a later step sums
+    last.  The greedy path gets no memory limit, so that every step is a
+    pair (under numpy's default limit it may fall back to one step over
+    all remaining factors).
+    """
+    inputs, output = subscripts.split("->")
+    letters = inputs.split(",")
+    count = len(letters)
+    everything = inputs.replace(",", "") + output
+    if count < 2 or any(len(set(f)) != len(f) for f in [*letters, output]) or any(
+        everything.count(c) != 2 for c in everything
+    ):
+        raise ValueError(
+            f"{subscripts!r}: needs two or more factors, each index shared by two "
+            "of them or an output index"
+        )
+    rank = {c: output.index(c) if c in output else len(output) for c in everything}
+    shapes = [np.broadcast_to(0, (dim,) * len(f)) for f in letters]
+    path = np.einsum_path(subscripts, *shapes, optimize=("greedy", sys.maxsize))[0][1:]
+    live = list(range(count))  # einsum_path's operand list
+    steps = []
+    for positions in path:
+        a, b = sorted((live[k] for k in positions), key=lambda n: min(map(rank.get, letters[n])))
+        live = [n for k, n in enumerate(live) if k not in positions] + [len(letters)]
+        shared = [c for c in letters[a] if c in letters[b]]
+        free = [c for c in letters[a] + letters[b] if c not in shared]
+        result = sorted(free, key=rank.get)
+        axes_a = tuple(letters[a].index(c) for c in shared)
+        axes_b = tuple(letters[b].index(c) for c in shared)
+        steps.append((a, b, axes_a, axes_b, tuple(free.index(c) for c in result)))
+        letters.append("".join(result))
+    return count, tuple(steps), tuple(letters[-1].index(c) for c in output)
+
+
+def contract(
+    subscripts: str, *operands: tuple[np.ndarray, Fraction]
+) -> tuple[np.ndarray, Fraction]:
+    """Exact einsum-style contraction of ``scale * array`` operands.
+
+    ``subscripts`` is an explicit einsum term such as
+    ``"kl,kabc,ldef->abcdef"`` over cubical operands of one dimension,
+    in which every index is either shared by two factors (and summed) or
+    an output index of one factor.  Factors are contracted pairwise
+    along the greedy ``np.einsum_path``, planned once per term and
+    dimension, by :func:`guarded_tensordot`, so each step stays ``int64``
+    or promotes to Python ints as its bound requires; intermediates are
+    content-reduced by :func:`normalize_array`.  Each intermediate keeps
+    its output indices in output order, so a result whose last step
+    meets its two halves in order is C-contiguous; otherwise it is a
+    transposed view.  Returns ``(array, scale)``.
+    """
+    count, steps, final = _contraction_plan(subscripts, operands[0][0].shape[0])
+    if len(operands) != count:
+        raise ValueError(f"{subscripts!r} takes {count} operands, got {len(operands)}")
+    arrays = [arr for arr, _ in operands]
+    scale = math.prod((s for _, s in operands), start=Fraction(1))
+    for k, (a, b, axes_a, axes_b, order) in enumerate(steps):
+        arr = guarded_tensordot(arrays[a], arrays[b], axes_a, axes_b).transpose(order)
+        arrays[a] = arrays[b] = None  # free each intermediate once it is used
+        if k < len(steps) - 1:
+            arr, scale = normalize_array(arr, scale)
+        arrays.append(arr)
+    return arrays[-1].transpose(final), scale
 
 
 def staged_symmetrise(arr: np.ndarray, axes: Sequence[int], *, sign: int = 1) -> np.ndarray:

@@ -270,6 +270,19 @@ def s_to_r(S: SymCurvatureTensor) -> CurvatureTensor:
     return CurvatureTensor(Tensor(out, dim=S.dim))
 
 
+def _as_class(K: object, cls: type) -> "CurvatureTensor | SymCurvatureTensor":
+    """``K`` in the curvature class ``cls``, converting from the other one."""
+    if isinstance(K, cls):
+        return K
+    if isinstance(K, CurvatureTensor):
+        return r_to_s(K)
+    if isinstance(K, SymCurvatureTensor):
+        return s_to_r(K)
+    raise InvalidArgument(
+        "expected a CurvatureTensor or SymCurvatureTensor, got " + type(K).__name__
+    )
+
+
 def project_to_curvature(tensor: Tensor) -> CurvatureTensor:
     """Project an arbitrary order-4 tensor onto the curvature class.
 

@@ -19,7 +19,8 @@ operator identities that hold for *every* valid symmetric-class tensor,
 independent of integrability — a failure there signals an
 implementation bug, never bad data.
 
-All arithmetic is exact: tensors are rescaled to integer arrays, the
+All arithmetic is exact: tensors are rescaled to integer arrays, each
+operand is a sum of einsum terms contracted by one guarded engine, the
 final symmetry operator is evaluated only at the residual's canonical
 components (orbit sums, with overflow guards), and results convert back
 to rational tensors.
@@ -28,16 +29,17 @@ to rational tensors.
 from __future__ import annotations
 
 import enum
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
 
 from ._fastops import (
+    contract,
     guarded_add,
-    guarded_tensordot,
     is_zero_array,
     normalize_array,
     orbit_expand,
@@ -48,7 +50,7 @@ from ._fastops import (
 )
 from ._linalg import determinant
 from ._util import coerce_rng
-from .curvature import CurvatureTensor, SymCurvatureTensor, r_to_s, s_to_r
+from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import IdentityViolation, InvalidArgument, UnsupportedForm
 from .models import ModelSpace
 from .symgroup import GroupAlgebraElement, Permutation, young_symmetriser
@@ -138,28 +140,6 @@ def _parse_form(cls, value):
     )
 
 
-def _as_s(K: KillingInput) -> SymCurvatureTensor:
-    if isinstance(K, SymCurvatureTensor):
-        return K
-    if isinstance(K, CurvatureTensor):
-        return r_to_s(K)
-    raise InvalidArgument(
-        "expected a CurvatureTensor or SymCurvatureTensor, got "
-        + type(K).__name__
-    )
-
-
-def _as_r(K: KillingInput) -> CurvatureTensor:
-    if isinstance(K, CurvatureTensor):
-        return K
-    if isinstance(K, SymCurvatureTensor):
-        return s_to_r(K)
-    raise InvalidArgument(
-        "expected a CurvatureTensor or SymCurvatureTensor, got "
-        + type(K).__name__
-    )
-
-
 def _resolve_gbar(gbar: GbarLike, dim: int) -> Tensor:
     """Accept a model space or an explicit order-2 contraction tensor."""
     if isinstance(gbar, ModelSpace):
@@ -181,21 +161,77 @@ def _resolve_gbar(gbar: GbarLike, dim: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Operator tables.
+# Contraction terms and operator tables.
 #
-# Each form is a row: an operand builder and the sequence of slot
-# operations applied to the operand in order: (+1, axes) is an
-# unnormalised symmetrisation over the 0-based axes, (−1, axes) an
-# unnormalised antisymmetrisation.  The trailing run of operations on
-# mutually disjoint slot groups is the residual's support: the finished
-# residual is (anti)symmetric over exactly those groups, so only its
-# canonical components are computed, by one orbit-sum gather over the
-# operand (``_fastops.orbit_sum``).  Earlier operations, which overlap a
-# later one, run as staged passes.
+# Each operand is a sum of contraction terms, each an einsum term for
+# ``_fastops.contract``: a two-letter factor is gbar, a four-letter
+# factor the input tensor in the form's curvature class.  The comments
+# name the output slots after the indices of the defining contraction.
+#
+# Each form is a row: the curvature class of its four-letter factors,
+# its terms, and the sequence of slot operations applied to the operand
+# in order: (+1, axes) is an unnormalised symmetrisation over the 0-based
+# axes, (−1, axes) an unnormalised antisymmetrisation.  The trailing run
+# of operations on mutually disjoint slot groups is the residual's
+# support: the finished residual is (anti)symmetric over exactly those
+# groups, so only its canonical components are computed, by one
+# orbit-sum gather over each term's operand (``_fastops.orbit_sum``).
+# Earlier operations, which overlap a later one, run as staged passes.
+# The canonical vectors of a multi-term operand are added exactly over
+# one common scale, so the summed operand is never formed densely.
 # ---------------------------------------------------------------------------
+
+# gbar^{kl} K_{k b1 a2 b2} K_{l d1 c2 d2}: (b1, a2, b2, d1, c2, d2) for R,
+# (a2, b1, b2, c2, d1, d2) for S.
+_QUADRATIC = "kl,kabc,ldef->abcdef"
+# Wedge square of the curvature 2-form, R_{a}{}^{m}{}_{ij} R_{m b k l} =
+# R_{a x i j} gbar^{x m} R_{m b k l} over (a, i, j, b, k, l); defined only
+# for a non-degenerate gbar.
+_OMEGA = "axbc,xm,mdef->abcdef"
+# gbar^{mn} gbar^{pq} R_{m b1 a2 b2} R_{n a1 p c1} R_{q d1 c2 d2}
+# over (a1, b1, c1, d1, a2, b2, c2, d2).
+_CUBIC_R = "mn,pq,mbef,napc,qdgh->abcdefgh"
+# gbar^{mn} gbar^{pq} S_{m c2 d1 d2} S_{n b1 p b2} S_{q f2 e1 e2}
+# over (c2, d1, d2, b1, b2, f2, e1, e2); the ks2-* forms and the cubic
+# "yang" hook identity.
+_CUBIC_S = "mn,pq,mabc,ndpe,qfgh->abcdefgh"
+# The variant with the first factor contracted on its outer pair:
+# gbar^{mn} gbar^{pq} S_{m p b1 b2} S_{n c2 d1 d2} S_{q f2 e1 e2}
+# over (b1, b2, c2, d1, d2, f2, e1, e2).
+_CUBIC_S_YIN = "mn,pq,mpab,ncde,qfgh->abcdefgh"
+# gbar^{ij} gbar^{kl} gbar^{mn} S_{i k b1 b2} S_{j c2 d1 d2} S_{m f2 e1 e2}
+# S_{n l g1 g2} over (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2), and the
+# variant with the first pair of factors S_{i c2 b1 b2} S_{j d1 k d2}.
+# The factor order of the second term makes the greedy path end, as the
+# first's does, on (b1 .. d2, l) x (l, f2 .. g2): both operands come out
+# C-contiguous and share one orbit table.
+_QUARTIC_YIN = "pq,rs,tu,prab,qcde,tfgh,usij->abcdefghij"
+_QUARTIC_YANG = "pq,rs,tu,pcab,qdre,usij,tfgh->abcdefghij"
 
 _Ops = tuple[tuple[int, tuple[int, ...]], ...]
 _Groups = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+_Scaled = tuple[np.ndarray, Fraction]
+
+# Each row: (curvature class of the four-letter factors, terms, slot
+# operations).
+_Form = tuple[type, tuple[str, ...], _Ops]
+_R, _S = CurvatureTensor, SymCurvatureTensor
+_COND1_FORMS = {
+    ConditionForm1.MAIN1: (_R, (_QUADRATIC,), ((-1, (1, 2, 4, 5)),)),
+    # The four form slots (i, j, k, l).
+    ConditionForm1.OMEGA: (_R, (_OMEGA,), ((-1, (1, 2, 4, 5)),)),
+    ConditionForm1.YOUNG_A: (_S, (_QUADRATIC,), ((1, (2, 1, 4)), (-1, (2, 3, 5, 0)))),
+    ConditionForm1.SPLIT_B: (_S, (_QUADRATIC,), ((1, (2, 1, 4)), (-1, (3, 5, 0)))),
+    ConditionForm1.ANTI_C: (_S, (_QUADRATIC,), ((-1, (2, 3, 5, 0)),)),
+    ConditionForm1.HOOK_D: (_S, (_QUADRATIC,), ((-1, (2, 3, 5, 0)), (1, (2, 1, 4)))),
+}
+_COND2_FORMS = {
+    ConditionForm2.MAIN2: (_R, (_CUBIC_R,), ((-1, (4, 5, 6, 7)), (1, (0, 1, 2, 3)))),
+    ConditionForm2.KS2_HOOK_YIN: (_S, (_CUBIC_S,), ((1, (4, 3, 1, 6, 7)), (-1, (4, 0, 2, 5)))),
+    # The same operand read as (c2, d1, d2, e1, e2, f2, b1, b2).
+    ConditionForm2.KS2_44_BOTH: (_S, (_CUBIC_S,), ((1, (6, 1, 3, 4)), (-1, (7, 0, 2, 5)))),
+}
+_COND3_FORM = (_S, (_QUARTIC_YIN, _QUARTIC_YANG), ((1, (1, 0, 3, 6, 7, 8, 9)), (-1, (2, 4, 5))))
 
 
 @dataclass(frozen=True)
@@ -233,143 +269,42 @@ def _run_ops(arr: np.ndarray, scale: Fraction, ops: _Ops) -> _Residual:
     return _Residual(orbit_sum(arr, *groups), scale, arr.shape[0], arr.ndim, groups)
 
 
-# ---------------------------------------------------------------------------
-# Operand builders.  Index-name comments track which tensor slot carries
-# which index of the defining contraction.
-# ---------------------------------------------------------------------------
+def _contract_term(term: str, gbar: _Scaled, curvature: _Scaled) -> _Scaled:
+    factors = term.split("->")[0].split(",")
+    return contract(term, *(gbar if len(f) == 2 else curvature for f in factors))
 
 
-def _quadratic_s_array(S: SymCurvatureTensor, gbar: Tensor) -> tuple[np.ndarray, Fraction]:
-    """gbar^{kl} S_{k a2 b1 b2} S_{l c2 d1 d2} -> (a2,b1,b2,c2,d1,d2)."""
-    b_arr, b_scale = to_int_array(gbar)
-    s_arr, s_scale = to_int_array(S.tensor)
-    bs = guarded_tensordot(b_arr, s_arr, [1], [0])  # (k, c2, d1, d2)
-    arr = guarded_tensordot(s_arr, bs, [0], [0])  # (a2, b1, b2, c2, d1, d2)
-    return arr, b_scale * s_scale**2
+def _sum_residuals(parts: Sequence[_Residual]) -> _Residual:
+    """Exact sum of residuals with the same support, over one common scale."""
+    if len(parts) == 1:
+        return parts[0]
+    scale = Fraction(
+        math.gcd(*(p.scale.numerator for p in parts)),
+        math.lcm(*(p.scale.denominator for p in parts)),
+    )
+    total = sum(int(p.scale / scale) * p.values.astype(object) for p in parts)
+    values, scale = normalize_array(total, scale)
+    return replace(parts[0], values=values, scale=scale)
 
 
-def _quadratic_r_array(R: CurvatureTensor, gbar: Tensor) -> tuple[np.ndarray, Fraction]:
-    """gbar^{kl} R_{k b1 a2 b2} R_{l d1 c2 d2} -> (b1,a2,b2,d1,c2,d2)."""
-    b_arr, b_scale = to_int_array(gbar)
-    r_arr, r_scale = to_int_array(R.tensor)
-    br = guarded_tensordot(b_arr, r_arr, [1], [0])  # (k, d1, c2, d2)
-    arr = guarded_tensordot(r_arr, br, [0], [0])  # (b1, a2, b2, d1, c2, d2)
-    return arr, b_scale * r_scale**2
-
-
-def _omega_array(R: CurvatureTensor, gbar: Tensor) -> tuple[np.ndarray, Fraction]:
-    """Wedge square of the curvature 2-form, upper slot lowered.
-
-    ``R_{a}{}^{m}{}_{ij} R_{m b k l}`` over slots (a, i, j, b, k, l); the
-    four form slots (i, j, k, l) are antisymmetrised by the caller.
-    """
-    dim = gbar.dim
-    rows = [[gbar[(i, j)] for j in range(dim)] for i in range(dim)]
-    if determinant(rows) == 0:
-        raise UnsupportedForm(
-            "the wedge-square form requires a non-degenerate gbar "
-            "(it is unavailable on flat models)"
-        )
-    b_arr, b_scale = to_int_array(gbar)
-    r_arr, r_scale = to_int_array(R.tensor)
-    rg = guarded_tensordot(r_arr, b_arr, [1], [0])  # (a, i, j, m)
-    arr = guarded_tensordot(rg, r_arr, [3], [0])  # (a, i, j, b, k, l)
-    return arr, b_scale * r_scale**2
-
-
-def _cubic_r_array(R: CurvatureTensor, gbar: Tensor) -> tuple[np.ndarray, Fraction]:
-    """Three-factor R-contraction aligned to (a1,b1,c1,d1,a2,b2,c2,d2).
-
-    ``gbar^{mn} gbar^{pq} R_{m b1 a2 b2} R_{n a1 p c1} R_{q d1 c2 d2}``.
-    """
-    b_arr, b_scale = to_int_array(gbar)
-    r_arr, r_scale = to_int_array(R.tensor)
-    br = guarded_tensordot(b_arr, r_arr, [1], [0])  # (m, a1, p, c1) / (p, d1, c2, d2)
-    x = guarded_tensordot(r_arr, br, [0], [0])  # (b1, a2, b2, a1, p, c1)
-    x, x_scale = normalize_array(x, b_scale * r_scale**2)
-    t8 = guarded_tensordot(x, br, [4], [0])  # (b1, a2, b2, a1, c1, d1, c2, d2)
-    t8 = t8.transpose(3, 0, 4, 5, 1, 2, 6, 7)  # (a1, b1, c1, d1, a2, b2, c2, d2)
-    return t8, x_scale * b_scale * r_scale
-
-
-def _cubic_s_array(S: SymCurvatureTensor, gbar: Tensor) -> tuple[np.ndarray, Fraction]:
-    """Three-factor S-contraction with slots (c2,d1,d2,b1,b2,f2,e1,e2).
-
-    ``gbar^{mn} gbar^{pq} S_{m c2 d1 d2} S_{n b1 p b2} S_{q f2 e1 e2}``;
-    reading the same array as (c2,d1,d2,e1,e2,f2,b1,b2) realises the
-    variant with the middle factor contracted on its outer pair.
-    """
-    b_arr, b_scale = to_int_array(gbar)
-    s_arr, s_scale = to_int_array(S.tensor)
-    bs = guarded_tensordot(b_arr, s_arr, [1], [0])  # (m, b1, p, b2) / (p, f2, e1, e2)
-    x = guarded_tensordot(s_arr, bs, [0], [0])  # (c2, d1, d2, b1, p, b2)
-    x, x_scale = normalize_array(x, b_scale * s_scale**2)
-    u = guarded_tensordot(x, bs, [4], [0])  # (c2, d1, d2, b1, b2, f2, e1, e2)
-    return u, x_scale * b_scale * s_scale
-
-
-def _quartic_s_array(S: SymCurvatureTensor, gbar: Tensor) -> tuple[np.ndarray, Fraction]:
-    """Two-term four-factor S-contraction aligned to
-    (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2).
-
-    First term: ``gbar^{ij} gbar^{kl} gbar^{mn}
-    S_{i k b1 b2} S_{j c2 d1 d2} S_{m f2 e1 e2} S_{n l g1 g2}``;
-    second term: the variant with the first factor's contracted pair
-    split across slots 1 and 3 (``S_{i c2 b1 b2} S_{j d1 k d2} ...``).
-    Both terms carry the same integer scale by construction, so they are
-    added before any content reduction.
-    """
-    b_arr, b_scale = to_int_array(gbar)
-    s_arr, s_scale = to_int_array(S.tensor)
-    bs = guarded_tensordot(b_arr, s_arr, [1], [0])
-    # p: (k, b1, b2, c2, d1, d2) for the first term; the same array reads
-    # as (f2, e1, e2, l, g1, g2) for the trailing factor pair, and as
-    # (c2, b1, b2, d1, k, d2) for the second term's leading pair.
-    p = guarded_tensordot(s_arr, bs, [0], [0])
-    p2 = guarded_tensordot(p, b_arr, [0], [0])  # (b1, b2, c2, d1, d2, l)
-    x_yin = guarded_tensordot(p2, p, [5], [3])
-    # (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2)
-    p2y = guarded_tensordot(p, b_arr, [4], [0])  # (c2, b1, b2, d1, d2, l)
-    x_yang = guarded_tensordot(p2y, p, [5], [3])
-    # (c2, b1, b2, d1, d2, f2, e1, e2, g1, g2)
-    x_yang = x_yang.transpose(1, 2, 0, 3, 4, 5, 6, 7, 8, 9)
-    arr = guarded_add(x_yin, x_yang)
-    return arr, b_scale**3 * s_scale**4
-
-
-# Each row: (curvature class of the operand, operand builder, slot operations).
-_COND1_FORMS: dict[ConditionForm1, tuple] = {
-    # (b1, a2, b2, d1, c2, d2)
-    ConditionForm1.MAIN1: (_as_r, _quadratic_r_array, ((-1, (1, 2, 4, 5)),)),
-    # (a, i, j, b, k, l): the four form slots (i, j, k, l)
-    ConditionForm1.OMEGA: (_as_r, _omega_array, ((-1, (1, 2, 4, 5)),)),
-    # (a2, b1, b2, c2, d1, d2)
-    ConditionForm1.YOUNG_A: (_as_s, _quadratic_s_array, ((1, (2, 1, 4)), (-1, (2, 3, 5, 0)))),
-    ConditionForm1.SPLIT_B: (_as_s, _quadratic_s_array, ((1, (2, 1, 4)), (-1, (3, 5, 0)))),
-    ConditionForm1.ANTI_C: (_as_s, _quadratic_s_array, ((-1, (2, 3, 5, 0)),)),
-    ConditionForm1.HOOK_D: (_as_s, _quadratic_s_array, ((-1, (2, 3, 5, 0)), (1, (2, 1, 4)))),
-}
-_COND2_FORMS: dict[ConditionForm2, tuple] = {
-    # (a1, b1, c1, d1, a2, b2, c2, d2)
-    ConditionForm2.MAIN2: (_as_r, _cubic_r_array, ((-1, (4, 5, 6, 7)), (1, (0, 1, 2, 3)))),
-    # (c2, d1, d2, b1, b2, f2, e1, e2)
-    ConditionForm2.KS2_HOOK_YIN: (
-        _as_s, _cubic_s_array, ((1, (4, 3, 1, 6, 7)), (-1, (4, 0, 2, 5)))
-    ),
-    # the same array read as (c2, d1, d2, e1, e2, f2, b1, b2)
-    ConditionForm2.KS2_44_BOTH: (
-        _as_s, _cubic_s_array, ((1, (6, 1, 3, 4)), (-1, (7, 0, 2, 5)))
-    ),
-}
-# (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2)
-_COND3_FORM = (_as_s, _quartic_s_array, ((1, (1, 0, 3, 6, 7, 8, 9)), (-1, (2, 4, 5))))
-
-
-def _evaluate(K: KillingInput, gbar: GbarLike, row: tuple) -> _Residual:
-    as_class, build, ops = row
-    X = as_class(K)
-    arr, scale = build(X, _resolve_gbar(gbar, X.dim))
-    return _run_ops(arr, scale, ops)
+def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]:
+    """Residuals of ``forms``; each class, and gbar, is rescaled once."""
+    curvature = {}
+    for cls, _, _ in forms:
+        if cls not in curvature:
+            curvature[cls] = to_int_array(_as_class(K, cls).tensor)
+    g = _resolve_gbar(gbar, K.dim)
+    g_scaled = to_int_array(g)
+    residuals = []
+    for cls, terms, ops in forms:
+        if _OMEGA in terms and determinant(g.array.tolist()) == 0:
+            raise UnsupportedForm(
+                "the wedge-square form requires a non-degenerate gbar "
+                "(it is unavailable on flat models)"
+            )
+        parts = [_run_ops(*_contract_term(term, g_scaled, curvature[cls]), ops) for term in terms]
+        residuals.append(_sum_residuals(parts))
+    return residuals
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +326,7 @@ def condition1_residual(
     Raises :class:`UnsupportedForm` if ``form`` is ``OMEGA`` and
     ``gbar`` is degenerate (flat model).
     """
-    return _evaluate(K, gbar, _COND1_FORMS[ConditionForm1.parse(form)]).tensor()
+    return _evaluate(K, gbar, _COND1_FORMS[ConditionForm1.parse(form)])[0].tensor()
 
 
 def condition2_residual(
@@ -405,7 +340,7 @@ def condition2_residual(
     inputs that already satisfy the first condition; :func:`check`
     attaches a warning to its report in the contrary case.
     """
-    return _evaluate(K, gbar, _COND2_FORMS[ConditionForm2.parse(form)]).tensor()
+    return _evaluate(K, gbar, _COND2_FORMS[ConditionForm2.parse(form)])[0].tensor()
 
 
 def condition3_residual(K: KillingInput, gbar: GbarLike) -> Tensor:
@@ -416,20 +351,28 @@ def condition3_residual(K: KillingInput, gbar: GbarLike) -> Tensor:
     four copies of the symmetric-class tensor.  It vanishes on every
     input satisfying the first two conditions.
     """
-    return _evaluate(K, gbar, _COND3_FORM).tensor()
+    return _evaluate(K, gbar, _COND3_FORM)[0].tensor()
 
 
 # ---------------------------------------------------------------------------
 # Unconditional identity suite.
 # ---------------------------------------------------------------------------
 
+# Hook operators with a shared slot annihilate every quadratic, cubic and
+# quartic operand of a valid S: (name, term, operator sequence).
+_QUARTIC_HOOK: _Ops = ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7, 8, 9)))
+_HOOK_CHECKS: tuple[tuple[str, str, _Ops], ...] = (
+    # (a2, b1, b2, c2, d1, d2): Anti(c2, d2, a2), then Sym(c2, b2, b1, d1).
+    ("hook_4_1_1_on_quadratic", _QUADRATIC, ((-1, (3, 5, 0)), (1, (3, 2, 1, 4)))),
+    ("hook_6_1_1_on_cubic_yin", _CUBIC_S_YIN, ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7)))),
+    # (c2, b1, b2, d1, d2, f2, e1, e2)
+    ("hook_6_1_1_on_cubic_yang", _CUBIC_S, ((-1, (0, 4, 5)), (1, (0, 2, 1, 3, 6, 7)))),
+    ("hook_8_1_1_on_quartic_yin", _QUARTIC_YIN, _QUARTIC_HOOK),
+    ("hook_8_1_1_on_quartic_yang", _QUARTIC_YANG, _QUARTIC_HOOK),
+)
 _IDENTITY_CHECKS = (
     "symmetrised_bianchi",
-    "hook_4_1_1_on_quadratic",
-    "hook_6_1_1_on_cubic_yin",
-    "hook_6_1_1_on_cubic_yang",
-    "hook_8_1_1_on_quartic_yin",
-    "hook_8_1_1_on_quartic_yang",
+    *(name for name, _, _ in _HOOK_CHECKS),
     "projector_decomposition",
 )
 
@@ -513,10 +456,8 @@ def verify_identity_suite(
         if not ok:
             raise IdentityViolation(f"identity check failed: {name}")
 
-    def require_hook(name: str, arr: np.ndarray, ops: _Ops) -> None:
-        require(name, not np.count_nonzero(_run_ops(arr, Fraction(1), ops).values))
-
-    s_arr, _ = to_int_array(S.tensor)
+    s_scaled = to_int_array(S.tensor)
+    s_arr = s_scaled[0]
 
     # Symmetrising the cyclic-sum identity in the last two slots:
     # Sym_{23}(S_{i a2 b1 b2} + 2 S_{i b1 b2 a2}) = 0.
@@ -527,40 +468,11 @@ def verify_identity_suite(
     )
     require("symmetrised_bianchi", is_zero_array(bianchi))
 
-    # Hook operator with shared slot annihilates the quadratic operand:
-    # Anti(c2,d2,a2) then Sym(c2,b2,b1,d1) on (a2,b1,b2,c2,d1,d2).  Each
-    # operand is passed straight on, so it is freed before the next one.
-    require_hook(
-        "hook_4_1_1_on_quadratic",
-        _quadratic_s_array(S, g)[0],
-        ((-1, (3, 5, 0)), (1, (3, 2, 1, 4))),
-    )
-
-    # Cubic operands for the order-8 hook identities.
-    b_arr, _ = to_int_array(g)
-    bs = guarded_tensordot(b_arr, s_arr, [1], [0])
-    p = guarded_tensordot(s_arr, bs, [0], [0])
-    # First variant: (b1, b2, c2, d1, d2, f2, e1, e2).
-    require_hook(
-        "hook_6_1_1_on_cubic_yin",
-        guarded_tensordot(p, bs, [0], [0]),
-        ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7))),
-    )
-    # Second variant: (c2, b1, b2, d1, d2, f2, e1, e2).
-    require_hook(
-        "hook_6_1_1_on_cubic_yang",
-        guarded_tensordot(p, bs, [4], [0]),
-        ((-1, (0, 4, 5)), (1, (0, 2, 1, 3, 6, 7))),
-    )
-
-    # Quartic operands, each term separately, aligned to
-    # (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2).
-    quartic_hook: _Ops = ((-1, (2, 4, 5)), (1, (2, 1, 0, 3, 6, 7, 8, 9)))
-    p2 = guarded_tensordot(p, b_arr, [0], [0])
-    require_hook("hook_8_1_1_on_quartic_yin", guarded_tensordot(p2, p, [5], [3]), quartic_hook)
-    p2y = guarded_tensordot(p, b_arr, [4], [0])
-    x_yang = guarded_tensordot(p2y, p, [5], [3]).transpose(1, 2, 0, 3, 4, 5, 6, 7, 8, 9)
-    require_hook("hook_8_1_1_on_quartic_yang", x_yang, quartic_hook)
+    # Each operand is passed straight on, so it is freed before the next.
+    g_scaled = to_int_array(g)
+    for name, term, ops in _HOOK_CHECKS:
+        residual = _run_ops(*_contract_term(term, g_scaled, s_scaled), ops)
+        require(name, not np.count_nonzero(residual.values))
 
     # Projector decomposition on u (x) x (x) x (x) v (x) x (x) w with the
     # (u, v, w) slots antisymmetrised; slots are (a2, b1, b2, c2, d1, d2).
@@ -627,8 +539,7 @@ def check(
     form1 = ConditionForm1.parse(form1)
     form2 = ConditionForm2.parse(form2)
     start = time.perf_counter()
-    res1 = _evaluate(K, model, _COND1_FORMS[form1])
-    res2 = _evaluate(K, model, _COND2_FORMS[form2])
+    res1, res2 = _evaluate(K, model, _COND1_FORMS[form1], _COND2_FORMS[form2])
     elapsed = time.perf_counter() - start
 
     dim = K.dim

@@ -23,7 +23,7 @@ from .errors import InvalidArgument
 from .integrability import IntegrabilityReport
 from .models import ModelKind, ModelSpace
 from .oracle import OracleReport
-from .tensor import MetricSignature, Tensor
+from .tensor import MetricSignature, Tensor, as_scalar
 
 __all__ = [
     "parse_rational",
@@ -41,23 +41,16 @@ __all__ = [
 
 FormTensor = Union[CurvatureTensor, SymCurvatureTensor, Tensor]
 
+# Largest shape a tensor document may declare.  The entry cap is above
+# 5^10, the order-10 residual at N = 5, the largest tensor the library
+# builds; the slot cap keeps within numpy's limit on array dimensions.
+_MAX_ENTRIES = 1 << 24
+_MAX_ORDER = 32
+
 
 def parse_rational(value: object) -> Fraction:
-    """Exact rational from an int, a string ``"p"`` or ``"p/q"``."""
-    if isinstance(value, bool):
-        raise InvalidArgument(f"expected a rational number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidArgument(f"cannot parse rational {value!r}: {exc}") from exc
-    raise InvalidArgument(
-        f"expected a rational (int or 'p/q' string), got {type(value).__name__}"
-    )
+    """Exact rational from an int, a Fraction or a string ``"p"`` / ``"p/q"``."""
+    return as_scalar(value)
 
 
 def format_rational(value: Fraction) -> "int | str":
@@ -117,6 +110,11 @@ def document_to_tensor(doc: Mapping[str, Any]) -> tuple[Tensor, "str | None", di
         raise InvalidArgument(f"tensor document needs integer 'dim' and 'order': {exc}") from exc
     if dim < 1 or order < 0:
         raise InvalidArgument(f"invalid tensor shape: dim={dim}, order={order}")
+    if order > _MAX_ORDER or dim**order > _MAX_ENTRIES:
+        raise InvalidArgument(
+            f"tensor shape dim={dim}, order={order} is too large: at most "
+            f"{_MAX_ORDER} slots and {_MAX_ENTRIES} entries are accepted"
+        )
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise InvalidArgument("'entries' must be a list of {idx, val} records")

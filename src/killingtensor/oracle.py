@@ -32,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._util import coerce_rng
-from .curvature import CurvatureTensor, SymCurvatureTensor, r_to_s
+from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import InvalidArgument
 from .models import (
     ModelPoint,
@@ -55,16 +55,6 @@ _SIGNED_PERMS_3 = tuple(
     (perm, 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
     for perm in permutations(range(3))
 )
-
-
-def _as_sym(S: object) -> SymCurvatureTensor:
-    if isinstance(S, SymCurvatureTensor):
-        return S
-    if isinstance(S, CurvatureTensor):
-        return r_to_s(S)
-    raise InvalidArgument(
-        "expected a CurvatureTensor or SymCurvatureTensor, got " + type(S).__name__
-    )
 
 
 def _object_matrix(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
@@ -122,7 +112,7 @@ def compute_point_data(
     membership is checked here).  ``basis`` defaults to the canonical
     projected frame at ``x``.
     """
-    sym = _as_sym(S)
+    sym = _as_class(S, SymCurvatureTensor)
     if sym.dim != model.dim:
         raise InvalidArgument("tensor dimension does not match the model")
     point = x if isinstance(x, ModelPoint) else ModelPoint(model, x)
@@ -257,7 +247,7 @@ def integrable_oracle(
     """
     if num_points < 1:
         raise InvalidArgument("num_points must be at least 1")
-    sym = _as_sym(S)
+    sym = _as_class(S, SymCurvatureTensor)
     if sym.dim != model.dim:
         raise InvalidArgument("tensor dimension does not match the model")
     rng = coerce_rng(seed)

@@ -263,6 +263,16 @@ class TestTopLevelBehaviour:
         assert code == 2
         assert "does not declare a form" in err
 
+    def test_unallocatable_shape_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"dim": 1000000, "order": 4, "entries": [], "form": "R"}),
+            encoding="utf-8",
+        )
+        code, _, err = run(capsys, "check", str(path), "--model", "sphere", "--N", "3")
+        assert code == 2
+        assert err.startswith("error:") and "too large" in err
+
     def test_dimension_mismatch_is_reported(self, capsys, tmp_path):
         path = tmp_path / "metric4.json"
         run(capsys, "generate", "metric", "--model", "sphere", "--N", "4",

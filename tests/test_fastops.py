@@ -1,5 +1,8 @@
-"""Orbit sums over disjoint slot groups against the direct Fraction route.
+"""Exact contraction and orbit sums against direct computations.
 
+``contract`` evaluates an einsum term pairwise through the int64 /
+Python-int guards; it is compared with ``np.einsum`` on Python-int
+object arrays, with magnitudes on both sides of the 2^62 guard.
 ``orbit_sum`` returns the signed orbit sum of an integer array at each
 canonical index tuple; ``orbit_expand`` rebuilds the dense
 (anti)symmetrised array from those sums.  Both are compared here with
@@ -20,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killingtensor import Tensor, antisymmetrise_slots, symmetrise_slots
-from killingtensor._fastops import orbit_expand, orbit_sum
+from killingtensor._fastops import contract, orbit_expand, orbit_sum
 
 NEAR_SAFE = 1 << 62
 
@@ -182,3 +185,84 @@ class TestOrbitSum:
             orbit_sum(arr, ((0, 1),), ((1, 2),))
         with pytest.raises(ValueError, match="partition"):
             orbit_sum(arr, ((0, 4),))
+
+
+@st.composite
+def connected_terms(draw):
+    """A connected einsum term of 2-5 factors, each index shared by two
+    factors or an output index, with letters and factors shuffled."""
+    count = draw(st.integers(2, 5))
+    edges = [(draw(st.integers(0, k - 1)), k) for k in range(1, count)]
+    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=2))
+    letters = iter("abcdefghijklmnopqrstuvwxyz")
+    factors = [[] for _ in range(count)]
+    for i, j in edges:
+        shared = next(letters)
+        factors[i].append(shared)
+        factors[j].append(shared)
+    output = []
+    for factor in factors:
+        for _ in range(draw(st.integers(0, 4 - min(len(factor), 4)))):
+            if len(output) < 5:
+                output.append(next(letters))
+                factor.append(output[-1])
+    factors = [draw(st.permutations(f)) for f in factors]
+    output = draw(st.permutations(output))
+    return ",".join("".join(f) for f in factors) + "->" + "".join(output)
+
+
+class TestContract:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), term=connected_terms(), dim=st.integers(2, 3))
+    def test_matches_einsum_on_python_ints(self, data, term, dim):
+        factors = term.split("->")[0].split(",")
+        operands = []
+        for factor in factors:
+            # Magnitudes from tiny to 2^40 per factor: a chain can stay
+            # int64 or promote to Python ints at any step.
+            bits = data.draw(st.sampled_from([3, 20, 31, 40]))
+            size = dim ** len(factor)
+            entries = data.draw(
+                st.lists(st.integers(-(1 << bits), 1 << bits), min_size=size, max_size=size)
+            )
+            dtype = data.draw(st.sampled_from([np.int64, np.int64, object]))
+            arr = np.array(entries, dtype=dtype).reshape((dim,) * len(factor))
+            scale = Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+            operands.append((arr, scale))
+        arr, scale = contract(term, *operands)
+        expected = np.asarray(np.einsum(term, *[a.astype(object) for a, _ in operands]))
+        total = math.prod(s for _, s in operands)
+        assert arr.shape == expected.shape
+        assert [scale * int(v) for v in np.ravel(arr)] == [
+            total * v for v in np.ravel(expected).tolist()
+        ]
+
+    def test_promotes_in_the_middle_of_a_chain(self):
+        # The first product stays below 2^62; the second cannot.
+        rng = np.random.default_rng(11)
+        mats = [rng.integers(1 << 29, 1 << 30, size=(3, 3)) for _ in range(3)]
+        arr, scale = contract("ab,bc,cd->ad", *[(m, Fraction(1)) for m in mats])
+        assert arr.dtype == object and scale == 1
+        expected = np.einsum("ab,bc,cd->ad", *[m.astype(object) for m in mats])
+        assert arr.tolist() == expected.tolist()
+
+    def test_stays_int64_below_the_guard(self):
+        rng = np.random.default_rng(12)
+        s = rng.integers(-9, 10, size=(3,) * 4)
+        g = rng.integers(-9, 10, size=(3, 3))
+        term = "kl,kabc,ldef->abcdef"
+        arr, scale = contract(term, (g, Fraction(1, 2)), (s, Fraction(3)), (s, Fraction(3)))
+        assert arr.dtype == np.int64 and arr.flags.c_contiguous
+        expected = np.einsum(term, g.astype(object), s.astype(object), s.astype(object))
+        assert [scale * v for v in arr.ravel().tolist()] == [
+            Fraction(9, 2) * v for v in expected.ravel().tolist()
+        ]
+
+    @pytest.mark.parametrize("term", ["ab,bc->ad", "aa,ab->b", "ab,bc,cb->a", "ab,bc->aa", "ab->ba"])
+    def test_rejects_terms_outside_the_index_rule(self, term):
+        # A dangling output or summed index, a trace, an index in three
+        # places, a repeated output index, or a single factor.
+        operands = [(np.ones((2, 2), dtype=np.int64), Fraction(1))] * (term.count(",") + 1)
+        with pytest.raises(ValueError, match="index"):
+            contract(term, *operands)

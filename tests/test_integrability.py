@@ -17,6 +17,7 @@ from killingtensor import (
     InvalidArgument,
     Tensor,
     UnsupportedForm,
+    antisymmetrise_slots,
     benenti_rep,
     check,
     condition1_residual,
@@ -26,8 +27,11 @@ from killingtensor import (
     r_to_s,
     random_curvature,
     random_invertible_matrix,
+    symmetrise_slots,
     verify_identity_suite,
 )
+from killingtensor import curvature
+from killingtensor._linalg import determinant
 
 FORM1_ALL = list(ConditionForm1)
 FORM2_ALL = list(ConditionForm2)
@@ -114,6 +118,16 @@ class TestResidualStructure:
     def test_rejects_unwrapped_inputs(self):
         with pytest.raises(InvalidArgument, match="CurvatureTensor or SymCurvatureTensor"):
             condition1_residual(Tensor.zeros(3, 4), sphere(3))
+        with pytest.raises(InvalidArgument, match="CurvatureTensor or SymCurvatureTensor"):
+            check(object(), sphere(3))
+
+    def test_input_is_converted_once_per_class(self, monkeypatch):
+        calls = []
+        convert = curvature.r_to_s
+        monkeypatch.setattr(curvature, "r_to_s", lambda R: calls.append(R) or convert(R))
+        R = random_curvature(5, random.Random(70), bound=BOUND)
+        check(R, sphere(5), "young-a", "ks2-hook-yin")
+        assert calls == [R]
 
     def test_omega_form_needs_nondegenerate_gbar(self):
         K = random_s(4, 5)
@@ -348,6 +362,123 @@ class TestPinnedResiduals:
                 sym_values = tuple(sorted(index[a] for a in sym_axes))
                 expected = _sign(anti_values) * canonical[sym_values]
             assert residual[index] == expected, index
+
+
+def random_nonsymmetric_gbar(dim: int, seed: int) -> Tensor:
+    """A non-degenerate order-2 contraction tensor with gbar^T != gbar."""
+    rng = random.Random(seed)
+    while True:
+        g = np.array(
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim * dim)],
+            dtype=object,
+        ).reshape(dim, dim)
+        if (g != g.T).any() and determinant(g.tolist()) != 0:
+            return Tensor(g, dim=dim)
+
+
+# Each form's operand as the einsum of its defining contraction (letters
+# named after the contraction's indices: gbar first, then the curvature
+# factors), and its operator sequence as (sign, 1-based slots).
+DIRECT_FORMS = {
+    # gbar^{kl} R_{k b1 a2 b2} R_{l d1 c2 d2} over (b1, a2, b2, d1, c2, d2)
+    "main1": ("R", "kl,kBAC,lEDF->BACEDF", [(-1, (2, 3, 5, 6))]),
+    # gbar^{xm} R_{a x i j} R_{m b k l} over (a, i, j, b, k, l)
+    "omega": ("R", "xm,axij,mbkl->aijbkl", [(-1, (2, 3, 5, 6))]),
+    # gbar^{kl} S_{k a2 b1 b2} S_{l c2 d1 d2} over (a2, b1, b2, c2, d1, d2)
+    "young-a": ("S", "kl,kABC,lDEF->ABCDEF", [(1, (3, 2, 5)), (-1, (3, 4, 6, 1))]),
+    "split-b": ("S", "kl,kABC,lDEF->ABCDEF", [(1, (3, 2, 5)), (-1, (4, 6, 1))]),
+    "anti-c": ("S", "kl,kABC,lDEF->ABCDEF", [(-1, (3, 4, 6, 1))]),
+    "hook-d": ("S", "kl,kABC,lDEF->ABCDEF", [(-1, (3, 4, 6, 1)), (1, (3, 2, 5))]),
+    # gbar^{mn} gbar^{pq} R_{m b1 a2 b2} R_{n a1 p c1} R_{q d1 c2 d2}
+    # over (a1, b1, c1, d1, a2, b2, c2, d2)
+    "main2": (
+        "R",
+        "mn,pq,mbAB,napc,qdCD->abcdABCD",
+        [(-1, (5, 6, 7, 8)), (1, (1, 2, 3, 4))],
+    ),
+    # gbar^{mn} gbar^{pq} S_{m c2 d1 d2} S_{n b1 p b2} S_{q f2 e1 e2}
+    # over (c2, d1, d2, b1, b2, f2, e1, e2)
+    "ks2-hook-yin": (
+        "S",
+        "mn,pq,mCDE,nBpF,qGHI->CDEBFGHI",
+        [(1, (5, 4, 2, 7, 8)), (-1, (5, 1, 3, 6))],
+    ),
+    "ks2-44-both": (
+        "S",
+        "mn,pq,mCDE,nBpF,qGHI->CDEBFGHI",
+        [(1, (7, 2, 4, 5)), (-1, (8, 1, 3, 6))],
+    ),
+}
+
+
+def direct_operand(form: str, dim: int):
+    """A random R, a non-symmetric gbar, and the Fraction operand and
+    operators of ``form`` on them."""
+    R = random_curvature(dim, random.Random(60), bound=BOUND)
+    g = random_nonsymmetric_gbar(dim, 61)
+    cls, subscripts, ops = DIRECT_FORMS[form]
+    k = (R if cls == "R" else r_to_s(R)).tensor.array
+    factors = subscripts.split("->")[0].split(",")
+    arrays = [g.array if len(f) == 2 else k for f in factors]
+    return R, g, np.einsum(subscripts, *arrays, optimize="greedy"), ops
+
+
+class TestNonSymmetricGbar:
+    """Residual values of every form against the direct Fraction route.
+
+    A symmetric gbar, as every model has, cannot tell ``gbar^{kl}`` from
+    ``gbar^{lk}``; a non-symmetric one pins which slot of gbar meets
+    which curvature slot.  Four-slot antisymmetrisers vanish at N = 3,
+    so the first-condition forms also run at N = 4.
+    """
+
+    @pytest.mark.parametrize(
+        "form, dim",
+        [(form, 3) for form in DIRECT_FORMS]
+        + [(form.value, 4) for form in FORM1_ALL],
+    )
+    def test_residual_values(self, form, dim):
+        R, g, operand, ops = direct_operand(form, dim)
+        expected = Tensor(operand, dim=dim)
+        for sign, slots in ops:
+            expected = (symmetrise_slots if sign > 0 else antisymmetrise_slots)(expected, slots)
+        if form in {f.value for f in FORM1_ALL}:
+            residual = condition1_residual(R, g, form)
+        else:
+            residual = condition2_residual(R, g, form)
+        assert residual == expected
+
+    @pytest.mark.parametrize("form", [f.value for f in FORM2_ALL])
+    def test_second_condition_entries_at_dimension_four(self, form):
+        # The dense Fraction passes are too slow on N^8 entries, so the
+        # operators are summed by definition at sampled entries, most of
+        # them in the residual's support.
+        R, g, operand, ops = direct_operand(form, 4)
+        residual = condition2_residual(R, g, form).array
+        rng = random.Random(62)
+        support = [tuple(i) for i in np.argwhere(residual != 0).tolist()]
+        assert support
+        picks = rng.sample(support, 30)
+        picks += [tuple(rng.randrange(4) for _ in range(8)) for _ in range(10)]
+        for index in picks:
+            assert residual[index] == ops_at(operand, index, ops), index
+
+
+def ops_at(operand: np.ndarray, index: tuple, ops) -> Fraction:
+    """Entry ``index`` of the (anti)symmetrisers ``ops`` (sign, 1-based
+    slots), applied in order to ``operand``, summed over permutations."""
+    if not ops:
+        return operand[index]
+    *earlier, (sign, slots) = ops
+    axes = [slot - 1 for slot in slots]
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(axes))):
+        moved = list(index)
+        for axis, source in zip(axes, perm):
+            moved[axis] = index[axes[source]]
+        term = ops_at(operand, tuple(moved), earlier)
+        total += term if sign > 0 or _sign(perm) > 0 else -term
+    return total
 
 
 def _sign(values) -> int:

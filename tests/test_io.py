@@ -111,6 +111,14 @@ class TestTensorDocuments:
         with pytest.raises(InvalidArgument, match=message):
             io.document_to_tensor(doc)
 
+    @pytest.mark.parametrize("dim, order", [(1000000, 4), (4, 13), (1, 100)])
+    def test_unallocatable_shapes_are_rejected(self, dim, order):
+        # Checked before any array is allocated; the cap still admits the
+        # order-10 residual at N = 5.
+        assert io._MAX_ENTRIES >= 5**10
+        with pytest.raises(InvalidArgument, match="too large"):
+            io.document_to_tensor({"dim": dim, "order": order, "entries": []})
+
     def test_wrap_enforces_the_declared_class(self):
         lopsided = Tensor.from_entries(3, 4, [((0, 0, 1, 2), 1)])
         with pytest.raises(InvalidArgument, match="antisymmetric"):
