@@ -81,23 +81,22 @@ def _max_abs(arr: np.ndarray) -> int:
     return int(np.abs(arr).max())
 
 
-def to_int_array(tensor: Tensor) -> tuple[np.ndarray, Fraction]:
-    """Rescale a Fraction tensor to integers.
+def to_int_array(tensor: "Tensor | np.ndarray") -> tuple[np.ndarray, Fraction]:
+    """Rescale a Fraction tensor, or an object array of Fractions, to integers.
 
     Returns ``(arr, scale)`` with ``tensor == scale * arr`` exactly;
     ``scale = 1 / lcm(denominators)``.  The array is ``int64`` when all
     magnitudes are safely representable, otherwise object dtype.
     """
-    flat = tensor.array.ravel().tolist()
-    lcm = 1
-    for value in flat:
-        lcm = math.lcm(lcm, value.denominator)
+    array = tensor.array if isinstance(tensor, Tensor) else tensor
+    flat = array.ravel().tolist()
+    lcm = math.lcm(*{value.denominator for value in flat})
     ints = [int(value.numerator * (lcm // value.denominator)) for value in flat]
     scale = Fraction(1, lcm)
     if ints and max(abs(v) for v in ints) < _INT64_SAFE:
-        arr = np.array(ints, dtype=np.int64).reshape(tensor.array.shape)
+        arr = np.array(ints, dtype=np.int64).reshape(array.shape)
     else:
-        arr = np.array(ints, dtype=object).reshape(tensor.array.shape)
+        arr = np.array(ints, dtype=object).reshape(array.shape)
     return arr, scale
 
 

@@ -103,16 +103,18 @@ def _frame_label(frame: YoungFrame) -> str:
 
 
 def _load_form_tensor(path: str, model: ModelSpace):
-    tensor, metadata = kio.load_tensor(path)
-    if isinstance(tensor, Tensor):
+    # The shape is checked before the class: validating a large tensor
+    # that the model would reject anyway is wasted work.
+    tensor, form, metadata = kio.read_tensor_document(path)
+    if form is None:
         raise InvalidArgument(
             f"tensor file {path} does not declare a form; add \"form\": \"R\" or \"S\""
         )
-    if tensor.tensor.dim != model.dim:
+    if tensor.dim != model.dim:
         raise InvalidArgument(
-            f"tensor dimension {tensor.tensor.dim} does not match model dimension {model.dim}"
+            f"tensor dimension {tensor.dim} does not match model dimension {model.dim}"
         )
-    return tensor, metadata
+    return kio.wrap_tensor(tensor, form), metadata
 
 
 # -- check -------------------------------------------------------------
@@ -180,7 +182,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _parse_rows(text: str, dim: int, what: str) -> list[list[Fraction]]:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal over the digit limit
         raise InvalidArgument(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(raw, list) or len(raw) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in raw

@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fastops import to_int_array
 from ._linalg import determinant
 from ._util import coerce_rng, random_fraction
 from .errors import InvalidArgument
@@ -104,21 +105,41 @@ class AntisymmetricForm:
 
 
 def _cyclic_last_three(arr: np.ndarray) -> np.ndarray:
-    """Sum of the three cyclic rotations of the last three of four axes."""
+    """Sum of the three cyclic rotations of the last three of four axes.
+
+    On an ``int64`` array from ``to_int_array`` every entry is below
+    2^62 in magnitude, so the true sum is below 3 * 2^62 < 2^64.  The
+    sum numpy computes may wrap, but it equals the true sum modulo 2^64,
+    so it is zero exactly when the true sum is: the zero test needs no
+    promotion.
+    """
     return arr + arr.transpose(0, 2, 3, 1) + arr.transpose(0, 3, 1, 2)
 
 
 class _FourTensorWrapper:
-    """Shared behaviour of the two curvature-class encodings."""
+    """Shared behaviour of the two curvature-class encodings.
 
-    __slots__ = ("_tensor",)
+    On construction the stored Fraction tensor is rescaled once to an
+    integer array and one exact positive scale (``tensor == scale *
+    array``), and the class symmetries are checked on that integer array:
+    they are linear and homogeneous, so they hold for the integers
+    exactly when they hold for the Fractions.  The pair is kept in
+    ``_scaled`` (its array read-only), so the algebraic conditions and
+    the pointwise oracle start from it instead of rescaling the input
+    again.
+    """
+
+    __slots__ = ("_tensor", "_scaled")
 
     _CLASS_NAME = "curvature-class tensor"
 
     def __init__(self, tensor: Tensor) -> None:
         t = _require_order(tensor, 4, self._CLASS_NAME)
-        self._validate(t.array)
+        arr, scale = to_int_array(t)
+        arr.flags.writeable = False
+        self._validate(arr)
         self._tensor = t
+        self._scaled = (arr, scale)
 
     def _validate(self, arr: np.ndarray) -> None:
         raise NotImplementedError

@@ -288,11 +288,12 @@ def _sum_residuals(parts: Sequence[_Residual]) -> _Residual:
 
 
 def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]:
-    """Residuals of ``forms``; each class, and gbar, is rescaled once."""
+    """Residuals of ``forms``; gbar is rescaled once, and each curvature
+    class is taken from the integer image its wrapper keeps."""
     curvature = {}
     for cls, _, _ in forms:
         if cls not in curvature:
-            curvature[cls] = to_int_array(_as_class(K, cls).tensor)
+            curvature[cls] = _as_class(K, cls)._scaled
     g = _resolve_gbar(gbar, K.dim)
     g_scaled = to_int_array(g)
     residuals = []
@@ -456,7 +457,7 @@ def verify_identity_suite(
         if not ok:
             raise IdentityViolation(f"identity check failed: {name}")
 
-    s_scaled = to_int_array(S.tensor)
+    s_scaled = S._scaled
     s_arr = s_scaled[0]
 
     # Symmetrising the cyclic-sum identity in the last two slots:

@@ -32,6 +32,7 @@ __all__ = [
     "document_to_tensor",
     "wrap_tensor",
     "save_tensor",
+    "read_tensor_document",
     "load_tensor",
     "parse_model_descriptor",
     "model_to_document",
@@ -168,17 +169,36 @@ def save_tensor(
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def load_tensor(path: "str | Path") -> tuple[FormTensor, dict]:
-    """Read a tensor document and wrap it in its declared symmetry class."""
+def _parse_json(text: str, what: str) -> Any:
+    """``json.loads`` with every parse failure raised as InvalidArgument.
+
+    Besides malformed JSON this covers an integer literal longer than
+    the interpreter's limit on integer string conversion (4300 digits by
+    default), which ``json`` reports as a plain ValueError.
+    """
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise InvalidArgument(f"{what} is not valid JSON: {exc}") from exc
+
+
+def read_tensor_document(path: "str | Path") -> tuple[Tensor, "str | None", dict]:
+    """Read and parse a tensor file; returns (tensor, form, metadata).
+
+    As in :func:`document_to_tensor`, the class named by ``form`` is not
+    enforced, so a caller can check the shape before :func:`wrap_tensor`
+    validates it.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidArgument(f"cannot read tensor file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidArgument(f"tensor file {path} is not valid JSON: {exc}") from exc
-    tensor, form, metadata = document_to_tensor(doc)
+    return document_to_tensor(_parse_json(text, f"tensor file {path}"))
+
+
+def load_tensor(path: "str | Path") -> tuple[FormTensor, dict]:
+    """Read a tensor document and wrap it in its declared symmetry class."""
+    tensor, form, metadata = read_tensor_document(path)
     return wrap_tensor(tensor, form), metadata
 
 
@@ -199,19 +219,13 @@ def parse_model_descriptor(source: object) -> ModelSpace:
     elif isinstance(source, (str, Path)):
         text = str(source).strip()
         if text.startswith("{"):
-            try:
-                doc = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise InvalidArgument(f"model descriptor is not valid JSON: {exc}") from exc
+            doc = _parse_json(text, "model descriptor")
         else:
             try:
                 raw = Path(text).read_text(encoding="utf-8")
             except OSError as exc:
                 raise InvalidArgument(f"cannot read model descriptor {text!r}: {exc}") from exc
-            try:
-                doc = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise InvalidArgument(f"model file {text!r} is not valid JSON: {exc}") from exc
+            doc = _parse_json(raw, f"model file {text!r}")
     else:
         raise InvalidArgument(
             "model descriptor must be a mapping, JSON string, or file path"

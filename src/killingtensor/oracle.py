@@ -16,9 +16,18 @@ with ``B`` the model's effective inverse metric.  Antisymmetrising its
 last two slots and raising the first with the frame Gram matrix yields
 the Nijenhuis torsion ``N^δ_{βγ}`` of ``K`` at ``x``; the three
 integrability conditions are the total antisymmetrisations of ``N``
-contracted with the metric, with ``K``, and with ``K²``.  Everything is
-computed in exact rational arithmetic, so a verdict at a sampled point
-is a proof at that point.
+contracted with the metric, with ``K``, and with ``K²``.
+
+The arithmetic is exact, with one denominator per array: each factor
+(``S``, ``B``, ``x``, the frame, the Gram matrix and its inverse) is
+rescaled once to Python integers and one positive rational scale, the
+formulas run as plain ``np.tensordot`` chains over those integers, and
+the scales multiply alongside.  A positive scale does not change which
+entries are zero, so residual supports are read straight off the integer
+arrays; :func:`compute_point_data` and :func:`tns_residuals` hand back
+Fraction arrays.  The oracle shares no contraction or indexing code with
+:mod:`killingtensor.integrability`, so the two verdict routes stay
+independent, and a verdict at a sampled point is a proof at that point.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._fastops import to_int_array
 from ._util import coerce_rng
 from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import InvalidArgument
@@ -56,6 +66,8 @@ _SIGNED_PERMS_3 = tuple(
     for perm in permutations(range(3))
 )
 
+_Scaled = tuple[np.ndarray, Fraction]
+
 
 def _object_matrix(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
     n = len(rows)
@@ -75,13 +87,91 @@ def _frame_matrix(basis: TangentBasis, dim: int) -> np.ndarray:
     return out
 
 
+def _rescaled(values: "Tensor | np.ndarray") -> _Scaled:
+    """Python-int object array and positive scale whose product is ``values``."""
+    arr, scale = to_int_array(values)
+    return arr.astype(object), scale
+
+
+def _fractions(scaled: _Scaled) -> np.ndarray:
+    arr, scale = scaled
+    return arr * scale
+
+
+def _model_factors(
+    S: "SymCurvatureTensor | CurvatureTensor", model: ModelSpace
+) -> tuple[_Scaled, _Scaled]:
+    """``S`` in the symmetric class and the model's ``B``, rescaled."""
+    sym = _as_class(S, SymCurvatureTensor)
+    if sym.dim != model.dim:
+        raise InvalidArgument("tensor dimension does not match the model")
+    arr, scale = sym._scaled
+    return (arr.astype(object), scale), _rescaled(model.gbar())
+
+
 def _anti3(arr: np.ndarray) -> np.ndarray:
-    """Normalised total antisymmetrisation of an order-3 object array."""
-    total = np.zeros(arr.shape, dtype=object)
-    total.fill(Fraction(0))
-    for perm, sign in _SIGNED_PERMS_3:
-        total = total + sign * arr.transpose(perm)
-    return total / 6
+    """Unnormalised total antisymmetrisation of an order-3 array."""
+    return sum(sign * arr.transpose(perm) for perm, sign in _SIGNED_PERMS_3)
+
+
+def _point_ints(s: _Scaled, b: _Scaled, x: _Scaled, frame: _Scaled) -> tuple[_Scaled, _Scaled]:
+    """The Killing matrix ``K`` and the torsion seed ``nbar`` at one point."""
+    (s_arr, s_scale), (b_arr, b_scale), (x_arr, x_scale), (e_arr, e_scale) = s, b, x, frame
+
+    # K[α, β] = S[a1, a2, b1, b2] x^{a1} x^{a2} (e_α)^{b1} (e_β)^{b2}.
+    m_mat = np.tensordot(np.tensordot(s_arr, x_arr, axes=([0], [0])), x_arr, axes=([0], [0]))
+    k_mat = np.tensordot(np.tensordot(e_arr, m_mat, axes=([1], [0])), e_arr, axes=([1], [1]))
+
+    # sx2[i, a2] = S[i, a2, b1, b2] x^{b1} x^{b2};
+    # sx1[j, c2, d2] = S[j, c2, d1, d2] x^{d1}  (x on slot 2);
+    # sx1b[j, a2, d2] = S[j, d1, a2, d2] x^{d1} (x on slot 1).
+    sx1 = np.tensordot(s_arr, x_arr, axes=([2], [0]))
+    sx2 = np.tensordot(sx1, x_arr, axes=([2], [0]))
+    sx1b = np.tensordot(s_arr, x_arr, axes=([1], [0]))
+
+    bsx1 = np.tensordot(b_arr, sx1, axes=([1], [0]))
+    bsx1b = np.tensordot(b_arr, sx1b, axes=([1], [0]))
+    term1 = np.tensordot(sx2, bsx1, axes=([0], [0]))  # (a2, c2, d2)
+    term2_raw = np.tensordot(sx2, bsx1b, axes=([0], [0]))  # (c2, a2, d2)
+    ambient = term1 + term2_raw.transpose(1, 0, 2)
+
+    # Chained frame contractions land on (α, β, γ): the second tensordot
+    # consumes the c2 axis, the third the d2 axis.
+    nbar = np.tensordot(
+        np.tensordot(np.tensordot(e_arr, ambient, axes=([1], [0])), e_arr, axes=([1], [1])),
+        e_arr,
+        axes=([1], [1]),
+    )
+    return (
+        (k_mat, s_scale * x_scale**2 * e_scale**2),
+        (nbar, b_scale * s_scale**2 * x_scale**3 * e_scale**3),
+    )
+
+
+def _residual_ints(
+    K: _Scaled, gram: _Scaled, gram_inverse: _Scaled, nbar: _Scaled
+) -> tuple[_Scaled, _Scaled, _Scaled]:
+    """The three residuals of :func:`tns_residuals` from rescaled point data."""
+    (k_arr, k_scale), (g_arr, g_scale), (gi_arr, gi_scale), (n_arr, n_scale) = (
+        K, gram, gram_inverse, nbar
+    )
+    n_up = np.tensordot(gi_arr, n_arr, axes=([1], [0]))
+    torsion = n_up - n_up.transpose(0, 2, 1)
+    # The torsion's halving and each residual's 1/6 go into the scales.
+    scale = gi_scale * n_scale / 12
+
+    res1 = _anti3(np.tensordot(g_arr, torsion, axes=([1], [0])))
+    res2 = _anti3(np.tensordot(k_arr, torsion, axes=([1], [0])))
+    # K_{αε} K^ε_δ as a matrix is K · g⁻¹ · K (order matters).
+    k_sq = np.tensordot(
+        np.tensordot(k_arr, gi_arr, axes=([1], [0])), k_arr, axes=([1], [0])
+    )
+    res3 = _anti3(np.tensordot(k_sq, torsion, axes=([1], [0])))
+    return (
+        (res1, g_scale * scale),
+        (res2, k_scale * scale),
+        (res3, k_scale**2 * gi_scale * scale),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,9 +202,7 @@ def compute_point_data(
     membership is checked here).  ``basis`` defaults to the canonical
     projected frame at ``x``.
     """
-    sym = _as_class(S, SymCurvatureTensor)
-    if sym.dim != model.dim:
-        raise InvalidArgument("tensor dimension does not match the model")
+    s, b = _model_factors(S, model)
     point = x if isinstance(x, ModelPoint) else ModelPoint(model, x)
     if point.model != model:
         raise InvalidArgument("point belongs to a different model space")
@@ -123,46 +211,14 @@ def compute_point_data(
     elif basis.point.x != point.x or basis.point.model != model:
         raise InvalidArgument("basis was built at a different point or model")
 
-    dim = model.dim
-    s_arr = sym.tensor.array
-    x_arr = np.empty(dim, dtype=object)
-    for a in range(dim):
-        x_arr[a] = point.x[(a,)]
-    frame = _frame_matrix(basis, dim)
-    b_arr = model.gbar().array
-
-    # K[α, β] = S[a1, a2, b1, b2] x^{a1} x^{a2} (e_α)^{b1} (e_β)^{b2}.
-    m_mat = np.tensordot(np.tensordot(s_arr, x_arr, axes=([0], [0])), x_arr, axes=([0], [0]))
-    k_mat = np.tensordot(np.tensordot(frame, m_mat, axes=([1], [0])), frame, axes=([1], [1]))
-
-    # sx2[i, a2] = S[i, a2, b1, b2] x^{b1} x^{b2};
-    # sx1[j, c2, d2] = S[j, c2, d1, d2] x^{d1}  (x on slot 2);
-    # sx1b[j, a2, d2] = S[j, d1, a2, d2] x^{d1} (x on slot 1).
-    sx1 = np.tensordot(s_arr, x_arr, axes=([2], [0]))
-    sx2 = np.tensordot(sx1, x_arr, axes=([2], [0]))
-    sx1b = np.tensordot(s_arr, x_arr, axes=([1], [0]))
-
-    bsx1 = np.tensordot(b_arr, sx1, axes=([1], [0]))
-    bsx1b = np.tensordot(b_arr, sx1b, axes=([1], [0]))
-    term1 = np.tensordot(sx2, bsx1, axes=([0], [0]))  # (a2, c2, d2)
-    term2_raw = np.tensordot(sx2, bsx1b, axes=([0], [0]))  # (c2, a2, d2)
-    ambient = term1 + term2_raw.transpose(1, 0, 2)
-
-    # Chained frame contractions land on (α, β, γ): the second tensordot
-    # consumes the c2 axis, the third the d2 axis.
-    nbar = np.tensordot(
-        np.tensordot(np.tensordot(frame, ambient, axes=([1], [0])), frame, axes=([1], [1])),
-        frame,
-        axes=([1], [1]),
-    )
-
+    k_mat, nbar = _point_ints(s, b, _rescaled(point.x), _rescaled(_frame_matrix(basis, model.dim)))
     return PointFrameData(
         x=point,
         basis=basis,
-        K=k_mat,
+        K=_fractions(k_mat),
         gram=_object_matrix(basis.gram),
         gram_inverse=_object_matrix(basis.gram_inverse),
-        nbar=nbar,
+        nbar=_fractions(nbar),
     )
 
 
@@ -176,16 +232,10 @@ def tns_residuals(data: PointFrameData) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``N^δ_{βγ} K_{αε} K^ε_δ``.  The tensor is integrable at this point
     exactly when all three vanish.
     """
-    n_up = np.tensordot(data.gram_inverse, data.nbar, axes=([1], [0]))
-    torsion = (n_up - n_up.transpose(0, 2, 1)) / 2
-
-    res1 = _anti3(np.tensordot(data.gram, torsion, axes=([1], [0])))
-    res2 = _anti3(np.tensordot(data.K, torsion, axes=([1], [0])))
-    # K_{αε} K^ε_δ as a matrix is K · g⁻¹ · K (order matters).
-    k_sq = np.tensordot(
-        np.tensordot(data.K, data.gram_inverse, axes=([1], [0])), data.K, axes=([1], [0])
+    residuals = _residual_ints(
+        *(_rescaled(arr) for arr in (data.K, data.gram, data.gram_inverse, data.nbar))
     )
-    res3 = _anti3(np.tensordot(k_sq, torsion, axes=([1], [0])))
+    res1, res2, res3 = (_fractions(res) for res in residuals)
     return res1, res2, res3
 
 
@@ -247,9 +297,7 @@ def integrable_oracle(
     """
     if num_points < 1:
         raise InvalidArgument("num_points must be at least 1")
-    sym = _as_class(S, SymCurvatureTensor)
-    if sym.dim != model.dim:
-        raise InvalidArgument("tensor dimension does not match the model")
+    s, b = _model_factors(S, model)
     rng = coerce_rng(seed)
     sub_seeds = [rng.randrange(2**32) for _ in range(num_points)]
 
@@ -259,8 +307,14 @@ def integrable_oracle(
     for index, sub_seed in enumerate(sub_seeds):
         point = sample_point(model, random.Random(sub_seed), bound=bound)
         points.append(point)
-        data = compute_point_data(sym, model, point)
-        counts = tuple(_support(res) for res in tns_residuals(data))
+        basis = tangent_basis(point)
+        k_mat, nbar = _point_ints(
+            s, b, _rescaled(point.x), _rescaled(_frame_matrix(basis, model.dim))
+        )
+        gram = _rescaled(_object_matrix(basis.gram))
+        gram_inverse = _rescaled(_object_matrix(basis.gram_inverse))
+        residuals = _residual_ints(k_mat, gram, gram_inverse, nbar)
+        counts = tuple(_support(res) for res, _ in residuals)
         supports.append(counts)
         for c in range(3):
             if counts[c] and witnesses[c] is None:

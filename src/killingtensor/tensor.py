@@ -23,6 +23,7 @@ Design notes
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -51,6 +52,9 @@ ScalarLike = Union[Fraction, int, str]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The string forms as_scalar accepts: "p" or "p/q", with an optional sign.
+_RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
 
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce ``value`` to an exact :class:`~fractions.Fraction`.
@@ -65,10 +69,15 @@ def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidArgument(f"cannot parse rational scalar {value!r}") from exc
+        # Fraction() alone also takes decimals, exponents and underscores,
+        # and "1e999999999" would make it build a billion-digit integer.
+        if _RATIONAL.fullmatch(value):
+            try:
+                return Fraction(value.strip())
+            except (ValueError, ZeroDivisionError):
+                pass
+        shown = value if len(value) <= 40 else value[:40] + "..."
+        raise InvalidArgument(f"cannot parse rational scalar {shown!r}")
     raise InvalidArgument(
         f"expected an exact rational scalar (Fraction, int, or 'p/q' string), got {type(value).__name__}"
     )

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from killingtensor import cli
+from killingtensor import CurvatureTensor, cli
 
 
 def run(capsys, *argv):
@@ -280,6 +280,43 @@ class TestTopLevelBehaviour:
         code, _, err = run(capsys, "check", str(path), "--model", "sphere", "--N", "3")
         assert code == 2
         assert "does not match model dimension" in err
+
+    def test_dimension_is_checked_before_the_class(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        validate = CurvatureTensor._validate
+        monkeypatch.setattr(
+            CurvatureTensor, "_validate", lambda self, arr: calls.append(1) or validate(self, arr)
+        )
+        path = tmp_path / "dim40.json"
+        path.write_text('{"dim": 40, "order": 4, "entries": [], "form": "R"}', encoding="utf-8")
+        for command in ("check", "oracle"):
+            code, _, err = run(capsys, command, str(path), "--model", "sphere", "--N", "3")
+            assert code == 2
+            assert "does not match model dimension" in err
+        assert calls == []
+
+    def test_overlong_numbers_are_input_errors(self, capsys, tmp_path):
+        literal = tmp_path / "literal.json"
+        literal.write_text(
+            '{"dim": 3, "order": 4, "form": "R", "entries": '
+            '[{"idx": [0, 1, 0, 1], "val": ' + "7" * 4400 + "}]}",
+            encoding="utf-8",
+        )
+        exponent = tmp_path / "exponent.json"
+        exponent.write_text(
+            '{"dim": 3, "order": 4, "form": "R", "entries": '
+            '[{"idx": [0, 1, 0, 1], "val": "1e999999999"}]}',
+            encoding="utf-8",
+        )
+        for path, message in ((literal, "not valid JSON"), (exponent, "cannot parse")):
+            code, _, err = run(capsys, "check", str(path), "--model", "sphere", "--N", "3")
+            assert code == 2
+            assert err.startswith("error:") and message in err
+        code, _, err = run(
+            capsys, "generate", "benenti", "--N", "2", "--A", "[[" + "1" * 4400 + ", 0], [0, 1]]"
+        )
+        assert code == 2
+        assert "not valid JSON" in err
 
     def test_bad_signature_flag(self, capsys, tmp_path):
         path = tmp_path / "metric.json"

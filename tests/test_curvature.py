@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BOUND, flat, sphere
 from killingtensor import (
@@ -97,6 +100,100 @@ class TestSymmetryClasses:
             SymmetricForm(Tensor.from_nested([[0, 1], [2, 0]]))
         with pytest.raises(InvalidArgument, match="not antisymmetric"):
             AntisymmetricForm(Tensor.from_nested([[0, 1], [1, 0]]))
+
+
+def reference_class_verdict(cls: type, arr: np.ndarray) -> "str | None":
+    """The class definition checked directly on the Fraction entries.
+
+    None when ``arr`` is in the class, otherwise the message of the first
+    violated symmetry, in the order the classes check them.
+    """
+    if cls is CurvatureTensor:
+        prefix, sign, word = "curvature tensor invalid", -1, "antisymmetric"
+    else:
+        prefix, sign, word = "symmetric-class tensor invalid", 1, "symmetric"
+    checks = (
+        (sign * arr.transpose(1, 0, 2, 3), f"not {word} in the first index pair"),
+        (sign * arr.transpose(0, 1, 3, 2), f"not {word} in the second index pair"),
+        (arr.transpose(2, 3, 0, 1), "index pairs do not exchange symmetrically"),
+    )
+    for image, failure in checks:
+        if any(a != b for a, b in zip(arr.flat, image.flat)):
+            return f"{prefix}: {failure}"
+    cyclic = arr + arr.transpose(0, 2, 3, 1) + arr.transpose(0, 3, 1, 2)
+    if any(v != 0 for v in cyclic.flat):
+        return f"{prefix}: cyclic sum over the last three indices does not vanish"
+    return None
+
+
+def pair_group(cls: type) -> list[tuple[tuple[int, ...], int]]:
+    """The eight slot permutations of the class's pair symmetries, with signs.
+
+    The first one, two, four and eight elements are subgroups: the
+    identity, then the first pair, both pairs and the pair exchange.
+    """
+    pair = -1 if cls is CurvatureTensor else 1
+    return [
+        ((0, 1, 2, 3), 1), ((1, 0, 2, 3), pair), ((0, 1, 3, 2), pair), ((1, 0, 3, 2), 1),
+        ((2, 3, 0, 1), 1), ((3, 2, 0, 1), pair), ((2, 3, 1, 0), pair), ((3, 2, 1, 0), 1),
+    ]
+
+
+class TestIntegerValidation:
+    """Acceptance and messages match the Fraction definition exactly, also
+    where the integer image crosses 2^62 (object dtype) and where three
+    int64 terms of a cyclic sum wrap."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 2**16),
+        cls=st.sampled_from([CurvatureTensor, SymCurvatureTensor]),
+        other_base=st.sampled_from([False, False, True]),
+        magnitude=st.sampled_from([None, 2**61, 2**62 - 1, 2**62, 2**62 + 1, 2**63]),
+        orbit=st.sampled_from([0, 1, 2, 4, 8]),
+        # Taken modulo dim; distinct indices reach the cyclic check at dim 4.
+        idx=st.permutations(range(4)),
+        delta=st.sampled_from(
+            [1, -1, Fraction(1, 3), 2**61, -(2**62) + 1, 2**62, 3 * 2**61, -(2**63)]
+        ),
+    )
+    def test_matches_the_fraction_definition(
+        self, dim, seed, cls, other_base, magnitude, orbit, idx, delta
+    ):
+        R = random_curvature(dim, random.Random(seed), bound=BOUND)
+        on_r = (cls is CurvatureTensor) != other_base
+        arr = (R if on_r else r_to_s(R)).tensor.array.copy()
+        if magnitude is not None:
+            # Integer entries whose largest is just under or over the magnitude.
+            arr = arr * math.lcm(*(v.denominator for v in arr.flat))
+            largest = max(abs(v) for v in arr.flat)
+            if largest:
+                arr = arr * (magnitude // largest + seed % 2)
+        idx = tuple(i % dim for i in idx)
+        for perm, sign in pair_group(cls)[:orbit]:
+            arr[tuple(idx[p] for p in perm)] += sign * delta
+        expected = reference_class_verdict(cls, arr)
+        try:
+            cls(Tensor(arr, dim=dim))
+            got = None
+        except InvalidArgument as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_wrapping_cyclic_sum_is_still_rejected(self):
+        # Three int64 terms of 3 * 2^61 - 1 wrap past 2^63; their true sum
+        # is not zero.  Pair symmetries hold, so only the cyclic check sees it.
+        arr = np.empty((4,) * 4, dtype=object)
+        arr.fill(Fraction(0))
+        value = 3 * 2**60 - 1
+        for idx in [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]:
+            for perm, sign in pair_group(SymCurvatureTensor):
+                arr[tuple(idx[p] for p in perm)] = Fraction(value)
+        assert 3 * value > 2**63 and value < 2**62
+        assert reference_class_verdict(SymCurvatureTensor, arr) is not None
+        with pytest.raises(InvalidArgument, match="cyclic"):
+            SymCurvatureTensor(Tensor(arr, dim=4))
 
 
 class TestKulkarniNomizu:

@@ -38,10 +38,18 @@ class TestRationals:
     def test_parse_accepts_exact_forms(self, raw, expected):
         assert io.parse_rational(raw) == expected
 
-    @pytest.mark.parametrize("raw", [True, False, 0.5, "abc", "1/0", None, [1]])
+    @pytest.mark.parametrize(
+        "raw",
+        [True, False, 0.5, "abc", "1/0", None, [1], "1e999999999", "1.5", "1_000"],
+    )
     def test_parse_rejects_inexact_or_malformed(self, raw):
         with pytest.raises(InvalidArgument):
             io.parse_rational(raw)
+
+    def test_rejected_value_is_echoed_only_in_part(self):
+        with pytest.raises(InvalidArgument) as info:
+            io.parse_rational("9" * 5000 + "/x")
+        assert len(str(info.value)) < 100
 
     def test_format_round_trip(self):
         assert io.format_rational(Fraction(6, 3)) == 2
@@ -136,6 +144,19 @@ class TestTensorDocuments:
         bad.write_text("{oops", encoding="utf-8")
         with pytest.raises(InvalidArgument, match="not valid JSON"):
             io.load_tensor(bad)
+
+    def test_integer_literal_over_the_digit_limit(self, tmp_path):
+        # json.loads reports it as a plain ValueError, not a JSONDecodeError.
+        path = tmp_path / "digits.json"
+        path.write_text(
+            '{"dim": 2, "order": 4, "form": "R", "entries": '
+            '[{"idx": [0, 1, 0, 1], "val": ' + "7" * 4400 + "}]}",
+            encoding="utf-8",
+        )
+        with pytest.raises(InvalidArgument, match="not valid JSON"):
+            io.load_tensor(path)
+        with pytest.raises(InvalidArgument, match="not valid JSON"):
+            io.parse_model_descriptor('{"kind": "sphere", "N": ' + "3" * 4400 + "}")
 
 
 class TestModelDescriptors:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -28,6 +29,43 @@ from killingtensor import (
 
 def all_zero(arr: np.ndarray) -> bool:
     return all(value == 0 for value in arr.flat)
+
+
+def reference_anti3(arr: np.ndarray) -> np.ndarray:
+    """Normalised total antisymmetrisation, by the signs of the permutations."""
+    total = 0
+    for perm in permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        total = total + (-1) ** inversions * arr.transpose(perm)
+    return total / 6
+
+
+def reference_point_data(S, model, point, basis):
+    """``K``, ``nbar`` and the three residuals by Fraction einsums of the formulas."""
+    s = r_to_s(S).tensor.array
+    x = point.x.array
+    frame = np.array([[v[(a,)] for a in range(model.dim)] for v in basis.vectors], dtype=object)
+    gbar = model.gbar().array
+    gram = np.array(basis.gram, dtype=object)
+    gram_inverse = np.array(basis.gram_inverse, dtype=object)
+
+    def einsum(subscripts, *operands):
+        return np.einsum(subscripts, *operands, optimize="greedy")
+
+    K = einsum("abcd,a,b,pc,qd->pq", s, x, x, frame, frame)
+    # nbar[p,q,r] = B^{ij} (S[i,a2,b1,b2] S[j,c2,d1,d2]
+    #               + S[i,c2,b1,b2] S[j,d1,a2,d2]) x^b1 x^b2 x^d1 e_p^a2 e_q^c2 e_r^d2
+    nbar = einsum("ij,iabc,jdef,b,c,e,pa,qd,rf->pqr", gbar, s, s, x, x, x, frame, frame, frame)
+    nbar = nbar + einsum(
+        "ij,idbc,jeaf,b,c,e,pa,qd,rf->pqr", gbar, s, s, x, x, x, frame, frame, frame
+    )
+    n_up = einsum("ij,jkl->ikl", gram_inverse, nbar)
+    torsion = (n_up - n_up.transpose(0, 2, 1)) / 2
+    k_sq = einsum("ij,jk,kl->il", K, gram_inverse, K)
+    residuals = tuple(
+        reference_anti3(einsum("ad,dbc->abc", m, torsion)) for m in (gram, K, k_sq)
+    )
+    return K, nbar, residuals
 
 
 class TestPointData:
@@ -105,6 +143,33 @@ class TestResiduals:
             reframed = tns_residuals(compute_point_data(S, model, point, custom))
             assert all_zero(canonical[0]) is expect_zero
             assert all_zero(reframed[0]) is expect_zero
+
+
+class TestAgainstFractionFormulas:
+    """The integer core reproduces the Fraction formulas exactly, on inputs
+    with entries up to 50, well above the suite's BOUND."""
+
+    @pytest.mark.parametrize(
+        "model", [sphere(3), sphere(2, 1), flat(3), sphere(4), sphere(3, 1), flat(4)], ids=repr
+    )
+    @pytest.mark.parametrize("kind", ["benenti", "random"])
+    def test_point_data_and_residuals(self, model, kind):
+        rng = random.Random(f"{model!r}-{kind}")
+        if kind == "benenti":
+            S = benenti_rep(model, random_invertible_matrix(model.dim, rng, bound=50))
+        else:
+            S = random_curvature(model.dim, rng, bound=50)
+        point = sample_point(model, rng, bound=50)
+        data = compute_point_data(S, model, point)
+        K, nbar, residuals = reference_point_data(S, model, point, data.basis)
+        assert np.array_equal(data.K, K)
+        assert np.array_equal(data.nbar, nbar)
+        assert np.array_equal(data.gram, np.array(data.basis.gram, dtype=object))
+        assert np.array_equal(data.gram_inverse, np.array(data.basis.gram_inverse, dtype=object))
+        for got, expected in zip(tns_residuals(data), residuals):
+            assert np.array_equal(got, expected)
+        if kind == "random" and model.dim == 4 and not model.is_flat:
+            assert not all_zero(residuals[0])
 
 
 class TestOracle:
