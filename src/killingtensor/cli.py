@@ -18,6 +18,7 @@ and the seed is recorded in generated-file metadata.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -402,10 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls,
+    # and help text is formatted (terminal width included) when printed.
+    return build_parser()
+
+
 def main(argv: "Sequence[str] | None" = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 2
     try:

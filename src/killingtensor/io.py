@@ -3,15 +3,23 @@
 Tensor document (JSON): ``{"dim": int, "order": int, "entries":
 [{"idx": [0-based indices], "val": "p/q" | integer}], "form": "R" |
 "S" (optional), "metadata": {...} (optional)}``; components not listed
-are zero.  Model descriptor: ``{"N": int, "signature": [p, q], "kind":
-"sphere" | "flat", "u": [rationals] (optional)}``; ``check``/``oracle``
-reports serialize to plain dictionaries with verdicts, residual support
+are zero, and of a repeated ``idx`` the last record wins.  A document
+is read in one pass over its records, parsing each distinct value once.
+Untrusted documents are bounded: at most 32 slots and 2^24 entries, and
+at most 256 bits both for the lcm of the value denominators and for the
+largest value rescaled to it.  Larger documents are rejected with
+InvalidArgument (exit status 2 in the CLI).
+
+Model descriptor: ``{"N": int, "signature": [p, q], "kind": "sphere" |
+"flat", "u": [rationals] (optional)}``; ``check``/``oracle`` reports
+serialize to plain dictionaries with verdicts, residual support
 counts, forms used and timing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Union
@@ -48,6 +56,17 @@ FormTensor = Union[CurvatureTensor, SymCurvatureTensor, Tensor]
 _MAX_ENTRIES = 1 << 24
 _MAX_ORDER = 32
 
+# Largest bit length of a tensor document's values, taken both for the
+# lcm of their denominators and for the largest numerator rescaled to
+# that lcm: the integer image the library computes on.  check() time
+# grows about quadratically with it (an N = 4 file at 13 229 bits took
+# 26.9 s).  Every generator output at entry bound <= 50 and N <= 5 stays
+# within 138 bits of lcm and 154 bits of image (Benenti inputs), so the
+# cap leaves about 100 bits of room.  At the cap (255-bit lcm and
+# image), check() in the default forms on a generic Kulkarni-Nomizu
+# product took 0.06 s at N = 4 and 0.53 s at N = 5 on a 2-vCPU VM.
+_MAX_BITS = 256
+
 
 def parse_rational(value: object) -> Fraction:
     """Exact rational from an int, a Fraction or a string ``"p"`` / ``"p/q"``."""
@@ -83,11 +102,17 @@ def tensor_to_document(
             "expected a Tensor, CurvatureTensor or SymCurvatureTensor, got "
             + type(tensor).__name__
         )
+    arr = plain.array
+    nonzero = arr.astype(bool)
+    # Entries in C order of idx; each distinct value is formatted once.
+    formatted: dict = {}
     entries = []
-    for idx in np.ndindex(plain.array.shape):
-        value = plain[idx]
-        if value != 0:
-            entries.append({"idx": [int(i) for i in idx], "val": format_rational(value)})
+    for idx, value in zip(np.argwhere(nonzero).tolist(), arr[nonzero].tolist()):
+        key = (value.numerator, value.denominator)
+        text = formatted.get(key)
+        if text is None:
+            text = formatted[key] = format_rational(value)
+        entries.append({"idx": idx, "val": text})
     doc: dict = {"dim": plain.dim, "order": plain.order, "entries": entries}
     if form is not None:
         doc["form"] = form
@@ -99,15 +124,16 @@ def tensor_to_document(
 def document_to_tensor(doc: Mapping[str, Any]) -> tuple[Tensor, "str | None", dict]:
     """Parse a tensor document; returns (tensor, form, metadata).
 
-    The symmetry class named by ``form`` is *not* enforced here — use
-    :func:`wrap_tensor` for that.
+    Shapes and values over the caps in the module docstring raise
+    InvalidArgument.  The symmetry class named by ``form`` is *not*
+    enforced here — use :func:`wrap_tensor` for that.
     """
     if not isinstance(doc, Mapping):
         raise InvalidArgument("tensor document must be a mapping")
     try:
         dim = int(doc["dim"])
         order = int(doc["order"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgument(f"tensor document needs integer 'dim' and 'order': {exc}") from exc
     if dim < 1 or order < 0:
         raise InvalidArgument(f"invalid tensor shape: dim={dim}, order={order}")
@@ -121,26 +147,67 @@ def document_to_tensor(doc: Mapping[str, Any]) -> tuple[Tensor, "str | None", di
         raise InvalidArgument("'entries' must be a list of {idx, val} records")
     arr = np.empty((dim,) * order, dtype=object)
     arr.fill(Fraction(0))
+    flat = arr.reshape(-1)  # a view: writes land in arr
+    # Each distinct value is parsed once.  Only exact str and int values
+    # are interned, keyed on their type: True and 1.0 compare and hash
+    # equal to 1 and must still reach as_scalar to be rejected.
+    interned: dict = {}
+    uninterned: list[Fraction] = []
     for record in entries:
         try:
-            idx = tuple(int(i) for i in record["idx"])
+            idx = tuple(map(int, record["idx"]))
             raw = record["val"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidArgument(f"malformed entry record {record!r}: {exc}") from exc
         if len(idx) != order:
             raise InvalidArgument(
                 f"entry index {list(idx)} has length {len(idx)}, expected order {order}"
             )
-        if any(i < 0 or i >= dim for i in idx):
-            raise InvalidArgument(f"entry index {list(idx)} out of range for dim {dim}")
-        arr[idx] = parse_rational(raw)
+        position = 0
+        for i in idx:
+            if i < 0 or i >= dim:
+                raise InvalidArgument(f"entry index {list(idx)} out of range for dim {dim}")
+            position = position * dim + i
+        kind = type(raw)
+        if kind is str or kind is int:
+            value = interned.get((kind, raw))
+            if value is None:
+                value = interned[kind, raw] = as_scalar(raw)
+        else:
+            value = as_scalar(raw)
+            uninterned.append(value)
+        flat[position] = value
     form = doc.get("form")
     if form is not None and form not in ("R", "S"):
         raise InvalidArgument(f"unknown tensor form {form!r}; expected 'R' or 'S'")
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise InvalidArgument("'metadata' must be a mapping")
+    _check_bit_length([*interned.values(), *uninterned])
     return Tensor(arr, dim=dim), form, metadata
+
+
+def _check_bit_length(values: list[Fraction]) -> None:
+    """Reject values whose common integer image is wider than ``_MAX_BITS``.
+
+    The lcm grows one distinct denominator at a time and is checked at
+    each step, so it never grows far past the cap, however many large
+    coprime denominators a document lists.
+    """
+    lcm = 1
+    for denominator in {value.denominator for value in values}:
+        lcm = math.lcm(lcm, denominator)
+        if lcm.bit_length() > _MAX_BITS:
+            raise InvalidArgument(
+                f"tensor values need a common denominator of more than "
+                f"{_MAX_BITS} bits; at most {_MAX_BITS} are accepted"
+            )
+    top = max((abs(v.numerator) * (lcm // v.denominator) for v in values), default=0)
+    if top.bit_length() > _MAX_BITS:
+        raise InvalidArgument(
+            f"tensor values rescaled to their common denominator reach "
+            f"{top.bit_length()} bits; at most {_MAX_BITS} are accepted"
+        )
 
 
 def wrap_tensor(tensor: Tensor, form: "str | None") -> FormTensor:

@@ -7,15 +7,22 @@ rational arithmetic fast without changing any verdict.
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
+
+import numpy as np
 
 from killingtensor import (
     CurvatureTensor,
     MetricSignature,
     ModelKind,
     ModelSpace,
+    SymmetricForm,
+    Tensor,
     benenti_rep,
     family_rep,
+    kulkarni_nomizu,
     metric_rep,
     random_curvature,
     random_invertible_matrix,
@@ -51,6 +58,31 @@ def random_family_member(model: ModelSpace, rng: random.Random) -> CurvatureTens
         nonzero_fraction(rng),
         signature=model.signature,
     )
+
+
+def wide_curvature(dim: int, digits: int, seed: int) -> CurvatureTensor:
+    """Kulkarni–Nomizu product of two random symmetric forms whose entries
+    have ``digits``-digit denominators: a valid curvature tensor with a
+    wide integer image."""
+    rng = random.Random(seed)
+
+    def form() -> SymmetricForm:
+        arr = np.empty((dim, dim), dtype=object)
+        for i in range(dim):
+            for j in range(i, dim):
+                value = Fraction(rng.randint(1, 9), rng.randint(10 ** (digits - 1), 10**digits))
+                arr[i, j] = arr[j, i] = value
+        return SymmetricForm(Tensor(arr, dim=dim))
+
+    return kulkarni_nomizu(form(), form())
+
+
+def image_bits(tensor: Tensor) -> tuple[int, int]:
+    """Bit lengths of the lcm of the denominators and of the widest rescaled entry."""
+    values = tensor.array.ravel().tolist()
+    lcm = math.lcm(*(v.denominator for v in values))
+    widest = max(abs(v.numerator) * (lcm // v.denominator) for v in values)
+    return lcm.bit_length(), widest.bit_length()
 
 
 def fixture_set(model: ModelSpace, seed: int) -> list[tuple[str, CurvatureTensor]]:

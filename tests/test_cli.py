@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from killingtensor import CurvatureTensor, cli
+import killingtensor
+from conftest import image_bits, sphere, wide_curvature
+from killingtensor import CurvatureTensor, cli, io, metric_rep
 
 
 def run(capsys, *argv):
@@ -338,3 +345,93 @@ class TestTopLevelBehaviour:
         )
         assert code == 2
         assert "ConditionForm1" in err
+
+
+class TestTensorFileLimits:
+    def test_wide_values_exit_2(self, capsys, tmp_path):
+        # A valid 400 KB file whose integer image has a 13 230-bit scale;
+        # check() on it took about 27 s before the cap.
+        path = tmp_path / "wide.json"
+        io.save_tensor(path, wide_curvature(4, 200, seed=0))
+        for command in ("check", "oracle"):
+            code, _, err = run(capsys, command, str(path), "--model", "sphere", "--N", "4")
+            assert code == 2
+            assert err.startswith("error:") and "more than 256 bits" in err
+
+    def test_values_at_the_cap_are_checked(self, capsys, tmp_path):
+        scaled = metric_rep(sphere(3)) * Fraction(2**256 - 1, 2**256 - 3)
+        assert image_bits(scaled.tensor) == (256, 256)
+        path = tmp_path / "at-cap.json"
+        io.save_tensor(path, scaled)
+        code, out, _ = run(capsys, "check", str(path), "--model", "sphere", "--N", "3")
+        assert code == 0
+        assert "integrable: yes" in out
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _without_timing(text):
+    """Drop the wall-clock lines and fields, which differ from run to run."""
+    lines = [line for line in text.splitlines() if "elapsed" not in line]
+    return "\n".join(lines)
+
+
+class TestCachedParser:
+    def _sequence(self, tmp_path):
+        path = tmp_path / "family.json"
+        cli.main(["generate", "family", "--N", "3", "--seed", "2", "--bound", "3",
+                  "--out", str(path)])
+        model = ["--model", "sphere", "--N", "3"]
+        return [
+            ["check", str(path), *model],
+            ["oracle", str(path), *model, "--points", "2", "--bound", "3", "--json"],
+            ["check", str(path), *model, "--bogus"],
+            ["check", str(path), *model, "--form1", "hook-d", "--json"],
+            ["check", str(path), *model],
+            ["--help"],
+            ["check", "--help"],
+        ]
+
+    def test_outputs_match_fresh_processes(self, capsys, tmp_path, monkeypatch, fresh_parser):
+        # The parser is built at one terminal width and prints at another.
+        monkeypatch.setenv("COLUMNS", "200")
+        sequence = self._sequence(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        capsys.readouterr()
+        in_process = []
+        for argv in sequence:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, _without_timing(captured.out), captured.err))
+        env = dict(os.environ, COLUMNS="80")
+        src = str(Path(killingtensor.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        fresh = []
+        for argv in sequence:
+            proc = subprocess.run(
+                [sys.executable, "-m", "killingtensor.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            fresh.append((proc.returncode, _without_timing(proc.stdout), proc.stderr))
+        assert [row[0] for row in in_process] == [0, 0, 2, 0, 0, 0, 0]
+        assert in_process[4] == in_process[0]
+        assert "unrecognized arguments: --bogus" in in_process[2][2]
+        assert in_process == fresh
+
+    def test_parser_is_built_once(self, capsys, tmp_path, monkeypatch, fresh_parser):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        sequence = self._sequence(tmp_path)
+        for argv in sequence:
+            cli.main(argv)
+        capsys.readouterr()
+        assert builds == [1]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

@@ -6,21 +6,114 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import BOUND, flat, sphere
+from conftest import BOUND, flat, image_bits, sphere, wide_curvature
 from killingtensor import (
     CurvatureTensor,
     InvalidArgument,
     SymCurvatureTensor,
     Tensor,
+    benenti_rep,
     check,
+    family_rep,
     integrable_oracle,
     io,
     metric_rep,
     r_to_s,
     random_curvature,
+    random_invertible_matrix,
+    random_symmetric_form,
 )
+
+
+def reference_document_to_tensor(doc):
+    """The per-record loader the one-pass reader replaced, kept as its reference.
+
+    It also catches OverflowError, which escaped the old loop as a
+    traceback for an ``idx`` of ``Infinity``.  It has no bit-length cap.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidArgument("tensor document must be a mapping")
+    try:
+        dim = int(doc["dim"])
+        order = int(doc["order"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"tensor document needs integer 'dim' and 'order': {exc}") from exc
+    if dim < 1 or order < 0:
+        raise InvalidArgument(f"invalid tensor shape: dim={dim}, order={order}")
+    if order > io._MAX_ORDER or dim**order > io._MAX_ENTRIES:
+        raise InvalidArgument(
+            f"tensor shape dim={dim}, order={order} is too large: at most "
+            f"{io._MAX_ORDER} slots and {io._MAX_ENTRIES} entries are accepted"
+        )
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise InvalidArgument("'entries' must be a list of {idx, val} records")
+    arr = np.empty((dim,) * order, dtype=object)
+    arr.fill(Fraction(0))
+    for record in entries:
+        try:
+            idx = tuple(int(i) for i in record["idx"])
+            raw = record["val"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InvalidArgument(f"malformed entry record {record!r}: {exc}") from exc
+        if len(idx) != order:
+            raise InvalidArgument(
+                f"entry index {list(idx)} has length {len(idx)}, expected order {order}"
+            )
+        if any(i < 0 or i >= dim for i in idx):
+            raise InvalidArgument(f"entry index {list(idx)} out of range for dim {dim}")
+        arr[idx] = io.parse_rational(raw)
+    form = doc.get("form")
+    if form is not None and form not in ("R", "S"):
+        raise InvalidArgument(f"unknown tensor form {form!r}; expected 'R' or 'S'")
+    metadata = doc.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        raise InvalidArgument("'metadata' must be a mapping")
+    return Tensor(arr, dim=dim), form, metadata
+
+
+def reference_tensor_to_document(tensor, *, metadata=None):
+    """The entry-by-entry writer the nonzero-only writer replaced."""
+    form = io._form_name(tensor)
+    plain = tensor.tensor if form is not None else tensor
+    entries = []
+    for idx in np.ndindex(plain.array.shape):
+        value = plain[idx]
+        if value != 0:
+            entries.append({"idx": [int(i) for i in idx], "val": io.format_rational(value)})
+    doc = {"dim": plain.dim, "order": plain.order, "entries": entries}
+    if form is not None:
+        doc["form"] = form
+    if metadata:
+        doc["metadata"] = dict(metadata)
+    return doc
+
+
+def load_outcome(loader, doc):
+    """("ok", entries as (type, value) pairs, form, metadata) or ("error", message)."""
+    try:
+        tensor, form, metadata = loader(doc)
+    except InvalidArgument as exc:
+        return "error", str(exc)
+    values = [(type(v), v) for v in tensor.array.ravel().tolist()]
+    return "ok", tensor.dim, tensor.order, values, form, metadata
+
+
+def generator_outputs(n, bound, seed):
+    """Every generator kind on the sphere, Lorentzian sphere and flat models."""
+    rng = random.Random(seed)
+    for model in (sphere(n), sphere(n - 1, 1), flat(n)):
+        yield metric_rep(model)
+        yield benenti_rep(model, random_invertible_matrix(n, rng, bound=bound))
+        h = random_symmetric_form(n, rng, bound=bound)
+        lams = [Fraction(rng.randint(1, bound), rng.randint(1, bound)) for _ in range(3)]
+        yield family_rep(h, *lams, signature=model.signature)
+        yield random_curvature(n, rng, bound=bound)
 
 
 class TestRationals:
@@ -157,6 +250,188 @@ class TestTensorDocuments:
             io.load_tensor(path)
         with pytest.raises(InvalidArgument, match="not valid JSON"):
             io.parse_model_descriptor('{"kind": "sphere", "N": ' + "3" * 4400 + "}")
+
+
+@st.composite
+def tensor_documents(draw):
+    """Small documents, mostly valid, with every kind of malformed record mixed in."""
+    dim = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 3))
+    index_item = st.one_of(
+        st.integers(-1, dim),
+        st.booleans(),
+        st.sampled_from(["0", "1", " 2", "x", "-1"]),
+        st.sampled_from([0.0, 1.0, 1.5, -0.5, float("inf"), float("nan")]),
+        st.none(),
+    )
+    valid_index = st.lists(st.integers(0, dim - 1), min_size=order, max_size=order)
+    edge_index = st.lists(st.sampled_from([-1, 0, dim - 1, dim]), min_size=order, max_size=order)
+    odd_index = st.one_of(
+        edge_index,
+        st.lists(index_item, min_size=max(order - 1, 0), max_size=order + 1),
+        st.sampled_from([7, "01", None, {"a": 0}]),
+    )
+    valid_value = st.one_of(
+        st.integers(-3, 3),
+        st.sampled_from(["1", " 1", "1/2", "2/4", "-3/7", "0", 10**30, "7" * 40]),
+    )
+    odd_value = st.sampled_from(
+        [True, False, 1.0, 0.5, "x", "1/0", "1.5", None, [1], {"p": 1}]
+    )
+
+    def record():
+        # Hypothesis favours the ends of a range, so the odd cases sit inside it.
+        roll = draw(st.integers(0, 19))
+        if roll == 5:
+            return draw(st.sampled_from([None, 3, "idx", [0, 1]]))
+        if roll == 6:
+            return {"idx": draw(valid_index)}
+        if roll == 7:
+            return {"val": draw(valid_value)}
+        idx = draw(odd_index if roll == 8 else valid_index)
+        return {"idx": idx, "val": draw(odd_value if roll == 9 else valid_value)}
+
+    doc = {"dim": dim, "order": order}
+    if draw(st.integers(0, 19)) == 7:
+        doc["entries"] = "nope"
+    else:
+        doc["entries"] = [record() for _ in range(draw(st.integers(0, 8)))]
+    form = draw(st.sampled_from([None, "R", "S", "Q"]))
+    if form is not None:
+        doc["form"] = form
+    metadata = draw(st.sampled_from([None, {}, {"seed": 1}, [1]]))
+    if metadata is not None:
+        doc["metadata"] = metadata
+    return doc
+
+
+class TestOnePassReader:
+    def test_infinite_index_is_an_input_error(self):
+        # json.loads reads Infinity and NaN as floats; int(inf) raises OverflowError.
+        with pytest.raises(InvalidArgument, match="malformed entry"):
+            io.document_to_tensor(json.loads(
+                '{"dim": 2, "order": 1, "entries": [{"idx": [Infinity], "val": 1}]}'
+            ))
+        with pytest.raises(InvalidArgument, match="integer 'dim'"):
+            io.document_to_tensor(json.loads('{"dim": Infinity, "order": 1}'))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=tensor_documents())
+    def test_accepts_and_rejects_as_the_per_record_loop(self, doc):
+        assert load_outcome(io.document_to_tensor, doc) == load_outcome(
+            reference_document_to_tensor, doc
+        )
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [],
+            [{"idx": [0, 1], "val": 1}, {"idx": [1, 0], "val": True}],
+            [{"idx": [0, 1], "val": 1}, {"idx": [1, 0], "val": 1.0}],
+            [{"idx": [0, 1], "val": "1"}, {"idx": [1, 1], "val": 1}, {"idx": [0, 0], "val": "1"}],
+            [{"idx": [0, 1], "val": 1}, {"idx": [1, 0], "val": [1]}],
+            [{"idx": [True, False], "val": 2}, {"idx": ["1", " 0"], "val": "3/4"}],
+            [{"idx": [1.5, 0.0], "val": 2}, {"idx": [-1, 0], "val": 1}],
+            [{"idx": [1, 1], "val": 2}, {"idx": [0, 2], "val": 1}],
+            [{"idx": [2, 0], "val": 1}],
+            [{"idx": [0, 1, 0], "val": 2}],
+            [{"idx": [0, 1], "val": 2}, {"idx": [0, 1], "val": "-5/3"}],
+            [{"idx": "01", "val": 2}, {"idx": {"a": 1}, "val": 2}],
+            [{"idx": [0, float("nan")], "val": 2}],
+            [{"idx": [0, float("inf")], "val": 2}],
+            [{"idx": [0, 1], "val": None}, {"idx": 3, "val": 1}],
+        ],
+    )
+    def test_hazards_load_as_the_per_record_loop(self, entries):
+        doc = {"dim": 2, "order": 2, "entries": entries, "form": "R"}
+        assert load_outcome(io.document_to_tensor, doc) == load_outcome(
+            reference_document_to_tensor, doc
+        )
+
+    def test_generator_documents_load_as_the_per_record_loop(self):
+        for n in (3, 4, 5):
+            for tensor in generator_outputs(n, BOUND, seed=n):
+                doc = json.loads(json.dumps(io.tensor_to_document(tensor)))
+                assert load_outcome(io.document_to_tensor, doc) == load_outcome(
+                    reference_document_to_tensor, doc
+                )
+
+
+class TestBitLengthCap:
+    def test_wide_curvature_tensor_is_rejected(self):
+        # A valid 400 KB file whose integer image has a 13 230-bit scale;
+        # check() on it took about 27 s before the cap.
+        doc = json.loads(json.dumps(io.tensor_to_document(wide_curvature(4, 200, seed=0))))
+        with pytest.raises(InvalidArgument, match="common denominator of more than 256 bits"):
+            io.document_to_tensor(doc)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [f"{2**256 - 1}/{2**256 - 3}"],
+            ["-1/3", f"1/{2**254}", f"{2**256 - 1}/{3 * 2**254}"],  # lcm 3 * 2^254
+            [f"{2**255}/3", "1/3"],
+        ],
+    )
+    def test_values_at_the_cap_are_accepted(self, values):
+        entries = [{"idx": [k], "val": v} for k, v in enumerate(values)]
+        tensor, _, _ = io.document_to_tensor({"dim": 3, "order": 1, "entries": entries})
+        assert max(image_bits(tensor)) <= io._MAX_BITS == 256
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([f"1/{2**256}"], "common denominator"),
+            ([f"{2**256}/3"], "reach 257 bits"),
+            ([str(2**255), "1/3"], "reach 257 bits"),
+            ([Fraction(1, 2**256 + 1)], "common denominator"),
+        ],
+    )
+    def test_values_over_the_cap_are_rejected(self, values, message):
+        entries = [{"idx": [k], "val": v} for k, v in enumerate(values)]
+        with pytest.raises(InvalidArgument, match=message):
+            io.document_to_tensor({"dim": 3, "order": 1, "entries": entries})
+
+    def test_overwritten_values_still_count(self):
+        # The cap bounds what a document lists, not only what it keeps.
+        doc = {"dim": 1, "order": 1, "entries": [
+            {"idx": [0], "val": f"1/{2**300}"}, {"idx": [0], "val": 1},
+        ]}
+        with pytest.raises(InvalidArgument, match="common denominator"):
+            io.document_to_tensor(doc)
+
+    def test_many_wide_coprime_denominators_fail_fast(self):
+        primes = [2**127 - 1, 2**89 - 1, 2**107 - 1, 2**61 - 1] * 50
+        entries = [{"idx": [k], "val": f"1/{p}"} for k, p in enumerate(primes)]
+        with pytest.raises(InvalidArgument, match="common denominator"):
+            io.document_to_tensor({"dim": 200, "order": 1, "entries": entries})
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_generator_outputs_are_admitted(self, n):
+        for seed in range(2):
+            for tensor in generator_outputs(n, 50, seed):
+                bits = image_bits(tensor.tensor)
+                assert max(bits) <= io._MAX_BITS - 64, bits
+                doc = io.tensor_to_document(tensor)
+                assert io.document_to_tensor(doc)[0] == tensor.tensor
+
+
+class TestWriter:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_documents_are_byte_identical_to_the_entry_walk(self, n):
+        for tensor in generator_outputs(n, 9, seed=n):
+            metadata = {"generator": "test", "seed": n}
+            for case in (tensor, tensor.tensor, r_to_s(tensor)):
+                assert json.dumps(io.tensor_to_document(case, metadata=metadata), indent=2) == (
+                    json.dumps(reference_tensor_to_document(case, metadata=metadata), indent=2)
+                )
+
+    @pytest.mark.parametrize("value", [Fraction(0), Fraction(-7, 3)])
+    def test_order_zero_tensor(self, value):
+        scalar = Tensor(np.array(value, dtype=object), dim=2)
+        doc = io.tensor_to_document(scalar)
+        assert doc == reference_tensor_to_document(scalar)
+        assert io.document_to_tensor(doc)[0] == scalar
 
 
 class TestModelDescriptors:
