@@ -2,14 +2,15 @@
 
 The integrability conditions contract three or four order-4 tensors and
 then (anti)symmetrise over up to eight slots, on operands with up to
-``N^10`` entries.  Doing this directly on Fraction object arrays is
-orders of magnitude too slow, so this module:
+``N^10`` entries.  Every tensor is already held as an integer array and
+one exact positive scale (see :mod:`killingtensor.tensor`), so this
+module works on ``(integer array, scale)`` pairs only.  It:
 
-* rescales a rational tensor to an integer array plus an exact scale
-  factor (the least common multiple of the denominators);
 * keeps arrays in ``int64`` while provable bounds rule out overflow,
   promoting to arbitrary-precision Python integers (object dtype) the
   moment a bound fails — results are exact in either representation;
+* adds scaled integer arrays exactly over one common scale
+  (:func:`linear_combination`);
 * evaluates every contraction through one engine, :func:`contract`: an
   einsum-style term over ``(integer array, scale)`` operands, contracted
   pairwise along the greedy ``np.einsum_path`` (cached per term and
@@ -29,9 +30,7 @@ orders of magnitude too slow, so this module:
   ``m−1`` staged passes of pairwise swaps (a left-transversal
   decomposition of the symmetric group), costing ``m(m−1)/2`` array
   additions instead of ``m!`` terms;
-* divides out integer content between stages to keep magnitudes small;
-* converts back to Fraction tensors with value interning, plus a cheap
-  all-zero fast path.
+* divides out integer content between stages to keep magnitudes small.
 
 Everything here is an internal implementation detail; results are
 always exactly equal to the direct Fraction computation.
@@ -47,18 +46,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = [
-    "to_int_array",
+    "linear_combination",
     "contract",
     "guarded_tensordot",
-    "guarded_add",
     "staged_symmetrise",
-    "content_reduce",
     "normalize_array",
-    "to_tensor",
-    "is_zero_array",
     "orbit_sum",
     "orbit_expand",
 ]
@@ -67,37 +60,48 @@ __all__ = [
 _INT64_SAFE = 1 << 62
 
 
-def _as_object_ints(arr: np.ndarray) -> np.ndarray:
-    """Copy an integer array into object dtype with Python-int elements."""
-    out = np.array(arr.ravel().tolist(), dtype=object)
-    return out.reshape(arr.shape)
-
-
 def _max_abs(arr: np.ndarray) -> int:
+    """Largest magnitude in an integer array of either dtype (0 if empty)."""
     if arr.size == 0:
         return 0
-    if arr.dtype == object:
-        return max((abs(int(v)) for v in arr.flat), default=0)
-    return int(np.abs(arr).max())
+    return max(int(arr.max()), -int(arr.min()))
 
 
-def to_int_array(tensor: "Tensor | np.ndarray") -> tuple[np.ndarray, Fraction]:
-    """Rescale a Fraction tensor, or an object array of Fractions, to integers.
+def linear_combination(
+    terms: Iterable[tuple[Fraction, np.ndarray]],
+) -> tuple[np.ndarray, Fraction]:
+    """Exact ``sum of c * arr`` over ``(rational c, integer array)`` terms.
 
-    Returns ``(arr, scale)`` with ``tensor == scale * arr`` exactly;
-    ``scale = 1 / lcm(denominators)``.  The array is ``int64`` when all
-    magnitudes are safely representable, otherwise object dtype.
+    Returns ``(array, scale)`` with the sum equal to ``scale * array``.
+    The scale is the largest rational dividing every ``c`` (gcd of the
+    numerators over lcm of the denominators, 1 if every ``c`` is zero),
+    so term ``i`` adds the integer multiple ``k_i = c_i / scale`` of its
+    array.  The sum is ``int64`` when ``sum |k_i| * max|arr_i| < 2^62``
+    and every array is ``int64``, and Python ints otherwise.  At least one
+    term is needed; the arrays share one shape; the result is not
+    content-reduced.
     """
-    array = tensor.array if isinstance(tensor, Tensor) else tensor
-    flat = array.ravel().tolist()
-    lcm = math.lcm(*{value.denominator for value in flat})
-    ints = [int(value.numerator * (lcm // value.denominator)) for value in flat]
-    scale = Fraction(1, lcm)
-    if ints and max(abs(v) for v in ints) < _INT64_SAFE:
-        arr = np.array(ints, dtype=np.int64).reshape(array.shape)
-    else:
-        arr = np.array(ints, dtype=object).reshape(array.shape)
-    return arr, scale
+    terms = [(Fraction(c), arr) for c, arr in terms]
+    gcd = math.gcd(*(c.numerator for c, _ in terms))
+    lcm = math.lcm(*(c.denominator for c, _ in terms))
+    scale = Fraction(gcd, lcm) if gcd else Fraction(1)
+    multiples = [(c.numerator // gcd) * (lcm // c.denominator) if gcd else 0 for c, _ in terms]
+    shape = terms[0][1].shape
+    # numpy arithmetic on 0-d arrays gives scalars; sum 1-element arrays.
+    arrays = [np.atleast_1d(arr) for _, arr in terms]
+    wide = any(arr.dtype == object for arr in arrays)
+    if not wide:
+        bounds = [abs(k) * _max_abs(arr) for k, arr in zip(multiples, arrays)]
+        wide = sum(bounds) >= _INT64_SAFE
+        # A zero array adds nothing, and its multiple may not fit in int64.
+        multiples = [k if bound else 0 for k, bound in zip(multiples, bounds)]
+    if wide:
+        arrays = [arr.astype(object, copy=False) for arr in arrays]
+    total = multiples[0] * arrays[0]
+    for k, arr in zip(multiples[1:], arrays[1:]):
+        if k:
+            total += k * arr
+    return total.reshape(shape), scale
 
 
 def guarded_tensordot(
@@ -118,28 +122,14 @@ def guarded_tensordot(
             volume *= a.shape[axis]
         bound = volume * _max_abs(a) * _max_abs(b)
         if bound >= _INT64_SAFE:
-            a = _as_object_ints(a)
-            b = _as_object_ints(b)
+            a = a.astype(object)
+            b = b.astype(object)
     elif a.dtype != b.dtype:
         if a.dtype != object:
-            a = _as_object_ints(a)
+            a = a.astype(object)
         else:
-            b = _as_object_ints(b)
+            b = b.astype(object)
     return np.tensordot(a, b, axes=(list(axes_a), list(axes_b)))
-
-
-def guarded_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact element-wise sum, promoting to object dtype before overflow."""
-    if a.dtype != object and b.dtype != object:
-        if _max_abs(a) + _max_abs(b) >= _INT64_SAFE:
-            a = _as_object_ints(a)
-            b = _as_object_ints(b)
-    elif a.dtype != b.dtype:
-        if a.dtype != object:
-            a = _as_object_ints(a)
-        else:
-            b = _as_object_ints(b)
-    return a + b
 
 
 @functools.lru_cache(maxsize=64)
@@ -230,7 +220,7 @@ def staged_symmetrise(arr: np.ndarray, axes: Sequence[int], *, sign: int = 1) ->
     for k in range(1, len(positions)):
         if current.dtype != object:
             if (k + 1) * _max_abs(current) >= _INT64_SAFE:
-                current = _as_object_ints(current)
+                current = current.astype(object)
         total = current.copy()
         for i in range(k):
             swapped = current.swapaxes(positions[i], positions[k])
@@ -242,64 +232,32 @@ def staged_symmetrise(arr: np.ndarray, axes: Sequence[int], *, sign: int = 1) ->
     return current
 
 
-def content_reduce(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction]:
-    """Divide out the integer content of ``arr``, folding it into ``scale``."""
-    if arr.dtype == object or arr.size == 0:
-        return arr, scale
-    gcd = int(np.gcd.reduce(np.abs(arr), axis=None))
-    if gcd > 1:
-        return arr // gcd, scale * gcd
-    return arr, scale
-
-
 def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction]:
-    """Content-reduce and, for object arrays, demote to ``int64`` if safe.
+    """The canonical form of ``scale * arr``: content-reduced integers.
 
-    Keeps intermediate magnitudes small between contraction and
-    symmetrisation stages; the represented value ``scale * arr`` is
-    unchanged.
+    Divides out the gcd of the entries (folding it into ``scale``), takes
+    ``int64`` when every entry is below 2^62 in magnitude and Python ints
+    otherwise, and gives an all-zero array the scale 1.  The represented
+    value ``scale * arr`` is unchanged.
     """
     if arr.size == 0:
         return arr, scale
     if arr.dtype != object:
-        return content_reduce(arr, scale)
-    gcd = 0
-    for value in arr.flat:
-        gcd = math.gcd(gcd, abs(int(value)))
-        if gcd == 1:
-            break
+        gcd = int(np.gcd.reduce(arr, axis=None))
+    else:
+        gcd = 0
+        for value in arr.flat:
+            gcd = math.gcd(gcd, value)
+            if gcd == 1:
+                break
     if gcd == 0:
-        return np.zeros(arr.shape, dtype=np.int64), scale
+        return np.zeros(arr.shape, dtype=np.int64), Fraction(1)
     if gcd > 1:
-        arr = arr // gcd
+        arr = np.asarray(arr // gcd, dtype=arr.dtype)  # a 0-d quotient is a scalar
         scale = scale * gcd
-    if _max_abs(arr) < _INT64_SAFE:
-        arr = arr.astype(np.int64)
+    if (arr.dtype == object) != (_max_abs(arr) >= _INT64_SAFE):
+        arr = arr.astype(np.int64 if arr.dtype == object else object)
     return arr, scale
-
-
-def to_tensor(arr: np.ndarray, scale: Fraction, dim: int) -> Tensor:
-    """Convert an integer array with scale back to an exact Fraction tensor."""
-    if arr.dtype != object and not arr.any():
-        return Tensor.zeros(dim, arr.ndim)
-    cache: dict[int, Fraction] = {}
-    values = []
-    for raw in arr.ravel().tolist():
-        key = int(raw)
-        cached = cache.get(key)
-        if cached is None:
-            cached = scale * key
-            cache[key] = cached
-        values.append(cached)
-    out = np.array(values, dtype=object).reshape(arr.shape)
-    return Tensor(out, dim=dim)
-
-
-def is_zero_array(arr: np.ndarray) -> bool:
-    """Exact zero test for integer arrays of either dtype."""
-    if arr.dtype != object:
-        return not arr.any()
-    return all(int(v) == 0 for v in arr.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +442,7 @@ def orbit_expand(
         sizes = np.diff(np.append(table.starts, table.perm.size))
         weights = table.group_order // sizes
         if out_dtype is not object and _max_abs(values) * int(weights.max()) >= _INT64_SAFE:
-            values = _as_object_ints(values)
+            values = values.astype(object)
             out = out.astype(object)
         terms = np.repeat(values * weights, sizes)
         if table.negate is not None:

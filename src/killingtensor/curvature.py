@@ -30,13 +30,21 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fastops import to_int_array
+from ._fastops import linear_combination
 from ._linalg import determinant
 from ._util import coerce_rng, random_fraction
 from .errors import InvalidArgument
 from .models import ModelKind, ModelSpace
 from .symgroup import young_symmetriser
-from .tensor import MetricSignature, Scalar, Tensor, as_scalar, tensor_product
+from .tensor import (
+    MetricSignature,
+    Scalar,
+    Tensor,
+    as_scalar,
+    contract,
+    contract_vector,
+    tensor_product,
+)
 
 __all__ = [
     "SymmetricForm",
@@ -79,8 +87,8 @@ class SymmetricForm:
     tensor: Tensor
 
     def __post_init__(self) -> None:
-        t = _require_order(self.tensor, 2, "symmetric form")
-        if not np.array_equal(t.array, t.array.transpose(1, 0)):
+        ints = _require_order(self.tensor, 2, "symmetric form")._ints
+        if not np.array_equal(ints, ints.transpose(1, 0)):
             raise InvalidArgument("symmetric form invalid: matrix is not symmetric")
 
     @property
@@ -95,8 +103,8 @@ class AntisymmetricForm:
     tensor: Tensor
 
     def __post_init__(self) -> None:
-        t = _require_order(self.tensor, 2, "antisymmetric form")
-        if not np.array_equal(t.array, -t.array.transpose(1, 0)):
+        ints = _require_order(self.tensor, 2, "antisymmetric form")._ints
+        if not np.array_equal(ints, -ints.transpose(1, 0)):
             raise InvalidArgument("antisymmetric form invalid: matrix is not antisymmetric")
 
     @property
@@ -107,7 +115,7 @@ class AntisymmetricForm:
 def _cyclic_last_three(arr: np.ndarray) -> np.ndarray:
     """Sum of the three cyclic rotations of the last three of four axes.
 
-    On an ``int64`` array from ``to_int_array`` every entry is below
+    On the ``int64`` integer image of a tensor every entry is below
     2^62 in magnitude, so the true sum is below 3 * 2^62 < 2^64.  The
     sum numpy computes may wrap, but it equals the true sum modulo 2^64,
     so it is zero exactly when the true sum is: the zero test needs no
@@ -119,30 +127,34 @@ def _cyclic_last_three(arr: np.ndarray) -> np.ndarray:
 class _FourTensorWrapper:
     """Shared behaviour of the two curvature-class encodings.
 
-    On construction the stored Fraction tensor is rescaled once to an
-    integer array and one exact positive scale (``tensor == scale *
-    array``), and the class symmetries are checked on that integer array:
-    they are linear and homogeneous, so they hold for the integers
-    exactly when they hold for the Fractions.  The pair is kept in
-    ``_scaled`` (its array read-only), so the algebraic conditions and
-    the pointwise oracle start from it instead of rescaling the input
-    again.
+    The class symmetries are checked on the tensor's integer image: they
+    are linear and homogeneous, and the scale is positive, so they hold
+    for the integers exactly when they hold for the Fractions.
     """
 
-    __slots__ = ("_tensor", "_scaled")
+    __slots__ = ("_tensor",)
 
     _CLASS_NAME = "curvature-class tensor"
 
     def __init__(self, tensor: Tensor) -> None:
         t = _require_order(tensor, 4, self._CLASS_NAME)
-        arr, scale = to_int_array(t)
-        arr.flags.writeable = False
-        self._validate(arr)
+        self._validate(t._ints)
         self._tensor = t
-        self._scaled = (arr, scale)
 
     def _validate(self, arr: np.ndarray) -> None:
-        raise NotImplementedError
+        sign, word = self._PAIR_SIGN, self._PAIR_WORD
+        checks = (
+            (sign * arr.transpose(1, 0, 2, 3), f"not {word} in the first index pair"),
+            (sign * arr.transpose(0, 1, 3, 2), f"not {word} in the second index pair"),
+            (arr.transpose(2, 3, 0, 1), "index pairs do not exchange symmetrically"),
+        )
+        for image, failure in checks:
+            if not np.array_equal(arr, image):
+                raise InvalidArgument(f"{self._INVALID}: {failure}")
+        if _cyclic_last_three(arr).any():
+            raise InvalidArgument(
+                f"{self._INVALID}: cyclic sum over the last three indices does not vanish"
+            )
 
     @property
     def tensor(self) -> Tensor:
@@ -193,24 +205,8 @@ class CurvatureTensor(_FourTensorWrapper):
     """
 
     _CLASS_NAME = "curvature tensor"
-
-    def _validate(self, arr: np.ndarray) -> None:
-        if not np.array_equal(arr, -arr.transpose(1, 0, 2, 3)):
-            raise InvalidArgument(
-                "curvature tensor invalid: not antisymmetric in the first index pair"
-            )
-        if not np.array_equal(arr, -arr.transpose(0, 1, 3, 2)):
-            raise InvalidArgument(
-                "curvature tensor invalid: not antisymmetric in the second index pair"
-            )
-        if not np.array_equal(arr, arr.transpose(2, 3, 0, 1)):
-            raise InvalidArgument(
-                "curvature tensor invalid: index pairs do not exchange symmetrically"
-            )
-        if _cyclic_last_three(arr).any():
-            raise InvalidArgument(
-                "curvature tensor invalid: cyclic sum over the last three indices does not vanish"
-            )
+    _INVALID = "curvature tensor invalid"
+    _PAIR_SIGN, _PAIR_WORD = -1, "antisymmetric"
 
 
 class SymCurvatureTensor(_FourTensorWrapper):
@@ -222,24 +218,8 @@ class SymCurvatureTensor(_FourTensorWrapper):
     """
 
     _CLASS_NAME = "symmetric-class curvature tensor"
-
-    def _validate(self, arr: np.ndarray) -> None:
-        if not np.array_equal(arr, arr.transpose(1, 0, 2, 3)):
-            raise InvalidArgument(
-                "symmetric-class tensor invalid: not symmetric in the first index pair"
-            )
-        if not np.array_equal(arr, arr.transpose(0, 1, 3, 2)):
-            raise InvalidArgument(
-                "symmetric-class tensor invalid: not symmetric in the second index pair"
-            )
-        if not np.array_equal(arr, arr.transpose(2, 3, 0, 1)):
-            raise InvalidArgument(
-                "symmetric-class tensor invalid: index pairs do not exchange symmetrically"
-            )
-        if _cyclic_last_three(arr).any():
-            raise InvalidArgument(
-                "symmetric-class tensor invalid: cyclic sum over the last three indices does not vanish"
-            )
+    _INVALID = "symmetric-class tensor invalid"
+    _PAIR_SIGN, _PAIR_WORD = 1, "symmetric"
 
 
 # -- products and conversions -----------------------------------------
@@ -260,16 +240,17 @@ def kulkarni_nomizu(h: SymmetricForm | Tensor, k: SymmetricForm | Tensor) -> Cur
     kt = _form_tensor(k, "right factor of the Kulkarni–Nomizu product")
     if ht.dim != kt.dim:
         raise InvalidArgument("Kulkarni–Nomizu factors must share a dimension")
-    outer = np.multiply.outer(ht.array, kt.array)  # outer[a, b, c, d] = h[a,b] k[c,d]
+    product = tensor_product(ht, kt)  # product[a, b, c, d] = h[a, b] k[c, d]
+    outer, scale = product._ints, product._scale
     # result[i1,i2,i3,i4] = outer[i1,i3,i2,i4] − outer[i1,i4,i2,i3]
     #                     − outer[i2,i3,i1,i4] + outer[i2,i4,i1,i3]
-    arr = (
-        outer.transpose(0, 2, 1, 3)
-        - outer.transpose(0, 2, 3, 1)
-        - outer.transpose(2, 0, 1, 3)
-        + outer.transpose(2, 0, 3, 1)
-    )
-    return CurvatureTensor(Tensor(arr, dim=ht.dim))
+    terms = [
+        (scale, outer.transpose(0, 2, 1, 3)),
+        (-scale, outer.transpose(0, 2, 3, 1)),
+        (-scale, outer.transpose(2, 0, 1, 3)),
+        (scale, outer.transpose(2, 0, 3, 1)),
+    ]
+    return CurvatureTensor(Tensor._from_ints(*linear_combination(terms), ht.dim))
 
 
 def r_to_s(R: CurvatureTensor) -> SymCurvatureTensor:
@@ -277,18 +258,19 @@ def r_to_s(R: CurvatureTensor) -> SymCurvatureTensor:
 
     ``S[a1, a2, b1, b2] = R[a1, b1, a2, b2] + R[a1, b2, a2, b1]``.
     """
-    arr = R.tensor.array
-    out = arr.transpose(0, 2, 1, 3) + arr.transpose(0, 2, 3, 1)
-    return SymCurvatureTensor(Tensor(out, dim=R.dim))
+    t = R.tensor
+    terms = [(t._scale, t._ints.transpose(0, 2, 1, 3)), (t._scale, t._ints.transpose(0, 2, 3, 1))]
+    return SymCurvatureTensor(Tensor._from_ints(*linear_combination(terms), R.dim))
 
 
 def s_to_r(S: SymCurvatureTensor) -> CurvatureTensor:
     """Inverse of :func:`r_to_s`:
     ``R[a1, b1, a2, b2] = (S[a1, a2, b1, b2] − S[a1, b2, b1, a2]) / 3``.
     """
-    arr = S.tensor.array
-    out = (arr.transpose(0, 2, 1, 3) - arr.transpose(0, 2, 3, 1)) * Fraction(1, 3)
-    return CurvatureTensor(Tensor(out, dim=S.dim))
+    t = S.tensor
+    third = t._scale / 3
+    terms = [(third, t._ints.transpose(0, 2, 1, 3)), (-third, t._ints.transpose(0, 2, 3, 1))]
+    return CurvatureTensor(Tensor._from_ints(*linear_combination(terms), S.dim))
 
 
 def _as_class(K: object, cls: type) -> "CurvatureTensor | SymCurvatureTensor":
@@ -321,18 +303,16 @@ def scalar_curvature(R: CurvatureTensor, signature: MetricSignature | None = Non
     sig = signature if signature is not None else MetricSignature.euclidean(R.dim)
     if sig.dim != R.dim:
         raise InvalidArgument("signature dimension does not match the tensor")
-    ginv = sig.inverse_metric().array
-    first = np.tensordot(R.tensor.array, ginv, axes=([0, 2], [0, 1]))  # slots (b1, b2)
-    total = np.tensordot(first, ginv, axes=([0, 1], [0, 1]))
-    return total[()]
+    ginv = sig.inverse_metric()
+    first = contract(R.tensor, 1, 3, ginv)  # slots (b1, b2)
+    return contract(first, 1, 2, ginv).item()
 
 
 # -- standard representations -----------------------------------------
 
 
 def _lower_vector(signature: MetricSignature, vector: Tensor) -> Tensor:
-    diag = signature.diagonal()
-    return Tensor.from_nested([diag[i] * vector[(i,)] for i in range(signature.dim)])
+    return contract_vector(signature.metric(), 2, vector)
 
 
 def metric_rep(model: ModelSpace) -> CurvatureTensor:
@@ -365,16 +345,14 @@ def benenti_rep(model: ModelSpace, A: Tensor) -> CurvatureTensor:
     At = _require_order(A, 2, "endomorphism A")
     if At.dim != model.dim:
         raise InvalidArgument("endomorphism dimension does not match the model")
-    g = model.metric().array
-    m_arr = np.tensordot(np.tensordot(g, At.array, axes=([0], [0])), At.array, axes=([0], [0]))
-    m = Tensor(m_arr, dim=model.dim)
+    # (A ⊗ A)[c, a, d, b] = A[c, a] A[d, b], paired with g over (c, d).
+    m = contract(tensor_product(At, At), 1, 3, model.metric())
     if model.kind is ModelKind.SPHERE:
         return kulkarni_nomizu(m, m) * Fraction(1, 2)
     u = model.height_vector
     assert u is not None
     u_flat = _lower_vector(model.signature, u)
-    phi_arr = np.tensordot(u_flat.array, At.array, axes=([0], [0]))
-    phi = Tensor(phi_arr, dim=model.dim)
+    phi = contract_vector(At, 1, u_flat)
     return kulkarni_nomizu(tensor_product(phi, phi), m)
 
 
@@ -388,8 +366,11 @@ def family_rep(
     """The three-parameter family ``λ2 h⊘h + λ1 h⊘g + λ0 g⊘g``.
 
     ``g`` is the ambient metric of ``signature`` (Euclidean by default).
-    Every member is integrable on every model; this family is the main
-    structured positive-control input.
+    Every member is integrable on the sphere models, in either signature;
+    this family is the main structured positive-control input there.  It
+    is not integrable on every model: on the flat model at N ≥ 4, where
+    the contraction tensor ``g − u♭⊗u♭`` is degenerate, generic members
+    fail both conditions, and the pointwise oracle agrees.
     """
     ht = _form_tensor(h, "symmetric form h")
     sig = signature if signature is not None else MetricSignature.euclidean(ht.dim)

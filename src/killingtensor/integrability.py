@@ -19,17 +19,16 @@ operator identities that hold for *every* valid symmetric-class tensor,
 independent of integrability — a failure there signals an
 implementation bug, never bad data.
 
-All arithmetic is exact: tensors are rescaled to integer arrays, each
-operand is a sum of einsum terms contracted by one guarded engine, the
-final symmetry operator is evaluated only at the residual's canonical
-components (orbit sums, with overflow guards), and results convert back
-to rational tensors.
+All arithmetic is exact: every operand is a sum of einsum terms over the
+integer images the tensors hold, contracted by one guarded engine, and
+the final symmetry operator is evaluated only at the residual's
+canonical components (orbit sums, with overflow guards).
 """
 
 from __future__ import annotations
 
 import enum
-import math
+import functools
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -39,22 +38,19 @@ import numpy as np
 
 from ._fastops import (
     contract,
-    guarded_add,
-    is_zero_array,
+    linear_combination,
     normalize_array,
     orbit_expand,
     orbit_sum,
     staged_symmetrise,
-    to_int_array,
-    to_tensor,
 )
 from ._linalg import determinant
 from ._util import coerce_rng
 from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import IdentityViolation, InvalidArgument, UnsupportedForm
 from .models import ModelSpace
-from .symgroup import GroupAlgebraElement, Permutation, young_symmetriser
-from .tensor import Tensor
+from .symgroup import GroupAlgebraElement, young_symmetriser
+from .tensor import Tensor, _slot_axes
 
 __all__ = [
     "ConditionForm1",
@@ -248,7 +244,7 @@ class _Residual:
         if not np.count_nonzero(self.values):
             return Tensor.zeros(self.dim, self.order)
         arr = orbit_expand(self.values, self.dim, self.order, *self.groups)
-        return to_tensor(arr, self.scale, self.dim)
+        return Tensor._from_ints(arr, self.scale, self.dim)
 
 
 def _run_ops(arr: np.ndarray, scale: Fraction, ops: _Ops) -> _Residual:
@@ -269,6 +265,10 @@ def _run_ops(arr: np.ndarray, scale: Fraction, ops: _Ops) -> _Residual:
     return _Residual(orbit_sum(arr, *groups), scale, arr.shape[0], arr.ndim, groups)
 
 
+def _image(tensor: Tensor) -> _Scaled:
+    return tensor._ints, tensor._scale
+
+
 def _contract_term(term: str, gbar: _Scaled, curvature: _Scaled) -> _Scaled:
     factors = term.split("->")[0].split(",")
     return contract(term, *(gbar if len(f) == 2 else curvature for f in factors))
@@ -278,27 +278,23 @@ def _sum_residuals(parts: Sequence[_Residual]) -> _Residual:
     """Exact sum of residuals with the same support, over one common scale."""
     if len(parts) == 1:
         return parts[0]
-    scale = Fraction(
-        math.gcd(*(p.scale.numerator for p in parts)),
-        math.lcm(*(p.scale.denominator for p in parts)),
-    )
-    total = sum(int(p.scale / scale) * p.values.astype(object) for p in parts)
-    values, scale = normalize_array(total, scale)
+    total = linear_combination((p.scale, p.values) for p in parts)
+    values, scale = normalize_array(*total)
     return replace(parts[0], values=values, scale=scale)
 
 
 def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]:
-    """Residuals of ``forms``; gbar is rescaled once, and each curvature
-    class is taken from the integer image its wrapper keeps."""
+    """Residuals of ``forms``, contracted over the integer images of gbar
+    and of ``K`` in each curvature class the forms use."""
     curvature = {}
     for cls, _, _ in forms:
         if cls not in curvature:
-            curvature[cls] = _as_class(K, cls)._scaled
+            curvature[cls] = _image(_as_class(K, cls).tensor)
     g = _resolve_gbar(gbar, K.dim)
-    g_scaled = to_int_array(g)
+    g_scaled = _image(g)
     residuals = []
     for cls, terms, ops in forms:
-        if _OMEGA in terms and determinant(g.array.tolist()) == 0:
+        if _OMEGA in terms and determinant(g._ints.tolist()) == 0:
             raise UnsupportedForm(
                 "the wedge-square form requires a non-degenerate gbar "
                 "(it is unavailable on flat models)"
@@ -397,34 +393,6 @@ def _projector_sum() -> GroupAlgebraElement:
     return _PROJECTOR_SUM
 
 
-def _permute_int(arr: np.ndarray, perm: Permutation) -> np.ndarray:
-    """Slot action of a permutation on an integer array.
-
-    Matches ``permute_slots``: the content of slot ``k`` moves to slot
-    ``perm(k)``, i.e. ``result[I] = arr[I o perm]``.
-    """
-    axes = [0] * arr.ndim
-    for position, image in enumerate(perm.images):
-        axes[image - 1] = position
-    return arr.transpose(axes)
-
-
-def _apply_int(element: GroupAlgebraElement, arr: np.ndarray) -> np.ndarray:
-    out = np.zeros(arr.shape, dtype=arr.dtype)
-    for perm, coeff in element.terms.items():
-        if coeff.denominator != 1:
-            raise InvalidArgument("integer-array application needs integer coefficients")
-        out = guarded_add(out, int(coeff) * _permute_int(arr, perm))
-    return out
-
-
-def _multi_outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    out = vectors[0]
-    for vec in vectors[1:]:
-        out = np.multiply.outer(out, vec)
-    return out
-
-
 def verify_identity_suite(
     S: "SymCurvatureTensor | Tensor",
     gbar: GbarLike,
@@ -457,7 +425,7 @@ def verify_identity_suite(
         if not ok:
             raise IdentityViolation(f"identity check failed: {name}")
 
-    s_scaled = S._scaled
+    s_scaled = _image(S.tensor)
     s_arr = s_scaled[0]
 
     # Symmetrising the cyclic-sum identity in the last two slots:
@@ -467,10 +435,10 @@ def verify_identity_suite(
         + s_arr.transpose(0, 1, 3, 2)
         + 2 * (s_arr.transpose(0, 3, 1, 2) + s_arr.transpose(0, 3, 2, 1))
     )
-    require("symmetrised_bianchi", is_zero_array(bianchi))
+    require("symmetrised_bianchi", not np.count_nonzero(bianchi))
 
     # Each operand is passed straight on, so it is freed before the next.
-    g_scaled = to_int_array(g)
+    g_scaled = _image(g)
     for name, term, ops in _HOOK_CHECKS:
         residual = _run_ops(*_contract_term(term, g_scaled, s_scaled), ops)
         require(name, not np.count_nonzero(residual.values))
@@ -482,13 +450,20 @@ def verify_identity_suite(
         name: np.array([random.randint(-9, 9) for _ in range(dim)], dtype=np.int64)
         for name in ("x", "u", "v", "w")
     }
-    outer = _multi_outer(
-        [vecs["u"], vecs["x"], vecs["x"], vecs["v"], vecs["x"], vecs["w"]]
+    outer = functools.reduce(
+        np.multiply.outer, [vecs["u"], vecs["x"], vecs["x"], vecs["v"], vecs["x"], vecs["w"]]
     )
     t = staged_symmetrise(outer, (0, 3, 5), sign=-1)
-    lhs = 288 * staged_symmetrise(staged_symmetrise(t, (1, 2, 4)), (0, 3, 5), sign=-1)
-    rhs = _apply_int(_projector_sum(), t)
-    require("projector_decomposition", is_zero_array(lhs - rhs))
+    lhs = staged_symmetrise(staged_symmetrise(t, (1, 2, 4)), (0, 3, 5), sign=-1)
+    # 288 * lhs minus the projector sum applied to t, over one scale.
+    difference, _ = linear_combination(
+        [(288, lhs)]
+        + [
+            (-coeff, t.transpose(_slot_axes(perm.images)))
+            for perm, coeff in _projector_sum().terms.items()
+        ]
+    )
+    require("projector_decomposition", not np.count_nonzero(difference))
 
     return _IDENTITY_CHECKS
 

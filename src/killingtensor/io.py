@@ -11,7 +11,9 @@ largest value rescaled to it.  Larger documents are rejected with
 InvalidArgument (exit status 2 in the CLI).
 
 Model descriptor: ``{"N": int, "signature": [p, q], "kind": "sphere" |
-"flat", "u": [rationals] (optional)}``; ``check``/``oracle`` reports
+"flat", "u": [rationals] (optional)}``, with N = p + q at most 64 and
+``u`` a list of N values of at most 256 bits each; a malformed or
+out-of-range descriptor raises InvalidArgument.  ``check``/``oracle`` reports
 serialize to plain dictionaries with verdicts, residual support
 counts, forms used and timing.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Union
@@ -67,6 +70,13 @@ _MAX_ORDER = 32
 # product took 0.06 s at N = 4 and 0.53 s at N = 5 on a 2-vCPU VM.
 _MAX_BITS = 256
 
+# Largest model dimension a descriptor may declare: the largest dim of
+# an order-4 tensor document under _MAX_ENTRIES (64^4 = 2^24).  Models
+# build dim-sized arrays, so an unbounded N could exhaust memory.
+_MAX_MODEL_DIM = 64
+
+_INTEGER = re.compile(r"\s*[+-]?[0-9]{1,9}\s*")
+
 
 def parse_rational(value: object) -> Fraction:
     """Exact rational from an int, a Fraction or a string ``"p"`` / ``"p/q"``."""
@@ -102,16 +112,15 @@ def tensor_to_document(
             "expected a Tensor, CurvatureTensor or SymCurvatureTensor, got "
             + type(tensor).__name__
         )
-    arr = plain.array
-    nonzero = arr.astype(bool)
+    ints, scale = plain._ints, plain._scale
+    nonzero = ints != 0
     # Entries in C order of idx; each distinct value is formatted once.
     formatted: dict = {}
     entries = []
-    for idx, value in zip(np.argwhere(nonzero).tolist(), arr[nonzero].tolist()):
-        key = (value.numerator, value.denominator)
-        text = formatted.get(key)
+    for idx, value in zip(np.argwhere(nonzero).tolist(), ints[nonzero].tolist()):
+        text = formatted.get(value)
         if text is None:
-            text = formatted[key] = format_rational(value)
+            text = formatted[value] = format_rational(scale * value)
         entries.append({"idx": idx, "val": text})
     doc: dict = {"dim": plain.dim, "order": plain.order, "entries": entries}
     if form is not None:
@@ -145,14 +154,14 @@ def document_to_tensor(doc: Mapping[str, Any]) -> tuple[Tensor, "str | None", di
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise InvalidArgument("'entries' must be a list of {idx, val} records")
-    arr = np.empty((dim,) * order, dtype=object)
-    arr.fill(Fraction(0))
-    flat = arr.reshape(-1)  # a view: writes land in arr
     # Each distinct value is parsed once.  Only exact str and int values
     # are interned, keyed on their type: True and 1.0 compare and hash
-    # equal to 1 and must still reach as_scalar to be rejected.
+    # equal to 1 and must still reach as_scalar to be rejected.  Every
+    # listed value gets its own slot in ``values``; ``cells`` maps each
+    # flat position to the slot of the last record listing it.
     interned: dict = {}
-    uninterned: list[Fraction] = []
+    values: list[Fraction] = []
+    cells: dict[int, int] = {}
     for record in entries:
         try:
             idx = tuple(map(int, record["idx"]))
@@ -170,29 +179,34 @@ def document_to_tensor(doc: Mapping[str, Any]) -> tuple[Tensor, "str | None", di
             position = position * dim + i
         kind = type(raw)
         if kind is str or kind is int:
-            value = interned.get((kind, raw))
-            if value is None:
-                value = interned[kind, raw] = as_scalar(raw)
+            slot = interned.get((kind, raw))
+            if slot is None:
+                slot = interned[kind, raw] = len(values)
+                values.append(as_scalar(raw))
         else:
-            value = as_scalar(raw)
-            uninterned.append(value)
-        flat[position] = value
+            slot = len(values)
+            values.append(as_scalar(raw))
+        cells[position] = slot
     form = doc.get("form")
     if form is not None and form not in ("R", "S"):
         raise InvalidArgument(f"unknown tensor form {form!r}; expected 'R' or 'S'")
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise InvalidArgument("'metadata' must be a mapping")
-    _check_bit_length([*interned.values(), *uninterned])
-    return Tensor(arr, dim=dim), form, metadata
+    lcm, images, top = _integer_images(values)
+    ints = np.zeros(dim**order, dtype=np.int64 if top < 1 << 62 else object)
+    ints[list(cells)] = [images[slot] for slot in cells.values()]
+    return Tensor._from_ints(ints.reshape((dim,) * order), Fraction(1, lcm), dim), form, metadata
 
 
-def _check_bit_length(values: list[Fraction]) -> None:
-    """Reject values whose common integer image is wider than ``_MAX_BITS``.
+def _integer_images(values: list[Fraction]) -> tuple[int, list[int], int]:
+    """The lcm of the values' denominators, each value rescaled to it, and
+    the largest magnitude among those.
 
-    The lcm grows one distinct denominator at a time and is checked at
-    each step, so it never grows far past the cap, however many large
-    coprime denominators a document lists.
+    Raises InvalidArgument when either is wider than ``_MAX_BITS``.  The
+    lcm grows one distinct denominator at a time and is checked at each
+    step, so it never grows far past the cap, however many large coprime
+    denominators a document lists.
     """
     lcm = 1
     for denominator in {value.denominator for value in values}:
@@ -202,12 +216,14 @@ def _check_bit_length(values: list[Fraction]) -> None:
                 f"tensor values need a common denominator of more than "
                 f"{_MAX_BITS} bits; at most {_MAX_BITS} are accepted"
             )
-    top = max((abs(v.numerator) * (lcm // v.denominator) for v in values), default=0)
+    images = [value.numerator * (lcm // value.denominator) for value in values]
+    top = max(map(abs, images), default=0)
     if top.bit_length() > _MAX_BITS:
         raise InvalidArgument(
             f"tensor values rescaled to their common denominator reach "
             f"{top.bit_length()} bits; at most {_MAX_BITS} are accepted"
         )
+    return lcm, images, top
 
 
 def wrap_tensor(tensor: Tensor, form: "str | None") -> FormTensor:
@@ -297,6 +313,8 @@ def parse_model_descriptor(source: object) -> ModelSpace:
         raise InvalidArgument(
             "model descriptor must be a mapping, JSON string, or file path"
         )
+    if not isinstance(doc, Mapping):
+        raise InvalidArgument("model descriptor must be a JSON object")
     if "kind" not in doc:
         raise InvalidArgument("model descriptor needs a 'kind' of 'sphere' or 'flat'")
     kind = ModelKind.parse(str(doc["kind"]))
@@ -304,19 +322,42 @@ def parse_model_descriptor(source: object) -> ModelSpace:
         sig_raw = doc["signature"]
         if not isinstance(sig_raw, (list, tuple)) or len(sig_raw) != 2:
             raise InvalidArgument("'signature' must be a pair [p, q]")
-        signature = MetricSignature(int(sig_raw[0]), int(sig_raw[1]))
-        if "N" in doc and int(doc["N"]) != signature.dim:
-            raise InvalidArgument(
-                f"descriptor N={doc['N']} conflicts with signature {sig_raw}"
-            )
+        signature = MetricSignature(*(_descriptor_int(v, "'signature' entry") for v in sig_raw))
+        if "N" in doc and _descriptor_int(doc["N"], "'N'") != signature.dim:
+            raise InvalidArgument(f"descriptor N={doc['N']} conflicts with signature {sig_raw}")
     elif "N" in doc:
-        signature = MetricSignature(int(doc["N"]), 0)
+        signature = MetricSignature(_descriptor_int(doc["N"], "'N'"), 0)
     else:
         raise InvalidArgument("model descriptor needs 'N' or 'signature'")
+    dim = signature.dim
+    if dim > _MAX_MODEL_DIM:
+        raise InvalidArgument(f"model dimension {dim} is over the cap of {_MAX_MODEL_DIM}")
     height = None
     if doc.get("u") is not None:
-        height = Tensor.from_nested([parse_rational(v) for v in doc["u"]])
+        u_raw = doc["u"]
+        if not isinstance(u_raw, (list, tuple)) or len(u_raw) != dim:
+            raise InvalidArgument(f"'u' must be a list of {dim} rationals")
+        values = [parse_rational(v) for v in u_raw]
+        for value in values:
+            if max(value.numerator.bit_length(), value.denominator.bit_length()) > _MAX_BITS:
+                raise InvalidArgument(
+                    f"'u' values may have at most {_MAX_BITS}-bit numerators and denominators"
+                )
+        height = Tensor.from_nested(values)
     return ModelSpace(kind, signature, height_vector=height)
+
+
+def _descriptor_int(value: object, what: str) -> int:
+    """An int or a decimal string, below 10^9 in magnitude.  The message
+    names only the type: the repr of a huge int may itself raise."""
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) < 10**9:
+        return value
+    raise InvalidArgument(
+        f"model descriptor {what} must be an integer below 10^9 in magnitude, "
+        f"got {type(value).__name__}"
+    )
 
 
 def model_to_document(model: ModelSpace) -> dict:

@@ -21,18 +21,17 @@ point-based integrability oracle.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from ._linalg import matrix_inverse
 from ._util import coerce_rng, random_vector
 from .errors import InvalidArgument, SamplingFailure
-from .tensor import MetricSignature, Scalar, Tensor, tensor_product
+from .tensor import MetricSignature, Scalar, Tensor, contract_vector, tensor_product
 
 __all__ = [
     "ModelKind",
@@ -77,8 +76,11 @@ def _as_vector(value: object, dim: int) -> Tensor:
 
 
 def _g_pair(signature: MetricSignature, a: Tensor, b: Tensor) -> Fraction:
-    diag = signature.diagonal()
-    return sum((diag[i] * a[(i,)] * b[(i,)] for i in range(signature.dim)), Fraction(0))
+    """``g(a, b)``: one dot product of the integer images, then the scales."""
+    p = signature.p
+    x, y = a._ints.tolist(), b._ints.tolist()
+    dot = sum(map(operator.mul, x[:p], y[:p])) - sum(map(operator.mul, x[p:], y[p:]))
+    return a._scale * b._scale * dot
 
 
 @dataclass(frozen=True)
@@ -300,7 +302,7 @@ def tangent_basis(point: ModelPoint) -> TangentBasis:
     """
     model = point.model
     omega = model.normal_at(point.x)
-    magnitudes = [abs(omega[(k,)]) for k in range(model.dim)]
+    magnitudes = [abs(v) for v in omega._ints.tolist()]
     dropped = magnitudes.index(max(magnitudes))
     vectors = []
     for k in range(model.dim):
@@ -372,10 +374,9 @@ def _symmetric_four_tensor(S: object) -> Tensor:
 
 
 def _eval_slots(tensor: Tensor, vectors: Sequence[Tensor]) -> Fraction:
-    value = tensor.array
     for vec in vectors:
-        value = np.tensordot(value, vec.array, axes=([0], [0]))
-    return value[()]
+        tensor = contract_vector(tensor, 1, vec)
+    return tensor.item()
 
 
 def killing_eval(S: object, point: ModelPoint, v: Tensor, w: Tensor) -> Fraction:

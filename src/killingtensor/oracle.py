@@ -19,11 +19,14 @@ integrability conditions are the total antisymmetrisations of ``N``
 contracted with the metric, with ``K``, and with ``K²``.
 
 The arithmetic is exact, with one denominator per array: each factor
-(``S``, ``B``, ``x``, the frame, the Gram matrix and its inverse) is
-rescaled once to Python integers and one positive rational scale, the
-formulas run as plain ``np.tensordot`` chains over those integers, and
-the scales multiply alongside.  A positive scale does not change which
-entries are zero, so residual supports are read straight off the integer
+(``S``, ``B``, ``x``, the frame, the Gram matrix and its inverse) is an
+array of Python integers and one positive rational scale.  ``S``, ``B``
+and ``x`` are the integer images their Tensors hold, the frame stacks
+its vectors' images over one common scale, and the Fraction Gram
+matrices go through the Tensor constructor once.  The formulas run as
+plain ``np.tensordot`` chains over those integers, and the scales
+multiply alongside.  A positive scale does not change which entries are
+zero, so residual supports are read straight off the integer
 arrays; :func:`compute_point_data` and :func:`tns_residuals` hand back
 Fraction arrays.  The oracle shares no contraction or indexing code with
 :mod:`killingtensor.integrability`, so the two verdict routes stay
@@ -32,6 +35,7 @@ independent, and a verdict at a sampled point is a proof at that point.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +44,6 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._fastops import to_int_array
 from ._util import coerce_rng
 from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import InvalidArgument
@@ -69,28 +72,20 @@ _SIGNED_PERMS_3 = tuple(
 _Scaled = tuple[np.ndarray, Fraction]
 
 
-def _object_matrix(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    n = len(rows)
-    out = np.empty((n, n), dtype=object)
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            out[i, j] = Fraction(value)
-    return out
+def _image(tensor: Tensor) -> _Scaled:
+    """The tensor's integer image in Python ints, and its scale."""
+    return tensor._ints.astype(object), tensor._scale
 
 
-def _frame_matrix(basis: TangentBasis, dim: int) -> np.ndarray:
-    """Rows are the frame vectors' ambient components, shape (n, N)."""
-    out = np.empty((len(basis.vectors), dim), dtype=object)
-    for alpha, vec in enumerate(basis.vectors):
-        for a in range(dim):
-            out[alpha, a] = vec[(a,)]
-    return out
-
-
-def _rescaled(values: "Tensor | np.ndarray") -> _Scaled:
-    """Python-int object array and positive scale whose product is ``values``."""
-    arr, scale = to_int_array(values)
-    return arr.astype(object), scale
+def _frame(basis: TangentBasis) -> _Scaled:
+    """Rows are the frame vectors' ambient components, shape (n, N), over
+    the largest scale that divides every vector's scale."""
+    scales = [vec._scale for vec in basis.vectors]
+    scale = Fraction(
+        math.gcd(*(s.numerator for s in scales)), math.lcm(*(s.denominator for s in scales))
+    )
+    rows = [int(s / scale) * vec._ints.astype(object) for s, vec in zip(scales, basis.vectors)]
+    return np.stack(rows), scale
 
 
 def _fractions(scaled: _Scaled) -> np.ndarray:
@@ -105,8 +100,7 @@ def _model_factors(
     sym = _as_class(S, SymCurvatureTensor)
     if sym.dim != model.dim:
         raise InvalidArgument("tensor dimension does not match the model")
-    arr, scale = sym._scaled
-    return (arr.astype(object), scale), _rescaled(model.gbar())
+    return _image(sym.tensor), _image(model.gbar())
 
 
 def _anti3(arr: np.ndarray) -> np.ndarray:
@@ -211,13 +205,13 @@ def compute_point_data(
     elif basis.point.x != point.x or basis.point.model != model:
         raise InvalidArgument("basis was built at a different point or model")
 
-    k_mat, nbar = _point_ints(s, b, _rescaled(point.x), _rescaled(_frame_matrix(basis, model.dim)))
+    k_mat, nbar = _point_ints(s, b, _image(point.x), _frame(basis))
     return PointFrameData(
         x=point,
         basis=basis,
         K=_fractions(k_mat),
-        gram=_object_matrix(basis.gram),
-        gram_inverse=_object_matrix(basis.gram_inverse),
+        gram=np.array(basis.gram, dtype=object),
+        gram_inverse=np.array(basis.gram_inverse, dtype=object),
         nbar=_fractions(nbar),
     )
 
@@ -233,7 +227,7 @@ def tns_residuals(data: PointFrameData) -> tuple[np.ndarray, np.ndarray, np.ndar
     exactly when all three vanish.
     """
     residuals = _residual_ints(
-        *(_rescaled(arr) for arr in (data.K, data.gram, data.gram_inverse, data.nbar))
+        *(_image(Tensor(arr)) for arr in (data.K, data.gram, data.gram_inverse, data.nbar))
     )
     res1, res2, res3 = (_fractions(res) for res in residuals)
     return res1, res2, res3
@@ -308,11 +302,9 @@ def integrable_oracle(
         point = sample_point(model, random.Random(sub_seed), bound=bound)
         points.append(point)
         basis = tangent_basis(point)
-        k_mat, nbar = _point_ints(
-            s, b, _rescaled(point.x), _rescaled(_frame_matrix(basis, model.dim))
-        )
-        gram = _rescaled(_object_matrix(basis.gram))
-        gram_inverse = _rescaled(_object_matrix(basis.gram_inverse))
+        k_mat, nbar = _point_ints(s, b, _image(point.x), _frame(basis))
+        gram = _image(Tensor(np.array(basis.gram, dtype=object)))
+        gram_inverse = _image(Tensor(np.array(basis.gram_inverse, dtype=object)))
         residuals = _residual_ints(k_mat, gram, gram_inverse, nbar)
         counts = tuple(_support(res) for res, _ in residuals)
         supports.append(counts)

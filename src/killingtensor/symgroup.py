@@ -28,8 +28,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from ._fastops import linear_combination
 from .errors import InvalidArgument
-from .tensor import Tensor, as_scalar, permute_slots
+from .tensor import Tensor, _slot_axes, as_scalar
 
 __all__ = [
     "Permutation",
@@ -330,18 +331,15 @@ class GroupAlgebraElement:
             raise InvalidArgument(
                 f"slot_of_label values {slots} exceed tensor order {tensor.order}"
             )
-        total: Tensor | None = None
+        if not self._terms:
+            return Tensor.zeros(tensor.dim, tensor.order)
+        terms = []
         for perm, coeff in self._terms.items():
             images = list(range(1, tensor.order + 1))
             for label in range(1, self._degree + 1):
                 images[mapping[label] - 1] = mapping[perm(label)]
-            term = permute_slots(tensor, images)
-            if coeff != 1:
-                term = term * coeff
-            total = term if total is None else total + term
-        if total is None:
-            return Tensor.zeros(tensor.dim, tensor.order)
-        return total
+            terms.append((coeff * tensor._scale, tensor._ints.transpose(_slot_axes(images))))
+        return Tensor._from_ints(*linear_combination(terms), tensor.dim)
 
 
 class YoungFrame:

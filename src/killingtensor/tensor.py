@@ -1,16 +1,24 @@
 """Dense tensors over exact rational scalars.
 
 This module provides the arithmetic substrate for the whole package: an
-immutable dense tensor type whose entries are :class:`fractions.Fraction`
-values stored in a ``numpy`` object array, together with the functional
-operations (slot permutation, contraction against a pairing, unnormalised
-symmetrisation and antisymmetrisation) used by the symmetry-group and
-curvature layers.
+immutable dense tensor type with exact rational entries, together with
+the functional operations (slot permutation, contraction against a
+pairing, unnormalised symmetrisation and antisymmetrisation) used by the
+symmetry-group and curvature layers.
 
 Design notes
 ------------
 * All arithmetic is exact.  No floating-point numbers enter at any point,
   so equality tests and zero tests are exact as well.
+* A tensor is stored as its *integer image*: an integer array and one
+  positive :class:`~fractions.Fraction` scale, with the tensor equal to
+  ``scale * array``.  The array is content-reduced (the gcd of its
+  entries is 1, or it is all zero and the scale is 1), so the pair is
+  unique for each tensor.  It is ``int64`` when every entry is below
+  2^62 in magnitude and a Python-int object array otherwise.  This
+  module is the only one that builds the pair from Fractions or turns it
+  back into Fractions; every operation here, and the package's integer
+  pipelines, work on the pair directly.
 * Tensor slots are numbered **1-based** in the public API, matching the
   index conventions of the accompanying documentation (slot 1 is the first
   index).  Internally they map to 0-based ``numpy`` axes.
@@ -23,12 +31,14 @@ Design notes
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from ._fastops import guarded_tensordot, linear_combination, normalize_array
 from .errors import InvalidArgument
 
 __all__ = [
@@ -83,60 +93,88 @@ def as_scalar(value: ScalarLike) -> Fraction:
     )
 
 
-def _perm_sign(perm: Sequence[int]) -> int:
-    """Sign of a permutation given as a sequence of distinct values."""
-    sign = 1
-    seen = [False] * len(perm)
-    index_of = {v: i for i, v in enumerate(sorted(perm))}
-    normalised = [index_of[v] for v in perm]
-    for start in range(len(normalised)):
-        if seen[start]:
-            continue
-        length = 0
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            node = normalised[node]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _cubical_dim(shape: tuple[int, ...], dim: int | None) -> int:
+    """The dimension of a cubical array shape, checked against ``dim``."""
+    if not shape:
+        if dim is None:
+            raise InvalidArgument("order-0 Tensor needs an explicit dim")
+        size = int(dim)
+    else:
+        if len(set(shape)) != 1:
+            raise InvalidArgument(f"tensor array must be cubical, got shape {shape}")
+        size = shape[0]
+        if dim is not None and int(dim) != size:
+            raise InvalidArgument(f"dim {dim} does not match array shape {shape}")
+    if size < 1:
+        raise InvalidArgument(f"dimension must be positive, got {size}")
+    return size
+
+
+def _rescale(array: np.ndarray) -> tuple[np.ndarray, Fraction]:
+    """Integer array and scale of an object array of exact rationals."""
+    flat = array.ravel().tolist()
+    try:
+        lcm = math.lcm(*{value.denominator for value in flat})
+        ints = [int(value.numerator) * (lcm // value.denominator) for value in flat]
+    except (AttributeError, TypeError) as exc:
+        raise InvalidArgument("Tensor entries must be exact rationals (Fraction or int)") from exc
+    dtype = np.int64 if max(map(abs, ints), default=0) < 1 << 62 else object
+    return np.array(ints, dtype=dtype).reshape(array.shape), Fraction(1, lcm)
+
+
+def _fraction_view(ints: np.ndarray, scale: Fraction) -> np.ndarray:
+    """Read-only object array of the Fractions ``scale * ints``."""
+    cache: dict[int, Fraction] = {}
+    values = []
+    for key in ints.ravel().tolist():
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = scale * key
+        values.append(value)
+    out = np.array(values, dtype=object).reshape(ints.shape)
+    out.setflags(write=False)
+    return out
 
 
 class Tensor:
-    """Immutable dense tensor with :class:`~fractions.Fraction` entries.
+    """Immutable dense tensor with exact rational entries.
 
-    A tensor of ``order`` d over a space of dimension ``dim`` stores a
-    cubical ``dim × … × dim`` (d factors) object array.  Order 0 is a
-    plain scalar wrapped in a 0-d array; ``dim`` is still recorded so the
-    ambient space stays known.
+    A tensor of ``order`` d over a space of dimension ``dim`` has a
+    cubical ``dim × … × dim`` (d factors) shape.  Order 0 is a plain
+    scalar held in a 0-d array; ``dim`` is still recorded so the ambient
+    space stays known.
 
-    Instances are immutable: the backing array is marked read-only and all
-    operations return fresh tensors.
+    The entries are held as the integer image described in the module
+    docstring.  The public constructor takes an object array of
+    Fractions (or ints) and rescales it once; :attr:`array`,
+    ``t[idx]`` and :meth:`item` give Fractions back, the array being
+    built on first read and cached.  Instances are immutable: the stored
+    arrays are read-only and all operations return fresh tensors.
     """
 
-    __slots__ = ("_array", "_dim", "_order")
+    __slots__ = ("_ints", "_scale", "_dim", "_order", "_view")
 
     def __init__(self, array: np.ndarray, *, dim: int | None = None) -> None:
         if not isinstance(array, np.ndarray) or array.dtype != object:
             raise InvalidArgument("Tensor expects a numpy object array of Fractions")
-        if array.ndim == 0:
-            if dim is None:
-                raise InvalidArgument("order-0 Tensor needs an explicit dim")
-            self._dim = int(dim)
-        else:
-            sizes = set(array.shape)
-            if len(sizes) != 1:
-                raise InvalidArgument(f"tensor array must be cubical, got shape {array.shape}")
-            self._dim = array.shape[0]
-            if dim is not None and int(dim) != self._dim:
-                raise InvalidArgument(f"dim {dim} does not match array shape {array.shape}")
-        if self._dim < 1:
-            raise InvalidArgument(f"dimension must be positive, got {self._dim}")
-        self._order = array.ndim
-        arr = array if array.flags.owndata else array.copy()
-        arr.setflags(write=False)
-        self._array = arr
+        size = _cubical_dim(array.shape, dim)
+        self._store(*normalize_array(*_rescale(array)), size)
+
+    def _store(self, ints: np.ndarray, scale: Fraction, dim: int) -> None:
+        ints.setflags(write=False)
+        self._ints = ints
+        self._scale = scale
+        self._dim = dim
+        self._order = ints.ndim
+        self._view = None
+
+    @classmethod
+    def _from_ints(cls, ints: np.ndarray, scale: Fraction, dim: int) -> "Tensor":
+        """The tensor ``scale * ints`` for an integer array of either dtype
+        (cubical, of dimension ``dim``) and a positive rational scale."""
+        tensor = cls.__new__(cls)
+        tensor._store(*normalize_array(ints, scale), dim)
+        return tensor
 
     # -- constructors -------------------------------------------------
 
@@ -145,9 +183,8 @@ class Tensor:
         """All-zero tensor of the given dimension and order."""
         if order < 0:
             raise InvalidArgument(f"order must be non-negative, got {order}")
-        arr = np.empty((dim,) * order, dtype=object)
-        arr.fill(_ZERO)
-        return cls(arr, dim=dim)
+        size = _cubical_dim((dim,) * order, dim)
+        return cls._from_ints(np.zeros((size,) * order, dtype=np.int64), _ONE, size)
 
     @classmethod
     def from_entries(
@@ -217,7 +254,9 @@ class Tensor:
         """Standard basis vector ``e_k`` (0-based ``k``) of the given dimension."""
         if not 0 <= k < dim:
             raise InvalidArgument(f"basis index {k} out of range for dimension {dim}")
-        return cls.from_entries(dim, 1, [((k,), 1)])
+        ints = np.zeros(dim, dtype=np.int64)
+        ints[k] = 1
+        return cls._from_ints(ints, _ONE, dim)
 
     # -- basic accessors ----------------------------------------------
 
@@ -233,30 +272,32 @@ class Tensor:
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only backing array (dtype ``object``, entries Fractions)."""
-        return self._array
+        """Read-only array of the entries (dtype ``object``, entries Fractions)."""
+        if self._view is None:
+            self._view = _fraction_view(self._ints, self._scale)
+        return self._view
 
     def __getitem__(self, idx) -> Fraction:
         if isinstance(idx, int):
             idx = (idx,)
-        value = self._array[tuple(idx)]
+        value = self._ints[tuple(idx)]
         if isinstance(value, np.ndarray):
             raise InvalidArgument("partial indexing is not supported; give a full index tuple")
-        return value
+        return self._scale * int(value)
 
     def item(self) -> Fraction:
         """Scalar value of an order-0 tensor."""
         if self._order != 0:
             raise InvalidArgument(f"item() requires order 0, got order {self._order}")
-        return self._array[()]
+        return self._scale * int(self._ints[()])
 
     def is_zero(self) -> bool:
         """Exact test for the zero tensor."""
-        return all(v == 0 for v in self._array.flat)
+        return not np.count_nonzero(self._ints)
 
     def nonzero_count(self) -> int:
         """Number of non-zero entries, counting every slot tuple."""
-        return sum(1 for v in self._array.flat if v != 0)
+        return int(np.count_nonzero(self._ints))
 
     # -- algebra ------------------------------------------------------
 
@@ -266,20 +307,23 @@ class Tensor:
                 f"incompatible tensors: dim/order ({self._dim},{self._order}) vs ({other._dim},{other._order})"
             )
 
+    def _combined(self, sign: int, other: "Tensor") -> "Tensor":
+        self._check_compatible(other)
+        terms = [(self._scale, self._ints), (sign * other._scale, other._ints)]
+        return Tensor._from_ints(*linear_combination(terms), self._dim)
+
     def __add__(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):
             return NotImplemented
-        self._check_compatible(other)
-        return Tensor(self._array + other._array, dim=self._dim)
+        return self._combined(1, other)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         if not isinstance(other, Tensor):
             return NotImplemented
-        self._check_compatible(other)
-        return Tensor(self._array - other._array, dim=self._dim)
+        return self._combined(-1, other)
 
     def __neg__(self) -> "Tensor":
-        return Tensor(-self._array, dim=self._dim)
+        return Tensor._from_ints(-self._ints, self._scale, self._dim)
 
     def __mul__(self, scalar: ScalarLike) -> "Tensor":
         if isinstance(scalar, Tensor):
@@ -287,7 +331,8 @@ class Tensor:
         c = as_scalar(scalar)
         if c == 0:
             return Tensor.zeros(self._dim, self._order)
-        return Tensor(self._array * c, dim=self._dim)
+        ints = self._ints if c > 0 else -self._ints
+        return Tensor._from_ints(ints, self._scale * abs(c), self._dim)
 
     __rmul__ = __mul__
 
@@ -300,15 +345,19 @@ class Tensor:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
-        if self._dim != other._dim or self._order != other._order:
-            return False
-        return bool(np.array_equal(self._array, other._array))
+        # The integer image is unique, so equal tensors have equal images.
+        return (
+            self._dim == other._dim
+            and self._order == other._order
+            and self._scale == other._scale
+            and bool(np.array_equal(self._ints, other._ints))
+        )
 
     __hash__ = None  # type: ignore[assignment]  # mutable-looking container semantics
 
     def __repr__(self) -> str:
         if self._order == 0:
-            return f"Tensor(order=0, dim={self._dim}, value={self._array[()]})"
+            return f"Tensor(order=0, dim={self._dim}, value={self.item()})"
         return f"Tensor(order={self._order}, dim={self._dim}, nonzero={self.nonzero_count()})"
 
 
@@ -319,12 +368,8 @@ def tensor_product(left: Tensor, right: Tensor) -> Tensor:
     """Outer product; the slots of ``left`` come first."""
     if left.dim != right.dim:
         raise InvalidArgument(f"tensor product needs equal dimensions, got {left.dim} and {right.dim}")
-    if left.order == 0:
-        return right * left.item()
-    if right.order == 0:
-        return left * right.item()
-    arr = np.tensordot(left.array, right.array, axes=0)
-    return Tensor(arr, dim=left.dim)
+    ints = guarded_tensordot(left._ints, right._ints, (), ())
+    return Tensor._from_ints(ints, left._scale * right._scale, left.dim)
 
 
 def _images_of(perm: object, order: int) -> tuple[int, ...]:
@@ -339,6 +384,18 @@ def _images_of(perm: object, order: int) -> tuple[int, ...]:
             f"permutation images {result} are not a rearrangement of 1..{order}"
         )
     return result
+
+
+def _slot_axes(images: Sequence[int]) -> list[int]:
+    """``np.transpose`` axes moving the content of slot ``k`` to ``images[k-1]``.
+
+    ``np.transpose(a, axes)[I] = a[I ∘ axes⁻¹]``, so these are the
+    inverse images, 0-based.
+    """
+    axes = [0] * len(images)
+    for position, image in enumerate(images):
+        axes[image - 1] = position
+    return axes
 
 
 def permute_slots(tensor: Tensor, perm: object) -> Tensor:
@@ -358,11 +415,7 @@ def permute_slots(tensor: Tensor, perm: object) -> Tensor:
     images = _images_of(perm, tensor.order)
     if tensor.order == 0:
         return tensor
-    # np.transpose(a, axes)[I] = a[I ∘ axes⁻¹], so pass the inverse images.
-    axes = [0] * tensor.order
-    for position, image in enumerate(images):
-        axes[image - 1] = position
-    return Tensor(np.transpose(tensor.array, axes=axes), dim=tensor.dim)
+    return Tensor._from_ints(tensor._ints.transpose(_slot_axes(images)), tensor._scale, tensor.dim)
 
 
 def _check_slot(tensor: Tensor, slot: int, name: str) -> int:
@@ -385,8 +438,8 @@ def contract(tensor: Tensor, slot_a: int, slot_b: int, pairing: Tensor) -> Tenso
     axis_b = _check_slot(tensor, slot_b, "slot_b")
     if axis_a == axis_b:
         raise InvalidArgument("cannot contract a slot with itself")
-    arr = np.tensordot(tensor.array, pairing.array, axes=([axis_a, axis_b], [0, 1]))
-    return Tensor(arr if arr.ndim else arr.reshape(()), dim=tensor.dim)
+    ints = guarded_tensordot(tensor._ints, pairing._ints, (axis_a, axis_b), (0, 1))
+    return Tensor._from_ints(np.asarray(ints), tensor._scale * pairing._scale, tensor.dim)
 
 
 def contract_vector(tensor: Tensor, slot: int, vector: Tensor | Sequence[ScalarLike]) -> Tensor:
@@ -395,8 +448,8 @@ def contract_vector(tensor: Tensor, slot: int, vector: Tensor | Sequence[ScalarL
     if vec.order != 1 or vec.dim != tensor.dim:
         raise InvalidArgument("vector must be an order-1 tensor of matching dimension")
     axis = _check_slot(tensor, slot, "slot")
-    arr = np.tensordot(tensor.array, vec.array, axes=([axis], [0]))
-    return Tensor(arr if arr.ndim else arr.reshape(()), dim=tensor.dim)
+    ints = guarded_tensordot(tensor._ints, vec._ints, (axis,), (0,))
+    return Tensor._from_ints(np.asarray(ints), tensor._scale * vec._scale, tensor.dim)
 
 
 def _slot_group(tensor: Tensor, slots: Iterable[int]) -> tuple[int, ...]:
@@ -407,11 +460,28 @@ def _slot_group(tensor: Tensor, slots: Iterable[int]) -> tuple[int, ...]:
         _check_slot(tensor, s, "slot")
     return group
 
+
 def _rearranged(tensor: Tensor, group: tuple[int, ...], arrangement: tuple[int, ...]) -> np.ndarray:
     axes = list(range(tensor.order))
     for target, source in zip(group, arrangement):
         axes[target - 1] = source - 1
-    return np.transpose(tensor.array, axes=axes)
+    return tensor._ints.transpose(axes)
+
+
+def _signed_sum(tensor: Tensor, slots: Iterable[int], signed: bool) -> Tensor:
+    """The literal sum of the ``len(slots)!`` rearrangements of the slots,
+    each with the sign of its arrangement if ``signed``."""
+    group = _slot_group(tensor, slots)
+    if len(group) <= 1:
+        return tensor
+    terms = []
+    # Signs are relative to the listed order, so the identity counts +1.
+    for positions in itertools.permutations(range(len(group))):
+        odd = sum(a > b for a, b in itertools.combinations(positions, 2)) % 2
+        arrangement = tuple(group[i] for i in positions)
+        sign = -1 if signed and odd else 1
+        terms.append((sign * tensor._scale, _rearranged(tensor, group, arrangement)))
+    return Tensor._from_ints(*linear_combination(terms), tensor.dim)
 
 
 def symmetrise_slots(tensor: Tensor, slots: Iterable[int]) -> Tensor:
@@ -420,14 +490,7 @@ def symmetrise_slots(tensor: Tensor, slots: Iterable[int]) -> Tensor:
     Sums the ``len(slots)!`` rearrangements of the chosen slots; no
     factorial normalisation is applied.
     """
-    group = _slot_group(tensor, slots)
-    if len(group) <= 1:
-        return tensor
-    total = None
-    for arrangement in itertools.permutations(group):
-        term = _rearranged(tensor, group, arrangement)
-        total = term if total is None else total + term
-    return Tensor(total, dim=tensor.dim)
+    return _signed_sum(tensor, slots, signed=False)
 
 
 def antisymmetrise_slots(tensor: Tensor, slots: Iterable[int]) -> Tensor:
@@ -436,18 +499,7 @@ def antisymmetrise_slots(tensor: Tensor, slots: Iterable[int]) -> Tensor:
     Sums the signed rearrangements of the chosen slots; no factorial
     normalisation is applied.
     """
-    group = _slot_group(tensor, slots)
-    if len(group) <= 1:
-        return tensor
-    # Signs are relative to the listed order, so the identity counts +1.
-    group_sign = _perm_sign(group)
-    total = None
-    for arrangement in itertools.permutations(group):
-        term = _rearranged(tensor, group, arrangement)
-        if _perm_sign(arrangement) != group_sign:
-            term = -term
-        total = term if total is None else total + term
-    return Tensor(total, dim=tensor.dim)
+    return _signed_sum(tensor, slots, signed=True)
 
 
 # -- metric signatures ------------------------------------------------
@@ -492,8 +544,8 @@ class MetricSignature:
 
     def metric(self) -> Tensor:
         """The metric as an order-2 tensor (lower indices)."""
-        diag = self.diagonal()
-        return Tensor.from_entries(self.dim, 2, [((i, i), diag[i]) for i in range(self.dim)])
+        diag = np.diag(np.array([1] * self._p + [-1] * self._q, dtype=np.int64))
+        return Tensor._from_ints(diag, _ONE, self.dim)
 
     def inverse_metric(self) -> Tensor:
         """The inverse metric (upper indices); equals ``metric()`` for ±1 diagonals."""

@@ -13,7 +13,8 @@ import pytest
 
 import killingtensor
 from conftest import image_bits, sphere, wide_curvature
-from killingtensor import CurvatureTensor, cli, io, metric_rep
+from killingtensor import CurvatureTensor, Tensor, cli, io, metric_rep, r_to_s
+from killingtensor import tensor as tensor_module
 
 
 def run(capsys, *argv):
@@ -345,6 +346,60 @@ class TestTopLevelBehaviour:
         )
         assert code == 2
         assert "ConditionForm1" in err
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            '{"kind": "sphere", "N": "x"}',
+            '{"kind": "sphere", "N": Infinity}',
+            '{"kind": "sphere", "signature": ["a", 1]}',
+            '{"kind": "flat", "N": 3, "u": 5}',
+            '{"kind": "flat", "N": 3, "u": ["1", 0]}',
+            '{"kind": "flat", "N": 1000000000}',
+        ],
+    )
+    def test_malformed_model_descriptor_exits_2(self, capsys, tmp_path, command, descriptor):
+        path = tmp_path / "metric.json"
+        run(capsys, "generate", "metric", "--model", "sphere", "--N", "3",
+            "--out", str(path))
+        code, out, err = run(capsys, command, str(path), "--model", descriptor)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestNoConversionsOnTheCheckPath:
+    """``check`` reads a file straight into the integer image and never
+    builds a Fraction view of a tensor or rescales a Fraction array."""
+
+    @pytest.mark.parametrize("form", ["R", "S"])
+    @pytest.mark.parametrize(
+        "model_flags",
+        [("sphere", "--N", "4"), ("sphere", "--signature", "3,1"), ("flat", "--N", "4")],
+        ids=["sphere", "lorentzian", "flat"],
+    )
+    def test_check_converts_nothing(self, capsys, tmp_path, monkeypatch, form, model_flags):
+        path = tmp_path / "benenti.json"
+        run(capsys, "generate", "benenti", "--model", *model_flags, "--seed", "4",
+            "--out", str(path))
+        if form == "S":
+            R, metadata = io.load_tensor(path)
+            io.save_tensor(path, r_to_s(R), metadata=metadata)
+        calls = []
+        for name in ("_fraction_view", "_rescale"):
+            original = getattr(tensor_module, name)
+            monkeypatch.setattr(
+                tensor_module, name,
+                lambda *args, name=name, original=original: calls.append(name) or original(*args),
+            )
+        for extra in ((), ("--json",)):
+            code, out, _ = run(capsys, "check", str(path), "--model", *model_flags, *extra)
+            assert code == 0 and out
+        assert calls == []
+        # The counters see the conversions they count.
+        assert Tensor.from_nested([1, 2]).array is not None
+        assert calls == ["_rescale", "_fraction_view"]
 
 
 class TestTensorFileLimits:

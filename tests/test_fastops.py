@@ -23,7 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killingtensor import Tensor, antisymmetrise_slots, symmetrise_slots
-from killingtensor._fastops import contract, orbit_expand, orbit_sum
+from killingtensor._fastops import (
+    contract,
+    guarded_tensordot,
+    linear_combination,
+    normalize_array,
+    orbit_expand,
+    orbit_sum,
+    staged_symmetrise,
+)
 
 NEAR_SAFE = 1 << 62
 
@@ -266,3 +274,155 @@ class TestContract:
         operands = [(np.ones((2, 2), dtype=np.int64), Fraction(1))] * (term.count(",") + 1)
         with pytest.raises(ValueError, match="index"):
             contract(term, *operands)
+
+
+# ---------------------------------------------------------------------------
+# The int64 / Python-int guards, against test-local Python-int arithmetic,
+# with entries on both sides of 2^62 and products past 2^63.
+# ---------------------------------------------------------------------------
+
+INT64_MAX = (1 << 63) - 1
+edge = st.sampled_from(
+    [NEAR_SAFE - 1, NEAR_SAFE, NEAR_SAFE + 1, -NEAR_SAFE + 1, -NEAR_SAFE, -NEAR_SAFE - 1,
+     (1 << 31) + 1, -(1 << 32), 3 << 60, -INT64_MAX]
+)
+int64_entries = small | near_safe | edge | st.integers(-INT64_MAX, INT64_MAX)
+object_entries = int64_entries | st.integers(-(1 << 70), 1 << 70)
+
+
+@st.composite
+def integer_arrays(draw, shape, *, dtype=None):
+    """An integer array of ``shape``, int64 or object, with guard-crossing entries."""
+    if dtype is None:
+        dtype = draw(st.sampled_from([np.int64, object]))
+    entries = int64_entries if dtype is np.int64 else object_entries
+    size = math.prod(shape)
+    values = draw(st.lists(entries, min_size=size, max_size=size))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+def python_ints(arr: np.ndarray) -> np.ndarray:
+    return np.array(arr.ravel().tolist(), dtype=object).reshape(arr.shape)
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize(
+        "values, dtype, expected",
+        [
+            ([5, -(NEAR_SAFE + 1), 7], np.int64, NEAR_SAFE + 1),
+            ([NEAR_SAFE - 1, -(NEAR_SAFE - 1)], np.int64, NEAR_SAFE - 1),
+            ([-NEAR_SAFE, 3], np.int64, NEAR_SAFE),
+            ([-(1 << 63), 1], np.int64, 1 << 63),
+            ([2, -(1 << 64)], object, 1 << 64),
+            ([(1 << 64) - 1, -(1 << 64) + 2], object, (1 << 64) - 1),
+            ([-(NEAR_SAFE + 1), NEAR_SAFE], object, NEAR_SAFE + 1),
+            ([0, 0], object, 0),
+            ([], np.int64, 0),
+        ],
+    )
+    def test_extremes(self, values, dtype, expected):
+        from killingtensor._fastops import _max_abs
+
+        result = _max_abs(np.array(values, dtype=dtype))
+        assert result == expected and type(result) is int
+
+
+class TestGuardedTensordot:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), contracted=st.integers(0, 2))
+    def test_matches_python_ints(self, data, dim, contracted):
+        a = data.draw(integer_arrays((dim,) * 2))
+        b = data.draw(integer_arrays((dim,) * 3))
+        axes_a = data.draw(st.permutations(range(2)))[:contracted]
+        axes_b = data.draw(st.permutations(range(3)))[:contracted]
+        result = guarded_tensordot(a, b, axes_a, axes_b)
+        expected = np.tensordot(python_ints(a), python_ints(b), axes=(list(axes_a), list(axes_b)))
+        assert np.asarray(result).tolist() == np.asarray(expected).tolist()
+        bound = dim**contracted * int(np.max(np.abs(python_ints(a)))) * int(np.max(np.abs(python_ints(b))))
+        if a.dtype != object and b.dtype != object:
+            assert (result.dtype == object) == (bound >= NEAR_SAFE)
+
+
+class TestStagedSymmetrise:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), sign=st.sampled_from([1, -1]), dim=st.integers(2, 3))
+    def test_matches_the_literal_sum(self, data, sign, dim):
+        arr = data.draw(integer_arrays((dim,) * 4))
+        axes = data.draw(st.permutations(range(4)))[: data.draw(st.integers(2, 4))]
+        result = staged_symmetrise(arr, axes, sign=sign)
+        objects = python_ints(arr)
+        expected = np.zeros(arr.shape, dtype=object)
+        for arrangement in itertools.permutations(range(len(axes))):
+            order = list(range(4))
+            for position, source in zip(axes, arrangement):
+                order[position] = axes[source]
+            parity = sum(x > y for x, y in itertools.combinations(arrangement, 2)) % 2
+            expected = expected + (-1 if sign < 0 and parity else 1) * objects.transpose(order)
+        assert result.tolist() == expected.tolist()
+        if result.dtype != object:
+            assert int(np.max(np.abs(python_ints(result)))) < NEAR_SAFE
+
+
+class TestNormalizeArray:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 3),
+        common=st.sampled_from([1, 2, 6, 1 << 40, 3 << 61]),
+        zero=st.booleans(),
+    )
+    def test_canonical_form_of_the_same_value(self, data, dim, common, zero):
+        arr = data.draw(integer_arrays((dim,) * 2))
+        if zero:
+            arr = np.zeros_like(arr)
+        scale = Fraction(data.draw(st.integers(1, 99)), data.draw(st.integers(1, 99)))
+        out, out_scale = normalize_array(arr, scale)
+        assert [out_scale * v for v in out.ravel().tolist()] == [
+            scale * v for v in arr.ravel().tolist()
+        ]
+        values = out.ravel().tolist()
+        biggest = max(abs(v) for v in values)
+        assert math.gcd(*values) == (1 if biggest else 0)
+        assert out_scale > 0 and (biggest or out_scale == 1)
+        assert (out.dtype == object) == (biggest >= NEAR_SAFE)
+        # The same value, in the other dtype and at another scale, has the
+        # same canonical form.
+        twin, twin_scale = normalize_array(python_ints(arr) * common, scale / common)
+        assert twin.dtype == out.dtype and twin_scale == out_scale
+        assert twin.tolist() == out.tolist()
+
+
+class TestLinearCombination:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), count=st.integers(1, 4), dim=st.integers(1, 3))
+    def test_matches_fractions(self, data, count, dim):
+        coefficient = st.fractions(min_value=-50, max_value=50, max_denominator=50) | st.sampled_from(
+            [Fraction(0), Fraction(1 << 62), Fraction(-3, 1 << 40)]
+        )
+        terms = [
+            (data.draw(coefficient), data.draw(integer_arrays((dim,) * 2)))
+            for _ in range(count)
+        ]
+        arr, scale = linear_combination(terms)
+        expected = sum(c * python_ints(a) for c, a in terms)
+        assert arr.shape == (dim, dim)
+        assert [scale * v for v in arr.ravel().tolist()] == expected.ravel().tolist()
+        bound = sum(abs(c / scale) * int(np.max(np.abs(python_ints(a)))) for c, a in terms)
+        if all(a.dtype != object for _, a in terms):
+            assert (arr.dtype == object) == (bound >= NEAR_SAFE)
+
+    def test_zero_dimensional_terms(self):
+        arr, scale = linear_combination(
+            [(Fraction(1, 2), np.array(3, dtype=np.int64)), (1, np.array(1 << 80, dtype=object))]
+        )
+        assert arr.shape == () and scale * arr[()] == Fraction(3, 2) + (1 << 80)
+
+    def test_zero_array_with_a_multiple_past_int64(self):
+        # The common scale is 2^-70, so the zero array's multiple is 2^70.
+        zero = np.zeros(2, dtype=np.int64)
+        arr, scale = linear_combination([(1, zero), (Fraction(1, 1 << 70), np.array([1, 0]))])
+        assert arr.dtype == np.int64 and arr.tolist() == [1, 0] and scale == Fraction(1, 1 << 70)
+
+    def test_all_zero_coefficients(self):
+        arr, scale = linear_combination([(0, np.ones((2, 2), dtype=np.int64))])
+        assert scale == 1 and not arr.any()

@@ -434,6 +434,37 @@ class TestWriter:
         assert io.document_to_tensor(doc)[0] == scalar
 
 
+@st.composite
+def model_descriptors(draw):
+    """Descriptor mappings, mostly well-formed, with odd values in every field."""
+    odd = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=6),
+        st.integers(-(10**20), 10**20),
+        st.lists(st.integers(-3, 3), max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    )
+    small = st.integers(-1, 5)
+    doc = {}
+    if draw(st.booleans()):
+        doc["kind"] = draw(st.sampled_from(["sphere", "flat", " Flat", "torus"]) | odd)
+    if draw(st.booleans()):
+        doc["N"] = draw(small | st.sampled_from(["3", "x", "9" * 12]) | odd)
+    if draw(st.booleans()):
+        doc["signature"] = draw(st.lists(small | odd, min_size=0, max_size=3) | odd)
+    if draw(st.booleans()):
+        value = st.one_of(
+            st.integers(-2, 2),
+            st.sampled_from(["1", "0", "-1", "1/2", "3/4", "5/4", "2/0", "1e3", "x"]),
+            st.integers(1 << 250, 1 << 260),
+            odd,
+        )
+        doc["u"] = draw(st.lists(value, min_size=0, max_size=5) | odd)
+    return doc
+
+
 class TestModelDescriptors:
     def test_mapping_with_dimension(self):
         model = io.parse_model_descriptor({"kind": "sphere", "N": 3})
@@ -472,11 +503,56 @@ class TestModelDescriptors:
             ({"kind": "torus", "N": 3}, "unknown model kind"),
             ("{oops", "not valid JSON"),
             (17, "mapping"),
+            ({"kind": "sphere", "N": "x"}, "'N' must be an integer"),
+            ({"kind": "sphere", "N": True}, "'N' must be an integer"),
+            ({"kind": "sphere", "N": 3.0}, "'N' must be an integer"),
+            ({"kind": "sphere", "signature": ["a", 1]}, "'signature' entry must be an integer"),
+            ({"kind": "sphere", "signature": [2, None]}, "'signature' entry must be an integer"),
+            ({"kind": "sphere", "signature": [-1, 4]}, "invalid signature"),
+            ({"kind": "sphere", "N": 0}, "invalid signature"),
+            ({"kind": "flat", "N": 65}, "over the cap of 64"),
+            ({"kind": "flat", "signature": [60, 5]}, "over the cap of 64"),
+            ({"kind": "flat", "N": 10**9}, "'N' must be an integer below"),
+            ({"kind": "sphere", "N": 10**5000}, "'N' must be an integer below"),
+            ({"kind": "flat", "signature": [10**12, 1]}, "'signature' entry must be an integer"),
+            ({"kind": "sphere", "N": "1234567890"}, "'N' must be an integer"),
+            ({"kind": "flat", "N": 3, "u": 5}, "'u' must be a list of 3"),
+            ({"kind": "flat", "N": 3, "u": [1, 0]}, "'u' must be a list of 3"),
+            ({"kind": "flat", "N": 2, "u": [1, 0.5]}, "exact rational"),
+            ({"kind": "flat", "N": 2, "u": [1, "1e9"]}, "cannot parse"),
+            ({"kind": "flat", "N": 2, "u": [2**300, 0]}, "at most 256-bit"),
+            ({"kind": "flat", "N": 2, "u": [0, Fraction(1, 3**200)]}, "at most 256-bit"),
+            ({"kind": "flat", "N": 2, "u": [2, 0]}, "unit norm"),
         ],
     )
     def test_descriptor_validation(self, source, message):
         with pytest.raises(InvalidArgument, match=message):
             io.parse_model_descriptor(source)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
+    def test_descriptor_file_must_hold_an_object(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InvalidArgument, match="JSON object"):
+            io.parse_model_descriptor(path)
+
+    def test_integer_fields_may_be_decimal_strings(self):
+        assert io.parse_model_descriptor({"kind": "sphere", "N": " 3"}) == sphere(3)
+        assert io.parse_model_descriptor({"kind": "flat", "signature": ["2", 1]}) == flat(2, 1)
+
+    def test_largest_model_dimension_is_accepted(self):
+        assert io.parse_model_descriptor({"kind": "sphere", "N": 64}).dim == 64
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=model_descriptors())
+    def test_fuzzed_descriptors_parse_or_raise_invalid_argument(self, doc):
+        for source in (doc, json.dumps(doc)):
+            try:
+                model = io.parse_model_descriptor(source)
+            except InvalidArgument:
+                continue
+            assert 1 <= model.dim <= 64
+            assert io.parse_model_descriptor(io.model_to_document(model)) == model
 
     def test_missing_descriptor_file(self, tmp_path):
         with pytest.raises(InvalidArgument, match="cannot read"):

@@ -1,0 +1,71 @@
+"""Static checks on the imports between the package's modules.
+
+The algebraic conditions (``integrability``) and the pointwise oracle
+(``oracle``) are two independent routes to one verdict, so the oracle
+must not reach the integrability engine, directly or through the
+contraction and orbit-sum helpers.  ``_fastops`` sits below ``tensor``,
+which imports its guards, so it must not import ``tensor`` back.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import killingtensor
+
+PACKAGE = Path(killingtensor.__file__).parent
+
+
+def imports_of(module: str) -> dict[str, set[str]]:
+    """Package modules imported by ``module``, each with the names taken from it."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                target = node.module
+            elif node.level == 0 and (node.module or "").startswith("killingtensor."):
+                target = node.module.split(".", 1)[1]
+            elif node.level == 1 or node.module == "killingtensor":
+                # "from . import x" or "from killingtensor import x": x may be a module.
+                for alias in node.names:
+                    found.setdefault(alias.name, set())
+                continue
+            else:
+                continue
+            found.setdefault(target.split(".")[0], set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("killingtensor."):
+                    found.setdefault(alias.name.split(".")[1], set())
+    return found
+
+
+def names_used(module: str) -> set[str]:
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_oracle_imports_nothing_from_integrability():
+    assert "integrability" not in imports_of("oracle")
+
+
+def test_oracle_uses_no_contraction_engine():
+    imported = set().union(*imports_of("oracle").values())
+    for name in ("contract", "orbit_sum", "staged_symmetrise"):
+        assert name not in imported
+        assert name not in names_used("oracle")
+
+
+def test_fastops_does_not_import_tensor():
+    assert "tensor" not in imports_of("_fastops")
+
+
+def test_the_checks_see_imports():
+    # The parser finds the imports these checks rule out elsewhere.
+    assert "contract" in imports_of("integrability")["_fastops"]
+    assert "_fastops" in imports_of("tensor")
+    assert "contract" in names_used("integrability")

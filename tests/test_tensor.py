@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -201,3 +202,115 @@ class TestMetricSignature:
         v = Tensor.from_nested([a, b, a + b])
         paired = contract_vector(contract_vector(sig.metric(), 1, v), 1, v)
         assert paired.item() == a * a + b * b - (a + b) * (a + b)
+
+
+# ---------------------------------------------------------------------------
+# Integer-image storage: every operation against test-local arithmetic on
+# Fraction object arrays, on entries whose images reach past 2^62 and
+# whose products pass 2^63.
+# ---------------------------------------------------------------------------
+
+SAFE = 1 << 62
+wide_rationals = st.one_of(
+    rationals,
+    st.sampled_from([SAFE - 1, SAFE, SAFE + 1, -SAFE, 3 << 61, -(1 << 63), 1 << 64]).map(Fraction),
+    st.builds(Fraction, st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 40)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 3, 1 << 31, (1 << 61) + 1])),
+)
+
+
+@st.composite
+def fraction_arrays(draw, dim, order):
+    size = dim**order
+    values = draw(st.lists(wide_rationals, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        values = [Fraction(0)] * size if draw(st.booleans()) else [v * 6 for v in values]
+    return np.array(values, dtype=object).reshape((dim,) * order)
+
+
+def assert_canonical(tensor: Tensor) -> None:
+    """The stored image is content-reduced, of the right dtype, read-only."""
+    values = tensor._ints.ravel().tolist()
+    biggest = max(map(abs, values))
+    assert math.gcd(*values) == (1 if biggest else 0)
+    assert tensor._scale > 0 and (biggest or tensor._scale == 1)
+    assert (tensor._ints.dtype == object) == (biggest >= SAFE)
+    assert not tensor._ints.flags.writeable and not tensor.array.flags.writeable
+
+
+def same(tensor: Tensor, expected: np.ndarray) -> bool:
+    assert_canonical(tensor)
+    return tensor.array.tolist() == np.asarray(expected).tolist()
+
+
+class TestIntegerImage:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), order=st.integers(0, 3))
+    def test_construction_and_reads(self, data, dim, order):
+        arr = data.draw(fraction_arrays(dim, order))
+        t = Tensor(arr, dim=dim)
+        assert same(t, arr)
+        assert all(type(v) is Fraction for v in t.array.ravel().tolist())
+        for idx in np.ndindex(arr.shape):
+            assert t[idx] == arr[idx] and type(t[idx]) is Fraction
+        if order == 0:
+            assert t.item() == arr[()]
+        assert t.is_zero() == all(v == 0 for v in arr.flat)
+        assert t.nonzero_count() == sum(1 for v in arr.flat if v != 0)
+        assert t.array is t.array  # built once
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), order=st.integers(0, 3))
+    def test_linear_structure(self, data, dim, order):
+        a = data.draw(fraction_arrays(dim, order))
+        b = data.draw(fraction_arrays(dim, order))
+        c = data.draw(wide_rationals)
+        ta, tb = Tensor(a, dim=dim), Tensor(b, dim=dim)
+        assert same(ta + tb, a + b)
+        assert same(ta - tb, a - b)
+        assert same(-ta, -a)
+        assert same(ta * c, a * c) and same(c * ta, a * c)
+        if c:
+            assert same(ta / c, a / c)
+        assert (ta == tb) == (a.tolist() == b.tolist())
+        assert ta == Tensor(a.copy(), dim=dim) and ta - ta == Tensor.zeros(dim, order)
+        tiny = Fraction(1, 1 << 70)
+        assert same(Tensor.zeros(dim, order) + ta * tiny, a * tiny)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_products_and_contractions(self, data, dim):
+        a = data.draw(fraction_arrays(dim, 2))
+        b = data.draw(fraction_arrays(dim, 1))
+        s = data.draw(fraction_arrays(dim, 0))
+        ta, tb, ts = Tensor(a, dim=dim), Tensor(b, dim=dim), Tensor(s, dim=dim)
+        assert same(tensor_product(ta, tb), np.multiply.outer(a, b))
+        assert same(tensor_product(ts, ta), a * s[()]) and same(tensor_product(ta, ts), a * s[()])
+        t = tensor_product(ta, tb)
+        outer = np.multiply.outer(a, b)
+        assert same(permute_slots(t, (3, 1, 2)), outer.transpose(1, 2, 0))
+        assert same(contract(t, 1, 3, ta), np.tensordot(outer, a, axes=([0, 2], [0, 1])))
+        assert same(contract(ta, 2, 1, ta), np.asarray(np.tensordot(a, a, axes=([1, 0], [0, 1]))))
+        assert same(contract_vector(t, 2, tb), np.tensordot(outer, b, axes=([1], [0])))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), signed=st.booleans())
+    def test_symmetrisers_are_literal_sums(self, data, dim, signed):
+        a = data.draw(fraction_arrays(dim, 3))
+        slots = data.draw(st.permutations((1, 2, 3)))[: data.draw(st.integers(2, 3))]
+        expected = np.zeros(a.shape, dtype=object)
+        for arrangement in itertools.permutations(slots):
+            axes = list(range(3))
+            for target, source in zip(slots, arrangement):
+                axes[target - 1] = source - 1
+            odd = sum(x > y for x, y in itertools.combinations(arrangement, 2)) % 2
+            odd ^= sum(x > y for x, y in itertools.combinations(slots, 2)) % 2
+            expected = expected + (-1 if signed and odd else 1) * a.transpose(axes)
+        op = antisymmetrise_slots if signed else symmetrise_slots
+        assert same(op(Tensor(a, dim=dim), slots), expected)
+
+    def test_entries_must_be_exact(self):
+        with pytest.raises(InvalidArgument, match="exact rationals"):
+            Tensor(np.array([0.5, 1], dtype=object))
+        with pytest.raises(InvalidArgument, match="exact rationals"):
+            Tensor(np.array(["1/2", 1], dtype=object))
