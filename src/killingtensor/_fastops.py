@@ -1,44 +1,31 @@
-"""Integer fast paths for the large multilinear contraction pipelines.
+"""Exact integer engine for the integrability residuals.
 
-The integrability conditions contract three or four order-4 tensors and
-then (anti)symmetrise over up to eight slots, on operands with up to
-``N^10`` entries.  Every tensor is already held as an integer array and
-one exact positive scale (see :mod:`killingtensor.tensor`), so this
-module works on ``(integer array, scale)`` pairs only.  It:
+The residuals contract three or four order-4 tensors and (anti)symmetrise
+the result over disjoint slot groups.  Every tensor is held as an
+integer array and one exact positive scale (see :mod:`killingtensor.tensor`),
+so this module works on ``(integer array, scale)`` pairs.  Arrays stay
+``int64`` while a provable bound rules out overflow and become Python
+integers (object dtype) the moment it fails; results are exact either way.
 
-* keeps arrays in ``int64`` while provable bounds rule out overflow,
-  promoting to arbitrary-precision Python integers (object dtype) the
-  moment a bound fails — results are exact in either representation;
-* adds scaled integer arrays exactly over one common scale
-  (:func:`linear_combination`);
-* evaluates every contraction through one engine, :func:`contract`: an
-  einsum-style term over ``(integer array, scale)`` operands, contracted
-  pairwise along the greedy ``np.einsum_path`` (cached per term and
-  dimension), each step through the guarded ``tensordot`` and each
-  intermediate content-reduced, so the ``int64`` / Python-int choice is
-  made in one place;
-* evaluates a final operator made of mutually disjoint symmetrisers and
-  antisymmetrisers by :func:`orbit_sum`: one gather over the operand and
-  one segmented sum give the residual's *canonical components* (one per
-  orbit of index tuples), never the dense (anti)symmetrised array.  The
-  gather table is built on first use and cached.  A second sum over the
-  high 32-bit limbs of ``int64`` terms tells when a sum may not fit, so
-  only the small result vector is ever promoted, never a dense array.
-  :func:`orbit_expand` rebuilds the dense array when a caller asks for
-  it;
-* symmetrises over slot groups that overlap a later operator's in
-  ``m−1`` staged passes of pairwise swaps (a left-transversal
-  decomposition of the symmetric group), costing ``m(m−1)/2`` array
-  additions instead of ``m!`` terms;
-* divides out integer content between stages to keep magnitudes small.
-
-Everything here is an internal implementation detail; results are
-always exactly equal to the direct Fraction computation.
+Polarisation.  A tensor symmetric over a group of ``d`` slots is the same
+data as the degree-``d`` polynomial obtained by putting one vector ``x``
+into every slot of the group: the coefficient of ``x^α`` is the sum of
+the entries over the index tuples with multiset ``α``, the group's orbit
+sum.  A polarised array carries its coefficients on one leading
+*monomial axis*, over the degree-``d`` monomials in the lexicographic
+order of their sorted index tuples (size 1 in degree 0).  The one
+contraction engine, :func:`contract`, multiplies such factors pairwise: a
+batched ``matmul`` over their index axes, one batch per pair of
+monomials, then a gather and a segmented sum over a cached table that
+maps each pair to its product monomial.  Antisymmetric groups stay index
+axes, read only at increasing tuples (:func:`alternating_sums`), and
+:func:`expand_axis` rebuilds a dense slot group from canonical components.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -50,10 +37,11 @@ __all__ = [
     "linear_combination",
     "contract",
     "guarded_tensordot",
-    "staged_symmetrise",
+    "polarise",
+    "polynomial_tensordot",
+    "alternating_sums",
+    "expand_axis",
     "normalize_array",
-    "orbit_sum",
-    "orbit_expand",
 ]
 
 # Stay well under 2^63 so sums of a few terms cannot wrap.
@@ -65,6 +53,13 @@ def _max_abs(arr: np.ndarray) -> int:
     if arr.size == 0:
         return 0
     return max(int(arr.max()), -int(arr.min()))
+
+
+def _widened(arr: np.ndarray, terms: int) -> np.ndarray:
+    """``arr``, as Python ints if a sum of ``terms`` of its entries may reach 2^62."""
+    if arr.dtype != object and terms * _max_abs(arr) >= _INT64_SAFE:
+        return arr.astype(object)
+    return arr
 
 
 def linear_combination(
@@ -104,134 +99,6 @@ def linear_combination(
     return total.reshape(shape), scale
 
 
-def guarded_tensordot(
-    a: np.ndarray,
-    b: np.ndarray,
-    axes_a: Sequence[int],
-    axes_b: Sequence[int],
-) -> np.ndarray:
-    """``np.tensordot`` with exact integer semantics.
-
-    When both operands are ``int64``, checks the worst-case bound
-    ``K · max|a| · max|b|`` (``K`` the contracted volume) and promotes
-    to Python-int arrays if it could overflow.
-    """
-    if a.dtype != object and b.dtype != object:
-        volume = 1
-        for axis in axes_a:
-            volume *= a.shape[axis]
-        bound = volume * _max_abs(a) * _max_abs(b)
-        if bound >= _INT64_SAFE:
-            a = a.astype(object)
-            b = b.astype(object)
-    elif a.dtype != b.dtype:
-        if a.dtype != object:
-            a = a.astype(object)
-        else:
-            b = b.astype(object)
-    return np.tensordot(a, b, axes=(list(axes_a), list(axes_b)))
-
-
-@functools.lru_cache(maxsize=64)
-def _contraction_plan(subscripts: str, dim: int) -> tuple[int, tuple, tuple[int, ...]]:
-    """Number of factors, pairwise steps and final axis order of one term.
-
-    Operands are numbered in order, and each step's result takes the next
-    number.  A step ``(a, b, axes_a, axes_b, order)`` contracts operands
-    ``a`` and ``b`` over the given axes and transposes the result so that
-    its output indices come in output order, indices a later step sums
-    last.  The greedy path gets no memory limit, so that every step is a
-    pair (under numpy's default limit it may fall back to one step over
-    all remaining factors).
-    """
-    inputs, output = subscripts.split("->")
-    letters = inputs.split(",")
-    count = len(letters)
-    everything = inputs.replace(",", "") + output
-    if count < 2 or any(len(set(f)) != len(f) for f in [*letters, output]) or any(
-        everything.count(c) != 2 for c in everything
-    ):
-        raise ValueError(
-            f"{subscripts!r}: needs two or more factors, each index shared by two "
-            "of them or an output index"
-        )
-    rank = {c: output.index(c) if c in output else len(output) for c in everything}
-    shapes = [np.broadcast_to(0, (dim,) * len(f)) for f in letters]
-    path = np.einsum_path(subscripts, *shapes, optimize=("greedy", sys.maxsize))[0][1:]
-    live = list(range(count))  # einsum_path's operand list
-    steps = []
-    for positions in path:
-        a, b = sorted((live[k] for k in positions), key=lambda n: min(map(rank.get, letters[n])))
-        live = [n for k, n in enumerate(live) if k not in positions] + [len(letters)]
-        shared = [c for c in letters[a] if c in letters[b]]
-        free = [c for c in letters[a] + letters[b] if c not in shared]
-        result = sorted(free, key=rank.get)
-        axes_a = tuple(letters[a].index(c) for c in shared)
-        axes_b = tuple(letters[b].index(c) for c in shared)
-        steps.append((a, b, axes_a, axes_b, tuple(free.index(c) for c in result)))
-        letters.append("".join(result))
-    return count, tuple(steps), tuple(letters[-1].index(c) for c in output)
-
-
-def contract(
-    subscripts: str, *operands: tuple[np.ndarray, Fraction]
-) -> tuple[np.ndarray, Fraction]:
-    """Exact einsum-style contraction of ``scale * array`` operands.
-
-    ``subscripts`` is an explicit einsum term such as
-    ``"kl,kabc,ldef->abcdef"`` over cubical operands of one dimension,
-    in which every index is either shared by two factors (and summed) or
-    an output index of one factor.  Factors are contracted pairwise
-    along the greedy ``np.einsum_path``, planned once per term and
-    dimension, by :func:`guarded_tensordot`, so each step stays ``int64``
-    or promotes to Python ints as its bound requires; intermediates are
-    content-reduced by :func:`normalize_array`.  Each intermediate keeps
-    its output indices in output order, so a result whose last step
-    meets its two halves in order is C-contiguous; otherwise it is a
-    transposed view.  Returns ``(array, scale)``.
-    """
-    count, steps, final = _contraction_plan(subscripts, operands[0][0].shape[0])
-    if len(operands) != count:
-        raise ValueError(f"{subscripts!r} takes {count} operands, got {len(operands)}")
-    arrays = [arr for arr, _ in operands]
-    scale = math.prod((s for _, s in operands), start=Fraction(1))
-    for k, (a, b, axes_a, axes_b, order) in enumerate(steps):
-        arr = guarded_tensordot(arrays[a], arrays[b], axes_a, axes_b).transpose(order)
-        arrays[a] = arrays[b] = None  # free each intermediate once it is used
-        if k < len(steps) - 1:
-            arr, scale = normalize_array(arr, scale)
-        arrays.append(arr)
-    return arrays[-1].transpose(final), scale
-
-
-def staged_symmetrise(arr: np.ndarray, axes: Sequence[int], *, sign: int = 1) -> np.ndarray:
-    """Unnormalised (anti)symmetrisation over ``axes`` in staged passes.
-
-    ``sign=+1`` symmetrises, ``sign=−1`` antisymmetrises.  Pass ``k``
-    multiplies on the left by ``(e ± sum of transpositions into the
-    k-th axis)``, which telescopes to the full signed sum over all
-    ``m!`` arrangements.  Integer arrays are promoted to object dtype
-    whenever a pass could overflow ``int64``.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    positions = list(axes)
-    current = arr
-    for k in range(1, len(positions)):
-        if current.dtype != object:
-            if (k + 1) * _max_abs(current) >= _INT64_SAFE:
-                current = current.astype(object)
-        total = current.copy()
-        for i in range(k):
-            swapped = current.swapaxes(positions[i], positions[k])
-            if sign > 0:
-                total += swapped
-            else:
-                total -= swapped
-        current = total
-    return current
-
-
 def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction]:
     """The canonical form of ``scale * arr``: content-reduced integers.
 
@@ -261,191 +128,256 @@ def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fract
 
 
 # ---------------------------------------------------------------------------
-# Orbit sums over disjoint slot groups.
-#
-# Let G be the product of the symmetric groups of some disjoint slot
-# groups, each acting with sign +1 (symmetric group) or with the sign of
-# the permutation (antisymmetric group).  The unnormalised operator
-# T = sum over g in G of sign(g) g.A is fixed by its values at the
-# canonical tuples I: weakly increasing along each symmetric group,
-# strictly increasing along each antisymmetric one, free elsewhere.
-# Every index tuple J lies in the orbit of exactly one canonical I, and
-# T[J] = sign(J) * weight(I) * c[I] with the signed orbit sum
-# c[I] = sum over J in orbit(I) of sign(J) A[J], where sign(J) is the sign
-# of the rearrangement of the antisymmetric groups that sorts J and
-# weight(I) = |G| / |orbit(I)| = product of multiplicity! over the
-# symmetric groups.  Tuples with a repeated index in an antisymmetric
-# group lie in no orbit: T is zero there.
+# Monomial and alternating tables, built on first use and cached.
 # ---------------------------------------------------------------------------
 
-_SlotGroups = tuple[tuple[int, ...], ...]
+
+class _Merge(NamedTuple):
+    rank: np.ndarray  # product monomial of each tuple of factor monomials
+    perm: np.ndarray  # those tuples grouped by product monomial
+    starts: np.ndarray  # start of each product monomial's group in ``perm``
+    pairs: int  # the largest group
+    weight: np.ndarray  # alpha! (product of exponent factorials) of each tuple
 
 
-class _OrbitTable(NamedTuple):
-    perm: np.ndarray  # flat indices of the orbit elements, orbit by orbit
-    negate: "np.ndarray | None"  # True where sign(J) = -1; None if never
-    starts: np.ndarray  # start of each orbit in ``perm``, canonical tuples in order
-    group_order: int  # |G|
-
-
-def _group_key(groups: Iterable[Sequence[int]]) -> _SlotGroups:
-    return tuple(tuple(sorted(int(a) for a in group)) for group in groups)
+@functools.lru_cache(maxsize=128)
+def _merge(dim: int, degrees: tuple[int, ...]) -> _Merge:
+    """Table multiplying one monomial of each of ``degrees`` (C order over
+    their tuples) into a monomial of the total degree."""
+    monomials = functools.partial(itertools.combinations_with_replacement, range(dim))
+    rank_of = {m: r for r, m in enumerate(monomials(sum(degrees)))}
+    products = [tuple(sorted(sum(parts, ()))) for parts in itertools.product(*map(monomials, degrees))]
+    rank = np.array([rank_of[p] for p in products], dtype=np.intp)
+    weight = [math.prod(math.factorial(p.count(v)) for v in set(p)) for p in products]
+    counts = np.bincount(rank)
+    table = _Merge(
+        rank,
+        np.argsort(rank, kind="stable"),
+        np.concatenate(([0], np.cumsum(counts)[:-1])),
+        int(counts.max()),
+        np.array(weight, dtype=np.int64),
+    )
+    for cached in table[:3] + table[4:]:  # shared by every caller
+        cached.flags.writeable = False
+    return table
 
 
 @functools.lru_cache(maxsize=32)
-def _group_orbits(dim: int, size: int, anti: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of the index tuples of one slot group of ``size`` slots.
+def _alternating(dim: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables of one antisymmetric group of ``size`` slots.
 
-    Returns ``(tuples, odd, starts)``: the ``int8`` tuples orbit by orbit,
-    with canonical (sorted) tuples in lexicographic order; whether each is
-    an odd rearrangement of its canonical tuple (always False for a
-    symmetric group); and the start of each orbit.  An antisymmetric
-    group keeps only tuples of distinct indices.
+    Returns ``(rows, odd, index, sign)``: the flat positions of the
+    rearrangements of each strictly increasing tuple (in lexicographic
+    order), one row per tuple; which rearrangements are odd; and, for
+    every tuple in C order, the position of its sorted tuple (the tuple
+    count where an index repeats) and the sign of the sorting
+    rearrangement (0 where an index repeats).
     """
-    digits = np.indices((dim,) * size, dtype=np.int8).reshape(size, -1).T
-    ordered = np.sort(digits, axis=1)
-    odd = np.zeros(len(digits), dtype=bool)
-    if anti:
-        distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-        digits, ordered, odd = digits[distinct], ordered[distinct], odd[distinct]
-        for i in range(size):
-            for j in range(i + 1, size):
-                odd ^= digits[:, i] > digits[:, j]
-    key = ordered.astype(np.int32) @ (dim ** np.arange(size - 1, -1, -1, dtype=np.int32))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1]))) if key.size else key
-    return digits[order], odd[order], starts
-
-
-def _product(outer: tuple, inner: tuple) -> tuple:
-    """Table of two disjoint slot sets, orbits ordered outer-major."""
-    off_a, odd_a, starts_a = outer
-    off_b, odd_b, starts_b = inner
-    if starts_a.size == 0 or starts_b.size == 0:
-        return off_a[:0], odd_a[:0], starts_a[:0]
-    ends_a = np.append(starts_a[1:], off_a.size)
-    offsets, odds, starts = [], [], []
-    base = 0
-    for start, end in zip(starts_a.tolist(), ends_a.tolist()):
-        # Orbit (a, b) holds every pair of an element of a and one of b.
-        offsets.append((off_b[:, None] + off_a[None, start:end]).ravel())
-        odds.append((odd_b[:, None] ^ odd_a[None, start:end]).ravel())
-        starts.append(base + starts_b * (end - start))
-        base += off_b.size * (end - start)
-    return np.concatenate(offsets), np.concatenate(odds), np.concatenate(starts)
-
-
-def _flat(arr: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The entries of ``arr`` as a flat array, and the step along each axis.
-
-    An axis permutation of a C-contiguous array, as a transposed
-    contraction result is, is read in place rather than copied.
-    """
-    base = arr.transpose(np.argsort(arr.strides)[::-1])
-    if not base.flags.c_contiguous:
-        arr = base = np.ascontiguousarray(arr)
-    return base.reshape(-1), tuple(stride // arr.itemsize for stride in arr.strides)
-
-
-@functools.lru_cache(maxsize=16)
-def _orbit_table(
-    dim: int, order: int, sym_groups: _SlotGroups, anti_groups: _SlotGroups, steps: tuple[int, ...]
-) -> _OrbitTable:
-    """Orbit table whose ``perm`` indexes a flat array with these axis steps."""
-    used = [axis for group in sym_groups + anti_groups for axis in group]
-    if len(set(used)) != len(used) or any(a < 0 or a >= order for a in used):
-        raise ValueError("slot groups must partition a subset of the axes")
-    index = np.int32 if dim**order < 2**31 else np.int64
-    strides = np.array(steps, dtype=np.int64)
-    factors = []
-    group_order = 1
-    for group, anti in [(g, False) for g in sym_groups] + [(g, True) for g in anti_groups]:
-        tuples, odd, starts = _group_orbits(dim, len(group), anti)
-        factors.append(((tuples @ strides[list(group)]).astype(index), odd, starts))
-        group_order *= math.factorial(len(group))
-    for axis in sorted(set(range(order)) - set(used)):
-        offsets = (np.arange(dim) * strides[axis]).astype(index)
-        factors.append((offsets, np.zeros(dim, dtype=bool), np.arange(dim)))
-    table = factors[-1]
-    for factor in reversed(factors[:-1]):
-        table = _product(factor, table)
-    perm, odd, starts = table
-    for cached in table:  # shared by every caller
+    arrangements = list(itertools.permutations(range(size)))
+    odd = np.array([sum(i > j for i, j in itertools.combinations(p, 2)) % 2 for p in arrangements], dtype=bool)
+    combos = list(itertools.combinations(range(dim), size))
+    combos = np.array(combos, dtype=np.intp).reshape(len(combos), size)
+    powers = dim ** np.arange(size - 1, -1, -1, dtype=np.intp)
+    rows = combos[:, arrangements] @ powers
+    index = np.full(dim**size, len(combos), dtype=np.intp)
+    sign = np.zeros(dim**size, dtype=np.int64)
+    index[rows] = np.arange(len(combos))[:, None]
+    sign[rows] = np.where(odd, -1, 1)
+    for cached in (rows, odd, index, sign):
         cached.flags.writeable = False
-    return _OrbitTable(perm, odd if odd.any() else None, starts, group_order)
+    return rows, odd, index, sign
 
 
-def orbit_sum(
-    arr: np.ndarray,
-    sym_groups: Iterable[Sequence[int]] = (),
-    anti_groups: Iterable[Sequence[int]] = (),
-) -> np.ndarray:
-    """Signed orbit sums of ``arr`` at its canonical index tuples.
+# ---------------------------------------------------------------------------
+# Polynomial-valued arrays: one monomial axis, then index axes.
+# ---------------------------------------------------------------------------
 
-    The groups are disjoint 0-based axis groups of the cubical integer
-    array ``arr``; the result is the vector ``c`` of the comment above,
-    one entry per canonical tuple.  It is zero exactly when the
-    (anti)symmetrisation of ``arr`` over the groups is, and it is empty
-    when an antisymmetric group is longer than the dimension.  ``int64``
-    input (entries below 2^62 in magnitude, as the guards here keep them)
-    is also summed by its high 32-bit limbs, which tells when a sum may
-    reach 2^62; the result is ``int64`` unless it may, and then object
-    dtype, as is the result for object input.
+
+def polarise(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``arr`` with one vector ``x`` in each of ``axes``.
+
+    The result starts with a monomial axis of degree ``len(axes)`` and
+    keeps the other axes in order; each coefficient sums the entries over
+    the index tuples of its monomial.
     """
-    if arr.dtype != object:
-        arr = arr.astype(np.int64, copy=False)
-    flat, steps = _flat(arr)
-    table = _orbit_table(arr.shape[0], arr.ndim, _group_key(sym_groups), _group_key(anti_groups), steps)
-    if table.starts.size == 0:
-        return np.zeros(0, dtype=arr.dtype)
-    terms = flat[table.perm]
-    if table.negate is not None:
-        np.negative(terms, out=terms, where=table.negate)
-    if terms.dtype == object:
-        return np.add.reduceat(terms, table.starts)
-    # With v = high * 2^32 + low per term (0 <= low < 2^32) and at most
-    # |G| < 2^29 terms an orbit (up to order 12), the limb sums satisfy
-    # |high sum| < 2^60 and 0 <= low sum < 2^61.  The plain int64 sum is
-    # exact modulo 2^64: it is the true sum while |high sum| < 2^29, and
-    # otherwise it gives the low sum back exactly.
-    total = np.add.reduceat(terms, table.starts)
-    terms >>= 32
-    high = np.add.reduceat(terms, table.starts)
-    if _max_abs(high) < 1 << 29:
-        return total
-    low = total - (high << 32)
-    return np.array(
-        [(h << 32) + l for h, l in zip(high.tolist(), low.tolist())], dtype=object
-    )
+    axes = list(axes)
+    rest = [axis for axis in range(arr.ndim) if axis not in axes]
+    arr = arr.transpose(axes + rest)
+    flat = arr.reshape((-1,) + arr.shape[len(axes):])
+    if len(axes) < 2:
+        return flat
+    table = _merge(arr.shape[0], (1,) * len(axes))
+    return np.add.reduceat(_widened(flat, table.pairs)[table.perm], table.starts, axis=0)
 
 
-def orbit_expand(
-    values: np.ndarray,
+def polynomial_tensordot(
+    a: np.ndarray,
+    b: np.ndarray,
+    axes_a: Sequence[int],
+    axes_b: Sequence[int],
     dim: int,
-    order: int,
-    sym_groups: Iterable[Sequence[int]] = (),
-    anti_groups: Iterable[Sequence[int]] = (),
+    degree_a: int,
+    degree_b: int,
 ) -> np.ndarray:
-    """Dense order-``order`` array with canonical orbit sums ``values``.
+    """Contract two polynomial-valued arrays over index axes.
 
-    Writes ``sign(J) * weight(I) * values[I]`` at every element ``J`` of
-    the orbit of each canonical tuple ``I``, so that
-    ``orbit_expand(orbit_sum(A, ...), ...)`` is the unnormalised
-    (anti)symmetrisation of ``A`` over the groups.
+    ``a`` and ``b`` start with monomial axes of the given degrees in
+    ``dim`` variables; ``axes_a`` / ``axes_b`` are index axes (never 0).
+    The result starts with the monomial axis of the product polynomials,
+    then has the free index axes of ``a``, then those of ``b``.  Every
+    pair of monomials is one batch of a ``matmul``; the pairs are then
+    added up per product monomial.  Guarded by
+    ``pairs per monomial · contracted volume · max|a| · max|b|``.
     """
-    steps = tuple(dim**k for k in range(order - 1, -1, -1))
-    table = _orbit_table(dim, order, _group_key(sym_groups), _group_key(anti_groups), steps)
-    out_dtype = object if values.dtype == object else np.int64
-    out = np.zeros(dim**order, dtype=out_dtype)
-    if table.starts.size:
-        sizes = np.diff(np.append(table.starts, table.perm.size))
-        weights = table.group_order // sizes
-        if out_dtype is not object and _max_abs(values) * int(weights.max()) >= _INT64_SAFE:
-            values = values.astype(object)
-            out = out.astype(object)
-        terms = np.repeat(values * weights, sizes)
-        if table.negate is not None:
-            np.negative(terms, out=terms, where=table.negate)
-        out[table.perm] = terms
-    return out.reshape((dim,) * order)
+    table = _merge(dim, (degree_a, degree_b)) if degree_a and degree_b else None
+    pairs = table.pairs if table else 1
+    free_a = [axis for axis in range(1, a.ndim) if axis not in axes_a]
+    free_b = [axis for axis in range(1, b.ndim) if axis not in axes_b]
+    shape = [a.shape[k] for k in free_a] + [b.shape[k] for k in free_b]
+    volume = math.prod(a.shape[k] for k in axes_a)
+    a = a.transpose([0, *free_a, *axes_a]).reshape(len(a), 1, -1, volume)
+    b = b.transpose([0, *axes_b, *free_b]).reshape(1, len(b), volume, -1)
+    wide = a.dtype == object or b.dtype == object
+    if wide or pairs * volume * _max_abs(a) * _max_abs(b) >= _INT64_SAFE:
+        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
+    out = np.matmul(a, b).reshape([-1] + shape)
+    if table is None:
+        return out
+    return np.add.reduceat(out[table.perm], table.starts, axis=0)
+
+
+def guarded_tensordot(
+    a: np.ndarray, b: np.ndarray, axes_a: Sequence[int], axes_b: Sequence[int]
+) -> np.ndarray:
+    """``np.tensordot`` with exact integer semantics: the product of two
+    degree-0 polynomial arrays, guarded by ``K · max|a| · max|b|``."""
+    shifted_a, shifted_b = [k + 1 for k in axes_a], [k + 1 for k in axes_b]
+    return polynomial_tensordot(a[None], b[None], shifted_a, shifted_b, 0, 0, 0)[0, ...]
+
+
+def alternating_sums(arr: np.ndarray, size: int) -> np.ndarray:
+    """Signed sums over ``size`` index axes at increasing tuples.
+
+    Axes ``1 .. size`` of ``arr`` (axis 0 is its monomial axis) become one
+    axis over the strictly increasing index tuples ``I`` (lexicographic
+    order), holding ``sum over rearrangements J of I of sign(J) arr[:, J]``:
+    the antisymmetrisation of ``arr`` over those axes, read at ``I``.
+    Empty when ``size`` exceeds the dimension.
+    """
+    if not size:
+        return arr
+    rows, odd, _, _ = _alternating(arr.shape[1], size)
+    flat = _widened(arr.reshape(arr.shape[:1] + (-1,) + arr.shape[size + 1:]), len(odd))
+    signs = np.where(odd, -1, 1).astype(flat.dtype).reshape((-1,) + (1,) * (flat.ndim - 2))
+    return (flat[:, rows] * signs).sum(axis=2)
+
+
+def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) -> np.ndarray:
+    """Rebuild one slot group from its canonical axis.
+
+    Axis ``axis`` of ``values`` runs over the canonical tuples of a group
+    of ``size`` slots: monomials for a symmetric group, strictly
+    increasing tuples for an antisymmetric one.  It becomes an axis over
+    all ``dim^size`` tuples ``J`` in C order, holding the value at the
+    canonical tuple of ``J`` times ``alpha!`` (symmetric) or the sign of
+    the sorting rearrangement, zero on a repeated index (antisymmetric).
+    """
+    values = np.moveaxis(values, axis, -1)
+    if anti:
+        _, _, index, weight = _alternating(dim, size)
+        zero = np.zeros(values.shape[:-1] + (1,), dtype=values.dtype)
+        values = np.concatenate([values, zero], axis=-1)
+    else:
+        table = _merge(dim, (1,) * size)
+        index, weight = table.rank, table.weight
+    values = _widened(values, int(weight.max()) if weight.size else 1)
+    return np.moveaxis(values[..., index] * weight.astype(values.dtype), -1, axis)
+
+
+# ---------------------------------------------------------------------------
+# The contraction engine.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=128)
+def _contraction_plan(subscripts: str, dim: int) -> tuple[tuple[str, ...], tuple, str, tuple]:
+    """Index letters and polarised axes of each factor, output, pairwise path.
+
+    A step ``(a, b)`` contracts operands ``a`` and ``b``; each step's
+    result takes the next number.  The greedy path sees index axes only
+    and gets no memory limit, so that every step is a pair (under
+    numpy's default limit it may fall back to one step over all
+    remaining factors).
+    """
+    inputs, output = subscripts.split("->")
+    factors = inputs.split(",")
+    letters = [f.replace("*", "") for f in factors]
+    everything = "".join(letters) + output
+    if len(factors) < 2 or any(len(set(f)) != len(f) for f in [*letters, output]) or any(
+        everything.count(c) != 2 for c in everything
+    ):
+        raise ValueError(
+            f"{subscripts!r}: needs two or more factors, each index shared by two "
+            "of them or an output index"
+        )
+    shapes = [np.broadcast_to(0, (dim,) * len(f)) for f in letters]
+    reduced = ",".join(letters) + "->" + output
+    path = np.einsum_path(reduced, *shapes, optimize=("greedy", sys.maxsize))[0][1:]
+    live = list(range(len(factors)))  # einsum_path's operand list
+    steps = []
+    for positions in path:
+        steps.append(tuple(live[k] for k in positions))
+        live = [n for k, n in enumerate(live) if k not in positions] + [len(factors) + len(steps) - 1]
+    x_axes = tuple(tuple(k for k, c in enumerate(f) if c == "*") for f in factors)
+    return tuple(letters), x_axes, output, tuple(steps)
+
+
+def contract(
+    subscripts: str, *operands: tuple[np.ndarray, Fraction], memo: "dict | None" = None
+) -> tuple[np.ndarray, Fraction]:
+    """Exact einsum-style contraction of ``scale * array`` operands.
+
+    ``subscripts`` is an explicit einsum term such as
+    ``"kl,kabc,ldef->abcdef"`` over cubical operands of one dimension, in
+    which every index is shared by two factors (and summed) or is an
+    output index.  A ``*`` in place of a factor's index puts ``x`` into
+    that slot (:func:`polarise`), and the result then starts with a
+    monomial axis of the total degree.  Factors are multiplied pairwise
+    by :func:`polynomial_tensordot` along the greedy ``np.einsum_path``
+    of the index letters, so each step stays ``int64`` or promotes as its
+    bound requires; intermediates are content-reduced.
+
+    Polarised factors and intermediates are kept in ``memo`` under keys
+    naming the operand arrays, their polarised axes and each step's
+    contracted axes, so calls sharing a ``memo`` (which keeps their
+    operands alive) compute equal sub-contractions once.  Returns a
+    C-contiguous ``(array, scale)``.
+    """
+    dim = operands[0][0].shape[0]
+    letters, x_axes, output, steps = _contraction_plan(subscripts, dim)
+    if len(operands) != len(letters):
+        raise ValueError(f"{subscripts!r} takes {len(letters)} operands, got {len(operands)}")
+    memo = {} if memo is None else memo
+    nodes = []  # (array, scale, memo key, index letters, degree)
+    for (arr, scale), names, axes in zip(operands, letters, x_axes):
+        key = f"{id(arr)}:{scale}:{axes}"
+        if key not in memo:
+            memo[key] = (polarise(arr, axes), scale, arr)  # keeps id(arr) taken
+        nodes.append((*memo[key][:2], key, names, len(axes)))
+    for a, b in steps:
+        first, second = sorted((nodes[a], nodes[b]), key=lambda node: node[2])
+        nodes[a] = nodes[b] = None  # free each intermediate once it is used
+        shared = [c for c in first[3] if c in second[3]]
+        axes_a = tuple(first[3].index(c) + 1 for c in shared)
+        axes_b = tuple(second[3].index(c) + 1 for c in shared)
+        key = f"({first[2]}|{axes_a}|{second[2]}|{axes_b})"
+        if key not in memo:
+            arr = polynomial_tensordot(first[0], second[0], axes_a, axes_b, dim, first[4], second[4])
+            memo[key] = normalize_array(arr, first[1] * second[1])
+        names = "".join(c for c in first[3] + second[3] if c not in shared)
+        nodes.append((*memo[key], key, names, first[4] + second[4]))
+    arr, scale, _, names, _ = nodes[-1]
+    arr = arr.transpose([0] + [names.index(c) + 1 for c in output])
+    if "*" not in subscripts:
+        arr = arr[0, ...]
+    return (arr if arr.flags.c_contiguous else arr.copy()), scale

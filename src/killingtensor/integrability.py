@@ -29,28 +29,22 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from ._fastops import (
-    contract,
-    linear_combination,
-    normalize_array,
-    orbit_expand,
-    orbit_sum,
-    staged_symmetrise,
-)
+from ._fastops import alternating_sums, contract, expand_axis, linear_combination
 from ._linalg import determinant
 from ._util import coerce_rng
 from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import IdentityViolation, InvalidArgument, UnsupportedForm
 from .models import ModelSpace
 from .symgroup import GroupAlgebraElement, young_symmetriser
-from .tensor import Tensor, _slot_axes
+from .tensor import Tensor, antisymmetrise_slots, symmetrise_slots
 
 __all__ = [
     "ConditionForm1",
@@ -170,11 +164,7 @@ def _resolve_gbar(gbar: GbarLike, dim: int) -> Tensor:
 # axes, (−1, axes) an unnormalised antisymmetrisation.  The trailing run
 # of operations on mutually disjoint slot groups is the residual's
 # support: the finished residual is (anti)symmetric over exactly those
-# groups, so only its canonical components are computed, by one
-# orbit-sum gather over each term's operand (``_fastops.orbit_sum``).
-# Earlier operations, which overlap a later one, run as staged passes.
-# The canonical vectors of a multi-term operand are added exactly over
-# one common scale, so the summed operand is never formed densely.
+# groups, and only its canonical components are computed (``_polar``).
 # ---------------------------------------------------------------------------
 
 # gbar^{kl} K_{k b1 a2 b2} K_{l d1 c2 d2}: (b1, a2, b2, d1, c2, d2) for R,
@@ -198,9 +188,8 @@ _CUBIC_S_YIN = "mn,pq,mpab,ncde,qfgh->abcdefgh"
 # gbar^{ij} gbar^{kl} gbar^{mn} S_{i k b1 b2} S_{j c2 d1 d2} S_{m f2 e1 e2}
 # S_{n l g1 g2} over (b1, b2, c2, d1, d2, f2, e1, e2, g1, g2), and the
 # variant with the first pair of factors S_{i c2 b1 b2} S_{j d1 k d2}.
-# The factor order of the second term makes the greedy path end, as the
-# first's does, on (b1 .. d2, l) x (l, f2 .. g2): both operands come out
-# C-contiguous and share one orbit table.
+# Both greedy paths build gbar^{kl} gbar^{mn} S_{m f2 e1 e2} S_{n l g1 g2}
+# the same way, so the two terms share that polarised product.
 _QUARTIC_YIN = "pq,rs,tu,prab,qcde,tfgh,usij->abcdefghij"
 _QUARTIC_YANG = "pq,rs,tu,pcab,qdre,usij,tfgh->abcdefghij"
 
@@ -230,9 +219,19 @@ _COND2_FORMS = {
 _COND3_FORM = (_S, (_QUARTIC_YIN, _QUARTIC_YANG), ((1, (1, 0, 3, 6, 7, 8, 9)), (-1, (2, 4, 5))))
 
 
+def _canonical_shape(groups: _Groups, order: int, dim: int) -> list[int]:
+    """Canonical tuples per factor: the symmetric groups' monomials, the
+    antisymmetric groups' increasing tuples, then each free slot in turn."""
+    sym, anti = groups
+    free = order - sum(map(len, sym + anti))
+    sizes = [math.comb(dim + len(g) - 1, len(g)) for g in sym] + [math.comb(dim, len(g)) for g in anti]
+    return sizes + [dim] * free
+
+
 @dataclass(frozen=True)
 class _Residual:
-    """Canonical components of ``scale *`` an (anti)symmetrised residual."""
+    """Canonical components of ``scale *`` an (anti)symmetrised residual,
+    first factor slowest (see :func:`_canonical_shape`)."""
 
     values: np.ndarray
     scale: Fraction
@@ -241,46 +240,117 @@ class _Residual:
     groups: _Groups
 
     def tensor(self) -> Tensor:
+        """The dense residual: ``sign(J) * alpha! * value`` at each index
+        tuple ``J`` of every canonical tuple."""
         if not np.count_nonzero(self.values):
             return Tensor.zeros(self.dim, self.order)
-        arr = orbit_expand(self.values, self.dim, self.order, *self.groups)
+        sym, anti = self.groups
+        slots = [axis for group in sym + anti for axis in group]
+        slots += [axis for axis in range(self.order) if axis not in slots]
+        arr = self.values.reshape(_canonical_shape(self.groups, self.order, self.dim))
+        for k, group in enumerate(sym + anti):
+            arr = expand_axis(arr, k, self.dim, len(group), anti=k >= len(sym))
+        arr = arr.reshape((self.dim,) * self.order).transpose(np.argsort(slots))
         return Tensor._from_ints(arr, self.scale, self.dim)
 
 
-def _run_ops(arr: np.ndarray, scale: Fraction, ops: _Ops) -> _Residual:
-    """Apply ``ops`` to ``scale * arr``, keeping only canonical components."""
-    staged = len(ops)
-    used: set[int] = set()
-    while staged and used.isdisjoint(ops[staged - 1][1]):
-        staged -= 1
-        used.update(ops[staged][1])
-    for sign, axes in ops[:staged]:
-        arr, scale = normalize_array(arr, scale)
-        arr = staged_symmetrise(arr, axes, sign=sign)
-    support = ops[staged:]
-    groups = (
-        tuple(axes for sign, axes in support if sign > 0),
-        tuple(axes for sign, axes in support if sign < 0),
-    )
-    return _Residual(orbit_sum(arr, *groups), scale, arr.shape[0], arr.ndim, groups)
+class _Polar(NamedTuple):
+    """A row compiled to polarised terms (see :func:`_polar`)."""
+
+    terms: tuple[tuple[int, str], ...]  # (coefficient, polarised einsum term)
+    alternate: int  # leading index axes summed at increasing tuples
+    rebuild: "str | None"  # free group rebuilt as "sym" or "anti" slots
+    groups: _Groups
+    order: int
+    longest_anti: int
+
+
+@functools.lru_cache(maxsize=64)
+def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
+    """Compile a row's operator into contractions of polarised factors.
+
+    The final groups G (symmetric) and F (antisymmetric) are read
+    polarised: x goes into every slot of G, and F's slots stay indices,
+    read at increasing tuples.  The coefficient of x^alpha at F's tuple I
+    is the residual's canonical component there (its orbit sum).  At most one
+    earlier operator P may share one slot s with a final group; the
+    other slots of P are then exactly the residual's free slots.
+
+    * P symmetric, s in F (young-a, ks2-hook-yin).  The residual is
+      symmetric in P - {s}, so x goes there too.  With x in all of P but
+      one slot, Sym_P A = (|P| - 1)! sum over t in P of A with the
+      remaining index moved from s to t; the component at a free tuple J
+      is alpha(J)! times the coefficient of the sum's x^alpha(J).
+    * P antisymmetric, s in G (hook-d and the hook checks).  With x at
+      s, Anti_P A is the antisymmetrisation over P - {s} of A minus, for
+      each t in P - {s}, A with slots s and t swapped; those slots are
+      read at increasing tuples and the free components are their signed
+      copies.
+
+    Each substitution is the same term with two output letters swapped,
+    so no operand is symmetrised densely.
+    """
+    order = len(terms[0].split("->")[1])
+    start, used = len(ops), set()
+    while start and used.isdisjoint(ops[start - 1][1]):
+        start -= 1
+        used.update(ops[start][1])
+    final = ops[start:]
+    sym = tuple(tuple(sorted(axes)) for sign, axes in final if sign > 0)
+    anti = tuple(tuple(sorted(axes)) for sign, axes in final if sign < 0)
+    free = [axis for axis in range(order) if axis not in used]
+    polarised, alternate, rebuild = (sym[0] if sym else ()), (anti[0] if anti else ()), None
+    swaps = [(1, 0, 0)]  # (coefficient, s, t): the term with output slots s and t swapped
+    if start:
+        ((sign, axes),) = ops[:start]
+        (s,) = used.intersection(axes)
+        if sorted(set(axes) - {s}) != free or len(sym) + len(anti) != 1 or (sign > 0) != bool(anti):
+            raise ValueError(f"unsupported operator sequence {ops}")
+        if sign > 0:
+            polarised, rebuild = tuple(free), "sym"
+            swaps = [(1, s, t) for t in sorted(axes)]
+        else:
+            alternate, rebuild = tuple(free), "anti"
+            swaps = [(1, s, s)] + [(-1, s, t) for t in free]
+    index = list(alternate) + [a for a in range(order) if a not in polarised + alternate]
+    compiled = []
+    for term in terms:
+        inputs, output = term.split("->")
+        for coefficient, s, t in swaps:
+            out = list(output)
+            out[s], out[t] = out[t], out[s]
+            marked = {out[axis] for axis in polarised}
+            factors = "".join("*" if c in marked else c for c in inputs)
+            compiled.append((coefficient, factors + "->" + "".join(out[a] for a in index)))
+    longest = max((len(axes) for sign, axes in ops if sign < 0), default=0)
+    return _Polar(tuple(compiled), len(alternate), rebuild, (sym, anti), order, longest)
 
 
 def _image(tensor: Tensor) -> _Scaled:
     return tensor._ints, tensor._scale
 
 
-def _contract_term(term: str, gbar: _Scaled, curvature: _Scaled) -> _Scaled:
-    factors = term.split("->")[0].split(",")
-    return contract(term, *(gbar if len(f) == 2 else curvature for f in factors))
-
-
-def _sum_residuals(parts: Sequence[_Residual]) -> _Residual:
-    """Exact sum of residuals with the same support, over one common scale."""
-    if len(parts) == 1:
-        return parts[0]
-    total = linear_combination((p.scale, p.values) for p in parts)
-    values, scale = normalize_array(*total)
-    return replace(parts[0], values=values, scale=scale)
+def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _Residual:
+    """Canonical components of a compiled row on these integer images."""
+    dim = gbar[0].shape[0]
+    if polar.longest_anti > dim:
+        # An antisymmetriser over more slots than the dimension is zero.
+        zero = np.zeros(math.prod(_canonical_shape(polar.groups, polar.order, dim)), dtype=np.int64)
+        return _Residual(zero, Fraction(1), dim, polar.order, polar.groups)
+    parts = []
+    for coefficient, term in polar.terms:
+        factors = term.split("->")[0].split(",")
+        operands = [gbar if len(f) == 2 else curvature for f in factors]
+        arr, scale = contract(term, *operands, memo=memo)
+        # An unpolarised term comes back without its degree-0 monomial axis.
+        parts.append((coefficient * scale, arr if "*" in term else arr[None]))
+    arr, scale = linear_combination(parts)
+    values = alternating_sums(arr, polar.alternate)
+    if polar.rebuild == "sym":
+        values = expand_axis(values, 0, dim, polar.order - polar.alternate, anti=False).T
+    elif polar.rebuild == "anti":
+        values = expand_axis(values, 1, dim, polar.alternate, anti=True)
+    return _Residual(values.reshape(-1), scale, dim, polar.order, polar.groups)
 
 
 def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]:
@@ -293,14 +363,14 @@ def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]
     g = _resolve_gbar(gbar, K.dim)
     g_scaled = _image(g)
     residuals = []
+    memo: dict = {}
     for cls, terms, ops in forms:
         if _OMEGA in terms and determinant(g._ints.tolist()) == 0:
             raise UnsupportedForm(
                 "the wedge-square form requires a non-degenerate gbar "
                 "(it is unavailable on flat models)"
             )
-        parts = [_run_ops(*_contract_term(term, g_scaled, curvature[cls]), ops) for term in terms]
-        residuals.append(_sum_residuals(parts))
+        residuals.append(_residual(_polar(terms, ops), g_scaled, curvature[cls], memo))
     return residuals
 
 
@@ -373,9 +443,8 @@ _IDENTITY_CHECKS = (
     "projector_decomposition",
 )
 
-_PROJECTOR_SUM: GroupAlgebraElement | None = None
 
-
+@functools.cache
 def _projector_sum() -> GroupAlgebraElement:
     """The two-projector resolution of (antisymmetriser x symmetriser).
 
@@ -385,12 +454,9 @@ def _projector_sum() -> GroupAlgebraElement:
     (b2, b1, d1) and column (b2, c2, d2, a2), and ``t2`` the one with
     row (c2, b2, b1, d1) and column (c2, d2, a2).
     """
-    global _PROJECTOR_SUM
-    if _PROJECTOR_SUM is None:
-        t1 = young_symmetriser([[3, 2, 5], [4], [6], [1]])
-        t2 = young_symmetriser([[4, 3, 2, 5], [6], [1]])
-        _PROJECTOR_SUM = t1.multiply(t1.adjoint()) + t2.adjoint().multiply(t2)
-    return _PROJECTOR_SUM
+    t1 = young_symmetriser([[3, 2, 5], [4], [6], [1]])
+    t2 = young_symmetriser([[4, 3, 2, 5], [6], [1]])
+    return t1.multiply(t1.adjoint()) + t2.adjoint().multiply(t2)
 
 
 def verify_identity_suite(
@@ -437,10 +503,11 @@ def verify_identity_suite(
     )
     require("symmetrised_bianchi", not np.count_nonzero(bianchi))
 
-    # Each operand is passed straight on, so it is freed before the next.
+    # The hook checks share their polarised factors and common sub-products.
     g_scaled = _image(g)
+    memo: dict = {}
     for name, term, ops in _HOOK_CHECKS:
-        residual = _run_ops(*_contract_term(term, g_scaled, s_scaled), ops)
+        residual = _residual(_polar((term,), ops), g_scaled, s_scaled, memo)
         require(name, not np.count_nonzero(residual.values))
 
     # Projector decomposition on u (x) x (x) x (x) v (x) x (x) w with the
@@ -453,17 +520,10 @@ def verify_identity_suite(
     outer = functools.reduce(
         np.multiply.outer, [vecs["u"], vecs["x"], vecs["x"], vecs["v"], vecs["x"], vecs["w"]]
     )
-    t = staged_symmetrise(outer, (0, 3, 5), sign=-1)
-    lhs = staged_symmetrise(staged_symmetrise(t, (1, 2, 4)), (0, 3, 5), sign=-1)
-    # 288 * lhs minus the projector sum applied to t, over one scale.
-    difference, _ = linear_combination(
-        [(288, lhs)]
-        + [
-            (-coeff, t.transpose(_slot_axes(perm.images)))
-            for perm, coeff in _projector_sum().terms.items()
-        ]
-    )
-    require("projector_decomposition", not np.count_nonzero(difference))
+    # The literal 3!-term sums over 1-based slots (a2, c2, d2) and (b1, b2, d1).
+    t = antisymmetrise_slots(Tensor._from_ints(outer, Fraction(1), dim), (1, 4, 6))
+    lhs = antisymmetrise_slots(symmetrise_slots(t, (2, 3, 5)), (1, 4, 6))
+    require("projector_decomposition", (288 * lhs - _projector_sum().apply(t)).is_zero())
 
     return _IDENTITY_CHECKS
 

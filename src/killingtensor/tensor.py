@@ -136,6 +136,11 @@ def _fraction_view(ints: np.ndarray, scale: Fraction) -> np.ndarray:
     return out
 
 
+def _negated(ints: np.ndarray) -> np.ndarray:
+    # numpy arithmetic on 0-d arrays gives scalars; keep an array of one dtype.
+    return np.asarray(-ints, dtype=ints.dtype)
+
+
 class Tensor:
     """Immutable dense tensor with exact rational entries.
 
@@ -172,8 +177,13 @@ class Tensor:
     def _from_ints(cls, ints: np.ndarray, scale: Fraction, dim: int) -> "Tensor":
         """The tensor ``scale * ints`` for an integer array of either dtype
         (cubical, of dimension ``dim``) and a positive rational scale."""
+        return cls._canonical(*normalize_array(ints, scale), dim)
+
+    @classmethod
+    def _canonical(cls, ints: np.ndarray, scale: Fraction, dim: int) -> "Tensor":
+        """The tensor whose integer image is already ``(ints, scale)``."""
         tensor = cls.__new__(cls)
-        tensor._store(*normalize_array(ints, scale), dim)
+        tensor._store(ints, scale, dim)
         return tensor
 
     # -- constructors -------------------------------------------------
@@ -184,7 +194,7 @@ class Tensor:
         if order < 0:
             raise InvalidArgument(f"order must be non-negative, got {order}")
         size = _cubical_dim((dim,) * order, dim)
-        return cls._from_ints(np.zeros((size,) * order, dtype=np.int64), _ONE, size)
+        return cls._canonical(np.zeros((size,) * order, dtype=np.int64), _ONE, size)
 
     @classmethod
     def from_entries(
@@ -322,8 +332,10 @@ class Tensor:
             return NotImplemented
         return self._combined(-1, other)
 
+    # Negation, positive multiples and slot permutations keep the image
+    # canonical: the gcd, the magnitudes and the zero pattern are unchanged.
     def __neg__(self) -> "Tensor":
-        return Tensor._from_ints(-self._ints, self._scale, self._dim)
+        return Tensor._canonical(_negated(self._ints), self._scale, self._dim)
 
     def __mul__(self, scalar: ScalarLike) -> "Tensor":
         if isinstance(scalar, Tensor):
@@ -331,8 +343,10 @@ class Tensor:
         c = as_scalar(scalar)
         if c == 0:
             return Tensor.zeros(self._dim, self._order)
-        ints = self._ints if c > 0 else -self._ints
-        return Tensor._from_ints(ints, self._scale * abs(c), self._dim)
+        if not self._ints.any():
+            return self  # the zero tensor keeps the scale 1
+        ints = self._ints if c > 0 else _negated(self._ints)
+        return Tensor._canonical(ints, self._scale * abs(c), self._dim)
 
     __rmul__ = __mul__
 
@@ -415,7 +429,7 @@ def permute_slots(tensor: Tensor, perm: object) -> Tensor:
     images = _images_of(perm, tensor.order)
     if tensor.order == 0:
         return tensor
-    return Tensor._from_ints(tensor._ints.transpose(_slot_axes(images)), tensor._scale, tensor.dim)
+    return Tensor._canonical(tensor._ints.transpose(_slot_axes(images)), tensor._scale, tensor.dim)
 
 
 def _check_slot(tensor: Tensor, slot: int, name: str) -> int:

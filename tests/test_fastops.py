@@ -1,14 +1,17 @@
-"""Exact contraction and orbit sums against direct computations.
+"""Exact contraction and canonical components against direct computations.
 
 ``contract`` evaluates an einsum term pairwise through the int64 /
 Python-int guards; it is compared with ``np.einsum`` on Python-int
-object arrays, with magnitudes on both sides of the 2^62 guard.
-``orbit_sum`` returns the signed orbit sum of an integer array at each
-canonical index tuple; ``orbit_expand`` rebuilds the dense
-(anti)symmetrised array from those sums.  Both are compared here with
-composing ``symmetrise_slots`` and ``antisymmetrise_slots`` on Fraction
-tensors, including int64 entries close to 2^62, where the two-limb sums
-must fall back to Python integers.
+object arrays, with magnitudes on both sides of the 2^62 guard, and its
+polarised terms with a dense einsum whose x-slots are summed per
+monomial.  ``polarise`` and ``alternating_sums`` give the canonical
+components of an array over one symmetric and one antisymmetric slot
+group; a residual rebuilds the dense (anti)symmetrised array from
+them.  Both are compared here with composing ``symmetrise_slots`` and
+``antisymmetrise_slots`` on Fraction tensors, including int64 entries
+close to 2^62, where the sums must fall back to Python integers.
+``polynomial_tensordot`` is compared with Python-int polynomial
+multiplication.
 """
 
 from __future__ import annotations
@@ -22,15 +25,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingtensor import Tensor, antisymmetrise_slots, symmetrise_slots
+from killingtensor import Tensor, antisymmetrise_slots, integrability, symmetrise_slots
 from killingtensor._fastops import (
+    alternating_sums,
     contract,
     guarded_tensordot,
     linear_combination,
     normalize_array,
-    orbit_expand,
-    orbit_sum,
-    staged_symmetrise,
+    polarise,
+    polynomial_tensordot,
 )
 
 NEAR_SAFE = 1 << 62
@@ -48,7 +51,7 @@ def fraction_route(entries: list[int], dim: int, order: int, sym, anti) -> np.nd
 
 
 def canonical_tuples(dim: int, order: int, sym, anti):
-    """Canonical tuples in the order of ``orbit_sum``'s result, with weights.
+    """Canonical tuples in the order of the canonical components, with weights.
 
     The factors are the symmetric groups, the antisymmetric groups and
     then the free axes; each runs through its canonical values in
@@ -78,22 +81,32 @@ def canonical_tuples(dim: int, order: int, sym, anti):
 
 @st.composite
 def layouts(draw):
-    """Dimension, order and disjoint sym/anti groups; other axes stay free."""
+    """Dimension, order and at most one symmetric and one antisymmetric
+    group, disjoint; other axes stay free."""
     dim = draw(st.integers(2, 3))
     order = draw(st.integers(2, 5))
     axes = draw(st.permutations(range(order)))
-    sym, anti = [], []
-    start = 0
-    while start < order:
-        size = draw(st.integers(1, order - start))
-        group = tuple(axes[start:start + size])
-        start += size
-        kind = draw(st.sampled_from(["sym", "anti", "free"]))
-        if kind == "sym":
-            sym.append(group)
-        elif kind == "anti":
-            anti.append(group)
-    return dim, order, tuple(sym), tuple(anti)
+    cut = sorted(draw(st.lists(st.integers(0, order), min_size=2, max_size=2)))
+    sym = (tuple(axes[: cut[0]]),) if cut[0] else ()
+    anti = (tuple(axes[cut[0]: cut[1]]),) if cut[1] > cut[0] else ()
+    return dim, order, sym, anti
+
+
+def residual_tensor(values: np.ndarray, dim: int, order: int, sym, anti) -> np.ndarray:
+    """The dense array a residual rebuilds from these canonical components."""
+    groups = (tuple(tuple(sorted(g)) for g in sym), tuple(tuple(sorted(g)) for g in anti))
+    return integrability._Residual(values, Fraction(1), dim, order, groups).tensor().array
+
+
+def canonical_components(arr: np.ndarray, sym, anti) -> np.ndarray:
+    """x in the symmetric group's slots, then the antisymmetric group read
+    at increasing tuples, then the free axes: one vector."""
+    sym_axes = sym[0] if sym else ()
+    anti_axes = sorted(anti[0]) if anti else []
+    rest = [axis for axis in range(arr.ndim) if axis not in sym_axes]
+    free = [axis for axis in rest if axis not in anti_axes]
+    poly = polarise(arr, sym_axes).transpose([0] + [1 + rest.index(a) for a in anti_axes + free])
+    return alternating_sums(poly, len(anti_axes)).reshape(-1)
 
 
 small = st.integers(-9, 9)
@@ -114,21 +127,21 @@ def other_layouts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def check_against_fraction_route(entries: list[int], arr: np.ndarray, layout) -> np.ndarray:
     dim, order, sym, anti = layout
     expected = fraction_route(entries, dim, order, sym, anti)
-    values = orbit_sum(arr, sym, anti)
+    values = canonical_components(arr, sym, anti)
     canon = list(canonical_tuples(dim, order, sym, anti))
     assert len(values) == len(canon)
     for value, (index, weight) in zip(values.tolist(), canon):
         assert weight * value == expected[index]
     for view in other_layouts(arr):
-        assert orbit_sum(view, sym, anti).tolist() == values.tolist()
-    dense = orbit_expand(values, dim, order, sym, anti)
+        assert canonical_components(view, sym, anti).tolist() == values.tolist()
+    dense = residual_tensor(values, dim, order, sym, anti)
     assert dense.shape == (dim,) * order
     assert dense.ravel().tolist() == expected.ravel().tolist()
     assert np.count_nonzero(values) == sum(1 for index, _ in canon if expected[index] != 0)
     return values
 
 
-class TestOrbitSum:
+class TestCanonicalComponents:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), layout=layouts())
     def test_int64_input_matches_fraction_route(self, data, layout):
@@ -147,10 +160,10 @@ class TestOrbitSum:
         values = check_against_fraction_route(entries, arr, layout)
         assert values.dtype == object
 
-    def test_high_limb_sums_take_the_python_int_combine(self):
-        # Every entry is within 2^20 of 2^62, so one orbit's high-limb sum
-        # passes 2^29 and its total passes 2^62.
-        layout = (3, 4, ((0, 1), (2, 3)), ())
+    def test_sums_past_the_guard_take_python_ints(self):
+        # Every entry is within 2^20 of 2^62, so the sum of the two entries
+        # of each mixed monomial passes it.
+        layout = (3, 4, ((0, 1),), ())
         rng = np.random.default_rng(5)
         entries = [int(v) for v in NEAR_SAFE - 1 - rng.integers(0, 1 << 20, size=81)]
         values = check_against_fraction_route(
@@ -167,7 +180,7 @@ class TestOrbitSum:
         )
         assert values.dtype == np.int64
 
-    @pytest.mark.parametrize("sym", [((0, 1, 2, 3),), ((0, 2), (1, 3)), ((1, 2, 3),)])
+    @pytest.mark.parametrize("sym", [((0, 1, 2, 3),), ((0, 2),), ((1, 2, 3),)])
     def test_pure_symmetric_groups(self, sym):
         rng = np.random.default_rng(7)
         entries = [int(v) for v in rng.integers(-9, 10, size=81)]
@@ -179,20 +192,11 @@ class TestOrbitSum:
         # The four-slot antisymmetriser of main1 / young-a at N = 3.
         arr = np.arange(3**6, dtype=np.int64).reshape((3,) * 6)
         for sym, anti in [((), ((0, 2, 3, 5),)), (((1, 4),), ((0, 2, 3, 5),))]:
-            values = orbit_sum(arr, sym, anti)
+            values = canonical_components(arr, sym, anti)
             assert values.size == 0
-            assert not np.count_nonzero(values)
-            dense = orbit_expand(values, 3, 6, sym, anti)
+            dense = residual_tensor(values, 3, 6, sym, anti)
             assert dense.shape == (3,) * 6 and not dense.any()
-        as_objects = orbit_sum(arr.astype(object), (), ((0, 2, 3, 5),))
-        assert as_objects.size == 0
-
-    def test_rejects_overlapping_groups(self):
-        arr = np.zeros((2,) * 4, dtype=np.int64)
-        with pytest.raises(ValueError, match="partition"):
-            orbit_sum(arr, ((0, 1),), ((1, 2),))
-        with pytest.raises(ValueError, match="partition"):
-            orbit_sum(arr, ((0, 4),))
+        assert canonical_components(arr.astype(object), (), ((0, 2, 3, 5),)).size == 0
 
 
 @st.composite
@@ -343,26 +347,6 @@ class TestGuardedTensordot:
             assert (result.dtype == object) == (bound >= NEAR_SAFE)
 
 
-class TestStagedSymmetrise:
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), sign=st.sampled_from([1, -1]), dim=st.integers(2, 3))
-    def test_matches_the_literal_sum(self, data, sign, dim):
-        arr = data.draw(integer_arrays((dim,) * 4))
-        axes = data.draw(st.permutations(range(4)))[: data.draw(st.integers(2, 4))]
-        result = staged_symmetrise(arr, axes, sign=sign)
-        objects = python_ints(arr)
-        expected = np.zeros(arr.shape, dtype=object)
-        for arrangement in itertools.permutations(range(len(axes))):
-            order = list(range(4))
-            for position, source in zip(axes, arrangement):
-                order[position] = axes[source]
-            parity = sum(x > y for x, y in itertools.combinations(arrangement, 2)) % 2
-            expected = expected + (-1 if sign < 0 and parity else 1) * objects.transpose(order)
-        assert result.tolist() == expected.tolist()
-        if result.dtype != object:
-            assert int(np.max(np.abs(python_ints(result)))) < NEAR_SAFE
-
-
 class TestNormalizeArray:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -426,3 +410,136 @@ class TestLinearCombination:
     def test_all_zero_coefficients(self):
         arr, scale = linear_combination([(0, np.ones((2, 2), dtype=np.int64))])
         assert scale == 1 and not arr.any()
+
+
+def monomials(dim: int, degree: int) -> list[tuple[int, ...]]:
+    return list(itertools.combinations_with_replacement(range(dim), degree))
+
+
+def python_polynomial_product(a, b, axes_a, axes_b, dim, degree_a, degree_b):
+    """Coefficient arrays multiplied as polynomials, one monomial pair at a
+    time, in Python ints; also the most pairs that meet in one monomial."""
+    position = {m: k for k, m in enumerate(monomials(dim, degree_a + degree_b))}
+    blocks: dict[int, np.ndarray] = {}
+    meetings: dict[int, int] = {}
+    for i, alpha in enumerate(monomials(dim, degree_a)):
+        for j, beta in enumerate(monomials(dim, degree_b)):
+            part = np.tensordot(
+                python_ints(a[i]), python_ints(b[j]), axes=([k - 1 for k in axes_a], [k - 1 for k in axes_b])
+            )
+            gamma = position[tuple(sorted(alpha + beta))]
+            blocks[gamma] = blocks.get(gamma, 0) + part
+            meetings[gamma] = meetings.get(gamma, 0) + 1
+    return np.array([blocks[k] for k in range(len(position))], dtype=object), max(meetings.values())
+
+
+def polarised_reference(term: str, arrays: list[np.ndarray]) -> np.ndarray:
+    """A polarised term by definition: the dense einsum with a fresh output
+    index in each x-slot, then each x-index tuple added to its monomial."""
+    inputs, output = term.split("->")
+    fresh = iter("ABCDEFGHIJ")
+    xs = []
+    spelled = "".join(xs.append(next(fresh)) or xs[-1] if c == "*" else c for c in inputs)
+    dense = np.einsum(spelled + "->" + "".join(xs) + output, *[python_ints(a) for a in arrays])
+    dense = np.array(dense, dtype=object)  # a full contraction gives a scalar
+    dim = arrays[0].shape[0]
+    table = monomials(dim, len(xs))
+    out = np.zeros((len(table),) + (dim,) * len(output), dtype=object)
+    for index in itertools.product(range(dim), repeat=len(xs)):
+        out[table.index(tuple(sorted(index)))] += dense[index]
+    return out
+
+
+class TestPolynomialProduct:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 3),
+        degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        ranks=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    )
+    def test_matches_python_int_multiplication(self, data, dim, degrees, ranks):
+        # Coefficients on both sides of 2^62, so products pass 2^63.
+        a = data.draw(integer_arrays((len(monomials(dim, degrees[0])),) + (dim,) * ranks[0]))
+        b = data.draw(integer_arrays((len(monomials(dim, degrees[1])),) + (dim,) * ranks[1]))
+        contracted = data.draw(st.integers(0, min(ranks)))
+        axes_a = data.draw(st.permutations(range(1, ranks[0] + 1)))[:contracted]
+        axes_b = data.draw(st.permutations(range(1, ranks[1] + 1)))[:contracted]
+        result = polynomial_tensordot(a, b, axes_a, axes_b, dim, *degrees)
+        expected, pairs = python_polynomial_product(a, b, axes_a, axes_b, dim, *degrees)
+        assert result.shape == expected.shape
+        assert result.tolist() == expected.tolist()
+        if a.dtype != object and b.dtype != object:
+            biggest = int(np.max(np.abs(python_ints(a)))) * int(np.max(np.abs(python_ints(b))))
+            bound = (pairs if all(degrees) else 1) * dim**contracted * biggest
+            assert (result.dtype == object) == (bound >= NEAR_SAFE)
+
+    @pytest.mark.parametrize("value", [NEAR_SAFE - 1, NEAR_SAFE, (1 << 31) + 1, 3 << 60])
+    def test_products_past_int64(self, value):
+        # x^2 from two degree-1 factors: two pairs meet in each mixed monomial.
+        a = np.full((3, 3), value, dtype=np.int64)
+        result = polynomial_tensordot(a, a, (1,), (1,), 3, 1, 1)
+        expected, _ = python_polynomial_product(a, a, (1,), (1,), 3, 1, 1)
+        assert result.dtype == object and result.tolist() == expected.tolist()
+        assert max(abs(v) for v in result.ravel().tolist()) >= 1 << 63
+
+    def test_pairs_per_monomial_count_in_the_guard(self):
+        # x0^2 x1^2 is met by three pairs of quadratic monomials.  Each
+        # product is below 2^62, the sum of three passes 2^63.
+        a = np.full((3, 1), (1 << 31) - 1, dtype=np.int64)
+        result = polynomial_tensordot(a, a, (), (), 2, 2, 2)
+        expected, pairs = python_polynomial_product(a, a, (), (), 2, 2, 2)
+        assert pairs == 3 and result.dtype == object
+        assert result.tolist() == expected.tolist()
+        assert max(abs(v) for v in result.ravel().tolist()) >= 1 << 63
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), term=connected_terms(), dim=st.integers(2, 3))
+    def test_polarised_terms_match_the_dense_route(self, data, term, dim):
+        inputs, output = term.split("->")
+        marked = set(data.draw(st.lists(st.sampled_from(output), max_size=3))) if output else set()
+        term = "".join("*" if c in marked else c for c in inputs) + "->" + "".join(
+            c for c in output if c not in marked
+        )
+        operands = []
+        for factor in inputs.split(","):
+            bits = data.draw(st.sampled_from([3, 20, 31, 62]))
+            entries = data.draw(
+                st.lists(st.integers(-(1 << bits), 1 << bits), min_size=dim ** len(factor), max_size=dim ** len(factor))
+            )
+            dtype = data.draw(st.sampled_from([np.int64, object])) if bits < 62 else object
+            arr = np.array(entries, dtype=dtype).reshape((dim,) * len(factor))
+            operands.append((arr, Fraction(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))))
+        arr, scale = contract(term, *operands)
+        expected = polarised_reference(term, [a for a, _ in operands])
+        if not marked:
+            expected = expected[0, ...]
+        total = math.prod(s for _, s in operands)
+        assert arr.shape == expected.shape and arr.flags.c_contiguous
+        assert [scale * v for v in arr.ravel().tolist()] == [total * v for v in expected.ravel().tolist()]
+
+    def test_a_chain_that_promotes_midway(self):
+        # The int64 pair product stays below the guard; the product with the
+        # third factor, two pairs per mixed monomial, cannot.
+        rng = np.random.default_rng(13)
+        b, c = (rng.integers(1 << 29, 1 << 30, size=(3, 3)) for _ in range(2))
+        a = rng.integers(1 << 4, 1 << 5, size=(3, 3, 3))
+        term = "ab*,bc,c*->a"
+        memo: dict = {}
+        arr, scale = contract(term, (a, Fraction(1)), (b, Fraction(1)), (c, Fraction(1)), memo=memo)
+        steps = [value[0] for key, value in memo.items() if key.startswith("(")]
+        assert [step.dtype for step in steps] == [np.int64, object]
+        expected = polarised_reference(term, [a, b, c])
+        assert [scale * v for v in arr.ravel().tolist()] == expected.ravel().tolist()
+
+    def test_a_memo_shares_equal_sub_contractions(self):
+        rng = np.random.default_rng(14)
+        s = (rng.integers(-9, 10, size=(3,) * 4), Fraction(1))
+        g = (rng.integers(-9, 10, size=(3, 3)), Fraction(1, 2))
+        memo: dict = {}
+        first = contract("pq,p*ab,q*cd->abcd", g, s, s, memo=memo)
+        size = len(memo)
+        # The same product with other letters and factor order adds nothing.
+        second = contract("x*ef,xy,y*gh->efgh", s, g, s, memo=memo)
+        assert len(memo) == size
+        assert second[1] == first[1] and second[0].tolist() == first[0].tolist()

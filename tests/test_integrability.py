@@ -31,6 +31,7 @@ from killingtensor import (
     verify_identity_suite,
 )
 from killingtensor import curvature
+from killingtensor import integrability as integrability_module
 from killingtensor._linalg import determinant
 
 FORM1_ALL = list(ConditionForm1)
@@ -128,6 +129,29 @@ class TestResidualStructure:
         R = random_curvature(5, random.Random(70), bound=BOUND)
         check(R, sphere(5), "young-a", "ks2-hook-yin")
         assert calls == [R]
+
+    def test_no_contraction_when_an_antisymmetriser_outgrows_the_dimension(self, monkeypatch):
+        # At N = 3 every four-slot antisymmetriser vanishes: main1, main2,
+        # the ks2-* forms and, of the first-condition forms, all but split-b.
+        calls = []
+        engine = integrability_module.contract
+        monkeypatch.setattr(
+            integrability_module, "contract", lambda *a, **k: calls.append(a[0]) or engine(*a, **k)
+        )
+        R = random_curvature(3, random.Random(71), bound=BOUND)
+        model = sphere(3)
+        for form2 in FORM2_ALL:
+            report = check(R, model, ConditionForm1.MAIN1, form2)
+            assert report.integrable and report.cond1_support == report.cond2_support == 0
+            residual = condition2_residual(R, model, form2)
+            assert residual.order == 8 and residual.dim == 3 and residual.is_zero()
+        for form1 in FORM1_ALL:
+            if form1 is not ConditionForm1.SPLIT_B:
+                residual = condition1_residual(R, model, form1)
+                assert residual.order == 6 and residual.dim == 3 and residual.is_zero()
+        assert calls == []
+        check(R, model, ConditionForm1.SPLIT_B)
+        assert calls
 
     def test_omega_form_needs_nondegenerate_gbar(self):
         K = random_s(4, 5)

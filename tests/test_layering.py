@@ -3,8 +3,9 @@
 The algebraic conditions (``integrability``) and the pointwise oracle
 (``oracle``) are two independent routes to one verdict, so the oracle
 must not reach the integrability engine, directly or through the
-contraction and orbit-sum helpers.  ``_fastops`` sits below ``tensor``,
-which imports its guards, so it must not import ``tensor`` back.
+contraction, polarisation and canonical-component helpers, old or new.
+``_fastops`` sits below ``tensor``, which imports its guards, so it must
+not import ``tensor`` back.
 """
 
 from __future__ import annotations
@@ -55,7 +56,17 @@ def test_oracle_imports_nothing_from_integrability():
 
 def test_oracle_uses_no_contraction_engine():
     imported = set().union(*imports_of("oracle").values())
-    for name in ("contract", "orbit_sum", "staged_symmetrise"):
+    engine = (
+        "contract",
+        "orbit_sum",
+        "staged_symmetrise",
+        "polarise",
+        "polynomial_tensordot",
+        "alternating_sums",
+        "expand_axis",
+        "orbit_expand",
+    )
+    for name in engine:
         assert name not in imported
         assert name not in names_used("oracle")
 

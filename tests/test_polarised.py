@@ -1,0 +1,283 @@
+"""The polarised residual engine against a dense route that lives only here.
+
+Every row the library evaluates (the nine condition forms behind the 18
+form pairs, the third condition and the five hook checks) is computed
+here by definition:
+
+* ``np.einsum`` of each term over Python-int object arrays;
+* the literal signed sum over every arrangement of the slots of an
+  operator that overlaps a later one;
+* each entry of the result added, with the sign of its sorting
+  rearrangement, to the canonical component of its orbit under the
+  final disjoint groups (or, for a dense residual, the literal
+  (anti)symmetrisation over those groups).
+
+The engine's canonical vectors must equal these component by component,
+at N = 3 and 4, on the sphere, Lorentzian-sphere and flat models, on
+random curvature inputs and on unstructured operands (a non-symmetric
+4-tensor and contraction tensor with entries up to 2^40, so that the
+int64 guards promote).
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from conftest import flat, sphere
+from killingtensor import (
+    MetricSignature,
+    ModelKind,
+    ModelSpace,
+    check,
+    condition1_residual,
+    condition2_residual,
+    condition3_residual,
+    r_to_s,
+    random_curvature,
+)
+from killingtensor import integrability
+
+FORMS1 = {form.value: row for form, row in integrability._COND1_FORMS.items()}
+FORMS2 = {form.value: row for form, row in integrability._COND2_FORMS.items()}
+ROWS = {
+    **{name: (terms, ops) for name, (_, terms, ops) in {**FORMS1, **FORMS2}.items()},
+    "cond3": integrability._COND3_FORM[1:],
+    **{name: ((term,), ops) for name, term, ops in integrability._HOOK_CHECKS},
+}
+QUARTIC = {"cond3", "hook_8_1_1_on_quartic_yin", "hook_8_1_1_on_quartic_yang"}
+
+
+def models(dim: int) -> dict[str, ModelSpace]:
+    lorentz = ModelSpace(ModelKind.SPHERE, MetricSignature(dim - 1, 1))
+    return {"sphere": sphere(dim), "lorentz": lorentz, "flat": flat(dim)}
+
+
+def split_ops(ops):
+    """The earlier operators, and the trailing run of disjoint groups."""
+    start, used = len(ops), set()
+    while start and used.isdisjoint(ops[start - 1][1]):
+        start -= 1
+        used.update(ops[start][1])
+    return ops[:start], ops[start:]
+
+
+def arrangement_sum(arr: np.ndarray, axes, sign: int) -> np.ndarray:
+    """Literal signed sum of ``arr`` over every arrangement of ``axes``."""
+    total = np.zeros(arr.shape, dtype=object)
+    for arrangement in itertools.permutations(range(len(axes))):
+        order = list(range(arr.ndim))
+        for position, source in zip(axes, arrangement):
+            order[position] = axes[source]
+        odd = sum(i > j for i, j in itertools.combinations(arrangement, 2)) % 2
+        total = total + (-1 if sign < 0 and odd else 1) * arr.transpose(order)
+    return total
+
+
+def dense_operand(terms, ops, gbar, curvature):
+    """The operand with its earlier operators applied, as Python ints, and its scale."""
+    (g, g_scale), (k, k_scale) = gbar, curvature
+    total, scales = 0, set()
+    for term in terms:
+        factors = term.split("->")[0].split(",")
+        twos = sum(len(f) == 2 for f in factors)
+        scales.add(g_scale**twos * k_scale ** (len(factors) - twos))
+        arrays = [(g if len(f) == 2 else k).astype(object) for f in factors]
+        total = total + np.einsum(term, *arrays, optimize="greedy")
+    for sign, axes in split_ops(ops)[0]:
+        total = arrangement_sum(total, axes, sign)
+    (scale,) = scales
+    return total, scale
+
+
+def orbit_components(arr: np.ndarray, ops) -> list:
+    """Signed orbit sums at the canonical tuples of the final groups.
+
+    Canonical tuples run through the symmetric group's sorted tuples, the
+    antisymmetric group's increasing tuples and the free axes, each in
+    lexicographic order, the first slowest; a tuple with a repeated
+    antisymmetric index lies in no orbit.
+    """
+    dim, order = arr.shape[0], arr.ndim
+    final = split_ops(ops)[1]
+    sym = [sorted(axes) for sign, axes in final if sign > 0]
+    anti = [sorted(axes) for sign, axes in final if sign < 0]
+    assert len(sym) <= 1 and len(anti) <= 1
+    free = [axis for axis in range(order) if axis not in sum(sym + anti, [])]
+    digits = np.indices((dim,) * order, dtype=np.int64).reshape(order, -1).T
+    index = np.zeros(len(digits), dtype=np.int64)
+    sign = np.ones(len(digits), dtype=np.int64)
+    count = 1
+    for group, kind in [(g, "sym") for g in sym] + [(g, "anti") for g in anti]:
+        part = digits[:, group]
+        ordered = np.sort(part, axis=1)
+        if kind == "anti":
+            sign[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)] = 0
+            for i, j in itertools.combinations(range(len(group)), 2):
+                sign[part[:, i] > part[:, j]] *= -1
+            tuples = list(itertools.combinations(range(dim), len(group)))
+        else:
+            tuples = list(itertools.combinations_with_replacement(range(dim), len(group)))
+        # Equal-length digit tuples sort lexicographically as base-dim codes.
+        powers = dim ** np.arange(len(group) - 1, -1, -1)
+        codes = np.array(tuples, dtype=np.int64).reshape(len(tuples), len(group)) @ powers
+        index = index * len(tuples) + np.searchsorted(codes, ordered @ powers)
+        count *= len(tuples)
+    for axis in free:
+        index = index * dim + digits[:, axis]
+        count *= dim
+    if not count:
+        return []
+    keep = sign != 0
+    index, terms = index[keep], arr.ravel()[keep] * sign[keep]
+    order_ = np.argsort(index, kind="stable")
+    index, terms = index[order_], terms[order_]
+    starts = np.flatnonzero(np.concatenate(([True], index[1:] != index[:-1])))
+    assert len(starts) == count  # every canonical tuple lies in its own orbit
+    return np.add.reduceat(terms, starts).tolist()
+
+
+def engine_components(name: str, gbar, curvature) -> list:
+    terms, ops = ROWS[name]
+    residual = integrability._residual(integrability._polar(terms, ops), gbar, curvature, {})
+    return [residual.scale * v for v in residual.values.tolist()]
+
+
+def reference_components(name: str, gbar, curvature) -> list:
+    terms, ops = ROWS[name]
+    arr, scale = dense_operand(terms, ops, gbar, curvature)
+    return [scale * v for v in orbit_components(arr, ops)]
+
+
+def curvature_image(K, cls):
+    tensor = integrability._as_class(K, cls).tensor
+    return tensor._ints, tensor._scale
+
+
+def unstructured(dim: int, seed: int):
+    """A non-symmetric 4-tensor and contraction tensor; entries up to 2^40."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(-(1 << 40), (1 << 40) + 1, size=(dim,) * 4)
+    g = rng.integers(-3, 4, size=(dim, dim))
+    return (g, Fraction(2)), (k, Fraction(1, 3))
+
+
+def rows_at(dim: int):
+    return [name for name in ROWS if dim == 3 or name not in QUARTIC]
+
+
+class TestCanonicalVectors:
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("model_name", ["sphere", "lorentz", "flat"])
+    def test_curvature_inputs(self, dim, model_name):
+        model = models(dim)[model_name]
+        K = random_curvature(dim, random.Random(dim * 7 + len(model_name)), bound=3)
+        g = model.gbar()
+        gbar = (g._ints, g._scale)
+        classes = {name: row[0] for name, row in {**FORMS1, **FORMS2}.items()}
+        for name in rows_at(dim):
+            curvature = curvature_image(K, classes.get(name, integrability._S))
+            assert engine_components(name, gbar, curvature) == reference_components(
+                name, gbar, curvature
+            ), name
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_unstructured_operands(self, dim):
+        gbar, curvature = unstructured(dim, seed=dim)
+        for name in rows_at(dim):
+            assert engine_components(name, gbar, curvature) == reference_components(
+                name, gbar, curvature
+            ), name
+
+    @pytest.mark.parametrize("name", sorted(QUARTIC))
+    def test_quartic_rows_at_dimension_four(self, name):
+        gbar, curvature = unstructured(4, seed=11)
+        assert engine_components(name, gbar, curvature) == reference_components(
+            name, gbar, curvature
+        )
+
+    def test_third_condition_on_a_valid_input_at_dimension_four(self):
+        S = r_to_s(random_curvature(4, random.Random(5), bound=3)).tensor
+        g = sphere(4).gbar()
+        gbar, curvature = (g._ints, g._scale), (S._ints, S._scale)
+        values = engine_components("cond3", gbar, curvature)
+        assert any(values)
+        assert values == reference_components("cond3", gbar, curvature)
+
+
+class TestFormPairs:
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("model_name", ["sphere", "lorentz", "flat"])
+    def test_all_18_pairs_report_the_reference_supports(self, dim, model_name):
+        model = models(dim)[model_name]
+        K = random_curvature(dim, random.Random(100 + dim), bound=3)
+        g = model.gbar()
+        gbar = (g._ints, g._scale)
+        support = {}
+        for name, (cls, terms, ops) in {**FORMS1, **FORMS2}.items():
+            if name == "omega" and model_name == "flat":
+                continue
+            values = reference_components(name, gbar, curvature_image(K, cls))
+            support[name] = sum(1 for v in values if v)
+        for f1 in FORMS1:
+            for f2 in FORMS2:
+                if f1 == "omega" and model_name == "flat":
+                    continue
+                report = check(K, model, f1, f2)
+                assert (report.cond1_support, report.cond2_support) == (support[f1], support[f2])
+                assert report.integrable == (support[f1] == support[f2] == 0)
+
+
+class TestDenseResiduals:
+    """The rebuilt residual tensors against the literal (anti)symmetrisation."""
+
+    @staticmethod
+    def literal_residual(row, K, model):
+        cls, terms, ops = row
+        g = model.gbar()
+        arr, scale = dense_operand(terms, ops, (g._ints, g._scale), curvature_image(K, cls))
+        for sign, axes in split_ops(ops)[1]:
+            arr = arrangement_sum(arr, axes, sign)
+        return [scale * v for v in arr.ravel().tolist()]
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_condition_residual_tensors(self, dim):
+        model = models(dim)["lorentz"]
+        K = random_curvature(dim, random.Random(200 + dim), bound=3)
+        for name, row in FORMS1.items():
+            residual = condition1_residual(K, model, name)
+            assert residual.order == 6
+            assert residual.array.ravel().tolist() == self.literal_residual(row, K, model), name
+        for name, row in FORMS2.items():
+            residual = condition2_residual(K, model, name)
+            assert residual.order == 8
+            assert residual.array.ravel().tolist() == self.literal_residual(row, K, model), name
+
+    def test_third_condition_tensor(self):
+        model = models(3)["sphere"]
+        K = random_curvature(3, random.Random(300), bound=3)
+        # The seven-slot symmetriser has 5040 arrangements; read the dense
+        # residual at canonical tuples and rebuild the rest by symmetry.
+        residual = condition3_residual(K, model)
+        _, terms, ops = integrability._COND3_FORM
+        g = model.gbar()
+        arr, scale = dense_operand(terms, ops, (g._ints, g._scale), curvature_image(K, integrability._S))
+        values = orbit_components(arr, ops)
+        sym, anti = (1, 0, 3, 6, 7, 8, 9), (2, 4, 5)
+        tuples = itertools.product(
+            itertools.combinations_with_replacement(range(3), len(sym)),
+            itertools.combinations(range(3), len(anti)),
+        )
+        for value, (s, a) in zip(values, tuples):
+            index = [0] * 10
+            for axis, v in zip(sorted(sym), s):
+                index[axis] = v
+            for axis, v in zip(anti, a):
+                index[axis] = v
+            weight = math.prod(math.factorial(s.count(v)) for v in set(s))
+            assert residual[tuple(index)] == scale * weight * value

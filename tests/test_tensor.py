@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from killingtensor import (
     symmetrise_slots,
     tensor_product,
 )
+from killingtensor import tensor as tensor_module
+from killingtensor._fastops import normalize_array
 
 rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -308,6 +311,27 @@ class TestIntegerImage:
             expected = expected + (-1 if signed and odd else 1) * a.transpose(axes)
         op = antisymmetrise_slots if signed else symmetrise_slots
         assert same(op(Tensor(a, dim=dim), slots), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), order=st.integers(0, 3))
+    def test_canonical_images_are_stored_as_is(self, data, dim, order):
+        # Negation, nonzero scalar multiples and slot permutations keep the
+        # image canonical, so they store it without renormalising; the
+        # stored pair is what normalize_array would give.
+        t = Tensor(data.draw(fraction_arrays(dim, order)), dim=dim)
+        c = data.draw(wide_rationals.filter(bool))
+        perm = data.draw(st.permutations(range(1, order + 1)))
+        calls = []
+        counted = lambda *a: calls.append(a) or normalize_array(*a)  # noqa: E731
+        with mock.patch.object(tensor_module, "normalize_array", counted):
+            results = [-t, t * c, c * t, t * -abs(c), permute_slots(t, perm), Tensor.zeros(dim, order)]
+        assert calls == []
+        for result in results:
+            ints, scale = normalize_array(result._ints, result._scale)
+            assert result._scale == scale and result._ints.dtype == ints.dtype
+            assert result._ints.tolist() == ints.tolist()
+            assert_canonical(result)
+        assert same(results[0], -t.array) and same(results[1], t.array * c)
 
     def test_entries_must_be_exact(self):
         with pytest.raises(InvalidArgument, match="exact rationals"):
