@@ -1,85 +1,80 @@
 """Exact linear algebra over rational matrices.
 
-Small, hand-rolled routines (Gaussian elimination with exact
-:class:`~fractions.Fraction` pivots) used for Gram-matrix inversion,
-determinants, and rank computations.  Inputs are lists of lists or numpy
-object arrays; everything stays exact.
+:func:`determinant` and :func:`inverse_image` clear the matrix's
+denominators once and run one fraction-free Gauss–Jordan elimination
+over Python integers, in which every division is exact (E. H. Bareiss,
+Math. Comp. 22, 1968).  :class:`IncrementalRank` uses Fraction pivots.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InvalidArgument
 
-__all__ = ["matrix_inverse", "determinant", "IncrementalRank"]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+__all__ = ["determinant", "inverse_image", "IncrementalRank"]
 
 
-def _as_rows(matrix: object) -> list[list[Fraction]]:
-    if isinstance(matrix, np.ndarray):
-        if matrix.ndim != 2:
-            raise InvalidArgument(f"expected a 2-d matrix, got ndim={matrix.ndim}")
-        return [[Fraction(v) for v in row] for row in matrix.tolist()]
-    rows = [[Fraction(v) for v in row] for row in matrix]  # type: ignore[union-attr]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise InvalidArgument("ragged matrix")
-    return rows
+def _integer_rows(matrix: object) -> tuple[list[list[int]], int]:
+    """Square integer rows and one denominator ``d``: ``matrix = rows / d``.
+    Entries are ints or Fractions."""
+    try:
+        entries = [list(row) for row in matrix]  # type: ignore[union-attr]
+        d = math.lcm(*(v.denominator for row in entries for v in row))
+        rows = [[int(v.numerator) * (d // int(v.denominator)) for v in row] for row in entries]
+    except (AttributeError, TypeError) as exc:
+        raise InvalidArgument("expected a matrix of exact rationals (Fraction or int)") from exc
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise InvalidArgument("expected a non-empty square matrix")
+    return rows, d
 
 
-def matrix_inverse(matrix: object) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix via Gauss-Jordan elimination."""
-    rows = _as_rows(matrix)
+def _eliminate(rows: list[list[int]]) -> int:
+    """Fraction-free Gauss–Jordan elimination, in place, on the leading
+    square block of integer rows; returns the block's determinant ``d``.
+    If ``d != 0``, the block ends as ``d`` times the identity and the
+    columns after it as ``d · block⁻¹`` times what they held.  A row
+    exchange negates the row it moves up, so ``d`` keeps its sign."""
     n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise InvalidArgument("matrix_inverse requires a non-empty square matrix")
-    aug = [row[:] + [_ONE if i == j else _ZERO for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise InvalidArgument("matrix is singular")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        if pivot != 1:
-            inv = 1 / pivot
-            aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor != 0:
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    previous = 1
+    for k in range(n):
+        pivot_index = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot_index is None:
+            return 0
+        if pivot_index != k:
+            rows[k], rows[pivot_index] = [-v for v in rows[pivot_index]], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                factor = rows[i][k]
+                rows[i] = [(pivot * a - factor * b) // previous for a, b in zip(rows[i], pivot_row)]
+        previous = pivot
+    return previous
 
 
 def determinant(matrix: object) -> Fraction:
-    """Exact determinant via fraction-free-looking Gaussian elimination."""
-    rows = _as_rows(matrix)
+    """Exact determinant of a square matrix of ints or Fractions."""
+    rows, d = _integer_rows(matrix)
+    return Fraction(_eliminate(rows), d ** len(rows))
+
+
+def inverse_image(matrix: object) -> tuple[list[list[int]], int]:
+    """Exact inverse of a non-singular square matrix of ints or Fractions,
+    as integer rows over one positive integer ``d``: ``matrix⁻¹ = rows / d``.
+    For an integer matrix the rows are the adjugate times the sign of the
+    determinant, and ``d`` is its magnitude."""
+    rows, denominator = _integer_rows(matrix)
     n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise InvalidArgument("determinant requires a non-empty square matrix")
-    work = [row[:] for row in rows]
-    det = _ONE
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = work[r][col] / pivot
-            if factor != 0:
-                work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-    return det
+    augmented = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    det = _eliminate(augmented)
+    if det == 0:
+        raise InvalidArgument("matrix is singular")
+    # matrix⁻¹ = denominator · rows⁻¹ = denominator · adjugate / det.
+    factor = denominator if det > 0 else -denominator
+    return [[factor * v for v in row[n:]] for row in augmented], abs(det)
 
 
 class IncrementalRank:
@@ -120,4 +115,3 @@ class IncrementalRank:
                 work[j] *= inv
         self._pivots[lead] = work
         return True
-

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import InvalidArgument
+
 __all__ = ["coerce_rng", "random_fraction", "random_vector"]
 
 
@@ -19,6 +21,8 @@ def coerce_rng(rng: random.Random | int | None) -> random.Random:
 
 def random_fraction(rng: random.Random, bound: int = 9) -> Fraction:
     """Uniform-ish small rational with numerator in ±bound, denominator ≤ bound."""
+    if bound < 1:
+        raise InvalidArgument(f"bound must be at least 1, got {bound}")
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 

@@ -21,14 +21,18 @@ point-based integrability oracle.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from ._linalg import matrix_inverse
+import numpy as np
+
+from ._linalg import inverse_image
 from ._util import coerce_rng, random_vector
 from .errors import InvalidArgument, SamplingFailure
 from .tensor import MetricSignature, Scalar, Tensor, contract_vector, tensor_product
@@ -207,7 +211,7 @@ class ModelPoint:
 # -- exact rational parametrisations ----------------------------------
 
 
-def sphere_point_from_parameter(model: ModelSpace, parameter: Sequence[Scalar]) -> ModelPoint:
+def sphere_point_from_parameter(model: ModelSpace, parameter: "Sequence[Scalar] | Tensor") -> ModelPoint:
     """Map a rational parameter onto the sphere model.
 
     With ``e`` the first standard basis vector, a parameter vector ``t``
@@ -221,7 +225,7 @@ def sphere_point_from_parameter(model: ModelSpace, parameter: Sequence[Scalar]) 
     """
     if model.kind is not ModelKind.SPHERE:
         raise InvalidArgument("sphere_point_from_parameter needs a sphere model")
-    t = _as_vector(list(parameter), model.dim)
+    t = _as_vector(parameter, model.dim)
     if t[(0,)] != 0:
         raise InvalidArgument("sphere parameter must have first component zero")
     tau = model.pair(t, t)
@@ -232,7 +236,7 @@ def sphere_point_from_parameter(model: ModelSpace, parameter: Sequence[Scalar]) 
     return ModelPoint(model, x)
 
 
-def flat_point_from_parameter(model: ModelSpace, parameter: Sequence[Scalar]) -> ModelPoint:
+def flat_point_from_parameter(model: ModelSpace, parameter: "Sequence[Scalar] | Tensor") -> ModelPoint:
     """Map a rational parameter onto the flat model.
 
     The parameter is projected onto the tangent hyperplane,
@@ -243,7 +247,7 @@ def flat_point_from_parameter(model: ModelSpace, parameter: Sequence[Scalar]) ->
         raise InvalidArgument("flat_point_from_parameter needs a flat model")
     u = model.height_vector
     assert u is not None
-    t_raw = _as_vector(list(parameter), model.dim)
+    t_raw = _as_vector(parameter, model.dim)
     t = t_raw - u * model.pair(t_raw, u)
     return ModelPoint(model, u + t)
 
@@ -265,9 +269,8 @@ def sample_point(
     if model.kind is ModelKind.FLAT:
         return flat_point_from_parameter(model, random_vector(generator, model.dim, bound))
     for _ in range(_MAX_SAMPLING_ATTEMPTS):
-        parameter = [Fraction(0)] + random_vector(generator, model.dim - 1, bound)
-        tau = _g_pair(model.signature, Tensor.from_nested(parameter), Tensor.from_nested(parameter))
-        if tau != -1:
+        parameter = Tensor.from_nested([0] + random_vector(generator, model.dim - 1, bound))
+        if _g_pair(model.signature, parameter, parameter) != -1:
             return sphere_point_from_parameter(model, parameter)
     raise SamplingFailure(
         f"could not sample a sphere point after {_MAX_SAMPLING_ATTEMPTS} attempts"
@@ -276,20 +279,57 @@ def sample_point(
 
 # -- tangent frames ----------------------------------------------------
 
+# An integer image: a Python-int object array and one positive scale.
+_Image = tuple[np.ndarray, Fraction]
+
 
 @dataclass(frozen=True)
 class TangentBasis:
     """An exact basis of the tangent space at a model point.
 
-    ``vectors`` spans the tangent space; ``gram`` is the matrix of
-    ambient scalar products ``g(v_i, v_j)`` and ``gram_inverse`` its
-    exact inverse (the tangent metric is non-degenerate in both models).
+    ``vectors`` spans the tangent space.  ``frame_image`` (one row per
+    vector), ``gram_image`` (``g(v_i, v_j)``) and ``gram_inverse_image``
+    are integer images; ``gram`` and ``gram_inverse`` give the Gram matrix
+    and its exact inverse as Fractions (the tangent metric is non-degenerate).
     """
 
     point: ModelPoint
     vectors: tuple[Tensor, ...]
-    gram: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    gram_inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    frame_image: _Image = field(repr=False, compare=False)
+    gram_image: _Image = field(repr=False, compare=False)
+    gram_inverse_image: _Image = field(repr=False, compare=False)
+
+    @cached_property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        ints, scale = self.gram_image
+        return tuple(map(tuple, ints * scale))
+
+    @cached_property
+    def gram_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        ints, scale = self.gram_inverse_image
+        return tuple(map(tuple, ints * scale))
+
+
+def _basis(point: ModelPoint, vectors: Sequence[Tensor]) -> TangentBasis:
+    """The frame of ``vectors`` with its Gram matrix and inverse, built on
+    integer images; raises InvalidArgument if the Gram matrix is singular."""
+    scales = [vec._scale for vec in vectors]
+    scale = Fraction(
+        math.gcd(*(s.numerator for s in scales)), math.lcm(*(s.denominator for s in scales))
+    )
+    frame = np.array(
+        [[int(s / scale) * v for v in vec._ints.tolist()] for s, vec in zip(scales, vectors)],
+        dtype=object,
+    ).reshape(len(vectors), point.model.dim)
+    gram = frame @ point.model.metric()._ints.astype(object) @ frame.T
+    adjugate, det = inverse_image(gram.tolist())
+    return TangentBasis(
+        point=point,
+        vectors=tuple(vectors),
+        frame_image=(frame, scale),
+        gram_image=(gram, scale * scale),
+        gram_inverse_image=(np.array(adjugate, dtype=object), 1 / (det * scale * scale)),
+    )
 
 
 def tangent_basis(point: ModelPoint) -> TangentBasis:
@@ -304,23 +344,8 @@ def tangent_basis(point: ModelPoint) -> TangentBasis:
     omega = model.normal_at(point.x)
     magnitudes = [abs(v) for v in omega._ints.tolist()]
     dropped = magnitudes.index(max(magnitudes))
-    vectors = []
-    for k in range(model.dim):
-        if k == dropped:
-            continue
-        e_k = Tensor.basis_vector(model.dim, k)
-        vectors.append(e_k - omega * model.pair(e_k, omega))
-    gram_rows = [
-        [model.pair(v, w) for w in vectors]
-        for v in vectors
-    ]
-    inverse_rows = matrix_inverse(gram_rows)
-    return TangentBasis(
-        point=point,
-        vectors=tuple(vectors),
-        gram=tuple(tuple(row) for row in gram_rows),
-        gram_inverse=tuple(tuple(row) for row in inverse_rows),
-    )
+    kept = [Tensor.basis_vector(model.dim, k) for k in range(model.dim) if k != dropped]
+    return _basis(point, [e_k - omega * model.pair(e_k, omega) for e_k in kept])
 
 
 def tangent_basis_from_vectors(point: ModelPoint, vectors: Sequence[Tensor]) -> TangentBasis:
@@ -336,17 +361,10 @@ def tangent_basis_from_vectors(point: ModelPoint, vectors: Sequence[Tensor]) -> 
         raise InvalidArgument(
             f"a tangent basis needs {model.dim - 1} vectors, got {len(vecs)}"
         )
-    gram_rows = [[model.pair(v, w) for w in vecs] for v in vecs]
     try:
-        inverse_rows = matrix_inverse(gram_rows)
+        return _basis(point, vecs)
     except InvalidArgument as exc:
         raise InvalidArgument(f"basis vectors do not span the tangent space: {exc}") from exc
-    return TangentBasis(
-        point=point,
-        vectors=vecs,
-        gram=tuple(tuple(row) for row in gram_rows),
-        gram_inverse=tuple(tuple(row) for row in inverse_rows),
-    )
 
 
 def random_tangent_vector(

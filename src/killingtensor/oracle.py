@@ -19,28 +19,24 @@ integrability conditions are the total antisymmetrisations of ``N``
 contracted with the metric, with ``K``, and with ``K²``.
 
 The arithmetic is exact, with one denominator per array: each factor
-(``S``, ``B``, ``x``, the frame, the Gram matrix and its inverse) is an
-array of Python integers and one positive rational scale.  ``S``, ``B``
-and ``x`` are the integer images their Tensors hold, the frame stacks
-its vectors' images over one common scale, and the Fraction Gram
-matrices go through the Tensor constructor once.  The formulas run as
-plain ``np.tensordot`` chains over those integers, and the scales
-multiply alongside.  A positive scale does not change which entries are
-zero, so residual supports are read straight off the integer
-arrays; :func:`compute_point_data` and :func:`tns_residuals` hand back
-Fraction arrays.  The oracle shares no contraction or indexing code with
+(``S``, ``B``, ``x``, the frame, its Gram matrix and the inverse) is the
+integer image, Python integers over one positive rational scale, that
+its Tensor or :class:`~killingtensor.models.TangentBasis` keeps.  The
+formulas run as plain ``np.tensordot`` chains over the integers, with
+the scales multiplied alongside; a positive scale keeps the zero
+pattern, so residual supports are read straight off the integer arrays.
+:func:`compute_point_data` and :func:`tns_residuals` hand back Fraction
+arrays.  The oracle shares no contraction or indexing code with
 :mod:`killingtensor.integrability`, so the two verdict routes stay
 independent, and a verdict at a sampled point is a proof at that point.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +47,7 @@ from .models import (
     ModelPoint,
     ModelSpace,
     TangentBasis,
+    _Image,
     sample_point,
     tangent_basis,
 )
@@ -69,33 +66,20 @@ _SIGNED_PERMS_3 = tuple(
     for perm in permutations(range(3))
 )
 
-_Scaled = tuple[np.ndarray, Fraction]
 
-
-def _image(tensor: Tensor) -> _Scaled:
+def _image(tensor: Tensor) -> _Image:
     """The tensor's integer image in Python ints, and its scale."""
     return tensor._ints.astype(object), tensor._scale
 
 
-def _frame(basis: TangentBasis) -> _Scaled:
-    """Rows are the frame vectors' ambient components, shape (n, N), over
-    the largest scale that divides every vector's scale."""
-    scales = [vec._scale for vec in basis.vectors]
-    scale = Fraction(
-        math.gcd(*(s.numerator for s in scales)), math.lcm(*(s.denominator for s in scales))
-    )
-    rows = [int(s / scale) * vec._ints.astype(object) for s, vec in zip(scales, basis.vectors)]
-    return np.stack(rows), scale
-
-
-def _fractions(scaled: _Scaled) -> np.ndarray:
+def _fractions(scaled: _Image) -> np.ndarray:
     arr, scale = scaled
     return arr * scale
 
 
 def _model_factors(
     S: "SymCurvatureTensor | CurvatureTensor", model: ModelSpace
-) -> tuple[_Scaled, _Scaled]:
+) -> tuple[_Image, _Image]:
     """``S`` in the symmetric class and the model's ``B``, rescaled."""
     sym = _as_class(S, SymCurvatureTensor)
     if sym.dim != model.dim:
@@ -108,7 +92,7 @@ def _anti3(arr: np.ndarray) -> np.ndarray:
     return sum(sign * arr.transpose(perm) for perm, sign in _SIGNED_PERMS_3)
 
 
-def _point_ints(s: _Scaled, b: _Scaled, x: _Scaled, frame: _Scaled) -> tuple[_Scaled, _Scaled]:
+def _point_ints(s: _Image, b: _Image, x: _Image, frame: _Image) -> tuple[_Image, _Image]:
     """The Killing matrix ``K`` and the torsion seed ``nbar`` at one point."""
     (s_arr, s_scale), (b_arr, b_scale), (x_arr, x_scale), (e_arr, e_scale) = s, b, x, frame
 
@@ -143,8 +127,8 @@ def _point_ints(s: _Scaled, b: _Scaled, x: _Scaled, frame: _Scaled) -> tuple[_Sc
 
 
 def _residual_ints(
-    K: _Scaled, gram: _Scaled, gram_inverse: _Scaled, nbar: _Scaled
-) -> tuple[_Scaled, _Scaled, _Scaled]:
+    K: _Image, gram: _Image, gram_inverse: _Image, nbar: _Image
+) -> tuple[_Image, _Image, _Image]:
     """The three residuals of :func:`tns_residuals` from rescaled point data."""
     (k_arr, k_scale), (g_arr, g_scale), (gi_arr, gi_scale), (n_arr, n_scale) = (
         K, gram, gram_inverse, nbar
@@ -205,7 +189,7 @@ def compute_point_data(
     elif basis.point.x != point.x or basis.point.model != model:
         raise InvalidArgument("basis was built at a different point or model")
 
-    k_mat, nbar = _point_ints(s, b, _image(point.x), _frame(basis))
+    k_mat, nbar = _point_ints(s, b, _image(point.x), basis.frame_image)
     return PointFrameData(
         x=point,
         basis=basis,
@@ -226,8 +210,9 @@ def tns_residuals(data: PointFrameData) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``N^δ_{βγ} K_{αε} K^ε_δ``.  The tensor is integrable at this point
     exactly when all three vanish.
     """
+    basis = data.basis
     residuals = _residual_ints(
-        *(_image(Tensor(arr)) for arr in (data.K, data.gram, data.gram_inverse, data.nbar))
+        _image(Tensor(data.K)), basis.gram_image, basis.gram_inverse_image, _image(Tensor(data.nbar))
     )
     res1, res2, res3 = (_fractions(res) for res in residuals)
     return res1, res2, res3
@@ -302,10 +287,8 @@ def integrable_oracle(
         point = sample_point(model, random.Random(sub_seed), bound=bound)
         points.append(point)
         basis = tangent_basis(point)
-        k_mat, nbar = _point_ints(s, b, _image(point.x), _frame(basis))
-        gram = _image(Tensor(np.array(basis.gram, dtype=object)))
-        gram_inverse = _image(Tensor(np.array(basis.gram_inverse, dtype=object)))
-        residuals = _residual_ints(k_mat, gram, gram_inverse, nbar)
+        k_mat, nbar = _point_ints(s, b, _image(point.x), basis.frame_image)
+        residuals = _residual_ints(k_mat, basis.gram_image, basis.gram_inverse_image, nbar)
         counts = tuple(_support(res) for res, _ in residuals)
         supports.append(counts)
         for c in range(3):

@@ -368,6 +368,28 @@ class TestTopLevelBehaviour:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("oracle", "METRIC_FILE", "--model", "sphere", "--N", "3"),
+            ("generate", "benenti", "--model", "sphere", "--N", "3"),
+            ("generate", "family", "--model", "sphere", "--N", "3"),
+            ("generate", "random", "--N", "3"),
+            ("identities", "--N", "3", "--samples", "1"),
+        ],
+        ids=["oracle", "generate-benenti", "generate-family", "generate-random", "identities"],
+    )
+    def test_bound_below_one_exits_2(self, capsys, tmp_path, command, bound):
+        path = tmp_path / "metric.json"
+        run(capsys, "generate", "metric", "--model", "sphere", "--N", "3",
+            "--out", str(path))
+        argv = [str(path) if arg == "METRIC_FILE" else arg for arg in command]
+        code, out, err = run(capsys, *argv, "--bound", bound)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "bound must be at least 1" in err
+
 
 class TestNoConversionsOnTheCheckPath:
     """``check`` reads a file straight into the integer image and never

@@ -180,7 +180,9 @@ class TestParametrisations:
 
 class TestTangentFrames:
     @pytest.mark.parametrize(
-        "model", [sphere(3), sphere(2, 1), flat(3), sphere(4)], ids=repr
+        "model",
+        [sphere(3), sphere(2, 1), flat(3), sphere(4), sphere(3, 1), flat(3, 1), sphere(5)],
+        ids=repr,
     )
     def test_canonical_basis(self, model):
         point = sample_point(model, 3, bound=BOUND)

@@ -25,6 +25,8 @@ from killingtensor import (
     tangent_basis_from_vectors,
     tns_residuals,
 )
+from killingtensor import models as models_module
+from killingtensor import tensor as tensor_module
 
 
 def all_zero(arr: np.ndarray) -> bool:
@@ -222,3 +224,37 @@ class TestOracle:
             integrable_oracle(metric_rep(model), model, num_points=0)
         with pytest.raises(InvalidArgument, match="does not match"):
             integrable_oracle(metric_rep(sphere(4)), model)
+        with pytest.raises(InvalidArgument, match="bound must be at least 1"):
+            integrable_oracle(metric_rep(model), model, bound=0)
+
+
+class TestNoConversionsInTheOracle:
+    """``integrable_oracle`` reads the frame, Gram and inverse images the
+    tangent basis keeps: the one Fraction rescale per drawn parameter
+    vector is the only conversion, and no Fraction view of a tensor is
+    built.  A Lorentzian sphere parameter with g(t, t) = −1 is redrawn."""
+
+    @pytest.mark.parametrize(
+        "model", [sphere(4), sphere(3, 1), flat(4), flat(3, 1)], ids=repr
+    )
+    def test_one_vector_rescale_per_point(self, model, monkeypatch):
+        S = random_curvature(model.dim, random.Random(21), bound=BOUND)
+        calls = []
+        for name in ("_rescale", "_fraction_view"):
+            original = getattr(tensor_module, name)
+            monkeypatch.setattr(
+                tensor_module, name,
+                lambda array, *rest, name=name, original=original: (
+                    calls.append((name, array.ndim)) or original(array, *rest)
+                ),
+            )
+        draws = []
+        monkeypatch.setattr(
+            models_module, "random_vector",
+            lambda *args, original=models_module.random_vector: (
+                draws.append(args) or original(*args)
+            ),
+        )
+        integrable_oracle(S, model, num_points=4, seed=22, bound=BOUND)
+        assert len(draws) >= 4
+        assert calls == [("_rescale", 1)] * len(draws)
