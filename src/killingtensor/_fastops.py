@@ -4,8 +4,13 @@ The residuals contract three or four order-4 tensors and (anti)symmetrise
 the result over disjoint slot groups.  Every tensor is held as an
 integer array and one exact positive scale (see :mod:`killingtensor.tensor`),
 so this module works on ``(integer array, scale)`` pairs.  Arrays stay
-``int64`` while a provable bound rules out overflow and become Python
-integers (object dtype) the moment it fails; results are exact either way.
+``int64`` while a provable bound rules out overflow.  Past the first
+bound that fails, the general helpers (:func:`linear_combination`,
+:func:`polynomial_tensordot`) switch to Python integers (object dtype),
+while a residual (:func:`contract_terms`, :func:`linear_map`) continues
+as :class:`Residues`: the same ``int64`` steps modulo primes, one prime
+at a time, with as many primes as an a-priori bound on the result
+needs.  Results are exact either way.
 
 Polarisation.  A tensor symmetric over a group of ``d`` slots is the same
 data as the degree-``d`` polynomial obtained by putting one vector ``x``
@@ -28,14 +33,20 @@ import functools
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "linear_combination",
     "contract",
+    "contract_terms",
+    "linear_map",
+    "Residues",
+    "nonzero",
+    "integers",
     "guarded_tensordot",
     "polarise",
     "polynomial_tensordot",
@@ -77,10 +88,7 @@ def linear_combination(
     content-reduced.
     """
     terms = [(Fraction(c), arr) for c, arr in terms]
-    gcd = math.gcd(*(c.numerator for c, _ in terms))
-    lcm = math.lcm(*(c.denominator for c, _ in terms))
-    scale = Fraction(gcd, lcm) if gcd else Fraction(1)
-    multiples = [(c.numerator // gcd) * (lcm // c.denominator) if gcd else 0 for c, _ in terms]
+    multiples, scale = _multiples([c for c, _ in terms])
     shape = terms[0][1].shape
     # numpy arithmetic on 0-d arrays gives scalars; sum 1-element arrays.
     arrays = [np.atleast_1d(arr) for _, arr in terms]
@@ -92,11 +100,27 @@ def linear_combination(
         multiples = [k if bound else 0 for k, bound in zip(multiples, bounds)]
     if wide:
         arrays = [arr.astype(object, copy=False) for arr in arrays]
-    total = multiples[0] * arrays[0]
+    return _weighted_sum(multiples, arrays).reshape(shape), scale
+
+
+def _weighted_sum(multiples: Sequence[int], arrays: Sequence[np.ndarray]) -> np.ndarray:
+    # A C-ordered sum of transposed views reshapes without another copy.
+    total = np.multiply(multiples[0], arrays[0], order="C")
     for k, arr in zip(multiples[1:], arrays[1:]):
         if k:
             total += k * arr
-    return total.reshape(shape), scale
+    return total
+
+
+def _multiples(coefficients: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """Each coefficient's integer multiple of their largest common divisor,
+    and that divisor (gcd of the numerators over lcm of the denominators;
+    1, with every multiple 0, when every coefficient is zero)."""
+    gcd = math.gcd(*(c.numerator for c in coefficients))
+    if not gcd:
+        return [0] * len(coefficients), Fraction(1)
+    lcm = math.lcm(*(c.denominator for c in coefficients))
+    return [(c.numerator // gcd) * (lcm // c.denominator) for c in coefficients], Fraction(gcd, lcm)
 
 
 def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction]:
@@ -229,20 +253,39 @@ def polynomial_tensordot(
     added up per product monomial.  Guarded by
     ``pairs per monomial · contracted volume · max|a| · max|b|``.
     """
-    table = _merge(dim, (degree_a, degree_b)) if degree_a and degree_b else None
-    pairs = table.pairs if table else 1
+    load = _pairs(dim, degree_a, degree_b) * math.prod(a.shape[k] for k in axes_a)
+    if a.dtype == object or b.dtype == object or load * _max_abs(a) * _max_abs(b) >= _INT64_SAFE:
+        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
+    return _product(a, b, axes_a, axes_b, dim, degree_a, degree_b)
+
+
+def _pairs(dim: int, *degrees: int) -> int:
+    """Most tuples of monomials of ``degrees`` whose product is one monomial
+    (1 unless there are two or more degrees, none of them zero)."""
+    return _merge(dim, degrees).pairs if len(degrees) > 1 and all(degrees) else 1
+
+
+def _product(
+    a: np.ndarray,
+    b: np.ndarray,
+    axes_a: Sequence[int],
+    axes_b: Sequence[int],
+    dim: int,
+    degree_a: int,
+    degree_b: int,
+) -> np.ndarray:
+    """:func:`polynomial_tensordot` in the dtype of ``a`` and ``b``, unguarded:
+    each entry sums at most ``pairs · volume`` products."""
     free_a = [axis for axis in range(1, a.ndim) if axis not in axes_a]
     free_b = [axis for axis in range(1, b.ndim) if axis not in axes_b]
     shape = [a.shape[k] for k in free_a] + [b.shape[k] for k in free_b]
     volume = math.prod(a.shape[k] for k in axes_a)
     a = a.transpose([0, *free_a, *axes_a]).reshape(len(a), 1, -1, volume)
     b = b.transpose([0, *axes_b, *free_b]).reshape(1, len(b), volume, -1)
-    wide = a.dtype == object or b.dtype == object
-    if wide or pairs * volume * _max_abs(a) * _max_abs(b) >= _INT64_SAFE:
-        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
     out = np.matmul(a, b).reshape([-1] + shape)
-    if table is None:
+    if not (degree_a and degree_b):
         return out
+    table = _merge(dim, (degree_a, degree_b))
     return np.add.reduceat(out[table.perm], table.starts, axis=0)
 
 
@@ -299,8 +342,16 @@ def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) 
 # ---------------------------------------------------------------------------
 
 
+class _Plan(NamedTuple):
+    letters: tuple[str, ...]  # index letters of each factor
+    x_axes: tuple[tuple[int, ...], ...]  # polarised axes of each factor
+    output: str
+    steps: tuple[tuple[int, int], ...]  # pairwise path; each result takes the next number
+    load: int  # most products of two entries any polarisation or step adds up
+
+
 @functools.lru_cache(maxsize=128)
-def _contraction_plan(subscripts: str, dim: int) -> tuple[tuple[str, ...], tuple, str, tuple]:
+def _contraction_plan(subscripts: str, dim: int) -> _Plan:
     """Index letters and polarised axes of each factor, output, pairwise path.
 
     A step ``(a, b)`` contracts operands ``a`` and ``b``; each step's
@@ -329,7 +380,110 @@ def _contraction_plan(subscripts: str, dim: int) -> tuple[tuple[str, ...], tuple
         steps.append(tuple(live[k] for k in positions))
         live = [n for k, n in enumerate(live) if k not in positions] + [len(factors) + len(steps) - 1]
     x_axes = tuple(tuple(k for k, c in enumerate(f) if c == "*") for f in factors)
-    return tuple(letters), x_axes, output, tuple(steps)
+    names, degrees = list(letters), [len(axes) for axes in x_axes]
+    load = max(_pairs(dim, *(1,) * d) for d in degrees)
+    for a, b in steps:
+        shared = [c for c in names[a] if c in names[b]]
+        load = max(load, _pairs(dim, degrees[a], degrees[b]) * dim ** len(shared))
+        names.append("".join(c for c in names[a] + names[b] if c not in shared))
+        degrees.append(degrees[a] + degrees[b])
+    return _Plan(tuple(letters), x_axes, output, tuple(steps), load)
+
+
+class _Node(NamedTuple):
+    """A polarised factor or a product in :func:`contract`'s memo.
+
+    ``arr`` is its int64 image at ``scale`` (a factor as polarised, a
+    product content-reduced) and ``bound`` is max|arr|.  Past a failed
+    guard ``arr`` is None, ``scale`` the product of the factors' scales
+    and ``bound`` a bound on the entries of the integer image at that
+    scale.  ``source`` rebuilds the node modulo a prime: the operand array
+    and its x-axes for a factor (holding ``id(array)`` while the memo
+    lives), the factors' keys and :func:`_product`'s arguments otherwise.
+    """
+
+    arr: "np.ndarray | None"
+    scale: Fraction
+    bound: int
+    source: tuple
+
+
+def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], dim: int) -> _Node:
+    """The operand ``scale * arr`` with x in ``axes``: int64 while each
+    coefficient, a sum of at most ``pairs`` entries, stays below 2^62."""
+    pairs, peak = _pairs(dim, *(1,) * len(axes)), _max_abs(arr)
+    if pairs * peak >= _INT64_SAFE:
+        return _Node(None, scale, pairs * peak, (arr, axes))
+    poly = polarise(arr.astype(np.int64, copy=False), axes)
+    # With one entry per coefficient, the polarised array holds arr's entries.
+    return _Node(poly, scale, peak if pairs == 1 else _max_abs(poly), (arr, axes))
+
+
+def _step(a: _Node, b: _Node, source: tuple) -> _Node:
+    """The product of nodes ``a`` and ``b``; ``source`` is their keys, then
+    ``(axes_a, axes_b, dim, degree_a, degree_b)``.  Int64 and
+    content-reduced when both are int64 and
+    ``pairs · volume · max|a| · max|b| < 2^62``."""
+    axes_a, _, dim, degree_a, degree_b = source[2:]
+    scale = a.scale * b.scale
+    bound = _pairs(dim, degree_a, degree_b) * dim ** len(axes_a) * a.bound * b.bound
+    if a.arr is None or b.arr is None or bound >= _INT64_SAFE:
+        return _Node(None, scale, bound, source)
+    arr, scale = normalize_array(_product(a.arr, b.arr, *source[2:]), scale)
+    return _Node(arr, scale, _max_abs(arr), source)
+
+
+def _residue(memo: dict, key: str, p: int, cache: dict) -> np.ndarray:
+    """Node ``key`` of ``memo`` modulo the prime ``p``, in [0, p).  ``cache``
+    holds this prime's residues, so a shared node is reduced once."""
+    if key not in cache:
+        node = memo[key]
+        if node.arr is not None:
+            cache[key] = node.arr % p
+        elif len(node.source) == 2:
+            arr, axes = node.source
+            cache[key] = polarise(np.asarray(arr % p, dtype=np.int64), axes) % p
+        else:
+            a, b, *args = node.source
+            cache[key] = _product(_residue(memo, a, p, cache), _residue(memo, b, p, cache), *args) % p
+    return cache[key]
+
+
+def _term(
+    subscripts: str, operands: Sequence[tuple[np.ndarray, Fraction]], memo: dict
+) -> tuple["np.ndarray | Residues", Fraction, int]:
+    """One einsum term through ``memo``: ``(values, scale, bound)``, the
+    monomial axis first (size 1 when no slot is polarised), ``values`` an
+    int64 array or, once a step's guard fails, :class:`Residues`
+    continuing from the last int64 steps, and ``bound`` its node's."""
+    dim = operands[0][0].shape[0]
+    plan = _contraction_plan(subscripts, dim)
+    if len(operands) != len(plan.letters):
+        raise ValueError(f"{subscripts!r} takes {len(plan.letters)} operands, got {len(operands)}")
+    nodes = []  # (memo key, index letters, degree)
+    for (arr, scale), names, axes in zip(operands, plan.letters, plan.x_axes):
+        key = f"{id(arr)}:{scale}:{axes}"
+        if key not in memo:
+            memo[key] = _factor(arr, scale, axes, dim)
+        nodes.append((key, names, len(axes)))
+    for a, b in plan.steps:
+        first, second = sorted((nodes[a], nodes[b]), key=lambda node: node[0])
+        shared = [c for c in first[1] if c in second[1]]
+        axes_a = tuple(first[1].index(c) + 1 for c in shared)
+        axes_b = tuple(second[1].index(c) + 1 for c in shared)
+        key = f"({first[0]}|{axes_a}|{second[0]}|{axes_b})"
+        if key not in memo:
+            source = (first[0], second[0], axes_a, axes_b, dim, first[2], second[2])
+            memo[key] = _step(memo[first[0]], memo[second[0]], source)
+        names = "".join(c for c in first[1] + second[1] if c not in shared)
+        nodes.append((key, names, first[2] + second[2]))
+    key, names, _ = nodes[-1]
+    order = [0] + [names.index(c) + 1 for c in plan.output]
+    node = memo[key]
+    if node.arr is not None:
+        return node.arr.transpose(order), node.scale, node.bound
+    residue = lambda p, cache: _residue(memo, key, p, cache).transpose(order)  # noqa: E731
+    return Residues(node.bound, plan.load, residue), node.scale, node.bound
 
 
 def contract(
@@ -343,41 +497,200 @@ def contract(
     output index.  A ``*`` in place of a factor's index puts ``x`` into
     that slot (:func:`polarise`), and the result then starts with a
     monomial axis of the total degree.  Factors are multiplied pairwise
-    by :func:`polynomial_tensordot` along the greedy ``np.einsum_path``
-    of the index letters, so each step stays ``int64`` or promotes as its
-    bound requires; intermediates are content-reduced.
+    (as :func:`polynomial_tensordot`) along the greedy ``np.einsum_path``
+    of the index letters.  Each step stays ``int64`` and is
+    content-reduced while its guard passes; from the first step whose
+    guard fails the term is computed modulo primes and rebuilt by
+    :func:`integers`.
 
     Polarised factors and intermediates are kept in ``memo`` under keys
     naming the operand arrays, their polarised axes and each step's
     contracted axes, so calls sharing a ``memo`` (which keeps their
     operands alive) compute equal sub-contractions once.  Returns a
-    C-contiguous ``(array, scale)``.
+    C-contiguous, content-reduced ``(array, scale)``.
     """
-    dim = operands[0][0].shape[0]
-    letters, x_axes, output, steps = _contraction_plan(subscripts, dim)
-    if len(operands) != len(letters):
-        raise ValueError(f"{subscripts!r} takes {len(letters)} operands, got {len(operands)}")
-    memo = {} if memo is None else memo
-    nodes = []  # (array, scale, memo key, index letters, degree)
-    for (arr, scale), names, axes in zip(operands, letters, x_axes):
-        key = f"{id(arr)}:{scale}:{axes}"
-        if key not in memo:
-            memo[key] = (polarise(arr, axes), scale, arr)  # keeps id(arr) taken
-        nodes.append((*memo[key][:2], key, names, len(axes)))
-    for a, b in steps:
-        first, second = sorted((nodes[a], nodes[b]), key=lambda node: node[2])
-        nodes[a] = nodes[b] = None  # free each intermediate once it is used
-        shared = [c for c in first[3] if c in second[3]]
-        axes_a = tuple(first[3].index(c) + 1 for c in shared)
-        axes_b = tuple(second[3].index(c) + 1 for c in shared)
-        key = f"({first[2]}|{axes_a}|{second[2]}|{axes_b})"
-        if key not in memo:
-            arr = polynomial_tensordot(first[0], second[0], axes_a, axes_b, dim, first[4], second[4])
-            memo[key] = normalize_array(arr, first[1] * second[1])
-        names = "".join(c for c in first[3] + second[3] if c not in shared)
-        nodes.append((*memo[key], key, names, first[4] + second[4]))
-    arr, scale, _, names, _ = nodes[-1]
-    arr = arr.transpose([0] + [names.index(c) + 1 for c in output])
+    values, scale, _ = _term(subscripts, operands, {} if memo is None else memo)
+    if isinstance(values, Residues):
+        values, scale = normalize_array(integers(values), scale)
     if "*" not in subscripts:
-        arr = arr[0, ...]
-    return (arr if arr.flags.c_contiguous else arr.copy()), scale
+        values = values[0, ...]
+    return (values if values.flags.c_contiguous else values.copy()), scale
+
+
+# ---------------------------------------------------------------------------
+# Residuals past int64: residues modulo primes.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Residues:
+    """An integer array known through its residues modulo primes.
+
+    ``residue(p, cache)`` is the array modulo a prime ``p`` as int64 in
+    [0, p); ``cache`` holds the residues of shared intermediates for that
+    one prime and is dropped after it, so one prime's arrays are alive at
+    a time.  Every entry has magnitude at most ``bound``.  No step adds
+    up more than ``load`` products of two residues, and the primes lie
+    below 2^((62 - bit_length(load)) // 2), so every such sum stays below
+    2^62 without a guard.
+
+    Why ``bound`` holds: a polarised coefficient sums at most ``pairs``
+    entries of its operand; an entry of a product sums at most
+    ``pairs · volume`` products of an entry of each factor; a sum with
+    integer multiples ``k_i`` is at most ``Σ |k_i| · B_i``; a linear map
+    whose output entries have coefficients of absolute sum at most ``g``
+    (the ``size!`` signed rearrangements of :func:`alternating_sums`, the
+    ``alpha!`` weights of :func:`expand_axis`) at most ``g · B``.  An
+    int64 intermediate enters with its own maximum, after content
+    reduction: it is exactly ``scale · arr``, and a bound on the integers
+    built on it holds at the product of the scales they carry.
+
+    Why the residues decide: the primes are distinct, so an entry ``x``
+    with zero residues is divisible by their product ``M``, and
+    ``M > bound >= |x|`` forces ``x = 0`` (:func:`nonzero`); with
+    ``M > 2 · bound`` the residues fix ``x`` in ``(-M/2, M/2]``
+    (:func:`integers`).
+    """
+
+    bound: int
+    load: int
+    residue: Callable[[int, dict], np.ndarray]
+
+    @classmethod
+    def of(cls, arr: np.ndarray) -> "Residues":
+        """An int64 array as residues."""
+        return cls(_max_abs(arr), 1, lambda p, cache: arr % p)
+
+    def primes(self, bound: int) -> Iterator[int]:
+        """Primes for this array, largest first, until their product exceeds
+        ``bound`` (at least one)."""
+        prime, product = 1 << ((62 - self.load.bit_length()) // 2), 1
+        while True:
+            prime = _prime_below(prime)
+            yield prime
+            product *= prime
+            if product > bound:
+                return
+
+
+def _modulo(values: "np.ndarray | Residues", p: int, cache: dict) -> np.ndarray:
+    return values.residue(p, cache) if isinstance(values, Residues) else values % p
+
+
+@functools.cache
+def _prime_below(n: int) -> int:
+    """The largest prime below ``n``, for 64 < n <= 2^32."""
+    candidate = n - 1 - n % 2
+    while not _is_prime(candidate):
+        candidate -= 2
+    return candidate
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on an odd ``n`` with the bases 2, 7 and 61, exact for
+    61 < n < 4 759 123 141 (G. Jaeschke, Math. Comp. 61, 1993)."""
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def contract_terms(
+    terms: Iterable[tuple[Fraction, str, Sequence[tuple[np.ndarray, Fraction]]]],
+    memo: "dict | None" = None,
+) -> tuple["np.ndarray | Residues", Fraction]:
+    """Exact ``sum of c * contract(term, *operands)`` over ``(rational c,
+    einsum term, operands)``, each term keeping its monomial axis.
+
+    The terms run through :func:`contract`'s steps and ``memo``.  With
+    the multiples ``k_i`` and scale of :func:`linear_combination`, the
+    sum is int64 when every term is and ``sum |k_i| · max|term_i| <
+    2^62``, and :class:`Residues` otherwise.  Returns ``(values,
+    scale)``, not content-reduced.
+    """
+    memo = {} if memo is None else memo
+    terms = list(terms)
+    parts = [_term(subscripts, operands, memo) for _, subscripts, operands in terms]
+    multiples, scale = _multiples([Fraction(c) * s for (c, _, _), (_, s, _) in zip(terms, parts)])
+    values = [v for v, _, _ in parts]
+    wide = [v for v in values if isinstance(v, Residues)]
+    bounds = [abs(k) * bound for k, (_, _, bound) in zip(multiples, parts)]
+    if not wide and sum(bounds) < _INT64_SAFE:
+        # A zero term adds nothing, and its multiple may not fit in int64.
+        return _weighted_sum([k if b else 0 for k, b in zip(multiples, bounds)], values), scale
+
+    def residue(p: int, cache: dict) -> np.ndarray:
+        total = 0
+        for k, v in zip(multiples, values):
+            total = (total + k % p * _modulo(v, p, cache)) % p
+        return total
+
+    return Residues(sum(bounds), max([2] + [v.load for v in wide]), residue), scale
+
+
+def linear_map(
+    values: "np.ndarray | Residues", gain: int, fn: Callable[[np.ndarray], np.ndarray]
+) -> "np.ndarray | Residues":
+    """``fn(values)`` for an integer-linear ``fn`` in which every output
+    entry's coefficients have absolute sum at most ``gain``: on int64
+    while ``gain · max|values| < 2^62``, on :class:`Residues` otherwise."""
+    if not isinstance(values, Residues):
+        if gain * _max_abs(values) < _INT64_SAFE:
+            return fn(values)
+        values = Residues.of(values)
+    prior = values.residue
+    return Residues(gain * values.bound, max(values.load, gain), lambda p, cache: fn(prior(p, cache)) % p)
+
+
+def nonzero(
+    values: "np.ndarray | Residues", stop: Callable[[np.ndarray], bool] = np.all
+) -> np.ndarray:
+    """Which entries are nonzero, as a boolean array.
+
+    An entry of :class:`Residues` is nonzero iff some prime leaves a
+    nonzero residue.  Primes are read one at a time until their product
+    exceeds the bound, or until ``stop(mask)`` holds: ``np.all`` stops
+    once every entry is nonzero, ``np.any`` at the first nonzero entry.
+    """
+    if not isinstance(values, Residues):
+        return values != 0
+    mask = False
+    for p in values.primes(values.bound):
+        mask = mask | (values.residue(p, {}) != 0)
+        if stop(mask):
+            break
+    return mask
+
+
+def integers(values: "np.ndarray | Residues") -> np.ndarray:
+    """The exact integer array: int64 as it is, :class:`Residues` by Garner's
+    mixed-radix Chinese remaindering.  Its steps are int64; the digits are
+    put together in Python ints only when the primes' product reaches
+    2^62, and the result is int64 when every entry is below 2^62."""
+    if not isinstance(values, Residues):
+        return values
+    primes = list(values.primes(2 * values.bound))
+    digits = []  # x = d_0 + d_1 p_0 + d_2 p_0 p_1 + ..., each d_k in [0, p_k)
+    for p in primes:
+        known, radix = 0, 1  # the digits so far, and their next place value, modulo p
+        for q, digit in zip(primes, digits):
+            known = (known + digit * radix) % p
+            radix = radix * q % p
+        digits.append((values.residue(p, {}) - known) * pow(radix, -1, p) % p)
+    modulus = math.prod(primes)
+    wide = modulus >= _INT64_SAFE
+    x = digits[-1].astype(object) if wide else digits[-1]
+    for q, digit in zip(primes[-2::-1], digits[-2::-1]):
+        x = x * q + digit
+    x = np.where(x > modulus // 2, x - modulus, x)
+    return x.astype(np.int64) if wide and _max_abs(x) < _INT64_SAFE else x

@@ -22,7 +22,10 @@ implementation bug, never bad data.
 All arithmetic is exact: every operand is a sum of einsum terms over the
 integer images the tensors hold, contracted by one guarded engine, and
 the final symmetry operator is evaluated only at the residual's
-canonical components (orbit sums, with overflow guards).
+canonical components (orbit sums, with overflow guards).  A residual
+that outgrows int64 is carried as residues modulo primes: verdicts and
+supports are read from the residues, and only a residual tensor is
+rebuilt from them (see :class:`~killingtensor._fastops.Residues`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,15 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from ._fastops import alternating_sums, contract, expand_axis, linear_combination
+from ._fastops import (
+    Residues,
+    alternating_sums,
+    contract_terms,
+    expand_axis,
+    integers,
+    linear_map,
+    nonzero,
+)
 from ._linalg import determinant
 from ._util import coerce_rng
 from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
@@ -154,7 +165,7 @@ def _resolve_gbar(gbar: GbarLike, dim: int) -> Tensor:
 # Contraction terms and operator tables.
 #
 # Each operand is a sum of contraction terms, each an einsum term for
-# ``_fastops.contract``: a two-letter factor is gbar, a four-letter
+# ``_fastops.contract_terms``: a two-letter factor is gbar, a four-letter
 # factor the input tensor in the form's curvature class.  The comments
 # name the output slots after the indices of the defining contraction.
 #
@@ -231,23 +242,32 @@ def _canonical_shape(groups: _Groups, order: int, dim: int) -> list[int]:
 @dataclass(frozen=True)
 class _Residual:
     """Canonical components of ``scale *`` an (anti)symmetrised residual,
-    first factor slowest (see :func:`_canonical_shape`)."""
+    first factor slowest (see :func:`_canonical_shape`): an int64 array,
+    or :class:`Residues` once the residual outgrew int64."""
 
-    values: np.ndarray
+    values: "np.ndarray | Residues"
     scale: Fraction
     dim: int
     order: int
     groups: _Groups
 
+    def support(self) -> int:
+        """Number of nonzero canonical components."""
+        return int(np.count_nonzero(nonzero(self.values)))
+
+    def is_zero(self) -> bool:
+        return not nonzero(self.values, np.any).any()
+
     def tensor(self) -> Tensor:
         """The dense residual: ``sign(J) * alpha! * value`` at each index
         tuple ``J`` of every canonical tuple."""
-        if not np.count_nonzero(self.values):
+        values = integers(self.values)
+        if not np.count_nonzero(values):
             return Tensor.zeros(self.dim, self.order)
         sym, anti = self.groups
         slots = [axis for group in sym + anti for axis in group]
         slots += [axis for axis in range(self.order) if axis not in slots]
-        arr = self.values.reshape(_canonical_shape(self.groups, self.order, self.dim))
+        arr = values.reshape(_canonical_shape(self.groups, self.order, self.dim))
         for k, group in enumerate(sym + anti):
             arr = expand_axis(arr, k, self.dim, len(group), anti=k >= len(sym))
         arr = arr.reshape((self.dim,) * self.order).transpose(np.argsort(slots))
@@ -337,20 +357,19 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
         # An antisymmetriser over more slots than the dimension is zero.
         zero = np.zeros(math.prod(_canonical_shape(polar.groups, polar.order, dim)), dtype=np.int64)
         return _Residual(zero, Fraction(1), dim, polar.order, polar.groups)
-    parts = []
+    terms = []
     for coefficient, term in polar.terms:
         factors = term.split("->")[0].split(",")
-        operands = [gbar if len(f) == 2 else curvature for f in factors]
-        arr, scale = contract(term, *operands, memo=memo)
-        # An unpolarised term comes back without its degree-0 monomial axis.
-        parts.append((coefficient * scale, arr if "*" in term else arr[None]))
-    arr, scale = linear_combination(parts)
-    values = alternating_sums(arr, polar.alternate)
+        terms.append((coefficient, term, [gbar if len(f) == 2 else curvature for f in factors]))
+    values, scale = contract_terms(terms, memo)
+    size = polar.alternate
+    values = linear_map(values, math.factorial(size), lambda v: alternating_sums(v, size))
     if polar.rebuild == "sym":
-        values = expand_axis(values, 0, dim, polar.order - polar.alternate, anti=False).T
+        free = polar.order - size
+        values = linear_map(values, math.factorial(free), lambda v: expand_axis(v, 0, dim, free, anti=False).T)
     elif polar.rebuild == "anti":
-        values = expand_axis(values, 1, dim, polar.alternate, anti=True)
-    return _Residual(values.reshape(-1), scale, dim, polar.order, polar.groups)
+        values = linear_map(values, 1, lambda v: expand_axis(v, 1, dim, size, anti=True))
+    return _Residual(values, scale, dim, polar.order, polar.groups)
 
 
 def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]:
@@ -507,8 +526,7 @@ def verify_identity_suite(
     g_scaled = _image(g)
     memo: dict = {}
     for name, term, ops in _HOOK_CHECKS:
-        residual = _residual(_polar((term,), ops), g_scaled, s_scaled, memo)
-        require(name, not np.count_nonzero(residual.values))
+        require(name, _residual(_polar((term,), ops), g_scaled, s_scaled, memo).is_zero())
 
     # Projector decomposition on u (x) x (x) x (x) v (x) x (x) w with the
     # (u, v, w) slots antisymmetrised; slots are (a2, b1, b2, c2, d1, d2).
@@ -576,11 +594,10 @@ def check(
     form2 = ConditionForm2.parse(form2)
     start = time.perf_counter()
     res1, res2 = _evaluate(K, model, _COND1_FORMS[form1], _COND2_FORMS[form2])
+    cond1_support, cond2_support = res1.support(), res2.support()
     elapsed = time.perf_counter() - start
 
     dim = K.dim
-    cond1_support = int(np.count_nonzero(res1.values))
-    cond2_support = int(np.count_nonzero(res2.values))
     cond1_zero = cond1_support == 0
     cond2_zero = cond2_support == 0
     warnings: tuple[str, ...] = ()

@@ -310,17 +310,10 @@ class TangentBasis:
         return tuple(map(tuple, ints * scale))
 
 
-def _basis(point: ModelPoint, vectors: Sequence[Tensor]) -> TangentBasis:
-    """The frame of ``vectors`` with its Gram matrix and inverse, built on
-    integer images; raises InvalidArgument if the Gram matrix is singular."""
-    scales = [vec._scale for vec in vectors]
-    scale = Fraction(
-        math.gcd(*(s.numerator for s in scales)), math.lcm(*(s.denominator for s in scales))
-    )
-    frame = np.array(
-        [[int(s / scale) * v for v in vec._ints.tolist()] for s, vec in zip(scales, vectors)],
-        dtype=object,
-    ).reshape(len(vectors), point.model.dim)
+def _basis(point: ModelPoint, vectors: Sequence[Tensor], frame: np.ndarray, scale: Fraction) -> TangentBasis:
+    """The frame ``scale * frame`` (one row per vector, content 1) with its
+    Gram matrix and inverse, built on integer images; raises
+    InvalidArgument if the Gram matrix is singular."""
     gram = frame @ point.model.metric()._ints.astype(object) @ frame.T
     adjugate, det = inverse_image(gram.tolist())
     return TangentBasis(
@@ -332,6 +325,19 @@ def _basis(point: ModelPoint, vectors: Sequence[Tensor]) -> TangentBasis:
     )
 
 
+def _stacked(vectors: Sequence[Tensor], dim: int) -> tuple[np.ndarray, Fraction]:
+    """The vectors' images as rows over one common scale."""
+    scales = [vec._scale for vec in vectors]
+    scale = Fraction(
+        math.gcd(*(s.numerator for s in scales)), math.lcm(*(s.denominator for s in scales))
+    )
+    frame = np.array(
+        [[int(s / scale) * v for v in vec._ints.tolist()] for s, vec in zip(scales, vectors)],
+        dtype=object,
+    ).reshape(len(vectors), dim)
+    return frame, scale
+
+
 def tangent_basis(point: ModelPoint) -> TangentBasis:
     """Build the canonical tangent frame at a point.
 
@@ -339,13 +345,28 @@ def tangent_basis(point: ModelPoint) -> TangentBasis:
     normal vector and projects the remaining standard basis vectors onto
     the tangent space: ``v_k = E_k − g(E_k, ω) ω`` with ω the normal.
     The result is exactly tangent and of full rank ``N − 1``.
+
+    With ``ω = s w`` (integer ``w``) and ``s² = a / d`` in lowest terms,
+    ``d v_k = d E_k − a η_k w_k w`` is an integer row (``η_k = ±1``, the
+    metric's sign at ``k``), so the frame is one integer matrix over
+    ``1 / d``.
     """
     model = point.model
     omega = model.normal_at(point.x)
-    magnitudes = [abs(v) for v in omega._ints.tolist()]
+    w = omega._ints.tolist()
+    magnitudes = [abs(v) for v in w]
     dropped = magnitudes.index(max(magnitudes))
-    kept = [Tensor.basis_vector(model.dim, k) for k in range(model.dim) if k != dropped]
-    return _basis(point, [e_k - omega * model.pair(e_k, omega) for e_k in kept])
+    square = omega._scale * omega._scale
+    a, d = square.numerator, square.denominator
+    rows = []
+    for k in range(model.dim):
+        if k != dropped:
+            c = a * w[k] if k < model.signature.p else -a * w[k]
+            rows.append([(d if j == k else 0) - c * v for j, v in enumerate(w)])
+    rows = np.array(rows, dtype=object).reshape(model.dim - 1, model.dim)
+    content = math.gcd(*rows.flat)
+    vectors = [Tensor._from_ints(row, Fraction(1, d), model.dim) for row in rows]
+    return _basis(point, vectors, rows // content, Fraction(content, d))
 
 
 def tangent_basis_from_vectors(point: ModelPoint, vectors: Sequence[Tensor]) -> TangentBasis:
@@ -362,7 +383,7 @@ def tangent_basis_from_vectors(point: ModelPoint, vectors: Sequence[Tensor]) -> 
             f"a tangent basis needs {model.dim - 1} vectors, got {len(vecs)}"
         )
     try:
-        return _basis(point, vecs)
+        return _basis(point, vecs, *_stacked(vecs, model.dim))
     except InvalidArgument as exc:
         raise InvalidArgument(f"basis vectors do not span the tangent space: {exc}") from exc
 

@@ -34,7 +34,7 @@ independent, and a verdict at a sampled point is a proof at that point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Sequence
 
@@ -158,6 +158,8 @@ class PointFrameData:
 
     All arrays are object arrays of :class:`~fractions.Fraction` indexed
     by frame labels ``0..n−1`` with ``n = N − 1`` the model dimension.
+    ``k_image`` and ``nbar_image`` are the integer images ``K`` and
+    ``nbar`` were built from, which :func:`tns_residuals` reads.
     """
 
     x: ModelPoint
@@ -166,6 +168,8 @@ class PointFrameData:
     gram: np.ndarray
     gram_inverse: np.ndarray
     nbar: np.ndarray
+    k_image: _Image = field(repr=False)
+    nbar_image: _Image = field(repr=False)
 
 
 def compute_point_data(
@@ -197,6 +201,8 @@ def compute_point_data(
         gram=np.array(basis.gram, dtype=object),
         gram_inverse=np.array(basis.gram_inverse, dtype=object),
         nbar=_fractions(nbar),
+        k_image=k_mat,
+        nbar_image=nbar,
     )
 
 
@@ -211,9 +217,7 @@ def tns_residuals(data: PointFrameData) -> tuple[np.ndarray, np.ndarray, np.ndar
     exactly when all three vanish.
     """
     basis = data.basis
-    residuals = _residual_ints(
-        _image(Tensor(data.K)), basis.gram_image, basis.gram_inverse_image, _image(Tensor(data.nbar))
-    )
+    residuals = _residual_ints(data.k_image, basis.gram_image, basis.gram_inverse_image, data.nbar_image)
     res1, res2, res3 = (_fractions(res) for res in residuals)
     return res1, res2, res3
 

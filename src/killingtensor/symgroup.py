@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -59,6 +60,13 @@ class Permutation:
         if sorted(imgs) != list(range(1, len(imgs) + 1)):
             raise InvalidArgument(f"images {imgs} are not a rearrangement of 1..{len(imgs)}")
         self._images = imgs
+
+    @classmethod
+    def _of(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation with these images, known to be a rearrangement."""
+        perm = cls.__new__(cls)
+        perm._images = images
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -97,13 +105,13 @@ class Permutation:
         """Function composition ``self ∘ other`` (``other`` applied first)."""
         if self.degree != other.degree:
             raise InvalidArgument("cannot compose permutations of different degrees")
-        return Permutation(tuple(self._images[v - 1] for v in other._images))
+        return Permutation._of(tuple(self._images[v - 1] for v in other._images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for k, v in enumerate(self._images, start=1):
             inv[v - 1] = k
-        return Permutation(inv)
+        return Permutation._of(tuple(inv))
 
     def sign(self) -> int:
         """Parity: ``+1`` for even permutations, ``−1`` for odd."""
@@ -276,14 +284,27 @@ class GroupAlgebraElement:
     __rmul__ = __mul__
 
     def multiply(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        """Convolution product; in ``a.multiply(b)``, ``b`` acts first under apply."""
+        """Convolution product; in ``a.multiply(b)``, ``b`` acts first under apply.
+
+        Coefficients are summed as integers over the product of the two
+        factors' common denominators, and each composite image tuple is
+        built without re-checking that it is a rearrangement.
+        """
         self._check_degree(other)
-        product: dict[Permutation, Fraction] = {}
-        for p, cp in self._terms.items():
-            for q, cq in other._terms.items():
-                key = p.compose(q)
-                product[key] = product.get(key, Fraction(0)) + cp * cq
-        return GroupAlgebraElement(self._degree, product)
+        left, left_denominator = _integer_terms(self._terms)
+        right, right_denominator = _integer_terms(other._terms)
+        product: dict[tuple[int, ...], int] = {}
+        for p, cp in left:
+            for q, cq in right:
+                key = tuple([p[v - 1] for v in q])
+                product[key] = product.get(key, 0) + cp * cq
+        denominator = left_denominator * right_denominator
+        element = GroupAlgebraElement.__new__(GroupAlgebraElement)
+        element._degree = self._degree
+        element._terms = {
+            Permutation._of(key): Fraction(c, denominator) for key, c in product.items() if c
+        }
+        return element
 
     def adjoint(self) -> "GroupAlgebraElement":
         """Replace every permutation by its inverse, keeping coefficients."""
@@ -340,6 +361,14 @@ class GroupAlgebraElement:
                 images[mapping[label] - 1] = mapping[perm(label)]
             terms.append((coeff * tensor._scale, tensor._ints.transpose(_slot_axes(images))))
         return Tensor._from_ints(*linear_combination(terms), tensor.dim)
+
+
+def _integer_terms(
+    terms: Mapping[Permutation, Fraction],
+) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """``(images, c · L)`` per term, and ``L``, the lcm of the coefficients' denominators."""
+    denominator = math.lcm(*(c.denominator for c in terms.values()))
+    return [(p._images, c.numerator * (denominator // c.denominator)) for p, c in terms.items()], denominator
 
 
 class YoungFrame:

@@ -527,8 +527,12 @@ class TestPolynomialProduct:
         term = "ab*,bc,c*->a"
         memo: dict = {}
         arr, scale = contract(term, (a, Fraction(1)), (b, Fraction(1)), (c, Fraction(1)), memo=memo)
-        steps = [value[0] for key, value in memo.items() if key.startswith("(")]
-        assert [step.dtype for step in steps] == [np.int64, object]
+        # The first step is an int64 array; the second, past the guard, has
+        # no array (it is computed modulo primes) and a bound above 2^62.
+        steps = [node for key, node in memo.items() if key.startswith("(")]
+        assert steps[0].arr.dtype == np.int64 and steps[0].bound == np.max(np.abs(steps[0].arr))
+        assert steps[1].arr is None and steps[1].bound >= NEAR_SAFE
+        assert arr.dtype == object
         expected = polarised_reference(term, [a, b, c])
         assert [scale * v for v in arr.ravel().tolist()] == expected.ravel().tolist()
 

@@ -134,9 +134,9 @@ class TestResidualStructure:
         # At N = 3 every four-slot antisymmetriser vanishes: main1, main2,
         # the ks2-* forms and, of the first-condition forms, all but split-b.
         calls = []
-        engine = integrability_module.contract
+        engine = integrability_module.contract_terms
         monkeypatch.setattr(
-            integrability_module, "contract", lambda *a, **k: calls.append(a[0]) or engine(*a, **k)
+            integrability_module, "contract_terms", lambda *a, **k: calls.append(a[0]) or engine(*a, **k)
         )
         R = random_curvature(3, random.Random(71), bound=BOUND)
         model = sphere(3)

@@ -3,7 +3,8 @@
 The algebraic conditions (``integrability``) and the pointwise oracle
 (``oracle``) are two independent routes to one verdict, so the oracle
 must not reach the integrability engine, directly or through the
-contraction, polarisation and canonical-component helpers, old or new.
+contraction, polarisation and canonical-component helpers, old or new,
+or the modular residues and their Chinese remaindering.
 ``_fastops`` sits below ``tensor``, which imports its guards, so it must
 not import ``tensor`` back.
 """
@@ -65,6 +66,16 @@ def test_oracle_uses_no_contraction_engine():
         "alternating_sums",
         "expand_axis",
         "orbit_expand",
+        # The modular route and its Chinese remaindering.
+        "contract_terms",
+        "linear_map",
+        "Residues",
+        "nonzero",
+        "integers",
+        "_prime_below",
+        "_is_prime",
+        "_residue",
+        "_modulo",
     )
     for name in engine:
         assert name not in imported
@@ -77,6 +88,6 @@ def test_fastops_does_not_import_tensor():
 
 def test_the_checks_see_imports():
     # The parser finds the imports these checks rule out elsewhere.
-    assert "contract" in imports_of("integrability")["_fastops"]
+    assert {"contract_terms", "Residues", "nonzero", "integers"} <= imports_of("integrability")["_fastops"]
     assert "_fastops" in imports_of("tensor")
-    assert "contract" in names_used("integrability")
+    assert {"contract_terms", "nonzero", "integers"} <= names_used("integrability")

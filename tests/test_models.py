@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -200,6 +201,44 @@ class TestTangentFrames:
                     basis.gram[i][k] * basis.gram_inverse[k][j] for k in range(n)
                 )
                 assert product == (1 if i == j else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        kind=st.sampled_from(["sphere", "lorentz", "flat", "lorentz-flat"]),
+        seed=st.integers(0, 10**6),
+        bound=st.sampled_from([1, 3, 9, 1000, 10**12]),
+    )
+    def test_integer_frame_matches_the_tensor_projection(self, dim, kind, seed, bound):
+        # The frame as it was first built: each v_k = E_k - g(E_k, w) w by
+        # Tensor arithmetic, stacked over the gcd / lcm of the vectors' scales.
+        q = 1 if kind.startswith("lorentz") else 0
+        model = (flat if kind.endswith("flat") else sphere)(dim - q, q)
+        point = sample_point(model, seed, bound=bound)
+        omega = model.normal_at(point.x)
+        magnitudes = [abs(v) for v in omega.array.tolist()]
+        dropped = magnitudes.index(max(magnitudes))
+        kept = [Tensor.basis_vector(dim, k) for k in range(dim) if k != dropped]
+        vectors = tuple(e - omega * model.pair(e, omega) for e in kept)
+        scale = Fraction(
+            math.gcd(*(v._scale.numerator for v in vectors)),
+            math.lcm(*(v._scale.denominator for v in vectors)),
+        )
+        frame = [[int(v._scale / scale) * x for x in v._ints.tolist()] for v in vectors]
+
+        basis = tangent_basis(point)
+        assert basis.vectors == vectors
+        assert [(v._ints.tolist(), v._ints.dtype, v._scale) for v in basis.vectors] == [
+            (v._ints.tolist(), v._ints.dtype, v._scale) for v in vectors
+        ]
+        assert basis.frame_image[0].tolist() == frame and basis.frame_image[1] == scale
+        twin = tangent_basis_from_vectors(point, vectors)
+        assert repr(basis) == repr(twin)
+        for name in ("frame_image", "gram_image", "gram_inverse_image"):
+            ints, image_scale = getattr(basis, name)
+            assert ints.tolist() == getattr(twin, name)[0].tolist()
+            assert image_scale == getattr(twin, name)[1]
+        assert basis.gram == twin.gram and basis.gram_inverse == twin.gram_inverse
 
     def test_basis_from_vectors_roundtrip(self):
         model = sphere(3)

@@ -1,0 +1,380 @@
+"""The modular residual route against a Python-int route kept here.
+
+A residual whose int64 guards fail continues as residues modulo primes
+(``_fastops.Residues``): its zero tests and supports are read from the
+residues, and its tensor is rebuilt by Chinese remaindering.  Here every
+row is also computed in Python integers (object arrays) with no modular
+code: each polarised factor is multiplied pairwise along the greedy path
+of its index letters with ``polynomial_tensordot`` on object arrays (whose
+object branch ``test_fastops`` checks against Python polynomial
+multiplication), the terms are added with exact multiples, and the
+canonical components are read with ``alternating_sums`` and
+``expand_axis`` on object arrays.  Supports, ``condition1/2/3_residual``
+tensors and hook-check outcomes must agree, on Benenti inputs at entry
+bound 9, random S, and sums of Kulkarni-Nomizu products whose integer
+images cross 2^62 and 2^64.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import flat, sphere
+from killingtensor import (
+    ConditionForm1,
+    ConditionForm2,
+    CurvatureTensor,
+    MetricSignature,
+    ModelKind,
+    ModelSpace,
+    SymmetricForm,
+    Tensor,
+    benenti_rep,
+    check,
+    condition1_residual,
+    condition2_residual,
+    condition3_residual,
+    kulkarni_nomizu,
+    r_to_s,
+    random_curvature,
+    random_invertible_matrix,
+    verify_identity_suite,
+)
+from killingtensor import _fastops, integrability
+from killingtensor._fastops import (
+    Residues,
+    alternating_sums,
+    expand_axis,
+    integers,
+    nonzero,
+    polarise,
+    polynomial_tensordot,
+)
+
+NEAR_SAFE = 1 << 62
+
+
+def python_ints(arr: np.ndarray) -> np.ndarray:
+    return np.array(arr.ravel().tolist(), dtype=object).reshape(arr.shape)
+
+
+def python_int_term(term: str, operands) -> np.ndarray:
+    """A polarised einsum term in Python ints, monomial axis first."""
+    inputs, output = term.split("->")
+    dim = operands[0][0].shape[0]
+    nodes = []
+    for factor, (arr, _) in zip(inputs.split(","), operands):
+        axes = [k for k, c in enumerate(factor) if c == "*"]
+        nodes.append((polarise(python_ints(arr), axes), factor.replace("*", ""), len(axes)))
+    shapes = [np.broadcast_to(0, (dim,) * len(names)) for _, names, _ in nodes]
+    spec = ",".join(names for _, names, _ in nodes) + "->" + output
+    for positions in np.einsum_path(spec, *shapes, optimize=("greedy", sys.maxsize))[0][1:]:
+        (a, names_a, degree_a), (b, names_b, degree_b) = (nodes[k] for k in positions)
+        nodes = [node for k, node in enumerate(nodes) if k not in positions]
+        shared = [c for c in names_a if c in names_b]
+        axes_a = [names_a.index(c) + 1 for c in shared]
+        axes_b = [names_b.index(c) + 1 for c in shared]
+        product = polynomial_tensordot(a, b, axes_a, axes_b, dim, degree_a, degree_b)
+        assert product.dtype == object
+        names = "".join(c for c in names_a + names_b if c not in shared)
+        nodes.append((product, names, degree_a + degree_b))
+    ((arr, names, _),) = nodes
+    return arr.transpose([0] + [names.index(c) + 1 for c in output])
+
+
+def python_int_residual(terms, ops, gbar, curvature) -> integrability._Residual:
+    """Canonical components of a row, in Python ints, as a residual."""
+    polar = integrability._polar(terms, ops)
+    dim = gbar[0].shape[0]
+    if polar.longest_anti > dim:
+        size = math.prod(integrability._canonical_shape(polar.groups, polar.order, dim))
+        return integrability._Residual(np.zeros(size, dtype=object), Fraction(1), dim, polar.order, polar.groups)
+    parts = []
+    for coefficient, term in polar.terms:
+        operands = [gbar if len(f) == 2 else curvature for f in term.split("->")[0].split(",")]
+        scale = math.prod(s for _, s in operands)
+        parts.append((coefficient * scale, python_int_term(term, operands)))
+    common = Fraction(1, math.lcm(*(c.denominator for c, _ in parts)))
+    total = sum(int(c / common) * arr for c, arr in parts)
+    values = alternating_sums(total, polar.alternate)
+    if polar.rebuild == "sym":
+        values = expand_axis(values, 0, dim, polar.order - polar.alternate, anti=False).T
+    elif polar.rebuild == "anti":
+        values = expand_axis(values, 1, dim, polar.alternate, anti=True)
+    return integrability._Residual(values.reshape(-1), common, dim, polar.order, polar.groups)
+
+
+def image(tensor: Tensor):
+    return tensor._ints, tensor._scale
+
+
+def wide_kn(dim: int, rng: random.Random, bits: int) -> CurvatureTensor:
+    """h1 ⊘ k1 + h2 ⊘ k2 for integer symmetric forms with entries below
+    2^bits: a curvature tensor whose integer image reaches about 2^(2 bits + 3)."""
+
+    def form() -> SymmetricForm:
+        arr = np.empty((dim, dim), dtype=object)
+        for i in range(dim):
+            for j in range(i, dim):
+                arr[i, j] = arr[j, i] = rng.randint(-(1 << bits), 1 << bits)
+        return SymmetricForm(Tensor(arr, dim=dim))
+
+    first, second = kulkarni_nomizu(form(), form()), kulkarni_nomizu(form(), form())
+    return CurvatureTensor(first.tensor + second.tensor)
+
+
+def models(dim: int) -> list[ModelSpace]:
+    return [sphere(dim), ModelSpace(ModelKind.SPHERE, MetricSignature(dim - 1, 1)), flat(dim)]
+
+
+def draw_input(kind: str, dim: int, model: ModelSpace, seed: int):
+    rng = random.Random(seed)
+    if kind == "benenti":
+        return benenti_rep(model, random_invertible_matrix(dim, rng, bound=9))
+    if kind == "random":
+        return random_curvature(dim, rng, bound=9)
+    return wide_kn(dim, rng, {"kn-31": 31, "kn-32": 32}[kind])
+
+
+KINDS = ["benenti", "random", "kn-31", "kn-32"]
+
+
+class TestAgainstPythonInts:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([3, 4, 5]),
+        kind=st.sampled_from(KINDS),
+        model_index=st.integers(0, 2),
+        seed=st.integers(0, 10**6),
+        forms=st.tuples(st.sampled_from(list(ConditionForm1)), st.sampled_from(list(ConditionForm2))),
+    )
+    def test_supports_and_residual_tensors(self, dim, kind, model_index, seed, forms):
+        model = models(dim)[model_index]
+        form1, form2 = forms
+        if form1 is ConditionForm1.OMEGA and model.is_flat:
+            form1 = ConditionForm1.MAIN1
+        K = draw_input(kind, dim, model, seed)
+        g = image(model.gbar())
+        expected = []
+        for row, residual in (
+            (integrability._COND1_FORMS[form1], condition1_residual),
+            (integrability._COND2_FORMS[form2], condition2_residual),
+        ):
+            cls, terms, ops = row
+            reference = python_int_residual(terms, ops, g, image(integrability._as_class(K, cls).tensor))
+            expected.append(int(np.count_nonzero(reference.values)))
+            assert residual(K, model, (form1 if residual is condition1_residual else form2)) == reference.tensor()
+        report = check(K, model, form1, form2)
+        assert (report.cond1_support, report.cond2_support) == tuple(expected)
+        assert report.integrable == (expected == [0, 0])
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dim=st.sampled_from([3, 4]),
+        kind=st.sampled_from(KINDS),
+        model_index=st.integers(0, 2),
+        seed=st.integers(0, 10**6),
+    )
+    def test_third_condition(self, dim, kind, model_index, seed):
+        model = models(dim)[model_index]
+        K = draw_input(kind, dim, model, seed)
+        _, terms, ops = integrability._COND3_FORM
+        reference = python_int_residual(terms, ops, image(model.gbar()), image(r_to_s(K).tensor))
+        assert condition3_residual(K, model) == reference.tensor()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        dim=st.sampled_from([3, 4, 5]),
+        kind=st.sampled_from(KINDS),
+        model_index=st.integers(0, 2),
+        seed=st.integers(0, 10**6),
+    )
+    def test_identity_suite(self, dim, kind, model_index, seed):
+        # Every hook residual of a valid S is zero by both routes, and the
+        # suite passes.
+        model = models(dim)[model_index]
+        S = r_to_s(draw_input(kind, dim, model, seed))
+        g, s = image(model.gbar()), image(S.tensor)
+        checks = integrability._HOOK_CHECKS if dim < 5 else integrability._HOOK_CHECKS[:3]
+        for name, term, ops in checks:
+            reference = python_int_residual((term,), ops, g, s)
+            engine = integrability._residual(integrability._polar((term,), ops), g, s, {})
+            assert engine.is_zero() and not np.count_nonzero(reference.values), name
+        assert verify_identity_suite(S, model) == integrability._IDENTITY_CHECKS
+
+    @pytest.mark.parametrize("bits", [20, 31, 40])
+    def test_hook_rows_on_unstructured_operands(self, bits):
+        # A non-symmetric operand leaves nonzero hook residuals: the zero
+        # test must find them, and the components must match.
+        rng = np.random.default_rng(bits)
+        k = (rng.integers(-(1 << bits), (1 << bits) + 1, size=(4,) * 4), Fraction(1, 3))
+        g = (rng.integers(-3, 4, size=(4, 4)), Fraction(2))
+        for name, term, ops in integrability._HOOK_CHECKS:
+            reference = python_int_residual((term,), ops, g, k)
+            engine = integrability._residual(integrability._polar((term,), ops), g, k, {})
+            assert engine.is_zero() == (not np.count_nonzero(reference.values)), name
+            assert engine.support() == np.count_nonzero(reference.values), name
+            assert engine.tensor() == reference.tensor(), name
+
+
+class TestModularRoute:
+    def test_wide_inputs_take_the_modular_route(self):
+        # Benenti inputs at bound 9 pass the int64 guards at N = 5 only on
+        # the first steps; entries near 2^65 fail the first polarisation.
+        model = sphere(5)
+        for K in (
+            benenti_rep(model, random_invertible_matrix(5, random.Random(3), bound=9)),
+            wide_kn(5, random.Random(4), 32),
+        ):
+            res1, res2 = integrability._evaluate(
+                K, model, integrability._COND1_FORMS[ConditionForm1.MAIN1],
+                integrability._COND2_FORMS[ConditionForm2.MAIN2],
+            )
+            assert isinstance(res2.values, Residues)
+            assert res2.values.bound >= NEAR_SAFE
+
+    @pytest.mark.parametrize("term", ["ab*,bc,c*->a", "p*ab,pq,q*cd->abcd", "ab,bc,ca->", "a*,b*,ab->"])
+    def test_bounds_are_attained_by_constant_operands(self, term):
+        # Operands filled with 2^62 go modular from the first polarisation,
+        # and every coefficient of the largest monomial sums pairs · volume
+        # equal products, so each step's bound is an equality.
+        operands = [
+            (np.full((3,) * len(factor), 1 << 62, dtype=object), Fraction(1))
+            for factor in term.split("->")[0].split(",")
+        ]
+        values, _, _ = _fastops._term(term, operands, {})
+        assert isinstance(values, Residues)
+        exact = integers(values)
+        assert exact.tolist() == python_int_term(term, operands).tolist()
+        assert max(abs(v) for v in exact.ravel().tolist()) == values.bound
+
+    def test_a_promoting_check_builds_no_object_array(self, monkeypatch):
+        # Every function of the engine module, and the canonical-component
+        # maps integrability hands it, sees and returns only int64 arrays.
+        seen = []
+
+        def watch(fn):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                values = [*args, *kwargs.values(), *(result if isinstance(result, tuple) else (result,))]
+                seen.extend(v.dtype for v in values if isinstance(v, np.ndarray))
+                return result
+
+            return wrapper
+
+        for name, value in list(vars(_fastops).items()):
+            if callable(value) and getattr(value, "__module__", None) == _fastops.__name__ and not isinstance(value, type):
+                monkeypatch.setattr(_fastops, name, watch(value))
+        for name in ("alternating_sums", "expand_axis", "contract_terms", "linear_map", "nonzero"):
+            monkeypatch.setattr(integrability, name, watch(getattr(integrability, name)))
+        rng = random.Random(5)
+        model = sphere(5)
+        K = benenti_rep(model, random_invertible_matrix(5, rng, bound=9))
+        assert K.tensor._ints.dtype == np.int64
+        report = check(K, model)
+        assert report.integrable
+        assert np.dtype(object) not in seen
+        assert len(seen) > 100
+
+    @pytest.mark.parametrize("biggest, wide", [(NEAR_SAFE // 24, False), (NEAR_SAFE // 24 + 1, True)])
+    def test_linear_map_guard(self, biggest, wide):
+        # Alternating sums over four slots add 24 signed entries.
+        rng = np.random.default_rng(3)
+        arr = rng.integers(-9, 10, size=(1, 4, 4, 4, 4, 2))
+        arr[0, 0, 1, 2, 3, 0] = biggest
+        values = _fastops.linear_map(arr, 24, lambda v: alternating_sums(v, 4))
+        expected = alternating_sums(python_ints(arr), 4)
+        assert isinstance(values, Residues) == wide
+        assert integers(values).tolist() == expected.tolist()
+        if wide:
+            assert values.bound == 24 * biggest
+
+    def test_nonzero_stops_once_decided(self):
+        calls = []
+
+        def residue(p, cache):
+            calls.append(p)
+            return np.array([0, 1, p % 2], dtype=np.int64)
+
+        values = Residues(1 << 200, 2, residue)
+        assert nonzero(values, np.any).tolist() == [False, True, True]
+        assert len(calls) == 1
+        assert nonzero(values).tolist() == [False, True, True]
+        assert len(calls) == 1 + len(list(values.primes(values.bound)))
+
+
+class TestPrimes:
+    @pytest.mark.parametrize("load", [1, 2, 24, 130, 1 << 20])
+    def test_prime_count_next_to_prime_products(self, load):
+        values = Residues(0, load, lambda p, cache: np.zeros(1, dtype=np.int64))
+        primes = list(values.primes(1 << 400))
+        limit = 1 << ((62 - load.bit_length()) // 2)
+        assert primes == sorted(primes, reverse=True) and len(set(primes)) == len(primes)
+        assert all(load * p * p < NEAR_SAFE and p < limit for p in primes)
+        for k in range(1, 6):
+            product = math.prod(primes[:k])
+            # The count is the fewest primes whose product exceeds the bound.
+            assert len(list(values.primes(product - 1))) == k
+            assert len(list(values.primes(product))) == k + 1
+            assert len(list(values.primes(product + 1))) == k + 1
+        assert len(list(values.primes(0))) == 1
+
+    def test_primes_below_a_limit(self):
+        def trial_division(n):
+            return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        for n in (100, 1000, 65536, 1 << 20):
+            expected = max(m for m in range(n - 200, n) if trial_division(m))
+            assert _fastops._prime_below(n) == expected
+        for n in list(range(63, 3000, 2)) + list(range((1 << 31) - 400, (1 << 31) - 1, 2)):
+            assert _fastops._is_prime(n) == trial_division(n), n
+        # Strong pseudoprimes to some of the bases.
+        for n in (2047, 3215031751, 1373653, 25326001):
+            assert not _fastops._is_prime(n)
+
+
+class TestChineseRemaindering:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(
+            st.integers(-(1 << 200), 1 << 200)
+            | st.sampled_from([0, 1, -1, NEAR_SAFE - 1, NEAR_SAFE, -NEAR_SAFE, 1 << 64, -(1 << 64) - 1]),
+            min_size=1,
+            max_size=12,
+        ),
+        load=st.sampled_from([2, 24, 5040]),
+    )
+    def test_rebuilds_the_integers(self, entries, load):
+        arr = np.array(entries, dtype=object)
+        bound = max(abs(v) for v in entries)
+        values = Residues(bound, load, lambda p, cache: np.asarray(arr % p, dtype=np.int64))
+        rebuilt = integers(values)
+        assert rebuilt.tolist() == entries
+        assert (rebuilt.dtype == object) == (bound >= NEAR_SAFE)
+        assert nonzero(values).tolist() == [v != 0 for v in entries]
+
+    def test_an_entry_divisible_by_all_primes_but_one(self):
+        # x is zero modulo every prime but the first: nonzero, and only the
+        # first prime shows it.
+        arr = np.array([0, 5], dtype=object)
+        probe = Residues(1 << 120, 24, lambda p, cache: arr % p)
+        primes = list(probe.primes(probe.bound))
+        for skipped in range(len(primes)):
+            x = math.prod(q for k, q in enumerate(primes) if k != skipped)
+            arr = np.array([x, 0, -x], dtype=object)
+            values = Residues(x, 24, lambda p, cache, arr=arr: np.asarray(arr % p, dtype=np.int64))
+            assert nonzero(values).tolist() == [True, False, True]
+            assert integers(values).tolist() == [x, 0, -x]
+
+    def test_exact_arrays_pass_through(self):
+        arr = np.array([3, 0, -2], dtype=np.int64)
+        assert integers(arr) is arr
+        assert nonzero(arr).tolist() == [True, False, True]

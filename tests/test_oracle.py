@@ -258,3 +258,30 @@ class TestNoConversionsInTheOracle:
         integrable_oracle(S, model, num_points=4, seed=22, bound=BOUND)
         assert len(draws) >= 4
         assert calls == [("_rescale", 1)] * len(draws)
+
+    @pytest.mark.parametrize(
+        "model", [sphere(4), sphere(3, 1), flat(4), flat(3, 1)], ids=repr
+    )
+    def test_point_data_and_residuals_make_no_conversion(self, model, monkeypatch):
+        # compute_point_data keeps the integer images of K and nbar, and
+        # tns_residuals reads them: no Tensor is rebuilt from Fractions.
+        S = random_curvature(model.dim, random.Random(23), bound=BOUND)
+        point = sample_point(model, random.Random(24), bound=BOUND)
+        expected = tns_residuals(compute_point_data(S, model, point))
+        calls = []
+        for name in ("_rescale", "_fraction_view"):
+            original = getattr(tensor_module, name)
+            monkeypatch.setattr(
+                tensor_module, name,
+                lambda array, *rest, name=name, original=original: (
+                    calls.append((name, array.ndim)) or original(array, *rest)
+                ),
+            )
+        data = compute_point_data(S, model, point)
+        residuals = tns_residuals(data)
+        assert calls == []
+        for got, want in zip(residuals, expected):
+            assert got.tolist() == want.tolist()
+        # The images and the Fraction arrays hold the same values.
+        for (ints, scale), values in ((data.k_image, data.K), (data.nbar_image, data.nbar)):
+            assert (ints * scale).tolist() == values.tolist()

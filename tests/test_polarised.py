@@ -42,6 +42,7 @@ from killingtensor import (
     random_curvature,
 )
 from killingtensor import integrability
+from killingtensor._fastops import integers
 
 FORMS1 = {form.value: row for form, row in integrability._COND1_FORMS.items()}
 FORMS2 = {form.value: row for form, row in integrability._COND2_FORMS.items()}
@@ -145,7 +146,7 @@ def orbit_components(arr: np.ndarray, ops) -> list:
 def engine_components(name: str, gbar, curvature) -> list:
     terms, ops = ROWS[name]
     residual = integrability._residual(integrability._polar(terms, ops), gbar, curvature, {})
-    return [residual.scale * v for v in residual.values.tolist()]
+    return [residual.scale * v for v in integers(residual.values).ravel().tolist()]
 
 
 def reference_components(name: str, gbar, curvature) -> list:

@@ -110,6 +110,63 @@ class TestGroupAlgebra:
         assert x.apply(t + u) == x.apply(t) + x.apply(u)
 
 
+def reference_multiply(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
+    """The convolution product by definition: Fraction coefficients, and
+    each composite built through the validating constructor."""
+    product: dict[Permutation, Fraction] = {}
+    for p, cp in a.terms.items():
+        for q, cq in b.terms.items():
+            key = Permutation([p(q(k)) for k in range(1, a.degree + 1)])
+            product[key] = product.get(key, Fraction(0)) + cp * cq
+    return GroupAlgebraElement(a.degree, product)
+
+
+def reference_young_symmetriser(rows) -> GroupAlgebraElement:
+    tableau = YoungTableau(rows)
+    element = GroupAlgebraElement.unit(tableau.size)
+    for row in tableau.rows:
+        element = reference_multiply(element, GroupAlgebraElement.symmetriser_over(row, tableau.size))
+    for col in tableau.columns:
+        element = reference_multiply(element, GroupAlgebraElement.antisymmetriser_over(col, tableau.size))
+    return element
+
+
+class TestIntegerProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        degree=st.integers(1, 4),
+        coefficient=st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    )
+    def test_matches_the_fraction_product(self, data, degree, coefficient):
+        perms = st.permutations(range(1, degree + 1)).map(Permutation)
+
+        def element():
+            terms = data.draw(st.dictionaries(perms, st.just(coefficient) | st.fractions(max_denominator=9), max_size=6))
+            return GroupAlgebraElement(degree, terms)
+
+        a, b = element(), element()
+        product = a.multiply(b)
+        assert product == reference_multiply(a, b)
+        assert all(c != 0 for c in product.terms.values())
+
+    def test_cancelling_terms_are_dropped(self):
+        swap = Permutation.from_cycles(2, [(1, 2)])
+        a = GroupAlgebraElement(2, {swap: Fraction(1, 2), Permutation.identity(2): Fraction(1, 2)})
+        b = GroupAlgebraElement(2, {swap: 1, Permutation.identity(2): -1})
+        assert a.multiply(b).is_zero()
+
+    def test_projector_sum_matches_the_fraction_route(self):
+        # The element behind the identity suite's projector decomposition.
+        from killingtensor.integrability import _projector_sum
+
+        t1 = reference_young_symmetriser([[3, 2, 5], [4], [6], [1]])
+        t2 = reference_young_symmetriser([[4, 3, 2, 5], [6], [1]])
+        expected = reference_multiply(t1, t1.adjoint()) + reference_multiply(t2.adjoint(), t2)
+        assert _projector_sum() == expected
+        assert young_symmetriser([[3, 2, 5], [4], [6], [1]]) == t1
+
+
 class TestYoungMachinery:
     def test_frame_parsing_and_validation(self):
         assert YoungFrame.from_text("(3,1)").rows == (3, 1)
