@@ -22,9 +22,11 @@ order of their sorted index tuples (size 1 in degree 0).  The one
 contraction engine, :func:`contract`, multiplies such factors pairwise: a
 batched ``matmul`` over their index axes, one batch per pair of
 monomials, then a gather and a segmented sum over a cached table that
-maps each pair to its product monomial.  Antisymmetric groups stay index
-axes, read only at increasing tuples (:func:`alternating_sums`), and
-:func:`expand_axis` rebuilds a dense slot group from canonical components.
+maps each pair to its product monomial.  An antisymmetric group stays
+index axes and is alternated inside the last product of each term
+(:func:`contract_terms`), which computes it only at the group's
+increasing tuples; :func:`expand_axis` rebuilds a dense slot group from
+canonical components.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "guarded_tensordot",
     "polarise",
     "polynomial_tensordot",
-    "alternating_sums",
     "expand_axis",
     "normalize_array",
 ]
@@ -131,8 +132,14 @@ def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fract
     otherwise, and gives an all-zero array the scale 1.  The represented
     value ``scale * arr`` is unchanged.
     """
+    arr, scale, _ = _normalized(arr, scale)
+    return arr, scale
+
+
+def _normalized(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction, int]:
+    """:func:`normalize_array`, and the largest magnitude in its array."""
     if arr.size == 0:
-        return arr, scale
+        return arr, scale, 0
     if arr.dtype != object:
         gcd = int(np.gcd.reduce(arr, axis=None))
     else:
@@ -142,13 +149,14 @@ def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fract
             if gcd == 1:
                 break
     if gcd == 0:
-        return np.zeros(arr.shape, dtype=np.int64), Fraction(1)
+        return np.zeros(arr.shape, dtype=np.int64), Fraction(1), 0
     if gcd > 1:
         arr = np.asarray(arr // gcd, dtype=arr.dtype)  # a 0-d quotient is a scalar
         scale = scale * gcd
-    if (arr.dtype == object) != (_max_abs(arr) >= _INT64_SAFE):
+    peak = _max_abs(arr)
+    if (arr.dtype == object) != (peak >= _INT64_SAFE):
         arr = arr.astype(np.int64 if arr.dtype == object else object)
-    return arr, scale
+    return arr, scale, peak
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +218,28 @@ def _alternating(dim: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     for cached in (rows, odd, index, sign):
         cached.flags.writeable = False
     return rows, odd, index, sign
+
+
+@functools.lru_cache(maxsize=64)
+def _rearranged(dim: int, size: int, slots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather tables of one antisymmetric group of ``size`` slots split
+    between two factors, the first holding ``slots`` (in order) and the
+    second the rest.
+
+    Returns ``(first, second, signs)``: for each strictly increasing tuple
+    (one row each, lexicographic) and each of its rearrangements (in the
+    order of :func:`_alternating`), the flat position (C order) of the
+    rearranged tuple's values in the first factor's slots and in the
+    second's; and the rearrangements' signs.
+    """
+    rows, odd, _, _ = _alternating(dim, size)
+    digits = rows[..., None] // dim ** np.arange(size - 1, -1, -1) % dim
+    others = [s for s in range(size) if s not in slots]
+    first, second = (digits[..., list(part)] @ dim ** np.arange(len(part) - 1, -1, -1) for part in (slots, others))
+    signs = np.where(odd, -1, 1)
+    for cached in (first, second, signs):
+        cached.flags.writeable = False
+    return first, second, signs
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +312,71 @@ def _product(
     volume = math.prod(a.shape[k] for k in axes_a)
     a = a.transpose([0, *free_a, *axes_a]).reshape(len(a), 1, -1, volume)
     b = b.transpose([0, *axes_b, *free_b]).reshape(1, len(b), volume, -1)
-    out = np.matmul(a, b).reshape([-1] + shape)
+    return _merged(np.matmul(a, b).reshape([-1] + shape), dim, degree_a, degree_b)
+
+
+def _merged(out: np.ndarray, dim: int, degree_a: int, degree_b: int) -> np.ndarray:
+    """Products over every pair of monomials (axis 0, C order) added up
+    per product monomial."""
     if not (degree_a and degree_b):
         return out
     table = _merge(dim, (degree_a, degree_b))
     return np.add.reduceat(out[table.perm], table.starts, axis=0)
+
+
+def _alternated(
+    a: np.ndarray,
+    b: np.ndarray,
+    axes_a: Sequence[int],
+    axes_b: Sequence[int],
+    dim: int,
+    degree_a: int,
+    degree_b: int,
+    group_a: Sequence[int],
+    group_b: Sequence[int],
+) -> np.ndarray:
+    """:func:`_product`, alternated over one antisymmetric group of free slots.
+
+    Slot ``s`` of the group is axis ``group_a[s]`` of ``a``, or, where
+    that is 0, axis ``group_b[s]`` of ``b``.  Axis 1 of the result runs
+    over the group's strictly increasing tuples ``I`` (lexicographic
+    order), holding the sum over the rearrangements ``J`` of ``I`` of
+    ``sign(J)`` times the product read at ``J``; the other free axes of
+    ``a``, then of ``b``, follow.  Each factor is gathered at the
+    rearrangements.  A factor that holds the whole group is alternated
+    alone first; otherwise the signs go into ``a`` and the rearrangements
+    join the contracted axis.  Either way it is one batched ``matmul``
+    per tuple and pair of monomials.  Each entry sums at most
+    ``size! · pairs · volume`` products; unguarded.  With no group this
+    is :func:`_product`.
+    """
+    if not group_a:
+        return _product(a, b, axes_a, axes_b, dim, degree_a, degree_b)
+    slots = tuple(s for s, axis in enumerate(group_a) if axis)
+    at_a, at_b, signs = _rearranged(dim, len(group_a), slots)
+    tuples, arrangements = at_a.shape
+    in_a = [group_a[s] for s in slots]
+    in_b = [axis for axis in group_b if axis]
+    free_a = [axis for axis in range(1, a.ndim) if axis not in axes_a and axis not in in_a]
+    free_b = [axis for axis in range(1, b.ndim) if axis not in axes_b and axis not in in_b]
+    shape_a, shape_b = [a.shape[k] for k in free_a], [b.shape[k] for k in free_b]
+    rest_a, rest_b = math.prod(shape_a), math.prod(shape_b)
+    volume = math.prod(a.shape[k] for k in axes_a)
+    # (monomial, tuple, rearrangement, free, contracted) and
+    # (monomial, tuple, rearrangement, contracted, free), each factor
+    # read at the rearrangements of its share of the group.
+    a = a.transpose([0, *in_a, *free_a, *axes_a]).reshape(len(a), dim ** len(in_a), rest_a, volume)
+    b = b.transpose([0, *in_b, *axes_b, *free_b]).reshape(len(b), dim ** len(in_b), volume, rest_b)
+    if not in_b:  # a holds the group: alternate a alone
+        a = (a[:, at_a] * signs.reshape(-1, 1, 1)).sum(axis=2)
+    elif not in_a:
+        b = (b[:, at_b] * signs.reshape(-1, 1, 1)).sum(axis=2)
+    else:  # the rearrangements join the contracted axis
+        a = np.multiply(a[:, at_a].transpose(0, 1, 3, 2, 4), signs.reshape(-1, 1), order="C")
+        a = a.reshape(len(a), tuples, rest_a, arrangements * volume)
+        b = b[:, at_b].reshape(len(b), tuples, arrangements * volume, rest_b)
+    out = np.matmul(a[:, None], b[None])
+    return _merged(out.reshape([-1, tuples] + shape_a + shape_b), dim, degree_a, degree_b)
 
 
 def guarded_tensordot(
@@ -296,23 +386,6 @@ def guarded_tensordot(
     degree-0 polynomial arrays, guarded by ``K · max|a| · max|b|``."""
     shifted_a, shifted_b = [k + 1 for k in axes_a], [k + 1 for k in axes_b]
     return polynomial_tensordot(a[None], b[None], shifted_a, shifted_b, 0, 0, 0)[0, ...]
-
-
-def alternating_sums(arr: np.ndarray, size: int) -> np.ndarray:
-    """Signed sums over ``size`` index axes at increasing tuples.
-
-    Axes ``1 .. size`` of ``arr`` (axis 0 is its monomial axis) become one
-    axis over the strictly increasing index tuples ``I`` (lexicographic
-    order), holding ``sum over rearrangements J of I of sign(J) arr[:, J]``:
-    the antisymmetrisation of ``arr`` over those axes, read at ``I``.
-    Empty when ``size`` exceeds the dimension.
-    """
-    if not size:
-        return arr
-    rows, odd, _, _ = _alternating(arr.shape[1], size)
-    flat = _widened(arr.reshape(arr.shape[:1] + (-1,) + arr.shape[size + 1:]), len(odd))
-    signs = np.where(odd, -1, 1).astype(flat.dtype).reshape((-1,) + (1,) * (flat.ndim - 2))
-    return (flat[:, rows] * signs).sum(axis=2)
 
 
 def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) -> np.ndarray:
@@ -351,14 +424,16 @@ class _Plan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=128)
-def _contraction_plan(subscripts: str, dim: int) -> _Plan:
+def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
     """Index letters and polarised axes of each factor, output, pairwise path.
 
     A step ``(a, b)`` contracts operands ``a`` and ``b``; each step's
     result takes the next number.  The greedy path sees index axes only
     and gets no memory limit, so that every step is a pair (under
     numpy's default limit it may fall back to one step over all
-    remaining factors).
+    remaining factors).  The last step alternates over the first
+    ``alternate`` output letters (:func:`_alternated`), which its load
+    counts.
     """
     inputs, output = subscripts.split("->")
     factors = inputs.split(",")
@@ -382,9 +457,10 @@ def _contraction_plan(subscripts: str, dim: int) -> _Plan:
     x_axes = tuple(tuple(k for k, c in enumerate(f) if c == "*") for f in factors)
     names, degrees = list(letters), [len(axes) for axes in x_axes]
     load = max(_pairs(dim, *(1,) * d) for d in degrees)
-    for a, b in steps:
+    for n, (a, b) in enumerate(steps, 1 - len(steps)):
         shared = [c for c in names[a] if c in names[b]]
-        load = max(load, _pairs(dim, degrees[a], degrees[b]) * dim ** len(shared))
+        arrangements = 1 if n else math.factorial(alternate)
+        load = max(load, arrangements * _pairs(dim, degrees[a], degrees[b]) * dim ** len(shared))
         names.append("".join(c for c in names[a] + names[b] if c not in shared))
         degrees.append(degrees[a] + degrees[b])
     return _Plan(tuple(letters), x_axes, output, tuple(steps), load)
@@ -399,7 +475,7 @@ class _Node(NamedTuple):
     and ``bound`` a bound on the entries of the integer image at that
     scale.  ``source`` rebuilds the node modulo a prime: the operand array
     and its x-axes for a factor (holding ``id(array)`` while the memo
-    lives), the factors' keys and :func:`_product`'s arguments otherwise.
+    lives), the factors' keys and :func:`_alternated`'s arguments otherwise.
     """
 
     arr: "np.ndarray | None"
@@ -421,16 +497,16 @@ def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], dim: int) -
 
 def _step(a: _Node, b: _Node, source: tuple) -> _Node:
     """The product of nodes ``a`` and ``b``; ``source`` is their keys, then
-    ``(axes_a, axes_b, dim, degree_a, degree_b)``.  Int64 and
-    content-reduced when both are int64 and
-    ``pairs · volume · max|a| · max|b| < 2^62``."""
-    axes_a, _, dim, degree_a, degree_b = source[2:]
+    ``(axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)``.
+    Int64 and content-reduced when both are int64 and
+    ``size! · pairs · volume · max|a| · max|b| < 2^62``, with ``size``
+    the length of the alternated group (0 for none)."""
+    axes_a, _, dim, degree_a, degree_b, group_a, _ = source[2:]
     scale = a.scale * b.scale
-    bound = _pairs(dim, degree_a, degree_b) * dim ** len(axes_a) * a.bound * b.bound
+    bound = math.factorial(len(group_a)) * _pairs(dim, degree_a, degree_b) * dim ** len(axes_a) * a.bound * b.bound
     if a.arr is None or b.arr is None or bound >= _INT64_SAFE:
         return _Node(None, scale, bound, source)
-    arr, scale = normalize_array(_product(a.arr, b.arr, *source[2:]), scale)
-    return _Node(arr, scale, _max_abs(arr), source)
+    return _Node(*_normalized(_alternated(a.arr, b.arr, *source[2:]), scale), source)
 
 
 def _residue(memo: dict, key: str, p: int, cache: dict) -> np.ndarray:
@@ -445,19 +521,22 @@ def _residue(memo: dict, key: str, p: int, cache: dict) -> np.ndarray:
             cache[key] = polarise(np.asarray(arr % p, dtype=np.int64), axes) % p
         else:
             a, b, *args = node.source
-            cache[key] = _product(_residue(memo, a, p, cache), _residue(memo, b, p, cache), *args) % p
+            cache[key] = _alternated(_residue(memo, a, p, cache), _residue(memo, b, p, cache), *args) % p
     return cache[key]
 
 
 def _term(
-    subscripts: str, operands: Sequence[tuple[np.ndarray, Fraction]], memo: dict
+    subscripts: str, operands: Sequence[tuple[np.ndarray, Fraction]], memo: dict, alternate: int = 0
 ) -> tuple["np.ndarray | Residues", Fraction, int]:
     """One einsum term through ``memo``: ``(values, scale, bound)``, the
     monomial axis first (size 1 when no slot is polarised), ``values`` an
     int64 array or, once a step's guard fails, :class:`Residues`
-    continuing from the last int64 steps, and ``bound`` its node's."""
+    continuing from the last int64 steps, and ``bound`` its node's.
+    With ``alternate``, the first ``alternate`` output letters are read
+    as one axis over their increasing tuples, alternated inside the last
+    product (:func:`_alternated`)."""
     dim = operands[0][0].shape[0]
-    plan = _contraction_plan(subscripts, dim)
+    plan = _contraction_plan(subscripts, dim, alternate)
     if len(operands) != len(plan.letters):
         raise ValueError(f"{subscripts!r} takes {len(plan.letters)} operands, got {len(operands)}")
     nodes = []  # (memo key, index letters, degree)
@@ -466,19 +545,23 @@ def _term(
         if key not in memo:
             memo[key] = _factor(arr, scale, axes, dim)
         nodes.append((key, names, len(axes)))
-    for a, b in plan.steps:
+    for n, (a, b) in enumerate(plan.steps, 1 - len(plan.steps)):
         first, second = sorted((nodes[a], nodes[b]), key=lambda node: node[0])
         shared = [c for c in first[1] if c in second[1]]
+        group = "" if n else plan.output[:alternate]
         axes_a = tuple(first[1].index(c) + 1 for c in shared)
         axes_b = tuple(second[1].index(c) + 1 for c in shared)
-        key = f"({first[0]}|{axes_a}|{second[0]}|{axes_b})"
+        group_a = tuple(first[1].index(c) + 1 if c in first[1] else 0 for c in group)
+        group_b = tuple(second[1].index(c) + 1 if c in second[1] else 0 for c in group)
+        key = f"({first[0]}|{axes_a}|{second[0]}|{axes_b}" + (f"|{group_a}|{group_b})" if group else ")")
         if key not in memo:
-            source = (first[0], second[0], axes_a, axes_b, dim, first[2], second[2])
+            source = (first[0], second[0], axes_a, axes_b, dim, first[2], second[2], group_a, group_b)
             memo[key] = _step(memo[first[0]], memo[second[0]], source)
-        names = "".join(c for c in first[1] + second[1] if c not in shared)
+        names = "".join(c for c in first[1] + second[1] if c not in shared and c not in group)
         nodes.append((key, names, first[2] + second[2]))
     key, names, _ = nodes[-1]
-    order = [0] + [names.index(c) + 1 for c in plan.output]
+    lead = 2 if alternate else 1  # the monomial axis, then the increasing tuples
+    order = list(range(lead)) + [names.index(c) + lead for c in plan.output[alternate:]]
     node = memo[key]
     if node.arr is not None:
         return node.arr.transpose(order), node.scale, node.bound
@@ -532,18 +615,29 @@ class Residues:
     a time.  Every entry has magnitude at most ``bound``.  No step adds
     up more than ``load`` products of two residues, and the primes lie
     below 2^((62 - bit_length(load)) // 2), so every such sum stays below
-    2^62 without a guard.
+    2^62 without a guard (proof below).
 
     Why ``bound`` holds: a polarised coefficient sums at most ``pairs``
     entries of its operand; an entry of a product sums at most
-    ``pairs · volume`` products of an entry of each factor; a sum with
-    integer multiples ``k_i`` is at most ``Σ |k_i| · B_i``; a linear map
-    whose output entries have coefficients of absolute sum at most ``g``
-    (the ``size!`` signed rearrangements of :func:`alternating_sums`, the
-    ``alpha!`` weights of :func:`expand_axis`) at most ``g · B``.  An
-    int64 intermediate enters with its own maximum, after content
-    reduction: it is exactly ``scale · arr``, and a bound on the integers
-    built on it holds at the product of the scales they carry.
+    ``pairs · volume`` products of an entry of each factor, and an entry
+    of a last product alternated over ``size`` slots (:func:`_alternated`)
+    at most ``size! · pairs · volume`` such products, each with a sign; a
+    sum with integer multiples ``k_i`` is at most ``Σ |k_i| · B_i``; a
+    linear map whose output entries have coefficients of absolute sum at
+    most ``g`` (the ``alpha!`` weights of :func:`expand_axis`) at most
+    ``g · B``.  An int64 intermediate enters with its own maximum, after
+    content reduction: it is exactly ``scale · arr``, and a bound on the
+    integers built on it holds at the product of the scales they carry.
+
+    Why no step overflows: a plan's ``load`` counts ``pairs · volume``
+    for each product and ``size! · pairs · volume`` for an alternated
+    one.  Modulo ``p`` a factor enters with entries in [0, p); a signed
+    one in (-p, p), and one alternated alone first as sums of ``size!``
+    signed entries, below ``size! · p``.  Either way an entry of the
+    product adds up at most ``load`` products of magnitude below ``p²``
+    (the ``size!`` counted once, in the load or in the factor).  With
+    ``p < 2^e``, ``e = (62 - bit_length(load)) // 2``, and ``load <
+    2^bit_length(load)``, the sum stays below ``load · p² < 2^62``.
 
     Why the residues decide: the primes are distinct, so an entry ``x``
     with zero residues is divisible by their product ``M``, and
@@ -608,19 +702,26 @@ def _is_prime(n: int) -> bool:
 def contract_terms(
     terms: Iterable[tuple[Fraction, str, Sequence[tuple[np.ndarray, Fraction]]]],
     memo: "dict | None" = None,
+    alternate: int = 0,
 ) -> tuple["np.ndarray | Residues", Fraction]:
     """Exact ``sum of c * contract(term, *operands)`` over ``(rational c,
     einsum term, operands)``, each term keeping its monomial axis.
 
     The terms run through :func:`contract`'s steps and ``memo``.  With
-    the multiples ``k_i`` and scale of :func:`linear_combination`, the
-    sum is int64 when every term is and ``sum |k_i| · max|term_i| <
+    ``alternate``, the first ``alternate`` output letters of every term
+    form one antisymmetric group: they become one axis (after the
+    monomial axis) over the strictly increasing index tuples ``I`` in
+    lexicographic order, holding the sum over the rearrangements ``J`` of
+    ``I`` of ``sign(J)`` times the term at ``J``.  Each term computes it
+    inside its last product (:func:`_alternated`), only at those tuples.
+    With the multiples ``k_i`` and scale of :func:`linear_combination`,
+    the sum is int64 when every term is and ``sum |k_i| · max|term_i| <
     2^62``, and :class:`Residues` otherwise.  Returns ``(values,
     scale)``, not content-reduced.
     """
     memo = {} if memo is None else memo
     terms = list(terms)
-    parts = [_term(subscripts, operands, memo) for _, subscripts, operands in terms]
+    parts = [_term(subscripts, operands, memo, alternate) for _, subscripts, operands in terms]
     multiples, scale = _multiples([Fraction(c) * s for (c, _, _), (_, s, _) in zip(terms, parts)])
     values = [v for v, _, _ in parts]
     wide = [v for v in values if isinstance(v, Residues)]

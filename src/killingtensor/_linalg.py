@@ -3,7 +3,8 @@
 :func:`determinant` and :func:`inverse_image` clear the matrix's
 denominators once and run one fraction-free Gauss–Jordan elimination
 over Python integers, in which every division is exact (E. H. Bareiss,
-Math. Comp. 22, 1968).  :class:`IncrementalRank` uses Fraction pivots.
+Math. Comp. 22, 1968).  :class:`IncrementalRank`
+eliminates fraction-free too, one row at a time.
 """
 
 from __future__ import annotations
@@ -83,14 +84,17 @@ class IncrementalRank:
     Rows are fed one at a time; each is reduced against the pivots found so
     far and kept only if it contributes a new pivot.  This lets callers
     stop early once the rank reaches a known bound instead of echelonising
-    a huge matrix wholesale.
+    a huge matrix wholesale.  The arithmetic is fraction-free: a row is
+    cleared of its denominators, each pivot is eliminated by
+    cross-multiplying, and the row's content (gcd) is divided out, so a
+    kept row is a primitive integer vector.
     """
 
     def __init__(self, width: int) -> None:
         if width < 1:
             raise InvalidArgument("row width must be positive")
         self.width = int(width)
-        self._pivots: dict[int, list[Fraction]] = {}
+        self._pivots: dict[int, list[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -98,20 +102,21 @@ class IncrementalRank:
 
     def add_row(self, row: Sequence[Fraction]) -> bool:
         """Reduce ``row`` and absorb it; returns True if the rank grew."""
-        work = list(row)
-        if len(work) != self.width:
-            raise InvalidArgument(f"row has length {len(work)}, expected {self.width}")
+        row = list(row)
+        if len(row) != self.width:
+            raise InvalidArgument(f"row has length {len(row)}, expected {self.width}")
+        d = math.lcm(*(int(v.denominator) for v in row))
+        work = [int(v.numerator) * (d // int(v.denominator)) for v in row]
         for col, pivot_row in self._pivots.items():
             factor = work[col]
-            if factor != 0:
-                for j in range(col, self.width):
-                    work[j] -= factor * pivot_row[j]
-        lead = next((j for j, v in enumerate(work) if v != 0), None)
-        if lead is None:
+            if factor:
+                pivot = pivot_row[col]
+                common = math.gcd(pivot, factor)
+                pivot, factor = pivot // common, factor // common
+                work = [pivot * a - factor * b for a, b in zip(work, pivot_row)]
+        content = math.gcd(*work)
+        if not content:
             return False
-        inv = 1 / work[lead]
-        if inv != 1:
-            for j in range(lead, self.width):
-                work[j] *= inv
-        self._pivots[lead] = work
+        lead = next(j for j, v in enumerate(work) if v)
+        self._pivots[lead] = [v // content for v in work]
         return True

@@ -42,7 +42,6 @@ import numpy as np
 
 from ._fastops import (
     Residues,
-    alternating_sums,
     contract_terms,
     expand_axis,
     integers,
@@ -361,9 +360,8 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
     for coefficient, term in polar.terms:
         factors = term.split("->")[0].split(",")
         terms.append((coefficient, term, [gbar if len(f) == 2 else curvature for f in factors]))
-    values, scale = contract_terms(terms, memo)
     size = polar.alternate
-    values = linear_map(values, math.factorial(size), lambda v: alternating_sums(v, size))
+    values, scale = contract_terms(terms, memo, size)
     if polar.rebuild == "sym":
         free = polar.order - size
         values = linear_map(values, math.factorial(free), lambda v: expand_axis(v, 0, dim, free, anti=False).T)

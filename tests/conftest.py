@@ -7,6 +7,7 @@ rational arithmetic fast without changing any verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -102,3 +103,29 @@ def fixture_set(model: ModelSpace, seed: int) -> list[tuple[str, CurvatureTensor
     for k in range(10):
         fixtures.append((f"random-{k}", random_curvature(model.dim, rng, bound=BOUND)))
     return fixtures
+
+
+def alternating_sums(arr: np.ndarray, size: int) -> np.ndarray:
+    """Signed sums over ``size`` index axes at increasing tuples: the
+    reference the engine's alternated products are checked against.
+
+    Axes ``1 .. size`` of ``arr`` (axis 0 is its monomial axis) become one
+    axis over the strictly increasing index tuples ``I`` (lexicographic
+    order), holding ``sum over rearrangements J of I of sign(J) arr[:, J]``.
+    Python ints when a sum of ``size!`` entries may reach 2^62.  Empty
+    when ``size`` exceeds the dimension.
+    """
+    if not size:
+        return arr
+    if arr.size and math.factorial(size) * int(np.abs(arr).max()) >= 1 << 62:
+        arr = arr.astype(object)
+    sums = []
+    for tuple_ in itertools.combinations(range(arr.shape[1]), size):
+        total = np.zeros(arr.shape[:1] + arr.shape[size + 1:], dtype=arr.dtype)
+        for order in itertools.permutations(range(size)):
+            inversions = sum(i > j for i, j in itertools.combinations(order, 2))
+            total = total + (-1) ** inversions * arr[(slice(None),) + tuple(tuple_[k] for k in order)]
+        sums.append(total)
+    if not sums:
+        return np.zeros(arr.shape[:1] + (0,) + arr.shape[size + 1:], dtype=arr.dtype)
+    return np.stack(sums, axis=1)

@@ -4,14 +4,15 @@
 Python-int guards; it is compared with ``np.einsum`` on Python-int
 object arrays, with magnitudes on both sides of the 2^62 guard, and its
 polarised terms with a dense einsum whose x-slots are summed per
-monomial.  ``polarise`` and ``alternating_sums`` give the canonical
-components of an array over one symmetric and one antisymmetric slot
-group; a residual rebuilds the dense (anti)symmetrised array from
-them.  Both are compared here with composing ``symmetrise_slots`` and
+monomial.  ``polarise`` and the reference ``alternating_sums`` (kept in
+conftest) give the canonical components of an array over one symmetric
+and one antisymmetric slot group; a residual rebuilds the dense
+(anti)symmetrised array from them.  Both are compared here with composing ``symmetrise_slots`` and
 ``antisymmetrise_slots`` on Fraction tensors, including int64 entries
 close to 2^62, where the sums must fall back to Python integers.
 ``polynomial_tensordot`` is compared with Python-int polynomial
-multiplication.
+multiplication, and the engine's alternated last product with the plain
+product in Python ints followed by ``alternating_sums``.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingtensor import Tensor, antisymmetrise_slots, integrability, symmetrise_slots
+from conftest import alternating_sums
+from killingtensor import Tensor, _fastops, antisymmetrise_slots, integrability, symmetrise_slots
 from killingtensor._fastops import (
-    alternating_sums,
     contract,
     guarded_tensordot,
     linear_combination,
@@ -547,3 +548,87 @@ class TestPolynomialProduct:
         second = contract("x*ef,xy,y*gh->efgh", s, g, s, memo=memo)
         assert len(memo) == size
         assert second[1] == first[1] and second[0].tolist() == first[0].tolist()
+
+
+@st.composite
+def alternated_products(draw):
+    """Two polynomial-valued factors and an antisymmetric group of free
+    slots: dimension 2-5, a group of 1 .. dim slots split between the
+    factors in any way, 0-2 contracted and 0-1 other free axes per
+    factor, degrees 0-3, every factor's index axes in any order.  Sizes
+    are capped so that the reference product stays small."""
+    dim = draw(st.integers(2, 5))
+    size = draw(st.integers(1, dim))
+    budget = 20000 // dim**size
+    shared = draw(st.integers(0, max(k for k in range(3) if dim**k <= budget)))
+    budget //= dim**shared
+    rest = []
+    for _ in range(2):
+        rest.append(draw(st.integers(0, int(budget >= dim))))
+        budget //= dim ** rest[-1]
+    count = lambda d: math.comb(dim + d - 1, d)  # noqa: E731
+    degree_a = draw(st.sampled_from([d for d in range(4) if count(d) <= budget]))
+    degree_b = draw(st.sampled_from([d for d in range(4) if count(degree_a) * count(d) <= budget]))
+    in_a = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    group = [f"g{s}" for s in range(size)]
+    contracted = [f"c{k}" for k in range(shared)]
+    letters_a = draw(st.permutations([g for g, mine in zip(group, in_a) if mine] + contracted + ["r"] * rest[0]))
+    letters_b = draw(st.permutations([g for g, mine in zip(group, in_a) if not mine] + contracted + ["r"] * rest[1]))
+    return dim, degree_a, degree_b, list(letters_a), list(letters_b), group
+
+
+def alternated_reference(a, b, dim, degree_a, degree_b, letters_a, letters_b, group):
+    """The plain product in Python ints, then the conftest alternation."""
+    shared = [c for c in letters_a if c.startswith("c")]
+    axes_a = [letters_a.index(c) + 1 for c in shared]
+    axes_b = [letters_b.index(c) + 1 for c in shared]
+    product = _fastops._product(python_ints(a), python_ints(b), axes_a, axes_b, dim, degree_a, degree_b)
+    # The free axes of a, then of b; each group letter names one of them.
+    free = [c for c in letters_a + letters_b if c not in shared]
+    order = [free.index(g) + 1 for g in group] + [k + 1 for k, c in enumerate(free) if c not in group]
+    return alternating_sums(product.transpose([0] + order), len(group)), axes_a, axes_b
+
+
+class TestAlternatedProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=alternated_products(), seed=st.integers(0, 2**32 - 1), modular=st.booleans())
+    def test_matches_the_product_then_the_alternation(self, spec, seed, modular):
+        dim, degree_a, degree_b, letters_a, letters_b, group = spec
+        rng = np.random.default_rng(seed)
+        shapes = [
+            (math.comb(dim + d - 1, d),) + (dim,) * len(letters)
+            for d, letters in ((degree_a, letters_a), (degree_b, letters_b))
+        ]
+        if modular:
+            # Residues at the largest prime the step's load allows, half of
+            # them p - 1.
+            volume = dim ** sum(c.startswith("c") for c in letters_a)
+            load = math.factorial(len(group)) * _fastops._pairs(dim, degree_a, degree_b) * volume
+            p = next(_fastops.Residues(0, load, None).primes(0))
+            a, b = (np.where(rng.random(shape) < 0.5, p - 1, rng.integers(0, p, size=shape)) for shape in shapes)
+        else:
+            a, b = (rng.integers(-(1 << 20), 1 << 20, size=shape) for shape in shapes)
+        expected, axes_a, axes_b = alternated_reference(a, b, dim, degree_a, degree_b, letters_a, letters_b, group)
+        group_a = tuple(letters_a.index(g) + 1 if g in letters_a else 0 for g in group)
+        group_b = tuple(letters_b.index(g) + 1 if g in letters_b else 0 for g in group)
+        result = _fastops._alternated(a, b, axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)
+        assert result.dtype == np.int64 and result.shape == expected.shape
+        if modular:
+            result, expected = result % p, expected % p
+        assert result.tolist() == expected.tolist()
+
+    def test_memo_bounds_are_the_maxima(self):
+        # Each int64 node's bound is the maximum of its array, taken once.
+        rng = np.random.default_rng(21)
+        rows = [*integrability._COND1_FORMS.values(), *integrability._COND2_FORMS.values(), integrability._COND3_FORM]
+        rows += [(None, (term,), ops) for _, term, ops in integrability._HOOK_CHECKS]
+        for dim in (3, 4):
+            g = (rng.integers(-3, 4, size=(dim, dim)), Fraction(1))
+            k = (rng.integers(-(1 << 12), 1 << 12, size=(dim,) * 4), Fraction(1, 7))
+            memo: dict = {}
+            for _, terms, ops in rows:
+                integrability._residual(integrability._polar(terms, ops), g, k, memo)
+            nodes = [node for node in memo.values() if node.arr is not None]
+            assert any(len(node.source) > 2 and node.source[-2] for node in memo.values())  # alternated
+            for node in nodes:
+                assert node.bound == (int(np.max(np.abs(node.arr))) if node.arr.size else 0)

@@ -8,8 +8,8 @@ code: each polarised factor is multiplied pairwise along the greedy path
 of its index letters with ``polynomial_tensordot`` on object arrays (whose
 object branch ``test_fastops`` checks against Python polynomial
 multiplication), the terms are added with exact multiples, and the
-canonical components are read with ``alternating_sums`` and
-``expand_axis`` on object arrays.  Supports, ``condition1/2/3_residual``
+canonical components are read with the reference ``alternating_sums``
+(conftest) and ``expand_axis`` on object arrays.  Supports, ``condition1/2/3_residual``
 tensors and hook-check outcomes must agree, on Benenti inputs at entry
 bound 9, random S, and sums of Kulkarni-Nomizu products whose integer
 images cross 2^62 and 2^64.
@@ -17,6 +17,7 @@ images cross 2^62 and 2^64.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flat, sphere
+from conftest import alternating_sums, flat, sphere
 from killingtensor import (
     ConditionForm1,
     ConditionForm2,
@@ -51,7 +52,6 @@ from killingtensor import (
 from killingtensor import _fastops, integrability
 from killingtensor._fastops import (
     Residues,
-    alternating_sums,
     expand_axis,
     integers,
     nonzero,
@@ -110,6 +110,30 @@ def python_int_residual(terms, ops, gbar, curvature) -> integrability._Residual:
     elif polar.rebuild == "anti":
         values = expand_axis(values, 1, dim, polar.alternate, anti=True)
     return integrability._Residual(values.reshape(-1), common, dim, polar.order, polar.groups)
+
+
+def signed_operands(dim: int, size: int, slots: tuple[int, ...], c: int):
+    """A term ``"<group in a>p,p<group in b>->group"`` and operands with
+    entries of magnitude ``c`` (first factor) and 1, signed so that at
+    every rearrangement ``J`` of the tuple ``(0, .., size - 1)``
+    ``sign(J) · a[J_a, p] · b[p, J_b] = c``: the alternated sum there
+    attains its bound ``size! · dim · c``."""
+    group = "abcde"[:size]
+    mine = "".join(group[s] for s in slots)
+    theirs = "".join(g for g in group if g not in mine)
+    a = np.full((dim,) * (len(mine) + 1), c, dtype=np.int64)
+    b = np.ones((dim,) * (len(theirs) + 1), dtype=np.int64)
+
+    def sign(values) -> int:
+        return (-1) ** sum(i > j for i, j in itertools.combinations(values, 2))
+
+    for order in itertools.permutations(range(size)):
+        part_a = tuple(order[s] for s in slots)
+        part_b = tuple(v for s, v in enumerate(order) if s not in slots)
+        # sign(J) · sign(J_b) depends on J_a alone.
+        a[part_a] = c * sign(order) * sign(part_b)
+        b[(slice(None),) + part_b] = sign(part_b)
+    return f"{mine}p,p{theirs}->{group}", (a, b)
 
 
 def image(tensor: Tensor):
@@ -256,6 +280,48 @@ class TestModularRoute:
         assert exact.tolist() == python_int_term(term, operands).tolist()
         assert max(abs(v) for v in exact.ravel().tolist()) == values.bound
 
+    @pytest.mark.parametrize("size, slots", [(2, (0, 1)), (2, ()), (3, (0, 2)), (4, (1, 2)), (4, (0, 1, 2, 3))])
+    @pytest.mark.parametrize("side", ["below", "at", "past 2^63"])
+    def test_alternated_bounds_are_attained(self, size, slots, side):
+        # Every product of the alternated sum at the tuple (0, .., size - 1)
+        # adds c · d with one sign, so that entry equals the guard's bound
+        # size! · volume · c · d: just below 2^62 the step stays int64, from
+        # 2^62 on it goes modular with that bound.
+        dim = 4
+        arrangements = math.factorial(size) * dim
+        below = (NEAR_SAFE - 1) // arrangements
+        c = {"below": below, "at": below + 1, "past 2^63": (1 << 63) // arrangements + 1}[side]
+        term, (a, b) = signed_operands(dim, size, slots, c)
+        operands = [(a, Fraction(1)), (b, Fraction(1))]
+        values, scale, bound = _fastops._term(term, operands, {}, size)
+        peak = arrangements * c
+        assert isinstance(values, Residues) == (side != "below")
+        # An int64 step is content-reduced, so its bound is at its scale.
+        assert bound * scale == peak
+        exact = integers(values) * scale
+        assert exact.tolist() == alternating_sums(python_int_term(term, operands), size).tolist()
+        assert exact[0, 0] == peak
+
+    @pytest.mark.parametrize("size, slots, dim", [(4, (0, 1, 2, 3), 4), (4, (), 4), (5, (1, 3), 5)])
+    def test_the_load_counts_the_rearrangements(self, size, slots, dim):
+        # Residues p - 1 where an operand is positive and 0 where it is
+        # negative: each entry of the kernel's sum modulo p then adds up
+        # every product that adds c · d, each near p².  At the largest
+        # prime the plan's load allows, the sum must not wrap.
+        term, (a, b) = signed_operands(dim, size, slots, 1)
+        plan = _fastops._contraction_plan(term, dim, size)
+        assert plan.load == math.factorial(size) * dim
+        p = next(Residues(0, plan.load, None).primes(0))
+        operands = [(np.where(arr > 0, p - 1, 0), Fraction(1)) for arr in (a, b)]
+        memo: dict = {}
+        _fastops._term(term, operands, memo, size)
+        (step,) = [node for node in memo.values() if len(node.source) > 2]
+        first, second = (memo[key].arr for key in step.source[:2])
+        # The alternated step modulo p, as _residue runs it.
+        result = _fastops._alternated(first, second, *step.source[2:]) % p
+        expected = alternating_sums(python_int_term(term, operands), size) % p
+        assert result.tolist() == expected.tolist()
+
     def test_a_promoting_check_builds_no_object_array(self, monkeypatch):
         # Every function of the engine module, and the canonical-component
         # maps integrability hands it, sees and returns only int64 arrays.
@@ -273,7 +339,7 @@ class TestModularRoute:
         for name, value in list(vars(_fastops).items()):
             if callable(value) and getattr(value, "__module__", None) == _fastops.__name__ and not isinstance(value, type):
                 monkeypatch.setattr(_fastops, name, watch(value))
-        for name in ("alternating_sums", "expand_axis", "contract_terms", "linear_map", "nonzero"):
+        for name in ("expand_axis", "contract_terms", "linear_map", "nonzero"):
             monkeypatch.setattr(integrability, name, watch(getattr(integrability, name)))
         rng = random.Random(5)
         model = sphere(5)
