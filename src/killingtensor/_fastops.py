@@ -6,7 +6,7 @@ integer array and one exact positive scale (see :mod:`killingtensor.tensor`),
 so this module works on ``(integer array, scale)`` pairs.  Arrays stay
 ``int64`` while a provable bound rules out overflow.  Past the first
 bound that fails, the general helpers (:func:`linear_combination`,
-:func:`polynomial_tensordot`) switch to Python integers (object dtype),
+:func:`guarded_tensordot`) switch to Python integers (object dtype),
 while a residual (:func:`contract_terms`, :func:`linear_map`) continues
 as :class:`Residues`: the same ``int64`` steps modulo primes, one prime
 at a time, with as many primes as an a-priori bound on the result
@@ -19,14 +19,13 @@ the entries over the index tuples with multiset ``α``, the group's orbit
 sum.  A polarised array carries its coefficients on one leading
 *monomial axis*, over the degree-``d`` monomials in the lexicographic
 order of their sorted index tuples (size 1 in degree 0).  The one
-contraction engine, :func:`contract`, multiplies such factors pairwise: a
-batched ``matmul`` over their index axes, one batch per pair of
-monomials, then a gather and a segmented sum over a cached table that
+contraction engine, :func:`contract_terms`, multiplies such factors
+pairwise: a batched ``matmul`` over their index axes, one batch per pair
+of monomials, then a gather and a segmented sum over a cached table that
 maps each pair to its product monomial.  An antisymmetric group stays
-index axes and is alternated inside the last product of each term
-(:func:`contract_terms`), which computes it only at the group's
-increasing tuples; :func:`expand_axis` rebuilds a dense slot group from
-canonical components.
+index axes and is alternated inside the last product of each term, only
+at the group's increasing tuples; :func:`expand_axis` rebuilds a dense
+slot group from canonical components.
 """
 
 from __future__ import annotations
@@ -43,15 +42,12 @@ import numpy as np
 
 __all__ = [
     "linear_combination",
-    "contract",
     "contract_terms",
     "linear_map",
     "Residues",
     "nonzero",
     "integers",
     "guarded_tensordot",
-    "polarise",
-    "polynomial_tensordot",
     "expand_axis",
     "normalize_array",
 ]
@@ -264,31 +260,6 @@ def polarise(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return np.add.reduceat(_widened(flat, table.pairs)[table.perm], table.starts, axis=0)
 
 
-def polynomial_tensordot(
-    a: np.ndarray,
-    b: np.ndarray,
-    axes_a: Sequence[int],
-    axes_b: Sequence[int],
-    dim: int,
-    degree_a: int,
-    degree_b: int,
-) -> np.ndarray:
-    """Contract two polynomial-valued arrays over index axes.
-
-    ``a`` and ``b`` start with monomial axes of the given degrees in
-    ``dim`` variables; ``axes_a`` / ``axes_b`` are index axes (never 0).
-    The result starts with the monomial axis of the product polynomials,
-    then has the free index axes of ``a``, then those of ``b``.  Every
-    pair of monomials is one batch of a ``matmul``; the pairs are then
-    added up per product monomial.  Guarded by
-    ``pairs per monomial · contracted volume · max|a| · max|b|``.
-    """
-    load = _pairs(dim, degree_a, degree_b) * math.prod(a.shape[k] for k in axes_a)
-    if a.dtype == object or b.dtype == object or load * _max_abs(a) * _max_abs(b) >= _INT64_SAFE:
-        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
-    return _product(a, b, axes_a, axes_b, dim, degree_a, degree_b)
-
-
 def _pairs(dim: int, *degrees: int) -> int:
     """Most tuples of monomials of ``degrees`` whose product is one monomial
     (1 unless there are two or more degrees, none of them zero)."""
@@ -304,8 +275,16 @@ def _product(
     degree_a: int,
     degree_b: int,
 ) -> np.ndarray:
-    """:func:`polynomial_tensordot` in the dtype of ``a`` and ``b``, unguarded:
-    each entry sums at most ``pairs · volume`` products."""
+    """Contract two polynomial-valued arrays over index axes, in their
+    dtype, unguarded: each entry sums at most ``pairs · volume`` products.
+
+    ``a`` and ``b`` start with monomial axes of the given degrees in
+    ``dim`` variables; ``axes_a`` / ``axes_b`` are index axes (never 0).
+    The result starts with the monomial axis of the product polynomials,
+    then has the free index axes of ``a``, then those of ``b``.  Every
+    pair of monomials is one batch of a ``matmul``; the pairs are then
+    added up per product monomial.
+    """
     free_a = [axis for axis in range(1, a.ndim) if axis not in axes_a]
     free_b = [axis for axis in range(1, b.ndim) if axis not in axes_b]
     shape = [a.shape[k] for k in free_a] + [b.shape[k] for k in free_b]
@@ -382,10 +361,13 @@ def _alternated(
 def guarded_tensordot(
     a: np.ndarray, b: np.ndarray, axes_a: Sequence[int], axes_b: Sequence[int]
 ) -> np.ndarray:
-    """``np.tensordot`` with exact integer semantics: the product of two
-    degree-0 polynomial arrays, guarded by ``K · max|a| · max|b|``."""
-    shifted_a, shifted_b = [k + 1 for k in axes_a], [k + 1 for k in axes_b]
-    return polynomial_tensordot(a[None], b[None], shifted_a, shifted_b, 0, 0, 0)[0, ...]
+    """``np.tensordot`` with exact integer semantics: ``int64`` when both
+    arrays are and ``K · max|a| · max|b| < 2^62``, with ``K`` the
+    contracted volume, and Python ints otherwise."""
+    volume = math.prod(a.shape[k] for k in axes_a)
+    if a.dtype == object or b.dtype == object or volume * _max_abs(a) * _max_abs(b) >= _INT64_SAFE:
+        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
+    return np.tensordot(a, b, axes=(list(axes_a), list(axes_b)))
 
 
 def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) -> np.ndarray:
@@ -467,7 +449,7 @@ def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
 
 
 class _Node(NamedTuple):
-    """A polarised factor or a product in :func:`contract`'s memo.
+    """A polarised factor or a product in :func:`contract_terms`'s memo.
 
     ``arr`` is its int64 image at ``scale`` (a factor as polarised, a
     product content-reduced) and ``bound`` is max|arr|.  Past a failed
@@ -567,37 +549,6 @@ def _term(
         return node.arr.transpose(order), node.scale, node.bound
     residue = lambda p, cache: _residue(memo, key, p, cache).transpose(order)  # noqa: E731
     return Residues(node.bound, plan.load, residue), node.scale, node.bound
-
-
-def contract(
-    subscripts: str, *operands: tuple[np.ndarray, Fraction], memo: "dict | None" = None
-) -> tuple[np.ndarray, Fraction]:
-    """Exact einsum-style contraction of ``scale * array`` operands.
-
-    ``subscripts`` is an explicit einsum term such as
-    ``"kl,kabc,ldef->abcdef"`` over cubical operands of one dimension, in
-    which every index is shared by two factors (and summed) or is an
-    output index.  A ``*`` in place of a factor's index puts ``x`` into
-    that slot (:func:`polarise`), and the result then starts with a
-    monomial axis of the total degree.  Factors are multiplied pairwise
-    (as :func:`polynomial_tensordot`) along the greedy ``np.einsum_path``
-    of the index letters.  Each step stays ``int64`` and is
-    content-reduced while its guard passes; from the first step whose
-    guard fails the term is computed modulo primes and rebuilt by
-    :func:`integers`.
-
-    Polarised factors and intermediates are kept in ``memo`` under keys
-    naming the operand arrays, their polarised axes and each step's
-    contracted axes, so calls sharing a ``memo`` (which keeps their
-    operands alive) compute equal sub-contractions once.  Returns a
-    C-contiguous, content-reduced ``(array, scale)``.
-    """
-    values, scale, _ = _term(subscripts, operands, {} if memo is None else memo)
-    if isinstance(values, Residues):
-        values, scale = normalize_array(integers(values), scale)
-    if "*" not in subscripts:
-        values = values[0, ...]
-    return (values if values.flags.c_contiguous else values.copy()), scale
 
 
 # ---------------------------------------------------------------------------
@@ -704,11 +655,25 @@ def contract_terms(
     memo: "dict | None" = None,
     alternate: int = 0,
 ) -> tuple["np.ndarray | Residues", Fraction]:
-    """Exact ``sum of c * contract(term, *operands)`` over ``(rational c,
-    einsum term, operands)``, each term keeping its monomial axis.
+    """Exact ``sum of c * term(*operands)`` over ``(rational c, einsum
+    term, operands)``, each term keeping its monomial axis.
 
-    The terms run through :func:`contract`'s steps and ``memo``.  With
-    ``alternate``, the first ``alternate`` output letters of every term
+    A term such as ``"kl,kabc,ldef->abcdef"`` runs over cubical
+    ``(integer array, scale)`` operands of one dimension; every index is
+    shared by two factors (and summed) or is an output index.  A ``*`` in
+    place of a factor's index puts ``x`` into that slot (:func:`polarise`),
+    and the monomial axis has the term's total degree (size 1 when no
+    slot is polarised).  Factors are multiplied pairwise (:func:`_product`)
+    along the greedy ``np.einsum_path`` of the index letters.  Each step
+    stays ``int64`` and is content-reduced while its guard passes
+    (:func:`_step`); from the first step whose guard fails the term is
+    computed modulo primes.  Polarised factors and products are kept in
+    ``memo`` under keys naming the operand arrays, their polarised axes
+    and each step's contracted axes, so terms and calls sharing a
+    ``memo`` (which keeps their operands alive) compute equal
+    sub-contractions once.
+
+    With ``alternate``, the first ``alternate`` output letters of every term
     form one antisymmetric group: they become one axis (after the
     monomial axis) over the strictly increasing index tuples ``I`` in
     lexicographic order, holding the sum over the rearrangements ``J`` of

@@ -40,10 +40,10 @@ from ._linalg import determinant
 from ._util import random_fraction
 from .errors import IdentityViolation, InvalidArgument, SamplingFailure
 from .integrability import check, condition3_residual, verify_identity_suite
-from .models import ModelKind, ModelSpace
+from .models import ModelSpace
 from .oracle import integrable_oracle
 from .symgroup import YoungFrame, lr_decompose
-from .tensor import MetricSignature, Tensor
+from .tensor import Tensor
 
 __all__ = ["main", "build_parser"]
 
@@ -181,10 +181,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _parse_rows(text: str, dim: int, what: str) -> list[list[Fraction]]:
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # also an integer literal over the digit limit
-        raise InvalidArgument(f"{what} is not valid JSON: {exc}") from exc
+    raw = kio._parse_json(text, what)
     if not isinstance(raw, list) or len(raw) != dim or any(
         not isinstance(row, list) or len(row) != dim for row in raw
     ):
@@ -293,8 +290,8 @@ def cmd_identities(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise InvalidArgument("--samples must be at least 1")
     rng = random.Random(args.seed)
-    sphere = ModelSpace(ModelKind.SPHERE, MetricSignature(args.N, 0))
-    flat = ModelSpace(ModelKind.FLAT, MetricSignature(args.N, 0))
+    sphere = kio.parse_model_descriptor({"kind": "sphere", "N": args.N})
+    flat = kio.parse_model_descriptor({"kind": "flat", "N": args.N})
     failures = 0
     for index in range(args.samples):
         S = r_to_s(random_curvature(args.N, rng, bound=args.bound))

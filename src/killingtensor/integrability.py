@@ -164,7 +164,7 @@ def _resolve_gbar(gbar: GbarLike, dim: int) -> Tensor:
 # Contraction terms and operator tables.
 #
 # Each operand is a sum of contraction terms, each an einsum term for
-# ``_fastops.contract_terms``: a two-letter factor is gbar, a four-letter
+# ``contract_terms``: a two-letter factor is gbar, a four-letter
 # factor the input tensor in the form's curvature class.  The comments
 # name the output slots after the indices of the defining contraction.
 #

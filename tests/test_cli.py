@@ -241,6 +241,9 @@ class TestIdentitiesCommand:
         code, _, err = run(capsys, "identities", "--samples", "0")
         assert code == 2
         assert "--samples" in err
+        code, _, err = run(capsys, "identities", "--N", "100000", "--samples", "1")
+        assert code == 2
+        assert err == "error: model dimension 100000 is over the cap of 64\n"
 
 
 class TestTopLevelBehaviour:

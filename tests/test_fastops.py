@@ -1,18 +1,20 @@
 """Exact contraction and canonical components against direct computations.
 
-``contract`` evaluates an einsum term pairwise through the int64 /
-Python-int guards; it is compared with ``np.einsum`` on Python-int
-object arrays, with magnitudes on both sides of the 2^62 guard, and its
-polarised terms with a dense einsum whose x-slots are summed per
-monomial.  ``polarise`` and the reference ``alternating_sums`` (kept in
-conftest) give the canonical components of an array over one symmetric
-and one antisymmetric slot group; a residual rebuilds the dense
-(anti)symmetrised array from them.  Both are compared here with composing ``symmetrise_slots`` and
-``antisymmetrise_slots`` on Fraction tensors, including int64 entries
-close to 2^62, where the sums must fall back to Python integers.
-``polynomial_tensordot`` is compared with Python-int polynomial
-multiplication, and the engine's alternated last product with the plain
-product in Python ints followed by ``alternating_sums``.
+The engine, ``contract_terms``, evaluates an einsum term pairwise, in
+int64 while its guards pass and modulo primes after that; read back
+exactly by ``integers``, one term is compared with ``np.einsum`` on
+Python-int object arrays, with magnitudes on both sides of the 2^62
+guard, and its polarised terms with a dense einsum whose x-slots are
+summed per monomial.  ``polarise`` and the reference ``alternating_sums``
+(kept in conftest) give the canonical components of an array over one
+symmetric and one antisymmetric slot group; a residual rebuilds the
+dense (anti)symmetrised array from them.  Both are compared here with
+composing ``symmetrise_slots`` and ``antisymmetrise_slots`` on Fraction
+tensors, including int64 entries close to 2^62, where the sums must
+fall back to Python integers.  The polynomial product kernel
+``_product`` on Python ints is compared with polynomial multiplication
+one monomial pair at a time, and the engine's alternated last product
+with that kernel in Python ints followed by ``alternating_sums``.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from hypothesis import strategies as st
 from conftest import alternating_sums
 from killingtensor import Tensor, _fastops, antisymmetrise_slots, integrability, symmetrise_slots
 from killingtensor._fastops import (
-    contract,
+    contract_terms,
     guarded_tensordot,
+    integers,
     linear_combination,
     normalize_array,
     polarise,
-    polynomial_tensordot,
 )
 
 NEAR_SAFE = 1 << 62
@@ -225,6 +227,13 @@ def connected_terms(draw):
     return ",".join("".join(f) for f in factors) + "->" + "".join(output)
 
 
+def contract(subscripts: str, *operands, memo=None):
+    """One term through the engine, as exact integers and a scale; the
+    monomial axis is dropped when no slot is polarised."""
+    values, scale = contract_terms([(1, subscripts, operands)], memo)
+    return (integers(values) if "*" in subscripts else integers(values)[0, ...]), scale
+
+
 class TestContract:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), term=connected_terms(), dim=st.integers(2, 3))
@@ -334,18 +343,32 @@ class TestMaxAbs:
 
 class TestGuardedTensordot:
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), dim=st.integers(1, 3), contracted=st.integers(0, 2))
-    def test_matches_python_ints(self, data, dim, contracted):
-        a = data.draw(integer_arrays((dim,) * 2))
-        b = data.draw(integer_arrays((dim,) * 3))
-        axes_a = data.draw(st.permutations(range(2)))[:contracted]
-        axes_b = data.draw(st.permutations(range(3)))[:contracted]
+    @given(data=st.data(), dim=st.integers(1, 3), ranks=st.sampled_from([(2, 3), (0, 3), (2, 0), (0, 0)]))
+    def test_matches_python_ints(self, data, dim, ranks):
+        # Order-0 operands are what an order-0 tensor_product hands over.
+        a = data.draw(integer_arrays((dim,) * ranks[0]))
+        b = data.draw(integer_arrays((dim,) * ranks[1]))
+        contracted = data.draw(st.integers(0, min(ranks)))
+        axes_a = data.draw(st.permutations(range(ranks[0])))[:contracted]
+        axes_b = data.draw(st.permutations(range(ranks[1])))[:contracted]
         result = guarded_tensordot(a, b, axes_a, axes_b)
         expected = np.tensordot(python_ints(a), python_ints(b), axes=(list(axes_a), list(axes_b)))
-        assert np.asarray(result).tolist() == np.asarray(expected).tolist()
+        assert isinstance(result, np.ndarray) and result.shape == np.shape(expected)
+        assert result.tolist() == np.asarray(expected).tolist()
         bound = dim**contracted * int(np.max(np.abs(python_ints(a)))) * int(np.max(np.abs(python_ints(b))))
         if a.dtype != object and b.dtype != object:
             assert (result.dtype == object) == (bound >= NEAR_SAFE)
+
+    @pytest.mark.parametrize("side", ["below", "at", "past 2^63"])
+    def test_the_contracted_volume_counts_in_the_guard(self, side):
+        # Each entry sums nine products c · 1, so it equals the guard's
+        # bound 9c: int64 just below 2^62, Python ints from 2^62 on.
+        below = (NEAR_SAFE - 1) // 9
+        c = {"below": below, "at": below + 1, "past 2^63": (1 << 63) // 9 + 1}[side]
+        a, b = np.full((3, 3), c, dtype=np.int64), np.ones((3, 3, 3), dtype=np.int64)
+        result = guarded_tensordot(a, b, (0, 1), (2, 0))
+        assert (result.dtype == object) == (side != "below")
+        assert result.tolist() == [9 * c] * 3
 
 
 class TestNormalizeArray:
@@ -460,39 +483,28 @@ class TestPolynomialProduct:
         ranks=st.tuples(st.integers(1, 2), st.integers(1, 2)),
     )
     def test_matches_python_int_multiplication(self, data, dim, degrees, ranks):
-        # Coefficients on both sides of 2^62, so products pass 2^63.
+        # Coefficients on both sides of 2^62, so products pass 2^63; the
+        # kernel runs on Python ints, as the test-local reference routes do.
         a = data.draw(integer_arrays((len(monomials(dim, degrees[0])),) + (dim,) * ranks[0]))
         b = data.draw(integer_arrays((len(monomials(dim, degrees[1])),) + (dim,) * ranks[1]))
         contracted = data.draw(st.integers(0, min(ranks)))
         axes_a = data.draw(st.permutations(range(1, ranks[0] + 1)))[:contracted]
         axes_b = data.draw(st.permutations(range(1, ranks[1] + 1)))[:contracted]
-        result = polynomial_tensordot(a, b, axes_a, axes_b, dim, *degrees)
+        result = _fastops._product(python_ints(a), python_ints(b), axes_a, axes_b, dim, *degrees)
         expected, pairs = python_polynomial_product(a, b, axes_a, axes_b, dim, *degrees)
         assert result.shape == expected.shape
         assert result.tolist() == expected.tolist()
-        if a.dtype != object and b.dtype != object:
-            biggest = int(np.max(np.abs(python_ints(a)))) * int(np.max(np.abs(python_ints(b))))
-            bound = (pairs if all(degrees) else 1) * dim**contracted * biggest
-            assert (result.dtype == object) == (bound >= NEAR_SAFE)
+        # The step guards count this many pairs per product monomial.
+        assert _fastops._pairs(dim, *degrees) == pairs
 
     @pytest.mark.parametrize("value", [NEAR_SAFE - 1, NEAR_SAFE, (1 << 31) + 1, 3 << 60])
     def test_products_past_int64(self, value):
         # x^2 from two degree-1 factors: two pairs meet in each mixed monomial.
         a = np.full((3, 3), value, dtype=np.int64)
-        result = polynomial_tensordot(a, a, (1,), (1,), 3, 1, 1)
+        result, scale = contract("*b,*b->", (a, Fraction(1)), (a, Fraction(1)))
         expected, _ = python_polynomial_product(a, a, (1,), (1,), 3, 1, 1)
-        assert result.dtype == object and result.tolist() == expected.tolist()
-        assert max(abs(v) for v in result.ravel().tolist()) >= 1 << 63
-
-    def test_pairs_per_monomial_count_in_the_guard(self):
-        # x0^2 x1^2 is met by three pairs of quadratic monomials.  Each
-        # product is below 2^62, the sum of three passes 2^63.
-        a = np.full((3, 1), (1 << 31) - 1, dtype=np.int64)
-        result = polynomial_tensordot(a, a, (), (), 2, 2, 2)
-        expected, pairs = python_polynomial_product(a, a, (), (), 2, 2, 2)
-        assert pairs == 3 and result.dtype == object
-        assert result.tolist() == expected.tolist()
-        assert max(abs(v) for v in result.ravel().tolist()) >= 1 << 63
+        assert [scale * v for v in result.tolist()] == expected.tolist()
+        assert max(abs(v) for v in expected.tolist()) >= 1 << 63
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), term=connected_terms(), dim=st.integers(2, 3))
@@ -516,7 +528,7 @@ class TestPolynomialProduct:
         if not marked:
             expected = expected[0, ...]
         total = math.prod(s for _, s in operands)
-        assert arr.shape == expected.shape and arr.flags.c_contiguous
+        assert arr.shape == expected.shape
         assert [scale * v for v in arr.ravel().tolist()] == [total * v for v in expected.ravel().tolist()]
 
     def test_a_chain_that_promotes_midway(self):

@@ -6,7 +6,8 @@ must not reach the integrability engine, directly or through the
 contraction, polarisation and canonical-component helpers, old or new,
 or the modular residues and their Chinese remaindering.
 ``_fastops`` sits below ``tensor``, which imports its guards, so it must
-not import ``tensor`` back.
+not import ``tensor`` back; its ``__all__`` lists exactly the names the
+other modules import from it.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import ast
 from pathlib import Path
 
 import killingtensor
+from killingtensor import _fastops
 
 PACKAGE = Path(killingtensor.__file__).parent
 
@@ -84,6 +86,12 @@ def test_oracle_uses_no_contraction_engine():
 
 def test_fastops_does_not_import_tensor():
     assert "tensor" not in imports_of("_fastops")
+
+
+def test_fastops_exports_what_the_package_imports():
+    modules = [path.stem for path in PACKAGE.glob("*.py") if path.stem != "_fastops"]
+    imported = set().union(*(imports_of(m).get("_fastops", set()) for m in modules))
+    assert set(_fastops.__all__) == imported
 
 
 def test_the_checks_see_imports():

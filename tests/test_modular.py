@@ -5,8 +5,8 @@ A residual whose int64 guards fail continues as residues modulo primes
 residues, and its tensor is rebuilt by Chinese remaindering.  Here every
 row is also computed in Python integers (object arrays) with no modular
 code: each polarised factor is multiplied pairwise along the greedy path
-of its index letters with ``polynomial_tensordot`` on object arrays (whose
-object branch ``test_fastops`` checks against Python polynomial
+of its index letters by the polynomial product kernel ``_product`` on
+object arrays (which ``test_fastops`` checks against Python polynomial
 multiplication), the terms are added with exact multiples, and the
 canonical components are read with the reference ``alternating_sums``
 (conftest) and ``expand_axis`` on object arrays.  Supports, ``condition1/2/3_residual``
@@ -56,7 +56,6 @@ from killingtensor._fastops import (
     integers,
     nonzero,
     polarise,
-    polynomial_tensordot,
 )
 
 NEAR_SAFE = 1 << 62
@@ -82,7 +81,7 @@ def python_int_term(term: str, operands) -> np.ndarray:
         shared = [c for c in names_a if c in names_b]
         axes_a = [names_a.index(c) + 1 for c in shared]
         axes_b = [names_b.index(c) + 1 for c in shared]
-        product = polynomial_tensordot(a, b, axes_a, axes_b, dim, degree_a, degree_b)
+        product = _fastops._product(a, b, axes_a, axes_b, dim, degree_a, degree_b)
         assert product.dtype == object
         names = "".join(c for c in names_a + names_b if c not in shared)
         nodes.append((product, names, degree_a + degree_b))
