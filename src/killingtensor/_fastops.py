@@ -42,6 +42,7 @@ import numpy as np
 
 __all__ = [
     "linear_combination",
+    "integer_multiples",
     "contract_terms",
     "linear_map",
     "Residues",
@@ -85,7 +86,7 @@ def linear_combination(
     content-reduced.
     """
     terms = [(Fraction(c), arr) for c, arr in terms]
-    multiples, scale = _multiples([c for c, _ in terms])
+    multiples, scale = integer_multiples([c for c, _ in terms])
     shape = terms[0][1].shape
     # numpy arithmetic on 0-d arrays gives scalars; sum 1-element arrays.
     arrays = [np.atleast_1d(arr) for _, arr in terms]
@@ -109,7 +110,7 @@ def _weighted_sum(multiples: Sequence[int], arrays: Sequence[np.ndarray]) -> np.
     return total
 
 
-def _multiples(coefficients: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+def integer_multiples(coefficients: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """Each coefficient's integer multiple of their largest common divisor,
     and that divisor (gcd of the numerators over lcm of the denominators;
     1, with every multiple 0, when every coefficient is zero)."""
@@ -128,8 +129,7 @@ def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fract
     otherwise, and gives an all-zero array the scale 1.  The represented
     value ``scale * arr`` is unchanged.
     """
-    arr, scale, _ = _normalized(arr, scale)
-    return arr, scale
+    return _normalized(arr, scale)[:2]
 
 
 def _normalized(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction, int]:
@@ -398,54 +398,59 @@ def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) 
 
 
 class _Plan(NamedTuple):
-    letters: tuple[str, ...]  # index letters of each factor
     x_axes: tuple[tuple[int, ...], ...]  # polarised axes of each factor
-    output: str
-    steps: tuple[tuple[int, int], ...]  # pairwise path; each result takes the next number
+    steps: tuple[tuple[int, int, tuple], ...]  # operands a, b and _alternated's arguments
+    order: tuple[int, ...]  # transpose of the last product into output order
     load: int  # most products of two entries any polarisation or step adds up
 
 
 @functools.lru_cache(maxsize=128)
 def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
-    """Index letters and polarised axes of each factor, output, pairwise path.
+    """Polarised axes of each factor, the pairwise steps, output order.
 
-    A step ``(a, b)`` contracts operands ``a`` and ``b``; each step's
-    result takes the next number.  The greedy path sees index axes only
-    and gets no memory limit, so that every step is a pair (under
-    numpy's default limit it may fall back to one step over all
-    remaining factors).  The last step alternates over the first
-    ``alternate`` output letters (:func:`_alternated`), which its load
-    counts.
+    A step ``(a, b, args)`` contracts operands ``a`` and ``b`` by
+    :func:`_alternated` with the arguments ``args = (axes_a, axes_b, dim,
+    degree_a, degree_b, group_a, group_b)``; each step's result takes the
+    next number.  The greedy path sees index axes only and gets no memory
+    limit, so that every step is a pair (under numpy's default limit it
+    may fall back to one step over all remaining factors).  The last step
+    alternates over the first ``alternate`` output letters, which its
+    load counts.
     """
     inputs, output = subscripts.split("->")
     factors = inputs.split(",")
-    letters = [f.replace("*", "") for f in factors]
-    everything = "".join(letters) + output
-    if len(factors) < 2 or any(len(set(f)) != len(f) for f in [*letters, output]) or any(
+    names = [f.replace("*", "") for f in factors]  # index letters of each operand
+    everything = "".join(names) + output
+    if len(factors) < 2 or any(len(set(f)) != len(f) for f in [*names, output]) or any(
         everything.count(c) != 2 for c in everything
     ):
         raise ValueError(
             f"{subscripts!r}: needs two or more factors, each index shared by two "
             "of them or an output index"
         )
-    shapes = [np.broadcast_to(0, (dim,) * len(f)) for f in letters]
-    reduced = ",".join(letters) + "->" + output
+    shapes = [np.broadcast_to(0, (dim,) * len(f)) for f in names]
+    reduced = ",".join(names) + "->" + output
     path = np.einsum_path(reduced, *shapes, optimize=("greedy", sys.maxsize))[0][1:]
+    x_axes = tuple(tuple(k for k, c in enumerate(f) if c == "*") for f in factors)
+    degrees = [len(axes) for axes in x_axes]
+    load = max(_pairs(dim, *(1,) * d) for d in degrees)
+    # The axes of ``letters`` in operand k, after its monomial axis (0 if absent).
+    at = lambda k, letters: tuple(names[k].find(c) + 1 for c in letters)  # noqa: E731
     live = list(range(len(factors)))  # einsum_path's operand list
     steps = []
-    for positions in path:
-        steps.append(tuple(live[k] for k in positions))
-        live = [n for k, n in enumerate(live) if k not in positions] + [len(factors) + len(steps) - 1]
-    x_axes = tuple(tuple(k for k, c in enumerate(f) if c == "*") for f in factors)
-    names, degrees = list(letters), [len(axes) for axes in x_axes]
-    load = max(_pairs(dim, *(1,) * d) for d in degrees)
-    for n, (a, b) in enumerate(steps, 1 - len(steps)):
+    for n, positions in enumerate(path, 1 - len(path)):
+        a, b = (live[k] for k in positions)
+        live = [m for k, m in enumerate(live) if k not in positions] + [len(names)]
         shared = [c for c in names[a] if c in names[b]]
-        arrangements = 1 if n else math.factorial(alternate)
-        load = max(load, arrangements * _pairs(dim, degrees[a], degrees[b]) * dim ** len(shared))
-        names.append("".join(c for c in names[a] + names[b] if c not in shared))
+        group = "" if n else output[:alternate]
+        args = (at(a, shared), at(b, shared), dim, degrees[a], degrees[b], at(a, group), at(b, group))
+        steps.append((a, b, args))
+        load = max(load, math.factorial(len(group)) * _pairs(dim, degrees[a], degrees[b]) * dim ** len(shared))
+        names.append("".join(c for c in names[a] + names[b] if c not in shared and c not in group))
         degrees.append(degrees[a] + degrees[b])
-    return _Plan(tuple(letters), x_axes, output, tuple(steps), load)
+    lead = 2 if alternate else 1  # the monomial axis, then the increasing tuples
+    order = tuple(range(lead)) + tuple(names[-1].index(c) + lead for c in output[alternate:])
+    return _Plan(x_axes, tuple(steps), order, load)
 
 
 class _Node(NamedTuple):
@@ -456,8 +461,8 @@ class _Node(NamedTuple):
     guard ``arr`` is None, ``scale`` the product of the factors' scales
     and ``bound`` a bound on the entries of the integer image at that
     scale.  ``source`` rebuilds the node modulo a prime: the operand array
-    and its x-axes for a factor (holding ``id(array)`` while the memo
-    lives), the factors' keys and :func:`_alternated`'s arguments otherwise.
+    and its x-axes for a factor, the two factor nodes and
+    :func:`_alternated`'s arguments for a product.
     """
 
     arr: "np.ndarray | None"
@@ -477,25 +482,25 @@ def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], dim: int) -
     return _Node(poly, scale, peak if pairs == 1 else _max_abs(poly), (arr, axes))
 
 
-def _step(a: _Node, b: _Node, source: tuple) -> _Node:
-    """The product of nodes ``a`` and ``b``; ``source`` is their keys, then
-    ``(axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)``.
+def _step(a: _Node, b: _Node, args: tuple) -> _Node:
+    """The product of nodes ``a`` and ``b`` by :func:`_alternated` with
+    ``args = (axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)``.
     Int64 and content-reduced when both are int64 and
     ``size! · pairs · volume · max|a| · max|b| < 2^62``, with ``size``
     the length of the alternated group (0 for none)."""
-    axes_a, _, dim, degree_a, degree_b, group_a, _ = source[2:]
-    scale = a.scale * b.scale
+    axes_a, _, dim, degree_a, degree_b, group_a, _ = args
+    scale, source = a.scale * b.scale, (a, b, *args)
     bound = math.factorial(len(group_a)) * _pairs(dim, degree_a, degree_b) * dim ** len(axes_a) * a.bound * b.bound
     if a.arr is None or b.arr is None or bound >= _INT64_SAFE:
         return _Node(None, scale, bound, source)
-    return _Node(*_normalized(_alternated(a.arr, b.arr, *source[2:]), scale), source)
+    return _Node(*_normalized(_alternated(a.arr, b.arr, *args), scale), source)
 
 
-def _residue(memo: dict, key: str, p: int, cache: dict) -> np.ndarray:
-    """Node ``key`` of ``memo`` modulo the prime ``p``, in [0, p).  ``cache``
-    holds this prime's residues, so a shared node is reduced once."""
+def _residue(node: _Node, p: int, cache: dict) -> np.ndarray:
+    """``node`` modulo the prime ``p``, in [0, p).  ``cache`` holds this
+    prime's residues by node, so a shared node is reduced once."""
+    key = id(node)
     if key not in cache:
-        node = memo[key]
         if node.arr is not None:
             cache[key] = node.arr % p
         elif len(node.source) == 2:
@@ -503,7 +508,7 @@ def _residue(memo: dict, key: str, p: int, cache: dict) -> np.ndarray:
             cache[key] = polarise(np.asarray(arr % p, dtype=np.int64), axes) % p
         else:
             a, b, *args = node.source
-            cache[key] = _alternated(_residue(memo, a, p, cache), _residue(memo, b, p, cache), *args) % p
+            cache[key] = _alternated(_residue(a, p, cache), _residue(b, p, cache), *args) % p
     return cache[key]
 
 
@@ -519,35 +524,22 @@ def _term(
     product (:func:`_alternated`)."""
     dim = operands[0][0].shape[0]
     plan = _contraction_plan(subscripts, dim, alternate)
-    if len(operands) != len(plan.letters):
-        raise ValueError(f"{subscripts!r} takes {len(plan.letters)} operands, got {len(operands)}")
-    nodes = []  # (memo key, index letters, degree)
-    for (arr, scale), names, axes in zip(operands, plan.letters, plan.x_axes):
-        key = f"{id(arr)}:{scale}:{axes}"
-        if key not in memo:
-            memo[key] = _factor(arr, scale, axes, dim)
-        nodes.append((key, names, len(axes)))
-    for n, (a, b) in enumerate(plan.steps, 1 - len(plan.steps)):
-        first, second = sorted((nodes[a], nodes[b]), key=lambda node: node[0])
-        shared = [c for c in first[1] if c in second[1]]
-        group = "" if n else plan.output[:alternate]
-        axes_a = tuple(first[1].index(c) + 1 for c in shared)
-        axes_b = tuple(second[1].index(c) + 1 for c in shared)
-        group_a = tuple(first[1].index(c) + 1 if c in first[1] else 0 for c in group)
-        group_b = tuple(second[1].index(c) + 1 if c in second[1] else 0 for c in group)
-        key = f"({first[0]}|{axes_a}|{second[0]}|{axes_b}" + (f"|{group_a}|{group_b})" if group else ")")
-        if key not in memo:
-            source = (first[0], second[0], axes_a, axes_b, dim, first[2], second[2], group_a, group_b)
-            memo[key] = _step(memo[first[0]], memo[second[0]], source)
-        names = "".join(c for c in first[1] + second[1] if c not in shared and c not in group)
-        nodes.append((key, names, first[2] + second[2]))
-    key, names, _ = nodes[-1]
-    lead = 2 if alternate else 1  # the monomial axis, then the increasing tuples
-    order = list(range(lead)) + [names.index(c) + lead for c in plan.output[alternate:]]
-    node = memo[key]
+    if len(operands) != len(plan.x_axes):
+        raise ValueError(f"{subscripts!r} takes {len(plan.x_axes)} operands, got {len(operands)}")
+    nodes = []
+    for (arr, scale), axes in zip(operands, plan.x_axes):
+        key = (id(arr), scale, axes)
+        if (node := memo.get(key)) is None:
+            node = memo[key] = _factor(arr, scale, axes, dim)
+        nodes.append(node)
+    for a, b, args in plan.steps:
+        key = (id(nodes[a]), id(nodes[b]), args)
+        if (node := memo.get(key)) is None:
+            node = memo[key] = _step(nodes[a], nodes[b], args)
+        nodes.append(node)
     if node.arr is not None:
-        return node.arr.transpose(order), node.scale, node.bound
-    residue = lambda p, cache: _residue(memo, key, p, cache).transpose(order)  # noqa: E731
+        return node.arr.transpose(plan.order), node.scale, node.bound
+    residue = lambda p, cache: _residue(node, p, cache).transpose(plan.order)  # noqa: E731
     return Residues(node.bound, plan.load, residue), node.scale, node.bound
 
 
@@ -668,10 +660,13 @@ def contract_terms(
     stays ``int64`` and is content-reduced while its guard passes
     (:func:`_step`); from the first step whose guard fails the term is
     computed modulo primes.  Polarised factors and products are kept in
-    ``memo`` under keys naming the operand arrays, their polarised axes
-    and each step's contracted axes, so terms and calls sharing a
-    ``memo`` (which keeps their operands alive) compute equal
-    sub-contractions once.
+    ``memo`` as nodes (:class:`_Node`): a factor under the identity of its
+    operand array, its scale and its polarised axes, a product under the
+    identities of its two factor nodes and the step's arguments.  Terms
+    and calls sharing a ``memo`` (which keeps their operands alive)
+    compute a product once when they contract the same nodes over the
+    same axes in the same order; written with its factors swapped, it is
+    another node.
 
     With ``alternate``, the first ``alternate`` output letters of every term
     form one antisymmetric group: they become one axis (after the
@@ -687,7 +682,7 @@ def contract_terms(
     memo = {} if memo is None else memo
     terms = list(terms)
     parts = [_term(subscripts, operands, memo, alternate) for _, subscripts, operands in terms]
-    multiples, scale = _multiples([Fraction(c) * s for (c, _, _), (_, s, _) in zip(terms, parts)])
+    multiples, scale = integer_multiples([Fraction(c) * s for (c, _, _), (_, s, _) in zip(terms, parts)])
     values = [v for v, _, _ in parts]
     wide = [v for v in values if isinstance(v, Residues)]
     bounds = [abs(k) * bound for k, (_, _, bound) in zip(multiples, parts)]

@@ -49,6 +49,13 @@ __all__ = ["main", "build_parser"]
 
 _GENERATOR_KINDS = ("metric", "benenti", "family", "random")
 
+# Largest frame (boxes) of repinfo and lr, and --N of repinfo: Python
+# prints ints of up to 4300 digits.  An n-box frame's hook product is at
+# most n! (2568 digits at n = 1000, 5736 at 2000) and its GL(N) dimension
+# at most (N + n)^n / sqrt(n!) (under 3722 digits at N = 10^5, n = 1000).
+_MAX_FRAME_BOXES = 1000
+_MAX_SPACE_DIM = 10**5
+
 
 # -- shared argument plumbing -----------------------------------------
 
@@ -253,8 +260,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # -- representation-theory queries ------------------------------------
 
 
+def _parse_frame(text: str) -> YoungFrame:
+    frame = YoungFrame.from_text(text)
+    if frame.size > _MAX_FRAME_BOXES:
+        raise InvalidArgument(f"frame has {frame.size} boxes, over the cap of {_MAX_FRAME_BOXES}")
+    return frame
+
+
 def cmd_repinfo(args: argparse.Namespace) -> int:
-    frame = YoungFrame.from_text(args.frame)
+    if args.N is not None and args.N > _MAX_SPACE_DIM:
+        raise InvalidArgument(f"--N {args.N} is over the cap of {_MAX_SPACE_DIM}")
+    frame = _parse_frame(args.frame)
     print(f"frame {_frame_label(frame)}: {frame.size} boxes")
     print("hook lengths:")
     for row, length in enumerate(frame.rows):
@@ -267,8 +283,8 @@ def cmd_repinfo(args: argparse.Namespace) -> int:
 
 
 def cmd_lr(args: argparse.Namespace) -> int:
-    frame1 = YoungFrame.from_text(args.frame1)
-    frame2 = YoungFrame.from_text(args.frame2)
+    frame1 = _parse_frame(args.frame1)
+    frame2 = _parse_frame(args.frame2)
     decomposition = lr_decompose(frame1, frame2)
     terms = sorted(decomposition.items(), key=lambda item: item[0].rows, reverse=True)
     pieces = [

@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fastops import integer_multiples
 from ._linalg import inverse_image
 from ._util import coerce_rng, random_vector
 from .errors import InvalidArgument, SamplingFailure
@@ -327,12 +328,9 @@ def _basis(point: ModelPoint, vectors: Sequence[Tensor], frame: np.ndarray, scal
 
 def _stacked(vectors: Sequence[Tensor], dim: int) -> tuple[np.ndarray, Fraction]:
     """The vectors' images as rows over one common scale."""
-    scales = [vec._scale for vec in vectors]
-    scale = Fraction(
-        math.gcd(*(s.numerator for s in scales)), math.lcm(*(s.denominator for s in scales))
-    )
+    multiples, scale = integer_multiples([vec._scale for vec in vectors])
     frame = np.array(
-        [[int(s / scale) * v for v in vec._ints.tolist()] for s, vec in zip(scales, vectors)],
+        [[k * v for v in vec._ints.tolist()] for k, vec in zip(multiples, vectors)],
         dtype=object,
     ).reshape(len(vectors), dim)
     return frame, scale

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import ast
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._fastops import linear_combination
+from ._fastops import integer_multiples, linear_combination
 from .errors import InvalidArgument
 from .tensor import Tensor, _slot_axes, as_scalar
 
@@ -115,20 +114,8 @@ class Permutation:
 
     def sign(self) -> int:
         """Parity: ``+1`` for even permutations, ``−1`` for odd."""
-        sign = 1
-        seen = [False] * self.degree
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            length = 0
-            node = start
-            while not seen[node]:
-                seen[node] = True
-                node = self._images[node] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        # A cycle of length L is L - 1 transpositions.
+        return -1 if sum(len(cycle) - 1 for cycle in self.cycles()) % 2 else 1
 
     def is_identity(self) -> bool:
         return all(v == k for k, v in enumerate(self._images, start=1))
@@ -287,22 +274,22 @@ class GroupAlgebraElement:
         """Convolution product; in ``a.multiply(b)``, ``b`` acts first under apply.
 
         Coefficients are summed as integers over the product of the two
-        factors' common denominators, and each composite image tuple is
+        factors' common scales, and each composite image tuple is
         built without re-checking that it is a rearrangement.
         """
         self._check_degree(other)
-        left, left_denominator = _integer_terms(self._terms)
-        right, right_denominator = _integer_terms(other._terms)
+        left, left_scale = _integer_terms(self._terms)
+        right, right_scale = _integer_terms(other._terms)
         product: dict[tuple[int, ...], int] = {}
         for p, cp in left:
             for q, cq in right:
                 key = tuple([p[v - 1] for v in q])
                 product[key] = product.get(key, 0) + cp * cq
-        denominator = left_denominator * right_denominator
+        scale = left_scale * right_scale
         element = GroupAlgebraElement.__new__(GroupAlgebraElement)
         element._degree = self._degree
         element._terms = {
-            Permutation._of(key): Fraction(c, denominator) for key, c in product.items() if c
+            Permutation._of(key): c * scale for key, c in product.items() if c
         }
         return element
 
@@ -365,10 +352,10 @@ class GroupAlgebraElement:
 
 def _integer_terms(
     terms: Mapping[Permutation, Fraction],
-) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """``(images, c · L)`` per term, and ``L``, the lcm of the coefficients' denominators."""
-    denominator = math.lcm(*(c.denominator for c in terms.values()))
-    return [(p._images, c.numerator * (denominator // c.denominator)) for p, c in terms.items()], denominator
+) -> tuple[list[tuple[tuple[int, ...], int]], Fraction]:
+    """``(images, k)`` per term, and the common scale ``s`` with every coefficient ``k · s``."""
+    multiples, scale = integer_multiples(list(terms.values()))
+    return [(p._images, k) for p, k in zip(terms, multiples)], scale
 
 
 class YoungFrame:

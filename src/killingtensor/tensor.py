@@ -15,10 +15,11 @@ Design notes
   ``scale * array``.  The array is content-reduced (the gcd of its
   entries is 1, or it is all zero and the scale is 1), so the pair is
   unique for each tensor.  It is ``int64`` when every entry is below
-  2^62 in magnitude and a Python-int object array otherwise.  This
-  module is the only one that builds the pair from Fractions or turns it
-  back into Fractions; every operation here, and the package's integer
-  pipelines, work on the pair directly.
+  2^62 in magnitude and a Python-int object array otherwise.  Every
+  operation here, and the package's integer pipelines, work on the pair
+  directly.  Fractions become integer images here and in
+  ``io._integer_images`` and ``_linalg._integer_rows``, and turn back
+  here and in ``oracle._fractions``.
 * Tensor slots are numbered **1-based** in the public API, matching the
   index conventions of the accompanying documentation (slot 1 is the first
   index).  Internally they map to 0-based ``numpy`` axes.

@@ -224,6 +224,18 @@ class TestRepresentationCommands:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("repinfo", "(2000,)"), ("lr", "(1,)", "(2000,)"), ("repinfo", "(2,2)", "--N", "100001")],
+        ids=["repinfo", "lr", "repinfo-N"],
+    )
+    def test_an_oversized_query_is_an_input_error(self, capsys, argv):
+        # The hook product of (2000,) is 2000!, too long for Python to print.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "over the cap" in err and err.count("\n") == 1
+
 
 class TestIdentitiesCommand:
     def test_small_run_passes(self, capsys):
@@ -360,16 +372,28 @@ class TestTopLevelBehaviour:
             '{"kind": "flat", "N": 3, "u": 5}',
             '{"kind": "flat", "N": 3, "u": ["1", 0]}',
             '{"kind": "flat", "N": 1000000000}',
+            # Flags that contradict or garble a valid model.
+            pytest.param(("sphere", "--signature", "a,b"), id="signature-not-integers"),
+            pytest.param(("MODEL_FILE", "--N", "4"), id="N-against-a-file"),
         ],
     )
     def test_malformed_model_descriptor_exits_2(self, capsys, tmp_path, command, descriptor):
         path = tmp_path / "metric.json"
         run(capsys, "generate", "metric", "--model", "sphere", "--N", "3",
             "--out", str(path))
-        code, out, err = run(capsys, command, str(path), "--model", descriptor)
+        model = tmp_path / "model.json"
+        model.write_text('{"kind": "sphere", "N": 3}', encoding="utf-8")
+        flags = [descriptor] if isinstance(descriptor, str) else [
+            str(model) if flag == "MODEL_FILE" else flag for flag in descriptor
+        ]
+        code, out, err = run(capsys, command, str(path), "--model", *flags)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        if "MODEL_FILE" in descriptor:
+            assert "conflicts with model dimension" in err
+        elif "--signature" in descriptor:
+            assert "--signature expects integers" in err
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     @pytest.mark.parametrize(

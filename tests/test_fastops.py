@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +29,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alternating_sums
-from killingtensor import Tensor, _fastops, antisymmetrise_slots, integrability, symmetrise_slots
+from conftest import alternating_sums, sphere
+from killingtensor import (
+    ConditionForm1,
+    ConditionForm2,
+    Tensor,
+    _fastops,
+    antisymmetrise_slots,
+    check,
+    condition3_residual,
+    integrability,
+    r_to_s,
+    random_curvature,
+    symmetrise_slots,
+    verify_identity_suite,
+)
 from killingtensor._fastops import (
     contract_terms,
     guarded_tensordot,
@@ -542,7 +556,7 @@ class TestPolynomialProduct:
         arr, scale = contract(term, (a, Fraction(1)), (b, Fraction(1)), (c, Fraction(1)), memo=memo)
         # The first step is an int64 array; the second, past the guard, has
         # no array (it is computed modulo primes) and a bound above 2^62.
-        steps = [node for key, node in memo.items() if key.startswith("(")]
+        steps = [node for node in memo.values() if len(node.source) > 2]
         assert steps[0].arr.dtype == np.int64 and steps[0].bound == np.max(np.abs(steps[0].arr))
         assert steps[1].arr is None and steps[1].bound >= NEAR_SAFE
         assert arr.dtype == object
@@ -556,10 +570,42 @@ class TestPolynomialProduct:
         memo: dict = {}
         first = contract("pq,p*ab,q*cd->abcd", g, s, s, memo=memo)
         size = len(memo)
-        # The same product with other letters and factor order adds nothing.
-        second = contract("x*ef,xy,y*gh->efgh", s, g, s, memo=memo)
+        # The same product with other letters adds nothing.
+        second = contract("xy,x*ef,y*gh->efgh", g, s, s, memo=memo)
         assert len(memo) == size
         assert second[1] == first[1] and second[0].tolist() == first[0].tolist()
+
+    def test_the_memo_work_on_the_library_rows(self, monkeypatch):
+        # How many polarised factors and products the library rows build,
+        # each call sharing one memo: a lost share shows here.
+        calls = {"_factor": 0, "_step": 0}
+
+        def counted(name):
+            original = getattr(_fastops, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(_fastops, name, counted(name))
+
+        def work(run) -> tuple[int, int]:
+            calls.update(_factor=0, _step=0)
+            run()
+            return calls["_factor"], calls["_step"]
+
+        pairs = list(itertools.product(ConditionForm1, ConditionForm2))
+        for dim, expected in ((3, (9, 6)), (4, (102, 190)), (5, (102, 190))):
+            K = random_curvature(dim, random.Random(dim), bound=3)
+            assert work(lambda: [check(K, sphere(dim), *pair) for pair in pairs]) == expected
+        for dim in (4, 5):
+            S = r_to_s(random_curvature(dim, random.Random(dim), bound=3))
+            assert work(lambda: verify_identity_suite(S, sphere(dim))) == (7, 37)
+        S = r_to_s(random_curvature(4, random.Random(4), bound=3))
+        assert work(lambda: condition3_residual(S, sphere(4))) == (4, 8)
 
 
 @st.composite

@@ -315,7 +315,7 @@ class TestModularRoute:
         memo: dict = {}
         _fastops._term(term, operands, memo, size)
         (step,) = [node for node in memo.values() if len(node.source) > 2]
-        first, second = (memo[key].arr for key in step.source[:2])
+        first, second = (node.arr for node in step.source[:2])
         # The alternated step modulo p, as _residue runs it.
         result = _fastops._alternated(first, second, *step.source[2:]) % p
         expected = alternating_sums(python_int_term(term, operands), size) % p
