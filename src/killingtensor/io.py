@@ -3,8 +3,11 @@
 Tensor document (JSON): ``{"dim": int, "order": int, "entries":
 [{"idx": [0-based indices], "val": "p/q" | integer}], "form": "R" |
 "S" (optional), "metadata": {...} (optional)}``; components not listed
-are zero, and of a repeated ``idx`` the last record wins.  A document
-is read in one pass over its records, parsing each distinct value once.
+are zero, and of a repeated ``idx`` the last record wins.  Index items
+must be JSON integers: a boolean, a float or a numeral string is a
+malformed record.  The records are read in one vectorised pass: their
+indices become one int64 array of flat positions, and each distinct
+value is parsed once, straight to a reduced numerator and denominator.
 Untrusted documents are bounded: at most 32 slots and 2^24 entries, and
 at most 256 bits both for the lcm of the value denominators and for the
 largest value rescaled to it.  Larger documents are rejected with
@@ -24,8 +27,9 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Mapping, NoReturn, Union
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .errors import InvalidArgument
 from .integrability import IntegrabilityReport
 from .models import ModelKind, ModelSpace
 from .oracle import OracleReport
-from .tensor import MetricSignature, Tensor, as_scalar
+from .tensor import _RATIONAL, MetricSignature, Tensor, as_scalar
 
 __all__ = [
     "parse_rational",
@@ -154,54 +158,135 @@ def document_to_tensor(doc: Mapping[str, Any]) -> tuple[Tensor, "str | None", di
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise InvalidArgument("'entries' must be a list of {idx, val} records")
-    # Each distinct value is parsed once.  Only exact str and int values
-    # are interned, keyed on their type: True and 1.0 compare and hash
-    # equal to 1 and must still reach as_scalar to be rejected.  Every
-    # listed value gets its own slot in ``values``; ``cells`` maps each
-    # flat position to the slot of the last record listing it.
-    interned: dict = {}
-    values: list[Fraction] = []
-    cells: dict[int, int] = {}
-    for record in entries:
-        try:
-            idx = tuple(map(int, record["idx"]))
-            raw = record["val"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InvalidArgument(f"malformed entry record {record!r}: {exc}") from exc
-        if len(idx) != order:
-            raise InvalidArgument(
-                f"entry index {list(idx)} has length {len(idx)}, expected order {order}"
-            )
-        position = 0
-        for i in idx:
-            if i < 0 or i >= dim:
-                raise InvalidArgument(f"entry index {list(idx)} out of range for dim {dim}")
-            position = position * dim + i
-        kind = type(raw)
-        if kind is str or kind is int:
-            slot = interned.get((kind, raw))
-            if slot is None:
-                slot = interned[kind, raw] = len(values)
-                values.append(as_scalar(raw))
-        else:
-            slot = len(values)
-            values.append(as_scalar(raw))
-        cells[position] = slot
+    records = _read_records(entries, dim, order)
+    if records is None:
+        _raise_first_bad_record(entries, dim, order)
+    positions, raws, pairs = records
     form = doc.get("form")
     if form is not None and form not in ("R", "S"):
         raise InvalidArgument(f"unknown tensor form {form!r}; expected 'R' or 'S'")
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise InvalidArgument("'metadata' must be a mapping")
-    lcm, images, top = _integer_images(values)
-    ints = np.zeros(dim**order, dtype=np.int64 if top < 1 << 62 else object)
-    ints[list(cells)] = [images[slot] for slot in cells.values()]
+    lcm, images, top = _integer_images(pairs)
+    # numpy does not order repeated fancy-index writes, so the last record
+    # listing each position is picked out explicitly.
+    cells, last = np.unique(positions[::-1], return_index=True)
+    listed = list(map(images.__getitem__, raws))
+    if top < 1 << 62:
+        dtype, values = np.int64, np.fromiter(listed, np.int64, len(listed))
+    else:
+        dtype, values = object, np.array(listed, dtype=object)
+    ints = np.zeros(dim**order, dtype=dtype)
+    ints[cells] = values[len(listed) - 1 - last]
     return Tensor._from_ints(ints.reshape((dim,) * order), Fraction(1, lcm), dim), form, metadata
 
 
-def _integer_images(values: list[Fraction]) -> tuple[int, list[int], int]:
-    """The lcm of the values' denominators, each value rescaled to it, and
-    the largest magnitude among those.
+def _read_records(
+    entries: list, dim: int, order: int
+) -> "tuple[np.ndarray, list, dict] | None":
+    """The flat position and raw value of every record, and the reduced
+    (numerator, denominator) pair of each distinct value, in one
+    vectorised pass; None if any record is malformed or out of range.
+
+    Index items must be exactly ``int``: numpy would take True as 1 and
+    truncate 1.5 to 1.  Values are interned on the raw value, which is
+    safe because only str, int and Fraction are admitted and a str
+    equals neither of the others, while an int and a Fraction that are
+    equal parse to the same pair.
+    """
+    try:
+        indices = [record["idx"] for record in entries]
+        raws = [record["val"] for record in entries]
+    except (KeyError, TypeError):
+        return None
+    if not (
+        {list}.issuperset(map(type, indices))
+        and {order}.issuperset(map(len, indices))
+        and {str, int, Fraction}.issuperset(map(type, raws))
+    ):
+        return None
+    items = list(chain.from_iterable(indices))
+    if not {int}.issuperset(map(type, items)):
+        return None
+    try:
+        flat = np.fromiter(items, np.int64, len(items))
+    except OverflowError:
+        return None
+    if flat.size and (flat.min() < 0 or flat.max() >= dim):
+        return None
+    strides = dim ** np.arange(order - 1, -1, -1, dtype=np.int64)
+    positions = flat.reshape(len(entries), order) @ strides
+    pairs = dict.fromkeys(raws)
+    for raw in pairs:
+        pair = _rational_pair(raw)
+        if pair is None:
+            return None
+        pairs[raw] = pair
+    return positions, raws, pairs
+
+
+def _rational_pair(raw: "str | int | Fraction") -> "tuple[int, int] | None":
+    """The reduced (numerator, denominator) of a value :func:`as_scalar`
+    accepts, or None where it raises: a string outside ``_RATIONAL``, a
+    zero denominator, or a numeral over the interpreter's digit limit."""
+    kind = type(raw)
+    if kind is int:
+        return raw, 1
+    if kind is Fraction:
+        return raw.numerator, raw.denominator
+    if not _RATIONAL.fullmatch(raw):
+        return None
+    numerator, _, denominator = raw.strip().partition("/")
+    try:
+        p = int(numerator)
+        if not denominator:
+            return p, 1
+        q = int(denominator)
+    except ValueError:
+        return None
+    if q == 0:
+        return None
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _raise_first_bad_record(entries: list, dim: int, order: int) -> NoReturn:
+    """Raise the message of the first record :func:`_read_records` refuses.
+
+    Records are checked in order, each for its form, its length, its
+    range and then its value, so a document's message is that of its
+    first bad record and the first check that record fails.
+    """
+    for record in entries:
+        try:
+            idx = record["idx"]
+            raw = record["val"]
+        except (KeyError, TypeError) as exc:
+            raise InvalidArgument(f"malformed entry record {record!r}: {exc}") from exc
+        if type(idx) is not list or not all(type(i) is int for i in idx):
+            raise InvalidArgument(
+                f"malformed entry record {record!r}: 'idx' must be a list of integers"
+            )
+        if len(idx) != order:
+            raise InvalidArgument(
+                f"entry index {idx} has length {len(idx)}, expected order {order}"
+            )
+        if any(i < 0 or i >= dim for i in idx):
+            raise InvalidArgument(f"entry index {idx} out of range for dim {dim}")
+        if type(raw) not in (str, int, Fraction) or _rational_pair(raw) is None:
+            as_scalar(raw)  # raises its message for all but subclasses of these
+            raise InvalidArgument(
+                f"expected an exact rational scalar (Fraction, int, or 'p/q' string), "
+                f"got {type(raw).__name__}"
+            )
+    raise AssertionError("every record is well formed")
+
+
+def _integer_images(pairs: dict) -> tuple[int, dict, int]:
+    """The lcm of the denominators of the (numerator, denominator) values
+    of ``pairs``, each value rescaled to it under its key, and the
+    largest magnitude among those.
 
     Raises InvalidArgument when either is wider than ``_MAX_BITS``.  The
     lcm grows one distinct denominator at a time and is checked at each
@@ -209,15 +294,15 @@ def _integer_images(values: list[Fraction]) -> tuple[int, list[int], int]:
     denominators a document lists.
     """
     lcm = 1
-    for denominator in {value.denominator for value in values}:
+    for denominator in {q for _, q in pairs.values()}:
         lcm = math.lcm(lcm, denominator)
         if lcm.bit_length() > _MAX_BITS:
             raise InvalidArgument(
                 f"tensor values need a common denominator of more than "
                 f"{_MAX_BITS} bits; at most {_MAX_BITS} are accepted"
             )
-    images = [value.numerator * (lcm // value.denominator) for value in values]
-    top = max(map(abs, images), default=0)
+    images = {raw: p * (lcm // q) for raw, (p, q) in pairs.items()}
+    top = max(map(abs, images.values()), default=0)
     if top.bit_length() > _MAX_BITS:
         raise InvalidArgument(
             f"tensor values rescaled to their common denominator reach "

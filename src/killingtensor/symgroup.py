@@ -14,7 +14,7 @@ and manipulate index-symmetry operators:
 * :func:`young_symmetriser` — the unnormalised row-symmetrise /
   column-antisymmetrise projector attached to a tableau;
 * :func:`lr_decompose` — Littlewood–Richardson multiplicities, computed
-  by enumerating lattice-word skew fillings box by box.
+  by counting lattice-word skew fillings strip by strip.
 
 Whenever an element acts on a tensor, the **rightmost** factor of a
 product acts first: ``a.multiply(b).apply(T) == a.apply(b.apply(T))``.
@@ -573,74 +573,56 @@ def partitions(n: int) -> list[YoungFrame]:
 # -- Littlewood–Richardson --------------------------------------------
 
 
-def _lattice_word_ok(word: Sequence[int]) -> bool:
-    counts: Counter[int] = Counter()
-    for label in word:
-        counts[label] += 1
-        if label > 1 and counts[label] > counts[label - 1]:
-            return False
-    return True
-
-
 def lr_decompose(frame1: YoungFrame, frame2: YoungFrame) -> dict[YoungFrame, int]:
     """Littlewood–Richardson multiplicities of the product of two shapes.
 
-    Boxes of ``frame2`` are labelled by their row number and appended to
-    ``frame1`` one at a time in increasing label order, keeping the shape
-    a frame and never stacking equal labels in a column.  Completed
-    fillings whose reverse reading word (rows top to bottom, each read
-    right to left) is a lattice word are counted; the returned mapping
-    sends each resulting frame to its multiplicity.
+    The boxes of row k of ``frame2`` are labelled k and added to
+    ``frame1`` label by label, each label as a horizontal strip (no two
+    equal labels in a column), so that the reverse reading word (rows
+    top to bottom, each read right to left) is a lattice word.  The
+    returned mapping sends each resulting frame to the number of such
+    fillings.
+
+    A row's labels increase weakly left to right, so the word reaches
+    the last k of a row before any k - 1 of it.  The word is therefore a
+    lattice word exactly when, for every label k > 1 and every row r,
+    the k's in the rows up to r are at most the k - 1's in the rows
+    above r: a ceiling on each prefix sum of the strip of k's.
+    Fillings are counted, not listed: whether a partial filling can be
+    completed depends only on its shape and these ceilings, so a strip
+    is laid row by row and partial fillings that agree on the rows laid
+    so far and on what the rows below need are merged.  Ceilings are
+    capped at the size of the next strip, which lets more of them merge.
     """
-    base = frame1.rows
-    # One state = the labels appended to each row (rows beyond frame1 allowed).
-    State = tuple[tuple[int, ...], ...]
-    states: set[State] = {tuple(() for _ in base)}
-
-    def row_length(state: State, r: int) -> int:
-        basis = base[r] if r < len(base) else 0
-        return basis + len(state[r])
-
-    def label_at(state: State, r: int, c: int) -> int | None:
-        """Label in cell (r, c), or None for base cells / empty cells."""
-        if r >= len(state):
-            return None
-        basis = base[r] if r < len(base) else 0
-        if c < basis:
-            return None
-        offset = c - basis
-        row = state[r]
-        return row[offset] if offset < len(row) else None
-
-    for label, count in enumerate(frame2.rows, start=1):
-        for _ in range(count):
-            next_states: set[State] = set()
-            for state in states:
-                rows_now = len(state)
-                for r in range(rows_now + 1):
-                    target = state + ((),) if r == rows_now else state
-                    new_len = row_length(target, r) + 1
-                    if r > 0 and row_length(target, r - 1) < new_len:
-                        continue  # shape would stop being a frame
-                    col = new_len - 1
-                    if r > 0 and label_at(target, r - 1, col) == label:
-                        continue  # equal labels stacked in a column
-                    grown = tuple(
-                        row + (label,) if i == r else row
-                        for i, row in enumerate(target)
-                    )
-                    next_states.add(grown)
-            states = next_states
-
+    sizes = frame2.rows
+    # A filling between strips: (row lengths, ceilings); the last ceiling
+    # holds for every later row.
+    fillings: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter(
+        {(frame1.rows, (sizes[0],)): 1}
+    )
+    for size, following in itertools.zip_longest(sizes, sizes[1:], fillvalue=0):
+        # A strip laid down to row r: (new lengths of the rows above r,
+        # capped prefix sums of the strip, labels placed, old length of
+        # row r - 1, old lengths from row r on, ceilings from row r on).
+        laid: Counter = Counter()
+        for (shape, ceilings), ways in fillings.items():
+            laid[(), (0,), 0, shape[0] + size, shape, ceilings] += ways
+        fillings = Counter()
+        while laid:
+            deeper: Counter = Counter()
+            for (done, prefix, placed, upper, rest, ceilings), ways in laid.items():
+                old = rest[0] if rest else 0
+                room = min(upper - old, ceilings[0] - placed, size - placed)
+                for here in range(room + 1):
+                    total = placed + here
+                    lengths = done + (old + here,)
+                    sums = prefix + (min(total, following),)
+                    if total == size:
+                        fillings[lengths + rest[1:], sums[: sums.index(sums[-1]) + 1]] += ways
+                    elif rest:
+                        deeper[lengths, sums, total, old, rest[1:], ceilings[1:] or ceilings] += ways
+            laid = deeper
     result: Counter[YoungFrame] = Counter()
-    for state in states:
-        word = [v for row in state for v in reversed(row)]
-        if not _lattice_word_ok(word):
-            continue
-        shape = tuple(
-            (base[r] if r < len(base) else 0) + len(state[r])
-            for r in range(len(state))
-        )
-        shape = tuple(v for v in shape if v > 0)
-        result[YoungFrame(shape)] += 1
+    for (shape, _), ways in fillings.items():
+        result[YoungFrame(shape)] += ways
     return dict(result)

@@ -341,6 +341,18 @@ class TestTopLevelBehaviour:
         assert code == 2
         assert "not valid JSON" in err
 
+    def test_non_integer_index_items_exit_2(self, capsys, tmp_path):
+        # Read through int(), [1.5, 0, 1, 0] used to load as component (1, 0, 1, 0).
+        doc = io.tensor_to_document(metric_rep(sphere(3)))
+        record = next(r for r in doc["entries"] if r["idx"] == [1, 0, 1, 0])
+        record["idx"] = [1.5, 0, 1, 0]
+        path = tmp_path / "float-index.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("check", "oracle"):
+            code, out, err = run(capsys, command, str(path), "--model", "sphere", "--N", "3")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: malformed entry record") and "[1.5, 0, 1, 0]" in err
+
     def test_bad_signature_flag(self, capsys, tmp_path):
         path = tmp_path / "metric.json"
         run(capsys, "generate", "metric", "--model", "sphere", "--N", "3",

@@ -31,10 +31,13 @@ from killingtensor import (
 
 
 def reference_document_to_tensor(doc):
-    """The per-record loader the one-pass reader replaced, kept as its reference.
+    """A per-record loader that builds a Fraction array, kept as the
+    reference of the vectorised reader.
 
-    It also catches OverflowError, which escaped the old loop as a
-    traceback for an ``idx`` of ``Infinity``.  It has no bit-length cap.
+    Index items must be JSON integers, as in the reader; the per-record
+    loop the reader replaced read them through ``int()``, truncating 1.5
+    to 1.
+    It has no bit-length cap.
     """
     if not isinstance(doc, dict):
         raise InvalidArgument("tensor document must be a mapping")
@@ -57,17 +60,21 @@ def reference_document_to_tensor(doc):
     arr.fill(Fraction(0))
     for record in entries:
         try:
-            idx = tuple(int(i) for i in record["idx"])
+            idx = record["idx"]
             raw = record["val"]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidArgument(f"malformed entry record {record!r}: {exc}") from exc
+        if type(idx) is not list or any(type(i) is not int for i in idx):
+            raise InvalidArgument(
+                f"malformed entry record {record!r}: 'idx' must be a list of integers"
+            )
         if len(idx) != order:
             raise InvalidArgument(
-                f"entry index {list(idx)} has length {len(idx)}, expected order {order}"
+                f"entry index {idx} has length {len(idx)}, expected order {order}"
             )
         if any(i < 0 or i >= dim for i in idx):
-            raise InvalidArgument(f"entry index {list(idx)} out of range for dim {dim}")
-        arr[idx] = io.parse_rational(raw)
+            raise InvalidArgument(f"entry index {idx} out of range for dim {dim}")
+        arr[tuple(idx)] = io.parse_rational(raw)
     form = doc.get("form")
     if form is not None and form not in ("R", "S"):
         raise InvalidArgument(f"unknown tensor form {form!r}; expected 'R' or 'S'")
@@ -259,6 +266,7 @@ def tensor_documents(draw):
     order = draw(st.integers(0, 3))
     index_item = st.one_of(
         st.integers(-1, dim),
+        st.sampled_from([2**63, -(2**63) - 1, [0]]),
         st.booleans(),
         st.sampled_from(["0", "1", " 2", "x", "-1"]),
         st.sampled_from([0.0, 1.0, 1.5, -0.5, float("inf"), float("nan")]),
@@ -323,7 +331,7 @@ class TestOnePassReader:
         )
 
     @pytest.mark.parametrize(
-        "entries",
+        "doc",
         [
             [],
             [{"idx": [0, 1], "val": 1}, {"idx": [1, 0], "val": True}],
@@ -340,13 +348,69 @@ class TestOnePassReader:
             [{"idx": [0, float("nan")], "val": 2}],
             [{"idx": [0, float("inf")], "val": 2}],
             [{"idx": [0, 1], "val": None}, {"idx": 3, "val": 1}],
+            # Hazards of a vectorised pass: items past int64 (np.array
+            # makes [2**63, 0] float64), ragged and nested index lists.
+            [{"idx": [0, 1], "val": 1}, {"idx": [2**63, 0], "val": 2}],
+            [{"idx": [0, 1], "val": 1}, {"idx": [0, -(2**63) - 1], "val": 2}],
+            [{"idx": [0, 1], "val": 1}, {"idx": [1], "val": 2}, {"idx": [0, 1, 1], "val": 3}],
+            [{"idx": [[0], [1]], "val": 1}],
+            # np.array([[]]) is float64, yet an order-0 document loads.
+            {"dim": 2, "order": 0, "entries": [{"idx": [], "val": 3}]},
+            {"dim": 2, "order": 0, "entries": [{"idx": [], "val": 3}, {"idx": [], "val": "-1/2"}]},
+            # The last of three non-adjacent records wins.
+            [
+                {"idx": [0, 1], "val": 1}, {"idx": [1, 0], "val": 2},
+                {"idx": [0, 1], "val": "3/2"}, {"idx": [1, 1], "val": 4},
+                {"idx": [0, 1], "val": -5},
+            ],
+            # Equal values under different spellings, each parsed once.
+            {"dim": 3, "order": 2, "entries": [
+                {"idx": [0, 0], "val": "2/4"}, {"idx": [0, 1], "val": "1/2"},
+                {"idx": [0, 2], "val": " 1/2"}, {"idx": [1, 0], "val": 1},
+                {"idx": [1, 1], "val": "1"}, {"idx": [1, 2], "val": "+1/1"},
+                {"idx": [2, 0], "val": "-0"}, {"idx": [2, 2], "val": "-2/4"},
+            ]},
+            # Numerals over the interpreter's 4300-digit limit.
+            [{"idx": [0, 1], "val": 1}, {"idx": [1, 0], "val": "7" * 5000}],
+            [{"idx": [0, 1], "val": "1/" + "3" * 5000}],
+            [{"idx": [0, 1], "val": "1/0"}],
         ],
     )
-    def test_hazards_load_as_the_per_record_loop(self, entries):
-        doc = {"dim": 2, "order": 2, "entries": entries, "form": "R"}
+    def test_hazards_load_as_the_per_record_loop(self, doc):
+        if isinstance(doc, list):
+            doc = {"dim": 2, "order": 2, "entries": doc, "form": "R"}
         assert load_outcome(io.document_to_tensor, doc) == load_outcome(
             reference_document_to_tensor, doc
         )
+
+    @pytest.mark.parametrize(
+        "idx", [[True, False], ["1", " 0"], [1.5, 0.0], [1.0, 0], "01", [[1], 0], [2**63, 0.5]]
+    )
+    def test_index_items_must_be_integers(self, idx):
+        # The per-record loop took these through int(): [1.5, 0] loaded as (1, 0).
+        doc = {"dim": 2, "order": 2, "entries": [{"idx": idx, "val": 1}]}
+        with pytest.raises(InvalidArgument, match="malformed entry record .*'idx' must be a list"):
+            io.document_to_tensor(doc)
+
+    def test_generator_documents_take_the_vectorised_path(self, monkeypatch):
+        # A reader that fell back to the record walk, or built Fractions
+        # through as_scalar, would still load these; here it cannot.
+        docs = []
+        for n in (3, 4, 5):
+            for tensor in generator_outputs(n, BOUND, seed=n):
+                docs.append((json.loads(json.dumps(io.tensor_to_document(tensor))), tensor))
+
+        def refuse(*args):
+            raise AssertionError("left the vectorised path")
+
+        monkeypatch.setattr(io, "_raise_first_bad_record", refuse)
+        monkeypatch.setattr(io, "as_scalar", refuse)
+        for doc, tensor in docs:
+            loaded, form, _ = io.document_to_tensor(doc)
+            assert loaded == tensor.tensor and form == io._form_name(tensor)
+        # The patches see what they guard.
+        with pytest.raises(AssertionError, match="vectorised"):
+            io.document_to_tensor({"dim": 1, "order": 1, "entries": [{"idx": [0], "val": 0.5}]})
 
     def test_generator_documents_load_as_the_per_record_loop(self):
         for n in (3, 4, 5):
