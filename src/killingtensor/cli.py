@@ -169,14 +169,14 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         sig = report.signature
         print(f"model: {report.model_kind} ({sig[0]},{sig[1]}), ambient dimension {report.dim}")
         print(f"points: {report.num_points}, seed: {report.seed}")
-        for c in range(3):
-            witness = report.witnesses[c]
-            status = (
-                "zero at all points"
-                if report.conditions_pass[c]
-                else f"nonzero (first failure at point {witness})"
-            )
-            print(f"condition {c + 1} residual: {status}")
+        for c, witness in enumerate(report.witnesses):
+            if witness is None:
+                print(f"condition {c + 1} residual: zero at all points")
+                continue
+            print(f"condition {c + 1} residual: nonzero (first failure at point {witness})")
+            x = report.points[witness].x
+            coords = ", ".join(str(kio.format_rational(x[(i,)])) for i in range(report.dim))
+            print(f"  witness point {witness}: x = ({coords})")
         print("per-point residual supports (conditions 1, 2, 3):")
         for index, row in enumerate(report.point_supports):
             print(f"  point {index}: {row[0]} {row[1]} {row[2]}")

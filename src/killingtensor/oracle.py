@@ -18,15 +18,39 @@ the Nijenhuis torsion ``N^δ_{βγ}`` of ``K`` at ``x``; the three
 integrability conditions are the total antisymmetrisations of ``N``
 contracted with the metric, with ``K``, and with ``K²``.
 
-The arithmetic is exact, with one denominator per array: each factor
-(``S``, ``B``, ``x``, the frame, its Gram matrix and the inverse) is the
-integer image, Python integers over one positive rational scale, that
-its Tensor or :class:`~killingtensor.models.TangentBasis` keeps.  The
-formulas run as plain ``np.tensordot`` chains over the integers, with
-the scales multiplied alongside; a positive scale keeps the zero
-pattern, so residual supports are read straight off the integer arrays.
-:func:`compute_point_data` and :func:`tns_residuals` hand back Fraction
-arrays.  The oracle shares no contraction or indexing code with
+The arithmetic is exact.  Each factor (``S``, ``B``, ``x``, the frame
+``E``, its Gram matrix ``G`` and the inverse) is the integer image,
+Python integers over one positive rational scale, that its Tensor or
+:class:`~killingtensor.models.TangentBasis` keeps; a positive scale keeps
+the zero pattern, so supports are read off the integer arrays, and the
+scales are multiplied in only for the Fraction arrays that
+:func:`compute_point_data` and :func:`tns_residuals` return.
+
+One kernel runs a block of points, their images stacked on a leading
+axis, as batched ``matmul`` products over Python integers:
+(1) ``S`` is symmetric in its last two slots, so one product of ``S``,
+read as an ``N³ × N`` matrix, with the stacked points gives
+``S[j, c, x, d]`` at every point; (2) a second ``x`` gives
+``S[i, a, x, x]``, which by the validated pair exchange is
+``S[x, x, i, a]``, so ``K`` is its frame image; (3) the frame goes onto
+the factors before ``B``, which then meets the ``N × n`` matrix
+``P = S[·, e_α, x, x]`` (``n = N − 1``), not ``N × N³`` arrays;
+(4) one product ``(PᵀB) Q`` with ``Q = S[·, e_β, x, e_γ]`` gives the
+first term ``U[α, β, γ]`` of ``nbar``, and the validated cyclic identity
+``S[j, x, a, d] = −S[j, a, x, d] − S[j, d, x, a]`` makes the second
+``−U[β, α, γ] − U[β, γ, α]``; (5) with ``Y = G⁻¹(nbar − nbarᵀ)``, last
+two slots swapped, the residuals before antisymmetrisation are
+``T = F·Y`` for ``F = G, K, K·G⁻¹·K``; (6) each ``T`` is antisymmetric
+in its last two slots, so its total antisymmetrisation is exactly twice
+its cyclic sum ``T[a,b,c] + T[b,c,a] + T[c,a,b]``, and with the
+torsion's 1/2 and the antisymmetriser's 1/6 the scale is 1/6.  ``F`` and
+``Y`` are gathered at the three rotations of the wanted indices before
+they are multiplied, so the oracle computes ``T`` only at the increasing
+triples, where it reads the supports.  :func:`integrable_oracle` runs
+``_BLOCK`` points at a time, so its memory is that of one block
+whatever the number of points.
+
+The oracle shares no contraction or indexing code with
 :mod:`killingtensor.integrability`, so the two verdict routes stay
 independent, and a verdict at a sampled point is a proof at that point.
 """
@@ -35,7 +59,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -61,20 +85,13 @@ __all__ = [
     "integrable_oracle",
 ]
 
-_SIGNED_PERMS_3 = tuple(
-    (perm, 1 if perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
-    for perm in permutations(range(3))
-)
+# Points per kernel call: the oracle holds one block of arrays at a time.
+_BLOCK = 16
 
 
 def _image(tensor: Tensor) -> _Image:
     """The tensor's integer image in Python ints, and its scale."""
     return tensor._ints.astype(object), tensor._scale
-
-
-def _fractions(scaled: _Image) -> np.ndarray:
-    arr, scale = scaled
-    return arr * scale
 
 
 def _model_factors(
@@ -87,69 +104,44 @@ def _model_factors(
     return _image(sym.tensor), _image(model.gbar())
 
 
-def _anti3(arr: np.ndarray) -> np.ndarray:
-    """Unnormalised total antisymmetrisation of an order-3 array."""
-    return sum(sign * arr.transpose(perm) for perm, sign in _SIGNED_PERMS_3)
+def _block(
+    s_arr: np.ndarray,
+    b_arr: np.ndarray,
+    bases: Sequence[TangentBasis],
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``K``, ``nbar`` and the cyclic sums of ``T = F·Y`` at the points of ``bases``.
 
-
-def _point_ints(s: _Image, b: _Image, x: _Image, frame: _Image) -> tuple[_Image, _Image]:
-    """The Killing matrix ``K`` and the torsion seed ``nbar`` at one point."""
-    (s_arr, s_scale), (b_arr, b_scale), (x_arr, x_scale), (e_arr, e_scale) = s, b, x, frame
-
-    # K[α, β] = S[a1, a2, b1, b2] x^{a1} x^{a2} (e_α)^{b1} (e_β)^{b2}.
-    m_mat = np.tensordot(np.tensordot(s_arr, x_arr, axes=([0], [0])), x_arr, axes=([0], [0]))
-    k_mat = np.tensordot(np.tensordot(e_arr, m_mat, axes=([1], [0])), e_arr, axes=([1], [1]))
-
-    # sx2[i, a2] = S[i, a2, b1, b2] x^{b1} x^{b2};
-    # sx1[j, c2, d2] = S[j, c2, d1, d2] x^{d1}  (x on slot 2);
-    # sx1b[j, a2, d2] = S[j, d1, a2, d2] x^{d1} (x on slot 1).
-    sx1 = np.tensordot(s_arr, x_arr, axes=([2], [0]))
-    sx2 = np.tensordot(sx1, x_arr, axes=([2], [0]))
-    sx1b = np.tensordot(s_arr, x_arr, axes=([1], [0]))
-
-    bsx1 = np.tensordot(b_arr, sx1, axes=([1], [0]))
-    bsx1b = np.tensordot(b_arr, sx1b, axes=([1], [0]))
-    term1 = np.tensordot(sx2, bsx1, axes=([0], [0]))  # (a2, c2, d2)
-    term2_raw = np.tensordot(sx2, bsx1b, axes=([0], [0]))  # (c2, a2, d2)
-    ambient = term1 + term2_raw.transpose(1, 0, 2)
-
-    # Chained frame contractions land on (α, β, γ): the second tensordot
-    # consumes the c2 axis, the third the d2 axis.
-    nbar = np.tensordot(
-        np.tensordot(np.tensordot(e_arr, ambient, axes=([1], [0])), e_arr, axes=([1], [1])),
-        e_arr,
-        axes=([1], [1]),
-    )
-    return (
-        (k_mat, s_scale * x_scale**2 * e_scale**2),
-        (nbar, b_scale * s_scale**2 * x_scale**3 * e_scale**3),
-    )
-
-
-def _residual_ints(
-    K: _Image, gram: _Image, gram_inverse: _Image, nbar: _Image
-) -> tuple[_Image, _Image, _Image]:
-    """The three residuals of :func:`tns_residuals` from rescaled point data."""
-    (k_arr, k_scale), (g_arr, g_scale), (gi_arr, gi_scale), (n_arr, n_scale) = (
-        K, gram, gram_inverse, nbar
-    )
-    n_up = np.tensordot(gi_arr, n_arr, axes=([1], [0]))
-    torsion = n_up - n_up.transpose(0, 2, 1)
-    # The torsion's halving and each residual's 1/6 go into the scales.
-    scale = gi_scale * n_scale / 12
-
-    res1 = _anti3(np.tensordot(g_arr, torsion, axes=([1], [0])))
-    res2 = _anti3(np.tensordot(k_arr, torsion, axes=([1], [0])))
-    # K_{αε} K^ε_δ as a matrix is K · g⁻¹ · K (order matters).
-    k_sq = np.tensordot(
-        np.tensordot(k_arr, gi_arr, axes=([1], [0])), k_arr, axes=([1], [0])
-    )
-    res3 = _anti3(np.tensordot(k_sq, torsion, axes=([1], [0])))
-    return (
-        (res1, g_scale * scale),
-        (res2, k_scale * scale),
-        (res3, k_scale**2 * gi_scale * scale),
-    )
+    The sums ``T[a, b, c] + T[b, c, a] + T[c, a, b]`` are computed at the
+    index arrays ``a, b, c`` only.  Returns integer arrays of shapes
+    ``(P, n, n)``, ``(P, n, n, n)`` and ``(P, 3) + a.shape``.
+    """
+    xs = np.array([basis.point.x._ints.tolist() for basis in bases], dtype=object)
+    frames = np.stack([basis.frame_image[0] for basis in bases])
+    grams = np.stack([basis.gram_image[0] for basis in bases])
+    gram_inverses = np.stack([basis.gram_inverse_image[0] for basis in bases])
+    points, n, dim = frames.shape
+    frames_t = frames.transpose(0, 2, 1)
+    # sx[p, j, u, v] = S[j, u, v, x] = S[j, u, x, v].
+    sx = (xs @ s_arr.reshape(dim**3, dim).T).reshape(points, dim, dim, dim)
+    # P[p, i, α] = S[i, e_α, x, x];  K[p, α, β] = S[e_α, e_β, x, x].
+    p_mat = (sx @ xs[:, None, :, None]).reshape(points, dim, dim) @ frames_t
+    k = frames @ p_mat
+    # U[p, α, β, γ] = P[i, α] B^{ij} S[j, e_β, x, e_γ] is nbar's first term;
+    # S[j, x, u, v] = −S[j, u, x, v] − S[j, v, x, u] turns the second into
+    # −U[β, α, γ] − U[β, γ, α].
+    q = frames[:, None] @ sx @ frames_t[:, None]
+    u = (p_mat.transpose(0, 2, 1) @ b_arr) @ q.reshape(points, dim, n * n)
+    u = u.reshape(points, n, n, n)
+    nbar = u - u.transpose(0, 2, 1, 3) - u.transpose(0, 3, 1, 2)
+    y = gram_inverses @ (nbar - nbar.transpose(0, 1, 3, 2)).reshape(points, n, n * n)
+    factors = np.stack([grams, k, k @ gram_inverses @ k], axis=1)
+    # T[a, b, c] = F[a, d] Y[d, b, c] at the three rotations of (a, b, c).
+    rows = factors[:, :, np.stack([a, b, c])]
+    cols = y.reshape(points, n, n, n)[:, :, np.stack([b, c, a]), np.stack([c, a, b])]
+    return k, nbar, (rows * np.moveaxis(cols, 1, -1)[:, None]).sum(axis=(2, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +151,8 @@ class PointFrameData:
     All arrays are object arrays of :class:`~fractions.Fraction` indexed
     by frame labels ``0..n−1`` with ``n = N − 1`` the model dimension.
     ``k_image`` and ``nbar_image`` are the integer images ``K`` and
-    ``nbar`` were built from, which :func:`tns_residuals` reads.
+    ``nbar`` were built from; ``residual_ints`` holds the residuals'
+    integer arrays, which :func:`tns_residuals` scales.
     """
 
     x: ModelPoint
@@ -170,6 +163,7 @@ class PointFrameData:
     nbar: np.ndarray
     k_image: _Image = field(repr=False)
     nbar_image: _Image = field(repr=False)
+    residual_ints: np.ndarray = field(repr=False)
 
 
 def compute_point_data(
@@ -184,7 +178,7 @@ def compute_point_data(
     membership is checked here).  ``basis`` defaults to the canonical
     projected frame at ``x``.
     """
-    s, b = _model_factors(S, model)
+    (s_arr, s_scale), (b_arr, b_scale) = _model_factors(S, model)
     point = x if isinstance(x, ModelPoint) else ModelPoint(model, x)
     if point.model != model:
         raise InvalidArgument("point belongs to a different model space")
@@ -193,16 +187,21 @@ def compute_point_data(
     elif basis.point.x != point.x or basis.point.model != model:
         raise InvalidArgument("basis was built at a different point or model")
 
-    k_mat, nbar = _point_ints(s, b, _image(point.x), basis.frame_image)
+    n = model.dim - 1
+    k, nbar, sums = _block(s_arr, b_arr, [basis], *np.indices((n, n, n)))
+    x_scale, e_scale = point.x._scale, basis.frame_image[1]
+    k_scale = s_scale * x_scale**2 * e_scale**2
+    nbar_scale = b_scale * s_scale**2 * x_scale**3 * e_scale**3
     return PointFrameData(
         x=point,
         basis=basis,
-        K=_fractions(k_mat),
+        K=k[0] * k_scale,
         gram=np.array(basis.gram, dtype=object),
         gram_inverse=np.array(basis.gram_inverse, dtype=object),
-        nbar=_fractions(nbar),
-        k_image=k_mat,
-        nbar_image=nbar,
+        nbar=nbar[0] * nbar_scale,
+        k_image=(k[0], k_scale),
+        nbar_image=(nbar[0], nbar_scale),
+        residual_ints=sums[0],
     )
 
 
@@ -216,19 +215,15 @@ def tns_residuals(data: PointFrameData) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``N^δ_{βγ} K_{αε} K^ε_δ``.  The tensor is integrable at this point
     exactly when all three vanish.
     """
-    basis = data.basis
-    residuals = _residual_ints(data.k_image, basis.gram_image, basis.gram_inverse_image, data.nbar_image)
-    res1, res2, res3 = (_fractions(res) for res in residuals)
-    return res1, res2, res3
-
-
-def _support(residual: np.ndarray) -> int:
-    """Nonzero canonical components of a totally antisymmetric order-3 array."""
-    n = residual.shape[0]
-    return sum(
-        1
-        for idx in combinations(range(n), 3)
-        if residual[idx] != 0
+    (_, k_scale), (_, n_scale) = data.k_image, data.nbar_image
+    (_, g_scale), (_, gi_scale) = data.basis.gram_image, data.basis.gram_inverse_image
+    res1, res2, res3 = data.residual_ints
+    # The torsion's 1/2, the antisymmetriser's 1/6 and the cyclic sum's 2.
+    scale = gi_scale * n_scale / 6
+    return (
+        res1 * (g_scale * scale),
+        res2 * (k_scale * scale),
+        res3 * (k_scale**2 * gi_scale * scale),
     )
 
 
@@ -280,24 +275,24 @@ def integrable_oracle(
     """
     if num_points < 1:
         raise InvalidArgument("num_points must be at least 1")
-    s, b = _model_factors(S, model)
+    (s_arr, _), (b_arr, _) = _model_factors(S, model)
+    triples = np.array(list(combinations(range(model.dim - 1), 3)), dtype=np.intp).reshape(-1, 3)
     rng = coerce_rng(seed)
     sub_seeds = [rng.randrange(2**32) for _ in range(num_points)]
 
     points = []
     supports = []
-    witnesses: list[int | None] = [None, None, None]
-    for index, sub_seed in enumerate(sub_seeds):
-        point = sample_point(model, random.Random(sub_seed), bound=bound)
-        points.append(point)
-        basis = tangent_basis(point)
-        k_mat, nbar = _point_ints(s, b, _image(point.x), basis.frame_image)
-        residuals = _residual_ints(k_mat, basis.gram_image, basis.gram_inverse_image, nbar)
-        counts = tuple(_support(res) for res, _ in residuals)
-        supports.append(counts)
-        for c in range(3):
-            if counts[c] and witnesses[c] is None:
-                witnesses[c] = index
+    for start in range(0, num_points, _BLOCK):
+        bases = [
+            tangent_basis(sample_point(model, random.Random(sub_seed), bound=bound))
+            for sub_seed in sub_seeds[start : start + _BLOCK]
+        ]
+        points.extend(basis.point for basis in bases)
+        sums = _block(s_arr, b_arr, bases, *triples.T)[2]
+        supports.extend(map(tuple, (sums != 0).sum(axis=-1).tolist()))
+    witnesses = [
+        next((index for index, row in enumerate(supports) if row[c]), None) for c in range(3)
+    ]
 
     return OracleReport(
         model_kind=model.kind.value,

@@ -572,6 +572,11 @@ def partitions(n: int) -> list[YoungFrame]:
 
 # -- Littlewood–Richardson --------------------------------------------
 
+# Most partial fillings lr_decompose holds at once: it bounds the memory
+# of one query.  (30,20,10) x (20,10,5) peaks at 299 377, every frame pair
+# up to 5 boxes at 35; (12,10,8,6,4,2) x (10,8,6,4,2) would pass 2 million.
+_LR_MAX_FILLINGS = 350_000
+
 
 def lr_decompose(frame1: YoungFrame, frame2: YoungFrame) -> dict[YoungFrame, int]:
     """Littlewood–Richardson multiplicities of the product of two shapes.
@@ -593,6 +598,8 @@ def lr_decompose(frame1: YoungFrame, frame2: YoungFrame) -> dict[YoungFrame, int
     is laid row by row and partial fillings that agree on the rows laid
     so far and on what the rows below need are merged.  Ceilings are
     capped at the size of the next strip, which lets more of them merge.
+    Raises InvalidArgument when more than ``_LR_MAX_FILLINGS`` partial
+    fillings are live at once.
     """
     sizes = frame2.rows
     # A filling between strips: (row lengths, ceilings); the last ceiling
@@ -621,6 +628,11 @@ def lr_decompose(frame1: YoungFrame, frame2: YoungFrame) -> dict[YoungFrame, int
                         fillings[lengths + rest[1:], sums[: sums.index(sums[-1]) + 1]] += ways
                     elif rest:
                         deeper[lengths, sums, total, old, rest[1:], ceilings[1:] or ceilings] += ways
+                if len(laid) + len(deeper) + len(fillings) > _LR_MAX_FILLINGS:
+                    raise InvalidArgument(
+                        f"the Littlewood-Richardson product of {frame1.rows} and {frame2.rows} "
+                        f"needs more than {_LR_MAX_FILLINGS} partial fillings at once"
+                    )
             laid = deeper
     result: Counter[YoungFrame] = Counter()
     for (shape, _), ways in fillings.items():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,6 +110,23 @@ class TestOracleCommand:
         assert code == 1
         assert "verdict: fail" in out
         assert "first failure at point" in out
+
+    def test_text_report_gives_the_witness_coordinates(self, capsys, tmp_path):
+        bad = tmp_path / "random.json"
+        run(capsys, "generate", "random", "--N", "4", "--seed", "6", "--bound", "3",
+            "--out", str(bad))
+        argv = ("oracle", str(bad), "--model", "sphere", "--N", "4",
+                "--points", "3", "--seed", "2", "--bound", "3")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        doc = json.loads(run(capsys, *argv, "--json")[1])
+        lines = out.splitlines()
+        witnesses = doc["witness_point_indices"]
+        assert None not in witnesses
+        for c, witness in enumerate(witnesses, start=1):
+            at = lines.index(f"condition {c} residual: nonzero (first failure at point {witness})")
+            coords = ", ".join(str(value) for value in doc["points"][witness])
+            assert lines[at + 1] == f"  witness point {witness}: x = ({coords})"
 
     def test_json_report(self, capsys, tmp_path):
         path = tmp_path / "metric.json"
@@ -235,6 +253,16 @@ class TestRepresentationCommands:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "over the cap" in err and err.count("\n") == 1
+
+    def test_a_many_row_lr_product_is_an_input_error(self, capsys):
+        # 72 boxes, well under the box cap, but over two million partial
+        # fillings; the fillings budget stops it within a few seconds.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lr", "(12,10,8,6,4,2)", "(10,8,6,4,2)")
+        assert time.perf_counter() - start < 15
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "partial fillings" in err
 
 
 class TestIdentitiesCommand:

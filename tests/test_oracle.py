@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -22,10 +22,12 @@ from killingtensor import (
     random_invertible_matrix,
     random_tangent_vector,
     sample_point,
+    tangent_basis,
     tangent_basis_from_vectors,
     tns_residuals,
 )
 from killingtensor import models as models_module
+from killingtensor import oracle as oracle_module
 from killingtensor import tensor as tensor_module
 
 
@@ -68,6 +70,31 @@ def reference_point_data(S, model, point, basis):
         reference_anti3(einsum("ad,dbc->abc", m, torsion)) for m in (gram, K, k_sq)
     )
     return K, nbar, residuals
+
+
+def canonical_support(residual: np.ndarray) -> int:
+    """Nonzero components of an order-3 residual at increasing triples."""
+    return sum(residual[idx] != 0 for idx in combinations(range(residual.shape[0]), 3))
+
+
+def reference_supports(S, model, point):
+    """The three residual supports at a point, by the Fraction formulas."""
+    residuals = reference_point_data(S, model, point, tangent_basis(point))[2]
+    return tuple(canonical_support(res) for res in residuals)
+
+
+def record_blocks(monkeypatch):
+    """Wrap the oracle's kernel; the returned list collects each call's point count."""
+    sizes = []
+    original = oracle_module._block
+
+    def recording(s_arr, b_arr, bases, *index):
+        sizes.append(len(bases))
+        assert len(bases) <= oracle_module._BLOCK
+        return original(s_arr, b_arr, bases, *index)
+
+    monkeypatch.setattr(oracle_module, "_block", recording)
+    return sizes
 
 
 class TestPointData:
@@ -226,6 +253,53 @@ class TestOracle:
             integrable_oracle(metric_rep(sphere(4)), model)
         with pytest.raises(InvalidArgument, match="bound must be at least 1"):
             integrable_oracle(metric_rep(model), model, bound=0)
+
+
+class TestBlocksAgainstFractionFormulas:
+    """``integrable_oracle`` runs its points in blocks of ``_BLOCK``.  On
+    entries up to 50, every point's supports, and so the witnesses, match
+    the Fraction formulas across block edges, and no kernel call gets
+    more than one block.  The block is shrunk to 2 here so that the
+    reference, at 20-100 ms a point, stays cheap."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [m for n in (4, 5) for m in (sphere(n), sphere(n - 1, 1), flat(n), flat(n - 1, 1))],
+        ids=repr,
+    )
+    def test_supports_and_witnesses(self, model, monkeypatch):
+        block = 2
+        monkeypatch.setattr(oracle_module, "_BLOCK", block)
+        sizes = record_blocks(monkeypatch)
+        rng = random.Random(f"blocks-{model!r}")
+        S = random_curvature(model.dim, rng, bound=50)
+        seed = rng.randrange(2**32)
+        report = integrable_oracle(S, model, num_points=2 * block + 1, seed=seed, bound=50)
+        assert sizes == [block, block, 1]
+        expected = tuple(reference_supports(S, model, point) for point in report.points)
+        assert report.point_supports == expected
+        assert report.witnesses == tuple(
+            next((index for index, row in enumerate(expected) if row[c]), None) for c in range(3)
+        )
+
+    def test_full_blocks_match_single_points(self, monkeypatch):
+        # A point gets the same integer arrays in a full block as alone.
+        model = sphere(4, 1)
+        S = random_curvature(5, random.Random(25), bound=50)
+        block = oracle_module._BLOCK
+        sizes = record_blocks(monkeypatch)
+        report = integrable_oracle(S, model, num_points=2 * block + 1, seed=26, bound=50)
+        assert sizes == [block, block, 1]
+        (s_arr, _), (b_arr, _) = oracle_module._model_factors(S, model)
+        bases = [tangent_basis(point) for point in report.points[:block]]
+        batched = oracle_module._block(s_arr, b_arr, bases, *np.indices((4, 4, 4)))
+        for index, (point, row) in enumerate(zip(report.points, report.point_supports)):
+            data = compute_point_data(S, model, point)
+            assert row == tuple(canonical_support(res) for res in tns_residuals(data))
+            if index < block:
+                alone = (data.k_image[0], data.nbar_image[0], data.residual_ints)
+                for got, want in zip(batched, alone):
+                    assert got[index].tolist() == want.tolist()
 
 
 class TestNoConversionsInTheOracle:
