@@ -9,14 +9,18 @@ A model space lives inside a pseudo-Euclidean ambient space ``R^{p,q}``:
   embedded at height one along ``u``).
 
 Both models admit dense sets of rational points, which this module
-samples exactly: a rational parameter vector is mapped onto the model by
-an explicit rational parametrisation, so membership equations hold as
-identities of :class:`~fractions.Fraction` values, never approximately.
+samples exactly: a rational parameter vector ``t = T / D`` (integers
+``T``, one common denominator ``D``) is mapped onto the model by an
+explicit rational parametrisation, written as one closed integer
+formula for the point's image, so membership equations hold as
+identities, never approximately.  No Fraction or Tensor arithmetic runs
+on the way; each point is still checked by :class:`ModelPoint`.
 
 The module also evaluates quadratic Killing tensors, Killing vector
 fields, and covariant derivatives at model points, and builds exact
-tangent frames with their Gram matrices — the raw material for the
-point-based integrability oracle.
+tangent frames with their Gram matrices as integer images — the raw
+material for the point-based integrability oracle.  On the flat model
+the normal is ``u`` at every point, so one frame serves the whole model.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -36,7 +40,7 @@ from ._fastops import integer_multiples
 from ._linalg import inverse_image
 from ._util import coerce_rng, random_vector
 from .errors import InvalidArgument, SamplingFailure
-from .tensor import MetricSignature, Scalar, Tensor, contract_vector, tensor_product
+from .tensor import MetricSignature, Scalar, Tensor, contract_vector
 
 __all__ = [
     "ModelKind",
@@ -80,12 +84,19 @@ def _as_vector(value: object, dim: int) -> Tensor:
     return vec
 
 
+def _dot(p: int, x: Sequence[int], y: Sequence[int]) -> int:
+    """``g(x, y)`` of two integer vectors, ``p`` being the number of plus signs."""
+    return sum(map(operator.mul, x[:p], y[:p])) - sum(map(operator.mul, x[p:], y[p:]))
+
+
+def _signs(signature: MetricSignature) -> list[int]:
+    """The metric's diagonal ``η`` as ints."""
+    return [1] * signature.p + [-1] * signature.q
+
+
 def _g_pair(signature: MetricSignature, a: Tensor, b: Tensor) -> Fraction:
     """``g(a, b)``: one dot product of the integer images, then the scales."""
-    p = signature.p
-    x, y = a._ints.tolist(), b._ints.tolist()
-    dot = sum(map(operator.mul, x[:p], y[:p])) - sum(map(operator.mul, x[p:], y[p:]))
-    return a._scale * b._scale * dot
+    return a._scale * b._scale * _dot(signature.p, a._ints.tolist(), b._ints.tolist())
 
 
 @dataclass(frozen=True)
@@ -168,11 +179,18 @@ class ModelSpace:
         the flat model.  Used as the contraction kernel in the algebraic
         integrability conditions and in the point oracle.
         """
-        inverse = self.signature.inverse_metric()
         if self.kind is ModelKind.SPHERE:
-            return inverse
+            return self.signature.inverse_metric()
         assert self.height_vector is not None
-        return inverse - tensor_product(self.height_vector, self.height_vector)
+        # With u = (m / k) U: gbar = (k² g⁻¹ − m² U⊗U) / k², one integer image.
+        u, scale = self.height_vector._ints.tolist(), self.height_vector._scale
+        diagonal = scale.denominator**2
+        square = scale.numerator**2
+        ints = [
+            [(diagonal * sign if i == j else 0) - square * a * b for j, b in enumerate(u)]
+            for i, (a, sign) in enumerate(zip(u, _signs(self.signature)))
+        ]
+        return Tensor._from_ints(np.array(ints, dtype=object), Fraction(1, diagonal), self.dim)
 
     def __repr__(self) -> str:
         sig = f"({self.signature.p},{self.signature.q})"
@@ -212,6 +230,51 @@ class ModelPoint:
 # -- exact rational parametrisations ----------------------------------
 
 
+def _draw(rng: random.Random, count: int, bound: int) -> tuple[list[int], int]:
+    """``count`` rationals, drawn by the ``randint`` calls of
+    :func:`~killingtensor._util.random_fraction` in its order, as integer
+    numerators ``T`` over one common denominator ``D``."""
+    if bound < 1:
+        raise InvalidArgument(f"bound must be at least 1, got {bound}")
+    pairs = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(count)]
+    common = math.lcm(*(b for _, b in pairs))
+    return [a * (common // b) for a, b in pairs], common
+
+
+def _numerators(vector: Tensor) -> tuple[list[int], int]:
+    """A rational vector as integer numerators over one denominator."""
+    scale = vector._scale
+    return [scale.numerator * v for v in vector._ints.tolist()], scale.denominator
+
+
+def _point(model: ModelSpace, t: list[int], d: int) -> ModelPoint:
+    """The model point of the parameter ``t / d`` (``d > 0``).
+
+    Sphere (``t[0] = 0``, ``g(t, t) ≠ −d²``):
+    ``x = ((d² − g(t,t)) e + 2d t) / (d² + g(t,t))``.  Flat, with
+    ``u = (m / k) U``: ``x = (k² t + (m k d − m² g(t,U)) U) / (d k²)``.
+    The scale is kept positive, and the tensor's image is content-reduced,
+    so it is the image that Tensor arithmetic on the formula gives.
+    """
+    p = model.signature.p
+    if model.kind is ModelKind.SPHERE:
+        norm = _dot(p, t, t)
+        image = [2 * d * v for v in t]
+        image[0] += d * d - norm
+        denominator = d * d + norm
+    else:
+        assert model.height_vector is not None
+        u, scale = model.height_vector._ints.tolist(), model.height_vector._scale
+        m, k = scale.numerator, scale.denominator
+        shift = m * k * d - m * m * _dot(p, t, u)
+        image = [k * k * a + shift * b for a, b in zip(t, u)]
+        denominator = d * k * k
+    if denominator < 0:
+        image, denominator = [-v for v in image], -denominator
+    x = Tensor._from_ints(np.array(image, dtype=object), Fraction(1, denominator), model.dim)
+    return ModelPoint(model, x)
+
+
 def sphere_point_from_parameter(model: ModelSpace, parameter: "Sequence[Scalar] | Tensor") -> ModelPoint:
     """Map a rational parameter onto the sphere model.
 
@@ -222,19 +285,19 @@ def sphere_point_from_parameter(model: ModelSpace, parameter: "Sequence[Scalar] 
 
     which satisfies ``g(x, x) = 1`` identically (inverse stereographic
     projection from ``−e``).  Example (Euclidean, N = 3):
-    ``t = (0, 1/2, 0)`` maps to ``x = (3/5, 4/5, 0)``.
+    ``t = (0, 1/2, 0)`` maps to ``x = (3/5, 4/5, 0)``.  With ``t = T / D``
+    the image is computed as the integer vector
+    ``(D² − g(T,T)) e + 2D T`` over ``D² + g(T,T)``.
     """
     if model.kind is not ModelKind.SPHERE:
         raise InvalidArgument("sphere_point_from_parameter needs a sphere model")
     t = _as_vector(parameter, model.dim)
     if t[(0,)] != 0:
         raise InvalidArgument("sphere parameter must have first component zero")
-    tau = model.pair(t, t)
-    if tau == -1:
+    ints, d = _numerators(t)
+    if _dot(model.signature.p, ints, ints) == -d * d:
         raise InvalidArgument("sphere parameter has g(t,t) = −1; the map is undefined there")
-    e = Tensor.basis_vector(model.dim, 0)
-    x = (e * (1 - tau) + t * 2) / (1 + tau)
-    return ModelPoint(model, x)
+    return _point(model, ints, d)
 
 
 def flat_point_from_parameter(model: ModelSpace, parameter: "Sequence[Scalar] | Tensor") -> ModelPoint:
@@ -242,15 +305,12 @@ def flat_point_from_parameter(model: ModelSpace, parameter: "Sequence[Scalar] | 
 
     The parameter is projected onto the tangent hyperplane,
     ``t = t' − g(t', u) u``, and the point is ``x = u + t`` so that
-    ``g(x, u) = 1`` holds identically.
+    ``g(x, u) = 1`` holds identically.  It is computed as one integer
+    vector over the common denominator of ``t'`` and ``u``.
     """
     if model.kind is not ModelKind.FLAT:
         raise InvalidArgument("flat_point_from_parameter needs a flat model")
-    u = model.height_vector
-    assert u is not None
-    t_raw = _as_vector(parameter, model.dim)
-    t = t_raw - u * model.pair(t_raw, u)
-    return ModelPoint(model, u + t)
+    return _point(model, *_numerators(_as_vector(parameter, model.dim)))
 
 
 def sample_point(
@@ -262,17 +322,21 @@ def sample_point(
     """Draw an exact random rational point on the model.
 
     Parameters are drawn with numerators and denominators up to
-    ``bound``.  On the sphere, parameters with ``g(t,t) = −1`` (possible
-    in indefinite signature) are redrawn; persistent failure raises
+    ``bound``, as :func:`~killingtensor._util.random_vector` draws them,
+    and mapped by the integer formulas of
+    :func:`sphere_point_from_parameter` and :func:`flat_point_from_parameter`.
+    On the sphere, parameters with ``g(t,t) = −1`` (possible in indefinite
+    signature) are redrawn; persistent failure raises
     :class:`~killingtensor.errors.SamplingFailure`.
     """
     generator = coerce_rng(rng)
     if model.kind is ModelKind.FLAT:
-        return flat_point_from_parameter(model, random_vector(generator, model.dim, bound))
+        return _point(model, *_draw(generator, model.dim, bound))
     for _ in range(_MAX_SAMPLING_ATTEMPTS):
-        parameter = Tensor.from_nested([0] + random_vector(generator, model.dim - 1, bound))
-        if _g_pair(model.signature, parameter, parameter) != -1:
-            return sphere_point_from_parameter(model, parameter)
+        ints, d = _draw(generator, model.dim - 1, bound)
+        ints.insert(0, 0)
+        if _dot(model.signature.p, ints, ints) != -d * d:
+            return _point(model, ints, d)
     raise SamplingFailure(
         f"could not sample a sphere point after {_MAX_SAMPLING_ATTEMPTS} attempts"
     )
@@ -311,19 +375,13 @@ class TangentBasis:
         return tuple(map(tuple, ints * scale))
 
 
-def _basis(point: ModelPoint, vectors: Sequence[Tensor], frame: np.ndarray, scale: Fraction) -> TangentBasis:
-    """The frame ``scale * frame`` (one row per vector, content 1) with its
-    Gram matrix and inverse, built on integer images; raises
-    InvalidArgument if the Gram matrix is singular."""
-    gram = frame @ point.model.metric()._ints.astype(object) @ frame.T
+def _gram_images(signature: MetricSignature, frame: np.ndarray, scale: Fraction) -> tuple[_Image, _Image]:
+    """The Gram matrix of the frame ``scale * frame`` (one row per vector)
+    and its inverse, as integer images; raises InvalidArgument if the
+    Gram matrix is singular."""
+    gram = frame * np.array(_signs(signature), dtype=object) @ frame.T
     adjugate, det = inverse_image(gram.tolist())
-    return TangentBasis(
-        point=point,
-        vectors=tuple(vectors),
-        frame_image=(frame, scale),
-        gram_image=(gram, scale * scale),
-        gram_inverse_image=(np.array(adjugate, dtype=object), 1 / (det * scale * scale)),
-    )
+    return (gram, scale * scale), (np.array(adjugate, dtype=object), 1 / (det * scale * scale))
 
 
 def _stacked(vectors: Sequence[Tensor], dim: int) -> tuple[np.ndarray, Fraction]:
@@ -334,6 +392,26 @@ def _stacked(vectors: Sequence[Tensor], dim: int) -> tuple[np.ndarray, Fraction]
         dtype=object,
     ).reshape(len(vectors), dim)
     return frame, scale
+
+
+def _frame(signature: MetricSignature, normal: Tensor) -> tuple[_Image, _Image, _Image]:
+    """The canonical frame orthogonal to a unit normal (see
+    :func:`tangent_basis`), with its Gram matrix and inverse, as integer
+    images."""
+    w = normal._ints.tolist()
+    magnitudes = [abs(v) for v in w]
+    dropped = magnitudes.index(max(magnitudes))
+    square = normal._scale * normal._scale
+    a, d = square.numerator, square.denominator
+    rows = [
+        [(d if j == k else 0) - a * sign * w_k * w_j for j, w_j in enumerate(w)]
+        for k, (w_k, sign) in enumerate(zip(w, _signs(signature)))
+        if k != dropped
+    ]
+    rows = np.array(rows, dtype=object).reshape(len(w) - 1, len(w))
+    content = math.gcd(*rows.flat)
+    frame, scale = rows // content, Fraction(content, d)
+    return (frame, scale), *_gram_images(signature, frame, scale)
 
 
 def tangent_basis(point: ModelPoint) -> TangentBasis:
@@ -347,24 +425,40 @@ def tangent_basis(point: ModelPoint) -> TangentBasis:
     With ``ω = s w`` (integer ``w``) and ``s² = a / d`` in lowest terms,
     ``d v_k = d E_k − a η_k w_k w`` is an integer row (``η_k = ±1``, the
     metric's sign at ``k``), so the frame is one integer matrix over
-    ``1 / d``.
+    ``1 / d``; the Gram matrix is ``frame · η · frameᵀ`` over ``scale²``
+    and its inverse comes from one fraction-free elimination.  On the
+    flat model the normal is ``u``, so every point has the same frame.
     """
     model = point.model
-    omega = model.normal_at(point.x)
-    w = omega._ints.tolist()
-    magnitudes = [abs(v) for v in w]
-    dropped = magnitudes.index(max(magnitudes))
-    square = omega._scale * omega._scale
-    a, d = square.numerator, square.denominator
-    rows = []
-    for k in range(model.dim):
-        if k != dropped:
-            c = a * w[k] if k < model.signature.p else -a * w[k]
-            rows.append([(d if j == k else 0) - c * v for j, v in enumerate(w)])
-    rows = np.array(rows, dtype=object).reshape(model.dim - 1, model.dim)
-    content = math.gcd(*rows.flat)
-    vectors = [Tensor._from_ints(row, Fraction(1, d), model.dim) for row in rows]
-    return _basis(point, vectors, rows // content, Fraction(content, d))
+    images = _frame(model.signature, model.normal_at(point.x))
+    frame, scale = images[0]
+    vectors = [Tensor._from_ints(row, scale, model.dim) for row in frame]
+    return TangentBasis(point, tuple(vectors), *images)
+
+
+def _sample_blocks(
+    model: ModelSpace, seeds: Sequence[int], size: int, bound: int
+) -> Iterator[tuple[list[ModelPoint], np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The points ``sample_point(model, random.Random(seed), bound=bound)``,
+    ``size`` seeds at a time, and each block's images in Python ints,
+    stacked on a leading axis of length ``P``: the points ``(P, N)``, the
+    frames of :func:`tangent_basis` ``(P, N − 1, N)``, their Gram matrices
+    and inverses ``(P, N − 1, N − 1)``.  The scales are left out.  The
+    flat model's one frame is built once, and broadcast over the block."""
+    shared = None
+    if model.is_flat:
+        assert model.height_vector is not None
+        shared = _frame(model.signature, model.height_vector)
+    for start in range(0, len(seeds), size):
+        block = seeds[start : start + size]
+        points = [sample_point(model, random.Random(seed), bound=bound) for seed in block]
+        xs = np.array([point.x._ints.tolist() for point in points], dtype=object)
+        if shared is None:
+            frames = [_frame(model.signature, point.x) for point in points]
+            images = [np.stack([frame[i][0] for frame in frames]) for i in range(3)]
+        else:
+            images = [np.broadcast_to(ints, (len(points),) + ints.shape) for ints, _ in shared]
+        yield points, xs, *images
 
 
 def tangent_basis_from_vectors(point: ModelPoint, vectors: Sequence[Tensor]) -> TangentBasis:
@@ -380,8 +474,10 @@ def tangent_basis_from_vectors(point: ModelPoint, vectors: Sequence[Tensor]) -> 
         raise InvalidArgument(
             f"a tangent basis needs {model.dim - 1} vectors, got {len(vecs)}"
         )
+    frame, scale = _stacked(vecs, model.dim)
     try:
-        return _basis(point, vecs, *_stacked(vecs, model.dim))
+        grams = _gram_images(model.signature, frame, scale)
+        return TangentBasis(point, vecs, (frame, scale), *grams)
     except InvalidArgument as exc:
         raise InvalidArgument(f"basis vectors do not span the tangent space: {exc}") from exc
 

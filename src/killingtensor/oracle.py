@@ -19,15 +19,20 @@ integrability conditions are the total antisymmetrisations of ``N``
 contracted with the metric, with ``K``, and with ``K²``.
 
 The arithmetic is exact.  Each factor (``S``, ``B``, ``x``, the frame
-``E``, its Gram matrix ``G`` and the inverse) is the integer image,
-Python integers over one positive rational scale, that its Tensor or
-:class:`~killingtensor.models.TangentBasis` keeps; a positive scale keeps
-the zero pattern, so supports are read off the integer arrays, and the
-scales are multiplied in only for the Fraction arrays that
+``E``, its Gram matrix ``G`` and the inverse) is an integer image,
+Python integers over one positive rational scale.  A positive scale
+keeps the zero pattern, so supports are read off the integer arrays, and
+the scales are multiplied in only for the Fraction arrays that
 :func:`compute_point_data` and :func:`tns_residuals` return.
 
-One kernel runs a block of points, their images stacked on a leading
-axis, as batched ``matmul`` products over Python integers:
+One kernel, ``_block``, runs a block of points on the images of the
+points, frames, Gram matrices and inverses, stacked on a leading axis.
+:func:`integrable_oracle` takes them, one block at a time, from the
+sampler in :mod:`killingtensor.models`, which builds them from integers
+without a per-point Tensor or
+:class:`~killingtensor.models.TangentBasis`; :func:`compute_point_data`
+passes its one basis as a stack of one.  The kernel runs batched
+``matmul`` products over Python integers:
 (1) ``S`` is symmetric in its last two slots, so one product of ``S``,
 read as an ``N³ × N`` matrix, with the stacked points gives
 ``S[j, c, x, d]`` at every point; (2) a second ``x`` gives
@@ -72,7 +77,7 @@ from .models import (
     ModelSpace,
     TangentBasis,
     _Image,
-    sample_point,
+    _sample_blocks,
     tangent_basis,
 )
 from .tensor import Tensor
@@ -107,21 +112,23 @@ def _model_factors(
 def _block(
     s_arr: np.ndarray,
     b_arr: np.ndarray,
-    bases: Sequence[TangentBasis],
+    xs: np.ndarray,
+    frames: np.ndarray,
+    grams: np.ndarray,
+    gram_inverses: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     c: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``K``, ``nbar`` and the cyclic sums of ``T = F·Y`` at the points of ``bases``.
+    """``K``, ``nbar`` and the cyclic sums of ``T = F·Y`` at a block of points.
 
-    The sums ``T[a, b, c] + T[b, c, a] + T[c, a, b]`` are computed at the
-    index arrays ``a, b, c`` only.  Returns integer arrays of shapes
+    ``xs``, ``frames``, ``grams`` and ``gram_inverses`` are the points' and
+    their frames' integer images stacked on a leading axis, as
+    ``models._sample_blocks`` gives them.  The sums
+    ``T[a, b, c] + T[b, c, a] + T[c, a, b]`` are computed at the index
+    arrays ``a, b, c`` only.  Returns integer arrays of shapes
     ``(P, n, n)``, ``(P, n, n, n)`` and ``(P, 3) + a.shape``.
     """
-    xs = np.array([basis.point.x._ints.tolist() for basis in bases], dtype=object)
-    frames = np.stack([basis.frame_image[0] for basis in bases])
-    grams = np.stack([basis.gram_image[0] for basis in bases])
-    gram_inverses = np.stack([basis.gram_inverse_image[0] for basis in bases])
     points, n, dim = frames.shape
     frames_t = frames.transpose(0, 2, 1)
     # sx[p, j, u, v] = S[j, u, v, x] = S[j, u, x, v].
@@ -188,7 +195,11 @@ def compute_point_data(
         raise InvalidArgument("basis was built at a different point or model")
 
     n = model.dim - 1
-    k, nbar, sums = _block(s_arr, b_arr, [basis], *np.indices((n, n, n)))
+    images = (basis.frame_image, basis.gram_image, basis.gram_inverse_image)
+    k, nbar, sums = _block(
+        s_arr, b_arr, point.x._ints.astype(object)[None],
+        *(ints[None] for ints, _ in images), *np.indices((n, n, n)),
+    )
     x_scale, e_scale = point.x._scale, basis.frame_image[1]
     k_scale = s_scale * x_scale**2 * e_scale**2
     nbar_scale = b_scale * s_scale**2 * x_scale**3 * e_scale**3
@@ -282,13 +293,9 @@ def integrable_oracle(
 
     points = []
     supports = []
-    for start in range(0, num_points, _BLOCK):
-        bases = [
-            tangent_basis(sample_point(model, random.Random(sub_seed), bound=bound))
-            for sub_seed in sub_seeds[start : start + _BLOCK]
-        ]
-        points.extend(basis.point for basis in bases)
-        sums = _block(s_arr, b_arr, bases, *triples.T)[2]
+    for block, *images in _sample_blocks(model, sub_seeds, _BLOCK, bound):
+        points.extend(block)
+        sums = _block(s_arr, b_arr, *images, *triples.T)[2]
         supports.extend(map(tuple, (sums != 0).sum(axis=-1).tolist()))
     witnesses = [
         next((index for index, row in enumerate(supports) if row[c]), None) for c in range(3)

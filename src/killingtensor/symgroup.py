@@ -576,6 +576,12 @@ def partitions(n: int) -> list[YoungFrame]:
 # of one query.  (30,20,10) x (20,10,5) peaks at 299 377, every frame pair
 # up to 5 boxes at 35; (12,10,8,6,4,2) x (10,8,6,4,2) would pass 2 million.
 _LR_MAX_FILLINGS = 350_000
+# Most row lengths lr_decompose copies: it bounds the time of one query,
+# since each partial filling laid down a row copies the lengths of its
+# rows.  (30,20,10) x (20,10,5) copies 11.9 million (6.5 s); two columns
+# of k boxes copy about k^4, so 14.9 million at k = 63 (1.2 s), and
+# about 1.6 billion at k = 200, about a minute of work.
+_LR_MAX_ROWS = 15_000_000
 
 
 def lr_decompose(frame1: YoungFrame, frame2: YoungFrame) -> dict[YoungFrame, int]:
@@ -599,7 +605,8 @@ def lr_decompose(frame1: YoungFrame, frame2: YoungFrame) -> dict[YoungFrame, int
     so far and on what the rows below need are merged.  Ceilings are
     capped at the size of the next strip, which lets more of them merge.
     Raises InvalidArgument when more than ``_LR_MAX_FILLINGS`` partial
-    fillings are live at once.
+    fillings are live at once, or when laying them copies more than
+    ``_LR_MAX_ROWS`` row lengths in all.
     """
     sizes = frame2.rows
     # A filling between strips: (row lengths, ceilings); the last ceiling
@@ -607,6 +614,7 @@ def lr_decompose(frame1: YoungFrame, frame2: YoungFrame) -> dict[YoungFrame, int
     fillings: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter(
         {(frame1.rows, (sizes[0],)): 1}
     )
+    copied = 0
     for size, following in itertools.zip_longest(sizes, sizes[1:], fillvalue=0):
         # A strip laid down to row r: (new lengths of the rows above r,
         # capped prefix sums of the strip, labels placed, old length of
@@ -620,6 +628,12 @@ def lr_decompose(frame1: YoungFrame, frame2: YoungFrame) -> dict[YoungFrame, int
             for (done, prefix, placed, upper, rest, ceilings), ways in laid.items():
                 old = rest[0] if rest else 0
                 room = min(upper - old, ceilings[0] - placed, size - placed)
+                copied += (room + 1) * (len(done) + max(len(rest), 1))
+                if copied > _LR_MAX_ROWS:
+                    raise InvalidArgument(
+                        f"the Littlewood-Richardson product of {frame1.rows} and {frame2.rows} "
+                        f"copies more than {_LR_MAX_ROWS} rows of partial fillings"
+                    )
                 for here in range(room + 1):
                     total = placed + here
                     lengths = done + (old + here,)

@@ -264,6 +264,18 @@ class TestRepresentationCommands:
         assert out == ""
         assert err.startswith("error: ") and "partial fillings" in err
 
+    def test_a_long_column_lr_product_is_an_input_error(self, capsys):
+        # 400 boxes and few live fillings, but every filling of a column
+        # has hundreds of rows to copy; the row budget stops it.
+        column = "(" + ",".join(["1"] * 200) + ")"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lr", column, column)
+        assert time.perf_counter() - start < 15
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "rows of partial fillings" in err
+        assert err.count("\n") == 1
+
 
 class TestIdentitiesCommand:
     def test_small_run_passes(self, capsys):

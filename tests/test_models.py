@@ -6,11 +6,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BOUND, flat, sphere
+from killingtensor import models as models_module
+from killingtensor._util import random_vector
 from killingtensor import (
     InvalidArgument,
     MetricSignature,
@@ -31,11 +34,80 @@ from killingtensor import (
     sphere_point_from_parameter,
     tangent_basis,
     tangent_basis_from_vectors,
+    tensor_product,
 )
 
 rationals = st.fractions(
     min_value=-3, max_value=3, max_denominator=5
 )
+
+
+def custom_flat() -> ModelSpace:
+    # g = diag(+, +, -) and u = (5/4, 0, 3/4): g(u, u) = 1 with scale 1/4.
+    u = Tensor.from_nested([Fraction(5, 4), Fraction(0), Fraction(3, 4)])
+    return ModelSpace(ModelKind.FLAT, MetricSignature(2, 1), height_vector=u)
+
+
+def wide_flat() -> ModelSpace:
+    # u = ((b² + a²), 0, 2ab) / (b² − a²) has g(u, u) = 1 on (2,1), and
+    # its numerators pass 2^62.
+    a, b = 3**30, 2**50
+    u = [Fraction(b * b + a * a, b * b - a * a), Fraction(0), Fraction(2 * a * b, b * b - a * a)]
+    return ModelSpace(ModelKind.FLAT, MetricSignature(2, 1), height_vector=Tensor.from_nested(u))
+
+
+def reference_sample(model: ModelSpace, rng: random.Random, bound: int) -> tuple[Tensor, int]:
+    """A sampled point by Tensor arithmetic on Fractions, as the integer
+    formulas' predecessor computed it, and the number of parameters drawn."""
+    if model.is_flat:
+        u = model.height_vector
+        t_raw = Tensor.from_nested(random_vector(rng, model.dim, bound))
+        return u + (t_raw - u * model.pair(t_raw, u)), 1
+    draws = 0
+    while True:
+        draws += 1
+        t = Tensor.from_nested([0] + random_vector(rng, model.dim - 1, bound))
+        tau = model.pair(t, t)
+        if tau != -1:
+            e = Tensor.basis_vector(model.dim, 0)
+            return (e * (1 - tau) + t * 2) / (1 + tau), draws
+
+
+def fraction_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss–Jordan inverse over Fractions."""
+    n = len(matrix)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for k in range(n):
+        pivot = next(r for r in range(k, n) if rows[r][k])
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                factor = rows[i][k]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def reference_frame(model: ModelSpace, x: Tensor):
+    """The canonical frame at ``x`` by Tensor projection, ``v_k = E_k −
+    g(E_k, ω) ω``: its rows over the gcd / lcm of the vectors' scales, that
+    scale, and the Gram matrix and its inverse as Fractions."""
+    omega = model.normal_at(x)
+    magnitudes = [abs(v) for v in omega.array.tolist()]
+    dropped = magnitudes.index(max(magnitudes))
+    kept = [Tensor.basis_vector(model.dim, k) for k in range(model.dim) if k != dropped]
+    vectors = [e - omega * model.pair(e, omega) for e in kept]
+    scale = Fraction(
+        math.gcd(*(v._scale.numerator for v in vectors)),
+        math.lcm(*(v._scale.denominator for v in vectors)),
+    )
+    frame = [[int(v._scale / scale) * c for c in v._ints.tolist()] for v in vectors]
+    gram = [[model.pair(v, w) for w in vectors] for v in vectors]
+    return frame, scale, gram, fraction_inverse(gram)
+
+
+def image(tensor: Tensor) -> tuple[list, np.dtype, Fraction]:
+    return tensor._ints.tolist(), tensor._ints.dtype, tensor._scale
 
 
 class TestModelSpace:
@@ -92,6 +164,21 @@ class TestModelSpace:
     def test_gbar_on_sphere_is_the_inverse_metric(self):
         model = sphere(2, 1)
         assert model.gbar() == model.inverse_metric()
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            flat(3),
+            flat(4, 1),
+            custom_flat(),
+            wide_flat(),
+        ],
+        ids=["flat(3)", "flat(4,1)", "u=(5/4,0,3/4)", "u-past-2^62"],
+    )
+    def test_flat_gbar_is_the_tensor_arithmetic(self, model):
+        u = model.height_vector
+        expected = model.inverse_metric() - tensor_product(u, u)
+        assert image(model.gbar()) == image(expected)
 
     def test_gbar_on_flat_is_degenerate_along_u(self):
         model = flat(3)
@@ -346,3 +433,87 @@ class TestKillingEvaluation:
         point = sample_point(model, rng, bound=BOUND)
         vectors = [random_tangent_vector(point, rng, bound=BOUND) for _ in range(3)]
         assert killing_cov_deriv(S, point, *vectors) == 0
+
+
+class TestIntegerSamplerAgainstFractionFormulas:
+    """``models._sample_blocks`` draws its points with the random calls of
+    ``random_vector`` and maps them by closed integer formulas; its points,
+    frames, Gram matrices and inverses equal the Tensor arithmetic on
+    Fractions it replaced, image for image, and so do ``sample_point`` and
+    ``tangent_basis``.  At bound 2^40 every point image passes 2^62 and is
+    held in Python ints."""
+
+    MODELS = [
+        m for n in range(3, 7) for m in (sphere(n), sphere(n - 1, 1), flat(n), flat(n - 1, 1))
+    ] + [custom_flat()]
+
+    @pytest.mark.parametrize("bound", [9, 2**40])
+    @pytest.mark.parametrize(
+        "model", MODELS, ids=[repr(m) for m in MODELS[:-1]] + ["u=(5/4,0,3/4)"]
+    )
+    def test_blocks_match_the_fraction_formulas(self, model, bound):
+        seeds = [101, 102, 103]
+        blocks = list(models_module._sample_blocks(model, seeds, 2, bound))
+        assert [len(block[0]) for block in blocks] == [2, 1]
+        points = [point for block in blocks for point in block[0]]
+        xs, frames, grams, inverses = (
+            np.concatenate([block[i] for block in blocks]) for i in range(1, 5)
+        )
+        n = model.dim - 1
+        assert xs.shape == (3, model.dim) and frames.shape == (3, n, model.dim)
+        assert grams.shape == inverses.shape == (3, n, n)
+        for index, seed in enumerate(seeds):
+            x, _ = reference_sample(model, random.Random(seed), bound)
+            point = points[index]
+            assert image(point.x) == image(x)
+            assert image(sample_point(model, seed, bound=bound).x) == image(x)
+            assert x._ints.dtype == (object if bound > 2**32 else np.int64)
+            assert xs[index].tolist() == x._ints.tolist()
+
+            frame, scale, gram, inverse = reference_frame(model, x)
+            basis = tangent_basis(point)
+            assert frames[index].tolist() == frame
+            assert basis.frame_image[0].tolist() == frame and basis.frame_image[1] == scale
+            assert basis.gram_image[1] == scale * scale
+            assert (grams[index] * basis.gram_image[1]).tolist() == gram
+            assert (inverses[index] * basis.gram_inverse_image[1]).tolist() == inverse
+            for stacked, name in zip(
+                (frames, grams, inverses), ("frame_image", "gram_image", "gram_inverse_image")
+            ):
+                assert stacked[index].tolist() == getattr(basis, name)[0].tolist()
+            assert basis.gram == tuple(map(tuple, gram))
+            assert basis.gram_inverse == tuple(map(tuple, inverse))
+
+    @pytest.mark.parametrize("model, seed", [(sphere(2, 1), 218), (sphere(3, 1), 273)], ids=repr)
+    def test_lorentzian_redraw(self, model, seed, monkeypatch):
+        x, draws = reference_sample(model, random.Random(seed), 9)
+        assert draws == 2
+        calls = []
+        monkeypatch.setattr(
+            models_module, "_draw",
+            lambda *args, original=models_module._draw: calls.append(args) or original(*args),
+        )
+        [(points, xs, *_)] = models_module._sample_blocks(model, [seed], 16, 9)
+        assert len(calls) == 2
+        assert image(points[0].x) == image(x)
+        assert xs[0].tolist() == x._ints.tolist()
+
+    @pytest.mark.parametrize("model", [flat(4), sphere(4)], ids=repr)
+    def test_the_flat_frame_is_built_once(self, model, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            models_module, "_frame",
+            lambda *args, original=models_module._frame: calls.append(args) or original(*args),
+        )
+        blocks = list(models_module._sample_blocks(model, list(range(5)), 2, 9))
+        assert len(calls) == (1 if model.is_flat else 5)
+        frames = np.concatenate([block[2] for block in blocks])
+        assert [f.tolist() for f in frames] == [
+            tangent_basis(point).frame_image[0].tolist() for block in blocks for point in block[0]
+        ]
+
+    def test_bound_is_checked(self):
+        with pytest.raises(InvalidArgument, match="bound must be at least 1, got 0"):
+            next(models_module._sample_blocks(sphere(3), [1], 16, 0))
+        with pytest.raises(InvalidArgument, match="bound must be at least 1, got 0"):
+            sample_point(flat(3), 1, bound=0)

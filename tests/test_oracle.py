@@ -88,10 +88,10 @@ def record_blocks(monkeypatch):
     sizes = []
     original = oracle_module._block
 
-    def recording(s_arr, b_arr, bases, *index):
-        sizes.append(len(bases))
-        assert len(bases) <= oracle_module._BLOCK
-        return original(s_arr, b_arr, bases, *index)
+    def recording(s_arr, b_arr, xs, *rest):
+        sizes.append(len(xs))
+        assert len(xs) <= oracle_module._BLOCK
+        return original(s_arr, b_arr, xs, *rest)
 
     monkeypatch.setattr(oracle_module, "_block", recording)
     return sizes
@@ -292,7 +292,12 @@ class TestBlocksAgainstFractionFormulas:
         assert sizes == [block, block, 1]
         (s_arr, _), (b_arr, _) = oracle_module._model_factors(S, model)
         bases = [tangent_basis(point) for point in report.points[:block]]
-        batched = oracle_module._block(s_arr, b_arr, bases, *np.indices((4, 4, 4)))
+        stacked = [
+            np.stack([getattr(basis, name)[0] for basis in bases])
+            for name in ("frame_image", "gram_image", "gram_inverse_image")
+        ]
+        xs = np.array([basis.point.x._ints.tolist() for basis in bases], dtype=object)
+        batched = oracle_module._block(s_arr, b_arr, xs, *stacked, *np.indices((4, 4, 4)))
         for index, (point, row) in enumerate(zip(report.points, report.point_supports)):
             data = compute_point_data(S, model, point)
             assert row == tuple(canonical_support(res) for res in tns_residuals(data))
@@ -303,15 +308,15 @@ class TestBlocksAgainstFractionFormulas:
 
 
 class TestNoConversionsInTheOracle:
-    """``integrable_oracle`` reads the frame, Gram and inverse images the
-    tangent basis keeps: the one Fraction rescale per drawn parameter
-    vector is the only conversion, and no Fraction view of a tensor is
-    built.  A Lorentzian sphere parameter with g(t, t) = −1 is redrawn."""
+    """``integrable_oracle`` draws each parameter as integers and builds
+    its points, frames, Gram matrices and inverses as integer images: no
+    Fraction array is rescaled and no Fraction view of a tensor is built.
+    A Lorentzian sphere parameter with g(t, t) = −1 is redrawn."""
 
-    @pytest.mark.parametrize(
-        "model", [sphere(4), sphere(3, 1), flat(4), flat(3, 1)], ids=repr
-    )
-    def test_one_vector_rescale_per_point(self, model, monkeypatch):
+    CASES = [(sphere(4), 0), (sphere(3, 1), 1), (flat(4), 0), (flat(3, 1), 0)]
+
+    @pytest.mark.parametrize("model, redraws", CASES, ids=[repr(model) for model, _ in CASES])
+    def test_no_rescale_and_one_draw_per_parameter(self, model, redraws, monkeypatch):
         S = random_curvature(model.dim, random.Random(21), bound=BOUND)
         calls = []
         for name in ("_rescale", "_fraction_view"):
@@ -324,14 +329,12 @@ class TestNoConversionsInTheOracle:
             )
         draws = []
         monkeypatch.setattr(
-            models_module, "random_vector",
-            lambda *args, original=models_module.random_vector: (
-                draws.append(args) or original(*args)
-            ),
+            models_module, "_draw",
+            lambda *args, original=models_module._draw: draws.append(args) or original(*args),
         )
         integrable_oracle(S, model, num_points=4, seed=22, bound=BOUND)
-        assert len(draws) >= 4
-        assert calls == [("_rescale", 1)] * len(draws)
+        assert calls == []
+        assert len(draws) == 4 + redraws
 
     @pytest.mark.parametrize(
         "model", [sphere(4), sphere(3, 1), flat(4), flat(3, 1)], ids=repr
