@@ -43,6 +43,7 @@ from .tensor import _RATIONAL, MetricSignature, Tensor, as_scalar
 __all__ = [
     "parse_rational",
     "format_rational",
+    "format_vector",
     "tensor_to_document",
     "document_to_tensor",
     "wrap_tensor",
@@ -95,6 +96,21 @@ def format_rational(value: Fraction) -> "int | str":
     return f"{value.numerator}/{value.denominator}"
 
 
+def _format_scaled(value: int, scale: Fraction) -> "int | str":
+    """``format_rational(scale * value)`` for an int, with no Fraction."""
+    numerator = scale.numerator * value
+    common = math.gcd(numerator, scale.denominator)
+    if common == scale.denominator:
+        return numerator // common
+    return f"{numerator // common}/{scale.denominator // common}"
+
+
+def format_vector(vector: Tensor) -> list:
+    """The entries of an order-1 tensor as :func:`format_rational` gives
+    them, read from its integer image and scale."""
+    return [_format_scaled(v, vector._scale) for v in vector._ints.tolist()]
+
+
 def _form_name(tensor: FormTensor) -> "str | None":
     if isinstance(tensor, CurvatureTensor):
         return "R"
@@ -124,7 +140,7 @@ def tensor_to_document(
     for idx, value in zip(np.argwhere(nonzero).tolist(), ints[nonzero].tolist()):
         text = formatted.get(value)
         if text is None:
-            text = formatted[value] = format_rational(scale * value)
+            text = formatted[value] = _format_scaled(value, scale)
         entries.append({"idx": idx, "val": text})
     doc: dict = {"dim": plain.dim, "order": plain.order, "entries": entries}
     if form is not None:
@@ -452,7 +468,7 @@ def model_to_document(model: ModelSpace) -> dict:
         "signature": [model.signature.p, model.signature.q],
     }
     if model.kind is ModelKind.FLAT and model.height_vector is not None:
-        doc["u"] = [format_rational(model.height_vector[(i,)]) for i in range(model.dim)]
+        doc["u"] = format_vector(model.height_vector)
     return doc
 
 
@@ -481,8 +497,5 @@ def oracle_report_to_document(report: OracleReport) -> dict:
         "conditions_pass": list(report.conditions_pass),
         "witness_point_indices": list(report.witnesses),
         "point_supports": [list(row) for row in report.point_supports],
-        "points": [
-            [format_rational(point.x[(i,)]) for i in range(report.dim)]
-            for point in report.points
-        ],
+        "points": [format_vector(point.x) for point in report.points],
     }

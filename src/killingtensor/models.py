@@ -165,6 +165,17 @@ class ModelSpace:
         assert self.height_vector is not None
         return self.pair(vec, self.height_vector) - 1
 
+    def _contains(self, x: Tensor) -> bool:
+        """Membership as one integer comparison on ``x = (n / e) w``:
+        ``n² g(w, w) = e²`` on the sphere and, with ``u = (m / k) U``,
+        ``n m g(w, U) = e k`` on the flat model."""
+        w, n, e = x._ints.tolist(), x._scale.numerator, x._scale.denominator
+        if self.kind is ModelKind.SPHERE:
+            return n * n * _dot(self.signature.p, w, w) == e * e
+        assert self.height_vector is not None
+        u, scale = self.height_vector._ints.tolist(), self.height_vector._scale
+        return n * scale.numerator * _dot(self.signature.p, w, u) == e * scale.denominator
+
     def normal_at(self, x: Tensor) -> Tensor:
         """Vector whose ``g``-orthogonal complement is the tangent space at x."""
         if self.kind is ModelKind.SPHERE:
@@ -207,10 +218,10 @@ class ModelPoint:
     def __post_init__(self) -> None:
         vec = _as_vector(self.x, self.model.dim)
         object.__setattr__(self, "x", vec)
-        residual = self.model.membership_residual(vec)
-        if residual != 0:
+        if not self.model._contains(vec):
             raise InvalidArgument(
-                f"point is not on the {self.model.kind.value} model: membership residual {residual}"
+                f"point is not on the {self.model.kind.value} model: "
+                f"membership residual {self.model.membership_residual(vec)}"
             )
 
     def tangency_residual(self, v: Tensor) -> Fraction:
@@ -346,6 +357,8 @@ def sample_point(
 
 # An integer image: a Python-int object array and one positive scale.
 _Image = tuple[np.ndarray, Fraction]
+# An integer image as Python-int rows, and its positive scale.
+_Rows = tuple[list[list[int]], Fraction]
 
 
 @dataclass(frozen=True)
@@ -356,6 +369,9 @@ class TangentBasis:
     vector), ``gram_image`` (``g(v_i, v_j)``) and ``gram_inverse_image``
     are integer images; ``gram`` and ``gram_inverse`` give the Gram matrix
     and its exact inverse as Fractions (the tangent metric is non-degenerate).
+    ``gram_inverse_image`` is content-reduced: its integers have no common
+    factor, so it depends only on the Gram matrix, not on how the basis
+    was built.
     """
 
     point: ModelPoint
@@ -375,13 +391,10 @@ class TangentBasis:
         return tuple(map(tuple, ints * scale))
 
 
-def _gram_images(signature: MetricSignature, frame: np.ndarray, scale: Fraction) -> tuple[_Image, _Image]:
-    """The Gram matrix of the frame ``scale * frame`` (one row per vector)
-    and its inverse, as integer images; raises InvalidArgument if the
-    Gram matrix is singular."""
-    gram = frame * np.array(_signs(signature), dtype=object) @ frame.T
-    adjugate, det = inverse_image(gram.tolist())
-    return (gram, scale * scale), (np.array(adjugate, dtype=object), 1 / (det * scale * scale))
+def _content_reduced(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Integer rows divided by their gcd, and the gcd."""
+    content = math.gcd(*[math.gcd(*row) for row in rows])
+    return [[v // content for v in row] for row in rows], content
 
 
 def _stacked(vectors: Sequence[Tensor], dim: int) -> tuple[np.ndarray, Fraction]:
@@ -394,24 +407,53 @@ def _stacked(vectors: Sequence[Tensor], dim: int) -> tuple[np.ndarray, Fraction]
     return frame, scale
 
 
-def _frame(signature: MetricSignature, normal: Tensor) -> tuple[_Image, _Image, _Image]:
+def _frame(signature: MetricSignature, normal: Tensor) -> tuple[_Rows, _Rows, _Rows]:
     """The canonical frame orthogonal to a unit normal (see
-    :func:`tangent_basis`), with its Gram matrix and inverse, as integer
-    images."""
+    :func:`tangent_basis`), its Gram matrix and the Gram matrix's inverse,
+    as Python-int rows over positive scales, from closed formulas.
+
+    Write ``ω = s w`` (integer ``w``) with ``s² = a / d`` in lowest terms,
+    ``r`` for the dropped index, ``η`` for the metric's signs and
+    ``u_k = η_k w_k``.  The rows are ``R_k = d E_k − a u_k w`` (``k ≠ r``),
+    and the frame is ``R / c`` over ``c / d``, ``c`` the rows' content.
+
+    * Gram matrix.  ``g(E_k, w) = u_k`` and, ``ω`` being a unit vector,
+      ``a g(w, w) = d``, so ``g(R_k, R_l) = d² η_k δ_kl − 2ad u_k u_l
+      + a² g(w, w) u_k u_l = d² η_k δ_kl − ad u_k u_l``.  Over ``c²`` this
+      is ``frame · η · frameᵀ``, an integer matrix, with scale
+      ``(c / d)²``; the Gram matrix is ``G = Λ − (a / d) u uᵀ`` with
+      ``Λ = diag(η_k)``, ``k ≠ r``.
+    * Inverse.  By Sherman and Morrison (Ann. Math. Statist. 21, 1950),
+      ``(Λ − β u uᵀ)⁻¹ = Λ + β Λu uᵀΛ / (1 − β uᵀΛu)``, ``β = a / d``.
+      Here ``Λu = w′``, ``w`` without its entry ``r``, and
+      ``uᵀΛu = g(w, w) − η_r w_r²``, so ``1 − β uᵀΛu = a η_r w_r² / d``
+      and ``G⁻¹ = Λ + η_r w′w′ᵀ / w_r²``; ``w_r ≠ 0``, since ``|w_r|`` is
+      the largest entry of a nonzero vector.  The image is
+      ``w_r² Λ + η_r w′w′ᵀ`` over ``1 / w_r²``, content-reduced.
+    """
     w = normal._ints.tolist()
+    if len(w) < 2:
+        raise InvalidArgument("a tangent frame needs an ambient dimension of at least 2")
     magnitudes = [abs(v) for v in w]
-    dropped = magnitudes.index(max(magnitudes))
-    square = normal._scale * normal._scale
-    a, d = square.numerator, square.denominator
-    rows = [
-        [(d if j == k else 0) - a * sign * w_k * w_j for j, w_j in enumerate(w)]
-        for k, (w_k, sign) in enumerate(zip(w, _signs(signature)))
-        if k != dropped
-    ]
-    rows = np.array(rows, dtype=object).reshape(len(w) - 1, len(w))
-    content = math.gcd(*rows.flat)
-    frame, scale = rows // content, Fraction(content, d)
-    return (frame, scale), *_gram_images(signature, frame, scale)
+    r = magnitudes.index(max(magnitudes))
+    a, d = normal._scale.numerator ** 2, normal._scale.denominator ** 2
+    signs = _signs(signature)
+    sign_r, w_r = signs.pop(r), w[r]
+    kept = w[:r] + w[r + 1 :]
+    u = [sign * w_k for sign, w_k in zip(signs, kept)]
+    rows = [[-a * u_k * w_j for w_j in w] for u_k in u]
+    gram = [[-a * d * u_k * u_l for u_l in u] for u_k in u]
+    inverse = [[sign_r * w_k * w_l for w_l in kept] for w_k in kept]
+    # The diagonal terms; row i is the standard direction k = i + (i >= r).
+    for i, sign in enumerate(signs):
+        rows[i][i + (i >= r)] += d
+        gram[i][i] += d * d * sign
+        inverse[i][i] += w_r * w_r * sign
+    frame, content = _content_reduced(rows)
+    gram = [[v // (content * content) for v in row] for row in gram]
+    inverse, common = _content_reduced(inverse)
+    scale = Fraction(content, d)
+    return (frame, scale), (gram, scale * scale), (inverse, Fraction(common, w_r * w_r))
 
 
 def tangent_basis(point: ModelPoint) -> TangentBasis:
@@ -425,12 +467,19 @@ def tangent_basis(point: ModelPoint) -> TangentBasis:
     With ``ω = s w`` (integer ``w``) and ``s² = a / d`` in lowest terms,
     ``d v_k = d E_k − a η_k w_k w`` is an integer row (``η_k = ±1``, the
     metric's sign at ``k``), so the frame is one integer matrix over
-    ``1 / d``; the Gram matrix is ``frame · η · frameᵀ`` over ``scale²``
-    and its inverse comes from one fraction-free elimination.  On the
-    flat model the normal is ``u``, so every point has the same frame.
+    ``1 / d``.  Because ``ω`` is a unit vector, the Gram matrix is
+    ``Λ − (a / d) u uᵀ`` (``Λ = diag(η_k)``, ``u_k = η_k w_k``, ``k`` not
+    the dropped index ``r``) and its inverse is ``Λ + η_r w′w′ᵀ / w_r²``
+    (``w′`` is ``w`` without index ``r``): both are closed integer
+    formulas, with no matrix product and no elimination (the proof is in
+    ``_frame``).  On the flat model the normal is ``u``, so every point
+    has the same frame.
     """
     model = point.model
-    images = _frame(model.signature, model.normal_at(point.x))
+    images = [
+        (np.array(ints, dtype=object), scale)
+        for ints, scale in _frame(model.signature, model.normal_at(point.x))
+    ]
     frame, scale = images[0]
     vectors = [Tensor._from_ints(row, scale, model.dim) for row in frame]
     return TangentBasis(point, tuple(vectors), *images)
@@ -443,21 +492,22 @@ def _sample_blocks(
     ``size`` seeds at a time, and each block's images in Python ints,
     stacked on a leading axis of length ``P``: the points ``(P, N)``, the
     frames of :func:`tangent_basis` ``(P, N − 1, N)``, their Gram matrices
-    and inverses ``(P, N − 1, N − 1)``.  The scales are left out.  The
-    flat model's one frame is built once, and broadcast over the block."""
+    and inverses ``(P, N − 1, N − 1)``.  The scales are left out.  Each
+    stack is one ``np.array`` of the points' rows.  The flat model's one
+    frame is built once, and broadcast over the block."""
     shared = None
     if model.is_flat:
         assert model.height_vector is not None
-        shared = _frame(model.signature, model.height_vector)
+        shared = [np.array(ints, dtype=object) for ints, _ in _frame(model.signature, model.height_vector)]
     for start in range(0, len(seeds), size):
         block = seeds[start : start + size]
         points = [sample_point(model, random.Random(seed), bound=bound) for seed in block]
         xs = np.array([point.x._ints.tolist() for point in points], dtype=object)
         if shared is None:
             frames = [_frame(model.signature, point.x) for point in points]
-            images = [np.stack([frame[i][0] for frame in frames]) for i in range(3)]
+            images = [np.array([frame[i][0] for frame in frames], dtype=object) for i in range(3)]
         else:
-            images = [np.broadcast_to(ints, (len(points),) + ints.shape) for ints, _ in shared]
+            images = [np.broadcast_to(ints, (len(points),) + ints.shape) for ints in shared]
         yield points, xs, *images
 
 
@@ -467,6 +517,8 @@ def tangent_basis_from_vectors(point: ModelPoint, vectors: Sequence[Tensor]) -> 
     Each vector must be exactly tangent at ``point`` and the family must
     span the tangent space (``N − 1`` vectors with invertible Gram
     matrix); otherwise :class:`~killingtensor.errors.InvalidArgument`.
+    The vectors are arbitrary, so the Gram matrix is ``frame · η ·
+    frameᵀ`` and its inverse comes from one fraction-free elimination.
     """
     model = point.model
     vecs = tuple(point.require_tangent(v, f"basis vector {i}") for i, v in enumerate(vectors))
@@ -475,11 +527,16 @@ def tangent_basis_from_vectors(point: ModelPoint, vectors: Sequence[Tensor]) -> 
             f"a tangent basis needs {model.dim - 1} vectors, got {len(vecs)}"
         )
     frame, scale = _stacked(vecs, model.dim)
+    gram = frame * np.array(_signs(model.signature), dtype=object) @ frame.T
     try:
-        grams = _gram_images(model.signature, frame, scale)
-        return TangentBasis(point, vecs, (frame, scale), *grams)
+        adjugate, det = inverse_image(gram.tolist())
     except InvalidArgument as exc:
         raise InvalidArgument(f"basis vectors do not span the tangent space: {exc}") from exc
+    inverse, content = _content_reduced(adjugate)
+    return TangentBasis(
+        point, vecs, (frame, scale), (gram, scale * scale),
+        (np.array(inverse, dtype=object), content / (det * scale * scale)),
+    )
 
 
 def random_tangent_vector(

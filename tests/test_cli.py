@@ -153,6 +153,30 @@ class TestOracleCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_points_over_the_cap_are_refused_before_sampling(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "metric.json"
+        run(capsys, "generate", "metric", "--model", "sphere", "--N", "3",
+            "--out", str(path))
+        calls = []
+
+        def sampler(*args, num_points, **kwargs):
+            calls.append(num_points)
+            raise LookupError("the stub samples nothing")
+
+        monkeypatch.setattr(cli, "integrable_oracle", sampler)
+        cap = cli._MAX_ORACLE_POINTS
+        for points in (cap + 1, 10**9):
+            code, out, err = run(
+                capsys, "oracle", str(path), "--model", "sphere", "--N", "3",
+                "--points", str(points),
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: --points {points} is over the cap of {cap}\n"
+        assert calls == []
+        with pytest.raises(LookupError):
+            cli.main(["oracle", str(path), "--model", "sphere", "--N", "3", "--points", str(cap)])
+        assert calls == [cap]
+
 
 class TestGenerateCommand:
     def test_stdout_document(self, capsys):

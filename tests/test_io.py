@@ -157,6 +157,23 @@ class TestRationals:
         for value in [Fraction(0), Fraction(7), Fraction(-22, 7), Fraction(1, 9)]:
             assert io.parse_rational(io.format_rational(value)) == value
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [Fraction(-3, 4), 2, Fraction(5, 6), 0, -7],
+            [Fraction(6, 4), Fraction(-9, 2), 3],
+            [-5, 0, 10],
+            [Fraction(2**70, 3), Fraction(-1, 2**65), 2**80],
+        ],
+        ids=["mixed", "halves", "integers", "wide"],
+    )
+    def test_format_vector_matches_format_rational(self, values):
+        # format_vector reads the integer image; format_rational the Fractions.
+        vector = Tensor.from_nested(values)
+        expected = [io.format_rational(Fraction(v)) for v in values]
+        assert io.format_vector(vector) == expected
+        assert [type(v) for v in io.format_vector(vector)] == [type(v) for v in expected]
+
 
 class TestTensorDocuments:
     def test_documents_are_sparse(self):

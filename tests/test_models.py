@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import BOUND, flat, sphere
 from killingtensor import models as models_module
+from killingtensor._linalg import determinant, inverse_image
 from killingtensor._util import random_vector
 from killingtensor import (
     InvalidArgument,
@@ -202,6 +203,30 @@ class TestModelPoint:
         assert point.x == x
         with pytest.raises(InvalidArgument, match="membership residual"):
             ModelPoint(model, Tensor.from_nested([1, 1, 0]))
+
+    @pytest.mark.parametrize(
+        "model",
+        [sphere(3), sphere(2, 1), flat(3), flat(2, 1), custom_flat(), wide_flat()],
+        ids=["sphere(3)", "sphere(2,1)", "flat(3)", "flat(2,1)", "u=(5/4,0,3/4)", "u-past-2^62"],
+    )
+    def test_integer_membership_agrees_with_the_residual(self, model):
+        # ModelPoint tests membership on the integer image; the Fraction
+        # residual decides the same way and gives the error message.
+        candidates = [Tensor.from_nested([0] * model.dim)]
+        for seed in range(4):
+            x = sample_point(model, seed, bound=2**40 if seed % 2 else BOUND).x
+            shifted = Tensor.from_nested([v + (i == 1) for i, v in enumerate(x.array.tolist())])
+            candidates += [x, -x, x * Fraction(3, 2), shifted]
+        for x in candidates:
+            residual = model.membership_residual(x)
+            if residual == 0:
+                assert ModelPoint(model, x).x == x
+            else:
+                with pytest.raises(InvalidArgument) as info:
+                    ModelPoint(model, x)
+                assert str(info.value) == (
+                    f"point is not on the {model.kind.value} model: membership residual {residual}"
+                )
 
     def test_tangency_residual(self):
         model = sphere(3)
@@ -517,3 +542,59 @@ class TestIntegerSamplerAgainstFractionFormulas:
             next(models_module._sample_blocks(sphere(3), [1], 16, 0))
         with pytest.raises(InvalidArgument, match="bound must be at least 1, got 0"):
             sample_point(flat(3), 1, bound=0)
+
+
+class TestClosedFormFrame:
+    """``models._frame`` builds the Gram matrix and its inverse from closed
+    formulas, ``(d² Λ − a d u uᵀ) / c²`` and ``w_r² Λ + η_r w′w′ᵀ`` over
+    ``w_r²``.  They must equal ``frame · η · frameᵀ`` and the
+    content-reduced inverse of ``_linalg.inverse_image``, with
+    ``G · G⁻¹ = I`` exactly: on the sphere, both Lorentzian spheres and
+    signature (N − 2, 2), where det G < 0 and the dropped index can lie in
+    the minus block, and at bound 2^40, where the images pass 2^62."""
+
+    @staticmethod
+    def compare(model: ModelSpace, normal: Tensor) -> tuple[int, bool, int]:
+        """Checks one frame; returns the dropped index, whether det G < 0
+        and the bit length of the widest Gram or inverse image entry."""
+        (frame, scale), (gram, gram_scale), (inverse, inverse_scale) = models_module._frame(
+            model.signature, normal
+        )
+        signs = np.array([1] * model.signature.p + [-1] * model.signature.q, dtype=object)
+        frame = np.array(frame, dtype=object)
+        assert gram == (frame * signs @ frame.T).tolist()
+        assert gram_scale == scale * scale
+        adjugate, det = inverse_image(gram)
+        content = math.gcd(*(v for row in adjugate for v in row))
+        assert inverse == [[v // content for v in row] for row in adjugate]
+        assert inverse_scale == content / (det * gram_scale) > 0
+        n = model.dim - 1
+        product = np.array(gram, dtype=object) @ np.array(inverse, dtype=object)
+        assert (product * (gram_scale * inverse_scale)).tolist() == np.eye(n, dtype=int).tolist()
+        magnitudes = [abs(v) for v in normal._ints.tolist()]
+        widest = max(abs(v) for row in gram + inverse for v in row)
+        return magnitudes.index(max(magnitudes)), determinant(gram) < 0, widest.bit_length()
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_closed_form_matches_the_elimination_on_spheres(self, dim):
+        minus_block = negative = wide = 0
+        for q in (0, 1, 2):
+            if dim - q < 1:
+                continue
+            model = sphere(dim - q, q)
+            # The elimination is slow on wide images: fewer points there.
+            for bound, count in ((9, 24), (2**40, 4)):
+                for seed in range(count):
+                    x = sample_point(model, seed, bound=bound).x
+                    dropped, below_zero, bits = self.compare(model, x)
+                    minus_block += dropped >= model.signature.p
+                    negative += below_zero
+                    wide += bits > 62 and bound > 9
+        assert negative > 0 and wide > 0
+        # At N = 2 the first coordinate of a Lorentzian point dominates.
+        assert minus_block > 0 or dim == 2
+
+    @pytest.mark.parametrize("model", [custom_flat(), wide_flat()], ids=["u=(5/4,0,3/4)", "u-past-2^62"])
+    def test_closed_form_on_the_flat_model(self, model):
+        dropped, below_zero, _ = self.compare(model, model.height_vector)
+        assert (dropped, below_zero) == (0, True)
