@@ -51,6 +51,7 @@ __all__ = [
     "guarded_tensordot",
     "expand_axis",
     "normalize_array",
+    "integer_array",
 ]
 
 # Stay well under 2^63 so sums of a few terms cannot wrap.
@@ -62,13 +63,6 @@ def _max_abs(arr: np.ndarray) -> int:
     if arr.size == 0:
         return 0
     return max(int(arr.max()), -int(arr.min()))
-
-
-def _widened(arr: np.ndarray, terms: int) -> np.ndarray:
-    """``arr``, as Python ints if a sum of ``terms`` of its entries may reach 2^62."""
-    if arr.dtype != object and terms * _max_abs(arr) >= _INT64_SAFE:
-        return arr.astype(object)
-    return arr
 
 
 def linear_combination(
@@ -130,6 +124,16 @@ def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fract
     value ``scale * arr`` is unchanged.
     """
     return _normalized(arr, scale)[:2]
+
+
+def integer_array(values: Sequence[int], peak: "int | None" = None) -> np.ndarray:
+    """The ints ``values`` as a 1-D array: ``int64`` when every magnitude
+    (at most ``peak``, when given) is below 2^62, Python ints otherwise."""
+    if peak is None:
+        peak = max(map(abs, values), default=0)
+    if peak < _INT64_SAFE:
+        return np.fromiter(values, np.int64, len(values))
+    return np.array(values, dtype=object)
 
 
 def _normalized(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction, int]:
@@ -248,7 +252,8 @@ def polarise(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
 
     The result starts with a monomial axis of degree ``len(axes)`` and
     keeps the other axes in order; each coefficient sums the entries over
-    the index tuples of its monomial.
+    the index tuples of its monomial, at most ``pairs`` of them, in
+    ``arr``'s dtype: callers keep ``pairs · max|arr|`` below 2^62.
     """
     axes = list(axes)
     rest = [axis for axis in range(arr.ndim) if axis not in axes]
@@ -257,7 +262,7 @@ def polarise(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     if len(axes) < 2:
         return flat
     table = _merge(arr.shape[0], (1,) * len(axes))
-    return np.add.reduceat(_widened(flat, table.pairs)[table.perm], table.starts, axis=0)
+    return np.add.reduceat(flat[table.perm], table.starts, axis=0)
 
 
 def _pairs(dim: int, *degrees: int) -> int:
@@ -322,7 +327,7 @@ def _alternated(
     order), holding the sum over the rearrangements ``J`` of ``I`` of
     ``sign(J)`` times the product read at ``J``; the other free axes of
     ``a``, then of ``b``, follow.  Each factor is gathered at the
-    rearrangements.  A factor that holds the whole group is alternated
+    rearrangements.  When ``a`` holds the whole group it is alternated
     alone first; otherwise the signs go into ``a`` and the rearrangements
     join the contracted axis.  Either way it is one batched ``matmul``
     per tuple and pair of monomials.  Each entry sums at most
@@ -348,8 +353,6 @@ def _alternated(
     b = b.transpose([0, *in_b, *axes_b, *free_b]).reshape(len(b), dim ** len(in_b), volume, rest_b)
     if not in_b:  # a holds the group: alternate a alone
         a = (a[:, at_a] * signs.reshape(-1, 1, 1)).sum(axis=2)
-    elif not in_a:
-        b = (b[:, at_b] * signs.reshape(-1, 1, 1)).sum(axis=2)
     else:  # the rearrangements join the contracted axis
         a = np.multiply(a[:, at_a].transpose(0, 1, 3, 2, 4), signs.reshape(-1, 1), order="C")
         a = a.reshape(len(a), tuples, rest_a, arrangements * volume)
@@ -388,7 +391,8 @@ def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) 
     else:
         table = _merge(dim, (1,) * size)
         index, weight = table.rank, table.weight
-    values = _widened(values, int(weight.max()) if weight.size else 1)
+    if values.dtype != object and weight.size and int(weight.max()) * _max_abs(values) >= _INT64_SAFE:
+        values = values.astype(object)
     return np.moveaxis(values[..., index] * weight.astype(values.dtype), -1, axis)
 
 

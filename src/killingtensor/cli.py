@@ -61,8 +61,19 @@ _MAX_SPACE_DIM = 10**5
 # and 51 MiB max RSS at N = 5, and 30 s and 58 MiB at N = 8 (2-vCPU VM).
 _MAX_ORACLE_POINTS = 10_000
 
+# Largest --bound of oracle, generate and identities: the cost of every
+# exact step grows with the drawn rationals' bit lengths.  identities
+# --N 5 --samples 1 took 4.5 s at the cap (0.1 s at 9, 137 s at 2^32), and
+# oracle --N 5 --points 10000 7.0 s (4.1 s at 9), on a 2-vCPU VM.
+_MAX_BOUND = 1000
+
 
 # -- shared argument plumbing -----------------------------------------
+
+
+def _check_cap(flag: str, value: "int | None", cap: int) -> None:
+    if value is not None and value > cap:
+        raise InvalidArgument(f"{flag} {value} is over the cap of {cap}")
 
 
 def _add_model_flags(parser: argparse.ArgumentParser, *, required: bool) -> None:
@@ -163,8 +174,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise InvalidArgument("--points must be at least 1")
-    if args.points > _MAX_ORACLE_POINTS:
-        raise InvalidArgument(f"--points {args.points} is over the cap of {_MAX_ORACLE_POINTS}")
+    _check_cap("--points", args.points, _MAX_ORACLE_POINTS)
+    _check_cap("--bound", args.bound, _MAX_BOUND)
     model = _resolve_model(args)
     tensor, _metadata = _load_form_tensor(args.tensor, model)
     report = integrable_oracle(
@@ -202,10 +213,8 @@ def _parse_rows(text: str, dim: int, what: str) -> list[list[Fraction]]:
     return [[kio.parse_rational(v) for v in row] for row in raw]
 
 
-def _format_rows(rows: "list[list[Fraction]] | Tensor") -> list:
-    if isinstance(rows, Tensor):
-        rows = [[rows[(i, j)] for j in range(rows.dim)] for i in range(rows.dim)]
-    return [[kio.format_rational(v) for v in row] for row in rows]
+def _format_rows(matrix: Tensor) -> list:
+    return [[kio._format_scaled(v, matrix._scale) for v in row] for row in matrix._ints.tolist()]
 
 
 def _nonzero_fraction(rng: random.Random, bound: int) -> Fraction:
@@ -216,6 +225,7 @@ def _nonzero_fraction(rng: random.Random, bound: int) -> Fraction:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _check_cap("--bound", args.bound, _MAX_BOUND)
     model = _resolve_model(args)
     rng = random.Random(args.seed)
     metadata: dict = {
@@ -274,8 +284,7 @@ def _parse_frame(text: str) -> YoungFrame:
 
 
 def cmd_repinfo(args: argparse.Namespace) -> int:
-    if args.N is not None and args.N > _MAX_SPACE_DIM:
-        raise InvalidArgument(f"--N {args.N} is over the cap of {_MAX_SPACE_DIM}")
+    _check_cap("--N", args.N, _MAX_SPACE_DIM)
     frame = _parse_frame(args.frame)
     print(f"frame {_frame_label(frame)}: {frame.size} boxes")
     print("hook lengths:")
@@ -311,6 +320,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
         raise InvalidArgument("--N must be at least 2")
     if args.samples < 1:
         raise InvalidArgument("--samples must be at least 1")
+    _check_cap("--bound", args.bound, _MAX_BOUND)
     rng = random.Random(args.seed)
     sphere = kio.parse_model_descriptor({"kind": "sphere", "N": args.N})
     flat = kio.parse_model_descriptor({"kind": "flat", "N": args.N})

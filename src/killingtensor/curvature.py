@@ -26,18 +26,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from ._fastops import linear_combination
+from ._fastops import integer_array
 from ._linalg import determinant
-from ._util import coerce_rng, random_fraction
+from ._util import coerce_rng, draw
 from .errors import InvalidArgument
 from .models import ModelKind, ModelSpace
 from .symgroup import young_symmetriser
 from .tensor import (
     MetricSignature,
+    _rearrangement_sum,
     Scalar,
     Tensor,
     as_scalar,
@@ -241,16 +241,10 @@ def kulkarni_nomizu(h: SymmetricForm | Tensor, k: SymmetricForm | Tensor) -> Cur
     if ht.dim != kt.dim:
         raise InvalidArgument("Kulkarni–Nomizu factors must share a dimension")
     product = tensor_product(ht, kt)  # product[a, b, c, d] = h[a, b] k[c, d]
-    outer, scale = product._ints, product._scale
-    # result[i1,i2,i3,i4] = outer[i1,i3,i2,i4] − outer[i1,i4,i2,i3]
-    #                     − outer[i2,i3,i1,i4] + outer[i2,i4,i1,i3]
-    terms = [
-        (scale, outer.transpose(0, 2, 1, 3)),
-        (-scale, outer.transpose(0, 2, 3, 1)),
-        (-scale, outer.transpose(2, 0, 1, 3)),
-        (scale, outer.transpose(2, 0, 3, 1)),
-    ]
-    return CurvatureTensor(Tensor._from_ints(*linear_combination(terms), ht.dim))
+    # result[i1,i2,i3,i4] = product[i1,i3,i2,i4] − product[i1,i4,i2,i3]
+    #                     − product[i2,i3,i1,i4] + product[i2,i4,i1,i3]
+    terms = [(1, (0, 2, 1, 3)), (-1, (0, 2, 3, 1)), (-1, (2, 0, 1, 3)), (1, (2, 0, 3, 1))]
+    return CurvatureTensor(_rearrangement_sum(product, terms))
 
 
 def r_to_s(R: CurvatureTensor) -> SymCurvatureTensor:
@@ -258,19 +252,15 @@ def r_to_s(R: CurvatureTensor) -> SymCurvatureTensor:
 
     ``S[a1, a2, b1, b2] = R[a1, b1, a2, b2] + R[a1, b2, a2, b1]``.
     """
-    t = R.tensor
-    terms = [(t._scale, t._ints.transpose(0, 2, 1, 3)), (t._scale, t._ints.transpose(0, 2, 3, 1))]
-    return SymCurvatureTensor(Tensor._from_ints(*linear_combination(terms), R.dim))
+    return SymCurvatureTensor(_rearrangement_sum(R.tensor, [(1, (0, 2, 1, 3)), (1, (0, 2, 3, 1))]))
 
 
 def s_to_r(S: SymCurvatureTensor) -> CurvatureTensor:
     """Inverse of :func:`r_to_s`:
     ``R[a1, b1, a2, b2] = (S[a1, a2, b1, b2] − S[a1, b2, b1, a2]) / 3``.
     """
-    t = S.tensor
-    third = t._scale / 3
-    terms = [(third, t._ints.transpose(0, 2, 1, 3)), (-third, t._ints.transpose(0, 2, 3, 1))]
-    return CurvatureTensor(Tensor._from_ints(*linear_combination(terms), S.dim))
+    third = Fraction(1, 3)
+    return CurvatureTensor(_rearrangement_sum(S.tensor, [(third, (0, 2, 1, 3)), (-third, (0, 2, 3, 1))]))
 
 
 def _as_class(K: object, cls: type) -> "CurvatureTensor | SymCurvatureTensor":
@@ -389,6 +379,16 @@ def family_rep(
 # -- random generators ------------------------------------------------
 
 
+def _drawn(generator: random.Random, dim: int, count: int, bound: int) -> tuple[np.ndarray, Fraction]:
+    """``count`` rationals drawn by :func:`~killingtensor._util.draw` as one
+    flat integer image, for a generator of dimension ``dim``.  Nothing is
+    drawn, and ``bound`` is not read, when ``count`` is 0."""
+    if dim < 1:
+        raise InvalidArgument(f"dimension must be positive, got {dim}")
+    ints, common = draw(generator, count, bound) if count else ([], 1)
+    return integer_array(ints), Fraction(1, common)
+
+
 def random_symmetric_form(
     dim: int,
     rng: random.Random | int | None = None,
@@ -396,14 +396,10 @@ def random_symmetric_form(
     bound: int = 9,
 ) -> SymmetricForm:
     """Random exactly symmetric order-2 tensor with small rational entries."""
-    generator = coerce_rng(rng)
-    arr = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(i, dim):
-            value = random_fraction(generator, bound)
-            arr[i, j] = value
-            arr[j, i] = value
-    return SymmetricForm(Tensor(arr, dim=dim))
+    values, scale = _drawn(coerce_rng(rng), dim, dim * (dim + 1) // 2, bound)
+    upper, ints = np.triu_indices(dim), np.zeros((dim, dim), dtype=values.dtype)
+    ints[upper] = ints.T[upper] = values
+    return SymmetricForm(Tensor._from_ints(ints, scale, dim))
 
 
 def random_antisymmetric_matrix(
@@ -413,15 +409,10 @@ def random_antisymmetric_matrix(
     bound: int = 9,
 ) -> AntisymmetricForm:
     """Random exactly antisymmetric order-2 tensor."""
-    generator = coerce_rng(rng)
-    arr = np.empty((dim, dim), dtype=object)
-    arr.fill(Fraction(0))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            value = random_fraction(generator, bound)
-            arr[i, j] = value
-            arr[j, i] = -value
-    return AntisymmetricForm(Tensor(arr, dim=dim))
+    values, scale = _drawn(coerce_rng(rng), dim, dim * (dim - 1) // 2, bound)
+    upper, ints = np.triu_indices(dim, 1), np.zeros((dim, dim), dtype=values.dtype)
+    ints[upper], ints.T[upper] = values, -values
+    return AntisymmetricForm(Tensor._from_ints(ints, scale, dim))
 
 
 def random_invertible_matrix(
@@ -434,9 +425,10 @@ def random_invertible_matrix(
     """Random order-2 tensor with non-zero determinant (exact check)."""
     generator = coerce_rng(rng)
     for _ in range(max_attempts):
-        rows = [[random_fraction(generator, bound) for _ in range(dim)] for _ in range(dim)]
-        if determinant(rows) != 0:
-            return Tensor.from_nested(rows)
+        values, scale = _drawn(generator, dim, dim * dim, bound)
+        ints = values.reshape(dim, dim)
+        if determinant(ints.tolist()) != 0:
+            return Tensor._from_ints(ints, scale, dim)
     raise InvalidArgument(f"failed to draw an invertible matrix in {max_attempts} attempts")
 
 
@@ -448,9 +440,5 @@ def random_curvature(
 ) -> CurvatureTensor:
     """Random member of the curvature class: a random order-4 tensor
     pushed through :func:`project_to_curvature`."""
-    generator = coerce_rng(rng)
-    arr = np.empty((dim,) * 4, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        arr[idx] = random_fraction(generator, bound)
-    return project_to_curvature(Tensor(arr, dim=dim))
-
+    values, scale = _drawn(coerce_rng(rng), dim, dim**4, bound)
+    return project_to_curvature(Tensor._from_ints(values.reshape((dim,) * 4), scale, dim))

@@ -54,7 +54,7 @@ from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import IdentityViolation, InvalidArgument, UnsupportedForm
 from .models import ModelSpace
 from .symgroup import GroupAlgebraElement, young_symmetriser
-from .tensor import Tensor, antisymmetrise_slots, symmetrise_slots
+from .tensor import Tensor, _rearrangement_sum, antisymmetrise_slots, symmetrise_slots
 
 __all__ = [
     "ConditionForm1",
@@ -461,6 +461,11 @@ _IDENTITY_CHECKS = (
 )
 
 
+# Symmetrising the cyclic-sum identity in the last two slots:
+# Sym_{23}(S_{i a2 b1 b2} + 2 S_{i b1 b2 a2}) = 0, as np.transpose axes.
+_BIANCHI = ((1, (0, 1, 2, 3)), (1, (0, 1, 3, 2)), (2, (0, 3, 1, 2)), (2, (0, 3, 2, 1)))
+
+
 @functools.cache
 def _projector_sum() -> GroupAlgebraElement:
     """The two-projector resolution of (antisymmetriser x symmetriser).
@@ -508,20 +513,10 @@ def verify_identity_suite(
         if not ok:
             raise IdentityViolation(f"identity check failed: {name}")
 
-    s_scaled = _image(S.tensor)
-    s_arr = s_scaled[0]
-
-    # Symmetrising the cyclic-sum identity in the last two slots:
-    # Sym_{23}(S_{i a2 b1 b2} + 2 S_{i b1 b2 a2}) = 0.
-    bianchi = (
-        s_arr
-        + s_arr.transpose(0, 1, 3, 2)
-        + 2 * (s_arr.transpose(0, 3, 1, 2) + s_arr.transpose(0, 3, 2, 1))
-    )
-    require("symmetrised_bianchi", not np.count_nonzero(bianchi))
+    require("symmetrised_bianchi", _rearrangement_sum(S.tensor, _BIANCHI).is_zero())
 
     # The hook checks share their polarised factors and common sub-products.
-    g_scaled = _image(g)
+    s_scaled, g_scaled = _image(S.tensor), _image(g)
     memo: dict = {}
     for name, term, ops in _HOOK_CHECKS:
         require(name, _residual(_polar((term,), ops), g_scaled, s_scaled, memo).is_zero())

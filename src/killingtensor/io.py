@@ -33,12 +33,13 @@ from typing import Any, Mapping, NoReturn, Union
 
 import numpy as np
 
+from ._fastops import integer_array
 from .curvature import CurvatureTensor, SymCurvatureTensor
 from .errors import InvalidArgument
 from .integrability import IntegrabilityReport
 from .models import ModelKind, ModelSpace
 from .oracle import OracleReport
-from .tensor import _RATIONAL, MetricSignature, Tensor, as_scalar
+from .tensor import MetricSignature, Tensor, _rational_pair, as_scalar
 
 __all__ = [
     "parse_rational",
@@ -189,11 +190,8 @@ def document_to_tensor(doc: Mapping[str, Any]) -> tuple[Tensor, "str | None", di
     # listing each position is picked out explicitly.
     cells, last = np.unique(positions[::-1], return_index=True)
     listed = list(map(images.__getitem__, raws))
-    if top < 1 << 62:
-        dtype, values = np.int64, np.fromiter(listed, np.int64, len(listed))
-    else:
-        dtype, values = object, np.array(listed, dtype=object)
-    ints = np.zeros(dim**order, dtype=dtype)
+    values = integer_array(listed, top)
+    ints = np.zeros(dim**order, dtype=values.dtype)
     ints[cells] = values[len(listed) - 1 - last]
     return Tensor._from_ints(ints.reshape((dim,) * order), Fraction(1, lcm), dim), form, metadata
 
@@ -240,31 +238,6 @@ def _read_records(
             return None
         pairs[raw] = pair
     return positions, raws, pairs
-
-
-def _rational_pair(raw: "str | int | Fraction") -> "tuple[int, int] | None":
-    """The reduced (numerator, denominator) of a value :func:`as_scalar`
-    accepts, or None where it raises: a string outside ``_RATIONAL``, a
-    zero denominator, or a numeral over the interpreter's digit limit."""
-    kind = type(raw)
-    if kind is int:
-        return raw, 1
-    if kind is Fraction:
-        return raw.numerator, raw.denominator
-    if not _RATIONAL.fullmatch(raw):
-        return None
-    numerator, _, denominator = raw.strip().partition("/")
-    try:
-        p = int(numerator)
-        if not denominator:
-            return p, 1
-        q = int(denominator)
-    except ValueError:
-        return None
-    if q == 0:
-        return None
-    g = math.gcd(p, q)
-    return p // g, q // g
 
 
 def _raise_first_bad_record(entries: list, dim: int, order: int) -> NoReturn:

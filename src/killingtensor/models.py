@@ -36,9 +36,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._fastops import integer_multiples
+from ._fastops import integer_array, integer_multiples
 from ._linalg import inverse_image
-from ._util import coerce_rng, random_vector
+from ._util import coerce_rng, draw as _draw
 from .errors import InvalidArgument, SamplingFailure
 from .tensor import MetricSignature, Scalar, Tensor, contract_vector
 
@@ -241,17 +241,6 @@ class ModelPoint:
 # -- exact rational parametrisations ----------------------------------
 
 
-def _draw(rng: random.Random, count: int, bound: int) -> tuple[list[int], int]:
-    """``count`` rationals, drawn by the ``randint`` calls of
-    :func:`~killingtensor._util.random_fraction` in its order, as integer
-    numerators ``T`` over one common denominator ``D``."""
-    if bound < 1:
-        raise InvalidArgument(f"bound must be at least 1, got {bound}")
-    pairs = [(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(count)]
-    common = math.lcm(*(b for _, b in pairs))
-    return [a * (common // b) for a, b in pairs], common
-
-
 def _numerators(vector: Tensor) -> tuple[list[int], int]:
     """A rational vector as integer numerators over one denominator."""
     scale = vector._scale
@@ -333,7 +322,7 @@ def sample_point(
     """Draw an exact random rational point on the model.
 
     Parameters are drawn with numerators and denominators up to
-    ``bound``, as :func:`~killingtensor._util.random_vector` draws them,
+    ``bound`` by :func:`~killingtensor._util.draw`,
     and mapped by the integer formulas of
     :func:`sphere_point_from_parameter` and :func:`flat_point_from_parameter`.
     On the sphere, parameters with ``g(t,t) = −1`` (possible in indefinite
@@ -549,7 +538,8 @@ def random_tangent_vector(
     generator = coerce_rng(rng)
     model = point.model
     omega = model.normal_at(point.x)
-    raw = Tensor.from_nested(random_vector(generator, model.dim, bound))
+    ints, common = _draw(generator, model.dim, bound)
+    raw = Tensor._from_ints(integer_array(ints), Fraction(1, common), model.dim)
     return raw - omega * model.pair(raw, omega)
 
 

@@ -28,9 +28,9 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._fastops import integer_multiples, linear_combination
+from ._fastops import integer_multiples
 from .errors import InvalidArgument
-from .tensor import Tensor, _slot_axes, as_scalar
+from .tensor import Tensor, _rearrangement_sum, _slot_axes, as_scalar
 
 __all__ = [
     "Permutation",
@@ -346,8 +346,8 @@ class GroupAlgebraElement:
             images = list(range(1, tensor.order + 1))
             for label in range(1, self._degree + 1):
                 images[mapping[label] - 1] = mapping[perm(label)]
-            terms.append((coeff * tensor._scale, tensor._ints.transpose(_slot_axes(images))))
-        return Tensor._from_ints(*linear_combination(terms), tensor.dim)
+            terms.append((coeff, _slot_axes(images)))
+        return _rearrangement_sum(tensor, terms)
 
 
 def _integer_terms(

@@ -15,11 +15,13 @@ Design notes
   ``scale * array``.  The array is content-reduced (the gcd of its
   entries is 1, or it is all zero and the scale is 1), so the pair is
   unique for each tensor.  It is ``int64`` when every entry is below
-  2^62 in magnitude and a Python-int object array otherwise.  Every
-  operation here, and the package's integer pipelines, work on the pair
-  directly.  Fractions become integer images here and in
-  ``io._integer_images`` and ``_linalg._integer_rows``, and turn back
-  here and in ``oracle._fractions``.
+  2^62 in magnitude and Python ints otherwise, as ``_fastops`` alone
+  decides.  Every operation here, and the package's integer pipelines,
+  work on the pair directly.  Random rationals are drawn only by
+  ``_util.draw``; strings are parsed only by :func:`_rational_pair`, and
+  slot rearrangements summed only by :func:`_rearrangement_sum`, here.
+  Fraction arrays become images in :func:`_rescale` and turn back in
+  :func:`_fraction_view`.
 * Tensor slots are numbered **1-based** in the public API, matching the
   index conventions of the accompanying documentation (slot 1 is the first
   index).  Internally they map to 0-based ``numpy`` axes.
@@ -39,7 +41,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._fastops import guarded_tensordot, linear_combination, normalize_array
+from ._fastops import guarded_tensordot, integer_array, linear_combination, normalize_array
 from .errors import InvalidArgument
 
 __all__ = [
@@ -67,6 +69,30 @@ _ONE = Fraction(1)
 _RATIONAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
 
 
+def _rational_pair(raw: "str | int | Fraction") -> "tuple[int, int] | None":
+    """The reduced (numerator, denominator) of a value :func:`as_scalar`
+    accepts, or None where it raises: a string outside ``_RATIONAL``, a
+    zero denominator, or a numeral over the interpreter's digit limit."""
+    kind = type(raw)
+    if kind is int:
+        return raw, 1
+    if kind is Fraction:
+        return raw.numerator, raw.denominator
+    # Fraction() alone also takes decimals, exponents and underscores,
+    # and "1e999999999" would make it build a billion-digit integer.
+    if not _RATIONAL.fullmatch(raw):
+        return None
+    numerator, _, denominator = raw.strip().partition("/")
+    try:
+        p, q = int(numerator), int(denominator or 1)
+    except ValueError:
+        return None
+    if not q:
+        return None
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce ``value`` to an exact :class:`~fractions.Fraction`.
 
@@ -80,15 +106,11 @@ def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        # Fraction() alone also takes decimals, exponents and underscores,
-        # and "1e999999999" would make it build a billion-digit integer.
-        if _RATIONAL.fullmatch(value):
-            try:
-                return Fraction(value.strip())
-            except (ValueError, ZeroDivisionError):
-                pass
-        shown = value if len(value) <= 40 else value[:40] + "..."
-        raise InvalidArgument(f"cannot parse rational scalar {shown!r}")
+        pair = _rational_pair(value)
+        if pair is None:
+            shown = value if len(value) <= 40 else value[:40] + "..."
+            raise InvalidArgument(f"cannot parse rational scalar {shown!r}")
+        return Fraction(*pair)
     raise InvalidArgument(
         f"expected an exact rational scalar (Fraction, int, or 'p/q' string), got {type(value).__name__}"
     )
@@ -119,8 +141,7 @@ def _rescale(array: np.ndarray) -> tuple[np.ndarray, Fraction]:
         ints = [int(value.numerator) * (lcm // value.denominator) for value in flat]
     except (AttributeError, TypeError) as exc:
         raise InvalidArgument("Tensor entries must be exact rationals (Fraction or int)") from exc
-    dtype = np.int64 if max(map(abs, ints), default=0) < 1 << 62 else object
-    return np.array(ints, dtype=dtype).reshape(array.shape), Fraction(1, lcm)
+    return integer_array(ints).reshape(array.shape), Fraction(1, lcm)
 
 
 def _fraction_view(ints: np.ndarray, scale: Fraction) -> np.ndarray:
@@ -476,11 +497,15 @@ def _slot_group(tensor: Tensor, slots: Iterable[int]) -> tuple[int, ...]:
     return group
 
 
-def _rearranged(tensor: Tensor, group: tuple[int, ...], arrangement: tuple[int, ...]) -> np.ndarray:
-    axes = list(range(tensor.order))
-    for target, source in zip(group, arrangement):
-        axes[target - 1] = source - 1
-    return tensor._ints.transpose(axes)
+def _rearrangement_sum(tensor: Tensor, terms: Iterable[tuple["int | Fraction", Sequence[int]]]) -> Tensor:
+    """The exact sum of ``c * transpose(axes)`` over the ``(c, axes)`` of
+    ``terms``: rearrangements of ``tensor``'s slots, each given as
+    ``np.transpose`` axes, added up on the integer image by
+    :func:`~killingtensor._fastops.linear_combination` (int64 while its
+    guard passes, Python ints past it).  At least one term is needed."""
+    ints, scale = tensor._ints, tensor._scale
+    combined = linear_combination((c * scale, ints.transpose(axes)) for c, axes in terms)
+    return Tensor._from_ints(*combined, tensor.dim)
 
 
 def _signed_sum(tensor: Tensor, slots: Iterable[int], signed: bool) -> Tensor:
@@ -493,10 +518,11 @@ def _signed_sum(tensor: Tensor, slots: Iterable[int], signed: bool) -> Tensor:
     # Signs are relative to the listed order, so the identity counts +1.
     for positions in itertools.permutations(range(len(group))):
         odd = sum(a > b for a, b in itertools.combinations(positions, 2)) % 2
-        arrangement = tuple(group[i] for i in positions)
-        sign = -1 if signed and odd else 1
-        terms.append((sign * tensor._scale, _rearranged(tensor, group, arrangement)))
-    return Tensor._from_ints(*linear_combination(terms), tensor.dim)
+        axes = list(range(tensor.order))
+        for target, source in zip(group, positions):
+            axes[target - 1] = group[source] - 1
+        terms.append((-1 if signed and odd else 1, axes))
+    return _rearrangement_sum(tensor, terms)
 
 
 def symmetrise_slots(tensor: Tensor, slots: Iterable[int]) -> Tensor:

@@ -493,6 +493,30 @@ class TestTopLevelBehaviour:
         assert out == ""
         assert err.startswith("error: ") and "bound must be at least 1" in err
 
+    def test_bound_over_the_cap_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "metric.json"
+        run(capsys, "generate", "metric", "--model", "sphere", "--N", "3", "--out", str(path))
+        commands = [
+            ("oracle", str(path), "--model", "sphere", "--N", "3", "--points", "1"),
+            ("generate", "random", "--N", "3"),
+            ("identities", "--N", "3", "--samples", "1"),
+        ]
+        cap = cli._MAX_BOUND
+        for command in commands:
+            code, out, _ = run(capsys, *command, "--bound", str(cap))
+            assert code in (0, 1) and out
+
+        def refuse(*args, **kwargs):
+            raise LookupError("no work is done past an over-cap bound")
+
+        for name in ("_resolve_model", "random_curvature", "r_to_s"):
+            monkeypatch.setattr(cli, name, refuse)
+        for command in commands:
+            for bound in (cap + 1, 10**1200):
+                code, out, err = run(capsys, *command, "--bound", str(bound))
+                assert (code, out) == (2, "")
+                assert err == f"error: --bound {bound} is over the cap of {cap}\n"
+
 
 class TestNoConversionsOnTheCheckPath:
     """``check`` reads a file straight into the integer image and never

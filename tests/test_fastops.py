@@ -122,6 +122,10 @@ def canonical_components(arr: np.ndarray, sym, anti) -> np.ndarray:
     anti_axes = sorted(anti[0]) if anti else []
     rest = [axis for axis in range(arr.ndim) if axis not in sym_axes]
     free = [axis for axis in rest if axis not in anti_axes]
+    # polarise adds up to len(sym_axes)! entries per coefficient in arr's
+    # dtype, unguarded (the engine checks that bound before it polarises).
+    if arr.size and math.factorial(len(sym_axes)) * int(np.abs(arr).max()) >= NEAR_SAFE:
+        arr = arr.astype(object)
     poly = polarise(arr, sym_axes).transpose([0] + [1 + rest.index(a) for a in anti_axes + free])
     return alternating_sums(poly, len(anti_axes)).reshape(-1)
 

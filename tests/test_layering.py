@@ -99,3 +99,22 @@ def test_the_checks_see_imports():
     assert {"contract_terms", "Residues", "nonzero", "integers"} <= imports_of("integrability")["_fastops"]
     assert "_fastops" in imports_of("tensor")
     assert {"contract_terms", "nonzero", "integers"} <= names_used("integrability")
+
+
+def int64_cutoffs(module: str) -> int:
+    """How often the code of ``module`` (not its docstrings or comments)
+    spells the int64 cutoff: ``1 << 62``, ``2**62`` or the number itself."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    spelled = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant):
+            spelled += (type(node.op), node.left.value, node.right.value) in ((ast.LShift, 1, 62), (ast.Pow, 2, 62))
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            spelled += node.value == 1 << 62
+    return spelled
+
+
+def test_only_fastops_spells_the_int64_cutoff():
+    # Whether an integer array is int64 or Python ints is decided there.
+    modules = [path.stem for path in PACKAGE.glob("*.py")]
+    assert {m for m in modules if int64_cutoffs(m)} == {"_fastops"}
