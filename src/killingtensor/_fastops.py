@@ -24,8 +24,11 @@ pairwise: a batched ``matmul`` over their index axes, one batch per pair
 of monomials, then a gather and a segmented sum over a cached table that
 maps each pair to its product monomial.  An antisymmetric group stays
 index axes and is alternated inside the last product of each term, only
-at the group's increasing tuples; :func:`expand_axis` rebuilds a dense
-slot group from canonical components.
+at the group's increasing tuples: each factor is alternated over its own
+share of the group, and the two are paired at the shuffles of each
+tuple (the shuffle formula of the exterior product), not at all its
+rearrangements.  :func:`expand_axis` rebuilds a dense slot group from
+canonical components.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import numpy as np
 
 __all__ = [
     "linear_combination",
+    "transposed_combination",
     "integer_multiples",
     "contract_terms",
     "linear_map",
@@ -81,18 +85,41 @@ def linear_combination(
     """
     terms = [(Fraction(c), arr) for c, arr in terms]
     multiples, scale = integer_multiples([c for c, _ in terms])
-    shape = terms[0][1].shape
+    arrays = [arr for _, arr in terms]
+    peaks = None if any(arr.dtype == object for arr in arrays) else [_max_abs(arr) for arr in arrays]
+    return _combination(multiples, arrays, peaks), scale
+
+
+def transposed_combination(
+    arr: np.ndarray, terms: Iterable[tuple[Fraction, Sequence[int]]]
+) -> tuple[np.ndarray, Fraction]:
+    """:func:`linear_combination` of ``(c, arr.transpose(axes))`` over the
+    ``(rational c, axes)`` of ``terms``, with the same result; ``max|arr|``
+    bounds every view, so it is taken once."""
+    terms = list(terms)
+    multiples, scale = integer_multiples([Fraction(c) for c, _ in terms])
+    peaks = None if arr.dtype == object else [_max_abs(arr)] * len(terms)
+    return _combination(multiples, [arr.transpose(axes) for _, axes in terms], peaks), scale
+
+
+def _combination(
+    multiples: Sequence[int], arrays: Sequence[np.ndarray], peaks: "Sequence[int] | None"
+) -> np.ndarray:
+    """``sum of k_i * arrays[i]``: int64 when ``peaks`` (``max|arrays[i]|``,
+    None when some array holds Python ints) give ``sum |k_i| * peak_i <
+    2^62``, and Python ints otherwise."""
+    shape = arrays[0].shape
     # numpy arithmetic on 0-d arrays gives scalars; sum 1-element arrays.
-    arrays = [np.atleast_1d(arr) for _, arr in terms]
-    wide = any(arr.dtype == object for arr in arrays)
+    arrays = [np.atleast_1d(arr) for arr in arrays]
+    wide = peaks is None
     if not wide:
-        bounds = [abs(k) * _max_abs(arr) for k, arr in zip(multiples, arrays)]
+        bounds = [abs(k) * peak for k, peak in zip(multiples, peaks)]
         wide = sum(bounds) >= _INT64_SAFE
         # A zero array adds nothing, and its multiple may not fit in int64.
         multiples = [k if bound else 0 for k, bound in zip(multiples, bounds)]
     if wide:
         arrays = [arr.astype(object, copy=False) for arr in arrays]
-    return _weighted_sum(multiples, arrays).reshape(shape), scale
+    return _weighted_sum(multiples, arrays).reshape(shape)
 
 
 def _weighted_sum(multiples: Sequence[int], arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -195,51 +222,71 @@ def _merge(dim: int, degrees: tuple[int, ...]) -> _Merge:
 
 
 @functools.lru_cache(maxsize=32)
-def _alternating(dim: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _alternating(dim: int, size: int) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Tables of one antisymmetric group of ``size`` slots.
 
-    Returns ``(rows, odd, index, sign)``: the flat positions of the
-    rearrangements of each strictly increasing tuple (in lexicographic
-    order), one row per tuple; which rearrangements are odd; and, for
-    every tuple in C order, the position of its sorted tuple (the tuple
-    count where an index repeats) and the sign of the sorting
-    rearrangement (0 where an index repeats).
+    Returns ``(digits, signs, index, sign)``: the rearrangements of each
+    strictly increasing tuple (in lexicographic order), as one index
+    array per slot with a row per tuple and a column per rearrangement;
+    the rearrangements' signs as a row, over their negatives as a second
+    row; and, for every tuple in C order, the position of its sorted
+    tuple (the tuple count where an index repeats) and the sign of the
+    sorting rearrangement (0 where an index repeats).
     """
     arrangements = list(itertools.permutations(range(size)))
     odd = np.array([sum(i > j for i, j in itertools.combinations(p, 2)) % 2 for p in arrangements], dtype=bool)
     combos = list(itertools.combinations(range(dim), size))
     combos = np.array(combos, dtype=np.intp).reshape(len(combos), size)
-    powers = dim ** np.arange(size - 1, -1, -1, dtype=np.intp)
-    rows = combos[:, arrangements] @ powers
+    tuples = combos[:, np.array(arrangements, dtype=np.intp).reshape(len(arrangements), size)]
+    rows = tuples @ dim ** np.arange(size - 1, -1, -1, dtype=np.intp)
+    digits = tuple(np.ascontiguousarray(tuples[..., s]) for s in range(size))
+    signs = np.where(odd, -1, 1) * np.array([[1], [-1]])
     index = np.full(dim**size, len(combos), dtype=np.intp)
     sign = np.zeros(dim**size, dtype=np.int64)
     index[rows] = np.arange(len(combos))[:, None]
-    sign[rows] = np.where(odd, -1, 1)
-    for cached in (rows, odd, index, sign):
+    sign[rows] = signs[0]
+    for cached in (*digits, signs, index, sign):
         cached.flags.writeable = False
-    return rows, odd, index, sign
+    return digits, signs, index, sign
 
 
 @functools.lru_cache(maxsize=64)
-def _rearranged(dim: int, size: int, slots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather tables of one antisymmetric group of ``size`` slots split
-    between two factors, the first holding ``slots`` (in order) and the
-    second the rest.
+def _shuffled(dim: int, size: int, slots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Tables pairing two share-alternated factors over one antisymmetric
+    group of ``size`` slots, the first factor holding ``slots`` (in order)
+    and the second the rest.
 
-    Returns ``(first, second, signs)``: for each strictly increasing tuple
-    (one row each, lexicographic) and each of its rearrangements (in the
-    order of :func:`_alternating`), the flat position (C order) of the
-    rearranged tuple's values in the first factor's slots and in the
-    second's; and the rearrangements' signs.
+    Returns ``(first, second)``.  Row ``I`` runs over the strictly
+    increasing ``size``-tuples (lexicographic), column ``S`` over the
+    shuffles: the ``C(size, len(slots))`` choices of positions of ``I``,
+    in lexicographic order.  The shuffle's sign is that of the
+    rearrangement putting ``I[S]`` into ``slots`` and the rest of ``I``
+    into the other slots, each part in order.  ``second[I, S]`` is the
+    position of the rest of ``I`` among the second share's increasing
+    tuples.  ``first[I, S]`` is twice the position of ``I[S]`` among the
+    first share's, plus 1 where the shuffle is odd: its place among the
+    first factor's share-alternated entries interleaved with their
+    negatives (:func:`_share`).
     """
-    rows, odd, _, _ = _alternating(dim, size)
-    digits = rows[..., None] // dim ** np.arange(size - 1, -1, -1) % dim
-    others = [s for s in range(size) if s not in slots]
-    first, second = (digits[..., list(part)] @ dim ** np.arange(len(part) - 1, -1, -1) for part in (slots, others))
-    signs = np.where(odd, -1, 1)
-    for cached in (first, second, signs):
+    others = tuple(s for s in range(size) if s not in slots)
+    chosen = list(itertools.combinations(range(size), len(slots)))
+    rest = [tuple(k for k in range(size) if k not in part) for part in chosen]
+    combos = np.array(list(itertools.combinations(range(dim), size)), dtype=np.intp).reshape(-1, size)
+
+    def ranks(parts: list[tuple[int, ...]]) -> np.ndarray:
+        # Every tuple's entries at each shuffle's positions, ranked.
+        width = len(parts[0])
+        positions = np.array(parts, dtype=np.intp).reshape(len(parts), width)
+        return _alternating(dim, width)[2][combos[:, positions] @ dim ** np.arange(width - 1, -1, -1)]
+
+    odd = []
+    for part, other in zip(chosen, rest):
+        image = dict(zip(slots + others, part + other))
+        odd.append(sum(image[i] > image[j] for i, j in itertools.combinations(range(size), 2)) % 2)
+    first, second = 2 * ranks(chosen) + np.array(odd, dtype=np.intp), ranks(rest)
+    for cached in (first, second):
         cached.flags.writeable = False
-    return first, second, signs
+    return first, second
 
 
 # ---------------------------------------------------------------------------
@@ -326,39 +373,97 @@ def _alternated(
     over the group's strictly increasing tuples ``I`` (lexicographic
     order), holding the sum over the rearrangements ``J`` of ``I`` of
     ``sign(J)`` times the product read at ``J``; the other free axes of
-    ``a``, then of ``b``, follow.  Each factor is gathered at the
-    rearrangements.  When ``a`` holds the whole group it is alternated
-    alone first; otherwise the signs go into ``a`` and the rearrangements
-    join the contracted axis.  Either way it is one batched ``matmul``
-    per tuple and pair of monomials.  Each entry sums at most
-    ``size! · pairs · volume`` products; unguarded.  With no group this
-    is :func:`_product`.
+    ``a``, then of ``b``, follow.
+
+    By the shuffle formula of the exterior product this is a sum over
+    shuffles.  Each factor is first alternated over its own share of the
+    group (:func:`_share`), at that share's increasing tuples.  Then, at
+    each ``I``, the factors are paired at the ``C(size, p)`` shuffles of
+    ``I`` (:func:`_shuffled`; ``p`` the size of ``a``'s share): ``a`` is
+    read at the shuffle's sign from its entries and their negatives, and
+    the shuffles join the contracted axis.  When one factor holds the
+    whole group there is one shuffle, with sign +1, and the other factor
+    is read once for every ``I``.  Either way it is one batched
+    ``matmul`` per tuple and pair of monomials.  How each factor is read
+    depends only on the ranks and the arguments, and is cached
+    (:func:`_readings`).  Each entry sums at most
+    ``C(size, p) · pairs · volume`` products of share-alternated entries,
+    each a signed sum of ``p! · (size - p)!`` products of an entry of
+    each factor; unguarded.  With no group this is :func:`_product`.
     """
     if not group_a:
         return _product(a, b, axes_a, axes_b, dim, degree_a, degree_b)
+    args = (tuple(axes_a), tuple(axes_b), dim, tuple(group_a), tuple(group_b))
+    read_a, read_b, shape = _readings(a.ndim, b.ndim, *args)
+    a, b = _share(a, read_a), _share(b, read_b)
+    if read_a.at is not None:  # the shuffles join the contracted axis
+        a = a[:, read_a.at].reshape(len(a), *read_a.shuffled)
+        b = b[:, read_b.at].reshape(len(b), *read_b.shuffled)
+    # a enters the product as a transposed view.
+    out = np.matmul(a.swapaxes(2, 3)[:, None], b[None])
+    return _merged(out.reshape((-1,) + shape), dim, degree_a, degree_b)
+
+
+class _Reading(NamedTuple):
+    """How :func:`_alternated` reads one factor."""
+
+    axes: tuple[int, ...]  # transpose into (monomial, share, contracted, free)
+    index: tuple  # the share's rearrangements (_alternating), after the monomial axis
+    signs: "np.ndarray | None"  # their signs; None when nothing is alternated
+    gathered: tuple[int, int, int]  # (share tuples, rearrangements, contracted · free)
+    alternated: tuple[int, int, int]  # (share entries, contracted, free) after _share
+    at: "np.ndarray | None"  # shuffle table (_shuffled); None for one shuffle
+    shuffled: tuple[int, int, int]  # (tuples, shuffles · contracted, free) read at it
+
+
+@functools.lru_cache(maxsize=128)
+def _readings(
+    ndim_a: int, ndim_b: int, axes_a: tuple, axes_b: tuple, dim: int, group_a: tuple, group_b: tuple
+) -> tuple[_Reading, _Reading, tuple[int, ...]]:
+    """The readings of both factors of :func:`_alternated` (every index
+    axis is ``dim`` long), and its result's shape after the monomial axis.
+    The first factor is signed when the shuffles carry signs."""
     slots = tuple(s for s, axis in enumerate(group_a) if axis)
-    at_a, at_b, signs = _rearranged(dim, len(group_a), slots)
-    tuples, arrangements = at_a.shape
-    in_a = [group_a[s] for s in slots]
-    in_b = [axis for axis in group_b if axis]
-    free_a = [axis for axis in range(1, a.ndim) if axis not in axes_a and axis not in in_a]
-    free_b = [axis for axis in range(1, b.ndim) if axis not in axes_b and axis not in in_b]
-    shape_a, shape_b = [a.shape[k] for k in free_a], [b.shape[k] for k in free_b]
-    rest_a, rest_b = math.prod(shape_a), math.prod(shape_b)
-    volume = math.prod(a.shape[k] for k in axes_a)
-    # (monomial, tuple, rearrangement, free, contracted) and
-    # (monomial, tuple, rearrangement, contracted, free), each factor
-    # read at the rearrangements of its share of the group.
-    a = a.transpose([0, *in_a, *free_a, *axes_a]).reshape(len(a), dim ** len(in_a), rest_a, volume)
-    b = b.transpose([0, *in_b, *axes_b, *free_b]).reshape(len(b), dim ** len(in_b), volume, rest_b)
-    if not in_b:  # a holds the group: alternate a alone
-        a = (a[:, at_a] * signs.reshape(-1, 1, 1)).sum(axis=2)
-    else:  # the rearrangements join the contracted axis
-        a = np.multiply(a[:, at_a].transpose(0, 1, 3, 2, 4), signs.reshape(-1, 1), order="C")
-        a = a.reshape(len(a), tuples, rest_a, arrangements * volume)
-        b = b[:, at_b].reshape(len(b), tuples, arrangements * volume, rest_b)
-    out = np.matmul(a[:, None], b[None])
-    return _merged(out.reshape([-1, tuples] + shape_a + shape_b), dim, degree_a, degree_b)
+    at_a, at_b = _shuffled(dim, len(group_a), slots)
+    tuples, shuffles = at_a.shape
+    volume, shape, readings = dim ** len(axes_a), (tuples,), []
+    for ndim, axes, share, at, signed in (
+        (ndim_a, axes_a, [group_a[s] for s in slots], at_a, shuffles > 1),
+        (ndim_b, axes_b, [axis for axis in group_b if axis], at_b, False),
+    ):
+        free = [axis for axis in range(1, ndim) if axis not in axes and axis not in share]
+        rest, increasing = dim ** len(free), math.comb(dim, len(share))
+        digits, signs, _, _ = _alternating(dim, len(share))
+        if signed:
+            entries = 2 * increasing
+        elif len(share) > 1:
+            signs, entries = signs[:1], increasing
+        else:
+            signs, entries = None, dim ** len(share)
+        gathered = (increasing, math.factorial(len(share)), volume * rest)
+        readings.append(_Reading(
+            (0, *share, *axes, *free), (slice(None), *digits), signs, gathered, (entries, volume, rest),
+            at if shuffles > 1 else None, (tuples, shuffles * volume, rest),
+        ))
+        shape += (dim,) * len(free)
+    return readings[0], readings[1], shape
+
+
+def _share(x: np.ndarray, reading: _Reading) -> np.ndarray:
+    """The factor ``x`` alternated over its share of an antisymmetric group.
+
+    Read as (monomial, share, contracted, free), the share's axes become
+    one axis over the share's strictly increasing tuples, each holding
+    the signed sum of ``x`` at the tuple's rearrangements (a share of at
+    most one slot is already alternated), and the contracted and free
+    axes are flattened to one each.  A signed reading follows each
+    alternated entry with its negative.  In ``x``'s dtype, unguarded.
+    """
+    x = x.transpose(reading.axes)
+    if reading.signs is None:
+        return x.reshape(len(x), *reading.alternated)
+    gathered = x[reading.index].reshape(len(x), *reading.gathered)
+    return np.matmul(reading.signs, gathered).reshape(len(x), *reading.alternated)
 
 
 def guarded_tensordot(
@@ -491,7 +596,9 @@ def _step(a: _Node, b: _Node, args: tuple) -> _Node:
     ``args = (axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)``.
     Int64 and content-reduced when both are int64 and
     ``size! · pairs · volume · max|a| · max|b| < 2^62``, with ``size``
-    the length of the alternated group (0 for none)."""
+    the length of the alternated group (0 for none).  The share-alternated
+    entries inside stay below that bound too, unless the other factor is
+    all zero: a share sum may then wrap, but it multiplies only zeros."""
     axes_a, _, dim, degree_a, degree_b, group_a, _ = args
     scale, source = a.scale * b.scale, (a, b, *args)
     bound = math.factorial(len(group_a)) * _pairs(dim, degree_a, degree_b) * dim ** len(axes_a) * a.bound * b.bound
@@ -568,23 +675,31 @@ class Residues:
     entries of its operand; an entry of a product sums at most
     ``pairs · volume`` products of an entry of each factor, and an entry
     of a last product alternated over ``size`` slots (:func:`_alternated`)
-    at most ``size! · pairs · volume`` such products, each with a sign; a
-    sum with integer multiples ``k_i`` is at most ``Σ |k_i| · B_i``; a
-    linear map whose output entries have coefficients of absolute sum at
-    most ``g`` (the ``alpha!`` weights of :func:`expand_axis`) at most
-    ``g · B``.  An int64 intermediate enters with its own maximum, after
-    content reduction: it is exactly ``scale · arr``, and a bound on the
-    integers built on it holds at the product of the scales they carry.
+    at most ``size! · pairs · volume`` such products, each with a sign
+    (its ``C(size, r)`` shuffles of share-alternated entries, for ``r``
+    slots of the group in the first factor, expand to ``r! · (size -
+    r)!`` products each); a sum with integer multiples ``k_i`` is at
+    most ``Σ |k_i| · B_i``; a linear map whose output entries have
+    coefficients of absolute sum at most ``g`` (the ``alpha!`` weights of
+    :func:`expand_axis`) at most ``g · B``.  An int64 intermediate enters
+    with its own maximum, after content reduction: it is exactly ``scale
+    · arr``, and a bound on the integers built on it holds at the product
+    of the scales they carry.
 
     Why no step overflows: a plan's ``load`` counts ``pairs · volume``
     for each product and ``size! · pairs · volume`` for an alternated
-    one.  Modulo ``p`` a factor enters with entries in [0, p); a signed
-    one in (-p, p), and one alternated alone first as sums of ``size!``
-    signed entries, below ``size! · p``.  Either way an entry of the
-    product adds up at most ``load`` products of magnitude below ``p²``
-    (the ``size!`` counted once, in the load or in the factor).  With
-    ``p < 2^e``, ``e = (62 - bit_length(load)) // 2``, and ``load <
-    2^bit_length(load)``, the sum stays below ``load · p² < 2^62``.
+    one.  Modulo ``p`` a factor enters with entries in [0, p), so an
+    unalternated product adds up at most ``load`` products below ``p²``.
+    In an alternated one each factor is first alternated over its share
+    of the group (:func:`_share`).  With ``r`` of the ``size`` slots in
+    the first factor, its entries become sums of ``r!`` signed residues,
+    below ``r! · p`` in magnitude, and the second's below ``(size - r)! ·
+    p``; a shuffle's sign keeps these bounds.  An entry of the product
+    then adds up ``C(size, r) · pairs · volume`` products below ``r! ·
+    (size - r)! · p²``, so every partial sum stays below ``size! · pairs
+    · volume · p² <= load · p²``.  With ``p < 2^e``, ``e = (62 -
+    bit_length(load)) // 2``, and ``load < 2^bit_length(load)``, every
+    sum stays below ``load · p² < 2^62``.
 
     Why the residues decide: the primes are distinct, so an entry ``x``
     with zero residues is divisible by their product ``M``, and

@@ -23,6 +23,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 from . import io as kio
@@ -265,11 +266,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
         result = random_curvature(model.dim, rng, bound=args.bound)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidArgument(f"unknown generator kind {args.kind!r}")
+    doc = kio.tensor_to_document(result, metadata=metadata)
+    # Refuse, with the reader's message, a document check would refuse.
+    kio.document_to_tensor(doc)
+    text = json.dumps(doc, indent=2)
     if args.out is not None:
-        kio.save_tensor(args.out, result, metadata=metadata)
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     else:
-        print(json.dumps(kio.tensor_to_document(result, metadata=metadata), indent=2))
+        print(text)
     return 0
 
 

@@ -141,6 +141,13 @@ class _FourTensorWrapper:
         self._validate(t._ints)
         self._tensor = t
 
+    @classmethod
+    def _trusted(cls, tensor: Tensor) -> "_FourTensorWrapper":
+        """Wrap an order-4 ``tensor`` known to lie in the class, unchecked."""
+        wrapper = cls.__new__(cls)
+        wrapper._tensor = tensor
+        return wrapper
+
     def _validate(self, arr: np.ndarray) -> None:
         sign, word = self._PAIR_SIGN, self._PAIR_WORD
         checks = (
@@ -251,16 +258,54 @@ def r_to_s(R: CurvatureTensor) -> SymCurvatureTensor:
     """Pass from the ``(a1, b1, a2, b2)`` encoding to ``(a1, a2, b1, b2)``.
 
     ``S[a1, a2, b1, b2] = R[a1, b1, a2, b2] + R[a1, b2, a2, b1]``.
+
+    The result is built without validation: ``S`` lies in the symmetric
+    class whenever ``R`` lies in its class.  Writing the symmetries of
+    ``R`` as (A) antisymmetry in each pair and (X) pair exchange:
+
+    * ``S[a2, a1, b1, b2] = R[a2, b1, a1, b2] + R[a2, b2, a1, b1]``, which
+      is ``R[a1, b2, a2, b1] + R[a1, b1, a2, b2] = S`` by (X);
+    * ``S[a1, a2, b2, b1]`` lists the two terms of ``S`` swapped;
+    * ``S[b1, b2, a1, a2] = R[b1, a1, b2, a2] + R[b1, a2, b2, a1]``, which
+      is ``R[a1, b1, a2, b2] + R[a1, b2, a2, b1] = S`` by (A) twice and
+      then (X) on the second term;
+    * the cyclic sum ``S[a, b, c, d] + S[a, c, d, b] + S[a, d, b, c]`` is
+      ``R[a, c, b, d] + R[a, d, b, c] + R[a, d, c, b] + R[a, b, c, d] +
+      R[a, b, d, c] + R[a, c, d, b]``: three pairs that cancel by (A) in
+      the second pair.
+
+    Each step is an identity of integer images (the map is linear and the
+    scale positive), so it holds for Python-int images as well.
     """
-    return SymCurvatureTensor(_rearrangement_sum(R.tensor, [(1, (0, 2, 1, 3)), (1, (0, 2, 3, 1))]))
+    terms = [(1, (0, 2, 1, 3)), (1, (0, 2, 3, 1))]
+    return SymCurvatureTensor._trusted(_rearrangement_sum(R.tensor, terms))
 
 
 def s_to_r(S: SymCurvatureTensor) -> CurvatureTensor:
     """Inverse of :func:`r_to_s`:
     ``R[a1, b1, a2, b2] = (S[a1, a2, b1, b2] − S[a1, b2, b1, a2]) / 3``.
+
+    The result is built without validation: ``R`` lies in the curvature
+    class whenever ``S`` lies in its class.  Writing the symmetries of
+    ``S`` as (P) symmetry in each pair and (X) pair exchange, and leaving
+    out the factor 1/3:
+
+    * ``R[b1, a1, a2, b2] = S[b1, a2, a1, b2] − S[b1, b2, a1, a2]``, which
+      is ``S[a1, b2, b1, a2] − S[a1, a2, b1, b2] = −R`` by (X);
+    * ``R[a1, b1, b2, a2] = S[a1, b2, b1, a2] − S[a1, a2, b1, b2] = −R``;
+    * ``R[a2, b2, a1, b1] = S[a2, a1, b2, b1] − S[a2, b1, b2, a1]``, which
+      is ``S[a1, a2, b1, b2] − S[a1, b2, b1, a2] = R`` by (P), with (X)
+      on the second term;
+    * the cyclic sum ``R[a, b, c, d] + R[a, c, d, b] + R[a, d, b, c]`` is
+      ``S[a, c, b, d] − S[a, d, b, c] + S[a, d, c, b] − S[a, b, c, d] +
+      S[a, b, d, c] − S[a, c, d, b]``: three pairs that cancel by (P) in
+      the second pair.
+
+    As for :func:`r_to_s`, the steps hold on any integer image.
     """
     third = Fraction(1, 3)
-    return CurvatureTensor(_rearrangement_sum(S.tensor, [(third, (0, 2, 1, 3)), (-third, (0, 2, 3, 1))]))
+    terms = [(third, (0, 2, 1, 3)), (-third, (0, 2, 3, 1))]
+    return CurvatureTensor._trusted(_rearrangement_sum(S.tensor, terms))
 
 
 def _as_class(K: object, cls: type) -> "CurvatureTensor | SymCurvatureTensor":

@@ -36,7 +36,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -242,20 +242,36 @@ def _canonical_shape(groups: _Groups, order: int, dim: int) -> list[int]:
 class _Residual:
     """Canonical components of ``scale *`` an (anti)symmetrised residual,
     first factor slowest (see :func:`_canonical_shape`): an int64 array,
-    or :class:`Residues` once the residual outgrew int64."""
+    or :class:`Residues` once the residual outgrew int64.
 
-    values: "np.ndarray | Residues"
+    ``contracted`` are the components as contracted; a row whose final
+    group absorbs the free slots (:func:`_polar`) rebuilds them by
+    ``rebuild``, a ``(gain, fn)`` pair for :func:`linear_map`, into
+    :attr:`values` when first read.  Every contracted value enters the
+    rebuilt ones at least once, with the weight ``alpha!`` or the sign +1
+    (:func:`expand_axis`), and the rest are such values times such
+    weights, so the contracted values are all zero exactly when the
+    rebuilt ones are: :meth:`is_zero` reads them before the rebuild.
+    """
+
+    contracted: "np.ndarray | Residues"
     scale: Fraction
     dim: int
     order: int
     groups: _Groups
+    rebuild: "tuple[int, Callable[[np.ndarray], np.ndarray]] | None" = None
+
+    @functools.cached_property
+    def values(self) -> "np.ndarray | Residues":
+        """The canonical components."""
+        return self.contracted if self.rebuild is None else linear_map(self.contracted, *self.rebuild)
 
     def support(self) -> int:
         """Number of nonzero canonical components."""
         return int(np.count_nonzero(nonzero(self.values)))
 
     def is_zero(self) -> bool:
-        return not nonzero(self.values, np.any).any()
+        return not nonzero(self.contracted, np.any).any()
 
     def tensor(self) -> Tensor:
         """The dense residual: ``sign(J) * alpha! * value`` at each index
@@ -362,12 +378,13 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
         terms.append((coefficient, term, [gbar if len(f) == 2 else curvature for f in factors]))
     size = polar.alternate
     values, scale = contract_terms(terms, memo, size)
+    rebuild = None
     if polar.rebuild == "sym":
         free = polar.order - size
-        values = linear_map(values, math.factorial(free), lambda v: expand_axis(v, 0, dim, free, anti=False).T)
+        rebuild = math.factorial(free), lambda v: expand_axis(v, 0, dim, free, anti=False).T
     elif polar.rebuild == "anti":
-        values = linear_map(values, 1, lambda v: expand_axis(v, 1, dim, size, anti=True))
-    return _Residual(values, scale, dim, polar.order, polar.groups)
+        rebuild = 1, lambda v: expand_axis(v, 1, dim, size, anti=True)
+    return _Residual(values, scale, dim, polar.order, polar.groups, rebuild)
 
 
 def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]:

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._fastops import guarded_tensordot, integer_array, linear_combination, normalize_array
+from ._fastops import guarded_tensordot, integer_array, linear_combination, normalize_array, transposed_combination
 from .errors import InvalidArgument
 
 __all__ = [
@@ -501,10 +501,10 @@ def _rearrangement_sum(tensor: Tensor, terms: Iterable[tuple["int | Fraction", S
     """The exact sum of ``c * transpose(axes)`` over the ``(c, axes)`` of
     ``terms``: rearrangements of ``tensor``'s slots, each given as
     ``np.transpose`` axes, added up on the integer image by
-    :func:`~killingtensor._fastops.linear_combination` (int64 while its
+    :func:`~killingtensor._fastops.transposed_combination` (int64 while its
     guard passes, Python ints past it).  At least one term is needed."""
-    ints, scale = tensor._ints, tensor._scale
-    combined = linear_combination((c * scale, ints.transpose(axes)) for c, axes in terms)
+    scale = tensor._scale
+    combined = transposed_combination(tensor._ints, [(c * scale, axes) for c, axes in terms])
     return Tensor._from_ints(*combined, tensor.dim)
 
 

@@ -236,6 +236,19 @@ class TestGenerateCommand:
         assert code == 2
         assert "3x3" in err
 
+    @pytest.mark.parametrize("kind", ["random", "benenti"])
+    def test_a_document_the_reader_refuses_is_not_written(self, capsys, tmp_path, kind):
+        # At bound 1000 the drawn denominators' lcm passes the reader's
+        # 256-bit cap: generate exits 2 with the reader's message and
+        # writes nothing, where it used to write a file check refused.
+        out = tmp_path / "K.json"
+        argv = ["generate", kind, "--N", "5", "--seed", "1", "--bound", "1000", "--model", "sphere"]
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and not out.exists() and not stdout
+        assert err == "error: tensor values need a common denominator of more than 256 bits; at most 256 are accepted\n"
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 2 and not stdout
+
 
 class TestRepresentationCommands:
     def test_repinfo_output(self, capsys):

@@ -229,6 +229,36 @@ class TestClassConversion:
         S = r_to_s(random_curvature(dim, rng, bound=BOUND))
         assert r_to_s(s_to_r(S)) == S
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(2, 5),
+        bits=st.sampled_from([3, 31, 40]),
+        scale=st.sampled_from([Fraction(1), Fraction(2, 7)]),
+        seed=st.integers(0, 10**6),
+    )
+    def test_converted_tensors_pass_the_target_validation(self, dim, bits, scale, seed):
+        # r_to_s and s_to_r build their output without validating it; the
+        # target class's own check must accept it, also on Python-int
+        # images past 2^62 (sums of Kulkarni-Nomizu products of forms with
+        # entries below 2^bits reach about 2^(2 bits + 3)).
+        rng = random.Random(seed)
+
+        def form() -> Tensor:
+            entries = [[0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j in range(i, dim):
+                    entries[i][j] = entries[j][i] = rng.randint(-(1 << bits), 1 << bits)
+            return Tensor.from_nested(entries)
+
+        R = (kulkarni_nomizu(form(), form()) + kulkarni_nomizu(form(), form())) * scale
+        S = r_to_s(R)
+        SymCurvatureTensor._validate(S, S.tensor._ints)
+        back = s_to_r(S)
+        CurvatureTensor._validate(back, back.tensor._ints)
+        assert back == R
+        if bits > 3 and dim > 2:  # at dim 2 the class is one line, content-reduced to small entries
+            assert S.tensor._ints.dtype == object
+
     def test_metric_converts_to_doubled_products(self):
         # For R = (1/2) g @ g the symmetric-class image is
         # S[a1,a2,b1,b2] = 2 g[a1,a2] g[b1,b2] - g[a1,b2] g[a2,b1]

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -449,6 +450,30 @@ class TestLinearCombination:
         arr, scale = linear_combination([(1, zero), (Fraction(1, 1 << 70), np.array([1, 0]))])
         assert arr.dtype == np.int64 and arr.tolist() == [1, 0] and scale == Fraction(1, 1 << 70)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        count=st.integers(1, 5),
+        peak=st.sampled_from([1, (1 << 20) - 1, NEAR_SAFE - 1, NEAR_SAFE, 1 << 70]),
+        zero=st.booleans(),
+    )
+    def test_transposes_match_the_general_combination(self, data, count, peak, zero):
+        # One max|arr| bounds every view, so the result, dtype included,
+        # is that of linear_combination on the views.
+        dim = data.draw(st.integers(1, 3))
+        arr = np.array(
+            [0 if zero else data.draw(st.integers(-peak, peak)) for _ in range(dim**3)],
+            dtype=object if peak >= NEAR_SAFE else np.int64,
+        ).reshape((dim,) * 3)
+        terms = [
+            (data.draw(st.fractions(-50, 50, max_denominator=7)), data.draw(st.permutations(range(3))))
+            for _ in range(count)
+        ]
+        expected = linear_combination([(c, arr.transpose(axes)) for c, axes in terms])
+        result = _fastops.transposed_combination(arr, terms)
+        assert result[1] == expected[1] and result[0].dtype == expected[0].dtype
+        assert result[0].tolist() == expected[0].tolist()
+
     def test_all_zero_coefficients(self):
         arr, scale = linear_combination([(0, np.ones((2, 2), dtype=np.int64))])
         assert scale == 1 and not arr.any()
@@ -679,6 +704,62 @@ class TestAlternatedProduct:
             result, expected = result % p, expected % p
         assert result.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_shuffle_tables_sum_every_arrangement(self, dim):
+        # For every group size and every split of the group between the
+        # factors (an empty share on either side included), the shuffles
+        # of share-alternated factors expand to the signed sum over all
+        # size! arrangements: each pair (first factor's tuple, second's)
+        # gets the same coefficient from both.
+        def sign(values) -> int:
+            return (-1) ** sum(i > j for i, j in itertools.combinations(values, 2))
+
+        for size in range(1, min(dim, 5) + 1):
+            combos = list(itertools.combinations(range(dim), size))
+            for r in range(size + 1):
+                for slots in itertools.combinations(range(size), r):
+                    others = [s for s in range(size) if s not in slots]
+                    first, second = _fastops._shuffled(dim, size, slots)
+                    assert first.shape == second.shape == (len(combos), math.comb(size, r))
+                    signs = 1 - 2 * (first % 2)
+                    shares = [list(itertools.combinations(range(dim), n)) for n in (r, size - r)]
+                    for row, tuple_ in enumerate(combos):
+                        brute: dict = {}
+                        for order in itertools.permutations(tuple_):
+                            key = (tuple(order[s] for s in slots), tuple(order[s] for s in others))
+                            brute[key] = brute.get(key, 0) + sign([tuple_.index(v) for v in order])
+                        shuffled: dict = {}
+                        for column, shuffle_sign in enumerate(signs[row].tolist()):
+                            part_a, part_b = shares[0][first[row, column] // 2], shares[1][second[row, column]]
+                            for order_a in itertools.permutations(part_a):
+                                for order_b in itertools.permutations(part_b):
+                                    key = (order_a, order_b)
+                                    term = shuffle_sign * sign(order_a) * sign(order_b)
+                                    shuffled[key] = shuffled.get(key, 0) + term
+                        assert {k: v for k, v in shuffled.items() if v} == brute, (dim, size, slots, tuple_)
+
+    @pytest.mark.parametrize("term, size", [("abcx,xd->abcd", 4), ("abcx,x->abc", 3), ("x,xabc->abc", 3)])
+    def test_a_zero_factor_zeroes_a_wrapped_share(self, term, size):
+        # The step guard multiplies by the zero factor's maximum, 0, so it
+        # passes while the other factor's entries sit just below 2^62.
+        # Alternating that factor over its share of the group adds up 3!
+        # such entries with one sign, which wraps in int64; times the zero
+        # factor the product is still exactly zero.
+        dim = 4
+        inputs = term.split("->")[0].split(",")
+        operands = []
+        for letters in inputs:
+            share = [k for k, c in enumerate(letters) if c in "abc"]
+            arr = np.zeros((dim,) * len(letters), dtype=np.int64)
+            if len(share) == 3:
+                for index in np.ndindex(arr.shape):
+                    odd = sum(index[i] > index[j] for i, j in itertools.combinations(share, 2)) % 2
+                    arr[index] = -(NEAR_SAFE - 1) if odd else NEAR_SAFE - 1
+            operands.append((arr, Fraction(1)))
+        values, _, bound = _fastops._term(term, operands, {}, size)
+        assert bound == 0
+        assert values.dtype == np.int64 and not values.any()
+
     def test_memo_bounds_are_the_maxima(self):
         # Each int64 node's bound is the maximum of its array, taken once.
         rng = np.random.default_rng(21)
@@ -694,3 +775,19 @@ class TestAlternatedProduct:
             assert any(len(node.source) > 2 and node.source[-2] for node in memo.values())  # alternated
             for node in nodes:
                 assert node.bound == (int(np.max(np.abs(node.arr))) if node.arr.size else 0)
+
+
+class TestMemory:
+    def test_check_at_n10_peaks_below_its_pin(self):
+        # check() in the default forms at N = 10 traced a 46.5 MiB peak
+        # with share-alternated last products; gathering both factors at
+        # all 4! rearrangements of each tuple traced 176 MiB.
+        K = random_curvature(10, random.Random(10), bound=3)
+        model = sphere(10)
+        tracemalloc.start()
+        try:
+            check(K, model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20

@@ -248,6 +248,63 @@ class TestAgainstPythonInts:
             assert engine.tensor() == reference.tensor(), name
 
 
+
+# Rows whose final group absorbs the free slots: their residuals are
+# rebuilt from the contracted values.
+REBUILT_ROWS = [
+    (terms, ops)
+    for _, terms, ops in [*integrability._COND1_FORMS.values(), *integrability._COND2_FORMS.values()]
+    + [(None, (term,), ops) for _, term, ops in integrability._HOOK_CHECKS]
+    if integrability._polar(terms, ops).rebuild
+]
+
+
+class TestZeroBeforeTheRebuild:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        row=st.sampled_from(REBUILT_ROWS),
+        dim=st.sampled_from([4, 5]),
+        nonzeros=st.integers(0, 3),
+        modular=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_random_components(self, row, dim, nonzeros, modular, seed):
+        # is_zero() reads the values before the rebuild, support() after
+        # it: on a few random nonzero values, or none, both agree.
+        polar = integrability._polar(*row)
+        S = r_to_s(random_curvature(dim, random.Random(seed), bound=3))
+        rebuilt = integrability._residual(polar, image(sphere(dim).gbar()), image(S.tensor), {})
+        rng = np.random.default_rng(seed)
+        values = np.zeros(rebuilt.contracted.shape, dtype=np.int64)
+        values.flat[rng.integers(0, values.size, size=nonzeros)] = rng.integers(1, 1 << 40, size=nonzeros)
+        contracted = Residues.of(values) if modular else values
+        residual = integrability._Residual(contracted, Fraction(1), dim, polar.order, polar.groups, rebuilt.rebuild)
+        assert residual.is_zero() == (residual.support() == 0) == (not values.any())
+
+    @pytest.mark.parametrize("bits", [3, 40])
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_engine_residuals(self, bits, valid):
+        # Hook residuals of a valid S are zero and those of an unstructured
+        # operand are not; on int64 (3-bit entries) and on residues
+        # (entries near 2^40, and products far past 2^62).
+        dim = 4
+        rng = np.random.default_rng(bits)
+        if valid:
+            k = image(r_to_s(wide_kn(dim, random.Random(bits), bits)).tensor)
+        else:
+            k = (rng.integers(-(1 << bits), (1 << bits) + 1, size=(dim,) * 4), Fraction(1))
+        g = image(sphere(dim).gbar())
+        memo: dict = {}
+        for terms, ops in REBUILT_ROWS:
+            residual = integrability._residual(integrability._polar(terms, ops), g, k, memo)
+            assert isinstance(residual.contracted, Residues) == (bits > 3)
+            assert residual.is_zero() == (residual.support() == 0)
+            if valid and (terms, ops) in [((term,), ops) for _, term, ops in integrability._HOOK_CHECKS]:
+                assert residual.is_zero()
+            if not valid:
+                assert not residual.is_zero()
+
+
 class TestModularRoute:
     def test_wide_inputs_take_the_modular_route(self):
         # Benenti inputs at bound 9 pass the int64 guards at N = 5 only on
