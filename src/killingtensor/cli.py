@@ -269,9 +269,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     doc = kio.tensor_to_document(result, metadata=metadata)
     # Refuse, with the reader's message, a document check would refuse.
     kio.document_to_tensor(doc)
-    text = json.dumps(doc, indent=2)
+    text = kio.format_document(doc)
     if args.out is not None:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InvalidArgument(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         print(text)

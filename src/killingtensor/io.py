@@ -11,7 +11,9 @@ value is parsed once, straight to a reduced numerator and denominator.
 Untrusted documents are bounded: at most 32 slots and 2^24 entries, and
 at most 256 bits both for the lcm of the value denominators and for the
 largest value rescaled to it.  Larger documents are rejected with
-InvalidArgument (exit status 2 in the CLI).
+InvalidArgument (exit status 2 in the CLI).  Documents are written
+(:func:`format_document`) exactly as ``json.dumps(doc, indent=2)`` would
+write them, so files are byte-stable.
 
 Model descriptor: ``{"N": int, "signature": [p, q], "kind": "sphere" |
 "flat", "u": [rationals] (optional)}``, with N = p + q at most 64 and
@@ -48,6 +50,7 @@ __all__ = [
     "tensor_to_document",
     "document_to_tensor",
     "wrap_tensor",
+    "format_document",
     "save_tensor",
     "read_tensor_document",
     "load_tensor",
@@ -316,6 +319,46 @@ def wrap_tensor(tensor: Tensor, form: "str | None") -> FormTensor:
     raise InvalidArgument(f"unknown tensor form {form!r}; expected 'R' or 'S'")
 
 
+def format_document(doc: Mapping[str, Any]) -> str:
+    """The text of a :func:`tensor_to_document` document, byte for byte
+    ``json.dumps(doc, indent=2)``.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder, which
+    took about 2 ms for an N = 5 curvature tensor on a 2-vCPU VM.  Here
+    the entries are laid out from one template per record; every other
+    member goes through ``json.dumps`` one level down.  That level is two
+    more spaces after each newline, and ``json`` output has no newline
+    but those, as it escapes control characters inside strings.
+    """
+    members = []
+    for key, value in doc.items():
+        if key == "entries":
+            text = _format_entries(value, doc["order"])
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        members.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}"
+
+
+def _format_entries(entries: list, order: int) -> str:
+    """The indented ``{"idx": [...], "val": ...}`` records, each filled
+    into one ``%`` template: the index items one per line as ``%d``, then
+    the value's JSON, encoded once per distinct value."""
+    if not entries:
+        return "[]"
+    idx = "[\n" + ",\n".join(["        %d"] * order) + "\n      ]" if order else "[]"
+    template = '    {\n      "idx": ' + idx + ',\n      "val": %s\n    }'
+    encoded: dict = {}
+    records = []
+    for record in entries:
+        raw = record["val"]
+        text = encoded.get(raw)
+        if text is None:
+            text = encoded[raw] = json.dumps(raw)
+        records.append(template % (*record["idx"], text))
+    return "[\n" + ",\n".join(records) + "\n  ]"
+
+
 def save_tensor(
     path: "str | Path",
     tensor: FormTensor,
@@ -323,7 +366,7 @@ def save_tensor(
     metadata: "Mapping[str, Any] | None" = None,
 ) -> None:
     doc = tensor_to_document(tensor, metadata=metadata)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(format_document(doc) + "\n", encoding="utf-8")
 
 
 def _parse_json(text: str, what: str) -> Any:
@@ -331,12 +374,15 @@ def _parse_json(text: str, what: str) -> Any:
 
     Besides malformed JSON this covers an integer literal longer than
     the interpreter's limit on integer string conversion (4300 digits by
-    default), which ``json`` reports as a plain ValueError.
+    default), which ``json`` reports as a plain ValueError, and arrays or
+    objects nested past the interpreter's recursion limit.
     """
     try:
         return json.loads(text)
     except ValueError as exc:
         raise InvalidArgument(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidArgument(f"{what} nests too deeply to parse: {exc}") from exc
 
 
 def read_tensor_document(path: "str | Path") -> tuple[Tensor, "str | None", dict]:
@@ -348,7 +394,7 @@ def read_tensor_document(path: "str | Path") -> tuple[Tensor, "str | None", dict
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidArgument(f"cannot read tensor file {path}: {exc}") from exc
     return document_to_tensor(_parse_json(text, f"tensor file {path}"))
 
@@ -380,7 +426,7 @@ def parse_model_descriptor(source: object) -> ModelSpace:
         else:
             try:
                 raw = Path(text).read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise InvalidArgument(f"cannot read model descriptor {text!r}: {exc}") from exc
             doc = _parse_json(raw, f"model file {text!r}")
     else:

@@ -249,6 +249,15 @@ class TestGenerateCommand:
         code, stdout, _ = run(capsys, *argv)
         assert code == 2 and not stdout
 
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_an_unwritable_out_path_exits_2(self, capsys, tmp_path, target):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "K.json"
+        code, stdout, err = run(
+            capsys, "generate", "metric", "--model", "sphere", "--N", "3", "--out", str(out)
+        )
+        assert code == 2 and not stdout
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
 
 class TestRepresentationCommands:
     def test_repinfo_output(self, capsys):
@@ -353,6 +362,29 @@ class TestTopLevelBehaviour:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    def test_non_utf8_files_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff" + json.dumps({"kind": "sphere", "N": 3}).encode())
+        good = tmp_path / "metric.json"
+        io.save_tensor(good, metric_rep(sphere(3)))
+        for argv, message in (
+            ([str(bad), "--model", "sphere", "--N", "3"], f"error: cannot read tensor file {bad}: "),
+            ([str(good), "--model", str(bad)], f"error: cannot read model descriptor '{bad}': "),
+        ):
+            for command in ("check", "oracle"):
+                code, out, err = run(capsys, command, *argv)
+                assert code == 2 and not out
+                assert err.startswith(message) and "can't decode byte 0xff" in err
+                assert err.count("\n") == 1
+
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path), "--model", "sphere", "--N", "3")
+        assert code == 2 and not out
+        assert err.startswith(f"error: tensor file {path} nests too deeply to parse: ")
+        assert err.count("\n") == 1
 
     def test_undeclared_form_is_rejected(self, capsys, tmp_path):
         path = tmp_path / "plain.json"

@@ -19,6 +19,7 @@ from killingtensor import (
     Tensor,
     benenti_rep,
     check,
+    cli,
     family_rep,
     integrable_oracle,
     io,
@@ -513,6 +514,79 @@ class TestWriter:
         doc = io.tensor_to_document(scalar)
         assert doc == reference_tensor_to_document(scalar)
         assert io.document_to_tensor(doc)[0] == scalar
+
+
+def written_forms(n, seed):
+    """Every generator kind on each model of dimension ``n``, in R, S and
+    plain form; at n = 1 there is no Lorentzian sphere."""
+    rng = random.Random(seed)
+    models = [sphere(n), flat(n)] + ([sphere(n - 1, 1)] if n > 1 else [])
+    for model in models:
+        h = random_symmetric_form(n, rng, bound=BOUND)
+        lams = [Fraction(rng.randint(1, BOUND), rng.randint(1, BOUND)) for _ in range(3)]
+        for tensor in (
+            metric_rep(model),
+            benenti_rep(model, random_invertible_matrix(n, rng, bound=BOUND)),
+            family_rep(h, *lams, signature=model.signature),
+            random_curvature(n, rng, bound=BOUND),
+        ):
+            yield from (tensor, r_to_s(tensor), tensor.tensor)
+
+
+class TestDocumentText:
+    """``format_document`` writes exactly what ``json.dumps(doc, indent=2)``
+    would, so written files stay byte-stable."""
+
+    METADATA = {
+        "generator": "test",
+        "nested": [[1, [2, []]], {}, {"a": [{"b": None}]}],
+        "text": "Kähler \u2013 \"entries\": [] \\ \n \u2603",
+        "\"entries\": []": [True, 1.5, "\"entries\": []"],
+    }
+
+    def assert_written_as_json(self, tensor, tmp_path, metadata=None):
+        doc = io.tensor_to_document(tensor, metadata=metadata)
+        expected = json.dumps(doc, indent=2)
+        assert io.format_document(doc) == expected
+        path = tmp_path / "tensor.json"
+        io.save_tensor(path, tensor, metadata=metadata)
+        assert path.read_bytes() == (expected + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_generator_outputs(self, n, tmp_path):
+        for k, tensor in enumerate(written_forms(n, seed=10 + n)):
+            metadata = {"generator": "test", "seed": k} if k % 2 else None
+            self.assert_written_as_json(tensor, tmp_path, metadata)
+
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            Tensor(np.array(Fraction(0), dtype=object), dim=2),
+            Tensor(np.array(Fraction(-7, 3), dtype=object), dim=3),
+            Tensor.from_nested([[Fraction(0)] * 3] * 3),
+            Tensor.from_nested([[Fraction(3, 2)]]),
+            Tensor.from_nested([Fraction(-5)]),
+            Tensor.from_nested([[2**64 + 1, Fraction(-(2**70), 3)], [0, -(2**63)]]),
+        ],
+        ids=["scalar-zero", "scalar", "zero", "dim-1", "dim-1-order-1", "past-2^63"],
+    )
+    def test_edge_shapes_and_values(self, tensor, tmp_path):
+        self.assert_written_as_json(tensor, tmp_path)
+        self.assert_written_as_json(tensor, tmp_path, self.METADATA)
+
+    def test_metadata_is_not_read_as_entries(self, tmp_path):
+        tensor = metric_rep(sphere(3))
+        self.assert_written_as_json(tensor, tmp_path, self.METADATA)
+        self.assert_written_as_json(tensor.tensor * 0, tmp_path, self.METADATA)
+        loaded, metadata = io.load_tensor(tmp_path / "tensor.json")
+        assert metadata == self.METADATA and loaded == tensor.tensor * 0
+
+    @pytest.mark.parametrize("kind", ["metric", "benenti", "family", "random"])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_generate_prints_the_indented_json(self, capsys, kind, n):
+        assert cli.main(["generate", kind, "--model", "flat", "--N", str(n), "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @st.composite

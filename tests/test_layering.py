@@ -118,3 +118,38 @@ def test_only_fastops_spells_the_int64_cutoff():
     # Whether an integer array is int64 or Python ints is decided there.
     modules = [path.stem for path in PACKAGE.glob("*.py")]
     assert {m for m in modules if int64_cutoffs(m)} == {"_fastops"}
+
+
+# The serializers whose documents other modules may print as indented JSON.
+REPORTS = {"report_to_document", "oracle_report_to_document"}
+
+
+def indented_dumps(module: str) -> list[str]:
+    """What ``module`` passes to each ``json.dumps(..., indent=...)``
+    call: the name of the function whose result it dumps, or the source
+    of any other argument."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    dumped = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dumps"
+            and any(keyword.arg == "indent" for keyword in node.keywords)
+        ):
+            arg = node.args[0]
+            if isinstance(arg, ast.Call):
+                func = arg.func
+                dumped.append(func.attr if isinstance(func, ast.Attribute) else ast.unparse(func))
+            else:
+                dumped.append(ast.unparse(arg))
+    return dumped
+
+
+def test_only_io_writes_tensor_documents():
+    # io.format_document owns the file layout; elsewhere indented JSON is
+    # only a report.
+    modules = [path.stem for path in PACKAGE.glob("*.py") if path.stem != "io"]
+    found = {m: indented_dumps(m) for m in modules}
+    assert set().union(*found.values()) <= REPORTS
+    assert set(found["cli"]) == REPORTS
