@@ -28,7 +28,12 @@ at the group's increasing tuples: each factor is alternated over its own
 share of the group, and the two are paired at the shuffles of each
 tuple (the shuffle formula of the exterior product), not at all its
 rearrangements.  :func:`expand_axis` rebuilds a dense slot group from
-canonical components.
+canonical components by a gather, after :func:`weigh_monomials` has
+applied a symmetric group's ``alpha!`` weights.
+
+An all-zero integer image is one read-only broadcast of a single int64
+zero (:func:`zero_array`), whatever its shape, and the reductions over an
+image read each zero-stride axis once (:func:`stored_entries`).
 """
 
 from __future__ import annotations
@@ -54,7 +59,10 @@ __all__ = [
     "integers",
     "guarded_tensordot",
     "expand_axis",
+    "weigh_monomials",
     "normalize_array",
+    "zero_array",
+    "stored_entries",
     "integer_array",
 ]
 
@@ -62,10 +70,35 @@ __all__ = [
 _INT64_SAFE = 1 << 62
 
 
+# The one stored entry of every zero_array: immutable, so they are read-only.
+_ZERO = bytes(np.dtype(np.int64).itemsize)
+
+
+def zero_array(shape: Sequence[int]) -> np.ndarray:
+    """The all-zero int64 array of ``shape``: a read-only broadcast of one
+    stored zero (every stride 0), so it holds no memory at any size.
+    Built directly, as ``np.broadcast_to`` costs about five times more."""
+    shape = tuple(shape)
+    return np.ndarray(shape, np.int64, _ZERO, strides=(0,) * len(shape))
+
+
+def stored_entries(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with each zero-stride axis cut to its first entry.
+
+    Along a zero-stride axis every entry is the same stored one, so the
+    view holds each distinct entry of ``arr`` and is as large as what
+    ``arr`` stores: one entry for a :func:`zero_array`.  Its maximum,
+    minimum, gcd and zero test are those of ``arr``."""
+    if 0 not in arr.strides:
+        return arr
+    return arr[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in arr.strides)]
+
+
 def _max_abs(arr: np.ndarray) -> int:
     """Largest magnitude in an integer array of either dtype (0 if empty)."""
     if arr.size == 0:
         return 0
+    arr = stored_entries(arr)
     return max(int(arr.max()), -int(arr.min()))
 
 
@@ -147,8 +180,8 @@ def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fract
 
     Divides out the gcd of the entries (folding it into ``scale``), takes
     ``int64`` when every entry is below 2^62 in magnitude and Python ints
-    otherwise, and gives an all-zero array the scale 1.  The represented
-    value ``scale * arr`` is unchanged.
+    otherwise, and gives an all-zero array the scale 1 and the image
+    :func:`zero_array`.  The represented value ``scale * arr`` is unchanged.
     """
     return _normalized(arr, scale)[:2]
 
@@ -167,16 +200,17 @@ def _normalized(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction,
     """:func:`normalize_array`, and the largest magnitude in its array."""
     if arr.size == 0:
         return arr, scale, 0
+    entries = stored_entries(arr)
     if arr.dtype != object:
-        gcd = int(np.gcd.reduce(arr, axis=None))
+        gcd = int(np.gcd.reduce(entries, axis=None))
     else:
         gcd = 0
-        for value in arr.flat:
+        for value in entries.flat:
             gcd = math.gcd(gcd, value)
             if gcd == 1:
                 break
     if gcd == 0:
-        return np.zeros(arr.shape, dtype=np.int64), Fraction(1), 0
+        return zero_array(arr.shape), Fraction(1), 0
     if gcd > 1:
         arr = np.asarray(arr // gcd, dtype=arr.dtype)  # a 0-d quotient is a scalar
         scale = scale * gcd
@@ -196,7 +230,6 @@ class _Merge(NamedTuple):
     perm: np.ndarray  # those tuples grouped by product monomial
     starts: np.ndarray  # start of each product monomial's group in ``perm``
     pairs: int  # the largest group
-    weight: np.ndarray  # alpha! (product of exponent factorials) of each tuple
 
 
 @functools.lru_cache(maxsize=128)
@@ -207,17 +240,26 @@ def _merge(dim: int, degrees: tuple[int, ...]) -> _Merge:
     rank_of = {m: r for r, m in enumerate(monomials(sum(degrees)))}
     products = [tuple(sorted(sum(parts, ()))) for parts in itertools.product(*map(monomials, degrees))]
     rank = np.array([rank_of[p] for p in products], dtype=np.intp)
-    weight = [math.prod(math.factorial(p.count(v)) for v in set(p)) for p in products]
     counts = np.bincount(rank)
     table = _Merge(
         rank,
         np.argsort(rank, kind="stable"),
         np.concatenate(([0], np.cumsum(counts)[:-1])),
         int(counts.max()),
-        np.array(weight, dtype=np.int64),
     )
-    for cached in table[:3] + table[4:]:  # shared by every caller
+    for cached in table[:3]:  # shared by every caller
         cached.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=32)
+def _monomial_weights(dim: int, size: int) -> np.ndarray:
+    """``alpha!`` (the product of the exponent factorials) of each monomial
+    of degree ``size`` in ``dim`` variables, in lexicographic order."""
+    monomials = itertools.combinations_with_replacement(range(dim), size)
+    weights = [math.prod(math.factorial(m.count(v)) for v in set(m)) for m in monomials]
+    table = np.array(weights, dtype=np.int64)
+    table.flags.writeable = False  # shared by every caller
     return table
 
 
@@ -479,26 +521,34 @@ def guarded_tensordot(
 
 
 def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) -> np.ndarray:
-    """Rebuild one slot group from its canonical axis.
+    """Rebuild one slot group from its canonical axis, by a gather.
 
     Axis ``axis`` of ``values`` runs over the canonical tuples of a group
     of ``size`` slots: monomials for a symmetric group, strictly
     increasing tuples for an antisymmetric one.  It becomes an axis over
     all ``dim^size`` tuples ``J`` in C order, holding the value at the
-    canonical tuple of ``J`` times ``alpha!`` (symmetric) or the sign of
-    the sorting rearrangement, zero on a repeated index (antisymmetric).
+    canonical tuple of ``J``, times the sign of the sorting rearrangement
+    (zero on a repeated index) for an antisymmetric group.  The values
+    are only read and signed, so the magnitudes do not grow; a symmetric
+    group's ``alpha!`` weights are :func:`weigh_monomials`'.
     """
-    values = np.moveaxis(values, axis, -1)
-    if anti:
-        _, _, index, weight = _alternating(dim, size)
-        zero = np.zeros(values.shape[:-1] + (1,), dtype=values.dtype)
-        values = np.concatenate([values, zero], axis=-1)
-    else:
-        table = _merge(dim, (1,) * size)
-        index, weight = table.rank, table.weight
-    if values.dtype != object and weight.size and int(weight.max()) * _max_abs(values) >= _INT64_SAFE:
+    if not anti:
+        return np.take(values, _merge(dim, (1,) * size).rank, axis=axis)
+    _, _, index, sign = _alternating(dim, size)
+    # A repeated index points past the last tuple; its sign 0 clears it.
+    out = np.take(values, index, axis=axis, mode="clip")
+    out *= sign.reshape((-1,) + (1,) * (out.ndim - axis - 1))
+    return out
+
+
+def weigh_monomials(values: np.ndarray, axis: int, dim: int, size: int) -> np.ndarray:
+    """``values`` times ``alpha!`` along axis ``axis``, which runs over the
+    degree-``size`` monomials in ``dim`` variables: int64 while
+    ``max alpha! · max|values| < 2^62``, Python ints otherwise."""
+    weights = _monomial_weights(dim, size)
+    if values.dtype != object and int(weights.max()) * _max_abs(values) >= _INT64_SAFE:
         values = values.astype(object)
-    return np.moveaxis(values[..., index] * weight.astype(values.dtype), -1, axis)
+    return values * weights.astype(values.dtype).reshape((-1,) + (1,) * (values.ndim - axis - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +731,7 @@ class Residues:
     r)!`` products each); a sum with integer multiples ``k_i`` is at
     most ``Σ |k_i| · B_i``; a linear map whose output entries have
     coefficients of absolute sum at most ``g`` (the ``alpha!`` weights of
-    :func:`expand_axis`) at most ``g · B``.  An int64 intermediate enters
+    :func:`weigh_monomials`) at most ``g · B``.  An int64 intermediate enters
     with its own maximum, after content reduction: it is exactly ``scale
     · arr``, and a bound on the integers built on it holds at the product
     of the scales they carry.

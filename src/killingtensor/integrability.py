@@ -47,6 +47,8 @@ from ._fastops import (
     integers,
     linear_map,
     nonzero,
+    normalize_array,
+    weigh_monomials,
 )
 from ._linalg import determinant
 from ._util import coerce_rng
@@ -248,10 +250,11 @@ class _Residual:
     group absorbs the free slots (:func:`_polar`) rebuilds them by
     ``rebuild``, a ``(gain, fn)`` pair for :func:`linear_map`, into
     :attr:`values` when first read.  Every contracted value enters the
-    rebuilt ones at least once, with the weight ``alpha!`` or the sign +1
-    (:func:`expand_axis`), and the rest are such values times such
-    weights, so the contracted values are all zero exactly when the
-    rebuilt ones are: :meth:`is_zero` reads them before the rebuild.
+    rebuilt ones at least once, with the weight ``alpha!``
+    (:func:`weigh_monomials`) or the sign +1 (:func:`expand_axis`), and
+    the rest are such values times such weights, so the contracted values
+    are all zero exactly when the rebuilt ones are: :meth:`is_zero` reads
+    them before the rebuild.
     """
 
     contracted: "np.ndarray | Residues"
@@ -275,18 +278,27 @@ class _Residual:
 
     def tensor(self) -> Tensor:
         """The dense residual: ``sign(J) * alpha! * value`` at each index
-        tuple ``J`` of every canonical tuple."""
+        tuple ``J`` of every canonical tuple.
+
+        The weighted components are content-reduced before they are
+        expanded, and the expansion only gathers and signs them, which
+        keeps the image canonical (:meth:`Tensor._canonical`).  A zero
+        residual is :meth:`Tensor.zeros`, which holds no array.
+        """
         values = integers(self.values)
         if not np.count_nonzero(values):
             return Tensor.zeros(self.dim, self.order)
         sym, anti = self.groups
-        slots = [axis for group in sym + anti for axis in group]
-        slots += [axis for axis in range(self.order) if axis not in slots]
         arr = values.reshape(_canonical_shape(self.groups, self.order, self.dim))
+        for k, group in enumerate(sym):
+            arr = weigh_monomials(arr, k, self.dim, len(group))
+        arr, scale = normalize_array(arr, self.scale)
         for k, group in enumerate(sym + anti):
             arr = expand_axis(arr, k, self.dim, len(group), anti=k >= len(sym))
+        slots = [axis for group in sym + anti for axis in group]
+        slots += [axis for axis in range(self.order) if axis not in slots]
         arr = arr.reshape((self.dim,) * self.order).transpose(np.argsort(slots))
-        return Tensor._from_ints(arr, self.scale, self.dim)
+        return Tensor._canonical(arr, scale, self.dim)
 
 
 class _Polar(NamedTuple):
@@ -381,7 +393,8 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
     rebuild = None
     if polar.rebuild == "sym":
         free = polar.order - size
-        rebuild = math.factorial(free), lambda v: expand_axis(v, 0, dim, free, anti=False).T
+        weighted = lambda v: weigh_monomials(v, 0, dim, free)  # noqa: E731
+        rebuild = math.factorial(free), lambda v: expand_axis(weighted(v), 0, dim, free, anti=False).T
     elif polar.rebuild == "anti":
         rebuild = 1, lambda v: expand_axis(v, 1, dim, size, anti=True)
     return _Residual(values, scale, dim, polar.order, polar.groups, rebuild)
@@ -491,7 +504,11 @@ def _projector_sum() -> GroupAlgebraElement:
     ``288 * Anti(c2,d2,a2) Sym(b2,b1,d1) = t1 t1* + t2* t2`` where
     ``t1`` is the Young symmetriser of the hook tableau with row
     (b2, b1, d1) and column (b2, c2, d2, a2), and ``t2`` the one with
-    row (c2, b2, b1, d1) and column (c2, d2, a2).
+    row (c2, b2, b1, d1) and column (c2, d2, a2).  The equality holds
+    term for term in the group algebra of S_6, so for every N and every
+    tensor (``test_symgroup``,
+    ``test_projector_sum_is_the_scaled_operator_product``); the identity
+    suite samples it on random tensors.
     """
     t1 = young_symmetriser([[3, 2, 5], [4], [6], [1]])
     t2 = young_symmetriser([[4, 3, 2, 5], [6], [1]])

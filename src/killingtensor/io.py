@@ -11,7 +11,8 @@ value is parsed once, straight to a reduced numerator and denominator.
 Untrusted documents are bounded: at most 32 slots and 2^24 entries, and
 at most 256 bits both for the lcm of the value denominators and for the
 largest value rescaled to it.  Larger documents are rejected with
-InvalidArgument (exit status 2 in the CLI).  Documents are written
+InvalidArgument (exit status 2 in the CLI), and so are tensor and model
+files over 16 MiB, before any of the text is decoded.  Documents are written
 (:func:`format_document`) exactly as ``json.dumps(doc, indent=2)`` would
 write them, so files are byte-stable.
 
@@ -83,6 +84,17 @@ _MAX_BITS = 256
 # an order-4 tensor document under _MAX_ENTRIES (64^4 = 2^24).  Models
 # build dim-sized arrays, so an unbounded N could exhaust memory.
 _MAX_MODEL_DIM = 64
+
+# Largest tensor or model file read, in bytes.  On the writer's layout
+# json.loads peaks at about 3.2 bytes per byte of text (5.9 MB for a
+# 1.8 MB N = 12 file), and compact JSON costs more per byte, so a parse
+# at the cap stays near 50 MiB.  A dense random curvature file at the
+# default generate bound 9 takes about 106 bytes per record, with
+# (N (N - 1))^2 records: up to N = 20 (15.4 MB) is admitted.
+_MAX_FILE_BYTES = 1 << 24
+
+# Bytes read at a time: a device or FIFO has no size to check first.
+_READ_CHUNK = 1 << 16
 
 _INTEGER = re.compile(r"\s*[+-]?[0-9]{1,9}\s*")
 
@@ -385,6 +397,29 @@ def _parse_json(text: str, what: str) -> Any:
         raise InvalidArgument(f"{what} nests too deeply to parse: {exc}") from exc
 
 
+def _read_text(path: "str | Path", what: str) -> str:
+    """The UTF-8 text of the file at ``path``, read in chunks and at most
+    :data:`_MAX_FILE_BYTES` + 1 bytes in all.  A longer file, a file that
+    cannot be read and text that is not UTF-8 raise InvalidArgument."""
+    chunks, size = [], 0
+    try:
+        with open(path, "rb") as stream:
+            while size <= _MAX_FILE_BYTES:
+                chunk = stream.read(min(_READ_CHUNK, _MAX_FILE_BYTES + 1 - size))
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                size += len(chunk)
+    except OSError as exc:
+        raise InvalidArgument(f"cannot read {what}: {exc}") from exc
+    if size > _MAX_FILE_BYTES:
+        raise InvalidArgument(f"{what} is over the cap of {_MAX_FILE_BYTES} bytes")
+    try:
+        return b"".join(chunks).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(f"cannot read {what}: {exc}") from exc
+
+
 def read_tensor_document(path: "str | Path") -> tuple[Tensor, "str | None", dict]:
     """Read and parse a tensor file; returns (tensor, form, metadata).
 
@@ -392,10 +427,7 @@ def read_tensor_document(path: "str | Path") -> tuple[Tensor, "str | None", dict
     enforced, so a caller can check the shape before :func:`wrap_tensor`
     validates it.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidArgument(f"cannot read tensor file {path}: {exc}") from exc
+    text = _read_text(path, f"tensor file {path}")
     return document_to_tensor(_parse_json(text, f"tensor file {path}"))
 
 
@@ -424,11 +456,7 @@ def parse_model_descriptor(source: object) -> ModelSpace:
         if text.startswith("{"):
             doc = _parse_json(text, "model descriptor")
         else:
-            try:
-                raw = Path(text).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as exc:
-                raise InvalidArgument(f"cannot read model descriptor {text!r}: {exc}") from exc
-            doc = _parse_json(raw, f"model file {text!r}")
+            doc = _parse_json(_read_text(text, f"model descriptor {text!r}"), f"model file {text!r}")
     else:
         raise InvalidArgument(
             "model descriptor must be a mapping, JSON string, or file path"

@@ -16,8 +16,10 @@ Design notes
   entries is 1, or it is all zero and the scale is 1), so the pair is
   unique for each tensor.  It is ``int64`` when every entry is below
   2^62 in magnitude and Python ints otherwise, as ``_fastops`` alone
-  decides.  Every operation here, and the package's integer pipelines,
-  work on the pair directly.  Random rationals are drawn only by
+  decides.  An all-zero array is one broadcast zero, which holds no
+  memory at any size; :meth:`Tensor.is_zero` and
+  :meth:`Tensor.nonzero_count` read it once.  Every operation here, and
+  the package's integer pipelines, work on the pair directly.  Random rationals are drawn only by
   ``_util.draw``; strings are parsed only by :func:`_rational_pair`, and
   slot rearrangements summed only by :func:`_rearrangement_sum`, here.
   Fraction arrays become images in :func:`_rescale` and turn back in
@@ -41,7 +43,15 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._fastops import guarded_tensordot, integer_array, linear_combination, normalize_array, transposed_combination
+from ._fastops import (
+    guarded_tensordot,
+    integer_array,
+    linear_combination,
+    normalize_array,
+    stored_entries,
+    transposed_combination,
+    zero_array,
+)
 from .errors import InvalidArgument
 
 __all__ = [
@@ -203,7 +213,19 @@ class Tensor:
 
     @classmethod
     def _canonical(cls, ints: np.ndarray, scale: Fraction, dim: int) -> "Tensor":
-        """The tensor whose integer image is already ``(ints, scale)``."""
+        """The tensor whose integer image is already ``(ints, scale)``.
+
+        Gathers and signs keep an image canonical.  Let ``ints`` be built
+        from a canonical array ``c`` so that every entry of ``ints`` is an
+        entry of ``c``, its negative, or zero, and every entry of ``c``
+        appears in ``ints`` at least once up to sign.  Then the nonzero
+        magnitudes of the two are the same set, so their gcd (1) and their
+        largest magnitude are equal, and with it the dtype rule (int64
+        below 2^62); an all-zero ``c`` is excluded, as it has the scale 1
+        and a broadcast image of its own.  Slot permutations, negation and
+        the expansion of a residual's canonical components
+        (``integrability._Residual.tensor``) are such maps.
+        """
         tensor = cls.__new__(cls)
         tensor._store(ints, scale, dim)
         return tensor
@@ -216,7 +238,7 @@ class Tensor:
         if order < 0:
             raise InvalidArgument(f"order must be non-negative, got {order}")
         size = _cubical_dim((dim,) * order, dim)
-        return cls._canonical(np.zeros((size,) * order, dtype=np.int64), _ONE, size)
+        return cls._canonical(zero_array((size,) * order), _ONE, size)
 
     @classmethod
     def from_entries(
@@ -325,11 +347,12 @@ class Tensor:
 
     def is_zero(self) -> bool:
         """Exact test for the zero tensor."""
-        return not np.count_nonzero(self._ints)
+        return not np.count_nonzero(stored_entries(self._ints))
 
     def nonzero_count(self) -> int:
         """Number of non-zero entries, counting every slot tuple."""
-        return int(np.count_nonzero(self._ints))
+        stored = stored_entries(self._ints)
+        return int(np.count_nonzero(stored)) * (self._ints.size // stored.size)
 
     # -- algebra ------------------------------------------------------
 
@@ -357,6 +380,8 @@ class Tensor:
     # Negation, positive multiples and slot permutations keep the image
     # canonical: the gcd, the magnitudes and the zero pattern are unchanged.
     def __neg__(self) -> "Tensor":
+        if self.is_zero():
+            return self  # a broadcast zero stays one
         return Tensor._canonical(_negated(self._ints), self._scale, self._dim)
 
     def __mul__(self, scalar: ScalarLike) -> "Tensor":
@@ -365,7 +390,7 @@ class Tensor:
         c = as_scalar(scalar)
         if c == 0:
             return Tensor.zeros(self._dim, self._order)
-        if not self._ints.any():
+        if self.is_zero():
             return self  # the zero tensor keeps the scale 1
         ints = self._ints if c > 0 else _negated(self._ints)
         return Tensor._canonical(ints, self._scale * abs(c), self._dim)

@@ -607,6 +607,38 @@ class TestTensorFileLimits:
             assert code == 2
             assert err.startswith("error:") and "more than 256 bits" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_an_endless_device_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "_MAX_FILE_BYTES", 4096)
+        good = tmp_path / "metric.json"
+        io.save_tensor(good, metric_rep(sphere(3)))
+        for argv, message in (
+            (["/dev/zero", "--model", "sphere", "--N", "3"], "error: tensor file /dev/zero is over the cap of 4096 bytes"),
+            ([str(good), "--model", "/dev/zero"], "error: model descriptor '/dev/zero' is over the cap of 4096 bytes"),
+        ):
+            for command in ("check", "oracle"):
+                code, out, err = run(capsys, command, *argv)
+                assert code == 2 and not out
+                assert err == message + "\n"
+
+    def test_a_regular_file_over_the_byte_cap_exits_2(self, capsys, tmp_path, monkeypatch):
+        tensor_path, model_path = tmp_path / "metric.json", tmp_path / "model.json"
+        io.save_tensor(tensor_path, metric_rep(sphere(3)))
+        model_path.write_text('{"kind": "sphere", "N": 3}', encoding="utf-8")
+        cap = tensor_path.stat().st_size
+        monkeypatch.setattr(io, "_MAX_FILE_BYTES", cap)
+        argv = [str(tensor_path), "--model", str(model_path)]
+        assert run(capsys, "check", *argv)[0] == 0  # a file at the cap is read
+        # Valid JSON one byte over the cap, in either file.
+        for path in (tensor_path, model_path):
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text + " " * (cap + 1 - len(text.encode())), encoding="utf-8")
+            code, out, err = run(capsys, "check", *argv)
+            assert code == 2 and not out
+            assert err.startswith("error:") and f"over the cap of {cap} bytes" in err
+            assert err.count("\n") == 1
+            path.write_text(text, encoding="utf-8")
+
     def test_values_at_the_cap_are_checked(self, capsys, tmp_path):
         scaled = metric_rep(sphere(3)) * Fraction(2**256 - 1, 2**256 - 3)
         assert image_bits(scaled.tensor) == (256, 256)

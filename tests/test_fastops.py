@@ -39,9 +39,11 @@ from killingtensor import (
     antisymmetrise_slots,
     check,
     condition3_residual,
+    family_rep,
     integrability,
     r_to_s,
     random_curvature,
+    random_symmetric_form,
     symmetrise_slots,
     verify_identity_suite,
 )
@@ -791,3 +793,34 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20
+
+    @staticmethod
+    def traced(fn):
+        fn()  # the cached tables and plans are built once, untraced
+        tracemalloc.start()
+        try:
+            result = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_a_zero_third_residual_holds_no_array(self):
+        # The order-10 zero at N = 5 is one broadcast zero: 0.6 MiB traced,
+        # where a dense int64 zero took 74.5 MiB.
+        model = sphere(5)
+        h = random_symmetric_form(5, random.Random(5), bound=3)
+        K = family_rep(h, Fraction(2), Fraction(-1, 3), Fraction(5, 2), signature=model.signature)
+        residual, peak = self.traced(lambda: condition3_residual(K, model))
+        assert residual.is_zero() and residual._ints.shape == (5,) * 10
+        assert peak < 1 << 20
+
+    def test_a_nonzero_third_residual_peaks_near_its_size(self):
+        # Reduced before it is expanded, a nonzero residual is built by
+        # gathers into its own array: 8.6 MiB traced for an 8 MiB residual
+        # at N = 4, where expanding, weighting and then reducing the dense
+        # array took 17.3 MiB.
+        K = random_curvature(4, random.Random(4), bound=2)
+        residual, peak = self.traced(lambda: condition3_residual(K, sphere(4)))
+        assert not residual.is_zero() and residual._ints.nbytes == 8 << 20
+        assert peak <= 1.25 * (8 << 20)

@@ -9,7 +9,7 @@ of its index letters by the polynomial product kernel ``_product`` on
 object arrays (which ``test_fastops`` checks against Python polynomial
 multiplication), the terms are added with exact multiples, and the
 canonical components are read with the reference ``alternating_sums``
-(conftest) and ``expand_axis`` on object arrays.  Supports, ``condition1/2/3_residual``
+(conftest), ``weigh_monomials`` and ``expand_axis`` on object arrays.  Supports, ``condition1/2/3_residual``
 tensors and hook-check outcomes must agree, on Benenti inputs at entry
 bound 9, random S, and sums of Kulkarni-Nomizu products whose integer
 images cross 2^62 and 2^64.
@@ -56,6 +56,7 @@ from killingtensor._fastops import (
     integers,
     nonzero,
     polarise,
+    weigh_monomials,
 )
 
 NEAR_SAFE = 1 << 62
@@ -105,7 +106,8 @@ def python_int_residual(terms, ops, gbar, curvature) -> integrability._Residual:
     total = sum(int(c / common) * arr for c, arr in parts)
     values = alternating_sums(total, polar.alternate)
     if polar.rebuild == "sym":
-        values = expand_axis(values, 0, dim, polar.order - polar.alternate, anti=False).T
+        free = polar.order - polar.alternate
+        values = expand_axis(weigh_monomials(values, 0, dim, free), 0, dim, free, anti=False).T
     elif polar.rebuild == "anti":
         values = expand_axis(values, 1, dim, polar.alternate, anti=True)
     return integrability._Residual(values.reshape(-1), common, dim, polar.order, polar.groups)

@@ -167,6 +167,18 @@ class TestIntegerProduct:
         assert _projector_sum() == expected
         assert young_symmetriser([[3, 2, 5], [4], [6], [1]]) == t1
 
+    def test_projector_sum_is_the_scaled_operator_product(self):
+        # The identity suite's projector decomposition, for every N and
+        # every tensor: 288 Anti(c2, d2, a2) Sym(b2, b1, d1) = t1 t1* + t2* t2
+        # in the group algebra of S_6, labels (a2, b1, b2, c2, d1, d2).
+        from killingtensor.integrability import _projector_sum
+
+        anti = GroupAlgebraElement.antisymmetriser_over([4, 6, 1], 6)
+        sym = GroupAlgebraElement.symmetriser_over([3, 2, 5], 6)
+        product = anti.multiply(sym) * 288
+        assert product.terms == _projector_sum().terms
+        assert product.term_count() == 36
+
 
 class TestYoungMachinery:
     def test_frame_parsing_and_validation(self):

@@ -14,14 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killingtensor import (
+    CurvatureTensor,
     InvalidArgument,
     MetricSignature,
+    SymCurvatureTensor,
     Tensor,
     antisymmetrise_slots,
     as_scalar,
     contract,
     contract_vector,
+    io,
     permute_slots,
+    r_to_s,
+    s_to_r,
     symmetrise_slots,
     tensor_product,
 )
@@ -338,3 +343,81 @@ class TestIntegerImage:
             Tensor(np.array([0.5, 1], dtype=object))
         with pytest.raises(InvalidArgument, match="exact rationals"):
             Tensor(np.array(["1/2", 1], dtype=object))
+
+
+# ---------------------------------------------------------------------------
+# The zero tensor: one broadcast int64 zero, whatever its shape.
+# ---------------------------------------------------------------------------
+
+
+def dense_zero(dim: int, order: int) -> Tensor:
+    """The zero tensor with a dense all-zero int64 image: the reference
+    for the broadcast one."""
+    return Tensor._canonical(np.zeros((dim,) * order, dtype=np.int64), Fraction(1), dim)
+
+
+def outcome(tensor: Tensor) -> tuple:
+    return tensor._scale, tensor._ints.dtype, tensor._ints.tolist(), tensor.array.tolist()
+
+
+class TestBroadcastZero:
+    def test_zeros_store_one_entry(self):
+        for dim, order in ((1, 0), (3, 0), (1, 2), (3, 4)):
+            zero = Tensor.zeros(dim, order)
+            assert zero._ints.shape == (dim,) * order and zero._ints.dtype == np.int64
+            assert all(stride == 0 for stride in zero._ints.strides)
+            assert not zero._ints.flags.writeable
+        # Content reduction of any all-zero array gives the broadcast zero.
+        for arr in (np.zeros((3, 3), dtype=np.int64), np.zeros((2, 2, 2), dtype=object)):
+            ints, scale = normalize_array(arr, Fraction(5, 3))
+            assert scale == 1 and ints.dtype == np.int64 and set(ints.strides) == {0}
+
+    def test_item_of_an_order_0_zero(self):
+        value = Tensor.zeros(4, 0).item()
+        assert value == 0 and type(value) is Fraction
+
+    @pytest.mark.parametrize("dim, order", [(1, 0), (3, 0), (1, 3), (3, 1), (3, 2), (2, 4)])
+    def test_operations_match_a_dense_zero(self, dim, order):
+        rng = random.Random(10 * dim + order)
+        other = random_tensor(rng, dim, order)
+        pairing = random_tensor(rng, dim, 2)
+        seen = []
+        for zero in (Tensor.zeros(dim, order), dense_zero(dim, order)):
+            results = [
+                zero + other, other + zero, zero - other, other - zero, zero + zero,
+                zero * Fraction(-3, 2), Fraction(5) * zero, zero * 0, zero / 7, -zero,
+                tensor_product(zero, other), tensor_product(other, zero),
+                symmetrise_slots(zero, range(1, order + 1)), antisymmetrise_slots(zero, range(1, order + 1)),
+                permute_slots(zero, list(range(order, 0, -1))),
+            ]
+            if order >= 2:
+                results += [contract(zero, 1, 2, pairing), contract(zero, order, 1, pairing)]
+            if order >= 1:
+                results.append(contract_vector(zero, 1, random_tensor(rng, dim, 1)))
+            flags = (zero == dense_zero(dim, order), dense_zero(dim, order) == zero, zero == other,
+                     zero.is_zero(), zero.nonzero_count(), repr(zero), zero[(0,) * order])
+            seen.append(([outcome(r) for r in results], outcome(zero), flags))
+            assert all(result.is_zero() == (result == Tensor.zeros(dim, result.order)) for result in results)
+        assert seen[0] == seen[1]
+
+    def test_class_conversions_and_files_match_a_dense_zero(self, tmp_path):
+        seen = []
+        for k, zero in enumerate((Tensor.zeros(3, 4), dense_zero(3, 4))):
+            converted = [r_to_s(CurvatureTensor(zero)).tensor, s_to_r(SymCurvatureTensor(zero)).tensor]
+            path = tmp_path / f"zero-{k}.json"
+            io.save_tensor(path, CurvatureTensor(zero))
+            loaded, _ = io.load_tensor(path)
+            assert loaded.tensor == zero and loaded.tensor.is_zero()
+            seen.append(([outcome(t) for t in converted], outcome(loaded.tensor), path.read_bytes()))
+        assert seen[0] == seen[1]
+
+    def test_reductions_read_one_stored_entry(self, monkeypatch):
+        # 10^10 entries: counting them one by one would take seconds.
+        zero = Tensor.zeros(10, 10)
+        assert zero._ints.size == 10**10
+        sizes = []
+        count = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda arr, *a, **k: sizes.append(np.size(arr)) or count(arr, *a, **k))
+        assert zero.is_zero() and zero.nonzero_count() == 0
+        assert sizes == [1, 1]
+        assert (zero * 3).is_zero() and (-zero).is_zero()
