@@ -7,10 +7,10 @@ so this module works on ``(integer array, scale)`` pairs.  Arrays stay
 ``int64`` while a provable bound rules out overflow.  Past the first
 bound that fails, the general helpers (:func:`linear_combination`,
 :func:`guarded_tensordot`) switch to Python integers (object dtype),
-while a residual (:func:`contract_terms`, :func:`linear_map`) continues
-as :class:`Residues`: the same ``int64`` steps modulo primes, one prime
-at a time, with as many primes as an a-priori bound on the result
-needs.  Results are exact either way.
+while a residual (:func:`contract_terms`) continues as
+:class:`Residues`: the same ``int64`` steps modulo primes, one prime at
+a time, with as many primes as an a-priori bound on the result needs.
+Results are exact either way.
 
 Polarisation.  A tensor symmetric over a group of ``d`` slots is the same
 data as the degree-``d`` polynomial obtained by putting one vector ``x``
@@ -53,7 +53,6 @@ __all__ = [
     "transposed_combination",
     "integer_multiples",
     "contract_terms",
-    "linear_map",
     "Residues",
     "nonzero",
     "integers",
@@ -729,12 +728,10 @@ class Residues:
     (its ``C(size, r)`` shuffles of share-alternated entries, for ``r``
     slots of the group in the first factor, expand to ``r! · (size -
     r)!`` products each); a sum with integer multiples ``k_i`` is at
-    most ``Σ |k_i| · B_i``; a linear map whose output entries have
-    coefficients of absolute sum at most ``g`` (the ``alpha!`` weights of
-    :func:`weigh_monomials`) at most ``g · B``.  An int64 intermediate enters
-    with its own maximum, after content reduction: it is exactly ``scale
-    · arr``, and a bound on the integers built on it holds at the product
-    of the scales they carry.
+    most ``Σ |k_i| · B_i``.  An int64 intermediate enters with its own
+    maximum, after content reduction: it is exactly ``scale · arr``, and
+    a bound on the integers built on it holds at the product of the
+    scales they carry.
 
     Why no step overflows: a plan's ``load`` counts ``pairs · volume``
     for each product and ``size! · pairs · volume`` for an alternated
@@ -761,11 +758,6 @@ class Residues:
     bound: int
     load: int
     residue: Callable[[int, dict], np.ndarray]
-
-    @classmethod
-    def of(cls, arr: np.ndarray) -> "Residues":
-        """An int64 array as residues."""
-        return cls(_max_abs(arr), 1, lambda p, cache: arr % p)
 
     def primes(self, bound: int) -> Iterator[int]:
         """Primes for this array, largest first, until their product exceeds
@@ -866,20 +858,6 @@ def contract_terms(
         return total
 
     return Residues(sum(bounds), max([2] + [v.load for v in wide]), residue), scale
-
-
-def linear_map(
-    values: "np.ndarray | Residues", gain: int, fn: Callable[[np.ndarray], np.ndarray]
-) -> "np.ndarray | Residues":
-    """``fn(values)`` for an integer-linear ``fn`` in which every output
-    entry's coefficients have absolute sum at most ``gain``: on int64
-    while ``gain · max|values| < 2^62``, on :class:`Residues` otherwise."""
-    if not isinstance(values, Residues):
-        if gain * _max_abs(values) < _INT64_SAFE:
-            return fn(values)
-        values = Residues.of(values)
-    prior = values.residue
-    return Residues(gain * values.bound, max(values.load, gain), lambda p, cache: fn(prior(p, cache)) % p)
 
 
 def nonzero(

@@ -62,6 +62,11 @@ _MAX_SPACE_DIM = 10**5
 # and 51 MiB max RSS at N = 5, and 30 s and 58 MiB at N = 8 (2-vCPU VM).
 _MAX_ORACLE_POINTS = 10_000
 
+# Largest --samples of identities: each sample runs the identity suite on
+# two models and a third residual.  At the cap it took 1.8 s at N = 3,
+# 3.0 s at N = 4 and 9.2 s at N = 5, in 33 MiB max RSS (2-vCPU VM).
+_MAX_IDENTITY_SAMPLES = 100
+
 # Largest --bound of oracle, generate and identities: the cost of every
 # exact step grows with the drawn rationals' bit lengths.  identities
 # --N 5 --samples 1 took 4.5 s at the cap (0.1 s at 9, 137 s at 2^32), and
@@ -328,6 +333,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
         raise InvalidArgument("--N must be at least 2")
     if args.samples < 1:
         raise InvalidArgument("--samples must be at least 1")
+    _check_cap("--samples", args.samples, _MAX_IDENTITY_SAMPLES)
     _check_cap("--bound", args.bound, _MAX_BOUND)
     rng = random.Random(args.seed)
     sphere = kio.parse_model_descriptor({"kind": "sphere", "N": args.N})

@@ -22,10 +22,12 @@ implementation bug, never bad data.
 All arithmetic is exact: every operand is a sum of einsum terms over the
 integer images the tensors hold, contracted by one guarded engine, and
 the final symmetry operator is evaluated only at the residual's
-canonical components (orbit sums, with overflow guards).  A residual
-that outgrows int64 is carried as residues modulo primes: verdicts and
-supports are read from the residues, and only a residual tensor is
-rebuilt from them (see :class:`~killingtensor._fastops.Residues`).
+canonical components (orbit sums, with overflow guards).  Where an
+earlier operator spans the residual's free slots, they are one more slot
+group of it, read at its canonical tuples as the final groups are.  A
+residual that outgrows int64 is carried as residues modulo primes:
+verdicts and supports are read from the residues, and only a residual
+tensor is rebuilt from them (see :class:`~killingtensor._fastops.Residues`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -45,7 +47,6 @@ from ._fastops import (
     contract_terms,
     expand_axis,
     integers,
-    linear_map,
     nonzero,
     normalize_array,
     weigh_monomials,
@@ -233,7 +234,7 @@ _COND3_FORM = (_S, (_QUARTIC_YIN, _QUARTIC_YANG), ((1, (1, 0, 3, 6, 7, 8, 9)), (
 
 def _canonical_shape(groups: _Groups, order: int, dim: int) -> list[int]:
     """Canonical tuples per factor: the symmetric groups' monomials, the
-    antisymmetric groups' increasing tuples, then each free slot in turn."""
+    antisymmetric groups' increasing tuples, then each slot of no group."""
     sym, anti = groups
     free = order - sum(map(len, sym + anti))
     sizes = [math.comb(dim + len(g) - 1, len(g)) for g in sym] + [math.comb(dim, len(g)) for g in anti]
@@ -246,15 +247,11 @@ class _Residual:
     first factor slowest (see :func:`_canonical_shape`): an int64 array,
     or :class:`Residues` once the residual outgrew int64.
 
-    ``contracted`` are the components as contracted; a row whose final
-    group absorbs the free slots (:func:`_polar`) rebuilds them by
-    ``rebuild``, a ``(gain, fn)`` pair for :func:`linear_map`, into
-    :attr:`values` when first read.  Every contracted value enters the
-    rebuilt ones at least once, with the weight ``alpha!``
-    (:func:`weigh_monomials`) or the sign +1 (:func:`expand_axis`), and
-    the rest are such values times such weights, so the contracted values
-    are all zero exactly when the rebuilt ones are: :meth:`is_zero` reads
-    them before the rebuild.
+    ``groups`` are the final groups and, where an earlier operator spans
+    the free slots (:func:`_polar`), a group of those slots, at position
+    ``free`` of ``sym + anti``.  Its components are weighed and expanded
+    as a final group's are; only :meth:`support` counts each of them at
+    every index tuple of the group, as the dense residual holds it there.
     """
 
     contracted: "np.ndarray | Residues"
@@ -262,16 +259,19 @@ class _Residual:
     dim: int
     order: int
     groups: _Groups
-    rebuild: "tuple[int, Callable[[np.ndarray], np.ndarray]] | None" = None
-
-    @functools.cached_property
-    def values(self) -> "np.ndarray | Residues":
-        """The canonical components."""
-        return self.contracted if self.rebuild is None else linear_map(self.contracted, *self.rebuild)
+    free: "int | None" = None
 
     def support(self) -> int:
-        """Number of nonzero canonical components."""
-        return int(np.count_nonzero(nonzero(self.values)))
+        """Number of nonzero components: one for each canonical tuple of
+        the final groups and index tuple of the other slots."""
+        mask = nonzero(self.contracted)
+        # An all-zero mask, possibly empty, counts 0 without the gather.
+        if self.free is not None and mask.any():
+            sym, anti = self.groups
+            size = len((sym + anti)[self.free])
+            mask = mask.reshape(_canonical_shape(self.groups, self.order, self.dim)).astype(np.int8)
+            mask = expand_axis(mask, self.free, self.dim, size, anti=self.free >= len(sym))
+        return int(np.count_nonzero(mask))
 
     def is_zero(self) -> bool:
         return not nonzero(self.contracted, np.any).any()
@@ -285,7 +285,7 @@ class _Residual:
         keeps the image canonical (:meth:`Tensor._canonical`).  A zero
         residual is :meth:`Tensor.zeros`, which holds no array.
         """
-        values = integers(self.values)
+        values = integers(self.contracted)
         if not np.count_nonzero(values):
             return Tensor.zeros(self.dim, self.order)
         sym, anti = self.groups
@@ -306,8 +306,8 @@ class _Polar(NamedTuple):
 
     terms: tuple[tuple[int, str], ...]  # (coefficient, polarised einsum term)
     alternate: int  # leading index axes summed at increasing tuples
-    rebuild: "str | None"  # free group rebuilt as "sym" or "anti" slots
-    groups: _Groups
+    groups: _Groups  # the final groups, and a group of the free slots
+    free: "int | None"  # position of that group in sym + anti
     order: int
     longest_anti: int
 
@@ -321,18 +321,19 @@ def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
     read at increasing tuples.  The coefficient of x^alpha at F's tuple I
     is the residual's canonical component there (its orbit sum).  At most one
     earlier operator P may share one slot s with a final group; the
-    other slots of P are then exactly the residual's free slots.
+    other slots of P are then exactly the residual's free slots, and
+    they become one more group of the residual.
 
     * P symmetric, s in F (young-a, ks2-hook-yin).  The residual is
       symmetric in P - {s}, so x goes there too.  With x in all of P but
       one slot, Sym_P A = (|P| - 1)! sum over t in P of A with the
       remaining index moved from s to t; the component at a free tuple J
-      is alpha(J)! times the coefficient of the sum's x^alpha(J).
+      is alpha(J)! times the coefficient of the sum's x^alpha(J), as in
+      a final symmetric group.
     * P antisymmetric, s in G (hook-d and the hook checks).  With x at
       s, Anti_P A is the antisymmetrisation over P - {s} of A minus, for
       each t in P - {s}, A with slots s and t swapped; those slots are
-      read at increasing tuples and the free components are their signed
-      copies.
+      read at increasing tuples, as a final antisymmetric group.
 
     Each substitution is the same term with two output letters swapped,
     so no operand is symmetrised densely.
@@ -345,19 +346,19 @@ def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
     final = ops[start:]
     sym = tuple(tuple(sorted(axes)) for sign, axes in final if sign > 0)
     anti = tuple(tuple(sorted(axes)) for sign, axes in final if sign < 0)
-    free = [axis for axis in range(order) if axis not in used]
-    polarised, alternate, rebuild = (sym[0] if sym else ()), (anti[0] if anti else ()), None
+    free = tuple(axis for axis in range(order) if axis not in used)
+    polarised, alternate, position = (sym[0] if sym else ()), (anti[0] if anti else ()), None
     swaps = [(1, 0, 0)]  # (coefficient, s, t): the term with output slots s and t swapped
     if start:
         ((sign, axes),) = ops[:start]
         (s,) = used.intersection(axes)
-        if sorted(set(axes) - {s}) != free or len(sym) + len(anti) != 1 or (sign > 0) != bool(anti):
+        if sorted(set(axes) - {s}) != list(free) or len(sym) + len(anti) != 1 or (sign > 0) != bool(anti):
             raise ValueError(f"unsupported operator sequence {ops}")
         if sign > 0:
-            polarised, rebuild = tuple(free), "sym"
+            polarised, sym, position = free, (free,), 0
             swaps = [(1, s, t) for t in sorted(axes)]
         else:
-            alternate, rebuild = tuple(free), "anti"
+            alternate, anti, position = free, (free,), len(sym)
             swaps = [(1, s, s)] + [(-1, s, t) for t in free]
     index = list(alternate) + [a for a in range(order) if a not in polarised + alternate]
     compiled = []
@@ -370,7 +371,7 @@ def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
             factors = "".join("*" if c in marked else c for c in inputs)
             compiled.append((coefficient, factors + "->" + "".join(out[a] for a in index)))
     longest = max((len(axes) for sign, axes in ops if sign < 0), default=0)
-    return _Polar(tuple(compiled), len(alternate), rebuild, (sym, anti), order, longest)
+    return _Polar(tuple(compiled), len(alternate), (sym, anti), position, order, longest)
 
 
 def _image(tensor: Tensor) -> _Scaled:
@@ -383,21 +384,13 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
     if polar.longest_anti > dim:
         # An antisymmetriser over more slots than the dimension is zero.
         zero = np.zeros(math.prod(_canonical_shape(polar.groups, polar.order, dim)), dtype=np.int64)
-        return _Residual(zero, Fraction(1), dim, polar.order, polar.groups)
+        return _Residual(zero, Fraction(1), dim, polar.order, polar.groups, polar.free)
     terms = []
     for coefficient, term in polar.terms:
         factors = term.split("->")[0].split(",")
         terms.append((coefficient, term, [gbar if len(f) == 2 else curvature for f in factors]))
-    size = polar.alternate
-    values, scale = contract_terms(terms, memo, size)
-    rebuild = None
-    if polar.rebuild == "sym":
-        free = polar.order - size
-        weighted = lambda v: weigh_monomials(v, 0, dim, free)  # noqa: E731
-        rebuild = math.factorial(free), lambda v: expand_axis(weighted(v), 0, dim, free, anti=False).T
-    elif polar.rebuild == "anti":
-        rebuild = 1, lambda v: expand_axis(v, 1, dim, size, anti=True)
-    return _Residual(values, scale, dim, polar.order, polar.groups, rebuild)
+    values, scale = contract_terms(terms, memo, polar.alternate)
+    return _Residual(values, scale, dim, polar.order, polar.groups, polar.free)
 
 
 def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]:

@@ -149,15 +149,17 @@ def tensor_to_document(
             + type(tensor).__name__
         )
     ints, scale = plain._ints, plain._scale
-    nonzero = ints != 0
-    # Entries in C order of idx; each distinct value is formatted once.
-    formatted: dict = {}
     entries = []
-    for idx, value in zip(np.argwhere(nonzero).tolist(), ints[nonzero].tolist()):
-        text = formatted.get(value)
-        if text is None:
-            text = formatted[value] = _format_scaled(value, scale)
-        entries.append({"idx": idx, "val": text})
+    # A zero has no entries, and the mask would expand its broadcast image.
+    if not plain.is_zero():
+        nonzero = ints != 0
+        # Entries in C order of idx; each distinct value is formatted once.
+        formatted: dict = {}
+        for idx, value in zip(np.argwhere(nonzero).tolist(), ints[nonzero].tolist()):
+            text = formatted.get(value)
+            if text is None:
+                text = formatted[value] = _format_scaled(value, scale)
+            entries.append({"idx": idx, "val": text})
     doc: dict = {"dim": plain.dim, "order": plain.order, "entries": entries}
     if form is not None:
         doc["form"] = form

@@ -364,6 +364,11 @@ class Tensor:
 
     def _combined(self, sign: int, other: "Tensor") -> "Tensor":
         self._check_compatible(other)
+        # A broadcast zero would be expanded by the sum.
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other if sign > 0 else -other
         terms = [(self._scale, self._ints), (sign * other._scale, other._ints)]
         return Tensor._from_ints(*linear_combination(terms), self._dim)
 
@@ -407,12 +412,12 @@ class Tensor:
         if not isinstance(other, Tensor):
             return NotImplemented
         # The integer image is unique, so equal tensors have equal images.
-        return (
-            self._dim == other._dim
-            and self._order == other._order
-            and self._scale == other._scale
-            and bool(np.array_equal(self._ints, other._ints))
-        )
+        if (self._dim, self._order, self._scale) != (other._dim, other._order, other._scale):
+            return False
+        # A broadcast zero would be expanded by the comparison.
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
+        return bool(np.array_equal(self._ints, other._ints))
 
     __hash__ = None  # type: ignore[assignment]  # mutable-looking container semantics
 

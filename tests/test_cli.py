@@ -343,6 +343,24 @@ class TestIdentitiesCommand:
         assert code == 2
         assert err == "error: model dimension 100000 is over the cap of 64\n"
 
+    def test_samples_over_the_cap_are_refused_before_sampling(self, capsys, monkeypatch):
+        calls = []
+
+        def sampler(dim, rng, bound):
+            calls.append(dim)
+            raise LookupError("the stub samples nothing")
+
+        monkeypatch.setattr(cli, "random_curvature", sampler)
+        cap = cli._MAX_IDENTITY_SAMPLES
+        for samples in (cap + 1, 10**9):
+            code, out, err = run(capsys, "identities", "--N", "3", "--samples", str(samples))
+            assert (code, out) == (2, "")
+            assert err == f"error: --samples {samples} is over the cap of {cap}\n"
+        assert calls == []
+        with pytest.raises(LookupError):
+            cli.main(["identities", "--N", "3", "--samples", str(cap)])
+        assert calls == [3]
+
 
 class TestTopLevelBehaviour:
     def test_help_exits_cleanly(self, capsys):

@@ -84,6 +84,19 @@ def test_oracle_uses_no_contraction_engine():
         assert name not in names_used("oracle")
 
 
+def test_oracle_uses_nothing_defined_in_fastops():
+    # Every function and class of the engine module, read from the module
+    # itself, so that a name added there is covered without a list.
+    defined = {
+        name
+        for name, value in vars(_fastops).items()
+        if callable(value) and getattr(value, "__module__", None) == _fastops.__name__
+    }
+    assert {"contract_terms", "Residues", "_alternated", "_shuffled", "weigh_monomials"} <= defined
+    used = names_used("oracle") | set().union(*imports_of("oracle").values())
+    assert not defined & used
+
+
 def test_fastops_does_not_import_tensor():
     assert "tensor" not in imports_of("_fastops")
 

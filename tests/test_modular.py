@@ -91,12 +91,22 @@ def python_int_term(term: str, operands) -> np.ndarray:
 
 
 def python_int_residual(terms, ops, gbar, curvature) -> integrability._Residual:
-    """Canonical components of a row, in Python ints, as a residual."""
+    """Canonical components of a row, in Python ints, as a residual whose
+    free slots are dense: the group of free slots is rebuilt here, at
+    every index tuple, and is not a group of the returned residual."""
     polar = integrability._polar(terms, ops)
     dim = gbar[0].shape[0]
+    sym, anti = groups = polar.groups
+    rebuild = None
+    if polar.free is not None:
+        # The free group is sym[0] (young-a, ks2-hook-yin) or anti[0]
+        # (hook-d, the hook checks); the other group is the final one.
+        size = len((sym + anti)[polar.free])
+        rebuild = "sym" if polar.free < len(sym) else "anti"
+        groups = ((), anti) if rebuild == "sym" else (sym, ())
     if polar.longest_anti > dim:
-        size = math.prod(integrability._canonical_shape(polar.groups, polar.order, dim))
-        return integrability._Residual(np.zeros(size, dtype=object), Fraction(1), dim, polar.order, polar.groups)
+        size = math.prod(integrability._canonical_shape(groups, polar.order, dim))
+        return integrability._Residual(np.zeros(size, dtype=object), Fraction(1), dim, polar.order, groups)
     parts = []
     for coefficient, term in polar.terms:
         operands = [gbar if len(f) == 2 else curvature for f in term.split("->")[0].split(",")]
@@ -105,12 +115,11 @@ def python_int_residual(terms, ops, gbar, curvature) -> integrability._Residual:
     common = Fraction(1, math.lcm(*(c.denominator for c, _ in parts)))
     total = sum(int(c / common) * arr for c, arr in parts)
     values = alternating_sums(total, polar.alternate)
-    if polar.rebuild == "sym":
-        free = polar.order - polar.alternate
-        values = expand_axis(weigh_monomials(values, 0, dim, free), 0, dim, free, anti=False).T
-    elif polar.rebuild == "anti":
-        values = expand_axis(values, 1, dim, polar.alternate, anti=True)
-    return integrability._Residual(values.reshape(-1), common, dim, polar.order, polar.groups)
+    if rebuild == "sym":
+        values = expand_axis(weigh_monomials(values, 0, dim, size), 0, dim, size, anti=False).T
+    elif rebuild == "anti":
+        values = expand_axis(values, 1, dim, size, anti=True)
+    return integrability._Residual(values.reshape(-1), common, dim, polar.order, groups)
 
 
 def signed_operands(dim: int, size: int, slots: tuple[int, ...], c: int):
@@ -195,7 +204,7 @@ class TestAgainstPythonInts:
         ):
             cls, terms, ops = row
             reference = python_int_residual(terms, ops, g, image(integrability._as_class(K, cls).tensor))
-            expected.append(int(np.count_nonzero(reference.values)))
+            expected.append(int(np.count_nonzero(reference.contracted)))
             assert residual(K, model, (form1 if residual is condition1_residual else form2)) == reference.tensor()
         report = check(K, model, form1, form2)
         assert (report.cond1_support, report.cond2_support) == tuple(expected)
@@ -232,55 +241,63 @@ class TestAgainstPythonInts:
         for name, term, ops in checks:
             reference = python_int_residual((term,), ops, g, s)
             engine = integrability._residual(integrability._polar((term,), ops), g, s, {})
-            assert engine.is_zero() and not np.count_nonzero(reference.values), name
+            assert engine.is_zero() and not np.count_nonzero(reference.contracted), name
         assert verify_identity_suite(S, model) == integrability._IDENTITY_CHECKS
 
-    @pytest.mark.parametrize("bits", [20, 31, 40])
+    @pytest.mark.parametrize("bits", [3, 20, 31, 40])
     def test_hook_rows_on_unstructured_operands(self, bits):
-        # A non-symmetric operand leaves nonzero hook residuals: the zero
-        # test must find them, and the components must match.
+        # A non-symmetric operand leaves nonzero residuals in every row
+        # with a group of free slots, symmetric or antisymmetric: the zero
+        # test must find them, and the support and components must match
+        # the dense free slots of the reference, on int64 (all rows at 3
+        # bits) and on residues modulo primes (all rows at 40 bits).
         rng = np.random.default_rng(bits)
         k = (rng.integers(-(1 << bits), (1 << bits) + 1, size=(4,) * 4), Fraction(1, 3))
         g = (rng.integers(-3, 4, size=(4, 4)), Fraction(2))
-        for name, term, ops in integrability._HOOK_CHECKS:
-            reference = python_int_residual((term,), ops, g, k)
-            engine = integrability._residual(integrability._polar((term,), ops), g, k, {})
-            assert engine.is_zero() == (not np.count_nonzero(reference.values)), name
-            assert engine.support() == np.count_nonzero(reference.values), name
-            assert engine.tensor() == reference.tensor(), name
+        routes = set()  # (symmetric free group, modular)
+        for terms, ops in FREE_GROUP_ROWS:
+            reference = python_int_residual(terms, ops, g, k)
+            polar = integrability._polar(terms, ops)
+            engine = integrability._residual(polar, g, k, {})
+            assert engine.is_zero() == (not np.count_nonzero(reference.contracted)), ops
+            assert engine.support() == np.count_nonzero(reference.contracted), ops
+            assert engine.tensor() == reference.tensor(), ops
+            routes.add((polar.free < len(polar.groups[0]), isinstance(engine.contracted, Residues)))
+        if bits in (3, 40):
+            assert routes == {(True, bits == 40), (False, bits == 40)}
 
 
-
-# Rows whose final group absorbs the free slots: their residuals are
-# rebuilt from the contracted values.
-REBUILT_ROWS = [
+# Rows whose final group absorbs the free slots: those slots are one more
+# group of the residual.
+FREE_GROUP_ROWS = [
     (terms, ops)
     for _, terms, ops in [*integrability._COND1_FORMS.values(), *integrability._COND2_FORMS.values()]
     + [(None, (term,), ops) for _, term, ops in integrability._HOOK_CHECKS]
-    if integrability._polar(terms, ops).rebuild
+    if integrability._polar(terms, ops).free is not None
 ]
 
 
 class TestZeroBeforeTheRebuild:
     @settings(max_examples=60, deadline=None)
     @given(
-        row=st.sampled_from(REBUILT_ROWS),
+        row=st.sampled_from(FREE_GROUP_ROWS),
         dim=st.sampled_from([4, 5]),
         nonzeros=st.integers(0, 3),
         modular=st.booleans(),
         seed=st.integers(0, 10**6),
     )
     def test_random_components(self, row, dim, nonzeros, modular, seed):
-        # is_zero() reads the values before the rebuild, support() after
-        # it: on a few random nonzero values, or none, both agree.
+        # is_zero() reads the canonical components, support() counts them
+        # at every index tuple of the free group: on a few random nonzero
+        # values, or none, both agree.
         polar = integrability._polar(*row)
         S = r_to_s(random_curvature(dim, random.Random(seed), bound=3))
-        rebuilt = integrability._residual(polar, image(sphere(dim).gbar()), image(S.tensor), {})
+        engine = integrability._residual(polar, image(sphere(dim).gbar()), image(S.tensor), {})
         rng = np.random.default_rng(seed)
-        values = np.zeros(rebuilt.contracted.shape, dtype=np.int64)
+        values = np.zeros(engine.contracted.shape, dtype=np.int64)
         values.flat[rng.integers(0, values.size, size=nonzeros)] = rng.integers(1, 1 << 40, size=nonzeros)
-        contracted = Residues.of(values) if modular else values
-        residual = integrability._Residual(contracted, Fraction(1), dim, polar.order, polar.groups, rebuilt.rebuild)
+        contracted = Residues(int(np.abs(values).max()), 1, lambda p, cache: values % p) if modular else values
+        residual = integrability._Residual(contracted, Fraction(1), dim, polar.order, polar.groups, polar.free)
         assert residual.is_zero() == (residual.support() == 0) == (not values.any())
 
     @pytest.mark.parametrize("bits", [3, 40])
@@ -297,7 +314,7 @@ class TestZeroBeforeTheRebuild:
             k = (rng.integers(-(1 << bits), (1 << bits) + 1, size=(dim,) * 4), Fraction(1))
         g = image(sphere(dim).gbar())
         memo: dict = {}
-        for terms, ops in REBUILT_ROWS:
+        for terms, ops in FREE_GROUP_ROWS:
             residual = integrability._residual(integrability._polar(terms, ops), g, k, memo)
             assert isinstance(residual.contracted, Residues) == (bits > 3)
             assert residual.is_zero() == (residual.support() == 0)
@@ -320,8 +337,8 @@ class TestModularRoute:
                 K, model, integrability._COND1_FORMS[ConditionForm1.MAIN1],
                 integrability._COND2_FORMS[ConditionForm2.MAIN2],
             )
-            assert isinstance(res2.values, Residues)
-            assert res2.values.bound >= NEAR_SAFE
+            assert isinstance(res2.contracted, Residues)
+            assert res2.contracted.bound >= NEAR_SAFE
 
     @pytest.mark.parametrize("term", ["ab*,bc,c*->a", "p*ab,pq,q*cd->abcd", "ab,bc,ca->", "a*,b*,ab->"])
     def test_bounds_are_attained_by_constant_operands(self, term):
@@ -381,8 +398,8 @@ class TestModularRoute:
         assert result.tolist() == expected.tolist()
 
     def test_a_promoting_check_builds_no_object_array(self, monkeypatch):
-        # Every function of the engine module, and the canonical-component
-        # maps integrability hands it, sees and returns only int64 arrays.
+        # Every function of the engine module, as integrability calls it
+        # too, sees and returns only int64 arrays (and boolean masks).
         seen = []
 
         def watch(fn):
@@ -397,7 +414,7 @@ class TestModularRoute:
         for name, value in list(vars(_fastops).items()):
             if callable(value) and getattr(value, "__module__", None) == _fastops.__name__ and not isinstance(value, type):
                 monkeypatch.setattr(_fastops, name, watch(value))
-        for name in ("expand_axis", "contract_terms", "linear_map", "nonzero"):
+        for name in ("expand_axis", "weigh_monomials", "contract_terms", "nonzero"):
             monkeypatch.setattr(integrability, name, watch(getattr(integrability, name)))
         rng = random.Random(5)
         model = sphere(5)
@@ -407,19 +424,6 @@ class TestModularRoute:
         assert report.integrable
         assert np.dtype(object) not in seen
         assert len(seen) > 100
-
-    @pytest.mark.parametrize("biggest, wide", [(NEAR_SAFE // 24, False), (NEAR_SAFE // 24 + 1, True)])
-    def test_linear_map_guard(self, biggest, wide):
-        # Alternating sums over four slots add 24 signed entries.
-        rng = np.random.default_rng(3)
-        arr = rng.integers(-9, 10, size=(1, 4, 4, 4, 4, 2))
-        arr[0, 0, 1, 2, 3, 0] = biggest
-        values = _fastops.linear_map(arr, 24, lambda v: alternating_sums(v, 4))
-        expected = alternating_sums(python_ints(arr), 4)
-        assert isinstance(values, Residues) == wide
-        assert integers(values).tolist() == expected.tolist()
-        if wide:
-            assert values.bound == 24 * biggest
 
     def test_nonzero_stops_once_decided(self):
         calls = []

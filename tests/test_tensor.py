@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -421,3 +422,18 @@ class TestBroadcastZero:
         assert zero.is_zero() and zero.nonzero_count() == 0
         assert sizes == [1, 1]
         assert (zero * 3).is_zero() and (-zero).is_zero()
+
+    def test_comparing_adding_and_writing_a_huge_zero_expands_nothing(self):
+        # 6^8 = 1 679 616 entries: a boolean mask of them takes 1.6 MiB and
+        # an int64 sum 12.8 MiB.
+        zero, other = Tensor.zeros(6, 8), Tensor.zeros(6, 8)
+        tracemalloc.start()
+        try:
+            equal, total, difference = zero == other, zero + other, zero - other
+            doc = io.tensor_to_document(zero)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+        assert equal and total.is_zero() and difference.is_zero()
+        assert doc == {"dim": 6, "order": 8, "entries": []}
