@@ -33,7 +33,14 @@ applied a symmetric group's ``alpha!`` weights.
 
 An all-zero integer image is one read-only broadcast of a single int64
 zero (:func:`zero_array`), whatever its shape, and the reductions over an
-image read each zero-stride axis once (:func:`stored_entries`).
+image read each zero-stride axis once (:func:`stored_entries`).  In the
+engine a factor or product whose bound is 0 is exactly zero, and it ends
+its branch of the contraction: every product built on it is a zero
+image at once, with nothing multiplied (:func:`_step`), a zero term is
+left out of its sum, and no zero is reduced modulo a prime.  Such zeros
+are structural, not rare: the identity suite's hook checks polarise
+three slots of one curvature factor, which the cyclic identity makes
+zero (:func:`~killingtensor.integrability.verify_identity_suite`).
 """
 
 from __future__ import annotations
@@ -558,6 +565,7 @@ def weigh_monomials(values: np.ndarray, axis: int, dim: int, size: int) -> np.nd
 class _Plan(NamedTuple):
     x_axes: tuple[tuple[int, ...], ...]  # polarised axes of each factor
     steps: tuple[tuple[int, int, tuple], ...]  # operands a, b and _alternated's arguments
+    shapes: tuple[tuple[int, ...], ...]  # each step's result shape, monomial axis first
     order: tuple[int, ...]  # transpose of the last product into output order
     load: int  # most products of two entries any polarisation or step adds up
 
@@ -569,11 +577,13 @@ def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
     A step ``(a, b, args)`` contracts operands ``a`` and ``b`` by
     :func:`_alternated` with the arguments ``args = (axes_a, axes_b, dim,
     degree_a, degree_b, group_a, group_b)``; each step's result takes the
-    next number.  The greedy path sees index axes only and gets no memory
-    limit, so that every step is a pair (under numpy's default limit it
-    may fall back to one step over all remaining factors).  The last step
-    alternates over the first ``alternate`` output letters, which its
-    load counts.
+    next number, and its shape follows from the plan alone: the monomials
+    of the two degrees' sum, the increasing tuples of an alternated
+    group, then one ``dim`` axis for each remaining index letter.  The
+    greedy path sees index axes only and gets no memory limit, so that
+    every step is a pair (under numpy's default limit it may fall back to
+    one step over all remaining factors).  The last step alternates over
+    the first ``alternate`` output letters, which its load counts.
     """
     inputs, output = subscripts.split("->")
     factors = inputs.split(",")
@@ -595,7 +605,7 @@ def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
     # The axes of ``letters`` in operand k, after its monomial axis (0 if absent).
     at = lambda k, letters: tuple(names[k].find(c) + 1 for c in letters)  # noqa: E731
     live = list(range(len(factors)))  # einsum_path's operand list
-    steps = []
+    steps, shapes = [], []
     for n, positions in enumerate(path, 1 - len(path)):
         a, b = (live[k] for k in positions)
         live = [m for k, m in enumerate(live) if k not in positions] + [len(names)]
@@ -606,9 +616,11 @@ def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
         load = max(load, math.factorial(len(group)) * _pairs(dim, degrees[a], degrees[b]) * dim ** len(shared))
         names.append("".join(c for c in names[a] + names[b] if c not in shared and c not in group))
         degrees.append(degrees[a] + degrees[b])
+        tuples = (math.comb(dim, len(group)),) if group else ()
+        shapes.append((math.comb(dim + degrees[-1] - 1, degrees[-1]), *tuples) + (dim,) * len(names[-1]))
     lead = 2 if alternate else 1  # the monomial axis, then the increasing tuples
     order = tuple(range(lead)) + tuple(names[-1].index(c) + lead for c in output[alternate:])
-    return _Plan(x_axes, tuple(steps), order, load)
+    return _Plan(x_axes, tuple(steps), tuple(shapes), order, load)
 
 
 class _Node(NamedTuple):
@@ -618,7 +630,8 @@ class _Node(NamedTuple):
     product content-reduced) and ``bound`` is max|arr|.  Past a failed
     guard ``arr`` is None, ``scale`` the product of the factors' scales
     and ``bound`` a bound on the entries of the integer image at that
-    scale.  ``source`` rebuilds the node modulo a prime: the operand array
+    scale.  So bound 0 holds only for an int64 node that is exactly
+    zero.  ``source`` rebuilds the node modulo a prime: the operand array
     and its x-axes for a factor, the two factor nodes and
     :func:`_alternated`'s arguments for a product.
     """
@@ -640,16 +653,22 @@ def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], dim: int) -
     return _Node(poly, scale, peak if pairs == 1 else _max_abs(poly), (arr, axes))
 
 
-def _step(a: _Node, b: _Node, args: tuple) -> _Node:
+def _step(a: _Node, b: _Node, args: tuple, shape: tuple[int, ...]) -> _Node:
     """The product of nodes ``a`` and ``b`` by :func:`_alternated` with
-    ``args = (axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)``.
-    Int64 and content-reduced when both are int64 and
-    ``size! · pairs · volume · max|a| · max|b| < 2^62``, with ``size``
-    the length of the alternated group (0 for none).  The share-alternated
-    entries inside stay below that bound too, unless the other factor is
-    all zero: a share sum may then wrap, but it multiplies only zeros."""
+    ``args = (axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)``;
+    ``shape`` is its shape (:func:`_contraction_plan`).
+
+    A factor with bound 0 is exactly zero, so the product is too: it is
+    :func:`zero_array` at scale 1 and bound 0, with nothing multiplied,
+    whatever the other factor holds (int64, or residues past a guard).
+    Otherwise the product is int64 and content-reduced when both are
+    int64 and ``size! · pairs · volume · max|a| · max|b| < 2^62``, with
+    ``size`` the length of the alternated group (0 for none), and the
+    share-alternated entries inside stay below that bound too."""
     axes_a, _, dim, degree_a, degree_b, group_a, _ = args
     scale, source = a.scale * b.scale, (a, b, *args)
+    if not (a.bound and b.bound):
+        return _Node(zero_array(shape), Fraction(1), 0, source)
     bound = math.factorial(len(group_a)) * _pairs(dim, degree_a, degree_b) * dim ** len(axes_a) * a.bound * b.bound
     if a.arr is None or b.arr is None or bound >= _INT64_SAFE:
         return _Node(None, scale, bound, source)
@@ -692,10 +711,10 @@ def _term(
         if (node := memo.get(key)) is None:
             node = memo[key] = _factor(arr, scale, axes, dim)
         nodes.append(node)
-    for a, b, args in plan.steps:
+    for (a, b, args), shape in zip(plan.steps, plan.shapes):
         key = (id(nodes[a]), id(nodes[b]), args)
         if (node := memo.get(key)) is None:
-            node = memo[key] = _step(nodes[a], nodes[b], args)
+            node = memo[key] = _step(nodes[a], nodes[b], args, shape)
         nodes.append(node)
     if node.arr is not None:
         return node.arr.transpose(plan.order), node.scale, node.bound
@@ -820,14 +839,19 @@ def contract_terms(
     along the greedy ``np.einsum_path`` of the index letters.  Each step
     stays ``int64`` and is content-reduced while its guard passes
     (:func:`_step`); from the first step whose guard fails the term is
-    computed modulo primes.  Polarised factors and products are kept in
-    ``memo`` as nodes (:class:`_Node`): a factor under the identity of its
-    operand array, its scale and its polarised axes, a product under the
-    identities of its two factor nodes and the step's arguments.  Terms
-    and calls sharing a ``memo`` (which keeps their operands alive)
-    compute a product once when they contract the same nodes over the
-    same axes in the same order; written with its factors swapped, it is
-    another node.
+    computed modulo primes.  A factor or product with bound 0 is exactly
+    zero: each product built on it is a zero image without any array
+    pass, and a term ending in one is left out of the sum and of the
+    common scale, so a sum of zero terms is :func:`zero_array` at scale
+    1.
+
+    Polarised factors and products are kept in ``memo`` as nodes
+    (:class:`_Node`): a factor under the identity of its operand array,
+    its scale and its polarised axes, a product under the identities of
+    its two factor nodes and the step's arguments.  Terms and calls
+    sharing a ``memo`` (which keeps their operands alive) compute a
+    product once when they contract the same nodes over the same axes in
+    the same order; written with its factors swapped, it is another node.
 
     With ``alternate``, the first ``alternate`` output letters of every term
     form one antisymmetric group: they become one axis (after the
@@ -835,21 +859,23 @@ def contract_terms(
     lexicographic order, holding the sum over the rearrangements ``J`` of
     ``I`` of ``sign(J)`` times the term at ``J``.  Each term computes it
     inside its last product (:func:`_alternated`), only at those tuples.
-    With the multiples ``k_i`` and scale of :func:`linear_combination`,
-    the sum is int64 when every term is and ``sum |k_i| · max|term_i| <
-    2^62``, and :class:`Residues` otherwise.  Returns ``(values,
-    scale)``, not content-reduced.
+    With the multiples ``k_i`` and scale of :func:`linear_combination`
+    over the nonzero terms, the sum is int64 when every such term is and
+    ``sum |k_i| · max|term_i| < 2^62``, and :class:`Residues` otherwise.
+    Returns ``(values, scale)``, not content-reduced.
     """
     memo = {} if memo is None else memo
-    terms = list(terms)
-    parts = [_term(subscripts, operands, memo, alternate) for _, subscripts, operands in terms]
-    multiples, scale = integer_multiples([Fraction(c) * s for (c, _, _), (_, s, _) in zip(terms, parts)])
-    values = [v for v, _, _ in parts]
+    parts = [(c, *_term(subscripts, operands, memo, alternate)) for c, subscripts, operands in terms]
+    # A zero term (bound 0) adds nothing: it enters neither sum nor scale.
+    live = [(c, v, s, bound) for c, v, s, bound in parts if bound]
+    if not live:
+        return zero_array(parts[0][1].shape), Fraction(1)
+    multiples, scale = integer_multiples([Fraction(c) * s for c, _, s, _ in live])
+    values = [v for _, v, _, _ in live]
     wide = [v for v in values if isinstance(v, Residues)]
-    bounds = [abs(k) * bound for k, (_, _, bound) in zip(multiples, parts)]
+    bounds = [abs(k) * bound for k, (_, _, _, bound) in zip(multiples, live)]
     if not wide and sum(bounds) < _INT64_SAFE:
-        # A zero term adds nothing, and its multiple may not fit in int64.
-        return _weighted_sum([k if b else 0 for k, b in zip(multiples, bounds)], values), scale
+        return _weighted_sum(multiples, values), scale
 
     def residue(p: int, cache: dict) -> np.ndarray:
         total = 0

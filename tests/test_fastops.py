@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alternating_sums, sphere
+from conftest import alternating_sums, flat, sphere
 from killingtensor import (
     ConditionForm1,
     ConditionForm2,
@@ -742,11 +742,10 @@ class TestAlternatedProduct:
 
     @pytest.mark.parametrize("term, size", [("abcx,xd->abcd", 4), ("abcx,x->abc", 3), ("x,xabc->abc", 3)])
     def test_a_zero_factor_zeroes_a_wrapped_share(self, term, size):
-        # The step guard multiplies by the zero factor's maximum, 0, so it
-        # passes while the other factor's entries sit just below 2^62.
-        # Alternating that factor over its share of the group adds up 3!
-        # such entries with one sign, which wraps in int64; times the zero
-        # factor the product is still exactly zero.
+        # The other factor's entries sit just below 2^62: alternating it
+        # over its share of the group would add up 3! such entries with
+        # one sign, which wraps in int64.  The zero factor ends the step
+        # first, so nothing is alternated and the product is exactly zero.
         dim = 4
         inputs = term.split("->")[0].split(",")
         operands = []
@@ -777,6 +776,44 @@ class TestAlternatedProduct:
             assert any(len(node.source) > 2 and node.source[-2] for node in memo.values())  # alternated
             for node in nodes:
                 assert node.bound == (int(np.max(np.abs(node.arr))) if node.arr.size else 0)
+
+
+class TestZeroNodes:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    def test_a_valid_s_polarised_in_three_slots_is_zero(self, dim):
+        # A valid S symmetrised over any three of its slots vanishes by the
+        # cyclic identity, so every hook-check factor with x in three slots
+        # of one S is zero; with x in two slots it is not.
+        for seed in range(3):
+            S = r_to_s(random_curvature(dim, random.Random(seed), bound=9)).tensor._ints
+            assert not any(polarise(S, axes).any() for axes in itertools.combinations(range(4), 3))
+            assert all(polarise(S, axes).any() for axes in itertools.combinations(range(4), 2))
+
+    def test_the_identity_suite_multiplies_no_zero_operand(self, monkeypatch):
+        # Those zero factors end their branches at _step: of the suite's 37
+        # steps, the 19 built on one reach no array pass.
+        operands = []
+        original = _fastops._alternated
+
+        def watched(a, b, *args):
+            operands.append((a.any(), b.any()))
+            return original(a, b, *args)
+
+        monkeypatch.setattr(_fastops, "_alternated", watched)
+        for dim in (3, 4, 5):
+            for model in (sphere(dim), flat(dim)):
+                operands.clear()
+                verify_identity_suite(r_to_s(random_curvature(dim, random.Random(dim), bound=3)), model)
+                assert len(operands) == 18 and all(a and b for a, b in operands), (dim, model)
+
+    def test_zero_terms_sum_to_a_broadcast_zero(self):
+        # Every term ends in a zero factor: the sum is one stored zero at
+        # scale 1, and no step or sum makes an array.
+        s = (np.zeros((3,) * 4, dtype=np.int64), Fraction(1, 5))
+        g = (np.eye(3, dtype=np.int64), Fraction(2))
+        values, scale = contract_terms([(1, "kl,k*ab,l*cd->abcd", (g, s, s)), (-3, "kl,k*ab,lcd*->abcd", (g, s, s))])
+        assert values.shape == (6, 3, 3, 3, 3) and values.strides == (0,) * 5
+        assert scale == 1 and not values.any()
 
 
 class TestMemory:

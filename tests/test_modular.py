@@ -266,6 +266,33 @@ class TestAgainstPythonInts:
         if bits in (3, 40):
             assert routes == {(True, bits == 40), (False, bits == 40)}
 
+    def test_wide_hook_checks_reduce_no_zero_node(self, monkeypatch):
+        # At 20 bits every hook check goes modular while the curvature
+        # factors stay int64, so a zero factor is known by its bound 0 and
+        # ends its branch: no step multiplies an all-zero operand, in int64
+        # or modulo a prime, and no zero node is reduced.
+        bounds, operands = [], []
+        residue, alternated = _fastops._residue, _fastops._alternated
+
+        def watched_residue(node, p, cache):
+            bounds.append(node.bound)
+            return residue(node, p, cache)
+
+        def watched_alternated(a, b, *args):
+            operands.append(a.any() and b.any())
+            return alternated(a, b, *args)
+
+        monkeypatch.setattr(_fastops, "_residue", watched_residue)
+        monkeypatch.setattr(_fastops, "_alternated", watched_alternated)
+        S = r_to_s(wide_kn(4, random.Random(20), 20))
+        g, s = image(sphere(4).gbar()), image(S.tensor)
+        for _, term, ops in integrability._HOOK_CHECKS:
+            residual = integrability._residual(integrability._polar((term,), ops), g, s, {})
+            assert isinstance(residual.contracted, Residues) and residual.is_zero()
+        assert verify_identity_suite(S, sphere(4)) == integrability._IDENTITY_CHECKS
+        assert bounds and all(bounds)
+        assert operands and all(operands)
+
 
 # Rows whose final group absorbs the free slots: those slots are one more
 # group of the residual.
