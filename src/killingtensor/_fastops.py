@@ -18,18 +18,25 @@ into every slot of the group: the coefficient of ``x^α`` is the sum of
 the entries over the index tuples with multiset ``α``, the group's orbit
 sum.  A polarised array carries its coefficients on one leading
 *monomial axis*, over the degree-``d`` monomials in the lexicographic
-order of their sorted index tuples (size 1 in degree 0).  The one
-contraction engine, :func:`contract_terms`, multiplies such factors
-pairwise: a batched ``matmul`` over their index axes, one batch per pair
-of monomials, then a gather and a segmented sum over a cached table that
-maps each pair to its product monomial.  An antisymmetric group stays
+order of their sorted index tuples (size 1 in degree 0).
+
+The one contraction engine, :func:`contract_terms`, multiplies such
+factors pairwise along a plan that is built once per term, dimension
+and group (:func:`_contraction_plan`).  The plan compiles each step once
+(:class:`_Step`): its two operands, how each factor is read, the table
+that adds up monomial pairs per product monomial, the output shape and
+the guard factor ``size! · pairs · volume``.  One kernel,
+:func:`_alternated`, runs every step: a batched ``matmul`` over the
+contracted index axes, one batch per pair of monomials, then a gather
+and a segmented sum over that table.  An antisymmetric group stays
 index axes and is alternated inside the last product of each term, only
 at the group's increasing tuples: each factor is alternated over its own
 share of the group, and the two are paired at the shuffles of each
 tuple (the shuffle formula of the exterior product), not at all its
-rearrangements.  :func:`expand_axis` rebuilds a dense slot group from
-canonical components by a gather, after :func:`weigh_monomials` has
-applied a symmetric group's ``alpha!`` weights.
+rearrangements; a plain product is the case of an empty group.
+:func:`expand_axis` rebuilds a dense slot group from canonical
+components by a gather, after :func:`weigh_monomials` has applied a
+symmetric group's ``alpha!`` weights.
 
 An all-zero integer image is one read-only broadcast of a single int64
 zero (:func:`zero_array`), whatever its shape, and the reductions over an
@@ -37,7 +44,9 @@ image read each zero-stride axis once (:func:`stored_entries`).  In the
 engine a factor or product whose bound is 0 is exactly zero, and it ends
 its branch of the contraction: every product built on it is a zero
 image at once, with nothing multiplied (:func:`_step`), a zero term is
-left out of its sum, and no zero is reduced modulo a prime.  Such zeros
+left out of its sum, and no zero is reduced modulo a prime.  A factor
+too wide for int64 is polarised in Python ints, so its bound is its
+exact maximum and a zero one is known too (:func:`_factor`).  Such zeros
 are structural, not rare: the identity suite's hook checks polarise
 three slots of one curvature factor, which the cyclic identity makes
 zero (:func:`~killingtensor.integrability.verify_identity_suite`).
@@ -319,7 +328,8 @@ def _shuffled(dim: int, size: int, slots: tuple[int, ...]) -> tuple[np.ndarray, 
     others = tuple(s for s in range(size) if s not in slots)
     chosen = list(itertools.combinations(range(size), len(slots)))
     rest = [tuple(k for k in range(size) if k not in part) for part in chosen]
-    combos = np.array(list(itertools.combinations(range(dim), size)), dtype=np.intp).reshape(-1, size)
+    combos = list(itertools.combinations(range(dim), size))
+    combos = np.array(combos, dtype=np.intp).reshape(len(combos), size)
 
     def ranks(parts: list[tuple[int, ...]]) -> np.ndarray:
         # Every tuple's entries at each shuffle's positions, ranked.
@@ -348,7 +358,7 @@ def polarise(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     The result starts with a monomial axis of degree ``len(axes)`` and
     keeps the other axes in order; each coefficient sums the entries over
     the index tuples of its monomial, at most ``pairs`` of them, in
-    ``arr``'s dtype: callers keep ``pairs · max|arr|`` below 2^62.
+    ``arr``'s dtype: int64 callers keep ``pairs · max|arr|`` below 2^62.
     """
     axes = list(axes)
     rest = [axis for axis in range(arr.ndim) if axis not in axes]
@@ -358,98 +368,6 @@ def polarise(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
         return flat
     table = _merge(arr.shape[0], (1,) * len(axes))
     return np.add.reduceat(flat[table.perm], table.starts, axis=0)
-
-
-def _pairs(dim: int, *degrees: int) -> int:
-    """Most tuples of monomials of ``degrees`` whose product is one monomial
-    (1 unless there are two or more degrees, none of them zero)."""
-    return _merge(dim, degrees).pairs if len(degrees) > 1 and all(degrees) else 1
-
-
-def _product(
-    a: np.ndarray,
-    b: np.ndarray,
-    axes_a: Sequence[int],
-    axes_b: Sequence[int],
-    dim: int,
-    degree_a: int,
-    degree_b: int,
-) -> np.ndarray:
-    """Contract two polynomial-valued arrays over index axes, in their
-    dtype, unguarded: each entry sums at most ``pairs · volume`` products.
-
-    ``a`` and ``b`` start with monomial axes of the given degrees in
-    ``dim`` variables; ``axes_a`` / ``axes_b`` are index axes (never 0).
-    The result starts with the monomial axis of the product polynomials,
-    then has the free index axes of ``a``, then those of ``b``.  Every
-    pair of monomials is one batch of a ``matmul``; the pairs are then
-    added up per product monomial.
-    """
-    free_a = [axis for axis in range(1, a.ndim) if axis not in axes_a]
-    free_b = [axis for axis in range(1, b.ndim) if axis not in axes_b]
-    shape = [a.shape[k] for k in free_a] + [b.shape[k] for k in free_b]
-    volume = math.prod(a.shape[k] for k in axes_a)
-    a = a.transpose([0, *free_a, *axes_a]).reshape(len(a), 1, -1, volume)
-    b = b.transpose([0, *axes_b, *free_b]).reshape(1, len(b), volume, -1)
-    return _merged(np.matmul(a, b).reshape([-1] + shape), dim, degree_a, degree_b)
-
-
-def _merged(out: np.ndarray, dim: int, degree_a: int, degree_b: int) -> np.ndarray:
-    """Products over every pair of monomials (axis 0, C order) added up
-    per product monomial."""
-    if not (degree_a and degree_b):
-        return out
-    table = _merge(dim, (degree_a, degree_b))
-    return np.add.reduceat(out[table.perm], table.starts, axis=0)
-
-
-def _alternated(
-    a: np.ndarray,
-    b: np.ndarray,
-    axes_a: Sequence[int],
-    axes_b: Sequence[int],
-    dim: int,
-    degree_a: int,
-    degree_b: int,
-    group_a: Sequence[int],
-    group_b: Sequence[int],
-) -> np.ndarray:
-    """:func:`_product`, alternated over one antisymmetric group of free slots.
-
-    Slot ``s`` of the group is axis ``group_a[s]`` of ``a``, or, where
-    that is 0, axis ``group_b[s]`` of ``b``.  Axis 1 of the result runs
-    over the group's strictly increasing tuples ``I`` (lexicographic
-    order), holding the sum over the rearrangements ``J`` of ``I`` of
-    ``sign(J)`` times the product read at ``J``; the other free axes of
-    ``a``, then of ``b``, follow.
-
-    By the shuffle formula of the exterior product this is a sum over
-    shuffles.  Each factor is first alternated over its own share of the
-    group (:func:`_share`), at that share's increasing tuples.  Then, at
-    each ``I``, the factors are paired at the ``C(size, p)`` shuffles of
-    ``I`` (:func:`_shuffled`; ``p`` the size of ``a``'s share): ``a`` is
-    read at the shuffle's sign from its entries and their negatives, and
-    the shuffles join the contracted axis.  When one factor holds the
-    whole group there is one shuffle, with sign +1, and the other factor
-    is read once for every ``I``.  Either way it is one batched
-    ``matmul`` per tuple and pair of monomials.  How each factor is read
-    depends only on the ranks and the arguments, and is cached
-    (:func:`_readings`).  Each entry sums at most
-    ``C(size, p) · pairs · volume`` products of share-alternated entries,
-    each a signed sum of ``p! · (size - p)!`` products of an entry of
-    each factor; unguarded.  With no group this is :func:`_product`.
-    """
-    if not group_a:
-        return _product(a, b, axes_a, axes_b, dim, degree_a, degree_b)
-    args = (tuple(axes_a), tuple(axes_b), dim, tuple(group_a), tuple(group_b))
-    read_a, read_b, shape = _readings(a.ndim, b.ndim, *args)
-    a, b = _share(a, read_a), _share(b, read_b)
-    if read_a.at is not None:  # the shuffles join the contracted axis
-        a = a[:, read_a.at].reshape(len(a), *read_a.shuffled)
-        b = b[:, read_b.at].reshape(len(b), *read_b.shuffled)
-    # a enters the product as a transposed view.
-    out = np.matmul(a.swapaxes(2, 3)[:, None], b[None])
-    return _merged(out.reshape((-1,) + shape), dim, degree_a, degree_b)
 
 
 class _Reading(NamedTuple):
@@ -464,17 +382,43 @@ class _Reading(NamedTuple):
     shuffled: tuple[int, int, int]  # (tuples, shuffles · contracted, free) read at it
 
 
-@functools.lru_cache(maxsize=128)
-def _readings(
-    ndim_a: int, ndim_b: int, axes_a: tuple, axes_b: tuple, dim: int, group_a: tuple, group_b: tuple
-) -> tuple[_Reading, _Reading, tuple[int, ...]]:
-    """The readings of both factors of :func:`_alternated` (every index
-    axis is ``dim`` long), and its result's shape after the monomial axis.
-    The first factor is signed when the shuffles carry signs."""
+class _Step(NamedTuple):
+    """One pairwise product of a plan, compiled once (:func:`_compile`)."""
+
+    a: int  # the operand numbers of the two factors
+    b: int
+    key: tuple  # (axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)
+    read_a: _Reading
+    read_b: _Reading
+    merge: "_Merge | None"  # adds up the monomial pairs; None when no two meet
+    shape: tuple[int, ...]  # the result's shape, monomial axis first
+    load: int  # size! · pairs · volume: most products of two entries in one entry
+
+
+def _compile(a: int, b: int, ndim_a: int, ndim_b: int, key: tuple) -> _Step:
+    """The step multiplying operand ``a`` (``ndim_a`` axes) by operand
+    ``b`` (``ndim_b`` axes) by :func:`_alternated`, every index axis
+    ``dim`` long, with ``key = (axes_a, axes_b, dim, degree_a, degree_b,
+    group_a, group_b)``.
+
+    Both factors start with a monomial axis of the given degree in
+    ``dim`` variables; ``axes_a`` / ``axes_b`` are the contracted index
+    axes (never 0).  Slot ``s`` of the antisymmetric group (empty for a
+    plain product) is axis ``group_a[s]`` of ``a``, or, where that is 0,
+    axis ``group_b[s]`` of ``b``.  The result's shape is the monomials
+    of the degrees' sum, the group's increasing tuples when there is a
+    group, then the free index axes of ``a``, then those of ``b``.  The
+    first factor is signed when the shuffles carry signs.  ``load``
+    counts the products an entry adds up: ``pairs`` monomial pairs meet
+    in one product monomial, ``volume`` is the contracted index volume,
+    and ``size!`` the rearrangements of a group of ``size`` slots.
+    """
+    axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b = key
     slots = tuple(s for s, axis in enumerate(group_a) if axis)
     at_a, at_b = _shuffled(dim, len(group_a), slots)
     tuples, shuffles = at_a.shape
-    volume, shape, readings = dim ** len(axes_a), (tuples,), []
+    volume, degree, readings = dim ** len(axes_a), degree_a + degree_b, []
+    shape = (math.comb(dim + degree - 1, degree),) + ((tuples,) if group_a else ())
     for ndim, axes, share, at, signed in (
         (ndim_a, axes_a, [group_a[s] for s in slots], at_a, shuffles > 1),
         (ndim_b, axes_b, [axis for axis in group_b if axis], at_b, False),
@@ -494,7 +438,45 @@ def _readings(
             at if shuffles > 1 else None, (tuples, shuffles * volume, rest),
         ))
         shape += (dim,) * len(free)
-    return readings[0], readings[1], shape
+    merge = _merge(dim, (degree_a, degree_b))
+    load = math.factorial(len(group_a)) * merge.pairs * volume
+    return _Step(a, b, key, *readings, merge if merge.pairs > 1 else None, shape, load)
+
+
+def _alternated(a: np.ndarray, b: np.ndarray, step: _Step) -> np.ndarray:
+    """The product of two polynomial-valued arrays by ``step``
+    (:func:`_compile`): contracted over index axes, and alternated over
+    the step's antisymmetric group of free slots, if any.
+
+    With a group, axis 1 of the result runs over its strictly increasing
+    tuples ``I`` (lexicographic order), holding the sum over the
+    rearrangements ``J`` of ``I`` of ``sign(J)`` times the plain product
+    read at ``J``.  By the shuffle formula of the exterior product this
+    is a sum over shuffles.  Each factor is first alternated over its own
+    share of the group (:func:`_share`), at that share's increasing
+    tuples.  Then, at each ``I``, the factors are paired at the ``C(size,
+    p)`` shuffles of ``I`` (:func:`_shuffled`; ``p`` the size of ``a``'s
+    share): ``a`` is read at the shuffle's sign from its entries and
+    their negatives, and the shuffles join the contracted axis.  When one
+    factor holds the whole group, or there is no group, there is one
+    shuffle, with sign +1.  Either way it is one batched ``matmul``, a
+    batch per pair of monomials; the pairs are then added up per product
+    monomial (the step's ``merge``).  Each entry sums at most ``C(size,
+    p) · pairs · volume`` products of share-alternated entries, each a
+    signed sum of ``p! · (size - p)!`` products of an entry of each
+    factor: ``step.load`` such products in all.  In the factors' dtype,
+    unguarded.
+    """
+    read_a, read_b = step.read_a, step.read_b
+    a, b = _share(a, read_a), _share(b, read_b)
+    if read_a.at is not None:  # the shuffles join the contracted axis
+        a = a[:, read_a.at].reshape(len(a), *read_a.shuffled)
+        b = b[:, read_b.at].reshape(len(b), *read_b.shuffled)
+    # a enters the product as a transposed view.
+    out = np.matmul(a.swapaxes(2, 3)[:, None], b[None]).reshape((-1,) + step.shape[1:])
+    if step.merge is None:
+        return out
+    return np.add.reduceat(out[step.merge.perm], step.merge.starts, axis=0)
 
 
 def _share(x: np.ndarray, reading: _Reading) -> np.ndarray:
@@ -563,27 +545,23 @@ def weigh_monomials(values: np.ndarray, axis: int, dim: int, size: int) -> np.nd
 
 
 class _Plan(NamedTuple):
-    x_axes: tuple[tuple[int, ...], ...]  # polarised axes of each factor
-    steps: tuple[tuple[int, int, tuple], ...]  # operands a, b and _alternated's arguments
-    shapes: tuple[tuple[int, ...], ...]  # each step's result shape, monomial axis first
+    factors: tuple[tuple[tuple[int, ...], int], ...]  # polarised axes of each factor, and its pairs
+    steps: tuple[_Step, ...]  # the pairwise products, in order
     order: tuple[int, ...]  # transpose of the last product into output order
-    load: int  # most products of two entries any polarisation or step adds up
+    load: int  # the largest of the factors' pairs and the steps' loads
 
 
 @functools.lru_cache(maxsize=128)
 def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
-    """Polarised axes of each factor, the pairwise steps, output order.
+    """Polarised axes of each factor, the compiled steps, output order.
 
-    A step ``(a, b, args)`` contracts operands ``a`` and ``b`` by
-    :func:`_alternated` with the arguments ``args = (axes_a, axes_b, dim,
-    degree_a, degree_b, group_a, group_b)``; each step's result takes the
-    next number, and its shape follows from the plan alone: the monomials
-    of the two degrees' sum, the increasing tuples of an alternated
-    group, then one ``dim`` axis for each remaining index letter.  The
-    greedy path sees index axes only and gets no memory limit, so that
-    every step is a pair (under numpy's default limit it may fall back to
-    one step over all remaining factors).  The last step alternates over
-    the first ``alternate`` output letters, which its load counts.
+    A factor's ``pairs`` is the most index tuples that polarisation adds
+    up into one coefficient.  A step (:func:`_compile`) contracts two
+    operands; its result takes the next operand number.  The greedy path
+    sees index axes only and gets no memory limit, so that every step is
+    a pair (under numpy's default limit it may fall back to one step over
+    all remaining factors).  The last step alternates over the first
+    ``alternate`` output letters.
     """
     inputs, output = subscripts.split("->")
     factors = inputs.split(",")
@@ -599,28 +577,26 @@ def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
     shapes = [np.broadcast_to(0, (dim,) * len(f)) for f in names]
     reduced = ",".join(names) + "->" + output
     path = np.einsum_path(reduced, *shapes, optimize=("greedy", sys.maxsize))[0][1:]
-    x_axes = tuple(tuple(k for k, c in enumerate(f) if c == "*") for f in factors)
+    x_axes = [tuple(k for k, c in enumerate(f) if c == "*") for f in factors]
+    pairs = [_merge(dim, (1,) * len(axes)).pairs for axes in x_axes]
     degrees = [len(axes) for axes in x_axes]
-    load = max(_pairs(dim, *(1,) * d) for d in degrees)
     # The axes of ``letters`` in operand k, after its monomial axis (0 if absent).
     at = lambda k, letters: tuple(names[k].find(c) + 1 for c in letters)  # noqa: E731
     live = list(range(len(factors)))  # einsum_path's operand list
-    steps, shapes = [], []
+    steps = []
     for n, positions in enumerate(path, 1 - len(path)):
         a, b = (live[k] for k in positions)
         live = [m for k, m in enumerate(live) if k not in positions] + [len(names)]
         shared = [c for c in names[a] if c in names[b]]
         group = "" if n else output[:alternate]
-        args = (at(a, shared), at(b, shared), dim, degrees[a], degrees[b], at(a, group), at(b, group))
-        steps.append((a, b, args))
-        load = max(load, math.factorial(len(group)) * _pairs(dim, degrees[a], degrees[b]) * dim ** len(shared))
+        key = (at(a, shared), at(b, shared), dim, degrees[a], degrees[b], at(a, group), at(b, group))
+        steps.append(_compile(a, b, len(names[a]) + 1, len(names[b]) + 1, key))
         names.append("".join(c for c in names[a] + names[b] if c not in shared and c not in group))
         degrees.append(degrees[a] + degrees[b])
-        tuples = (math.comb(dim, len(group)),) if group else ()
-        shapes.append((math.comb(dim + degrees[-1] - 1, degrees[-1]), *tuples) + (dim,) * len(names[-1]))
     lead = 2 if alternate else 1  # the monomial axis, then the increasing tuples
     order = tuple(range(lead)) + tuple(names[-1].index(c) + lead for c in output[alternate:])
-    return _Plan(x_axes, tuple(steps), tuple(shapes), order, load)
+    load = max(pairs + [step.load for step in steps])
+    return _Plan(tuple(zip(x_axes, pairs)), tuple(steps), order, load)
 
 
 class _Node(NamedTuple):
@@ -632,8 +608,8 @@ class _Node(NamedTuple):
     and ``bound`` a bound on the entries of the integer image at that
     scale.  So bound 0 holds only for an int64 node that is exactly
     zero.  ``source`` rebuilds the node modulo a prime: the operand array
-    and its x-axes for a factor, the two factor nodes and
-    :func:`_alternated`'s arguments for a product.
+    and its x-axes for a factor, the two factor nodes and the
+    :class:`_Step` for a product.
     """
 
     arr: "np.ndarray | None"
@@ -642,37 +618,38 @@ class _Node(NamedTuple):
     source: tuple
 
 
-def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], dim: int) -> _Node:
-    """The operand ``scale * arr`` with x in ``axes``: int64 while each
-    coefficient, a sum of at most ``pairs`` entries, stays below 2^62."""
-    pairs, peak = _pairs(dim, *(1,) * len(axes)), _max_abs(arr)
-    if pairs * peak >= _INT64_SAFE:
-        return _Node(None, scale, pairs * peak, (arr, axes))
-    poly = polarise(arr.astype(np.int64, copy=False), axes)
-    # With one entry per coefficient, the polarised array holds arr's entries.
-    return _Node(poly, scale, peak if pairs == 1 else _max_abs(poly), (arr, axes))
+def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], pairs: int) -> _Node:
+    """The operand ``scale * arr`` with x in ``axes``, each coefficient a
+    sum of at most ``pairs`` entries: polarised in int64 while ``pairs ·
+    max|arr| < 2^62``, and otherwise in Python ints, so that its bound is
+    the exact maximum (0 for a zero factor).  The node is int64 when
+    that maximum is below 2^62."""
+    peak = _max_abs(arr)
+    poly = polarise(arr.astype(np.int64 if pairs * peak < _INT64_SAFE else object, copy=False), axes)
+    if pairs > 1:  # with one entry per coefficient, poly holds arr's entries
+        peak = _max_abs(poly)
+    if peak >= _INT64_SAFE:
+        return _Node(None, scale, peak, (arr, axes))
+    return _Node(poly.astype(np.int64, copy=False), scale, peak, (arr, axes))
 
 
-def _step(a: _Node, b: _Node, args: tuple, shape: tuple[int, ...]) -> _Node:
-    """The product of nodes ``a`` and ``b`` by :func:`_alternated` with
-    ``args = (axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)``;
-    ``shape`` is its shape (:func:`_contraction_plan`).
+def _step(a: _Node, b: _Node, step: _Step) -> _Node:
+    """The product of nodes ``a`` and ``b`` by :func:`_alternated`.
 
     A factor with bound 0 is exactly zero, so the product is too: it is
-    :func:`zero_array` at scale 1 and bound 0, with nothing multiplied,
-    whatever the other factor holds (int64, or residues past a guard).
-    Otherwise the product is int64 and content-reduced when both are
-    int64 and ``size! · pairs · volume · max|a| · max|b| < 2^62``, with
-    ``size`` the length of the alternated group (0 for none), and the
-    share-alternated entries inside stay below that bound too."""
-    axes_a, _, dim, degree_a, degree_b, group_a, _ = args
-    scale, source = a.scale * b.scale, (a, b, *args)
+    :func:`zero_array` of the step's shape at scale 1 and bound 0, with
+    nothing multiplied, whatever the other factor holds (int64, or
+    residues past a guard).  Otherwise the product is int64 and
+    content-reduced when both are int64 and ``load · max|a| · max|b| <
+    2^62`` (:class:`_Step`), and the share-alternated entries inside stay
+    below that bound too."""
+    scale, source = a.scale * b.scale, (a, b, step)
     if not (a.bound and b.bound):
-        return _Node(zero_array(shape), Fraction(1), 0, source)
-    bound = math.factorial(len(group_a)) * _pairs(dim, degree_a, degree_b) * dim ** len(axes_a) * a.bound * b.bound
+        return _Node(zero_array(step.shape), Fraction(1), 0, source)
+    bound = step.load * a.bound * b.bound
     if a.arr is None or b.arr is None or bound >= _INT64_SAFE:
         return _Node(None, scale, bound, source)
-    return _Node(*_normalized(_alternated(a.arr, b.arr, *args), scale), source)
+    return _Node(*_normalized(_alternated(a.arr, b.arr, step), scale), source)
 
 
 def _residue(node: _Node, p: int, cache: dict) -> np.ndarray:
@@ -686,8 +663,8 @@ def _residue(node: _Node, p: int, cache: dict) -> np.ndarray:
             arr, axes = node.source
             cache[key] = polarise(np.asarray(arr % p, dtype=np.int64), axes) % p
         else:
-            a, b, *args = node.source
-            cache[key] = _alternated(_residue(a, p, cache), _residue(b, p, cache), *args) % p
+            a, b, step = node.source
+            cache[key] = _alternated(_residue(a, p, cache), _residue(b, p, cache), step) % p
     return cache[key]
 
 
@@ -703,18 +680,18 @@ def _term(
     product (:func:`_alternated`)."""
     dim = operands[0][0].shape[0]
     plan = _contraction_plan(subscripts, dim, alternate)
-    if len(operands) != len(plan.x_axes):
-        raise ValueError(f"{subscripts!r} takes {len(plan.x_axes)} operands, got {len(operands)}")
+    if len(operands) != len(plan.factors):
+        raise ValueError(f"{subscripts!r} takes {len(plan.factors)} operands, got {len(operands)}")
     nodes = []
-    for (arr, scale), axes in zip(operands, plan.x_axes):
+    for (arr, scale), (axes, pairs) in zip(operands, plan.factors):
         key = (id(arr), scale, axes)
         if (node := memo.get(key)) is None:
-            node = memo[key] = _factor(arr, scale, axes, dim)
+            node = memo[key] = _factor(arr, scale, axes, pairs)
         nodes.append(node)
-    for (a, b, args), shape in zip(plan.steps, plan.shapes):
-        key = (id(nodes[a]), id(nodes[b]), args)
+    for step in plan.steps:
+        key = (id(nodes[step.a]), id(nodes[step.b]), step.key)
         if (node := memo.get(key)) is None:
-            node = memo[key] = _step(nodes[a], nodes[b], args, shape)
+            node = memo[key] = _step(nodes[step.a], nodes[step.b], step)
         nodes.append(node)
     if node.arr is not None:
         return node.arr.transpose(plan.order), node.scale, node.bound
@@ -747,10 +724,10 @@ class Residues:
     (its ``C(size, r)`` shuffles of share-alternated entries, for ``r``
     slots of the group in the first factor, expand to ``r! · (size -
     r)!`` products each); a sum with integer multiples ``k_i`` is at
-    most ``Σ |k_i| · B_i``.  An int64 intermediate enters with its own
-    maximum, after content reduction: it is exactly ``scale · arr``, and
-    a bound on the integers built on it holds at the product of the
-    scales they carry.
+    most ``Σ |k_i| · B_i``.  A polarised factor enters with its exact
+    maximum, and an int64 product with its own maximum after content
+    reduction: it is exactly ``scale · arr``, and a bound on the
+    integers built on it holds at the product of the scales they carry.
 
     Why no step overflows: a plan's ``load`` counts ``pairs · volume``
     for each product and ``size! · pairs · volume`` for an alternated
@@ -835,11 +812,14 @@ def contract_terms(
     shared by two factors (and summed) or is an output index.  A ``*`` in
     place of a factor's index puts ``x`` into that slot (:func:`polarise`),
     and the monomial axis has the term's total degree (size 1 when no
-    slot is polarised).  Factors are multiplied pairwise (:func:`_product`)
-    along the greedy ``np.einsum_path`` of the index letters.  Each step
-    stays ``int64`` and is content-reduced while its guard passes
-    (:func:`_step`); from the first step whose guard fails the term is
-    computed modulo primes.  A factor or product with bound 0 is exactly
+    slot is polarised).  Factors are multiplied pairwise along the greedy
+    ``np.einsum_path`` of the index letters, each step compiled once in
+    the term's plan (:func:`_contraction_plan`) and run by
+    :func:`_alternated`.  Each step stays ``int64`` and is
+    content-reduced while its guard passes (:func:`_step`); from the
+    first step whose guard fails the term is computed modulo primes.  A
+    polarised factor too wide for int64 is polarised once in Python ints,
+    so a zero one is known as zero.  A factor or product with bound 0 is exactly
     zero: each product built on it is a zero image without any array
     pass, and a term ending in one is left out of the sum and of the
     common scale, so a sum of zero terms is :func:`zero_array` at scale
@@ -848,7 +828,7 @@ def contract_terms(
     Polarised factors and products are kept in ``memo`` as nodes
     (:class:`_Node`): a factor under the identity of its operand array,
     its scale and its polarised axes, a product under the identities of
-    its two factor nodes and the step's arguments.  Terms and calls
+    its two factor nodes and the step's key (:class:`_Step`).  Terms and calls
     sharing a ``memo`` (which keeps their operands alive) compute a
     product once when they contract the same nodes over the same axes in
     the same order; written with its factors swapped, it is another node.

@@ -67,6 +67,11 @@ _MAX_ORACLE_POINTS = 10_000
 # 3.0 s at N = 4 and 9.2 s at N = 5, in 33 MiB max RSS (2-vCPU VM).
 _MAX_IDENTITY_SAMPLES = 100
 
+# Largest --N of identities: one sample took 5.7 s and 104 MiB max RSS
+# at N = 8, 13.1 s and 221 MiB at N = 9, and 35.2 s and 507 MiB at
+# N = 10 (2-vCPU VM); N = 20 ran out of memory.
+_MAX_IDENTITY_DIM = 8
+
 # Largest --bound of oracle, generate and identities: the cost of every
 # exact step grows with the drawn rationals' bit lengths.  identities
 # --N 5 --samples 1 took 4.5 s at the cap (0.1 s at 9, 137 s at 2^32), and
@@ -338,6 +343,8 @@ def cmd_identities(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     sphere = kio.parse_model_descriptor({"kind": "sphere", "N": args.N})
     flat = kio.parse_model_descriptor({"kind": "flat", "N": args.N})
+    # Past the model's own cap, the suite's cost caps the dimension.
+    _check_cap("--N", args.N, _MAX_IDENTITY_DIM)
     failures = 0
     for index in range(args.samples):
         S = r_to_s(random_curvature(args.N, rng, bound=args.bound))

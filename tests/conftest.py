@@ -78,6 +78,21 @@ def wide_curvature(dim: int, digits: int, seed: int) -> CurvatureTensor:
     return kulkarni_nomizu(form(), form())
 
 
+def wide_kn(dim: int, rng: random.Random, bits: int) -> CurvatureTensor:
+    """h1 ⊘ k1 + h2 ⊘ k2 for integer symmetric forms with entries below
+    2^bits: a curvature tensor whose integer image reaches about 2^(2 bits + 3)."""
+
+    def form() -> SymmetricForm:
+        arr = np.empty((dim, dim), dtype=object)
+        for i in range(dim):
+            for j in range(i, dim):
+                arr[i, j] = arr[j, i] = rng.randint(-(1 << bits), 1 << bits)
+        return SymmetricForm(Tensor(arr, dim=dim))
+
+    first, second = kulkarni_nomizu(form(), form()), kulkarni_nomizu(form(), form())
+    return CurvatureTensor(first.tensor + second.tensor)
+
+
 def image_bits(tensor: Tensor) -> tuple[int, int]:
     """Bit lengths of the lcm of the denominators and of the widest rescaled entry."""
     values = tensor.array.ravel().tolist()

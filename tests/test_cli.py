@@ -361,6 +361,24 @@ class TestIdentitiesCommand:
             cli.main(["identities", "--N", "3", "--samples", str(cap)])
         assert calls == [3]
 
+    def test_dimensions_over_the_cap_are_refused_before_sampling(self, capsys, monkeypatch):
+        calls = []
+
+        def sampler(dim, rng, bound):
+            calls.append(dim)
+            raise LookupError("the stub samples nothing")
+
+        monkeypatch.setattr(cli, "random_curvature", sampler)
+        cap = cli._MAX_IDENTITY_DIM
+        for dim in (cap + 1, 20):
+            code, out, err = run(capsys, "identities", "--N", str(dim), "--samples", "1")
+            assert (code, out) == (2, "")
+            assert err == f"error: --N {dim} is over the cap of {cap}\n"
+        assert calls == []
+        with pytest.raises(LookupError):
+            cli.main(["identities", "--N", str(cap), "--samples", "1"])
+        assert calls == [cap]
+
 
 class TestTopLevelBehaviour:
     def test_help_exits_cleanly(self, capsys):

@@ -11,10 +11,10 @@ symmetric and one antisymmetric slot group; a residual rebuilds the
 dense (anti)symmetrised array from them.  Both are compared here with
 composing ``symmetrise_slots`` and ``antisymmetrise_slots`` on Fraction
 tensors, including int64 entries close to 2^62, where the sums must
-fall back to Python integers.  The polynomial product kernel
-``_product`` on Python ints is compared with polynomial multiplication
-one monomial pair at a time, and the engine's alternated last product
-with that kernel in Python ints followed by ``alternating_sums``.
+fall back to Python integers.  The product kernel ``_alternated`` with
+an empty group, on Python ints, is compared with polynomial
+multiplication one monomial pair at a time, and with a group, with that
+multiplication followed by ``alternating_sums``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alternating_sums, flat, sphere
+from conftest import alternating_sums, flat, sphere, wide_kn
 from killingtensor import (
     ConditionForm1,
     ConditionForm2,
@@ -533,14 +533,15 @@ class TestPolynomialProduct:
         a = data.draw(integer_arrays((len(monomials(dim, degrees[0])),) + (dim,) * ranks[0]))
         b = data.draw(integer_arrays((len(monomials(dim, degrees[1])),) + (dim,) * ranks[1]))
         contracted = data.draw(st.integers(0, min(ranks)))
-        axes_a = data.draw(st.permutations(range(1, ranks[0] + 1)))[:contracted]
-        axes_b = data.draw(st.permutations(range(1, ranks[1] + 1)))[:contracted]
-        result = _fastops._product(python_ints(a), python_ints(b), axes_a, axes_b, dim, *degrees)
+        axes_a = tuple(data.draw(st.permutations(range(1, ranks[0] + 1)))[:contracted])
+        axes_b = tuple(data.draw(st.permutations(range(1, ranks[1] + 1)))[:contracted])
+        step = _fastops._compile(0, 1, a.ndim, b.ndim, (axes_a, axes_b, dim, *degrees, (), ()))
+        result = _fastops._alternated(python_ints(a), python_ints(b), step)
         expected, pairs = python_polynomial_product(a, b, axes_a, axes_b, dim, *degrees)
-        assert result.shape == expected.shape
+        assert result.shape == expected.shape == step.shape
         assert result.tolist() == expected.tolist()
-        # The step guards count this many pairs per product monomial.
-        assert _fastops._pairs(dim, *degrees) == pairs
+        # The step's guard counts this many pairs per product monomial.
+        assert step.load == pairs * dim**contracted
 
     @pytest.mark.parametrize("value", [NEAR_SAFE - 1, NEAR_SAFE, (1 << 31) + 1, 3 << 60])
     def test_products_past_int64(self, value):
@@ -666,16 +667,32 @@ def alternated_products(draw):
     return dim, degree_a, degree_b, list(letters_a), list(letters_b), group
 
 
+def alternated_step(dim, degree_a, degree_b, letters_a, letters_b, group):
+    """The compiled step of an alternated product of these letters."""
+    shared = [c for c in letters_a if c.startswith("c")]
+    key = (
+        tuple(letters_a.index(c) + 1 for c in shared),
+        tuple(letters_b.index(c) + 1 for c in shared),
+        dim,
+        degree_a,
+        degree_b,
+        tuple(letters_a.index(g) + 1 if g in letters_a else 0 for g in group),
+        tuple(letters_b.index(g) + 1 if g in letters_b else 0 for g in group),
+    )
+    return _fastops._compile(0, 1, len(letters_a) + 1, len(letters_b) + 1, key)
+
+
 def alternated_reference(a, b, dim, degree_a, degree_b, letters_a, letters_b, group):
-    """The plain product in Python ints, then the conftest alternation."""
+    """The plain product as Python polynomial multiplication, then the
+    conftest alternation; also the most monomial pairs that meet."""
     shared = [c for c in letters_a if c.startswith("c")]
     axes_a = [letters_a.index(c) + 1 for c in shared]
     axes_b = [letters_b.index(c) + 1 for c in shared]
-    product = _fastops._product(python_ints(a), python_ints(b), axes_a, axes_b, dim, degree_a, degree_b)
+    product, pairs = python_polynomial_product(a, b, axes_a, axes_b, dim, degree_a, degree_b)
     # The free axes of a, then of b; each group letter names one of them.
     free = [c for c in letters_a + letters_b if c not in shared]
     order = [free.index(g) + 1 for g in group] + [k + 1 for k, c in enumerate(free) if c not in group]
-    return alternating_sums(product.transpose([0] + order), len(group)), axes_a, axes_b
+    return alternating_sums(product.transpose([0] + order), len(group)), pairs
 
 
 class TestAlternatedProduct:
@@ -688,35 +705,35 @@ class TestAlternatedProduct:
             (math.comb(dim + d - 1, d),) + (dim,) * len(letters)
             for d, letters in ((degree_a, letters_a), (degree_b, letters_b))
         ]
+        step = alternated_step(*spec)
         if modular:
             # Residues at the largest prime the step's load allows, half of
             # them p - 1.
-            volume = dim ** sum(c.startswith("c") for c in letters_a)
-            load = math.factorial(len(group)) * _fastops._pairs(dim, degree_a, degree_b) * volume
-            p = next(_fastops.Residues(0, load, None).primes(0))
+            p = next(_fastops.Residues(0, step.load, None).primes(0))
             a, b = (np.where(rng.random(shape) < 0.5, p - 1, rng.integers(0, p, size=shape)) for shape in shapes)
         else:
             a, b = (rng.integers(-(1 << 20), 1 << 20, size=shape) for shape in shapes)
-        expected, axes_a, axes_b = alternated_reference(a, b, dim, degree_a, degree_b, letters_a, letters_b, group)
-        group_a = tuple(letters_a.index(g) + 1 if g in letters_a else 0 for g in group)
-        group_b = tuple(letters_b.index(g) + 1 if g in letters_b else 0 for g in group)
-        result = _fastops._alternated(a, b, axes_a, axes_b, dim, degree_a, degree_b, group_a, group_b)
-        assert result.dtype == np.int64 and result.shape == expected.shape
+        expected, pairs = alternated_reference(a, b, *spec)
+        volume = dim ** sum(c.startswith("c") for c in letters_a)
+        assert step.load == math.factorial(len(group)) * pairs * volume
+        result = _fastops._alternated(a, b, step)
+        assert result.dtype == np.int64 and result.shape == expected.shape == step.shape
         if modular:
             result, expected = result % p, expected % p
         assert result.tolist() == expected.tolist()
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_shuffle_tables_sum_every_arrangement(self, dim):
-        # For every group size and every split of the group between the
-        # factors (an empty share on either side included), the shuffles
-        # of share-alternated factors expand to the signed sum over all
-        # size! arrangements: each pair (first factor's tuple, second's)
-        # gets the same coefficient from both.
+        # For every group size (the empty group of a plain product
+        # included) and every split of the group between the factors (an
+        # empty share on either side included), the shuffles of
+        # share-alternated factors expand to the signed sum over all size!
+        # arrangements: each pair (first factor's tuple, second's) gets
+        # the same coefficient from both.
         def sign(values) -> int:
             return (-1) ** sum(i > j for i, j in itertools.combinations(values, 2))
 
-        for size in range(1, min(dim, 5) + 1):
+        for size in range(min(dim, 5) + 1):
             combos = list(itertools.combinations(range(dim), size))
             for r in range(size + 1):
                 for slots in itertools.combinations(range(size), r):
@@ -773,7 +790,7 @@ class TestAlternatedProduct:
             for _, terms, ops in rows:
                 integrability._residual(integrability._polar(terms, ops), g, k, memo)
             nodes = [node for node in memo.values() if node.arr is not None]
-            assert any(len(node.source) > 2 and node.source[-2] for node in memo.values())  # alternated
+            assert any(len(node.source) > 2 and node.source[2].key[-2] for node in memo.values())  # alternated
             for node in nodes:
                 assert node.bound == (int(np.max(np.abs(node.arr))) if node.arr.size else 0)
 
@@ -791,13 +808,16 @@ class TestZeroNodes:
 
     def test_the_identity_suite_multiplies_no_zero_operand(self, monkeypatch):
         # Those zero factors end their branches at _step: of the suite's 37
-        # steps, the 19 built on one reach no array pass.
+        # steps, the 19 built on one reach no array pass.  On a curvature
+        # tensor too wide for int64 the zero factors are polarised in
+        # Python ints, so they are known as zero there too, and no step
+        # modulo a prime multiplies one.
         operands = []
         original = _fastops._alternated
 
-        def watched(a, b, *args):
+        def watched(a, b, step):
             operands.append((a.any(), b.any()))
-            return original(a, b, *args)
+            return original(a, b, step)
 
         monkeypatch.setattr(_fastops, "_alternated", watched)
         for dim in (3, 4, 5):
@@ -805,6 +825,10 @@ class TestZeroNodes:
                 operands.clear()
                 verify_identity_suite(r_to_s(random_curvature(dim, random.Random(dim), bound=3)), model)
                 assert len(operands) == 18 and all(a and b for a, b in operands), (dim, model)
+        for bits in (32, 40):
+            operands.clear()
+            verify_identity_suite(r_to_s(wide_kn(4, random.Random(bits), bits)), sphere(4))
+            assert operands and all(a and b for a, b in operands), bits
 
     def test_zero_terms_sum_to_a_broadcast_zero(self):
         # Every term ends in a zero factor: the sum is one stored zero at

@@ -5,10 +5,10 @@ A residual whose int64 guards fail continues as residues modulo primes
 residues, and its tensor is rebuilt by Chinese remaindering.  Here every
 row is also computed in Python integers (object arrays) with no modular
 code: each polarised factor is multiplied pairwise along the greedy path
-of its index letters by the polynomial product kernel ``_product`` on
-object arrays (which ``test_fastops`` checks against Python polynomial
-multiplication), the terms are added with exact multiples, and the
-canonical components are read with the reference ``alternating_sums``
+of its index letters by the product kernel ``_alternated`` with an
+empty group, on object arrays (which ``test_fastops`` checks against
+Python polynomial multiplication), the terms are added with exact
+multiples, and the canonical components are read with the reference ``alternating_sums``
 (conftest), ``weigh_monomials`` and ``expand_axis`` on object arrays.  Supports, ``condition1/2/3_residual``
 tensors and hook-check outcomes must agree, on Benenti inputs at entry
 bound 9, random S, and sums of Kulkarni-Nomizu products whose integer
@@ -28,22 +28,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alternating_sums, flat, sphere
+from conftest import alternating_sums, flat, sphere, wide_kn
 from killingtensor import (
     ConditionForm1,
     ConditionForm2,
-    CurvatureTensor,
     MetricSignature,
     ModelKind,
     ModelSpace,
-    SymmetricForm,
     Tensor,
     benenti_rep,
     check,
     condition1_residual,
     condition2_residual,
     condition3_residual,
-    kulkarni_nomizu,
     r_to_s,
     random_curvature,
     random_invertible_matrix,
@@ -80,9 +77,10 @@ def python_int_term(term: str, operands) -> np.ndarray:
         (a, names_a, degree_a), (b, names_b, degree_b) = (nodes[k] for k in positions)
         nodes = [node for k, node in enumerate(nodes) if k not in positions]
         shared = [c for c in names_a if c in names_b]
-        axes_a = [names_a.index(c) + 1 for c in shared]
-        axes_b = [names_b.index(c) + 1 for c in shared]
-        product = _fastops._product(a, b, axes_a, axes_b, dim, degree_a, degree_b)
+        axes_a = tuple(names_a.index(c) + 1 for c in shared)
+        axes_b = tuple(names_b.index(c) + 1 for c in shared)
+        step = _fastops._compile(0, 1, a.ndim, b.ndim, (axes_a, axes_b, dim, degree_a, degree_b, (), ()))
+        product = _fastops._alternated(a, b, step)
         assert product.dtype == object
         names = "".join(c for c in names_a + names_b if c not in shared)
         nodes.append((product, names, degree_a + degree_b))
@@ -148,21 +146,6 @@ def signed_operands(dim: int, size: int, slots: tuple[int, ...], c: int):
 
 def image(tensor: Tensor):
     return tensor._ints, tensor._scale
-
-
-def wide_kn(dim: int, rng: random.Random, bits: int) -> CurvatureTensor:
-    """h1 ⊘ k1 + h2 ⊘ k2 for integer symmetric forms with entries below
-    2^bits: a curvature tensor whose integer image reaches about 2^(2 bits + 3)."""
-
-    def form() -> SymmetricForm:
-        arr = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(i, dim):
-                arr[i, j] = arr[j, i] = rng.randint(-(1 << bits), 1 << bits)
-        return SymmetricForm(Tensor(arr, dim=dim))
-
-    first, second = kulkarni_nomizu(form(), form()), kulkarni_nomizu(form(), form())
-    return CurvatureTensor(first.tensor + second.tensor)
 
 
 def models(dim: int) -> list[ModelSpace]:
@@ -420,7 +403,7 @@ class TestModularRoute:
         (step,) = [node for node in memo.values() if len(node.source) > 2]
         first, second = (node.arr for node in step.source[:2])
         # The alternated step modulo p, as _residue runs it.
-        result = _fastops._alternated(first, second, *step.source[2:]) % p
+        result = _fastops._alternated(first, second, step.source[2]) % p
         expected = alternating_sums(python_int_term(term, operands), size) % p
         assert result.tolist() == expected.tolist()
 
