@@ -602,14 +602,15 @@ def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
 class _Node(NamedTuple):
     """A polarised factor or a product in :func:`contract_terms`'s memo.
 
-    ``arr`` is its int64 image at ``scale`` (a factor as polarised, a
-    product content-reduced) and ``bound`` is max|arr|.  Past a failed
-    guard ``arr`` is None, ``scale`` the product of the factors' scales
-    and ``bound`` a bound on the entries of the integer image at that
-    scale.  So bound 0 holds only for an int64 node that is exactly
-    zero.  ``source`` rebuilds the node modulo a prime: the operand array
-    and its x-axes for a factor, the two factor nodes and the
-    :class:`_Step` for a product.
+    ``arr`` is its integer image at ``scale`` and ``bound`` is max|arr|:
+    int64 within the guard, a factor as polarised and a product
+    content-reduced.  A factor past its guard keeps its polarisation in
+    Python ints.  A product past its guard has no image: ``arr`` is
+    None, ``scale`` the product of the factors' scales and ``bound`` a
+    bound on the entries of the integer image at that scale.  So bound
+    0 holds only for a node that is exactly zero.  ``source`` is empty
+    for a factor and, for a product, its two factor nodes and the
+    :class:`_Step`, which rebuild it modulo a prime.
     """
 
     arr: "np.ndarray | None"
@@ -622,15 +623,13 @@ def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], pairs: int)
     """The operand ``scale * arr`` with x in ``axes``, each coefficient a
     sum of at most ``pairs`` entries: polarised in int64 while ``pairs ·
     max|arr| < 2^62``, and otherwise in Python ints, so that its bound is
-    the exact maximum (0 for a zero factor).  The node is int64 when
-    that maximum is below 2^62."""
+    the exact maximum (0 for a zero factor).  The image is int64 when
+    that maximum is below 2^62, and stays in Python ints otherwise."""
     peak = _max_abs(arr)
     poly = polarise(arr.astype(np.int64 if pairs * peak < _INT64_SAFE else object, copy=False), axes)
     if pairs > 1:  # with one entry per coefficient, poly holds arr's entries
         peak = _max_abs(poly)
-    if peak >= _INT64_SAFE:
-        return _Node(None, scale, peak, (arr, axes))
-    return _Node(poly.astype(np.int64, copy=False), scale, peak, (arr, axes))
+    return _Node(poly.astype(np.int64 if peak < _INT64_SAFE else object, copy=False), scale, peak, ())
 
 
 def _step(a: _Node, b: _Node, step: _Step) -> _Node:
@@ -638,30 +637,29 @@ def _step(a: _Node, b: _Node, step: _Step) -> _Node:
 
     A factor with bound 0 is exactly zero, so the product is too: it is
     :func:`zero_array` of the step's shape at scale 1 and bound 0, with
-    nothing multiplied, whatever the other factor holds (int64, or
-    residues past a guard).  Otherwise the product is int64 and
-    content-reduced when both are int64 and ``load · max|a| · max|b| <
+    nothing multiplied, whatever the other factor holds.  Otherwise the
+    product is int64 and content-reduced when ``load · max|a| · max|b| <
     2^62`` (:class:`_Step`), and the share-alternated entries inside stay
-    below that bound too."""
+    below that bound too.  The bounds alone decide: a factor with no int64
+    image has a bound of at least 2^62, so the product fails the guard."""
     scale, source = a.scale * b.scale, (a, b, step)
     if not (a.bound and b.bound):
         return _Node(zero_array(step.shape), Fraction(1), 0, source)
     bound = step.load * a.bound * b.bound
-    if a.arr is None or b.arr is None or bound >= _INT64_SAFE:
+    if bound >= _INT64_SAFE:
         return _Node(None, scale, bound, source)
     return _Node(*_normalized(_alternated(a.arr, b.arr, step), scale), source)
 
 
 def _residue(node: _Node, p: int, cache: dict) -> np.ndarray:
-    """``node`` modulo the prime ``p``, in [0, p).  ``cache`` holds this
-    prime's residues by node, so a shared node is reduced once."""
+    """``node`` modulo the prime ``p``, in [0, p), as int64: its image
+    reduced, int64 or Python ints alike, or, for a product with no
+    image, its step rerun on its factors' residues.  ``cache`` holds
+    this prime's residues by node, so a shared node is reduced once."""
     key = id(node)
     if key not in cache:
         if node.arr is not None:
-            cache[key] = node.arr % p
-        elif len(node.source) == 2:
-            arr, axes = node.source
-            cache[key] = polarise(np.asarray(arr % p, dtype=np.int64), axes) % p
+            cache[key] = np.asarray(node.arr % p, dtype=np.int64)
         else:
             a, b, step = node.source
             cache[key] = _alternated(_residue(a, p, cache), _residue(b, p, cache), step) % p

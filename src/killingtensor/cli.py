@@ -62,10 +62,11 @@ _MAX_SPACE_DIM = 10**5
 # and 51 MiB max RSS at N = 5, and 30 s and 58 MiB at N = 8 (2-vCPU VM).
 _MAX_ORACLE_POINTS = 10_000
 
-# Largest --samples of identities: each sample runs the identity suite on
-# two models and a third residual.  At the cap it took 1.8 s at N = 3,
-# 3.0 s at N = 4 and 9.2 s at N = 5, in 33 MiB max RSS (2-vCPU VM).
-_MAX_IDENTITY_SAMPLES = 100
+# Largest --samples · max(N, 5)^8 of identities, whose largest arrays grow
+# as N^8: 100 samples at N <= 5, 23 at N = 6, 6 at N = 7 and 2 at N = 8.
+# At the cap it took 6.4 s at N = 5, 7.9 s at N = 6, 5.8 s at N = 7 and
+# 9.5 s in 105 MiB max RSS at N = 8 (2-vCPU VM).
+_MAX_IDENTITY_COST = 100 * 5**8
 
 # Largest --N of identities: one sample took 5.7 s and 104 MiB max RSS
 # at N = 8, 13.1 s and 221 MiB at N = 9, and 35.2 s and 507 MiB at
@@ -338,13 +339,15 @@ def cmd_identities(args: argparse.Namespace) -> int:
         raise InvalidArgument("--N must be at least 2")
     if args.samples < 1:
         raise InvalidArgument("--samples must be at least 1")
-    _check_cap("--samples", args.samples, _MAX_IDENTITY_SAMPLES)
     _check_cap("--bound", args.bound, _MAX_BOUND)
     rng = random.Random(args.seed)
     sphere = kio.parse_model_descriptor({"kind": "sphere", "N": args.N})
     flat = kio.parse_model_descriptor({"kind": "flat", "N": args.N})
-    # Past the model's own cap, the suite's cost caps the dimension.
+    # Past the model's own cap, the suite's cost caps N, then the samples.
     _check_cap("--N", args.N, _MAX_IDENTITY_DIM)
+    cap = _MAX_IDENTITY_COST // max(args.N, 5) ** 8
+    if args.samples > cap:
+        raise InvalidArgument(f"--samples {args.samples} is over the cap of {cap} at --N {args.N}")
     failures = 0
     for index in range(args.samples):
         S = r_to_s(random_curvature(args.N, rng, bound=args.bound))

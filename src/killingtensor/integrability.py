@@ -22,11 +22,12 @@ implementation bug, never bad data.
 All arithmetic is exact: every operand is a sum of einsum terms over the
 integer images the tensors hold, contracted by one guarded engine, and
 the final symmetry operator is evaluated only at the residual's
-canonical components (orbit sums, with overflow guards).  Where an
-earlier operator spans the residual's free slots, they are one more slot
-group of it, read at its canonical tuples as the final groups are.  A
-residual that outgrows int64 is carried as residues modulo primes:
-verdicts and supports are read from the residues, and only a residual
+canonical components (orbit sums, with overflow guards).  A residual
+has one symmetric and one antisymmetric slot group, either possibly
+empty, and its compiled row owns that layout (:class:`_Polar`).  Free
+slots spanned by an earlier operator are the group of the kind the
+final one lacks.  A residual that outgrows int64 is carried as residues
+modulo primes: verdicts and supports are read from the residues, and only a residual
 tensor is rebuilt from them (see :class:`~killingtensor._fastops.Residues`).
 """
 
@@ -50,6 +51,7 @@ from ._fastops import (
     nonzero,
     normalize_array,
     weigh_monomials,
+    zero_array,
 )
 from ._linalg import determinant
 from ._util import coerce_rng
@@ -175,9 +177,10 @@ def _resolve_gbar(gbar: GbarLike, dim: int) -> Tensor:
 # its terms, and the sequence of slot operations applied to the operand
 # in order: (+1, axes) is an unnormalised symmetrisation over the 0-based
 # axes, (−1, axes) an unnormalised antisymmetrisation.  The trailing run
-# of operations on mutually disjoint slot groups is the residual's
-# support: the finished residual is (anti)symmetric over exactly those
-# groups, and only its canonical components are computed (``_polar``).
+# of operations on mutually disjoint slot groups, at most one of each
+# kind, is the residual's support: the finished residual is
+# (anti)symmetric over exactly those groups, and only its canonical
+# components are computed (``_polar``).
 # ---------------------------------------------------------------------------
 
 # gbar^{kl} K_{k b1 a2 b2} K_{l d1 c2 d2}: (b1, a2, b2, d1, c2, d2) for R,
@@ -207,7 +210,6 @@ _QUARTIC_YIN = "pq,rs,tu,prab,qcde,tfgh,usij->abcdefghij"
 _QUARTIC_YANG = "pq,rs,tu,pcab,qdre,usij,tfgh->abcdefghij"
 
 _Ops = tuple[tuple[int, tuple[int, ...]], ...]
-_Groups = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 _Scaled = tuple[np.ndarray, Fraction]
 
 # Each row: (curvature class of the four-letter factors, terms, slot
@@ -232,45 +234,55 @@ _COND2_FORMS = {
 _COND3_FORM = (_S, (_QUARTIC_YIN, _QUARTIC_YANG), ((1, (1, 0, 3, 6, 7, 8, 9)), (-1, (2, 4, 5))))
 
 
-def _canonical_shape(groups: _Groups, order: int, dim: int) -> list[int]:
-    """Canonical tuples per factor: the symmetric groups' monomials, the
-    antisymmetric groups' increasing tuples, then each slot of no group."""
-    sym, anti = groups
-    free = order - sum(map(len, sym + anti))
-    sizes = [math.comb(dim + len(g) - 1, len(g)) for g in sym] + [math.comb(dim, len(g)) for g in anti]
-    return sizes + [dim] * free
+class _Polar(NamedTuple):
+    """A row compiled to polarised terms (see :func:`_polar`), and its
+    residual's layout: the residual is symmetric over ``sym`` and
+    antisymmetric over ``anti`` (sorted axes, either possibly empty), and
+    ``free`` is the sign of the group that holds the free slots, if one does."""
+
+    terms: tuple[tuple[int, str, tuple[int, ...]], ...]  # (coefficient, term, operand per factor)
+    sym: tuple[int, ...]
+    anti: tuple[int, ...]
+    free: int  # +1 (sym), -1 (anti) or 0
+    order: int
+    longest_anti: int  # the most slots an operator of the row antisymmetrises
+
+    @property
+    def slots(self) -> tuple[int, ...]:
+        """The axes in layout order: ``sym``, ``anti``, then the others."""
+        return self.sym + self.anti + tuple(a for a in range(self.order) if a not in self.sym + self.anti)
+
+    def shape(self, dim: int) -> tuple[int, ...]:
+        """The canonical components' shape: ``sym``'s monomials, ``anti``'s
+        increasing tuples (size 1 for an empty group), ``dim`` per other slot."""
+        s, a = len(self.sym), len(self.anti)
+        return (math.comb(dim + s - 1, s), math.comb(dim, a)) + (dim,) * (self.order - s - a)
 
 
 @dataclass(frozen=True)
 class _Residual:
-    """Canonical components of ``scale *`` an (anti)symmetrised residual,
-    first factor slowest (see :func:`_canonical_shape`): an int64 array,
-    or :class:`Residues` once the residual outgrew int64.
-
-    ``groups`` are the final groups and, where an earlier operator spans
-    the free slots (:func:`_polar`), a group of those slots, at position
-    ``free`` of ``sym + anti``.  Its components are weighed and expanded
-    as a final group's are; only :meth:`support` counts each of them at
-    every index tuple of the group, as the dense residual holds it there.
+    """Canonical components of ``scale *`` the residual of ``polar``, laid
+    out as :meth:`_Polar.shape` says: an int64 array, or :class:`Residues`
+    once the residual outgrew int64.  A group of free slots is weighed and
+    expanded as a final group is; only :meth:`support` counts each of its
+    components at every index tuple of the group, as the dense residual
+    holds it there.
     """
 
     contracted: "np.ndarray | Residues"
     scale: Fraction
     dim: int
-    order: int
-    groups: _Groups
-    free: "int | None" = None
+    polar: _Polar
 
     def support(self) -> int:
         """Number of nonzero components: one for each canonical tuple of
-        the final groups and index tuple of the other slots."""
-        mask = nonzero(self.contracted)
+        the final group and index tuple of the other slots."""
+        mask, polar = nonzero(self.contracted), self.polar
         # An all-zero mask, possibly empty, counts 0 without the gather.
-        if self.free is not None and mask.any():
-            sym, anti = self.groups
-            size = len((sym + anti)[self.free])
-            mask = mask.reshape(_canonical_shape(self.groups, self.order, self.dim)).astype(np.int8)
-            mask = expand_axis(mask, self.free, self.dim, size, anti=self.free >= len(sym))
+        if polar.free and mask.any():
+            anti = polar.free < 0
+            mask = mask.reshape(polar.shape(self.dim)).astype(np.int8)
+            mask = expand_axis(mask, int(anti), self.dim, len(polar.anti if anti else polar.sym), anti=anti)
         return int(np.count_nonzero(mask))
 
     def is_zero(self) -> bool:
@@ -285,44 +297,31 @@ class _Residual:
         keeps the image canonical (:meth:`Tensor._canonical`).  A zero
         residual is :meth:`Tensor.zeros`, which holds no array.
         """
+        polar, dim = self.polar, self.dim
         values = integers(self.contracted)
         if not np.count_nonzero(values):
-            return Tensor.zeros(self.dim, self.order)
-        sym, anti = self.groups
-        arr = values.reshape(_canonical_shape(self.groups, self.order, self.dim))
-        for k, group in enumerate(sym):
-            arr = weigh_monomials(arr, k, self.dim, len(group))
+            return Tensor.zeros(dim, polar.order)
+        arr = weigh_monomials(values.reshape(polar.shape(dim)), 0, dim, len(polar.sym))
         arr, scale = normalize_array(arr, self.scale)
-        for k, group in enumerate(sym + anti):
-            arr = expand_axis(arr, k, self.dim, len(group), anti=k >= len(sym))
-        slots = [axis for group in sym + anti for axis in group]
-        slots += [axis for axis in range(self.order) if axis not in slots]
-        arr = arr.reshape((self.dim,) * self.order).transpose(np.argsort(slots))
-        return Tensor._canonical(arr, scale, self.dim)
-
-
-class _Polar(NamedTuple):
-    """A row compiled to polarised terms (see :func:`_polar`)."""
-
-    terms: tuple[tuple[int, str], ...]  # (coefficient, polarised einsum term)
-    alternate: int  # leading index axes summed at increasing tuples
-    groups: _Groups  # the final groups, and a group of the free slots
-    free: "int | None"  # position of that group in sym + anti
-    order: int
-    longest_anti: int
+        arr = expand_axis(arr, 0, dim, len(polar.sym), anti=False)
+        arr = expand_axis(arr, 1, dim, len(polar.anti), anti=True)
+        arr = arr.reshape((dim,) * polar.order).transpose(np.argsort(polar.slots))
+        return Tensor._canonical(arr, scale, dim)
 
 
 @functools.lru_cache(maxsize=64)
 def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
     """Compile a row's operator into contractions of polarised factors.
 
-    The final groups G (symmetric) and F (antisymmetric) are read
-    polarised: x goes into every slot of G, and F's slots stay indices,
-    read at increasing tuples.  The coefficient of x^alpha at F's tuple I
-    is the residual's canonical component there (its orbit sum).  At most one
-    earlier operator P may share one slot s with a final group; the
-    other slots of P are then exactly the residual's free slots, and
-    they become one more group of the residual.
+    The final groups, at most one symmetric group G and one
+    antisymmetric group F, are read polarised: x goes into every slot of
+    G, and F's slots stay indices, read at increasing tuples.  The
+    coefficient of x^alpha at F's tuple I is the residual's canonical
+    component there (its orbit sum).  A row with two final groups of one
+    kind is refused (``ValueError``).  At most one earlier operator P may
+    share one slot s with a final group; the other slots of P are then
+    exactly the residual's free slots, and they become the residual's
+    group of the kind the final groups lack.
 
     * P symmetric, s in F (young-a, ks2-hook-yin).  The residual is
       symmetric in P - {s}, so x goes there too.  With x in all of P but
@@ -345,42 +344,43 @@ def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
       where Anti_P A is zero.
 
     Each substitution is the same term with two output letters swapped,
-    so no operand is symmetrised densely.
+    so no operand is symmetrised densely.  A compiled term names the
+    operand of each factor: 0 (gbar) for two letters, 1 (curvature) for four.
     """
     order = len(terms[0].split("->")[1])
     start, used = len(ops), set()
     while start and used.isdisjoint(ops[start - 1][1]):
         start -= 1
         used.update(ops[start][1])
-    final = ops[start:]
-    sym = tuple(tuple(sorted(axes)) for sign, axes in final if sign > 0)
-    anti = tuple(tuple(sorted(axes)) for sign, axes in final if sign < 0)
-    free = tuple(axis for axis in range(order) if axis not in used)
-    polarised, alternate, position = (sym[0] if sym else ()), (anti[0] if anti else ()), None
+    sym, anti = ([tuple(sorted(axes)) for sign, axes in ops[start:] if sign == kind] for kind in (1, -1))
+    if len(sym) > 1 or len(anti) > 1:
+        raise ValueError(f"unsupported operator sequence {ops}: two final groups of one kind")
+    (sym,), (anti,), free = sym or [()], anti or [()], 0
     swaps = [(1, 0, 0)]  # (coefficient, s, t): the term with output slots s and t swapped
     if start:
-        ((sign, axes),) = ops[:start]
+        ((free, axes),) = ops[:start]
         (s,) = used.intersection(axes)
-        if sorted(set(axes) - {s}) != list(free) or len(sym) + len(anti) != 1 or (sign > 0) != bool(anti):
+        rest = tuple(axis for axis in range(order) if axis not in used)
+        if sorted(set(axes) - {s}) != list(rest) or bool(sym) == bool(anti) or (free > 0) != bool(anti):
             raise ValueError(f"unsupported operator sequence {ops}")
-        if sign > 0:
-            polarised, sym, position = free, (free,), 0
-            swaps = [(1, s, t) for t in sorted(axes)]
+        if free > 0:
+            sym, swaps = rest, [(1, s, t) for t in sorted(axes)]
         else:
-            alternate, anti, position = free, (free,), len(sym)
-            swaps = [(1, s, s)] + [(-1, s, t) for t in free]
-    index = list(alternate) + [a for a in range(order) if a not in polarised + alternate]
+            anti, swaps = rest, [(1, s, s)] + [(-1, s, t) for t in rest]
+    longest = max((len(axes) for sign, axes in ops if sign < 0), default=0)
+    polar = _Polar((), sym, anti, free, order, longest)
+    index = polar.slots[len(sym):]
     compiled = []
     for term in terms:
         inputs, output = term.split("->")
+        operands = tuple(int(len(factor) == 4) for factor in inputs.split(","))
         for coefficient, s, t in swaps:
             out = list(output)
             out[s], out[t] = out[t], out[s]
-            marked = {out[axis] for axis in polarised}
+            marked = {out[axis] for axis in sym}
             factors = "".join("*" if c in marked else c for c in inputs)
-            compiled.append((coefficient, factors + "->" + "".join(out[a] for a in index)))
-    longest = max((len(axes) for sign, axes in ops if sign < 0), default=0)
-    return _Polar(tuple(compiled), len(alternate), (sym, anti), position, order, longest)
+            compiled.append((coefficient, factors + "->" + "".join(out[a] for a in index), operands))
+    return polar._replace(terms=tuple(compiled))
 
 
 def _image(tensor: Tensor) -> _Scaled:
@@ -392,14 +392,11 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
     dim = gbar[0].shape[0]
     if polar.longest_anti > dim:
         # An antisymmetriser over more slots than the dimension is zero.
-        zero = np.zeros(math.prod(_canonical_shape(polar.groups, polar.order, dim)), dtype=np.int64)
-        return _Residual(zero, Fraction(1), dim, polar.order, polar.groups, polar.free)
-    terms = []
-    for coefficient, term in polar.terms:
-        factors = term.split("->")[0].split(",")
-        terms.append((coefficient, term, [gbar if len(f) == 2 else curvature for f in factors]))
-    values, scale = contract_terms(terms, memo, polar.alternate)
-    return _Residual(values, scale, dim, polar.order, polar.groups, polar.free)
+        return _Residual(zero_array(polar.shape(dim)), Fraction(1), dim, polar)
+    operands = (gbar, curvature)
+    terms = [(c, term, [operands[k] for k in picks]) for c, term, picks in polar.terms]
+    values, scale = contract_terms(terms, memo, len(polar.anti))
+    return _Residual(values, scale, dim, polar)
 
 
 def _evaluate(K: KillingInput, gbar: GbarLike, *forms: _Form) -> list[_Residual]:

@@ -351,15 +351,25 @@ class TestIdentitiesCommand:
             raise LookupError("the stub samples nothing")
 
         monkeypatch.setattr(cli, "random_curvature", sampler)
-        cap = cli._MAX_IDENTITY_SAMPLES
-        for samples in (cap + 1, 10**9):
-            code, out, err = run(capsys, "identities", "--N", "3", "--samples", str(samples))
-            assert (code, out) == (2, "")
-            assert err == f"error: --samples {samples} is over the cap of {cap}\n"
-        assert calls == []
-        with pytest.raises(LookupError):
-            cli.main(["identities", "--N", "3", "--samples", str(cap)])
-        assert calls == [3]
+        # The cap bounds samples · max(N, 5)^8: 100 samples at N <= 5, 2 at N = 8.
+        for dim, cap in ((3, 100), (5, 100), (8, 2)):
+            assert cap == cli._MAX_IDENTITY_COST // max(dim, 5) ** 8
+            for samples in (cap + 1, 10**9):
+                code, out, err = run(capsys, "identities", "--N", str(dim), "--samples", str(samples))
+                assert (code, out) == (2, "")
+                assert err == f"error: --samples {samples} is over the cap of {cap} at --N {dim}\n"
+            assert calls == []
+            with pytest.raises(LookupError):
+                cli.main(["identities", "--N", str(dim), "--samples", str(cap)])
+            assert calls == [dim]
+            calls.clear()
+
+    def test_the_default_samples_at_the_largest_dimension_are_refused(self, capsys):
+        # Ten samples at N = 8 would run about a minute; the cost cap stops
+        # them at once.
+        code, out, err = run(capsys, "identities", "--N", "8")
+        assert (code, out) == (2, "")
+        assert err == "error: --samples 10 is over the cap of 2 at --N 8\n"
 
     def test_dimensions_over_the_cap_are_refused_before_sampling(self, capsys, monkeypatch):
         calls = []

@@ -59,70 +59,67 @@ from killingtensor._fastops import (
 NEAR_SAFE = 1 << 62
 
 
-def fraction_route(entries: list[int], dim: int, order: int, sym, anti) -> np.ndarray:
+def layout(order: int, sym=(), anti=()) -> integrability._Polar:
+    """The compiled row of a residual of ``order`` slots with these two
+    groups (either may be empty) and no terms."""
+    return integrability._Polar((), tuple(sorted(sym)), tuple(sorted(anti)), 0, order, len(anti))
+
+
+def fraction_route(entries: list[int], dim: int, polar) -> np.ndarray:
     """Compose the unnormalised (anti)symmetrisers on a Fraction tensor."""
-    arr = np.array([Fraction(v) for v in entries], dtype=object).reshape((dim,) * order)
+    arr = np.array([Fraction(v) for v in entries], dtype=object).reshape((dim,) * polar.order)
     tensor = Tensor(arr, dim=dim)
-    for group in sym:
-        tensor = symmetrise_slots(tensor, [a + 1 for a in group])
-    for group in anti:
-        tensor = antisymmetrise_slots(tensor, [a + 1 for a in group])
+    if polar.sym:
+        tensor = symmetrise_slots(tensor, [a + 1 for a in polar.sym])
+    if polar.anti:
+        tensor = antisymmetrise_slots(tensor, [a + 1 for a in polar.anti])
     return tensor.array
 
 
-def canonical_tuples(dim: int, order: int, sym, anti):
+def canonical_tuples(dim: int, polar):
     """Canonical tuples in the order of the canonical components, with weights.
 
-    The factors are the symmetric groups, the antisymmetric groups and
+    The factors are the symmetric group, the antisymmetric group and
     then the free axes; each runs through its canonical values in
     lexicographic order, the first factor slowest.  The weight is the
-    product of multiplicity! over the symmetric groups.
+    product of multiplicity! over the symmetric group.
     """
-    groups = [tuple(sorted(g)) for g in sym] + [tuple(sorted(g)) for g in anti]
-    used = {a for g in groups for a in g}
-    factors = []
-    for k, group in enumerate(groups):
-        pick = itertools.combinations if k >= len(sym) else itertools.combinations_with_replacement
-        factors.append((group, list(pick(range(dim), len(group)))))
-    for axis in range(order):
-        if axis not in used:
+    factors = [
+        (polar.sym, list(itertools.combinations_with_replacement(range(dim), len(polar.sym)))),
+        (polar.anti, list(itertools.combinations(range(dim), len(polar.anti)))),
+    ]
+    for axis in range(polar.order):
+        if axis not in polar.sym + polar.anti:
             factors.append(((axis,), [(v,) for v in range(dim)]))
     for choice in itertools.product(*(values for _, values in factors)):
-        index = [0] * order
-        weight = 1
-        for k, ((group, _), values) in enumerate(zip(factors, choice)):
+        index = [0] * polar.order
+        for (group, _), values in zip(factors, choice):
             for axis, value in zip(group, values):
                 index[axis] = value
-            if k < len(sym):
-                for _, run in itertools.groupby(values):
-                    weight *= math.factorial(len(list(run)))
+        weight = math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(choice[0]))
         yield tuple(index), weight
 
 
 @st.composite
 def layouts(draw):
-    """Dimension, order and at most one symmetric and one antisymmetric
-    group, disjoint; other axes stay free."""
+    """Dimension and the compiled row of a residual: at most one
+    symmetric and one antisymmetric group, disjoint; other axes stay free."""
     dim = draw(st.integers(2, 3))
     order = draw(st.integers(2, 5))
     axes = draw(st.permutations(range(order)))
     cut = sorted(draw(st.lists(st.integers(0, order), min_size=2, max_size=2)))
-    sym = (tuple(axes[: cut[0]]),) if cut[0] else ()
-    anti = (tuple(axes[cut[0]: cut[1]]),) if cut[1] > cut[0] else ()
-    return dim, order, sym, anti
+    return dim, layout(order, axes[: cut[0]], axes[cut[0]: cut[1]])
 
 
-def residual_tensor(values: np.ndarray, dim: int, order: int, sym, anti) -> np.ndarray:
+def residual_tensor(values: np.ndarray, dim: int, polar) -> np.ndarray:
     """The dense array a residual rebuilds from these canonical components."""
-    groups = (tuple(tuple(sorted(g)) for g in sym), tuple(tuple(sorted(g)) for g in anti))
-    return integrability._Residual(values, Fraction(1), dim, order, groups).tensor().array
+    return integrability._Residual(values, Fraction(1), dim, polar).tensor().array
 
 
-def canonical_components(arr: np.ndarray, sym, anti) -> np.ndarray:
+def canonical_components(arr: np.ndarray, polar) -> np.ndarray:
     """x in the symmetric group's slots, then the antisymmetric group read
     at increasing tuples, then the free axes: one vector."""
-    sym_axes = sym[0] if sym else ()
-    anti_axes = sorted(anti[0]) if anti else []
+    sym_axes, anti_axes = list(polar.sym), list(polar.anti)
     rest = [axis for axis in range(arr.ndim) if axis not in sym_axes]
     free = [axis for axis in rest if axis not in anti_axes]
     # polarise adds up to len(sym_axes)! entries per coefficient in arr's
@@ -148,18 +145,17 @@ def other_layouts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return transposed, flipped
 
 
-def check_against_fraction_route(entries: list[int], arr: np.ndarray, layout) -> np.ndarray:
-    dim, order, sym, anti = layout
-    expected = fraction_route(entries, dim, order, sym, anti)
-    values = canonical_components(arr, sym, anti)
-    canon = list(canonical_tuples(dim, order, sym, anti))
+def check_against_fraction_route(entries: list[int], arr: np.ndarray, dim: int, polar) -> np.ndarray:
+    expected = fraction_route(entries, dim, polar)
+    values = canonical_components(arr, polar)
+    canon = list(canonical_tuples(dim, polar))
     assert len(values) == len(canon)
     for value, (index, weight) in zip(values.tolist(), canon):
         assert weight * value == expected[index]
     for view in other_layouts(arr):
-        assert canonical_components(view, sym, anti).tolist() == values.tolist()
-    dense = residual_tensor(values, dim, order, sym, anti)
-    assert dense.shape == (dim,) * order
+        assert canonical_components(view, polar).tolist() == values.tolist()
+    dense = residual_tensor(values, dim, polar)
+    assert dense.shape == (dim,) * polar.order
     assert dense.ravel().tolist() == expected.ravel().tolist()
     assert np.count_nonzero(values) == sum(1 for index, _ in canon if expected[index] != 0)
     return values
@@ -169,58 +165,58 @@ class TestCanonicalComponents:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), layout=layouts())
     def test_int64_input_matches_fraction_route(self, data, layout):
-        dim, order, _, _ = layout
+        dim, polar = layout
+        order = polar.order
         entries = data.draw(st.lists(small | near_safe, min_size=dim**order, max_size=dim**order))
         arr = np.array(entries, dtype=np.int64).reshape((dim,) * order)
-        check_against_fraction_route(entries, arr, layout)
+        check_against_fraction_route(entries, arr, dim, polar)
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data(), layout=layouts())
     def test_object_input_matches_fraction_route(self, data, layout):
-        dim, order, _, _ = layout
+        dim, polar = layout
+        order = polar.order
         huge = st.integers(-(1 << 90), 1 << 90)
         entries = data.draw(st.lists(small | huge, min_size=dim**order, max_size=dim**order))
         arr = np.array(entries, dtype=object).reshape((dim,) * order)
-        values = check_against_fraction_route(entries, arr, layout)
+        values = check_against_fraction_route(entries, arr, dim, polar)
         assert values.dtype == object
 
     def test_sums_past_the_guard_take_python_ints(self):
         # Every entry is within 2^20 of 2^62, so the sum of the two entries
         # of each mixed monomial passes it.
-        layout = (3, 4, ((0, 1),), ())
         rng = np.random.default_rng(5)
         entries = [int(v) for v in NEAR_SAFE - 1 - rng.integers(0, 1 << 20, size=81)]
         values = check_against_fraction_route(
-            entries, np.array(entries, dtype=np.int64).reshape((3,) * 4), layout
+            entries, np.array(entries, dtype=np.int64).reshape((3,) * 4), 3, layout(4, (0, 1))
         )
         assert values.dtype == object
         assert max(abs(int(v)) for v in values) >= NEAR_SAFE
 
     def test_sums_below_the_boundary_stay_int64(self):
-        layout = (3, 4, ((0, 1, 2),), ())
         entries = [(-1) ** k * ((1 << 50) + k) for k in range(81)]
         values = check_against_fraction_route(
-            entries, np.array(entries, dtype=np.int64).reshape((3,) * 4), layout
+            entries, np.array(entries, dtype=np.int64).reshape((3,) * 4), 3, layout(4, (0, 1, 2))
         )
         assert values.dtype == np.int64
 
-    @pytest.mark.parametrize("sym", [((0, 1, 2, 3),), ((0, 2),), ((1, 2, 3),)])
+    @pytest.mark.parametrize("sym", [(0, 1, 2, 3), (0, 2), (1, 2, 3)])
     def test_pure_symmetric_groups(self, sym):
         rng = np.random.default_rng(7)
         entries = [int(v) for v in rng.integers(-9, 10, size=81)]
         arr = np.array(entries, dtype=np.int64).reshape((3,) * 4)
-        values = check_against_fraction_route(entries, arr, (3, 4, sym, ()))
+        values = check_against_fraction_route(entries, arr, 3, layout(4, sym))
         assert values.dtype == np.int64
 
     def test_antisymmetric_group_longer_than_the_dimension_is_empty(self):
         # The four-slot antisymmetriser of main1 / young-a at N = 3.
         arr = np.arange(3**6, dtype=np.int64).reshape((3,) * 6)
-        for sym, anti in [((), ((0, 2, 3, 5),)), (((1, 4),), ((0, 2, 3, 5),))]:
-            values = canonical_components(arr, sym, anti)
+        for polar in [layout(6, (), (0, 2, 3, 5)), layout(6, (1, 4), (0, 2, 3, 5))]:
+            values = canonical_components(arr, polar)
             assert values.size == 0
-            dense = residual_tensor(values, 3, 6, sym, anti)
+            dense = residual_tensor(values, 3, polar)
             assert dense.shape == (3,) * 6 and not dense.any()
-        assert canonical_components(arr.astype(object), (), ((0, 2, 3, 5),)).size == 0
+        assert canonical_components(arr.astype(object), layout(6, (), (0, 2, 3, 5))).size == 0
 
 
 @st.composite

@@ -94,30 +94,29 @@ def python_int_residual(terms, ops, gbar, curvature) -> integrability._Residual:
     every index tuple, and is not a group of the returned residual."""
     polar = integrability._polar(terms, ops)
     dim = gbar[0].shape[0]
-    sym, anti = groups = polar.groups
-    rebuild = None
-    if polar.free is not None:
-        # The free group is sym[0] (young-a, ks2-hook-yin) or anti[0]
-        # (hook-d, the hook checks); the other group is the final one.
-        size = len((sym + anti)[polar.free])
-        rebuild = "sym" if polar.free < len(sym) else "anti"
-        groups = ((), anti) if rebuild == "sym" else (sym, ())
+    # The free group is sym (young-a, ks2-hook-yin) or anti (hook-d, the
+    # hook checks); the other group is the final one.
+    dense = polar  # the layout of the returned residual
+    if polar.free > 0:
+        dense = polar._replace(sym=(), free=0)
+    elif polar.free < 0:
+        dense = polar._replace(anti=(), free=0)
     if polar.longest_anti > dim:
-        size = math.prod(integrability._canonical_shape(groups, polar.order, dim))
-        return integrability._Residual(np.zeros(size, dtype=object), Fraction(1), dim, polar.order, groups)
+        return integrability._Residual(np.zeros(dense.shape(dim), dtype=object), Fraction(1), dim, dense)
     parts = []
-    for coefficient, term in polar.terms:
-        operands = [gbar if len(f) == 2 else curvature for f in term.split("->")[0].split(",")]
+    for coefficient, term, picks in polar.terms:
+        operands = [(gbar, curvature)[k] for k in picks]
         scale = math.prod(s for _, s in operands)
         parts.append((coefficient * scale, python_int_term(term, operands)))
     common = Fraction(1, math.lcm(*(c.denominator for c, _ in parts)))
     total = sum(int(c / common) * arr for c, arr in parts)
-    values = alternating_sums(total, polar.alternate)
-    if rebuild == "sym":
+    values = alternating_sums(total, len(polar.anti))
+    if polar.free > 0:
+        size = len(polar.sym)
         values = expand_axis(weigh_monomials(values, 0, dim, size), 0, dim, size, anti=False).T
-    elif rebuild == "anti":
-        values = expand_axis(values, 1, dim, size, anti=True)
-    return integrability._Residual(values.reshape(-1), common, dim, polar.order, groups)
+    elif polar.free < 0:
+        values = expand_axis(values, 1, dim, len(polar.anti), anti=True)
+    return integrability._Residual(values.reshape(-1), common, dim, dense)
 
 
 def signed_operands(dim: int, size: int, slots: tuple[int, ...], c: int):
@@ -245,7 +244,7 @@ class TestAgainstPythonInts:
             assert engine.is_zero() == (not np.count_nonzero(reference.contracted)), ops
             assert engine.support() == np.count_nonzero(reference.contracted), ops
             assert engine.tensor() == reference.tensor(), ops
-            routes.add((polar.free < len(polar.groups[0]), isinstance(engine.contracted, Residues)))
+            routes.add((polar.free > 0, isinstance(engine.contracted, Residues)))
         if bits in (3, 40):
             assert routes == {(True, bits == 40), (False, bits == 40)}
 
@@ -283,7 +282,7 @@ FREE_GROUP_ROWS = [
     (terms, ops)
     for _, terms, ops in [*integrability._COND1_FORMS.values(), *integrability._COND2_FORMS.values()]
     + [(None, (term,), ops) for _, term, ops in integrability._HOOK_CHECKS]
-    if integrability._polar(terms, ops).free is not None
+    if integrability._polar(terms, ops).free
 ]
 
 
@@ -307,7 +306,7 @@ class TestZeroBeforeTheRebuild:
         values = np.zeros(engine.contracted.shape, dtype=np.int64)
         values.flat[rng.integers(0, values.size, size=nonzeros)] = rng.integers(1, 1 << 40, size=nonzeros)
         contracted = Residues(int(np.abs(values).max()), 1, lambda p, cache: values % p) if modular else values
-        residual = integrability._Residual(contracted, Fraction(1), dim, polar.order, polar.groups, polar.free)
+        residual = integrability._Residual(contracted, Fraction(1), dim, polar)
         assert residual.is_zero() == (residual.support() == 0) == (not values.any())
 
     @pytest.mark.parametrize("bits", [3, 40])

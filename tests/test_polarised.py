@@ -299,3 +299,25 @@ class TestDenseResiduals:
                 index[axis] = v
             weight = math.prod(math.factorial(s.count(v)) for v in set(s))
             assert residual[tuple(index)] == scale * weight * value
+
+
+class TestRowLayouts:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_two_final_groups_of_one_kind_are_refused(self, sign):
+        # A residual holds one symmetric and one antisymmetric group, so a
+        # row ending in two disjoint groups of one kind has no layout; it
+        # is refused rather than read with its second group dropped.
+        ops = ((sign, (0, 1)), (sign, (3, 4)))
+        with pytest.raises(ValueError, match="two final groups of one kind"):
+            integrability._polar((integrability._QUADRATIC,), ops)
+
+    def test_every_row_compiles_to_one_group_of_each_kind(self):
+        # Each compiled term names its operands by the factors' lengths,
+        # and the layout covers every slot once.
+        for name, (terms, ops) in ROWS.items():
+            polar = integrability._polar(terms, ops)
+            assert sorted(polar.slots) == list(range(polar.order)), name
+            assert polar.free in (-1, 0, 1) and set(polar.sym).isdisjoint(polar.anti), name
+            for _, term, picks in polar.terms:
+                factors = term.split("->")[0].split(",")
+                assert picks == tuple(int(len(f) == 4) for f in factors), name
