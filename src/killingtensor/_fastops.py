@@ -46,10 +46,15 @@ its branch of the contraction: every product built on it is a zero
 image at once, with nothing multiplied (:func:`_step`), a zero term is
 left out of its sum, and no zero is reduced modulo a prime.  A factor
 too wide for int64 is polarised in Python ints, so its bound is its
-exact maximum and a zero one is known too (:func:`_factor`).  Such zeros
-are structural, not rare: the identity suite's hook checks polarise
-three slots of one curvature factor, which the cyclic identity makes
-zero (:func:`~killingtensor.integrability.verify_identity_suite`).
+exact maximum and a zero one is known too (:func:`_factor`).  Such
+zeros come from the operands: a zero tensor, or a valid curvature tensor
+polarised in three slots, which the cyclic identity makes zero.
+
+A group of free slots that an earlier operator spans, and that shares
+one slot with a final group, is read off one contraction by
+:func:`move_index`: a derivative moves an index from the monomial axis
+into the tuple axis, a product with ``x`` moves one back, each through
+small per-monomial and per-tuple tables (:func:`_moves`).
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ __all__ = [
     "transposed_combination",
     "integer_multiples",
     "contract_terms",
+    "move_index",
     "Residues",
     "nonzero",
     "integers",
@@ -345,6 +351,67 @@ def _shuffled(dim: int, size: int, slots: tuple[int, ...]) -> tuple[np.ndarray, 
     for cached in (first, second):
         cached.flags.writeable = False
     return first, second
+
+
+class _Moves(NamedTuple):
+    """Tables of :func:`move_index`: per output monomial ``alpha`` and
+    variable ``v`` (M x dim), per output tuple ``I`` and column (T x width)."""
+
+    monomial: np.ndarray  # the source monomial at (alpha, v)
+    weight: np.ndarray  # its coefficient, 0 where there is none
+    variable: np.ndarray  # the variable v that column moves at I
+    tuples: np.ndarray  # the source tuple at (I, column)
+    sign: np.ndarray  # its sign
+    load: int  # the largest sum of |coefficient| over one output entry
+
+
+@functools.lru_cache(maxsize=32)
+def _moves(dim: int, degree: int, size: int, pivot: int, free: int) -> _Moves:
+    """Tables moving one index between the monomial axis and the tuple
+    axis, onto monomials of ``degree`` and increasing ``size``-tuples.
+
+    With ``free`` +1 (a derivative) the source is ``x^(alpha + e_v)``
+    with weight ``alpha_v + 1`` at ``I`` less ``v``, for each ``v`` in
+    ``I`` (a column per position of ``I``).  With ``free`` -1 (a product
+    with x) it is ``x^(alpha - e_v)``, weight 1 where ``alpha_v >= 1``
+    and 0 elsewhere, at ``I`` with ``v`` added, for each ``v`` not in
+    ``I`` (a column per place in the complement).  Either way the sign
+    is that of sorting the tuple of the larger group with ``v`` at
+    position ``pivot`` and the smaller tuple in order around it.
+    """
+    combos = list(itertools.combinations(range(dim), size))
+    combos = np.array(combos, dtype=np.intp).reshape(len(combos), size)
+    count = len(_monomial_weights(dim, degree))
+    if free > 0:
+        monomial = _merge(dim, (degree, 1)).rank.reshape(count, dim)
+        weight = _monomial_weights(dim, degree + 1)[monomial] // _monomial_weights(dim, degree)[:, None]
+        variable = combos
+        smaller = [np.delete(combos, k, axis=1) for k in range(size)]
+    else:
+        up = _merge(dim, (degree - 1, 1)).rank.reshape(-1, dim)
+        monomial, weight = np.zeros((count, dim), np.intp), np.zeros((count, dim), np.int64)
+        monomial[up, np.arange(dim)] = np.arange(len(up))[:, None]
+        weight[up, np.arange(dim)] = 1
+        outside = np.ones((len(combos), dim), dtype=bool)
+        outside[np.arange(len(combos))[:, None], combos] = False
+        variable = np.nonzero(outside)[1].reshape(len(combos), dim - size)
+        smaller = [combos] * (dim - size)
+    _, _, index, sign = _alternating(dim, size + (free < 0))
+    source = index if free < 0 else _alternating(dim, size - 1)[2]
+    codes = lambda tuples: tuples @ dim ** np.arange(tuples.shape[1] - 1, -1, -1, dtype=np.intp)  # noqa: E731
+    tuples, signs = [], []
+    for v, rest in zip(variable.T, smaller):
+        arranged = codes(np.insert(rest, pivot, v, axis=1))
+        tuples.append(source[arranged if free < 0 else codes(rest)])
+        signs.append(sign[arranged])
+    incidence = np.zeros((dim, len(combos)), dtype=np.int64)
+    incidence[variable, np.arange(len(combos))[:, None]] = 1
+    load = int(np.max(weight @ incidence, initial=0))
+    tuples, signs = (np.array(columns, dtype=np.intp).T.reshape(variable.shape) for columns in (tuples, signs))
+    moves = _Moves(monomial, weight, variable, tuples, signs, load)
+    for cached in moves[:5]:  # shared by every caller
+        cached.flags.writeable = False
+    return moves
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +929,50 @@ def contract_terms(
         return total
 
     return Residues(sum(bounds), max([2] + [v.load for v in wide]), residue), scale
+
+
+def move_index(
+    values: "np.ndarray | Residues", dim: int, degree: int, size: int, pivot: int, free: int
+) -> "np.ndarray | Residues":
+    """Move one index between the monomial axis and the tuple axis.
+
+    ``values`` is laid out as :func:`contract_terms` returns it: a
+    monomial axis, an axis over increasing tuples, then other axes.  The
+    result has monomials of ``degree`` and increasing ``size``-tuples,
+    and at ``(alpha, I)`` it holds the sum over the columns of
+    :func:`_moves` of ``sign · weight · values[source monomial, source
+    tuple]``.  With ``free`` +1 this is the coefficient of ``x^alpha``
+    in the derivative of ``values`` along ``e_v`` put at position
+    ``pivot`` of ``I``, alternated; with ``free`` -1 the product with
+    ``x``, whose index ``v`` takes position ``pivot`` of the larger
+    tuple (see :func:`~killingtensor.integrability._polar`).
+
+    An entry adds up at most ``load`` (the tables' largest sum of
+    ``|weight|``) entries of ``values``, each at most its bound ``B``:
+    the result is int64 while ``load · B < 2^62``, and otherwise
+    :class:`Residues` with the bound ``load · B``, the map applied modulo
+    each prime, where every partial sum stays below ``load · p < 2^62``.
+    A zero ``values`` gives :func:`zero_array`.
+    """
+    moves = _moves(dim, degree, size, pivot, free)
+    wide = isinstance(values, Residues)
+    bound = values.bound if wide else _max_abs(values)
+    if not bound:
+        return zero_array((len(moves.monomial), len(moves.variable)) + values.shape[2:])
+    if not wide and moves.load * bound < _INT64_SAFE:
+        return _moved(values, moves)
+    residue = lambda p, cache: _moved(_modulo(values, p, cache), moves) % p  # noqa: E731
+    return Residues(moves.load * bound, max(moves.load, values.load if wide else 2), residue)
+
+
+def _moved(values: np.ndarray, moves: _Moves) -> np.ndarray:
+    """:func:`move_index` on an int64 array, one column at a time, unguarded."""
+    out = np.zeros((len(moves.monomial), len(moves.variable)) + values.shape[2:], dtype=np.int64)
+    trailing = (1,) * (values.ndim - 2)
+    for v, tuples, sign in zip(moves.variable.T, moves.tuples.T, moves.sign.T):
+        coefficient = moves.weight[:, v] * sign
+        out += coefficient.reshape(coefficient.shape + trailing) * values[moves.monomial[:, v], tuples]
+    return out
 
 
 def nonzero(

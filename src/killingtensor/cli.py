@@ -64,12 +64,12 @@ _MAX_ORACLE_POINTS = 10_000
 
 # Largest --samples · max(N, 5)^8 of identities, whose largest arrays grow
 # as N^8: 100 samples at N <= 5, 23 at N = 6, 6 at N = 7 and 2 at N = 8.
-# At the cap it took 6.4 s at N = 5, 7.9 s at N = 6, 5.8 s at N = 7 and
-# 9.5 s in 105 MiB max RSS at N = 8 (2-vCPU VM).
+# At the cap it took 3.5 s at N = 5, 3.7 s at N = 6, 3.9 s at N = 7 and
+# 4.6 s in 98 MiB max RSS at N = 8 (2-vCPU VM, one run each).
 _MAX_IDENTITY_COST = 100 * 5**8
 
-# Largest --N of identities: one sample took 5.7 s and 104 MiB max RSS
-# at N = 8, 13.1 s and 221 MiB at N = 9, and 35.2 s and 507 MiB at
+# Largest --N of identities: one sample took 2.8 s and 97 MiB max RSS
+# at N = 8, 7.6 s and 214 MiB at N = 9, and 25.2 s and 493 MiB at
 # N = 10 (2-vCPU VM); N = 20 ran out of memory.
 _MAX_IDENTITY_DIM = 8
 

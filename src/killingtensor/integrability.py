@@ -26,9 +26,11 @@ canonical components (orbit sums, with overflow guards).  A residual
 has one symmetric and one antisymmetric slot group, either possibly
 empty, and its compiled row owns that layout (:class:`_Polar`).  Free
 slots spanned by an earlier operator are the group of the kind the
-final one lacks.  A residual that outgrows int64 is carried as residues
-modulo primes: verdicts and supports are read from the residues, and only a residual
-tensor is rebuilt from them (see :class:`~killingtensor._fastops.Residues`).
+final one lacks, read off the same one contraction by moving the shared
+slot's index (:func:`~killingtensor._fastops.move_index`).  A residual
+that outgrows int64 is carried as residues modulo primes: verdicts and
+supports are read from the residues, and only a residual tensor is
+rebuilt from them (see :class:`~killingtensor._fastops.Residues`).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from ._fastops import (
     contract_terms,
     expand_axis,
     integers,
+    move_index,
     nonzero,
     normalize_array,
     weigh_monomials,
@@ -238,12 +241,15 @@ class _Polar(NamedTuple):
     """A row compiled to polarised terms (see :func:`_polar`), and its
     residual's layout: the residual is symmetric over ``sym`` and
     antisymmetric over ``anti`` (sorted axes, either possibly empty), and
-    ``free`` is the sign of the group that holds the free slots, if one does."""
+    ``free`` is the sign of the group that holds the free slots, if one
+    does.  Then ``pivot`` is the shared slot's position in the larger of
+    its two groups, and the terms' sum goes through :func:`move_index`."""
 
-    terms: tuple[tuple[int, str, tuple[int, ...]], ...]  # (coefficient, term, operand per factor)
+    terms: tuple[tuple[str, tuple[int, ...]], ...]  # (term, operand per factor)
     sym: tuple[int, ...]
     anti: tuple[int, ...]
     free: int  # +1 (sym), -1 (anti) or 0
+    pivot: int
     order: int
     longest_anti: int  # the most slots an operator of the row antisymmetrises
 
@@ -311,7 +317,7 @@ class _Residual:
 
 @functools.lru_cache(maxsize=64)
 def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
-    """Compile a row's operator into contractions of polarised factors.
+    """Compile a row's operator into one contraction per term.
 
     The final groups, at most one symmetric group G and one
     antisymmetric group F, are read polarised: x goes into every slot of
@@ -321,31 +327,36 @@ def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
     kind is refused (``ValueError``).  At most one earlier operator P may
     share one slot s with a final group; the other slots of P are then
     exactly the residual's free slots, and they become the residual's
-    group of the kind the final groups lack.
+    group of the kind the final groups lack.  Each term is then
+    contracted once, and :func:`move_index` moves the index at s between
+    the monomial axis and the tuple axis of the sum.
 
     * P symmetric, s in F (young-a, ks2-hook-yin).  The residual is
-      symmetric in P - {s}, so x goes there too.  With x in all of P but
-      one slot, Sym_P A = (|P| - 1)! sum over t in P of A with the
-      remaining index moved from s to t; the component at a free tuple J
-      is alpha(J)! times the coefficient of the sum's x^alpha(J), as in
-      a final symmetric group.
-    * P antisymmetric, s in G (hook-d and the hook checks).  With x at
-      s, Anti_P A is the antisymmetrisation over P - {s} of A minus, for
-      each t in P - {s}, A with slots s and t swapped; those slots are
-      read at increasing tuples, as a final antisymmetric group.
+      symmetric in P - {s}, so x goes there too.  Contract g with x in
+      all of P and F - {s} alternated.  Sym_P A with index i at s and x
+      in the rest of P is (|P| - 1)! times the sum over t in P of A with
+      i at t and x in the others, and the component is that sum, the
+      repeats divided out.  The sum is the derivative of g along e_i,
+      whose coefficient of x^alpha is (alpha_i + 1) g[alpha + e_i].
+      Alternating over F
+      puts each I_k of the tuple I at s, with the sign (-1)^(k - pivot)
+      of moving it to s's position ``pivot`` in F: the component at
+      (alpha, I) is the sum over k of that sign times (alpha_{I_k} + 1)
+      g[alpha + e_{I_k}, I - {I_k}].
+    * P antisymmetric, s in G (hook-d and the hook checks).  Contract h
+      with x in G - {s} and all of P alternated, P read with s at its
+      position ``pivot``.  Anti_P A with x at s and I on P - {s} is h
+      times x: putting x = sum over v of x_v e_v into s, the component
+      at (alpha, I) is the sum over the v not in I with alpha_v >= 1 of
+      h[alpha - e_v, I + {v}], signed as the sorting of P's tuple with v
+      at s and I in the other slots (zero where v lies in I).
 
-      Here a component is zero for every input when every index of its
-      monomial x^alpha lies in its increasing tuple I.  With x in every
-      slot of G, Sym_G Anti_P A is |G|! times Anti_P A, and putting
-      x = sum_k x_k e_k into slot s writes that as a sum over k of x_k
-      times Anti_P A with index k at s and x in the rest of G.  The
-      coefficient of x^alpha takes only the k of alpha.  Each of them
-      lies in I, so at s it repeats an index of I among the slots of P,
-      where Anti_P A is zero.
+      So a component whose monomial x^alpha uses only indices of I has
+      no term of the sum: it is zero for every input (hook-d at N = 4:
+      40 of its 80 components).
 
-    Each substitution is the same term with two output letters swapped,
-    so no operand is symmetrised densely.  A compiled term names the
-    operand of each factor: 0 (gbar) for two letters, 1 (curvature) for four.
+    A compiled term names the operand of each factor: 0 (gbar) for two
+    letters, 1 (curvature) for four.
     """
     order = len(terms[0].split("->")[1])
     start, used = len(ops), set()
@@ -356,7 +367,7 @@ def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
     if len(sym) > 1 or len(anti) > 1:
         raise ValueError(f"unsupported operator sequence {ops}: two final groups of one kind")
     (sym,), (anti,), free = sym or [()], anti or [()], 0
-    swaps = [(1, 0, 0)]  # (coefficient, s, t): the term with output slots s and t swapped
+    x, group, pivot = sym, anti, 0  # the slots each term polarises and alternates
     if start:
         ((free, axes),) = ops[:start]
         (s,) = used.intersection(axes)
@@ -364,23 +375,20 @@ def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
         if sorted(set(axes) - {s}) != list(rest) or bool(sym) == bool(anti) or (free > 0) != bool(anti):
             raise ValueError(f"unsupported operator sequence {ops}")
         if free > 0:
-            sym, swaps = rest, [(1, s, t) for t in sorted(axes)]
+            sym, x, group, pivot = rest, tuple(sorted(axes)), tuple(a for a in anti if a != s), anti.index(s)
         else:
-            anti, swaps = rest, [(1, s, s)] + [(-1, s, t) for t in rest]
+            anti, x, group = rest, tuple(a for a in sym if a != s), tuple(sorted(axes))
+            pivot = group.index(s)
     longest = max((len(axes) for sign, axes in ops if sign < 0), default=0)
-    polar = _Polar((), sym, anti, free, order, longest)
-    index = polar.slots[len(sym):]
+    index = group + tuple(axis for axis in range(order) if axis not in x + group)
     compiled = []
     for term in terms:
         inputs, output = term.split("->")
+        marked = {output[axis] for axis in x}
+        factors = "".join("*" if c in marked else c for c in inputs)
         operands = tuple(int(len(factor) == 4) for factor in inputs.split(","))
-        for coefficient, s, t in swaps:
-            out = list(output)
-            out[s], out[t] = out[t], out[s]
-            marked = {out[axis] for axis in sym}
-            factors = "".join("*" if c in marked else c for c in inputs)
-            compiled.append((coefficient, factors + "->" + "".join(out[a] for a in index), operands))
-    return polar._replace(terms=tuple(compiled))
+        compiled.append((factors + "->" + "".join(output[a] for a in index), operands))
+    return _Polar(tuple(compiled), sym, anti, free, pivot, order, longest)
 
 
 def _image(tensor: Tensor) -> _Scaled:
@@ -394,8 +402,11 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
         # An antisymmetriser over more slots than the dimension is zero.
         return _Residual(zero_array(polar.shape(dim)), Fraction(1), dim, polar)
     operands = (gbar, curvature)
-    terms = [(c, term, [operands[k] for k in picks]) for c, term, picks in polar.terms]
-    values, scale = contract_terms(terms, memo, len(polar.anti))
+    terms = [(1, term, [operands[k] for k in picks]) for term, picks in polar.terms]
+    # The terms alternate anti less the shared slot (free +1) or with it (free -1).
+    values, scale = contract_terms(terms, memo, len(polar.anti) - polar.free)
+    if polar.free:
+        values = move_index(values, dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
     return _Residual(values, scale, dim, polar)
 
 
@@ -529,13 +540,12 @@ def verify_identity_suite(
     ``u (x) x (x) x (x) v (x) x (x) w`` tensors antisymmetrised in the
     (u, v, w) slots, with random integer vectors drawn from ``rng``.
 
-    The hook checks meet many exact zeros.  A valid ``S`` symmetrised
-    over any three of its slots vanishes by the cyclic identity, and
-    the slot swaps of their compiled terms (:func:`_polar`) put ``x``
-    into three slots of one ``S`` factor, so that polarised factor is
-    zero.  The engine ends each product built on a zero at once
-    (:func:`~killingtensor._fastops.contract_terms`): 19 of the 37
-    contraction steps of a suite, at every N from 3 on.
+    Each hook check is one contraction, with ``x`` in its symmetric
+    group less the slot it shares with the antisymmetriser, times ``x``
+    (:func:`_polar`); the five share their polarised factors and common
+    sub-products through one memo, 13 contraction steps in all at every
+    N from 3 on.  No compiled factor holds ``x`` in three slots of one
+    ``S``, which the cyclic identity would make zero.
 
     Returns the tuple of passed check names.  Raises
     :class:`IdentityViolation` naming the first failing check — such a

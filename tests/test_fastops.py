@@ -62,7 +62,9 @@ NEAR_SAFE = 1 << 62
 def layout(order: int, sym=(), anti=()) -> integrability._Polar:
     """The compiled row of a residual of ``order`` slots with these two
     groups (either may be empty) and no terms."""
-    return integrability._Polar((), tuple(sorted(sym)), tuple(sorted(anti)), 0, order, len(anti))
+    return integrability._Polar(
+        (), tuple(sorted(sym)), tuple(sorted(anti)), free=0, pivot=0, order=order, longest_anti=len(anti)
+    )
 
 
 def fraction_route(entries: list[int], dim: int, polar) -> np.ndarray:
@@ -626,12 +628,12 @@ class TestPolynomialProduct:
             return calls["_factor"], calls["_step"]
 
         pairs = list(itertools.product(ConditionForm1, ConditionForm2))
-        for dim, expected in ((3, (9, 6)), (4, (102, 190)), (5, (102, 190))):
+        for dim, expected in ((3, (9, 6)), (4, (76, 108)), (5, (76, 108))):
             K = random_curvature(dim, random.Random(dim), bound=3)
             assert work(lambda: [check(K, sphere(dim), *pair) for pair in pairs]) == expected
         for dim in (4, 5):
             S = r_to_s(random_curvature(dim, random.Random(dim), bound=3))
-            assert work(lambda: verify_identity_suite(S, sphere(dim))) == (7, 37)
+            assert work(lambda: verify_identity_suite(S, sphere(dim))) == (4, 13)
         S = r_to_s(random_curvature(4, random.Random(4), bound=3))
         assert work(lambda: condition3_residual(S, sphere(4))) == (4, 8)
 
@@ -795,19 +797,29 @@ class TestZeroNodes:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_a_valid_s_polarised_in_three_slots_is_zero(self, dim):
         # A valid S symmetrised over any three of its slots vanishes by the
-        # cyclic identity, so every hook-check factor with x in three slots
-        # of one S is zero; with x in two slots it is not.
+        # cyclic identity, so a factor with x in three slots of one S is
+        # zero; with x in two slots it is not.
         for seed in range(3):
             S = r_to_s(random_curvature(dim, random.Random(seed), bound=9)).tensor._ints
             assert not any(polarise(S, axes).any() for axes in itertools.combinations(range(4), 3))
             assert all(polarise(S, axes).any() for axes in itertools.combinations(range(4), 2))
 
+    def test_no_library_row_polarises_three_slots_of_one_factor(self):
+        # Each row contracts once, with x in its final symmetric group less
+        # or plus the slot it shares with an earlier operator: no compiled
+        # term puts x into three slots of one curvature factor.
+        forms = [*integrability._COND1_FORMS.values(), *integrability._COND2_FORMS.values()]
+        rows = [(terms, ops) for _, terms, ops in forms] + [integrability._COND3_FORM[1:]]
+        rows += [((term,), ops) for _, term, ops in integrability._HOOK_CHECKS]
+        for terms, ops in rows:
+            for term, _ in integrability._polar(terms, ops).terms:
+                assert max(factor.count("*") for factor in term.split("->")[0].split(",")) < 3, term
+
     def test_the_identity_suite_multiplies_no_zero_operand(self, monkeypatch):
-        # Those zero factors end their branches at _step: of the suite's 37
-        # steps, the 19 built on one reach no array pass.  On a curvature
-        # tensor too wide for int64 the zero factors are polarised in
-        # Python ints, so they are known as zero there too, and no step
-        # modulo a prime multiplies one.
+        # So the suite's 13 steps each multiply two nonzero operands.  On a
+        # curvature tensor too wide for int64 a polarised factor is
+        # polarised in Python ints, so a zero one would be known as zero,
+        # and no step modulo a prime multiplies one.
         operands = []
         original = _fastops._alternated
 
@@ -820,7 +832,7 @@ class TestZeroNodes:
             for model in (sphere(dim), flat(dim)):
                 operands.clear()
                 verify_identity_suite(r_to_s(random_curvature(dim, random.Random(dim), bound=3)), model)
-                assert len(operands) == 18 and all(a and b for a, b in operands), (dim, model)
+                assert len(operands) == 13 and all(a and b for a, b in operands), (dim, model)
         for bits in (32, 40):
             operands.clear()
             verify_identity_suite(r_to_s(wide_kn(4, random.Random(bits), bits)), sphere(4))

@@ -4,19 +4,26 @@ A residual whose int64 guards fail continues as residues modulo primes
 (``_fastops.Residues``): its zero tests and supports are read from the
 residues, and its tensor is rebuilt by Chinese remaindering.  Here every
 row is also computed in Python integers (object arrays) with no modular
-code: each polarised factor is multiplied pairwise along the greedy path
-of its index letters by the product kernel ``_alternated`` with an
-empty group, on object arrays (which ``test_fastops`` checks against
-Python polynomial multiplication), the terms are added with exact
-multiples, and the canonical components are read with the reference ``alternating_sums``
-(conftest), ``weigh_monomials`` and ``expand_axis`` on object arrays.  Supports, ``condition1/2/3_residual``
-tensors and hook-check outcomes must agree, on Benenti inputs at entry
-bound 9, random S, and sums of Kulkarni-Nomizu products whose integer
-images cross 2^62 and 2^64.
+code and no polarisation, by the dense route of ``test_polarised``:
+``np.einsum`` of each term, the literal sum over every arrangement of
+the slots of an earlier operator, and signed orbit sums at the final
+groups' canonical tuples, the free slots kept as index axes.  That route
+shares no code with the compiled rows or with ``move_index``, which
+reads a group of free slots off one contraction.  Supports,
+``condition1/2/3_residual`` tensors and hook-check outcomes must agree,
+on Benenti inputs at entry bound 9, random S, and sums of
+Kulkarni-Nomizu products whose integer images cross 2^62 and 2^64.
+
+Single polarised terms (``_fastops._term``) are checked against
+``python_int_term``: each polarised factor multiplied pairwise along the
+greedy path of its index letters by the product kernel ``_alternated``
+with an empty group, on object arrays (which ``test_fastops`` checks
+against Python polynomial multiplication).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -29,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import alternating_sums, flat, sphere, wide_kn
+from test_polarised import arrangement_sum, split_ops
 from killingtensor import (
     ConditionForm1,
     ConditionForm2,
@@ -47,14 +55,7 @@ from killingtensor import (
     verify_identity_suite,
 )
 from killingtensor import _fastops, integrability
-from killingtensor._fastops import (
-    Residues,
-    expand_axis,
-    integers,
-    nonzero,
-    polarise,
-    weigh_monomials,
-)
+from killingtensor._fastops import Residues, integers, nonzero, polarise
 
 NEAR_SAFE = 1 << 62
 
@@ -88,35 +89,57 @@ def python_int_term(term: str, operands) -> np.ndarray:
     return arr.transpose([0] + [names.index(c) + 1 for c in output])
 
 
+def times_x(values: np.ndarray, axis: int, dim: int) -> np.ndarray:
+    """``values`` (monomial axis first) times one more ``x``, put into the
+    index axis ``axis``: the coefficient of ``x^alpha`` adds up
+    ``values[beta, v]`` over every ``beta`` and ``v`` with ``beta + e_v =
+    alpha``, one monomial pair at a time."""
+    values = np.moveaxis(values, axis, 1)
+    degree = next(d for d in itertools.count() if math.comb(dim + d - 1, d) == len(values))
+    monomials = functools.partial(itertools.combinations_with_replacement, range(dim))
+    rank = {m: r for r, m in enumerate(monomials(degree + 1))}
+    out = np.zeros((len(rank),) + values.shape[2:], dtype=object)
+    for r, beta in enumerate(monomials(degree)):
+        for v in range(dim):
+            out[rank[tuple(sorted(beta + (v,)))]] += values[r, v]
+    return out
+
+
 def python_int_residual(terms, ops, gbar, curvature) -> integrability._Residual:
-    """Canonical components of a row, in Python ints, as a residual whose
-    free slots are dense: the group of free slots is rebuilt here, at
-    every index tuple, and is not a group of the returned residual."""
-    polar = integrability._polar(terms, ops)
-    dim = gbar[0].shape[0]
-    # The free group is sym (young-a, ks2-hook-yin) or anti (hook-d, the
-    # hook checks); the other group is the final one.
-    dense = polar  # the layout of the returned residual
-    if polar.free > 0:
-        dense = polar._replace(sym=(), free=0)
-    elif polar.free < 0:
-        dense = polar._replace(anti=(), free=0)
-    if polar.longest_anti > dim:
-        return integrability._Residual(np.zeros(dense.shape(dim), dtype=object), Fraction(1), dim, dense)
-    parts = []
-    for coefficient, term, picks in polar.terms:
-        operands = [(gbar, curvature)[k] for k in picks]
-        scale = math.prod(s for _, s in operands)
-        parts.append((coefficient * scale, python_int_term(term, operands)))
-    common = Fraction(1, math.lcm(*(c.denominator for c, _ in parts)))
-    total = sum(int(c / common) * arr for c, arr in parts)
-    values = alternating_sums(total, len(polar.anti))
-    if polar.free > 0:
-        size = len(polar.sym)
-        values = expand_axis(weigh_monomials(values, 0, dim, size), 0, dim, size, anti=False).T
-    elif polar.free < 0:
-        values = expand_axis(values, 1, dim, len(polar.anti), anti=True)
-    return integrability._Residual(values.reshape(-1), common, dim, dense)
+    """Canonical components of a row in Python ints, by the definition of
+    its operators, as a residual whose free slots are dense.
+
+    Only the final symmetric group's slots that no earlier operator acts
+    on are polarised while the terms are contracted (``python_int_term``);
+    every other slot stays an index axis.  An earlier operator is then
+    the literal sum over every arrangement of its slots; a slot it shares
+    with the final symmetric group joins the polynomial by
+    ``times_x``; the final antisymmetric group is read by the signed sums
+    of ``alternating_sums``.  The free slots stay index axes, in order.
+    None of this reads the compiled row or ``move_index``."""
+    earlier, final = split_ops(ops)
+    sym, anti = (tuple(sorted(sum((axes for sign, axes in final if sign == kind), ()))) for kind in (1, -1))
+    touched = set(sum((axes for _, axes in earlier), ()))
+    order, dim = len(terms[0].split("->")[1]), gbar[0].shape[0]
+    index = [axis for axis in range(order) if axis not in sym or axis in touched]
+    total, scales = 0, set()
+    for term in terms:
+        inputs, output = term.split("->")
+        stars = {output[axis] for axis in sym if axis not in touched}
+        factors = inputs.split(",")
+        operands = [(gbar, curvature)[len(f) == 4] for f in factors]
+        scales.add(math.prod(scale for _, scale in operands))
+        polarised = "".join("*" if c in stars else c for c in inputs)
+        total = total + python_int_term(polarised + "->" + "".join(output[a] for a in index), operands)
+    for sign, axes in earlier:
+        total = arrangement_sum(total, [1 + index.index(axis) for axis in axes], sign)
+    for axis in [axis for axis in sym if axis in touched]:
+        total = times_x(total, 1 + index.index(axis), dim)
+        index.remove(axis)
+    total = alternating_sums(np.moveaxis(total, [1 + index.index(a) for a in anti], range(1, 1 + len(anti))), len(anti))
+    layout = integrability._Polar((), sym, anti, free=0, pivot=0, order=order, longest_anti=len(anti))
+    (scale,) = scales
+    return integrability._Residual(total.reshape(-1), scale, dim, layout)
 
 
 def signed_operands(dim: int, size: int, slots: tuple[int, ...], c: int):
@@ -250,9 +273,9 @@ class TestAgainstPythonInts:
 
     def test_wide_hook_checks_reduce_no_zero_node(self, monkeypatch):
         # At 20 bits every hook check goes modular while the curvature
-        # factors stay int64, so a zero factor is known by its bound 0 and
-        # ends its branch: no step multiplies an all-zero operand, in int64
-        # or modulo a prime, and no zero node is reduced.
+        # factors stay int64, so a zero factor would be known by its bound
+        # 0 and end its branch: no step multiplies an all-zero operand, in
+        # int64 or modulo a prime, and no zero node is reduced.
         bounds, operands = [], []
         residue, alternated = _fastops._residue, _fastops._alternated
 

@@ -42,8 +42,10 @@ from killingtensor import (
     r_to_s,
     random_curvature,
 )
-from killingtensor import integrability
-from killingtensor._fastops import integers
+from killingtensor import _fastops, integrability
+from killingtensor._fastops import Residues, contract_terms, integers, move_index
+
+NEAR_SAFE = 1 << 62
 
 FORMS1 = {form.value: row for form, row in integrability._COND1_FORMS.items()}
 FORMS2 = {form.value: row for form, row in integrability._COND2_FORMS.items()}
@@ -70,7 +72,25 @@ def split_ops(ops):
 
 
 def arrangement_sum(arr: np.ndarray, axes, sign: int) -> np.ndarray:
-    """Literal signed sum of ``arr`` over every arrangement of ``axes``."""
+    """Signed sum of ``arr`` over every arrangement of ``axes``.
+
+    Each arrangement is, once, an arrangement of ``axes[1:]`` followed by
+    the swap of ``axes[0]`` with one of ``axes`` (itself included), which
+    is odd unless it is the identity: the sum is built that way, with
+    ``len(axes) - 1`` swaps per level instead of ``len(axes)!`` views."""
+    if len(axes) < 2:
+        return arr
+    inner = arrangement_sum(arr, axes[1:], sign)
+    total = inner
+    for axis in axes[1:]:
+        order = list(range(arr.ndim))
+        order[axes[0]], order[axis] = axis, axes[0]
+        total = total + sign * inner.transpose(order)
+    return total
+
+
+def literal_arrangement_sum(arr: np.ndarray, axes, sign: int) -> np.ndarray:
+    """The same sum, one view per arrangement."""
     total = np.zeros(arr.shape, dtype=object)
     for arrangement in itertools.permutations(range(len(axes))):
         order = list(range(arr.ndim))
@@ -301,6 +321,72 @@ class TestDenseResiduals:
             assert residual[tuple(index)] == scale * weight * value
 
 
+class TestFreeSlotMap:
+    """A row with an earlier operator is one contraction g, then
+    ``move_index``: the shared slot's index is moved from g's monomial
+    axis into its tuple axis (young-a) or from the tuple axis into the
+    monomial axis (hook-d)."""
+
+    @staticmethod
+    def contraction(name, gbar, curvature):
+        polar = integrability._polar(*ROWS[name])
+        terms = [(1, term, [(gbar, curvature)[k] for k in picks]) for term, picks in polar.terms]
+        g, scale = contract_terms(terms, {}, len(polar.anti) - polar.free)
+        return polar, g, scale
+
+    @pytest.mark.parametrize("name, load", [("young-a", 2 + 4), ("hook-d", 2)])
+    @pytest.mark.parametrize("side", ["under", "over"])
+    def test_the_guard_at_its_boundary(self, name, load, side):
+        # g times c, with the map's load · max|c · g| just under 2^62 (the
+        # map runs in int64) or just over it (it runs modulo primes): both
+        # give c times the dense route's components.  The load is the
+        # largest sum of |weight| over an output entry: 2 + 4 for the
+        # derivative onto degree 2 and 4-tuples, and for hook-d at N = 5
+        # the two indices outside a 3-tuple.
+        dim = 5
+        K = random_curvature(dim, random.Random(17), bound=3)
+        g_ = sphere(dim).gbar()
+        gbar, curvature = (g_._ints, g_._scale), curvature_image(K, integrability._S)
+        polar, g, scale = self.contraction(name, gbar, curvature)
+        args = (dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
+        assert isinstance(g, np.ndarray) and _fastops._moves(*args).load == load
+        peak = int(np.abs(g).max())
+        c = (NEAR_SAFE - 1) // (load * peak) + (side == "over")
+        assert (load * c * peak < NEAR_SAFE) == (side == "under")
+        values = move_index(c * g, *args)
+        assert isinstance(values, Residues) == (side == "over")
+        expected = reference_components(name, gbar, curvature)
+        assert any(expected)
+        assert [scale * v for v in integers(values).ravel().tolist()] == [c * v for v in expected]
+
+    @pytest.mark.parametrize("dim, zeros", [(4, 40), (5, 100)])
+    def test_hook_d_components_vanish_exactly_on_the_empty_rows(self, dim, zeros):
+        # Multiplying by x, the component at (alpha, I) adds up the
+        # entries of g at I with an index v of alpha outside I added
+        # (_polar): none when every index of alpha lies in I.  Those
+        # components are zero for every input; on unstructured operands
+        # all the others are not.
+        polar = integrability._polar(*ROWS["hook-d"])
+        moves = _fastops._moves(dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
+        empty = moves.weight[:, moves.variable].sum(axis=2) == 0
+        monomials = itertools.combinations_with_replacement(range(dim), len(polar.sym))
+        tuples = list(itertools.combinations(range(dim), len(polar.anti)))
+        inside = np.array([[set(m) <= set(t) for t in tuples] for m in monomials])
+        assert (empty == inside).all() and int(inside.sum()) == zeros
+        gbar, curvature = unstructured(dim, seed=dim)
+        values = reference_components("hook-d", gbar, curvature)
+        assert engine_components("hook-d", gbar, curvature) == values
+        assert ((np.array(values).reshape(inside.shape) == 0) == inside).all()
+
+
+class TestArrangementSums:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("axes", [(2,), (0, 3), (3, 1, 4), (4, 0, 2, 1), (1, 2, 3, 4, 0)])
+    def test_the_coset_sum_is_the_literal_sum(self, axes, sign):
+        arr = np.random.default_rng(len(axes)).integers(-9, 10, size=(3,) * 5).astype(object)
+        assert arrangement_sum(arr, axes, sign).tolist() == literal_arrangement_sum(arr, axes, sign).tolist()
+
+
 class TestRowLayouts:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_two_final_groups_of_one_kind_are_refused(self, sign):
@@ -318,6 +404,22 @@ class TestRowLayouts:
             polar = integrability._polar(terms, ops)
             assert sorted(polar.slots) == list(range(polar.order)), name
             assert polar.free in (-1, 0, 1) and set(polar.sym).isdisjoint(polar.anti), name
-            for _, term, picks in polar.terms:
+            for term, picks in polar.terms:
                 factors = term.split("->")[0].split(",")
                 assert picks == tuple(int(len(f) == 4) for f in factors), name
+
+    def test_a_row_with_a_free_group_compiles_to_one_term(self):
+        # The shared slot is moved between the monomial and tuple axes
+        # after the contraction (move_index), so the earlier operator adds
+        # no term: one contraction, with x in one slot more or one less
+        # than the final symmetric group holds.
+        free = {name: integrability._polar(terms, ops) for name, (terms, ops) in ROWS.items()}
+        free = {name: polar for name, polar in free.items() if polar.free}
+        assert sorted(free) == sorted(
+            ["young-a", "hook-d", "ks2-hook-yin", *(name for name, _, _ in integrability._HOOK_CHECKS)]
+        )
+        for name, polar in free.items():
+            ((term, _),) = polar.terms
+            polarised = term.split("->")[0].count("*")
+            assert polarised == len(polar.sym) + polar.free, name
+            assert len(term.split("->")[1]) == len(polar.anti) - polar.free, name
