@@ -71,7 +71,7 @@ import numpy as np
 
 __all__ = [
     "linear_combination",
-    "transposed_combination",
+    "transposed_sum",
     "integer_multiples",
     "contract_terms",
     "move_index",
@@ -144,16 +144,13 @@ def linear_combination(
     return _combination(multiples, arrays, peaks), scale
 
 
-def transposed_combination(
-    arr: np.ndarray, terms: Iterable[tuple[Fraction, Sequence[int]]]
-) -> tuple[np.ndarray, Fraction]:
-    """:func:`linear_combination` of ``(c, arr.transpose(axes))`` over the
-    ``(rational c, axes)`` of ``terms``, with the same result; ``max|arr|``
-    bounds every view, so it is taken once."""
-    terms = list(terms)
-    multiples, scale = integer_multiples([Fraction(c) for c, _ in terms])
-    peaks = None if arr.dtype == object else [_max_abs(arr)] * len(terms)
-    return _combination(multiples, [arr.transpose(axes) for _, axes in terms], peaks), scale
+def transposed_sum(arr: np.ndarray, axes: Sequence[Sequence[int]], multiples: Sequence[int]) -> np.ndarray:
+    """``sum of k_i * arr.transpose(axes[i])`` over the integer
+    ``multiples`` ``k_i``: int64 when ``arr`` is int64 and ``sum |k_i| *
+    max|arr| < 2^62``, and Python ints otherwise.  ``max|arr|`` bounds
+    every view, so it is taken once."""
+    peaks = None if arr.dtype == object else [_max_abs(arr)] * len(axes)
+    return _combination(multiples, [arr.transpose(a) for a in axes], peaks)
 
 
 def _combination(
@@ -164,7 +161,8 @@ def _combination(
     2^62``, and Python ints otherwise."""
     shape = arrays[0].shape
     # numpy arithmetic on 0-d arrays gives scalars; sum 1-element arrays.
-    arrays = [np.atleast_1d(arr) for arr in arrays]
+    if not shape:
+        arrays = [np.atleast_1d(arr) for arr in arrays]
     wide = peaks is None
     if not wide:
         bounds = [abs(k) * peak for k, peak in zip(multiples, peaks)]
@@ -180,7 +178,12 @@ def _weighted_sum(multiples: Sequence[int], arrays: Sequence[np.ndarray]) -> np.
     # A C-ordered sum of transposed views reshapes without another copy.
     total = np.multiply(multiples[0], arrays[0], order="C")
     for k, arr in zip(multiples[1:], arrays[1:]):
-        if k:
+        # A multiple of ±1 is added in place, with no temporary k * arr.
+        if k == 1:
+            np.add(total, arr, out=total)
+        elif k == -1:
+            np.subtract(total, arr, out=total)
+        elif k:
             total += k * arr
     return total
 
@@ -188,7 +191,20 @@ def _weighted_sum(multiples: Sequence[int], arrays: Sequence[np.ndarray]) -> np.
 def integer_multiples(coefficients: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """Each coefficient's integer multiple of their largest common divisor,
     and that divisor (gcd of the numerators over lcm of the denominators;
-    1, with every multiple 0, when every coefficient is zero)."""
+    1, with every multiple 0, when every coefficient is zero).
+
+    Unless every coefficient is zero, the multiples ``(p_i / G) · (L /
+    q_i)`` of the reduced ``p_i / q_i`` (``G`` the gcd, ``L`` the lcm) have
+    gcd 1.  A prime dividing them all would divide ``p_i / G``, so ``p_i``,
+    for an ``i`` whose ``q_i`` holds all its powers in ``L``; so it divides
+    no ``q_i``, nor ``L``, and it divides every ``p_j / G``, whose gcd is 1.
+    And the divisor is the only positive rational that splits the
+    coefficients into coprime integer multiples: if ``c_i = k_i d = k'_i
+    d'`` with both sets coprime and ``d / d' = a / b`` in lowest terms,
+    then ``b k'_i = a k_i``, so ``a`` divides every ``k'_i`` and ``b``
+    every ``k_i``, and ``a = b = 1``.  Hence, for a positive rational
+    ``s``, the multiples of the ``c_i · s`` are those of the ``c_i``, and
+    their divisor is ``d · s``."""
     gcd = math.gcd(*(c.numerator for c in coefficients))
     if not gcd:
         return [0] * len(coefficients), Fraction(1)
@@ -704,7 +720,10 @@ def _step(a: _Node, b: _Node, step: _Step) -> _Node:
 
     A factor with bound 0 is exactly zero, so the product is too: it is
     :func:`zero_array` of the step's shape at scale 1 and bound 0, with
-    nothing multiplied, whatever the other factor holds.  Otherwise the
+    nothing multiplied, whatever the other factor holds.  No library row
+    polarises a valid curvature tensor in three slots of one factor, so
+    this serves zero operands only: on a zero curvature tensor, ``check``,
+    ``condition3_residual`` and every form multiply nothing.  Otherwise the
     product is int64 and content-reduced when ``load · max|a| · max|b| <
     2^62`` (:class:`_Step`), and the share-alternated entries inside stay
     below that bound too.  The bounds alone decide: a factor with no int64

@@ -64,18 +64,18 @@ _MAX_ORACLE_POINTS = 10_000
 
 # Largest --samples · max(N, 5)^8 of identities, whose largest arrays grow
 # as N^8: 100 samples at N <= 5, 23 at N = 6, 6 at N = 7 and 2 at N = 8.
-# At the cap it took 3.5 s at N = 5, 3.7 s at N = 6, 3.9 s at N = 7 and
-# 4.6 s in 98 MiB max RSS at N = 8 (2-vCPU VM, one run each).
+# At the cap it took 2.8 s at N = 5, 3.9 s at N = 6, 3.2 s at N = 7 and
+# 4.2 s in 98 MiB max RSS at N = 8 (2-vCPU VM, one run each).
 _MAX_IDENTITY_COST = 100 * 5**8
 
-# Largest --N of identities: one sample took 2.8 s and 97 MiB max RSS
-# at N = 8, 7.6 s and 214 MiB at N = 9, and 25.2 s and 493 MiB at
+# Largest --N of identities: one sample took 2.5 s and 97 MiB max RSS
+# at N = 8, 7.3 s and 214 MiB at N = 9, and 21.0 s and 493 MiB at
 # N = 10 (2-vCPU VM); N = 20 ran out of memory.
 _MAX_IDENTITY_DIM = 8
 
 # Largest --bound of oracle, generate and identities: the cost of every
 # exact step grows with the drawn rationals' bit lengths.  identities
-# --N 5 --samples 1 took 4.5 s at the cap (0.1 s at 9, 137 s at 2^32), and
+# --N 5 --samples 1 took 1.5 s at the cap (0.1 s at 9, 137 s at 2^32), and
 # oracle --N 5 --points 10000 7.0 s (4.1 s at 9), on a 2-vCPU VM.
 _MAX_BOUND = 1000
 

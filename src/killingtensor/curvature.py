@@ -38,6 +38,7 @@ from .symgroup import young_symmetriser
 from .tensor import (
     MetricSignature,
     _rearrangement_sum,
+    _rearrangements,
     Scalar,
     Tensor,
     as_scalar,
@@ -231,6 +232,16 @@ class SymCurvatureTensor(_FourTensorWrapper):
 
 # -- products and conversions -----------------------------------------
 
+# The slot rearrangements of kulkarni_nomizu, r_to_s and s_to_r, with
+# product[a, b, c, d] = h[a, b] k[c, d] in kulkarni_nomizu:
+# result[i1,i2,i3,i4] = product[i1,i3,i2,i4] − product[i1,i4,i2,i3]
+#                     − product[i2,i3,i1,i4] + product[i2,i4,i1,i3]
+_KULKARNI_NOMIZU = _rearrangements(
+    [(1, (0, 2, 1, 3)), (-1, (0, 2, 3, 1)), (-1, (2, 0, 1, 3)), (1, (2, 0, 3, 1))]
+)
+_R_TO_S = _rearrangements([(1, (0, 2, 1, 3)), (1, (0, 2, 3, 1))])
+_S_TO_R = _rearrangements([(Fraction(1, 3), (0, 2, 1, 3)), (Fraction(-1, 3), (0, 2, 3, 1))])
+
 
 def _form_tensor(form: SymmetricForm | Tensor, what: str) -> Tensor:
     tensor = form.tensor if isinstance(form, SymmetricForm) else form
@@ -248,10 +259,7 @@ def kulkarni_nomizu(h: SymmetricForm | Tensor, k: SymmetricForm | Tensor) -> Cur
     if ht.dim != kt.dim:
         raise InvalidArgument("Kulkarni–Nomizu factors must share a dimension")
     product = tensor_product(ht, kt)  # product[a, b, c, d] = h[a, b] k[c, d]
-    # result[i1,i2,i3,i4] = product[i1,i3,i2,i4] − product[i1,i4,i2,i3]
-    #                     − product[i2,i3,i1,i4] + product[i2,i4,i1,i3]
-    terms = [(1, (0, 2, 1, 3)), (-1, (0, 2, 3, 1)), (-1, (2, 0, 1, 3)), (1, (2, 0, 3, 1))]
-    return CurvatureTensor(_rearrangement_sum(product, terms))
+    return CurvatureTensor(_rearrangement_sum(product, _KULKARNI_NOMIZU))
 
 
 def r_to_s(R: CurvatureTensor) -> SymCurvatureTensor:
@@ -277,8 +285,7 @@ def r_to_s(R: CurvatureTensor) -> SymCurvatureTensor:
     Each step is an identity of integer images (the map is linear and the
     scale positive), so it holds for Python-int images as well.
     """
-    terms = [(1, (0, 2, 1, 3)), (1, (0, 2, 3, 1))]
-    return SymCurvatureTensor._trusted(_rearrangement_sum(R.tensor, terms))
+    return SymCurvatureTensor._trusted(_rearrangement_sum(R.tensor, _R_TO_S))
 
 
 def s_to_r(S: SymCurvatureTensor) -> CurvatureTensor:
@@ -303,9 +310,7 @@ def s_to_r(S: SymCurvatureTensor) -> CurvatureTensor:
 
     As for :func:`r_to_s`, the steps hold on any integer image.
     """
-    third = Fraction(1, 3)
-    terms = [(third, (0, 2, 1, 3)), (-third, (0, 2, 3, 1))]
-    return CurvatureTensor._trusted(_rearrangement_sum(S.tensor, terms))
+    return CurvatureTensor._trusted(_rearrangement_sum(S.tensor, _S_TO_R))
 
 
 def _as_class(K: object, cls: type) -> "CurvatureTensor | SymCurvatureTensor":

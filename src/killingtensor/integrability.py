@@ -62,7 +62,7 @@ from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import IdentityViolation, InvalidArgument, UnsupportedForm
 from .models import ModelSpace
 from .symgroup import GroupAlgebraElement, young_symmetriser
-from .tensor import Tensor, _rearrangement_sum, antisymmetrise_slots, symmetrise_slots
+from .tensor import Tensor, _rearrangement_sum, _rearrangements, antisymmetrise_slots, symmetrise_slots
 
 __all__ = [
     "ConditionForm1",
@@ -503,7 +503,7 @@ _IDENTITY_CHECKS = (
 
 # Symmetrising the cyclic-sum identity in the last two slots:
 # Sym_{23}(S_{i a2 b1 b2} + 2 S_{i b1 b2 a2}) = 0, as np.transpose axes.
-_BIANCHI = ((1, (0, 1, 2, 3)), (1, (0, 1, 3, 2)), (2, (0, 3, 1, 2)), (2, (0, 3, 2, 1)))
+_BIANCHI = _rearrangements(((1, (0, 1, 2, 3)), (1, (0, 1, 3, 2)), (2, (0, 3, 1, 2)), (2, (0, 3, 2, 1))))
 
 
 @functools.cache

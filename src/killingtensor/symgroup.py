@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._fastops import integer_multiples
 from .errors import InvalidArgument
-from .tensor import Tensor, _rearrangement_sum, _slot_axes, as_scalar
+from .tensor import Tensor, _rearrangement_sum, _rearrangements, _slot_axes, as_scalar
 
 __all__ = [
     "Permutation",
@@ -163,7 +163,8 @@ class GroupAlgebraElement:
     on the tensor first.
     """
 
-    __slots__ = ("_degree", "_terms")
+    # _applied: the table of the last apply and its key (see apply).
+    __slots__ = ("_degree", "_terms", "_applied")
 
     def __init__(self, degree: int, terms: Mapping[Permutation, object] | None = None) -> None:
         if degree < 1:
@@ -179,6 +180,7 @@ class GroupAlgebraElement:
             if value != 0:
                 clean[perm] = value
         self._terms = clean
+        self._applied = None
 
     # -- constructors --------------------------------------------------
 
@@ -291,6 +293,7 @@ class GroupAlgebraElement:
         element._terms = {
             Permutation._of(key): c * scale for key, c in product.items() if c
         }
+        element._applied = None
         return element
 
     def adjoint(self) -> "GroupAlgebraElement":
@@ -324,6 +327,10 @@ class GroupAlgebraElement:
         the slot permutation σ with ``σ(m(l)) = m(π(l))``; unassigned
         slots are untouched.  The result is the coefficient-weighted sum
         over all terms, so products act right factor first.
+
+        The sum's table (:func:`~killingtensor.tensor._rearrangements`) is
+        built once per tensor order and slot map and kept on the element
+        for the next call with the same two.
         """
         mapping = dict(slot_of_label) if slot_of_label is not None else {
             l: l for l in range(1, self._degree + 1)
@@ -332,22 +339,25 @@ class GroupAlgebraElement:
             raise InvalidArgument(
                 f"slot_of_label must assign every label 1..{self._degree}"
             )
-        slots = list(mapping.values())
+        slots = tuple(mapping[label] for label in range(1, self._degree + 1))
         if len(set(slots)) != len(slots):
-            raise InvalidArgument(f"slot_of_label values {slots} are not distinct")
+            raise InvalidArgument(f"slot_of_label values {list(slots)} are not distinct")
         if any(s < 1 or s > tensor.order for s in slots):
             raise InvalidArgument(
-                f"slot_of_label values {slots} exceed tensor order {tensor.order}"
+                f"slot_of_label values {list(slots)} exceed tensor order {tensor.order}"
             )
         if not self._terms:
             return Tensor.zeros(tensor.dim, tensor.order)
-        terms = []
-        for perm, coeff in self._terms.items():
-            images = list(range(1, tensor.order + 1))
-            for label in range(1, self._degree + 1):
-                images[mapping[label] - 1] = mapping[perm(label)]
-            terms.append((coeff, _slot_axes(images)))
-        return _rearrangement_sum(tensor, terms)
+        key = (tensor.order, slots)
+        if self._applied is None or self._applied[0] != key:
+            terms = []
+            for perm, coeff in self._terms.items():
+                images = list(range(1, tensor.order + 1))
+                for slot, image in zip(slots, perm._images):
+                    images[slot - 1] = slots[image - 1]
+                terms.append((coeff, _slot_axes(images)))
+            self._applied = (key, _rearrangements(terms))
+        return _rearrangement_sum(tensor, self._applied[1])
 
 
 def _integer_terms(

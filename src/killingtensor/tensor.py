@@ -35,21 +35,23 @@ Design notes
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from ._fastops import (
     guarded_tensordot,
     integer_array,
+    integer_multiples,
     linear_combination,
     normalize_array,
     stored_entries,
-    transposed_combination,
+    transposed_sum,
     zero_array,
 )
 from .errors import InvalidArgument
@@ -527,15 +529,40 @@ def _slot_group(tensor: Tensor, slots: Iterable[int]) -> tuple[int, ...]:
     return group
 
 
-def _rearrangement_sum(tensor: Tensor, terms: Iterable[tuple["int | Fraction", Sequence[int]]]) -> Tensor:
-    """The exact sum of ``c * transpose(axes)`` over the ``(c, axes)`` of
-    ``terms``: rearrangements of ``tensor``'s slots, each given as
-    ``np.transpose`` axes, added up on the integer image by
-    :func:`~killingtensor._fastops.transposed_combination` (int64 while its
-    guard passes, Python ints past it).  At least one term is needed."""
-    scale = tensor._scale
-    combined = transposed_combination(tensor._ints, [(c * scale, axes) for c, axes in terms])
-    return Tensor._from_ints(*combined, tensor.dim)
+class _Rearrangements(NamedTuple):
+    """A sum of slot rearrangements, built once: term ``i`` is
+    ``multiples[i] * scale`` times the tensor transposed by ``axes[i]``
+    (``np.transpose`` axes).  See :func:`_rearrangements`."""
+
+    axes: tuple[tuple[int, ...], ...]
+    multiples: tuple[int, ...]
+    scale: Fraction
+
+
+def _rearrangements(terms: Iterable[tuple["int | Fraction", Sequence[int]]]) -> _Rearrangements:
+    """The table of the ``(c, axes)`` of ``terms`` (at least one): the
+    coefficients split once into integer multiples of one common scale
+    (:func:`~killingtensor._fastops.integer_multiples`)."""
+    coefficients, axes = zip(*terms)
+    multiples, scale = integer_multiples(coefficients)
+    return _Rearrangements(tuple(tuple(a) for a in axes), tuple(multiples), scale)
+
+
+def _rearrangement_sum(tensor: Tensor, table: _Rearrangements) -> Tensor:
+    """The exact sum of ``c * transpose(axes)`` over the terms of
+    ``table``: rearrangements of ``tensor``'s slots added up on the
+    integer image with the table's multiples ``k_i`` by
+    :func:`~killingtensor._fastops.transposed_sum` (int64 while ``sum
+    |k_i| · max|image| < 2^62``, Python ints past it), and the tensor's
+    scale multiplied into the table's once.
+
+    This is the sum that splitting every ``c_i · scale`` would give: for
+    the positive rational ``scale``, the multiples of the ``c_i · scale``
+    are the ``k_i`` and their divisor is the table's scale times
+    ``scale`` (:func:`~killingtensor._fastops.integer_multiples`), so the
+    multiples, the guard and the result are the same."""
+    ints = transposed_sum(tensor._ints, table.axes, table.multiples)
+    return Tensor._from_ints(ints, table.scale * tensor._scale, tensor.dim)
 
 
 def _signed_sum(tensor: Tensor, slots: Iterable[int], signed: bool) -> Tensor:
@@ -544,15 +571,21 @@ def _signed_sum(tensor: Tensor, slots: Iterable[int], signed: bool) -> Tensor:
     group = _slot_group(tensor, slots)
     if len(group) <= 1:
         return tensor
+    return _rearrangement_sum(tensor, _signed_table(tensor.order, group, signed))
+
+
+@functools.lru_cache(maxsize=64)
+def _signed_table(order: int, group: tuple[int, ...], signed: bool) -> _Rearrangements:
+    """The table of :func:`_signed_sum` on an order-``order`` tensor."""
     terms = []
     # Signs are relative to the listed order, so the identity counts +1.
     for positions in itertools.permutations(range(len(group))):
         odd = sum(a > b for a, b in itertools.combinations(positions, 2)) % 2
-        axes = list(range(tensor.order))
+        axes = list(range(order))
         for target, source in zip(group, positions):
             axes[target - 1] = group[source] - 1
         terms.append((-1 if signed and odd else 1, axes))
-    return _rearrangement_sum(tensor, terms)
+    return _rearrangements(terms)
 
 
 def symmetrise_slots(tensor: Tensor, slots: Iterable[int]) -> Tensor:

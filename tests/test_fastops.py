@@ -34,6 +34,7 @@ from conftest import alternating_sums, flat, sphere, wide_kn
 from killingtensor import (
     ConditionForm1,
     ConditionForm2,
+    CurvatureTensor,
     Tensor,
     _fastops,
     antisymmetrise_slots,
@@ -55,6 +56,7 @@ from killingtensor._fastops import (
     normalize_array,
     polarise,
 )
+from killingtensor.tensor import _rearrangement_sum, _rearrangements
 
 NEAR_SAFE = 1 << 62
 
@@ -458,21 +460,29 @@ class TestLinearCombination:
         zero=st.booleans(),
     )
     def test_transposes_match_the_general_combination(self, data, count, peak, zero):
-        # One max|arr| bounds every view, so the result, dtype included,
-        # is that of linear_combination on the views.
+        # A rearrangement sum splits its coefficients once and multiplies
+        # the tensor's scale in after: the multiples, the dtype of the sum
+        # and the result are those of linear_combination on the views with
+        # every coefficient times the scale.  One max|image| bounds every
+        # view.
         dim = data.draw(st.integers(1, 3))
         arr = np.array(
             [0 if zero else data.draw(st.integers(-peak, peak)) for _ in range(dim**3)],
             dtype=object if peak >= NEAR_SAFE else np.int64,
         ).reshape((dim,) * 3)
+        tensor = Tensor._from_ints(arr, data.draw(st.fractions(1, 50, max_denominator=7)), dim)
         terms = [
             (data.draw(st.fractions(-50, 50, max_denominator=7)), data.draw(st.permutations(range(3))))
             for _ in range(count)
         ]
-        expected = linear_combination([(c, arr.transpose(axes)) for c, axes in terms])
-        result = _fastops.transposed_combination(arr, terms)
-        assert result[1] == expected[1] and result[0].dtype == expected[0].dtype
-        assert result[0].tolist() == expected[0].tolist()
+        table = _rearrangements(terms)
+        ints, scale = tensor._ints, tensor._scale
+        expected = linear_combination([(c * scale, ints.transpose(axes)) for c, axes in terms])
+        summed = _fastops.transposed_sum(ints, table.axes, table.multiples)
+        assert summed.dtype == expected[0].dtype and summed.tolist() == expected[0].tolist()
+        result = _rearrangement_sum(tensor, table)
+        assert result == Tensor._from_ints(*expected, dim)
+        assert result._ints.dtype == normalize_array(*expected)[0].dtype
 
     def test_all_zero_coefficients(self):
         arr, scale = linear_combination([(0, np.ones((2, 2), dtype=np.int64))])
@@ -837,6 +847,20 @@ class TestZeroNodes:
             operands.clear()
             verify_identity_suite(r_to_s(wide_kn(4, random.Random(bits), bits)), sphere(4))
             assert operands and all(a and b for a, b in operands), bits
+
+    def test_a_zero_curvature_tensor_multiplies_nothing(self, monkeypatch):
+        # The zero shortcut of _step serves zero operands: every form pair
+        # and the third condition return at once on a zero tensor.
+        calls = []
+        monkeypatch.setattr(_fastops, "_alternated", lambda *args: calls.append(args))
+        for dim in (3, 4):
+            K = CurvatureTensor(Tensor.zeros(dim, 4))
+            for model in (sphere(dim), sphere(dim - 1, 1)):
+                for form1, form2 in itertools.product(ConditionForm1, ConditionForm2):
+                    assert check(K, model, form1, form2).integrable
+            for model in (sphere(dim), flat(dim)):
+                assert check(K, model).integrable and condition3_residual(K, model).is_zero()
+        assert calls == []
 
     def test_zero_terms_sum_to_a_broadcast_zero(self):
         # Every term ends in a zero factor: the sum is one stored zero at

@@ -32,6 +32,24 @@ def random_tensor(rng: random.Random, dim: int, order: int) -> Tensor:
     return Tensor(arr, dim=dim)
 
 
+def applied_on_fractions(element: GroupAlgebraElement, tensor: Tensor, slot_of_label) -> np.ndarray:
+    """``element.apply(tensor, slot_of_label)`` by its formula, entry by
+    entry on Fractions: each term π reads ``tensor`` at ``I ∘ σ``, with
+    ``σ(m(l)) = m(π(l))`` on the mapped slots and fixed elsewhere."""
+    m = slot_of_label or {label: label for label in range(1, element.degree + 1)}
+    sigmas = []
+    for perm, coeff in element.terms.items():
+        sigma = list(range(1, tensor.order + 1))
+        for label in range(1, element.degree + 1):
+            sigma[m[label] - 1] = m[perm(label)]
+        sigmas.append((coeff, sigma))
+    A = tensor.array
+    out = np.empty(A.shape, dtype=object)
+    for idx in np.ndindex(A.shape):
+        out[idx] = sum((c * A[tuple(idx[k - 1] for k in sigma)] for c, sigma in sigmas), Fraction(0))
+    return out
+
+
 class TestPermutation:
     def test_right_factor_acts_first(self):
         a = Permutation.from_cycles(3, [(1, 2)])
@@ -100,6 +118,37 @@ class TestGroupAlgebra:
         out = swap12.apply(t, slot_of_label={1: 3, 2: 1})
         manual = Tensor(t.array.transpose(2, 1, 0), dim=2)
         assert out == manual
+
+    def test_apply_builds_its_table_per_order_and_slot_map(self):
+        # One element applied to an order-6 tensor, then to order-8 tensors
+        # under the default and two other slot maps, and each again: the
+        # table kept from the last call is used only for the same order and
+        # map.
+        rng = random.Random(7)
+        element = young_symmetriser([[1, 2], [3]]) * Fraction(2, 3) + GroupAlgebraElement.from_permutation(
+            Permutation.from_cycles(3, [(1, 2, 3)]), -5
+        )
+        calls = [
+            (random_tensor(rng, 2, 6), None),
+            (random_tensor(rng, 2, 8), None),
+            (random_tensor(rng, 2, 8), {1: 8, 2: 2, 3: 5}),
+            (random_tensor(rng, 2, 8), {1: 3, 2: 7, 3: 1}),
+        ]
+        for tensor, slot_map in calls + calls[::-1]:
+            expected = applied_on_fractions(element, tensor, slot_map)
+            assert element.apply(tensor, slot_map).array.tolist() == expected.tolist()
+            assert element._applied[0] == (tensor.order, tuple((slot_map or {1: 1, 2: 2, 3: 3}).values()))
+
+    def test_derived_elements_build_their_own_table(self):
+        rng = random.Random(9)
+        t = random_tensor(rng, 2, 4)
+        a = GroupAlgebraElement.from_permutation(Permutation.from_cycles(4, [(1, 2, 3)]), Fraction(3, 2))
+        b = GroupAlgebraElement.antisymmetriser_over((2, 4), 4)
+        a.apply(t)
+        b.apply(t)
+        for derived in (a.multiply(b), b.multiply(a), a + b, a.adjoint()):
+            assert derived._applied is None
+            assert derived.apply(t).array.tolist() == applied_on_fractions(derived, t, None).tolist()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
