@@ -10,7 +10,10 @@ bound that fails, the general helpers (:func:`linear_combination`,
 while a residual (:func:`contract_terms`) continues as
 :class:`Residues`: the same ``int64`` steps modulo primes, one prime at
 a time, with as many primes as an a-priori bound on the result needs.
-Results are exact either way.
+Results are exact either way.  In a residual, a product keeps the
+integers its step made and an integer-pair scale; its content is
+divided out only where a bound fails on it, and the bound is read again
+before the residual goes modular (:func:`_step`).
 
 Polarisation.  A tensor symmetric over a group of ``d`` slots is the same
 data as the degree-``d`` polynomial obtained by putting one vector ``x``
@@ -237,15 +240,7 @@ def _normalized(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction,
     """:func:`normalize_array`, and the largest magnitude in its array."""
     if arr.size == 0:
         return arr, scale, 0
-    entries = stored_entries(arr)
-    if arr.dtype != object:
-        gcd = int(np.gcd.reduce(entries, axis=None))
-    else:
-        gcd = 0
-        for value in entries.flat:
-            gcd = math.gcd(gcd, value)
-            if gcd == 1:
-                break
+    gcd = _content(arr)
     if gcd == 0:
         return zero_array(arr.shape), Fraction(1), 0
     if gcd > 1:
@@ -255,6 +250,20 @@ def _normalized(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction,
     if (arr.dtype == object) != (peak >= _INT64_SAFE):
         arr = arr.astype(np.int64 if arr.dtype == object else object)
     return arr, scale, peak
+
+
+def _content(arr: np.ndarray) -> int:
+    """The gcd of the entries of an integer array of either dtype (0 when
+    every entry is zero or there is none)."""
+    entries = stored_entries(arr)
+    if arr.dtype != object:
+        return int(np.gcd.reduce(entries, axis=None))
+    gcd = 0
+    for value in entries.flat:
+        gcd = math.gcd(gcd, value)
+        if gcd == 1:
+            break
+    return gcd
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +621,21 @@ def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) 
     return out
 
 
-def weigh_monomials(values: np.ndarray, axis: int, dim: int, size: int) -> np.ndarray:
-    """``values`` times ``alpha!`` along axis ``axis``, which runs over the
-    degree-``size`` monomials in ``dim`` variables: int64 while
-    ``max alpha! · max|values| < 2^62``, Python ints otherwise."""
+def weigh_monomials(
+    values: np.ndarray, scale: Fraction, axis: int, dim: int, size: int
+) -> tuple[np.ndarray, Fraction]:
+    """``scale * values`` times ``alpha!`` along axis ``axis``, which runs
+    over the degree-``size`` monomials in ``dim`` variables, as ``(values,
+    scale)``: int64 while ``max alpha! · max|values| < 2^62``, Python
+    ints otherwise.  Where that fails on int64 ``values``, their content
+    is divided out into ``scale`` first and the guard is read again."""
     weights = _monomial_weights(dim, size)
-    if values.dtype != object and int(weights.max()) * _max_abs(values) >= _INT64_SAFE:
-        values = values.astype(object)
-    return values * weights.astype(values.dtype).reshape((-1,) + (1,) * (values.ndim - axis - 1))
+    top = int(weights.max())
+    if values.dtype != object and top * _max_abs(values) >= _INT64_SAFE:
+        values, scale, peak = _normalized(values, scale)
+        if top * peak >= _INT64_SAFE:
+            values = values.astype(object)
+    return values * weights.astype(values.dtype).reshape((-1,) + (1,) * (values.ndim - axis - 1)), scale
 
 
 # ---------------------------------------------------------------------------
@@ -682,24 +698,30 @@ def _contraction_plan(subscripts: str, dim: int, alternate: int) -> _Plan:
     return _Plan(tuple(zip(x_axes, pairs)), tuple(steps), order, load)
 
 
-class _Node(NamedTuple):
+@dataclass(eq=False, slots=True)
+class _Node:
     """A polarised factor or a product in :func:`contract_terms`'s memo.
 
-    ``arr`` is its integer image at ``scale`` and ``bound`` is max|arr|:
-    int64 within the guard, a factor as polarised and a product
-    content-reduced.  A factor past its guard keeps its polarisation in
-    Python ints.  A product past its guard has no image: ``arr`` is
-    None, ``scale`` the product of the factors' scales and ``bound`` a
-    bound on the entries of the integer image at that scale.  So bound
-    0 holds only for a node that is exactly zero.  ``source`` is empty
-    for a factor and, for a product, its two factor nodes and the
-    :class:`_Step`, which rebuild it modulo a prime.
+    ``arr`` is its integer image at ``scale``, an integer pair
+    ``(numerator, denominator)`` not in lowest terms, and ``bound`` is
+    max|arr|.  A factor is as polarised: int64 within its guard, and past
+    it in Python ints, so its bound is exact there too.  An int64
+    product is as its step made it, and ``loose`` while its content (the
+    gcd of its entries) has not been divided out; :func:`_reduce` divides
+    it out in place, where a guard fails (:func:`_step`).  A product past
+    its guard has no image: ``arr`` is None, ``scale`` the product of the
+    factors' scales and ``bound`` a bound on the entries of the integer
+    image at that scale.  So bound 0 holds only for a node that is
+    exactly zero, and such a node is :func:`zero_array` at scale 1.
+    ``source`` is empty for a factor and, for a product, its two factor
+    nodes and the :class:`_Step`, which rebuild it modulo a prime.
     """
 
     arr: "np.ndarray | None"
-    scale: Fraction
+    scale: tuple[int, int]
     bound: int
     source: tuple
+    loose: bool = False
 
 
 def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], pairs: int) -> _Node:
@@ -712,7 +734,8 @@ def _factor(arr: np.ndarray, scale: Fraction, axes: tuple[int, ...], pairs: int)
     poly = polarise(arr.astype(np.int64 if pairs * peak < _INT64_SAFE else object, copy=False), axes)
     if pairs > 1:  # with one entry per coefficient, poly holds arr's entries
         peak = _max_abs(poly)
-    return _Node(poly.astype(np.int64 if peak < _INT64_SAFE else object, copy=False), scale, peak, ())
+    poly = poly.astype(np.int64 if peak < _INT64_SAFE else object, copy=False)
+    return _Node(poly, (scale.numerator, scale.denominator), peak, ())
 
 
 def _step(a: _Node, b: _Node, step: _Step) -> _Node:
@@ -724,17 +747,60 @@ def _step(a: _Node, b: _Node, step: _Step) -> _Node:
     polarises a valid curvature tensor in three slots of one factor, so
     this serves zero operands only: on a zero curvature tensor, ``check``,
     ``condition3_residual`` and every form multiply nothing.  Otherwise the
-    product is int64 and content-reduced when ``load · max|a| · max|b| <
-    2^62`` (:class:`_Step`), and the share-alternated entries inside stay
-    below that bound too.  The bounds alone decide: a factor with no int64
-    image has a bound of at least 2^62, so the product fails the guard."""
-    scale, source = a.scale * b.scale, (a, b, step)
+    product is int64 when ``load · max|a| · max|b| < 2^62``
+    (:class:`_Step`), and the share-alternated entries inside stay below
+    that bound too.  It is the kernel's array, at the product of the
+    scales (multiplied componentwise), and its bound is its maximum: its
+    content is not divided out.  When the guard fails, each operand that
+    is a loose product is content-reduced in place (:func:`_reduce`), so
+    the memo and every later step read the reduced node, and the guard is
+    tried again.  Only if it fails again is the product left to the
+    primes.  A factor is never reduced.  The bounds alone decide: a
+    factor with no int64 image has a bound of at least 2^62, so the
+    product fails the guard.
+
+    Routes are those of reducing every product as it is made.  Call the
+    node that scheme makes at a step canonical.  By induction over the
+    plan's steps, each node here reduces to its canonical node: a factor
+    is the same in both; a product whose operands are ``c_a`` and
+    ``c_b`` times their canonical images (at scales divided by ``c_a``
+    and ``c_b``) is, the kernel being bilinear, ``c_a · c_b`` times the
+    canonical operands' product at the scale divided by ``c_a · c_b``,
+    and dividing out its content gives the canonical image and scale.  A
+    guard on loose operands reads at least the canonical bounds, so it
+    passes only where the canonical guard passes; one that fails reads
+    the canonical bounds after the reduction.  Every int64/modular
+    decision is therefore the canonical one, and so are a modular
+    node's bound and scale, every :class:`Residues` bound built on it,
+    and the number of primes read.
+    """
+    source = (a, b, step)
     if not (a.bound and b.bound):
-        return _Node(zero_array(step.shape), Fraction(1), 0, source)
-    bound = step.load * a.bound * b.bound
+        return _Node(zero_array(step.shape), (1, 1), 0, source)
+    if step.load * a.bound * b.bound >= _INT64_SAFE:
+        _reduce(a)
+        _reduce(b)
+    scale, bound = (a.scale[0] * b.scale[0], a.scale[1] * b.scale[1]), step.load * a.bound * b.bound
     if bound >= _INT64_SAFE:
         return _Node(None, scale, bound, source)
-    return _Node(*_normalized(_alternated(a.arr, b.arr, step), scale), source)
+    arr = _alternated(a.arr, b.arr, step)
+    peak = _max_abs(arr)
+    if not peak:
+        return _Node(zero_array(step.shape), (1, 1), 0, source)
+    return _Node(arr, scale, peak, source, True)
+
+
+def _reduce(node: _Node) -> None:
+    """Divide a loose product's content out of its image, in place, into
+    its scale; a factor, a reduced product and a product with no image
+    are left as they are.  The value ``scale · arr`` is unchanged."""
+    if node.loose:
+        gcd = _content(node.arr)
+        if gcd > 1:
+            node.arr //= gcd
+            node.scale = (node.scale[0] * gcd, node.scale[1])
+            node.bound //= gcd
+        node.loose = False
 
 
 def _residue(node: _Node, p: int, cache: dict) -> np.ndarray:
@@ -754,21 +820,20 @@ def _residue(node: _Node, p: int, cache: dict) -> np.ndarray:
 
 def _term(
     subscripts: str, operands: Sequence[tuple[np.ndarray, Fraction]], memo: dict, alternate: int = 0
-) -> tuple["np.ndarray | Residues", Fraction, int]:
-    """One einsum term through ``memo``: ``(values, scale, bound)``, the
-    monomial axis first (size 1 when no slot is polarised), ``values`` an
-    int64 array or, once a step's guard fails, :class:`Residues`
-    continuing from the last int64 steps, and ``bound`` its node's.
+) -> tuple[_Node, _Plan]:
+    """One einsum term through ``memo``: its last node and its plan.
     With ``alternate``, the first ``alternate`` output letters are read
     as one axis over their increasing tuples, alternated inside the last
-    product (:func:`_alternated`)."""
+    product (:func:`_alternated`).  A factor is keyed by its operand's
+    array and scale objects, a product by its two nodes and its step's
+    key, so no lookup hashes a rational."""
     dim = operands[0][0].shape[0]
     plan = _contraction_plan(subscripts, dim, alternate)
     if len(operands) != len(plan.factors):
         raise ValueError(f"{subscripts!r} takes {len(plan.factors)} operands, got {len(operands)}")
     nodes = []
     for (arr, scale), (axes, pairs) in zip(operands, plan.factors):
-        key = (id(arr), scale, axes)
+        key = (id(arr), id(scale), axes)
         if (node := memo.get(key)) is None:
             node = memo[key] = _factor(arr, scale, axes, pairs)
         nodes.append(node)
@@ -777,10 +842,19 @@ def _term(
         if (node := memo.get(key)) is None:
             node = memo[key] = _step(nodes[step.a], nodes[step.b], step)
         nodes.append(node)
+    return node, plan
+
+
+def _read(node: _Node, plan: _Plan) -> tuple["np.ndarray | Residues", Fraction, int]:
+    """A term's last node as ``(values, scale, bound)``: the monomial axis
+    first (size 1 when no slot is polarised), ``values`` the int64 image
+    or, for a node past its guard, :class:`Residues` continuing from the
+    last int64 steps, and ``scale`` the term's one :class:`Fraction`."""
+    scale = Fraction(*node.scale)
     if node.arr is not None:
-        return node.arr.transpose(plan.order), node.scale, node.bound
+        return node.arr.transpose(plan.order), scale, node.bound
     residue = lambda p, cache: _residue(node, p, cache).transpose(plan.order)  # noqa: E731
-    return Residues(node.bound, plan.load, residue), node.scale, node.bound
+    return Residues(node.bound, plan.load, residue), scale, node.bound
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +883,11 @@ class Residues:
     slots of the group in the first factor, expand to ``r! · (size -
     r)!`` products each); a sum with integer multiples ``k_i`` is at
     most ``Σ |k_i| · B_i``.  A polarised factor enters with its exact
-    maximum, and an int64 product with its own maximum after content
-    reduction: it is exactly ``scale · arr``, and a bound on the
-    integers built on it holds at the product of the scales they carry.
+    maximum, and an int64 product with its own maximum as it stands when
+    the modular step is built: content-reduced, since a guard that fails
+    reduces its product operands first (:func:`_step`).  It is exactly
+    ``scale · arr`` either way, and a bound on the integers built on it
+    holds at the product of the scales they carry.
 
     Why no step overflows: a plan's ``load`` counts ``pairs · volume``
     for each product and ``size! · pairs · volume`` for an alternated
@@ -899,23 +975,27 @@ def contract_terms(
     slot is polarised).  Factors are multiplied pairwise along the greedy
     ``np.einsum_path`` of the index letters, each step compiled once in
     the term's plan (:func:`_contraction_plan`) and run by
-    :func:`_alternated`.  Each step stays ``int64`` and is
-    content-reduced while its guard passes (:func:`_step`); from the
-    first step whose guard fails the term is computed modulo primes.  A
-    polarised factor too wide for int64 is polarised once in Python ints,
-    so a zero one is known as zero.  A factor or product with bound 0 is exactly
-    zero: each product built on it is a zero image without any array
-    pass, and a term ending in one is left out of the sum and of the
-    common scale, so a sum of zero terms is :func:`zero_array` at scale
-    1.
+    :func:`_alternated`.  Each step stays ``int64`` while its guard
+    passes, content-reducing its operands only where the guard fails
+    on them as they are (:func:`_step`); from the first step whose guard
+    fails on reduced operands the term is computed modulo primes.  A
+    step's bookkeeping is in integers: scales are integer pairs, and a
+    term's scale becomes one :class:`Fraction` when it is read
+    (:func:`_read`).  A polarised factor too wide for int64 is polarised
+    once in Python ints, so a zero one is known as zero.  A factor or
+    product with bound 0 is exactly zero: each product built on it is a
+    zero image without any array pass, and a term ending in one is left
+    out of the sum and of the common scale, so a sum of zero terms is
+    :func:`zero_array` at scale 1.
 
     Polarised factors and products are kept in ``memo`` as nodes
-    (:class:`_Node`): a factor under the identity of its operand array,
-    its scale and its polarised axes, a product under the identities of
-    its two factor nodes and the step's key (:class:`_Step`).  Terms and calls
-    sharing a ``memo`` (which keeps their operands alive) compute a
-    product once when they contract the same nodes over the same axes in
-    the same order; written with its factors swapped, it is another node.
+    (:class:`_Node`): a factor under the identities of its operand array
+    and scale and its polarised axes, a product under the identities of
+    its two factor nodes and the step's key (:class:`_Step`).  Terms and
+    calls sharing a ``memo`` (whose callers keep their operands alive)
+    compute a product once when they contract the same nodes over the
+    same axes in the same order; written with its factors swapped, it is
+    another node.
 
     With ``alternate``, the first ``alternate`` output letters of every term
     form one antisymmetric group: they become one axis (after the
@@ -925,21 +1005,37 @@ def contract_terms(
     inside its last product (:func:`_alternated`), only at those tuples.
     With the multiples ``k_i`` and scale of :func:`linear_combination`
     over the nonzero terms, the sum is int64 when every such term is and
-    ``sum |k_i| · max|term_i| < 2^62``, and :class:`Residues` otherwise.
-    Returns ``(values, scale)``, not content-reduced.
+    ``sum |k_i| · max|term_i| < 2^62``.  That guard is read first on the
+    terms as their last steps made them; where it fails, each term's
+    last node is content-reduced (:func:`_reduce`) and it is read again,
+    and only then is the sum :class:`Residues`.  Reducing the terms
+    divides the guard's reading by a positive integer: the reduced
+    terms' scale ``S`` is a multiple of the loose terms' ``S'`` in
+    :func:`integer_multiples`' sense, and each ``|k_i| · max|term_i|``
+    shrinks by ``S / S'``.  So the sum goes modular exactly where it
+    would on reduced terms, with their bound.  Returns ``(values,
+    scale)``, not content-reduced.
     """
     memo = {} if memo is None else memo
     parts = [(c, *_term(subscripts, operands, memo, alternate)) for c, subscripts, operands in terms]
     # A zero term (bound 0) adds nothing: it enters neither sum nor scale.
-    live = [(c, v, s, bound) for c, v, s, bound in parts if bound]
+    live = [(c, node, plan) for c, node, plan in parts if node.bound]
     if not live:
-        return zero_array(parts[0][1].shape), Fraction(1)
-    multiples, scale = integer_multiples([Fraction(c) * s for c, _, s, _ in live])
-    values = [v for _, v, _, _ in live]
-    wide = [v for v in values if isinstance(v, Residues)]
-    bounds = [abs(k) * bound for k, (_, _, _, bound) in zip(multiples, live)]
-    if not wide and sum(bounds) < _INT64_SAFE:
-        return _weighted_sum(multiples, values), scale
+        _, node, plan = parts[0]
+        return zero_array(node.arr.transpose(plan.order).shape), Fraction(1)
+    while True:
+        read = [(c, *_read(node, plan)) for c, node, plan in live]
+        multiples, scale = integer_multiples([Fraction(c) * s for c, _, s, _ in read])
+        values = [v for _, v, _, _ in read]
+        wide = [v for v in values if isinstance(v, Residues)]
+        bounds = [abs(k) * bound for k, (_, _, _, bound) in zip(multiples, read)]
+        if not wide and sum(bounds) < _INT64_SAFE:
+            return _weighted_sum(multiples, values), scale
+        loose = [node for _, node, _ in live if node.loose]
+        if not loose:
+            break
+        for node in loose:
+            _reduce(node)
 
     def residue(p: int, cache: dict) -> np.ndarray:
         total = 0
@@ -951,9 +1047,10 @@ def contract_terms(
 
 
 def move_index(
-    values: "np.ndarray | Residues", dim: int, degree: int, size: int, pivot: int, free: int
-) -> "np.ndarray | Residues":
-    """Move one index between the monomial axis and the tuple axis.
+    values: "np.ndarray | Residues", scale: Fraction, dim: int, degree: int, size: int, pivot: int, free: int
+) -> tuple["np.ndarray | Residues", Fraction]:
+    """Move one index between the monomial axis and the tuple axis of
+    ``scale * values``; returns the result as ``(values, scale)``.
 
     ``values`` is laid out as :func:`contract_terms` returns it: a
     monomial axis, an axis over increasing tuples, then other axes.  The
@@ -968,20 +1065,27 @@ def move_index(
 
     An entry adds up at most ``load`` (the tables' largest sum of
     ``|weight|``) entries of ``values``, each at most its bound ``B``:
-    the result is int64 while ``load · B < 2^62``, and otherwise
-    :class:`Residues` with the bound ``load · B``, the map applied modulo
-    each prime, where every partial sum stays below ``load · p < 2^62``.
-    A zero ``values`` gives :func:`zero_array`.
+    the result is int64 while ``load · B < 2^62``.  Where that fails on
+    int64 ``values``, their content is divided out into ``scale`` and
+    the guard is read again.  A one-term sum is its term's last node
+    times ±1, so this gives the values of the content-reduced node, as
+    if every product had been reduced when it was made (:func:`_step`).
+    Past the guard the result is :class:`Residues` with the bound ``load
+    · B``, the map applied modulo each prime, where every partial sum
+    stays below ``load · p < 2^62``.  A zero ``values`` gives
+    :func:`zero_array`.
     """
     moves = _moves(dim, degree, size, pivot, free)
     wide = isinstance(values, Residues)
     bound = values.bound if wide else _max_abs(values)
     if not bound:
-        return zero_array((len(moves.monomial), len(moves.variable)) + values.shape[2:])
+        return zero_array((len(moves.monomial), len(moves.variable)) + values.shape[2:]), scale
+    if not wide and moves.load * bound >= _INT64_SAFE:
+        values, scale, bound = _normalized(values, scale)
     if not wide and moves.load * bound < _INT64_SAFE:
-        return _moved(values, moves)
+        return _moved(values, moves), scale
     residue = lambda p, cache: _moved(_modulo(values, p, cache), moves) % p  # noqa: E731
-    return Residues(moves.load * bound, max(moves.load, values.load if wide else 2), residue)
+    return Residues(moves.load * bound, max(moves.load, values.load if wide else 2), residue), scale
 
 
 def _moved(values: np.ndarray, moves: _Moves) -> np.ndarray:

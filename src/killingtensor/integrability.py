@@ -307,8 +307,8 @@ class _Residual:
         values = integers(self.contracted)
         if not np.count_nonzero(values):
             return Tensor.zeros(dim, polar.order)
-        arr = weigh_monomials(values.reshape(polar.shape(dim)), 0, dim, len(polar.sym))
-        arr, scale = normalize_array(arr, self.scale)
+        arr, scale = weigh_monomials(values.reshape(polar.shape(dim)), self.scale, 0, dim, len(polar.sym))
+        arr, scale = normalize_array(arr, scale)
         arr = expand_axis(arr, 0, dim, len(polar.sym), anti=False)
         arr = expand_axis(arr, 1, dim, len(polar.anti), anti=True)
         arr = arr.reshape((dim,) * polar.order).transpose(np.argsort(polar.slots))
@@ -406,7 +406,7 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
     # The terms alternate anti less the shared slot (free +1) or with it (free -1).
     values, scale = contract_terms(terms, memo, len(polar.anti) - polar.free)
     if polar.free:
-        values = move_index(values, dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
+        values, scale = move_index(values, scale, dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
     return _Residual(values, scale, dim, polar)
 
 

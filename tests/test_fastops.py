@@ -648,6 +648,35 @@ class TestPolynomialProduct:
         assert work(lambda: condition3_residual(S, sphere(4))) == (4, 8)
 
 
+    def test_a_step_does_no_rational_arithmetic(self, monkeypatch):
+        # A node's scale is an integer pair, multiplied componentwise, and
+        # no memo key holds a Fraction: a term of six steps multiplies and
+        # hashes as many Fractions as a term of two, none of them per step.
+        # young-a's one term, and the first of the third condition's.
+        rows = (integrability._COND1_FORMS[ConditionForm1.YOUNG_A][1:], integrability._COND3_FORM[1:])
+        polars = [integrability._polar(*row) for row in rows]
+        terms = [(polar.terms[0], len(polar.anti) - polar.free) for polar in polars]
+        rng = np.random.default_rng(15)
+        gbar = (rng.integers(-3, 4, size=(3, 3)), Fraction(2, 3))
+        operands = (gbar, (rng.integers(-3, 4, size=(3,) * 4), Fraction(5, 7)))
+        counts = {"__mul__": 0, "__hash__": 0}
+        for name in counts:
+
+            def counted(self, *args, name=name, original=getattr(Fraction, name)):
+                counts[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(Fraction, name, counted)
+        seen = []
+        for (term, picks), alternate in terms:
+            counts.update(__mul__=0, __hash__=0)
+            contract_terms([(1, term, [operands[k] for k in picks])], {}, alternate)
+            seen.append((len(_fastops._contraction_plan(term, 3, alternate).steps), dict(counts)))
+        (two, first), (six, second) = seen
+        assert (two, six) == (2, 6)
+        assert first == second, (first, second)
+
+
 @st.composite
 def alternated_products(draw):
     """Two polynomial-valued factors and an antisymmetric group of free
@@ -782,7 +811,7 @@ class TestAlternatedProduct:
                     odd = sum(index[i] > index[j] for i, j in itertools.combinations(share, 2)) % 2
                     arr[index] = -(NEAR_SAFE - 1) if odd else NEAR_SAFE - 1
             operands.append((arr, Fraction(1)))
-        values, _, bound = _fastops._term(term, operands, {}, size)
+        values, _, bound = _fastops._read(*_fastops._term(term, operands, {}, size))
         assert bound == 0
         assert values.dtype == np.int64 and not values.any()
 

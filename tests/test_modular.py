@@ -381,7 +381,7 @@ class TestModularRoute:
             (np.full((3,) * len(factor), 1 << 62, dtype=object), Fraction(1))
             for factor in term.split("->")[0].split(",")
         ]
-        values, _, _ = _fastops._term(term, operands, {})
+        values, _, _ = _fastops._read(*_fastops._term(term, operands, {}))
         assert isinstance(values, Residues)
         exact = integers(values)
         assert exact.tolist() == python_int_term(term, operands).tolist()
@@ -400,10 +400,10 @@ class TestModularRoute:
         c = {"below": below, "at": below + 1, "past 2^63": (1 << 63) // arrangements + 1}[side]
         term, (a, b) = signed_operands(dim, size, slots, c)
         operands = [(a, Fraction(1)), (b, Fraction(1))]
-        values, scale, bound = _fastops._term(term, operands, {}, size)
+        values, scale, bound = _fastops._read(*_fastops._term(term, operands, {}, size))
         peak = arrangements * c
         assert isinstance(values, Residues) == (side != "below")
-        # An int64 step is content-reduced, so its bound is at its scale.
+        # bound · scale is the largest value.
         assert bound * scale == peak
         exact = integers(values) * scale
         assert exact.tolist() == alternating_sums(python_int_term(term, operands), size).tolist()
@@ -469,6 +469,111 @@ class TestModularRoute:
         assert len(calls) == 1
         assert nonzero(values).tolist() == [False, True, True]
         assert len(calls) == 1 + len(list(values.primes(values.bound)))
+
+
+class TestReductionOnDemand:
+    """A product keeps the integers its step made, and its content is
+    divided out only where a guard fails on it (``_fastops._step``): the
+    guard is then read again on the reduced operands, and only a guard
+    that still fails goes modular.  A polarised factor is never reduced.
+    The sum of a residual's terms does the same with its terms."""
+
+    @staticmethod
+    def assert_factors_as_given(memo, operands):
+        # Every polarised factor in the memo holds its operand's image as
+        # polarised, at its operand's scale: none was content-reduced.
+        given = {id(arr): (arr, scale) for arr, scale in operands}
+        factors = [(key, node) for key, node in memo.items() if not node.source]
+        assert factors
+        for (arr_id, _, axes), node in factors:
+            arr, scale = given[arr_id]
+            assert node.scale == (scale.numerator, scale.denominator)
+            assert node.bound == max(abs(v) for v in polarise(python_ints(arr), axes).ravel().tolist())
+
+    @pytest.mark.parametrize("side", ["under", "over"])
+    def test_a_step_reduces_its_product_operand(self, side):
+        # "ab,bc,cd->ad" multiplies c · a (at scale 1/c) by b into a
+        # product P with content c, then the factor c · z (at 1/c) by P,
+        # each entry adding up 3 products.  On P as made, that guard reads
+        # 3 · c · max|ab| · c · max|z| >= 2^62; reducing P divides it by c.
+        # Under: c is the least that puts it over, and once P is reduced
+        # the step stays int64.  Over: c is the least that keeps it over
+        # after P is reduced, and the step goes modular with the reduced
+        # P's bound; reducing the factor too would take it under.
+        rng = np.random.default_rng(8)
+        a, b, z = (rng.integers(-9, 10, size=(3, 3)) for _ in range(3))
+        ab = python_ints(a) @ python_ints(b)
+        assert math.gcd(*ab.ravel().tolist()) == 1
+        reduced = 3 * max(abs(v) for v in ab.ravel().tolist()) * int(np.abs(z).max())
+        least = -(-NEAR_SAFE // reduced)
+        c = math.isqrt(least - 1) + 1 if side == "under" else least
+        assert c * c * reduced >= NEAR_SAFE and (c * reduced < NEAR_SAFE) == (side == "under")
+        operands = [(c * a, Fraction(1, c)), (b, Fraction(1)), (c * z, Fraction(1, c))]
+        memo: dict = {}
+        values, scale = _fastops.contract_terms([(1, "ab,bc,cd->ad", operands)], memo)
+        assert isinstance(values, Residues) == (side == "over")
+        if side == "over":
+            assert values.bound == c * reduced
+        expected = (ab @ python_ints(z)).reshape(1, 3, 3)
+        assert (integers(values) * scale).tolist() == expected.tolist()
+        self.assert_factors_as_given(memo, operands)
+
+    def test_the_third_condition_sum_reduces_its_terms(self):
+        # condition3's two compiled terms at N = 3, each handed the same
+        # unstructured 4-tensor s as another integer image: 4097 · s at
+        # scale 1/4097 in the first term and 687 · s at 1/687 in the
+        # second.  As their last steps made them, the terms carry coprime
+        # contents, their common scale splits them into large integer
+        # multiples, and the sum's guard reads just over 2^62 (within 1 %).
+        # With each term's content divided out it reads below, and the sum
+        # stays int64.  A step of the first term fails on a loose product
+        # times the factor 4097 · s and passes once the product is
+        # reduced; the factor keeps its image.
+        dim = 3
+        s = np.random.default_rng(3).integers(-3, 4, size=(dim,) * 4)
+        g = sphere(dim).gbar()
+        gbar = (g._ints, g._scale)
+        images = [(4097 * s, Fraction(1, 4097)), (687 * s, Fraction(1, 687))]
+        polar = integrability._polar(*integrability._COND3_FORM[1:])
+        size = len(polar.anti) - polar.free
+        terms = [(1, term, [(gbar, image)[k] for k in picks]) for (term, picks), image in zip(polar.terms, images)]
+        memo: dict = {}
+
+        def guard() -> int:
+            # The sum's guard on the terms' last nodes as they stand.
+            reads = [_fastops._read(*_fastops._term(term, operands, memo, size)) for _, term, operands in terms]
+            multiples, _ = _fastops.integer_multiples([scale for _, scale, _ in reads])
+            return sum(abs(k) * bound for k, (_, _, bound) in zip(multiples, reads))
+
+        assert NEAR_SAFE <= guard() < NEAR_SAFE * 101 // 100
+        values, scale = _fastops.contract_terms(terms, memo, size)
+        assert isinstance(values, np.ndarray) and values.dtype == np.int64
+        assert guard() < NEAR_SAFE
+        expected = sum(
+            alternating_sums(python_int_term(term, [(gbar, (s, Fraction(1)))[k] for k in picks]), size)
+            for term, picks in polar.terms
+        )
+        assert expected.any()
+        assert (integers(values) * scale).tolist() == (expected * g._scale**3).tolist()
+        self.assert_factors_as_given(memo, [gbar, *images])
+
+
+    @pytest.mark.parametrize("content", [2, 1])
+    def test_weighing_reduces_the_components_where_its_guard_fails(self, content):
+        # The degree-3 monomials in 2 variables weigh 3! = 6 at most.  The
+        # components 2 · u with max|u| just under 2^62 / 6 fail the guard
+        # 6 · max < 2^62, and once their content 2 is divided out they
+        # pass it and stay int64; 2 · u + 1 has content 1 and goes to
+        # Python ints.  Either way scale · values · alpha! is exact.
+        m = NEAR_SAFE // 6 - 1
+        u = np.array([[m], [1], [-1], [-m]], dtype=np.int64)
+        values = 2 * u + (content == 1)
+        assert 6 * int(np.abs(values).max()) >= NEAR_SAFE
+        weighed, scale = _fastops.weigh_monomials(values, Fraction(1, 3), 0, 2, 3)
+        assert weighed.dtype == (np.int64 if content == 2 else object)
+        assert scale == Fraction(content, 3)
+        expected = [Fraction(v, 3) * w for v, w in zip(values.ravel().tolist(), [6, 2, 2, 6])]
+        assert [scale * v for v in weighed.ravel().tolist()] == expected
 
 
 class TestPrimes:

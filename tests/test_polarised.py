@@ -43,7 +43,7 @@ from killingtensor import (
     random_curvature,
 )
 from killingtensor import _fastops, integrability
-from killingtensor._fastops import Residues, contract_terms, integers, move_index
+from killingtensor._fastops import Residues, contract_terms, integers, move_index, normalize_array
 
 NEAR_SAFE = 1 << 62
 
@@ -335,29 +335,46 @@ class TestFreeSlotMap:
         return polar, g, scale
 
     @pytest.mark.parametrize("name, load", [("young-a", 2 + 4), ("hook-d", 2)])
-    @pytest.mark.parametrize("side", ["under", "over"])
+    @pytest.mark.parametrize("side", ["under", "over", "over, reducible"])
     def test_the_guard_at_its_boundary(self, name, load, side):
-        # g times c, with the map's load · max|c · g| just under 2^62 (the
-        # map runs in int64) or just over it (it runs modulo primes): both
-        # give c times the dense route's components.  The load is the
-        # largest sum of |weight| over an output entry: 2 + 4 for the
-        # derivative onto degree 2 and 4-tuples, and for hook-d at N = 5
-        # the two indices outside a 3-tuple.
+        # The map on c · g + e · h, for the content-reduced contractions g
+        # and h of two inputs.  With e = 1 the values have content 1, and
+        # the map's load · max|values| is just under 2^62 (the map runs in
+        # int64) or just over it (it runs modulo primes).  With e = 0
+        # ("over, reducible") the values c · g are just over it too, but
+        # with content c: move_index divides c out into the scale, and the
+        # map runs in int64.  Each gives c times g's dense components plus
+        # e times h's.  The load is the largest sum of |weight| over an
+        # output entry: 2 + 4 for the derivative onto degree 2 and
+        # 4-tuples, and for hook-d at N = 5 the two indices outside a
+        # 3-tuple.
         dim = 5
-        K = random_curvature(dim, random.Random(17), bound=3)
         g_ = sphere(dim).gbar()
-        gbar, curvature = (g_._ints, g_._scale), curvature_image(K, integrability._S)
-        polar, g, scale = self.contraction(name, gbar, curvature)
+        gbar = (g_._ints, g_._scale)
+        parts = []
+        for seed in (17, 18):
+            curvature = curvature_image(random_curvature(dim, random.Random(seed), bound=3), integrability._S)
+            polar, g, scale = self.contraction(name, gbar, curvature)
+            assert isinstance(g, np.ndarray)
+            parts.append((*normalize_array(g, scale), reference_components(name, gbar, curvature)))
+        (g, g_scale, g_expected), (h, h_scale, h_expected) = parts
         args = (dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
-        assert isinstance(g, np.ndarray) and _fastops._moves(*args).load == load
-        peak = int(np.abs(g).max())
-        c = (NEAR_SAFE - 1) // (load * peak) + (side == "over")
-        assert (load * c * peak < NEAR_SAFE) == (side == "under")
-        values = move_index(c * g, *args)
-        assert isinstance(values, Residues) == (side == "over")
-        expected = reference_components(name, gbar, curvature)
+        assert _fastops._moves(*args).load == load
+        e = int(side != "over, reducible")
+        peak = lambda c: max(abs(c * x + e * y) for x, y in zip(g.ravel().tolist(), h.ravel().tolist()))  # noqa: E731
+        c = (NEAR_SAFE - 1) // (load * int(np.abs(g).max())) - 2
+        assert load * peak(c) < NEAR_SAFE
+        while load * peak(c + 1) < NEAR_SAFE:
+            c += 1
+        c += side != "under"
+        values = c * g + e * h
+        assert (load * int(np.abs(values).max()) < NEAR_SAFE) == (side == "under")
+        assert math.gcd(*values.ravel().tolist()) == (c if side == "over, reducible" else 1)
+        moved, scale = move_index(values, Fraction(1), *args)
+        assert isinstance(moved, Residues) == (side == "over")
+        expected = [c * x / g_scale + e * y / h_scale for x, y in zip(g_expected, h_expected)]
         assert any(expected)
-        assert [scale * v for v in integers(values).ravel().tolist()] == [c * v for v in expected]
+        assert [scale * v for v in integers(moved).ravel().tolist()] == expected
 
     @pytest.mark.parametrize("dim, zeros", [(4, 40), (5, 100)])
     def test_hook_d_components_vanish_exactly_on_the_empty_rows(self, dim, zeros):
