@@ -54,10 +54,13 @@ zeros come from the operands: a zero tensor, or a valid curvature tensor
 polarised in three slots, which the cyclic identity makes zero.
 
 A group of free slots that an earlier operator spans, and that shares
-one slot with a final group, is read off one contraction by
-:func:`move_index`: a derivative moves an index from the monomial axis
-into the tuple axis, a product with ``x`` moves one back, each through
-small per-monomial and per-tuple tables (:func:`_moves`).
+one slot with a final group, is read off one contraction: after the sum,
+:func:`contract_terms` moves the shared slot's index, a derivative from
+the monomial axis into the tuple axis, a product with ``x`` back, each
+through small per-monomial and per-tuple tables (:func:`_moves`).  The
+sum and the move pass one guard together, so a residual's values leave
+the engine through one int64-or-primes decision, and content is divided
+out of them only by :func:`_reduce`, where that guard fails.
 """
 
 from __future__ import annotations
@@ -77,7 +80,6 @@ __all__ = [
     "transposed_sum",
     "integer_multiples",
     "contract_terms",
-    "move_index",
     "Residues",
     "nonzero",
     "integers",
@@ -223,7 +225,17 @@ def normalize_array(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fract
     otherwise, and gives an all-zero array the scale 1 and the image
     :func:`zero_array`.  The represented value ``scale * arr`` is unchanged.
     """
-    return _normalized(arr, scale)[:2]
+    if arr.size == 0:
+        return arr, scale
+    gcd = _content(arr)
+    if gcd == 0:
+        return zero_array(arr.shape), Fraction(1)
+    if gcd > 1:
+        arr = np.asarray(arr // gcd, dtype=arr.dtype)  # a 0-d quotient is a scalar
+        scale = scale * gcd
+    if (arr.dtype == object) != (_max_abs(arr) >= _INT64_SAFE):
+        arr = arr.astype(np.int64 if arr.dtype == object else object)
+    return arr, scale
 
 
 def integer_array(values: Sequence[int], peak: "int | None" = None) -> np.ndarray:
@@ -234,22 +246,6 @@ def integer_array(values: Sequence[int], peak: "int | None" = None) -> np.ndarra
     if peak < _INT64_SAFE:
         return np.fromiter(values, np.int64, len(values))
     return np.array(values, dtype=object)
-
-
-def _normalized(arr: np.ndarray, scale: Fraction) -> tuple[np.ndarray, Fraction, int]:
-    """:func:`normalize_array`, and the largest magnitude in its array."""
-    if arr.size == 0:
-        return arr, scale, 0
-    gcd = _content(arr)
-    if gcd == 0:
-        return zero_array(arr.shape), Fraction(1), 0
-    if gcd > 1:
-        arr = np.asarray(arr // gcd, dtype=arr.dtype)  # a 0-d quotient is a scalar
-        scale = scale * gcd
-    peak = _max_abs(arr)
-    if (arr.dtype == object) != (peak >= _INT64_SAFE):
-        arr = arr.astype(np.int64 if arr.dtype == object else object)
-    return arr, scale, peak
 
 
 def _content(arr: np.ndarray) -> int:
@@ -379,8 +375,9 @@ def _shuffled(dim: int, size: int, slots: tuple[int, ...]) -> tuple[np.ndarray, 
 
 
 class _Moves(NamedTuple):
-    """Tables of :func:`move_index`: per output monomial ``alpha`` and
-    variable ``v`` (M x dim), per output tuple ``I`` and column (T x width)."""
+    """Tables of the move of :func:`contract_terms`: per output monomial
+    ``alpha`` and variable ``v`` (M x dim), per output tuple ``I`` and
+    column (T x width)."""
 
     monomial: np.ndarray  # the source monomial at (alpha, v)
     weight: np.ndarray  # its coefficient, 0 where there is none
@@ -621,21 +618,15 @@ def expand_axis(values: np.ndarray, axis: int, dim: int, size: int, anti: bool) 
     return out
 
 
-def weigh_monomials(
-    values: np.ndarray, scale: Fraction, axis: int, dim: int, size: int
-) -> tuple[np.ndarray, Fraction]:
-    """``scale * values`` times ``alpha!`` along axis ``axis``, which runs
-    over the degree-``size`` monomials in ``dim`` variables, as ``(values,
-    scale)``: int64 while ``max alpha! · max|values| < 2^62``, Python
-    ints otherwise.  Where that fails on int64 ``values``, their content
-    is divided out into ``scale`` first and the guard is read again."""
+def weigh_monomials(values: np.ndarray, dim: int, size: int) -> np.ndarray:
+    """``values`` times ``alpha!`` along axis 0, which runs over the
+    degree-``size`` monomials in ``dim`` variables: int64 while ``max
+    alpha! · max|values| < 2^62``, Python ints otherwise.  Not
+    content-reduced."""
     weights = _monomial_weights(dim, size)
-    top = int(weights.max())
-    if values.dtype != object and top * _max_abs(values) >= _INT64_SAFE:
-        values, scale, peak = _normalized(values, scale)
-        if top * peak >= _INT64_SAFE:
-            values = values.astype(object)
-    return values * weights.astype(values.dtype).reshape((-1,) + (1,) * (values.ndim - axis - 1)), scale
+    if values.dtype == object or int(weights.max()) * _max_abs(values) >= _INT64_SAFE:
+        values = values.astype(object)
+    return values * weights.astype(values.dtype).reshape((-1,) + (1,) * (values.ndim - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -963,9 +954,11 @@ def contract_terms(
     terms: Iterable[tuple[Fraction, str, Sequence[tuple[np.ndarray, Fraction]]]],
     memo: "dict | None" = None,
     alternate: int = 0,
+    move: "tuple[int, int, int, int, int] | None" = None,
 ) -> tuple["np.ndarray | Residues", Fraction]:
     """Exact ``sum of c * term(*operands)`` over ``(rational c, einsum
-    term, operands)``, each term keeping its monomial axis.
+    term, operands)``, each term keeping its monomial axis, with one
+    index then moved by ``move``, if given.
 
     A term such as ``"kl,kabc,ldef->abcdef"`` runs over cubical
     ``(integer array, scale)`` operands of one dimension; every index is
@@ -1003,34 +996,69 @@ def contract_terms(
     lexicographic order, holding the sum over the rearrangements ``J`` of
     ``I`` of ``sign(J)`` times the term at ``J``.  Each term computes it
     inside its last product (:func:`_alternated`), only at those tuples.
-    With the multiples ``k_i`` and scale of :func:`linear_combination`
-    over the nonzero terms, the sum is int64 when every such term is and
-    ``sum |k_i| · max|term_i| < 2^62``.  That guard is read first on the
-    terms as their last steps made them; where it fails, each term's
-    last node is content-reduced (:func:`_reduce`) and it is read again,
-    and only then is the sum :class:`Residues`.  Reducing the terms
-    divides the guard's reading by a positive integer: the reduced
-    terms' scale ``S`` is a multiple of the loose terms' ``S'`` in
-    :func:`integer_multiples`' sense, and each ``|k_i| · max|term_i|``
-    shrinks by ``S / S'``.  So the sum goes modular exactly where it
-    would on reduced terms, with their bound.  Returns ``(values,
-    scale)``, not content-reduced.
+
+    ``move`` is None or the key ``(dim, degree, size, pivot, free)`` of
+    :func:`_moves`: one index then moves between the sum's monomial and
+    tuple axes (:func:`_moved`).  The result has monomials of ``degree``
+    and increasing ``size``-tuples, and at ``(alpha, I)`` the sum over
+    the tables' columns of ``sign · weight · sum[source monomial, source
+    tuple]``: with ``free`` +1 the coefficient of ``x^alpha`` in the
+    derivative of the sum along ``e_v`` put at position ``pivot`` of
+    ``I``, alternated; with ``free`` -1 the product with ``x``, whose
+    index ``v`` takes position ``pivot`` of the larger tuple (see
+    :func:`~killingtensor.integrability._polar`).  An entry adds up at
+    most ``move_load`` entries of the sum (the tables' largest sum of
+    ``|weight|``; 1 without a move).  A zero sum gives
+    :func:`zero_array` of the moved shape.
+
+    One guard decides the read-out.  With the multiples ``k_i`` and scale
+    of :func:`linear_combination` over the nonzero terms, the result is
+    int64 when every such term is and ``move_load · sum |k_i| ·
+    max|term_i| < 2^62``, which bounds every partial sum.  That guard is
+    read first on the terms as their last steps made them; where it
+    fails, each term's last node is content-reduced (:func:`_reduce`)
+    and it is read again, and only then is the result
+    :class:`Residues`: the sum, then the move, modulo each prime, with
+    that reading as its bound and ``max(2, move_load, the terms' loads)``
+    as its load.  Reducing the terms divides the guard's reading by a
+    positive integer: the reduced terms' scale ``S`` is a multiple of
+    the loose terms' ``S'`` in :func:`integer_multiples`' sense, and
+    each ``|k_i| · max|term_i|`` shrinks by ``S / S'``.  So the result
+    goes modular exactly where it would on reduced terms, with their
+    bound.  Returns ``(values, scale)``, not content-reduced.
+
+    Routes are those of summing, then moving under a guard of the move's
+    own that reads the sum's exact maximum and divides the sum's content
+    out where it fails.  A library row with a move has one term, at
+    multiple 1 (``c = 1``, a positive scale), so its bound ``B`` is the
+    sum's exact maximum, and the sum's own guard ``B < 2^62`` passes on
+    an int64 node: the one guard reads ``move_load · max|sum|``, and
+    reducing the node divides out the sum's content, as the move did; so
+    the bound, the load and every prime read are the move's.  With
+    several terms and a move (no library row has this), ``sum |k_i| ·
+    B_i >= max|sum|`` keeps the guard sound.
     """
     memo = {} if memo is None else memo
     parts = [(c, *_term(subscripts, operands, memo, alternate)) for c, subscripts, operands in terms]
+    moves = None if move is None else _moves(*move)
+    move_load = 1 if moves is None else moves.load
     # A zero term (bound 0) adds nothing: it enters neither sum nor scale.
     live = [(c, node, plan) for c, node, plan in parts if node.bound]
     if not live:
         _, node, plan = parts[0]
-        return zero_array(node.arr.transpose(plan.order).shape), Fraction(1)
+        shape = node.arr.transpose(plan.order).shape
+        if moves is not None:
+            shape = (len(moves.monomial), len(moves.variable)) + shape[2:]
+        return zero_array(shape), Fraction(1)
     while True:
         read = [(c, *_read(node, plan)) for c, node, plan in live]
         multiples, scale = integer_multiples([Fraction(c) * s for c, _, s, _ in read])
         values = [v for _, v, _, _ in read]
         wide = [v for v in values if isinstance(v, Residues)]
-        bounds = [abs(k) * bound for k, (_, _, _, bound) in zip(multiples, read)]
-        if not wide and sum(bounds) < _INT64_SAFE:
-            return _weighted_sum(multiples, values), scale
+        bound = move_load * sum(abs(k) * b for k, (_, _, _, b) in zip(multiples, read))
+        if not wide and bound < _INT64_SAFE:
+            total = _weighted_sum(multiples, values)
+            return (total if moves is None else _moved(total, moves)), scale
         loose = [node for _, node, _ in live if node.loose]
         if not loose:
             break
@@ -1041,55 +1069,14 @@ def contract_terms(
         total = 0
         for k, v in zip(multiples, values):
             total = (total + k % p * _modulo(v, p, cache)) % p
-        return total
+        return total if moves is None else _moved(total, moves) % p
 
-    return Residues(sum(bounds), max([2] + [v.load for v in wide]), residue), scale
-
-
-def move_index(
-    values: "np.ndarray | Residues", scale: Fraction, dim: int, degree: int, size: int, pivot: int, free: int
-) -> tuple["np.ndarray | Residues", Fraction]:
-    """Move one index between the monomial axis and the tuple axis of
-    ``scale * values``; returns the result as ``(values, scale)``.
-
-    ``values`` is laid out as :func:`contract_terms` returns it: a
-    monomial axis, an axis over increasing tuples, then other axes.  The
-    result has monomials of ``degree`` and increasing ``size``-tuples,
-    and at ``(alpha, I)`` it holds the sum over the columns of
-    :func:`_moves` of ``sign · weight · values[source monomial, source
-    tuple]``.  With ``free`` +1 this is the coefficient of ``x^alpha``
-    in the derivative of ``values`` along ``e_v`` put at position
-    ``pivot`` of ``I``, alternated; with ``free`` -1 the product with
-    ``x``, whose index ``v`` takes position ``pivot`` of the larger
-    tuple (see :func:`~killingtensor.integrability._polar`).
-
-    An entry adds up at most ``load`` (the tables' largest sum of
-    ``|weight|``) entries of ``values``, each at most its bound ``B``:
-    the result is int64 while ``load · B < 2^62``.  Where that fails on
-    int64 ``values``, their content is divided out into ``scale`` and
-    the guard is read again.  A one-term sum is its term's last node
-    times ±1, so this gives the values of the content-reduced node, as
-    if every product had been reduced when it was made (:func:`_step`).
-    Past the guard the result is :class:`Residues` with the bound ``load
-    · B``, the map applied modulo each prime, where every partial sum
-    stays below ``load · p < 2^62``.  A zero ``values`` gives
-    :func:`zero_array`.
-    """
-    moves = _moves(dim, degree, size, pivot, free)
-    wide = isinstance(values, Residues)
-    bound = values.bound if wide else _max_abs(values)
-    if not bound:
-        return zero_array((len(moves.monomial), len(moves.variable)) + values.shape[2:]), scale
-    if not wide and moves.load * bound >= _INT64_SAFE:
-        values, scale, bound = _normalized(values, scale)
-    if not wide and moves.load * bound < _INT64_SAFE:
-        return _moved(values, moves), scale
-    residue = lambda p, cache: _moved(_modulo(values, p, cache), moves) % p  # noqa: E731
-    return Residues(moves.load * bound, max(moves.load, values.load if wide else 2), residue), scale
+    return Residues(bound, max([2, move_load] + [v.load for v in wide]), residue), scale
 
 
 def _moved(values: np.ndarray, moves: _Moves) -> np.ndarray:
-    """:func:`move_index` on an int64 array, one column at a time, unguarded."""
+    """The move of :func:`contract_terms` on an int64 array, one column
+    at a time, unguarded."""
     out = np.zeros((len(moves.monomial), len(moves.variable)) + values.shape[2:], dtype=np.int64)
     trailing = (1,) * (values.ndim - 2)
     for v, tuples, sign in zip(moves.variable.T, moves.tuples.T, moves.sign.T):

@@ -9,7 +9,7 @@ Subcommands::
     lr FRAME1 FRAME2                Littlewood-Richardson decomposition
     identities [--N] [--samples]    self-test of the operator identity suite
 
-Exit codes: 0 = property holds, 1 = property fails, 2 = input error.
+Exit codes: 0 = property holds, 1 = property fails, 2 = input error or out of memory.
 Reports go to standard output, diagnostics to standard error; malformed
 input never produces a traceback.  All randomness is seed-parameterized
 and the seed is recorded in generated-file metadata.
@@ -131,6 +131,9 @@ def _resolve_model(args: argparse.Namespace) -> ModelSpace:
     model = kio.parse_model_descriptor(text)
     if args.N is not None and args.N != model.dim:
         raise InvalidArgument(f"--N {args.N} conflicts with model dimension {model.dim}")
+    signature = (model.signature.p, model.signature.q)
+    if args.signature is not None and tuple(_parse_signature_flag(args.signature)) != signature:
+        raise InvalidArgument(f"--signature {args.signature} conflicts with model signature {signature}")
     return model
 
 
@@ -303,6 +306,8 @@ def _parse_frame(text: str) -> YoungFrame:
 
 
 def cmd_repinfo(args: argparse.Namespace) -> int:
+    if args.N is not None and args.N < 1:
+        raise InvalidArgument("--N must be at least 1")
     _check_cap("--N", args.N, _MAX_SPACE_DIM)
     frame = _parse_frame(args.frame)
     print(f"frame {_frame_label(frame)}: {frame.size} boxes")
@@ -472,6 +477,10 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         return args.func(args)
     except (InvalidArgument, SamplingFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

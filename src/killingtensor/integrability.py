@@ -26,11 +26,11 @@ canonical components (orbit sums, with overflow guards).  A residual
 has one symmetric and one antisymmetric slot group, either possibly
 empty, and its compiled row owns that layout (:class:`_Polar`).  Free
 slots spanned by an earlier operator are the group of the kind the
-final one lacks, read off the same one contraction by moving the shared
-slot's index (:func:`~killingtensor._fastops.move_index`).  A residual
-that outgrows int64 is carried as residues modulo primes: verdicts and
-supports are read from the residues, and only a residual tensor is
-rebuilt from them (see :class:`~killingtensor._fastops.Residues`).
+final one lacks, read off the same one contraction, whose shared slot's
+index the engine moves (:func:`~killingtensor._fastops.contract_terms`).
+A residual that outgrows int64 is carried as residues modulo primes:
+verdicts and supports are read from the residues, and only a residual
+tensor is rebuilt from them (see :class:`~killingtensor._fastops.Residues`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from ._fastops import (
     contract_terms,
     expand_axis,
     integers,
-    move_index,
     nonzero,
     normalize_array,
     weigh_monomials,
@@ -243,7 +242,7 @@ class _Polar(NamedTuple):
     antisymmetric over ``anti`` (sorted axes, either possibly empty), and
     ``free`` is the sign of the group that holds the free slots, if one
     does.  Then ``pivot`` is the shared slot's position in the larger of
-    its two groups, and the terms' sum goes through :func:`move_index`."""
+    its two groups; the engine moves that slot's index after the sum."""
 
     terms: tuple[tuple[str, tuple[int, ...]], ...]  # (term, operand per factor)
     sym: tuple[int, ...]
@@ -307,8 +306,8 @@ class _Residual:
         values = integers(self.contracted)
         if not np.count_nonzero(values):
             return Tensor.zeros(dim, polar.order)
-        arr, scale = weigh_monomials(values.reshape(polar.shape(dim)), self.scale, 0, dim, len(polar.sym))
-        arr, scale = normalize_array(arr, scale)
+        arr = weigh_monomials(values.reshape(polar.shape(dim)), dim, len(polar.sym))
+        arr, scale = normalize_array(arr, self.scale)
         arr = expand_axis(arr, 0, dim, len(polar.sym), anti=False)
         arr = expand_axis(arr, 1, dim, len(polar.anti), anti=True)
         arr = arr.reshape((dim,) * polar.order).transpose(np.argsort(polar.slots))
@@ -328,8 +327,8 @@ def _polar(terms: tuple[str, ...], ops: _Ops) -> _Polar:
     share one slot s with a final group; the other slots of P are then
     exactly the residual's free slots, and they become the residual's
     group of the kind the final groups lack.  Each term is then
-    contracted once, and :func:`move_index` moves the index at s between
-    the monomial axis and the tuple axis of the sum.
+    contracted once, and the engine moves the index at s between the
+    monomial axis and the tuple axis of the sum (``contract_terms``).
 
     * P symmetric, s in F (young-a, ks2-hook-yin).  The residual is
       symmetric in P - {s}, so x goes there too.  Contract g with x in
@@ -403,10 +402,10 @@ def _residual(polar: _Polar, gbar: _Scaled, curvature: _Scaled, memo: dict) -> _
         return _Residual(zero_array(polar.shape(dim)), Fraction(1), dim, polar)
     operands = (gbar, curvature)
     terms = [(1, term, [operands[k] for k in picks]) for term, picks in polar.terms]
-    # The terms alternate anti less the shared slot (free +1) or with it (free -1).
-    values, scale = contract_terms(terms, memo, len(polar.anti) - polar.free)
-    if polar.free:
-        values, scale = move_index(values, scale, dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
+    # The terms alternate anti less the shared slot (free +1) or with it
+    # (free -1), whose index the engine then moves.
+    move = (dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free) if polar.free else None
+    values, scale = contract_terms(terms, memo, len(polar.anti) - polar.free, move)
     return _Residual(values, scale, dim, polar)
 
 

@@ -283,6 +283,13 @@ class TestRepresentationCommands:
         assert "2*(3,2,1)" in out.splitlines()[0]
         assert "(3,2,1)  multiplicity 2" in out
 
+    @pytest.mark.parametrize("N", ["0", "-2"])
+    def test_repinfo_at_N_below_one_prints_nothing(self, capsys, N):
+        code, out, err = run(capsys, "repinfo", "(3,2)", "--N", N)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --N must be at least 1\n"
+
     def test_bad_frame_is_an_input_error(self, capsys):
         code, _, err = run(capsys, "repinfo", "(1,2)")
         assert code == 2
@@ -542,6 +549,7 @@ class TestTopLevelBehaviour:
             # Flags that contradict or garble a valid model.
             pytest.param(("sphere", "--signature", "a,b"), id="signature-not-integers"),
             pytest.param(("MODEL_FILE", "--N", "4"), id="N-against-a-file"),
+            pytest.param(("MODEL_FILE", "--signature", "2,1"), id="signature-against-a-file"),
         ],
     )
     def test_malformed_model_descriptor_exits_2(self, capsys, tmp_path, command, descriptor):
@@ -558,9 +566,32 @@ class TestTopLevelBehaviour:
         assert out == ""
         assert err.startswith("error: ")
         if "MODEL_FILE" in descriptor:
-            assert "conflicts with model dimension" in err
+            conflict = "signature" if "--signature" in descriptor else "dimension"
+            assert f"conflicts with model {conflict}" in err
         elif "--signature" in descriptor:
             assert "--signature expects integers" in err
+
+    @pytest.mark.parametrize("flags", [("MODEL_FILE", "--signature", "3,0"), ("INLINE", "--signature", "(3, 0)")])
+    def test_a_signature_that_agrees_with_the_descriptor_is_accepted(self, capsys, tmp_path, flags):
+        path = tmp_path / "metric.json"
+        run(capsys, "generate", "metric", "--model", "sphere", "--N", "3", "--out", str(path))
+        model = tmp_path / "model.json"
+        model.write_text('{"kind": "sphere", "N": 3}', encoding="utf-8")
+        descriptor = {"MODEL_FILE": str(model), "INLINE": '{"kind": "sphere", "N": 3}'}[flags[0]]
+        code, out, err = run(capsys, "check", str(path), "--model", descriptor, *flags[1:])
+        assert code == 0 and err == ""
+        assert out.startswith("model: sphere (3,0), ambient dimension 3")
+
+    def test_running_out_of_memory_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.81 GiB for an array")
+
+        path = tmp_path / "metric.json"
+        run(capsys, "generate", "metric", "--model", "sphere", "--N", "3", "--out", str(path))
+        monkeypatch.setattr(cli, "check", exhausted)
+        code, out, err = run(capsys, "check", str(path), "--model", "sphere", "--N", "3")
+        assert code == 2 and out == ""
+        assert err == "error: out of memory: Unable to allocate 2.81 GiB for an array\n"
 
     @pytest.mark.parametrize("bound", ["0", "-3"])
     @pytest.mark.parametrize(

@@ -114,6 +114,27 @@ def test_the_checks_see_imports():
     assert {"contract_terms", "nonzero", "integers"} <= names_used("integrability")
 
 
+def callers(module: str, name: str) -> set[str]:
+    """The functions of ``module`` whose code calls ``name`` (a nested
+    function counts for itself and for each function around it)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == name for c in ast.walk(node))
+    }
+
+
+def test_only_reduce_and_normalize_array_divide_content_out():
+    # Inside a residual, content comes out only where a guard fails on a
+    # node (_reduce); normalize_array makes an image canonical.  No other
+    # module calls it.
+    assert callers("_fastops", "_content") == {"_reduce", "normalize_array"}
+    others = [path.stem for path in PACKAGE.glob("*.py") if path.stem != "_fastops"]
+    assert not any("_content" in names_used(m) for m in others)
+
+
 def int64_cutoffs(module: str) -> int:
     """How often the code of ``module`` (not its docstrings or comments)
     spells the int64 cutoff: ``1 << 62``, ``2**62`` or the number itself."""

@@ -8,11 +8,12 @@ code and no polarisation, by the dense route of ``test_polarised``:
 ``np.einsum`` of each term, the literal sum over every arrangement of
 the slots of an earlier operator, and signed orbit sums at the final
 groups' canonical tuples, the free slots kept as index axes.  That route
-shares no code with the compiled rows or with ``move_index``, which
-reads a group of free slots off one contraction.  Supports,
-``condition1/2/3_residual`` tensors and hook-check outcomes must agree,
-on Benenti inputs at entry bound 9, random S, and sums of
-Kulkarni-Nomizu products whose integer images cross 2^62 and 2^64.
+shares no code with the compiled rows or with the engine's move
+(``contract_terms``' ``move``), which reads a group of free slots off
+one contraction.  Supports, ``condition1/2/3_residual`` tensors and
+hook-check outcomes must agree, on Benenti inputs at entry bound 9,
+random S, and sums of Kulkarni-Nomizu products whose integer images
+cross 2^62 and 2^64.
 
 Single polarised terms (``_fastops._term``) are checked against
 ``python_int_term``: each polarised factor multiplied pairwise along the
@@ -116,7 +117,7 @@ def python_int_residual(terms, ops, gbar, curvature) -> integrability._Residual:
     with the final symmetric group joins the polynomial by
     ``times_x``; the final antisymmetric group is read by the signed sums
     of ``alternating_sums``.  The free slots stay index axes, in order.
-    None of this reads the compiled row or ``move_index``."""
+    None of this reads the compiled row or the engine's move."""
     earlier, final = split_ops(ops)
     sym, anti = (tuple(sorted(sum((axes for sign, axes in final if sign == kind), ()))) for kind in (1, -1))
     touched = set(sum((axes for _, axes in earlier), ()))
@@ -557,23 +558,42 @@ class TestReductionOnDemand:
         assert (integers(values) * scale).tolist() == (expected * g._scale**3).tolist()
         self.assert_factors_as_given(memo, [gbar, *images])
 
-
-    @pytest.mark.parametrize("content", [2, 1])
-    def test_weighing_reduces_the_components_where_its_guard_fails(self, content):
-        # The degree-3 monomials in 2 variables weigh 3! = 6 at most.  The
-        # components 2 · u with max|u| just under 2^62 / 6 fail the guard
-        # 6 · max < 2^62, and once their content 2 is divided out they
-        # pass it and stay int64; 2 · u + 1 has content 1 and goes to
-        # Python ints.  Either way scale · values · alpha! is exact.
+    def test_weighing_past_its_guard_is_exact(self):
+        # The degree-3 monomials in 2 variables weigh 3! = 6 at most, so
+        # components with max just under 2^62 / 6 are weighed in int64,
+        # and twice those (content 2) in Python ints: weighing divides
+        # nothing out.
         m = NEAR_SAFE // 6 - 1
         u = np.array([[m], [1], [-1], [-m]], dtype=np.int64)
-        values = 2 * u + (content == 1)
+        for values, dtype in ((u, np.int64), (2 * u, object)):
+            weighed = _fastops.weigh_monomials(values, 2, 3)
+            assert weighed.dtype == dtype
+            assert weighed.ravel().tolist() == [v * w for v, w in zip(values.ravel().tolist(), [6, 2, 2, 6])]
+
+    def test_a_residual_tensor_is_its_canonical_int64_image(self):
+        # split-b at N = 3: symmetric over (1, 2, 4), antisymmetric over
+        # (0, 3, 5), whose one increasing tuple (0, 1, 2) holds every
+        # component.  The components 2 · u weigh past int64, but their
+        # content 2 comes out of the dense residual, which fits in int64:
+        # the tensor is that canonical int64 image, sign(J) · alpha! ·
+        # scale · value at each index tuple J.
+        dim = 3
+        polar = integrability._polar(*integrability._COND1_FORMS[ConditionForm1.SPLIT_B][1:])
+        monomials = list(itertools.combinations_with_replacement(range(dim), 3))
+        u = np.arange(len(monomials)) - 3  # 1 at x0 x1 x2, of weight 1
+        u[0] = NEAR_SAFE // 6 - 1  # at x0^3, of weight 6
+        values, scale = 2 * u.reshape(polar.shape(dim)), Fraction(1, 3)
         assert 6 * int(np.abs(values).max()) >= NEAR_SAFE
-        weighed, scale = _fastops.weigh_monomials(values, Fraction(1, 3), 0, 2, 3)
-        assert weighed.dtype == (np.int64 if content == 2 else object)
-        assert scale == Fraction(content, 3)
-        expected = [Fraction(v, 3) * w for v, w in zip(values.ravel().tolist(), [6, 2, 2, 6])]
-        assert [scale * v for v in weighed.ravel().tolist()] == expected
+        tensor = integrability._Residual(values, scale, dim, polar).tensor()
+        assert tensor._ints.dtype == np.int64
+        assert math.gcd(*tensor._ints.ravel().tolist()) == 1
+        for J in itertools.product(range(dim), repeat=6):
+            alpha = tuple(sorted(J[a] for a in polar.sym))
+            weight = math.prod(math.factorial(alpha.count(v)) for v in set(alpha))
+            anti = [J[a] for a in polar.anti]
+            inversions = sum(x > y for x, y in itertools.combinations(anti, 2))
+            sign = (-1) ** inversions if len(set(anti)) == 3 else 0
+            assert tensor[J] == sign * weight * scale * values[monomials.index(alpha), 0]
 
 
 class TestPrimes:

@@ -43,7 +43,7 @@ from killingtensor import (
     random_curvature,
 )
 from killingtensor import _fastops, integrability
-from killingtensor._fastops import Residues, contract_terms, integers, move_index, normalize_array
+from killingtensor._fastops import Residues, contract_terms, integers
 
 NEAR_SAFE = 1 << 62
 
@@ -322,59 +322,87 @@ class TestDenseResiduals:
 
 
 class TestFreeSlotMap:
-    """A row with an earlier operator is one contraction g, then
-    ``move_index``: the shared slot's index is moved from g's monomial
-    axis into its tuple axis (young-a) or from the tuple axis into the
-    monomial axis (hook-d)."""
+    """A row with an earlier operator is one contraction g, whose sum the
+    engine then moves (``contract_terms``' ``move``): the shared slot's
+    index goes from g's monomial axis into its tuple axis (young-a) or
+    from the tuple axis into the monomial axis (hook-d)."""
 
     @staticmethod
-    def contraction(name, gbar, curvature):
-        polar = integrability._polar(*ROWS[name])
-        terms = [(1, term, [(gbar, curvature)[k] for k in picks]) for term, picks in polar.terms]
-        g, scale = contract_terms(terms, {}, len(polar.anti) - polar.free)
-        return polar, g, scale
+    def tight_operand(dim: int) -> np.ndarray:
+        """``s[k, a, m, c] = w[a, c]``, with ``w`` antisymmetric, 1 above
+        the diagonal but ``w[0, 2] = -1``.  At the tuple (0, 1, 2, 3) the
+        three pairings ``w01 w23``, ``-w02 w13`` and ``w03 w12`` are all 1,
+        so every shuffle of the last product adds with one sign there: on
+        a permutation gbar its peak is its step's bound (hook-d) or two
+        thirds of it (young-a), over ``1 / load`` of it either way.  So
+        the read-out's guard fails before the last step's."""
+        w = np.triu(np.ones((dim, dim), dtype=np.int64), 1)
+        w[0, 2] = -1
+        w -= w.T
+        return np.broadcast_to(w[None, :, None, :], (dim,) * 4).copy()
 
     @pytest.mark.parametrize("name, load", [("young-a", 2 + 4), ("hook-d", 2)])
     @pytest.mark.parametrize("side", ["under", "over", "over, reducible"])
     def test_the_guard_at_its_boundary(self, name, load, side):
-        # The map on c · g + e · h, for the content-reduced contractions g
-        # and h of two inputs.  With e = 1 the values have content 1, and
-        # the map's load · max|values| is just under 2^62 (the map runs in
-        # int64) or just over it (it runs modulo primes).  With e = 0
-        # ("over, reducible") the values c · g are just over it too, but
-        # with content c: move_index divides c out into the scale, and the
-        # map runs in int64.  Each gives c times g's dense components plus
-        # e times h's.  The load is the largest sum of |weight| over an
-        # output entry: 2 + 4 for the derivative onto degree 2 and
-        # 4-tuples, and for hook-d at N = 5 the two indices outside a
-        # 3-tuple.
+        # The row on the curvature operand c · s + r, for the tight s and
+        # a small r: g has content 1, and load · max|g| is just under
+        # 2^62 (the read-out is int64) or just over it (it runs modulo
+        # primes).  gbar cycles the indices 0, 1, 2; a symmetric one
+        # would make every entry of hook-d's g even.  "Over, reducible"
+        # hands the operand as c · s at scale 1/c, as the third
+        # condition's sum test does: g as made has content c^2 and is
+        # just over too, and once the read-out divides that out it is
+        # int64.  No step's guard fails.  The load is the largest sum of
+        # |weight| over an output entry: 2 + 4 for the derivative onto
+        # degree 2 and 4-tuples, and for hook-d at N = 5 the two indices
+        # outside a 3-tuple.
         dim = 5
-        g_ = sphere(dim).gbar()
-        gbar = (g_._ints, g_._scale)
-        parts = []
-        for seed in (17, 18):
-            curvature = curvature_image(random_curvature(dim, random.Random(seed), bound=3), integrability._S)
-            polar, g, scale = self.contraction(name, gbar, curvature)
-            assert isinstance(g, np.ndarray)
-            parts.append((*normalize_array(g, scale), reference_components(name, gbar, curvature)))
-        (g, g_scale, g_expected), (h, h_scale, h_expected) = parts
-        args = (dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
-        assert _fastops._moves(*args).load == load
-        e = int(side != "over, reducible")
-        peak = lambda c: max(abs(c * x + e * y) for x, y in zip(g.ravel().tolist(), h.ravel().tolist()))  # noqa: E731
-        c = (NEAR_SAFE - 1) // (load * int(np.abs(g).max())) - 2
-        assert load * peak(c) < NEAR_SAFE
-        while load * peak(c + 1) < NEAR_SAFE:
-            c += 1
-        c += side != "under"
-        values = c * g + e * h
-        assert (load * int(np.abs(values).max()) < NEAR_SAFE) == (side == "under")
-        assert math.gcd(*values.ravel().tolist()) == (c if side == "over, reducible" else 1)
-        moved, scale = move_index(values, Fraction(1), *args)
-        assert isinstance(moved, Residues) == (side == "over")
-        expected = [c * x / g_scale + e * y / h_scale for x, y in zip(g_expected, h_expected)]
+        polar = integrability._polar(*ROWS[name])
+        ((term, picks),) = polar.terms
+        size = len(polar.anti) - polar.free
+        move = (dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
+        assert _fastops._moves(*move).load == load
+        gbar = (np.eye(dim, dtype=np.int64)[[1, 2, 0, 3, 4]], Fraction(1))
+        s, r = self.tight_operand(dim), np.random.default_rng(0).integers(-1, 2, size=(dim,) * 4)
+
+        def contract(curvature, move=None):
+            # The result, its scale and the products, the last one last.
+            operands = [(gbar, curvature)[k] for k in picks]
+            memo: dict = {}
+            values, scale = contract_terms([(1, term, operands)], memo, size, move)
+            return values, scale, [node for node in memo.values() if node.source]
+
+        def peak(curvature) -> int:
+            # max|g| as its last step made it: no product was reduced.
+            values, _, products = contract(curvature)
+            assert values.dtype == np.int64 and all(node.loose for node in products)
+            return int(np.abs(values).max())
+
+        if side == "over, reducible":
+            c = math.isqrt(NEAR_SAFE // (load * peak((s, Fraction(1)))))
+            while load * peak((c * s, Fraction(1))) < NEAR_SAFE:
+                c += 1
+            curvature = (c * s, Fraction(1, c))
+        else:
+            at = lambda c: (c * s + r, Fraction(1))  # noqa: E731
+            c = math.isqrt(NEAR_SAFE // (load * peak((s, Fraction(1)))))
+            while load * peak(at(c)) >= NEAR_SAFE:
+                c -= 1
+            while load * peak(at(c + 1)) < NEAR_SAFE:
+                c += 1
+            curvature = at(c + (side == "over"))
+            g, _, _ = contract(curvature)
+            assert math.gcd(*g.ravel().tolist()) == 1
+        bound = load * peak(curvature)
+        assert (bound < NEAR_SAFE) == (side == "under")
+        values, scale, (*_, last) = contract(curvature, move)
+        assert isinstance(values, Residues) == (side == "over")
+        assert last.loose == (side == "under")
+        if side == "over":
+            assert (values.bound, values.load) == (bound, max(2, load))
+        expected = reference_components(name, gbar, curvature)
         assert any(expected)
-        assert [scale * v for v in integers(moved).ravel().tolist()] == expected
+        assert [scale * v for v in integers(values).ravel().tolist()] == expected
 
     @pytest.mark.parametrize("dim, zeros", [(4, 40), (5, 100)])
     def test_hook_d_components_vanish_exactly_on_the_empty_rows(self, dim, zeros):
@@ -427,7 +455,7 @@ class TestRowLayouts:
 
     def test_a_row_with_a_free_group_compiles_to_one_term(self):
         # The shared slot is moved between the monomial and tuple axes
-        # after the contraction (move_index), so the earlier operator adds
+        # after the contraction (contract_terms' move), so the earlier operator adds
         # no term: one contraction, with x in one slot more or one less
         # than the final symmetric group holds.
         free = {name: integrability._polar(terms, ops) for name, (terms, ops) in ROWS.items()}
