@@ -40,7 +40,7 @@ from .curvature import (
 from ._linalg import determinant
 from ._util import random_fraction
 from .errors import IdentityViolation, InvalidArgument, SamplingFailure
-from .integrability import check, condition3_residual, verify_identity_suite
+from .integrability import check, condition3_holds, verify_identity_suite
 from .models import ModelSpace
 from .oracle import integrable_oracle
 from .symgroup import YoungFrame, lr_decompose
@@ -370,7 +370,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
             _nonzero_fraction(rng, args.bound),
             signature=sphere.signature,
         )
-        if not condition3_residual(member, sphere).is_zero():
+        if not condition3_holds(member, sphere):
             print(f"sample {index}: third-condition redundancy failed on a family member")
             failures += 1
     checked = args.samples

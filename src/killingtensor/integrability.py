@@ -52,6 +52,7 @@ from ._fastops import (
     integers,
     nonzero,
     normalize_array,
+    transposed_sum,
     weigh_monomials,
     zero_array,
 )
@@ -61,7 +62,7 @@ from .curvature import CurvatureTensor, SymCurvatureTensor, _as_class
 from .errors import IdentityViolation, InvalidArgument, UnsupportedForm
 from .models import ModelSpace
 from .symgroup import GroupAlgebraElement, young_symmetriser
-from .tensor import Tensor, _rearrangement_sum, _rearrangements, antisymmetrise_slots, symmetrise_slots
+from .tensor import Tensor, _rearrangements, antisymmetrise_slots, symmetrise_slots
 
 __all__ = [
     "ConditionForm1",
@@ -477,6 +478,12 @@ def condition3_residual(K: KillingInput, gbar: GbarLike) -> Tensor:
     return _evaluate(K, gbar, _COND3_FORM)[0].tensor()
 
 
+def condition3_holds(K: KillingInput, gbar: GbarLike) -> bool:
+    """Whether the third condition's residual vanishes, read from its
+    canonical components: the dense residual is never built."""
+    return _evaluate(K, gbar, _COND3_FORM)[0].is_zero()
+
+
 # ---------------------------------------------------------------------------
 # Unconditional identity suite.
 # ---------------------------------------------------------------------------
@@ -524,6 +531,23 @@ def _projector_sum() -> GroupAlgebraElement:
     return t1.multiply(t1.adjoint()) + t2.adjoint().multiply(t2)
 
 
+def _projector_sample(dim: int, random) -> Tensor:
+    """``Anti_{146}(u (x) x (x) x (x) v (x) x (x) w)`` for random integer
+    vectors ``x, u, v, w`` (entries in -9..9, drawn in that order).
+
+    Antisymmetrising slots 1, 4 and 6 of the outer product only permutes
+    ``u, v, w`` among them, so the sample is the order-3 wedge
+    ``Anti(u (x) v (x) w)`` in slots (1, 4, 6) times ``x`` in slots
+    (2, 3, 5): one placement of the wedge and ``x (x) x (x) x``."""
+    x, u, v, w = (
+        np.array([random.randint(-9, 9) for _ in range(dim)], dtype=np.int64) for _ in range(4)
+    )
+    uvw = Tensor._from_ints(np.multiply.outer(np.multiply.outer(u, v), w), Fraction(1), dim)
+    wedge = antisymmetrise_slots(uvw, (1, 2, 3))
+    cube = np.multiply.outer(np.multiply.outer(x, x), x)
+    return Tensor._from_ints(np.einsum("adf,bce->abcdef", wedge._ints, cube), wedge._scale, dim)
+
+
 def verify_identity_suite(
     S: "SymCurvatureTensor | Tensor",
     gbar: GbarLike,
@@ -537,7 +561,11 @@ def verify_identity_suite(
     variants) and quartic (both terms) contractions; and the projector
     decomposition of (antisymmetriser x symmetriser) evaluated on
     ``u (x) x (x) x (x) v (x) x (x) w`` tensors antisymmetrised in the
-    (u, v, w) slots, with random integer vectors drawn from ``rng``.
+    (u, v, w) slots, with random integer vectors drawn from ``rng``
+    (:func:`_projector_sample`).  The cyclic-sum check zero-tests the
+    integer sum of ``S``'s rearranged image, and the projector check
+    compares its two sides as they are: canonical images are unique, so
+    equal tensors have equal images, and no difference is formed.
 
     Each hook check is one contraction, with ``x`` in its symmetric
     group less the slot it shares with the antisymmetriser, times ``x``
@@ -563,7 +591,9 @@ def verify_identity_suite(
         if not ok:
             raise IdentityViolation(f"identity check failed: {name}")
 
-    require("symmetrised_bianchi", _rearrangement_sum(S.tensor, _BIANCHI).is_zero())
+    # The sum is zero exactly when its integer image is: no Tensor is built.
+    bianchi = transposed_sum(S.tensor._ints, _BIANCHI.axes, _BIANCHI.multiples)
+    require("symmetrised_bianchi", not np.count_nonzero(bianchi))
 
     # The hook checks share their polarised factors and common sub-products.
     s_scaled, g_scaled = _image(S.tensor), _image(g)
@@ -571,20 +601,12 @@ def verify_identity_suite(
     for name, term, ops in _HOOK_CHECKS:
         require(name, _residual(_polar((term,), ops), g_scaled, s_scaled, memo).is_zero())
 
-    # Projector decomposition on u (x) x (x) x (x) v (x) x (x) w with the
-    # (u, v, w) slots antisymmetrised; slots are (a2, b1, b2, c2, d1, d2).
-    dim = S.dim
-    vecs = {
-        name: np.array([random.randint(-9, 9) for _ in range(dim)], dtype=np.int64)
-        for name in ("x", "u", "v", "w")
-    }
-    outer = functools.reduce(
-        np.multiply.outer, [vecs["u"], vecs["x"], vecs["x"], vecs["v"], vecs["x"], vecs["w"]]
-    )
+    # Projector decomposition on t = Anti_{146}(u (x) x (x) x (x) v (x) x (x) w);
+    # slots are (a2, b1, b2, c2, d1, d2).
+    t = _projector_sample(S.dim, random)
     # The literal 3!-term sums over 1-based slots (a2, c2, d2) and (b1, b2, d1).
-    t = antisymmetrise_slots(Tensor._from_ints(outer, Fraction(1), dim), (1, 4, 6))
     lhs = antisymmetrise_slots(symmetrise_slots(t, (2, 3, 5)), (1, 4, 6))
-    require("projector_decomposition", (288 * lhs - _projector_sum().apply(t)).is_zero())
+    require("projector_decomposition", 288 * lhs == _projector_sum().apply(t))
 
     return _IDENTITY_CHECKS
 

@@ -188,8 +188,14 @@ class ModelSpace:
 
         ``g^{ab}`` on the sphere; the degenerate ``g^{ab} − u^a u^b`` on
         the flat model.  Used as the contraction kernel in the algebraic
-        integrability conditions and in the point oracle.
+        integrability conditions and in the point oracle.  Built once per
+        model object: a Tensor is immutable, so every call returns the
+        same one.
         """
+        return self._gbar
+
+    @cached_property
+    def _gbar(self) -> Tensor:
         if self.kind is ModelKind.SPHERE:
             return self.signature.inverse_metric()
         assert self.height_vector is not None

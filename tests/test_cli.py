@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 
 import killingtensor
 from conftest import image_bits, sphere, wide_curvature
-from killingtensor import CurvatureTensor, Tensor, cli, io, metric_rep, r_to_s
+from killingtensor import CurvatureTensor, Tensor, cli, integrability, io, metric_rep, r_to_s, random_curvature
 from killingtensor import tensor as tensor_module
 
 
@@ -338,6 +339,27 @@ class TestIdentitiesCommand:
         )
         assert code == 0
         assert "all identities verified: 1 samples at N=3" in out
+
+    def test_the_redundancy_check_builds_no_dense_residual(self, capsys, monkeypatch):
+        # A failing family member would expand the N^10 residual: 8 GiB
+        # at N = 8.  The verdict is read from the canonical components.
+        def refuse(self):
+            raise AssertionError("the dense residual was built")
+
+        monkeypatch.setattr(integrability._Residual, "tensor", refuse)
+        code, out, _ = run(capsys, "identities", "--N", "3", "--samples", "2")
+        assert code == 0
+        assert "all identities verified: 2 samples at N=3" in out
+
+    def test_a_failing_redundancy_check_is_reported(self, capsys, monkeypatch):
+        # A generic curvature tensor is no family member, and its third
+        # residual is nonzero.
+        member = random_curvature(4, random.Random(4), bound=3)
+        monkeypatch.setattr(cli, "family_rep", lambda *args, **kwargs: member)
+        code, out, _ = run(capsys, "identities", "--N", "4", "--samples", "1")
+        assert code == 1
+        assert "sample 0: third-condition redundancy failed on a family member" in out
+        assert "1 identity failure(s) over 1 samples at N=4" in out
 
     def test_argument_validation(self, capsys):
         code, _, err = run(capsys, "identities", "--N", "1")

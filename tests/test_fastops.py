@@ -19,6 +19,7 @@ multiplication followed by ``alternating_sums``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -419,6 +420,37 @@ class TestNormalizeArray:
         twin, twin_scale = normalize_array(python_ints(arr) * common, scale / common)
         assert twin.dtype == out.dtype and twin_scale == out_scale
         assert twin.tolist() == out.tolist()
+
+
+def content_arrays():
+    """Arrays for ``_content``, each a ``pytest.param`` named after its
+    case: coprime early or only at the last entry (the object loop stops
+    at the first running gcd of 1), a common factor 6, and zeros first."""
+    rng = np.random.default_rng(16)
+    for size in (3, 4096):
+        coprime = rng.integers(-50, 51, size=size)
+        coprime[:2] = (6, 35)  # the first two entries have gcd 1
+        sixes = 6 * rng.integers(-50, 51, size=size)
+        sixes[0] = 6
+        late = sixes.copy()
+        late[-1] = 35  # gcd 6 up to the last entry, then 1
+        zeros = np.zeros(size, dtype=np.int64)
+        zeros[-1] = 12  # zeros up to the last entry
+        cases = {"coprime": coprime, "late-coprime": late, "sixes": sixes, "zeros-first": zeros}
+        for name, arr in cases.items():
+            yield pytest.param(arr, id=f"{name}-{size}")
+            yield pytest.param(python_ints(arr), id=f"{name}-{size}-objects")
+        yield pytest.param(_fastops.zero_array((size,)), id=f"zero-array-{size}")
+    # A transposed view with a single coprime entry.
+    square = 6 * rng.integers(-50, 51, size=(64, 64))
+    square[0, -1] = 35
+    yield pytest.param(square.T, id="transposed")
+
+
+class TestContent:
+    @pytest.mark.parametrize("arr", list(content_arrays()))
+    def test_the_gcd_of_every_entry(self, arr):
+        assert _fastops._content(arr) == functools.reduce(math.gcd, arr.ravel().tolist(), 0)
 
 
 class TestLinearCombination:

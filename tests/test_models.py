@@ -181,6 +181,19 @@ class TestModelSpace:
         expected = model.inverse_metric() - tensor_product(u, u)
         assert image(model.gbar()) == image(expected)
 
+    @pytest.mark.parametrize(
+        "model",
+        [sphere(4), sphere(3, 1), flat(4), custom_flat()],
+        ids=["sphere(4,0)", "sphere(3,1)", "flat(4)", "u=(5/4,0,3/4)"],
+    )
+    def test_gbar_is_built_once_per_model(self, model):
+        assert model.gbar() is model.gbar()
+        # A fresh build, and an equal model's, are the same tensor.
+        fresh = ModelSpace._gbar.func(model)
+        assert fresh is not model.gbar() and image(fresh) == image(model.gbar())
+        twin = ModelSpace(model.kind, model.signature, model.height_vector)
+        assert twin == model and image(twin.gbar()) == image(model.gbar())
+
     def test_gbar_on_flat_is_degenerate_along_u(self):
         model = flat(3)
         gbar = model.gbar()
