@@ -64,8 +64,9 @@ _MAX_ORACLE_POINTS = 10_000
 
 # Largest --samples · max(N, 5)^8 of identities, whose largest arrays grow
 # as N^8: 100 samples at N <= 5, 23 at N = 6, 6 at N = 7 and 2 at N = 8.
-# At the cap it took 2.8 s at N = 5, 3.9 s at N = 6, 3.2 s at N = 7 and
-# 4.2 s in 98 MiB max RSS at N = 8 (2-vCPU VM, one run each).
+# At the cap it took 2.4 s at N = 5, 3.9 s at N = 6, 3.2 s at N = 7 and
+# 3.7 s in 87 MiB max RSS at N = 8 (2-vCPU VM; medians of five runs at
+# N = 5 and 8, one run each at N = 6 and 7).
 _MAX_IDENTITY_COST = 100 * 5**8
 
 # Largest --N of identities: one sample took 2.5 s and 97 MiB max RSS

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -15,8 +14,10 @@ from conftest import BOUND, flat, random_family_member, sphere
 from killingtensor import (
     ConditionForm1,
     ConditionForm2,
+    GroupAlgebraElement,
     IdentityViolation,
     InvalidArgument,
+    Permutation,
     Tensor,
     UnsupportedForm,
     antisymmetrise_slots,
@@ -30,7 +31,6 @@ from killingtensor import (
     random_curvature,
     random_invertible_matrix,
     symmetrise_slots,
-    tensor_product,
     verify_identity_suite,
     young_symmetriser,
 )
@@ -259,8 +259,8 @@ class TestIdentitySuite:
         "dim, model_builder", [(3, sphere), (3, flat), (4, sphere)]
     )
     def test_suite_passes_for_valid_inputs(self, dim, model_builder):
-        S = random_s(dim, 19 + dim)
-        names = verify_identity_suite(S, model_builder(dim), rng=0)
+        S, model = random_s(dim, 19 + dim), model_builder(dim)
+        names = verify_identity_suite(S, model, rng=0)
         assert names == (
             "symmetrised_bianchi",
             "hook_4_1_1_on_quadratic",
@@ -270,6 +270,8 @@ class TestIdentitySuite:
             "hook_8_1_1_on_quartic_yang",
             "projector_decomposition",
         )
+        for rng in (1, random.Random(2), None):
+            assert verify_identity_suite(S, model, rng=rng) == names
 
     # Each check fails when its own data is faulty; S stays valid.
     @pytest.mark.parametrize("position", range(4))
@@ -321,22 +323,21 @@ class TestIdentitySuite:
         with pytest.raises(IdentityViolation, match="projector_decomposition$"):
             verify_identity_suite(random_s(3, 22), sphere(3), rng=0)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-    def test_the_projector_sample_is_the_antisymmetrised_outer_product(self, dim):
-        for seed in range(3):
-            draws = random.Random(seed)
-            x, u, v, w = (
-                Tensor.from_nested([draws.randint(-9, 9) for _ in range(dim)]) for _ in range(4)
-            )
-            outer = functools.reduce(tensor_product, [u, x, x, v, x, w])
-            expected = antisymmetrise_slots(outer, (1, 4, 6))
-            assert integrability_module._projector_sample(dim, random.Random(seed)) == expected
+    def test_a_projector_sum_no_symmetric_sample_sees_fails_the_decomposition(self, monkeypatch):
+        # (1 2)(2 3) acts as (1 2) on every tensor symmetric in slots 2 and
+        # 3, so no order-6 sample of the operator's own symmetry type sees
+        # 288 ((1 2) - (1 2)(2 3)); the group algebra comparison does.
+        swap = GroupAlgebraElement.from_permutation(Permutation([2, 1, 3, 4, 5, 6]))
+        turn = GroupAlgebraElement.from_permutation(Permutation([1, 3, 2, 4, 5, 6]))
+        wrong = integrability_module._projector_sum() + 288 * (swap - swap.multiply(turn))
+        monkeypatch.setattr(integrability_module, "_projector_sum", lambda: wrong)
+        with pytest.raises(IdentityViolation, match="projector_decomposition$"):
+            verify_identity_suite(random_s(3, 22), sphere(3), rng=0)
 
-    def test_a_second_suite_call_normalises_four_order_six_arrays(self, monkeypatch):
+    def test_a_second_suite_call_normalises_no_order_six_array(self, monkeypatch):
         # The model's gbar is built once, the Bianchi sum is zero-tested on
-        # integers, and the projector check normalises its sample, the two
-        # passes of its left side and the projector sum applied: no
-        # difference of the two sides.
+        # integers, and the projector decomposition is compared in the
+        # group algebra: no order-6 tensor is built.
         orders: Counter = Counter()
         original = tensor_module.normalize_array
 
@@ -350,7 +351,7 @@ class TestIdentitySuite:
         verify_identity_suite(S, model, rng=0)
         orders.clear()
         verify_identity_suite(S, model, rng=1)
-        assert orders[6] == 4
+        assert orders[6] == 0
         assert orders[2] == orders[4] == 0
 
     def test_suite_rejects_invalid_inputs(self):
