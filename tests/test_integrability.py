@@ -334,6 +334,19 @@ class TestIdentitySuite:
         with pytest.raises(IdentityViolation, match="projector_decomposition$"):
             verify_identity_suite(random_s(3, 22), sphere(3), rng=0)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_both_projector_sides_act_as_the_slot_operations(self, dim):
+        # Ties the group algebra elements the suite compares to the slot
+        # operations of the hook forms: on a generic order-6 tensor both
+        # act as 288 Anti_{146} Sym_{235}.
+        draws = random.Random(dim)
+        t = Tensor.from_nested(
+            np.array([draws.randint(-9, 9) for _ in range(dim**6)]).reshape((dim,) * 6).tolist()
+        )
+        expected = 288 * antisymmetrise_slots(symmetrise_slots(t, (2, 3, 5)), (1, 4, 6))
+        assert integrability_module._projector_product().apply(t) == expected
+        assert integrability_module._projector_sum().apply(t) == expected
+
     def test_a_second_suite_call_normalises_no_order_six_array(self, monkeypatch):
         # The model's gbar is built once, the Bianchi sum is zero-tested on
         # integers, and the projector decomposition is compared in the
