@@ -56,11 +56,13 @@ polarised in three slots, which the cyclic identity makes zero.
 A group of free slots that an earlier operator spans, and that shares
 one slot with a final group, is read off one contraction: after the sum,
 :func:`contract_terms` moves the shared slot's index, a derivative from
-the monomial axis into the tuple axis, a product with ``x`` back, each
-through small per-monomial and per-tuple tables (:func:`_moves`).  The
-sum and the move pass one guard together, so a residual's values leave
-the engine through one int64-or-primes decision, and content is divided
-out of them only by :func:`_reduce`, where that guard fails.
+the monomial axis into the tuple axis, a product with ``x`` back.  Each
+column of the move is compiled to the sum's row and a signed weight at
+every output entry, once per key while the tables are small
+(:func:`_moves`), so a move is one gather per column (:func:`_moved`).
+The sum and the move pass one guard together, so a residual's values
+leave the engine through one int64-or-primes decision, and content is
+divided out of them only by :func:`_reduce`, where that guard fails.
 """
 
 from __future__ import annotations
@@ -375,22 +377,47 @@ def _shuffled(dim: int, size: int, slots: tuple[int, ...]) -> tuple[np.ndarray, 
 
 
 class _Moves(NamedTuple):
-    """Tables of the move of :func:`contract_terms`: per output monomial
-    ``alpha`` and variable ``v`` (M x dim), per output tuple ``I`` and
-    column (T x width)."""
+    """Tables of the move of :func:`contract_terms` onto ``M`` monomials
+    and ``T`` increasing tuples, through ``W`` columns."""
 
-    monomial: np.ndarray  # the source monomial at (alpha, v)
-    weight: np.ndarray  # its coefficient, 0 where there is none
-    variable: np.ndarray  # the variable v that column moves at I
-    tuples: np.ndarray  # the source tuple at (I, column)
-    sign: np.ndarray  # its sign
+    weight: np.ndarray  # (M, dim): the source monomial's coefficient at (alpha, v), 0 where there is none
+    variable: np.ndarray  # (T, W): the variable v that each column moves at I
+    rows: np.ndarray  # (W, M, T): the flat source row, source monomial · source tuples + source tuple
+    coefficients: np.ndarray  # (W, M, T): that row's weight times the column's sign
     load: int  # the largest sum of |coefficient| over one output entry
 
 
-@functools.lru_cache(maxsize=32)
+# The most entries a move's table may hold to be cached (see _moves):
+# every library key up to N = 5 (at most 14 850 entries), and all but the
+# quartic hook key (77 220) at N = 6.
+_SMALL_MOVES = 1 << 15
+
+
 def _moves(dim: int, degree: int, size: int, pivot: int, free: int) -> _Moves:
+    """The tables of a move (:func:`_compile_moves`).
+
+    Tables of at most ``_SMALL_MOVES`` entries each are compiled once and
+    cached, in intp and int64, as numpy would cast a narrower index and
+    weight on every call.  Larger ones hold ``W · M · T`` entries each
+    (238 MiB for the quartic hook key at N = 12), so they are compiled
+    for each call, in the narrowest dtypes that hold them, and not kept.
+    """
+    width = size if free > 0 else dim - size
+    if width * math.comb(dim + degree - 1, degree) * math.comb(dim, size) <= _SMALL_MOVES:
+        return _small_moves(dim, degree, size, pivot, free)
+    return _compile_moves(dim, degree, size, pivot, free, narrow=True)
+
+
+@functools.lru_cache(maxsize=32)
+def _small_moves(dim: int, degree: int, size: int, pivot: int, free: int) -> _Moves:
+    return _compile_moves(dim, degree, size, pivot, free, narrow=False)
+
+
+def _compile_moves(dim: int, degree: int, size: int, pivot: int, free: int, narrow: bool) -> _Moves:
     """Tables moving one index between the monomial axis and the tuple
-    axis, onto monomials of ``degree`` and increasing ``size``-tuples.
+    axis, onto monomials of ``degree`` and increasing ``size``-tuples,
+    from a sum over monomials of ``degree + free`` and increasing
+    ``(size - free)``-tuples.
 
     With ``free`` +1 (a derivative) the source is ``x^(alpha + e_v)``
     with weight ``alpha_v + 1`` at ``I`` less ``v``, for each ``v`` in
@@ -399,7 +426,10 @@ def _moves(dim: int, degree: int, size: int, pivot: int, free: int) -> _Moves:
     and 0 elsewhere, at ``I`` with ``v`` added, for each ``v`` not in
     ``I`` (a column per place in the complement).  Either way the sign
     is that of sorting the tuple of the larger group with ``v`` at
-    position ``pivot`` and the smaller tuple in order around it.
+    position ``pivot`` and the smaller tuple in order around it.  Each
+    column is compiled to the sum's flat row and the signed weight at
+    every output entry: in intp and int64, or with ``narrow`` in the
+    narrowest signed dtypes that hold them.
     """
     combos = list(itertools.combinations(range(dim), size))
     combos = np.array(combos, dtype=np.intp).reshape(len(combos), size)
@@ -421,19 +451,28 @@ def _moves(dim: int, degree: int, size: int, pivot: int, free: int) -> _Moves:
     _, _, index, sign = _alternating(dim, size + (free < 0))
     source = index if free < 0 else _alternating(dim, size - 1)[2]
     codes = lambda tuples: tuples @ dim ** np.arange(tuples.shape[1] - 1, -1, -1, dtype=np.intp)  # noqa: E731
-    tuples, signs = [], []
-    for v, rest in zip(variable.T, smaller):
+    # The sum has this many tuples per monomial, and this many rows.
+    tuples = math.comb(dim, size - free)
+    sources = math.comb(dim + degree + free - 1, degree + free) * tuples
+    shape = (variable.shape[1], count, len(combos))
+    rows = np.empty(shape, _narrow(sources) if narrow else np.intp)
+    coefficients = np.empty(shape, _narrow(int(weight.max(initial=0))) if narrow else np.int64)
+    for column, (v, rest) in enumerate(zip(variable.T, smaller)):
         arranged = codes(np.insert(rest, pivot, v, axis=1))
-        tuples.append(source[arranged if free < 0 else codes(rest)])
-        signs.append(sign[arranged])
+        rows[column] = monomial[:, v] * tuples + source[arranged if free < 0 else codes(rest)]
+        coefficients[column] = weight[:, v] * sign[arranged]
     incidence = np.zeros((dim, len(combos)), dtype=np.int64)
     incidence[variable, np.arange(len(combos))[:, None]] = 1
     load = int(np.max(weight @ incidence, initial=0))
-    tuples, signs = (np.array(columns, dtype=np.intp).T.reshape(variable.shape) for columns in (tuples, signs))
-    moves = _Moves(monomial, weight, variable, tuples, signs, load)
-    for cached in moves[:5]:  # shared by every caller
+    moves = _Moves(weight, variable, rows, coefficients, load)
+    for cached in moves[:4]:  # a small key's tables are shared by every caller
         cached.flags.writeable = False
     return moves
+
+
+def _narrow(peak: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds magnitudes up to ``peak``."""
+    return np.min_scalar_type(-peak - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +495,7 @@ def polarise(arr: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     if len(axes) < 2:
         return flat
     table = _merge(arr.shape[0], (1,) * len(axes))
-    return np.add.reduceat(flat[table.perm], table.starts, axis=0)
+    return np.add.reduceat(flat.take(table.perm, axis=0), table.starts, axis=0)
 
 
 class _Reading(NamedTuple):
@@ -559,13 +598,15 @@ def _alternated(a: np.ndarray, b: np.ndarray, step: _Step) -> np.ndarray:
     read_a, read_b = step.read_a, step.read_b
     a, b = _share(a, read_a), _share(b, read_b)
     if read_a.at is not None:  # the shuffles join the contracted axis
-        a = a[:, read_a.at].reshape(len(a), *read_a.shuffled)
-        b = b[:, read_b.at].reshape(len(b), *read_b.shuffled)
+        a = a.take(read_a.at, axis=1).reshape(len(a), *read_a.shuffled)
+        b = b.take(read_b.at, axis=1).reshape(len(b), *read_b.shuffled)
     # a enters the product as a transposed view.
     out = np.matmul(a.swapaxes(2, 3)[:, None], b[None]).reshape((-1,) + step.shape[1:])
     if step.merge is None:
         return out
-    return np.add.reduceat(out[step.merge.perm], step.merge.starts, axis=0)
+    # The gathered copy takes the product's place before the sum is made.
+    out = out.take(step.merge.perm, axis=0)
+    return np.add.reduceat(out, step.merge.starts, axis=0)
 
 
 def _share(x: np.ndarray, reading: _Reading) -> np.ndarray:
@@ -1048,7 +1089,7 @@ def contract_terms(
         _, node, plan = parts[0]
         shape = node.arr.transpose(plan.order).shape
         if moves is not None:
-            shape = (len(moves.monomial), len(moves.variable)) + shape[2:]
+            shape = moves.rows.shape[1:] + shape[2:]
         return zero_array(shape), Fraction(1)
     while True:
         read = [(c, *_read(node, plan)) for c, node, plan in live]
@@ -1075,13 +1116,22 @@ def contract_terms(
 
 
 def _moved(values: np.ndarray, moves: _Moves) -> np.ndarray:
-    """The move of :func:`contract_terms` on an int64 array, one column
-    at a time, unguarded."""
-    out = np.zeros((len(moves.monomial), len(moves.variable)) + values.shape[2:], dtype=np.int64)
+    """The move of :func:`contract_terms` on an int64 array, unguarded.
+
+    The sum is read as rows over (source monomial, source tuple).  Each
+    column of the move gathers its compiled rows at every output entry
+    (``np.take``), weighs them in place and adds them to the result, so
+    the result and one column's gather are the only output-sized arrays.
+    """
+    rows = values.reshape((-1,) + values.shape[2:])
     trailing = (1,) * (values.ndim - 2)
-    for v, tuples, sign in zip(moves.variable.T, moves.tuples.T, moves.sign.T):
-        coefficient = moves.weight[:, v] * sign
-        out += coefficient.reshape(coefficient.shape + trailing) * values[moves.monomial[:, v], tuples]
+    out = None
+    for row, coefficient in zip(moves.rows, moves.coefficients):
+        term = rows.take(row, axis=0)
+        term *= coefficient.reshape(coefficient.shape + trailing)
+        out = term if out is None else np.add(out, term, out=out)
+    if out is None:  # no column: every entry is zero
+        return np.zeros(moves.rows.shape[1:] + values.shape[2:], dtype=np.int64)
     return out
 
 

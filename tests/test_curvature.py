@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BOUND, flat, sphere
@@ -236,6 +236,10 @@ class TestClassConversion:
         scale=st.sampled_from([Fraction(1), Fraction(2, 7)]),
         seed=st.integers(0, 10**6),
     )
+    # At 31 bits the image's peak falls on either side of 2^62: 62 bits
+    # for seed 11938 (int64), 64 bits for seed 0 (Python ints).
+    @example(dim=3, bits=31, scale=Fraction(1), seed=11938)
+    @example(dim=3, bits=31, scale=Fraction(1), seed=0)
     def test_converted_tensors_pass_the_target_validation(self, dim, bits, scale, seed):
         # r_to_s and s_to_r build their output without validating it; the
         # target class's own check must accept it, also on Python-int
@@ -256,8 +260,9 @@ class TestClassConversion:
         back = s_to_r(S)
         CurvatureTensor._validate(back, back.tensor._ints)
         assert back == R
-        if bits > 3 and dim > 2:  # at dim 2 the class is one line, content-reduced to small entries
-            assert S.tensor._ints.dtype == object
+        # The image holds Python ints exactly when its peak reaches 2^62.
+        peak = max(abs(int(v)) for v in S.tensor._ints.ravel().tolist())
+        assert (S.tensor._ints.dtype == object) == (peak >= 1 << 62)
 
     def test_metric_converts_to_doubled_products(self):
         # For R = (1/2) g @ g the symmetric-class image is

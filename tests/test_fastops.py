@@ -14,7 +14,9 @@ tensors, including int64 entries close to 2^62, where the sums must
 fall back to Python integers.  The product kernel ``_alternated`` with
 an empty group, on Python ints, is compared with polynomial
 multiplication one monomial pair at a time, and with a group, with that
-multiplication followed by ``alternating_sums``.
+multiplication followed by ``alternating_sums``.  The free-slot move's
+compiled gathers (``_moved``) are compared with the move read one column
+at a time off tables built from their definition.
 """
 
 from __future__ import annotations
@@ -862,6 +864,121 @@ class TestAlternatedProduct:
             assert any(len(node.source) > 2 and node.source[2].key[-2] for node in memo.values())  # alternated
             for node in nodes:
                 assert node.bound == (int(np.max(np.abs(node.arr))) if node.arr.size else 0)
+
+
+def move_keys() -> list[tuple[int, int, int, int, int]]:
+    """The move key of every library row with a group of free slots, at
+    N = 2-6, wherever the row's tuple group fits in the dimension."""
+    rows = [*integrability._COND1_FORMS.values(), *integrability._COND2_FORMS.values()]
+    rows += [(None, (term,), ops) for _, term, ops in integrability._HOOK_CHECKS]
+    keys = set()
+    for _, terms, ops in rows:
+        polar = integrability._polar(terms, ops)
+        for dim in range(2, 7):
+            if polar.free and len(polar.anti) <= dim:
+                keys.add((dim, len(polar.sym), len(polar.anti), polar.pivot, polar.free))
+    return sorted(keys)
+
+
+def move_tables(dim: int, degree: int, size: int, pivot: int, free: int):
+    """The move's tables from their definition (see ``_fastops._moves``):
+    per output monomial and variable, the source monomial and its weight;
+    per output tuple and column, the variable, the source tuple and the
+    sign of sorting the larger tuple with the variable at ``pivot``."""
+    monomials = list(itertools.combinations_with_replacement(range(dim), degree))
+    source_monomials = {m: r for r, m in enumerate(itertools.combinations_with_replacement(range(dim), degree + free))}
+    source_tuples = {t: r for r, t in enumerate(itertools.combinations(range(dim), size - free))}
+    monomial = np.zeros((len(monomials), dim), dtype=np.intp)
+    weight = np.zeros((len(monomials), dim), dtype=np.int64)
+    for r, alpha in enumerate(monomials):
+        for v in range(dim):
+            if free > 0:
+                monomial[r, v], weight[r, v] = source_monomials[tuple(sorted(alpha + (v,)))], alpha.count(v) + 1
+            elif v in alpha:
+                rest = list(alpha)
+                rest.remove(v)
+                monomial[r, v], weight[r, v] = source_monomials[tuple(rest)], 1
+    combos = list(itertools.combinations(range(dim), size))
+    width = size if free > 0 else dim - size
+    variable, tuples, sign = (np.zeros((len(combos), width), dtype=np.intp) for _ in range(3))
+    for r, combo in enumerate(combos):
+        for c, v in enumerate(combo if free > 0 else [v for v in range(dim) if v not in combo]):
+            smaller = [u for u in combo if u != v]
+            arranged = smaller[:pivot] + [v] + smaller[pivot:]
+            variable[r, c] = v
+            tuples[r, c] = source_tuples[tuple(sorted(smaller if free > 0 else arranged))]
+            sign[r, c] = (-1) ** sum(i > j for i, j in itertools.combinations(arranged, 2))
+    return monomial, weight, variable, tuples, sign
+
+
+def per_column_move(values: np.ndarray, monomial, weight, variable, tuples, sign) -> np.ndarray:
+    """The move one column at a time, each column's weights and source
+    indices formed as it is read, in ``values``' dtype."""
+    out = np.zeros((len(monomial), len(variable)) + values.shape[2:], dtype=values.dtype)
+    trailing = (1,) * (values.ndim - 2)
+    for v, column, signs in zip(variable.T, tuples.T, sign.T):
+        coefficient = weight[:, v] * signs
+        out += coefficient.reshape(coefficient.shape + trailing) * values[monomial[:, v], column]
+    return out
+
+
+class TestCompiledMoves:
+    @pytest.mark.parametrize("narrow", [False, True], ids=["wide", "narrow"])
+    @pytest.mark.parametrize("trailing", [0, 1])
+    @pytest.mark.parametrize("key", move_keys(), ids=str)
+    def test_the_compiled_move_is_the_per_column_formula(self, key, trailing, narrow):
+        # Within the move's guard (load · max|sum| < 2^62) and on residues
+        # in [0, p) at the read-out's first prime, the compiled move adds
+        # the per-column formula's integers without wrapping: both equal
+        # it on Python ints.  No library row has an index axis after the
+        # tuple axis; trailing = 1 adds one of length 2.  Each key is
+        # compiled both ways: at full width, as a small key is cached, and
+        # in the narrow dtypes of a large key.
+        dim, degree, size, pivot, free = key
+        monomial, weight, variable, tuples, sign = tables = move_tables(*key)
+        moves = _fastops._compile_moves(*key, narrow=narrow)
+        assert (moves.rows.dtype == np.intp and moves.coefficients.dtype == np.int64) != narrow
+        assert moves.weight.tolist() == weight.tolist() and moves.variable.tolist() == variable.tolist()
+        assert moves.load == int(np.abs(weight[:, variable]).sum(axis=2).max(initial=0))
+        assert not any(table.flags.writeable for table in moves[:4])
+        shape = (math.comb(dim + degree + free - 1, degree + free), math.comb(dim, size - free)) + (2,) * trailing
+        rng = np.random.default_rng([dim, degree, size, pivot, free + 1, trailing])
+        guard = (NEAR_SAFE - 1) // max(moves.load, 1)
+        p = next(_fastops.Residues(0, max(2, moves.load), None).primes(0))
+        inputs = [
+            np.full(shape, guard, dtype=np.int64),
+            rng.integers(-guard, guard, size=shape, endpoint=True),
+            np.where(rng.random(shape) < 0.5, p - 1, rng.integers(0, p, size=shape)),
+        ]
+        for values in inputs:
+            result = _fastops._moved(values, moves)
+            expected = per_column_move(values.astype(object), *tables)
+            assert result.dtype == np.int64 and result.shape == expected.shape
+            assert result.tolist() == expected.tolist()
+
+    def test_only_small_tables_are_cached(self):
+        # The quartic hook key holds 3 · 495 · 10 entries per table at
+        # N = 5, cached at full width.  At N = 8 it holds 6 · 6435 · 28: a
+        # 4-byte row and a 1-byte weight each, 5.2 MiB in all (intp and
+        # int64 would take 16.5 MiB), compiled for each call and not kept.
+        small = _fastops._moves(5, 8, 2, 0, -1)
+        assert small.rows.shape == (3, 495, 10) and _fastops._moves(5, 8, 2, 0, -1) is small
+        assert (small.rows.dtype, small.coefficients.dtype) == (np.intp, np.int64)
+        large = _fastops._moves(8, 8, 2, 0, -1)
+        assert large.rows.shape == (6, 6435, 28) and _fastops._moves(8, 8, 2, 0, -1) is not large
+        assert (large.rows.dtype, large.coefficients.dtype) == (np.int32, np.int8)
+
+    @pytest.mark.parametrize("row", integrability._HOOK_CHECKS, ids=lambda row: row[0])
+    def test_a_hook_row_at_n2_moves_through_no_column(self, row):
+        # The residual's two free slots fill the dimension, so no index
+        # lies outside its tuple: the move has no column and is zero.
+        _, term, ops = row
+        polar = integrability._polar((term,), ops)
+        moves = _fastops._moves(2, len(polar.sym), len(polar.anti), polar.pivot, polar.free)
+        assert moves.rows.shape == moves.coefficients.shape == (0, len(polar.sym) + 1, 1) and moves.load == 0
+        values = np.ones((len(polar.sym), math.comb(2, 3)), dtype=np.int64)
+        result = _fastops._moved(values, moves)
+        assert result.shape == (len(polar.sym) + 1, 1) and not result.any()
 
 
 class TestZeroNodes:
