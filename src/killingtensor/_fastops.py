@@ -57,12 +57,12 @@ A group of free slots that an earlier operator spans, and that shares
 one slot with a final group, is read off one contraction: after the sum,
 :func:`contract_terms` moves the shared slot's index, a derivative from
 the monomial axis into the tuple axis, a product with ``x`` back.  Each
-column of the move is compiled to the sum's row and a signed weight at
-every output entry, once per key while the tables are small
-(:func:`_moves`), so a move is one gather per column (:func:`_moved`).
-The sum and the move pass one guard together, so a residual's values
-leave the engine through one int64-or-primes decision, and content is
-divided out of them only by :func:`_reduce`, where that guard fails.
+column of the move is compiled once per key to the sum's row and a
+signed weight at every output entry (:func:`_moves`), so a move is one
+gather per column (:func:`_moved`).  The sum and the move pass one
+guard together, so a residual's values leave the engine through one
+int64-or-primes decision, and content is divided out of them only by
+:func:`_reduce`, where that guard fails.
 """
 
 from __future__ import annotations
@@ -387,33 +387,14 @@ class _Moves(NamedTuple):
     load: int  # the largest sum of |coefficient| over one output entry
 
 
-# The most entries a move's table may hold to be cached (see _moves):
-# every library key up to N = 5 (at most 14 850 entries), and all but the
-# quartic hook key (77 220) at N = 6.
-_SMALL_MOVES = 1 << 15
-
-
-def _moves(dim: int, degree: int, size: int, pivot: int, free: int) -> _Moves:
-    """The tables of a move (:func:`_compile_moves`).
-
-    Tables of at most ``_SMALL_MOVES`` entries each are compiled once and
-    cached, in intp and int64, as numpy would cast a narrower index and
-    weight on every call.  Larger ones hold ``W · M · T`` entries each
-    (238 MiB for the quartic hook key at N = 12), so they are compiled
-    for each call, in the narrowest dtypes that hold them, and not kept.
-    """
-    width = size if free > 0 else dim - size
-    if width * math.comb(dim + degree - 1, degree) * math.comb(dim, size) <= _SMALL_MOVES:
-        return _small_moves(dim, degree, size, pivot, free)
-    return _compile_moves(dim, degree, size, pivot, free, narrow=True)
+# The most entries a move's table may hold to be kept in intp and int64
+# (see _moves): every library key up to N = 5 (at most 14 850 entries),
+# and all but the quartic hook key (77 220) at N = 6.
+_WIDE_MOVES = 1 << 15
 
 
 @functools.lru_cache(maxsize=32)
-def _small_moves(dim: int, degree: int, size: int, pivot: int, free: int) -> _Moves:
-    return _compile_moves(dim, degree, size, pivot, free, narrow=False)
-
-
-def _compile_moves(dim: int, degree: int, size: int, pivot: int, free: int, narrow: bool) -> _Moves:
+def _moves(dim: int, degree: int, size: int, pivot: int, free: int) -> _Moves:
     """Tables moving one index between the monomial axis and the tuple
     axis, onto monomials of ``degree`` and increasing ``size``-tuples,
     from a sum over monomials of ``degree + free`` and increasing
@@ -426,10 +407,13 @@ def _compile_moves(dim: int, degree: int, size: int, pivot: int, free: int, narr
     and 0 elsewhere, at ``I`` with ``v`` added, for each ``v`` not in
     ``I`` (a column per place in the complement).  Either way the sign
     is that of sorting the tuple of the larger group with ``v`` at
-    position ``pivot`` and the smaller tuple in order around it.  Each
-    column is compiled to the sum's flat row and the signed weight at
-    every output entry: in intp and int64, or with ``narrow`` in the
-    narrowest signed dtypes that hold them.
+    position ``pivot`` and the smaller tuple in order around it.
+
+    Each column is compiled to the sum's flat row and the signed weight
+    at every output entry, ``W · M · T`` entries per table.  Tables of at
+    most ``_WIDE_MOVES`` entries are kept in intp and int64, which numpy
+    reads without a cast; larger ones (49.9 M entries for the quartic
+    hook key at N = 12) in the narrowest signed dtypes that hold them.
     """
     combos = list(itertools.combinations(range(dim), size))
     combos = np.array(combos, dtype=np.intp).reshape(len(combos), size)
@@ -455,8 +439,9 @@ def _compile_moves(dim: int, degree: int, size: int, pivot: int, free: int, narr
     tuples = math.comb(dim, size - free)
     sources = math.comb(dim + degree + free - 1, degree + free) * tuples
     shape = (variable.shape[1], count, len(combos))
-    rows = np.empty(shape, _narrow(sources) if narrow else np.intp)
-    coefficients = np.empty(shape, _narrow(int(weight.max(initial=0))) if narrow else np.int64)
+    wide = math.prod(shape) <= _WIDE_MOVES
+    rows = np.empty(shape, np.intp if wide else _narrow(sources))
+    coefficients = np.empty(shape, np.int64 if wide else _narrow(int(weight.max(initial=0))))
     for column, (v, rest) in enumerate(zip(variable.T, smaller)):
         arranged = codes(np.insert(rest, pivot, v, axis=1))
         rows[column] = monomial[:, v] * tuples + source[arranged if free < 0 else codes(rest)]
@@ -465,7 +450,7 @@ def _compile_moves(dim: int, degree: int, size: int, pivot: int, free: int, narr
     incidence[variable, np.arange(len(combos))[:, None]] = 1
     load = int(np.max(weight @ incidence, initial=0))
     moves = _Moves(weight, variable, rows, coefficients, load)
-    for cached in moves[:4]:  # a small key's tables are shared by every caller
+    for cached in moves[:4]:  # cached, so shared by every caller
         cached.flags.writeable = False
     return moves
 
@@ -1120,8 +1105,11 @@ def _moved(values: np.ndarray, moves: _Moves) -> np.ndarray:
 
     The sum is read as rows over (source monomial, source tuple).  Each
     column of the move gathers its compiled rows at every output entry
-    (``np.take``), weighs them in place and adds them to the result, so
-    the result and one column's gather are the only output-sized arrays.
+    (``np.take``), weighs them in place and adds them to the result.
+    Besides the result and one column's gather, ``take`` makes an intp
+    copy of the column's rows (they are read-only, or narrower past
+    ``_WIDE_MOVES`` entries), so at most three output-sized arrays exist
+    at once.
     """
     rows = values.reshape((-1,) + values.shape[2:])
     trailing = (1,) * (values.ndim - 2)
@@ -1130,6 +1118,7 @@ def _moved(values: np.ndarray, moves: _Moves) -> np.ndarray:
         term = rows.take(row, axis=0)
         term *= coefficient.reshape(coefficient.shape + trailing)
         out = term if out is None else np.add(out, term, out=out)
+        del term  # before the next column's gather
     if out is None:  # no column: every entry is zero
         return np.zeros(moves.rows.shape[1:] + values.shape[2:], dtype=np.int64)
     return out

@@ -64,8 +64,8 @@ _MAX_ORACLE_POINTS = 10_000
 
 # Largest --samples · max(N, 5)^8 of identities, whose largest arrays grow
 # as N^8: 100 samples at N <= 5, 23 at N = 6, 6 at N = 7 and 2 at N = 8.
-# At the cap it took 2.3 s at N = 5, 2.4 s at N = 6, 2.6 s at N = 7 and
-# 3.8 s in 86 MiB max RSS at N = 8 (2-vCPU VM; medians of five runs at
+# At the cap it took 2.7 s at N = 5, 3.2 s at N = 6, 2.9 s at N = 7 and
+# 4.3 s in 92 MiB max RSS at N = 8 (2-vCPU VM; medians of five runs at
 # N = 5 and 8, one run each at N = 6 and 7).
 _MAX_IDENTITY_COST = 100 * 5**8
 

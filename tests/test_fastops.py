@@ -926,17 +926,19 @@ class TestCompiledMoves:
     @pytest.mark.parametrize("narrow", [False, True], ids=["wide", "narrow"])
     @pytest.mark.parametrize("trailing", [0, 1])
     @pytest.mark.parametrize("key", move_keys(), ids=str)
-    def test_the_compiled_move_is_the_per_column_formula(self, key, trailing, narrow):
+    def test_the_compiled_move_is_the_per_column_formula(self, key, trailing, narrow, monkeypatch):
         # Within the move's guard (load · max|sum| < 2^62) and on residues
         # in [0, p) at the read-out's first prime, the compiled move adds
         # the per-column formula's integers without wrapping: both equal
         # it on Python ints.  No library row has an index axis after the
         # tuple axis; trailing = 1 adds one of length 2.  Each key is
-        # compiled both ways: at full width, as a small key is cached, and
-        # in the narrow dtypes of a large key.
+        # compiled both ways, with the bound _WIDE_MOVES moved and the
+        # cache bypassed: at full width, as a key of at most that many
+        # entries is kept, and in the narrow dtypes of a larger key.
         dim, degree, size, pivot, free = key
         monomial, weight, variable, tuples, sign = tables = move_tables(*key)
-        moves = _fastops._compile_moves(*key, narrow=narrow)
+        monkeypatch.setattr(_fastops, "_WIDE_MOVES", -1 if narrow else math.inf)
+        moves = _fastops._moves.__wrapped__(*key)
         assert (moves.rows.dtype == np.intp and moves.coefficients.dtype == np.int64) != narrow
         assert moves.weight.tolist() == weight.tolist() and moves.variable.tolist() == variable.tolist()
         assert moves.load == int(np.abs(weight[:, variable]).sum(axis=2).max(initial=0))
@@ -956,16 +958,16 @@ class TestCompiledMoves:
             assert result.dtype == np.int64 and result.shape == expected.shape
             assert result.tolist() == expected.tolist()
 
-    def test_only_small_tables_are_cached(self):
+    def test_large_tables_are_cached_narrow(self):
         # The quartic hook key holds 3 · 495 · 10 entries per table at
-        # N = 5, cached at full width.  At N = 8 it holds 6 · 6435 · 28: a
+        # N = 5, kept at full width.  At N = 8 it holds 6 · 6435 · 28: a
         # 4-byte row and a 1-byte weight each, 5.2 MiB in all (intp and
-        # int64 would take 16.5 MiB), compiled for each call and not kept.
+        # int64 would take 16.5 MiB).  Both are compiled once.
         small = _fastops._moves(5, 8, 2, 0, -1)
         assert small.rows.shape == (3, 495, 10) and _fastops._moves(5, 8, 2, 0, -1) is small
         assert (small.rows.dtype, small.coefficients.dtype) == (np.intp, np.int64)
         large = _fastops._moves(8, 8, 2, 0, -1)
-        assert large.rows.shape == (6, 6435, 28) and _fastops._moves(8, 8, 2, 0, -1) is not large
+        assert large.rows.shape == (6, 6435, 28) and _fastops._moves(8, 8, 2, 0, -1) is large
         assert (large.rows.dtype, large.coefficients.dtype) == (np.int32, np.int8)
 
     @pytest.mark.parametrize("row", integrability._HOOK_CHECKS, ids=lambda row: row[0])
